@@ -61,9 +61,7 @@ from .geometry import (
 from .multiscale import (
     LevelLine,
     RingAmbient,
-    forward_mod,
     hyperplane_mod,
-    inverse_mod,
     is_level_l_wavelet,
     line_mod,
     multiscale_decompose,

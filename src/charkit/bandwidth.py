@@ -196,7 +196,7 @@ def vanishing_certificate(f: GridFunction) -> Subspace | None:
                 best = found if found.dim > best.dim else best
                 break
     if not spectrum_vanishes_on(best):
-        raise AssertionError("certificate construction produced a non-vanishing subspace")
+        raise TheoremViolation("certificate construction produced a non-vanishing subspace")
     return best
 
 
@@ -344,5 +344,5 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
             values[ambient.index_of(pt)] = z.galois(r)
     f = inverse(Spectrum(ambient, CYCLOTOMIC, values))
     if f.kind != RATIONAL:
-        raise AssertionError("equivariant spectrum did not invert to a rational function")
+        raise TheoremViolation("equivariant spectrum did not invert to a rational function")
     return f

@@ -8,9 +8,22 @@ and the inverse carries no normalization, so F(0) is the average of f and
 the convolution theorem reads forward(f * g) = q**d * forward(f)*forward(g).
 
 Rational and cyclotomic inputs take the exact path over Q(zeta_q); complex
-inputs take a floating path.  The production transform runs one length-q
-pass per axis (q**d * q * d scalar operations); ``forward_naive`` keeps the
-quadratic double loop permanently as a differential-testing oracle.
+inputs take a floating path of one length-q pass per axis.
+
+The exact path is an integer-lattice kernel in the style of Nussbaumer's
+polynomial transforms.  All values are scaled by the lcm L of their
+coefficient denominators and become length-q int vectors in
+Z[x]/(x**q - 1), x standing for zeta.  There, multiplying by zeta**e is a
+rotation of the vector, so the d axis passes (one length-q pass per axis)
+only add ints: N*d*q*q of them for N = q**d points.  Each output value is
+then reduced to the power basis once, and each of its coefficients becomes
+one Fraction: c/(L*N) for ``forward``, c/L for ``inverse``.  ``inverse``
+returns rational scalars exactly when every reduced coefficient above
+degree zero is zero.
+
+``forward_naive`` is the quadratic double loop over ``Cyclotomic``
+arithmetic.  It shares no code with the lattice kernel and is kept as the
+oracle that the tests compare the kernel with.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import Point, Subspace, dot, perp, vsub
-from .scalars import ZERO, Cyclotomic, complex_close
+from .scalars import ZERO, Cyclotomic, _reduce_ext, complex_close
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -225,23 +238,6 @@ def _complex_roots(q: int) -> tuple:
     return tuple(cmath.exp(2j * cmath.pi * e / q) for e in range(q))
 
 
-def _exact_kernel(fiber, q: int, p: int, ell: int, sign: int):
-    """Length-q character sum out[k] = sum_t zeta**(sign*k*t) * fiber[t]."""
-    from .scalars import _reduce_ext
-
-    out = [None] * q
-    for k in range(q):
-        ext = [ZERO] * q
-        for t, v in enumerate(fiber):
-            coeffs = v.coeffs
-            e = sign * k * t % q
-            for j, c in enumerate(coeffs):
-                if c:
-                    ext[(j + e) % q] += c
-        out[k] = Cyclotomic._make(p, ell, _reduce_ext(p, ell, ext))
-    return out
-
-
 def _complex_kernel(fiber, q: int, sign: int):
     roots = _complex_roots(q)
     out = [0j] * q
@@ -254,7 +250,7 @@ def _complex_kernel(fiber, q: int, sign: int):
     return out
 
 
-def _axis_passes(values, ambient, sign: int, exact: bool):
+def _axis_passes(values, ambient, sign: int):
     q = ambient.modulus
     d = ambient.d
     vals = list(values)
@@ -267,26 +263,102 @@ def _axis_passes(values, ambient, sign: int, exact: bool):
             for lo in range(stride):
                 base = base0 + lo
                 fiber = [vals[base + t * stride] for t in range(q)]
-                if exact:
-                    col = _exact_kernel(fiber, q, ambient.p, ambient.ell, sign)
-                else:
-                    col = _complex_kernel(fiber, q, sign)
+                col = _complex_kernel(fiber, q, sign)
                 for k in range(q):
                     out[base + k * stride] = col[k]
         vals = out
     return vals
 
 
+def _lattice(values, q: int):
+    """Scale exact values onto the integer lattice Z[x]/(x**q - 1).
+
+    ``values`` are all rationals or all Cyclotomic of conductor q.  Returns
+    the lcm L of every coefficient denominator and one flat int list A with
+    A[j*N + i] = L * (coefficient of x**j in values[i]), N = len(values),
+    zero-padded from phi to q powers of x.
+    """
+    rows = [v.coeffs if isinstance(v, Cyclotomic) else (v,) for v in values]
+    dens = {c.denominator for row in rows for c in row}
+    L = math.lcm(*dens)
+    mult = {den: L // den for den in dens}
+    A = [c.numerator * mult[c.denominator] for col in zip(*rows) for c in col]
+    return L, A + [0] * (q * len(rows) - len(A))
+
+
+def _lattice_pass(A: list, q: int, sign: int) -> list:
+    """One length-q transform out[k] = sum_t x**(sign*k*t) * in[t] on the lattice.
+
+    A is indexed (j, r, t): the coefficient of x**j at position r*q + t.
+    Column t, A[t::q], is then indexed (j, r), and multiplying all of it by
+    x**e rotates it by e*n places (n = len(A) / q**2), so the loops only
+    slice and add ints.  The result is indexed (i, k, r): the transformed
+    coordinate moves to the front of the position, and d passes over a
+    d-dimensional grid bring it back to lexicographic order.
+    """
+    m = len(A) // q
+    n = m // q
+    cols = []  # (t, column t doubled, so that every rotation is one slice)
+    for t in range(q):
+        col = A[t::q]
+        if any(col):
+            cols.append((t, col + col))
+    out = [0] * len(A)
+    for k in range(q):
+        rows = []
+        for t, w in cols:
+            start = m - sign * k * t % q * n
+            rows.append(w[start : start + m])
+        if not rows:
+            continue
+        acc = list(map(sum, zip(*rows)))
+        for i in range(q):
+            out[(i * q + k) * n : (i * q + k + 1) * n] = acc[i * n : (i + 1) * n]
+    return out
+
+
+def _fractions(den: int):
+    """c -> Fraction(c, den), building each distinct Fraction once."""
+    memo = {0: ZERO}
+
+    def frac(c):
+        value = memo.get(c)
+        if value is None:
+            value = memo[c] = Fraction(c, den)
+        return value
+
+    return frac
+
+
+def _exact_transform(values, p: int, ell: int, passes: int, sign: int):
+    """The unnormalized exact transform of ``values`` over their last
+    ``passes`` axes of length q = p**ell: the lcm L of their denominators
+    and, per output position, its power-basis coordinates times L."""
+    q = p**ell
+    L, A = _lattice(values, q)
+    for _ in range(passes):
+        A = _lattice_pass(A, q, sign)
+    n = len(A) // q
+    planes = [A[j * n : (j + 1) * n] for j in range(q)]
+    return L, [_reduce_ext(p, ell, list(v)) for v in zip(*planes)]
+
+
+def _cyclotomics(rows, p: int, ell: int, den: int) -> list:
+    """One Cyclotomic per row of power-basis ints, each divided by den."""
+    frac = _fractions(den)
+    return [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
+
+
 def forward(f: GridFunction) -> Spectrum:
     """The normalized transform; exact over Q(zeta) for exact inputs."""
     ambient = f.ambient
     if f.kind == COMPLEX:
-        vals = _axis_passes(f.values, ambient, -1, exact=False)
+        vals = _axis_passes(f.values, ambient, -1)
         scale = 1.0 / ambient.size
         return Spectrum(ambient, COMPLEX, [v * scale for v in vals])
-    vals = _axis_passes(f.to_cyclotomic().values, ambient, -1, exact=True)
-    scale = Fraction(1, ambient.size)
-    return Spectrum(ambient, CYCLOTOMIC, [v.scale(scale) for v in vals])
+    p, ell = ambient.p, ambient.ell
+    L, rows = _exact_transform(f.values, p, ell, ambient.d, -1)
+    return Spectrum(ambient, CYCLOTOMIC, _cyclotomics(rows, p, ell, L * ambient.size))
 
 
 def forward_naive(f: GridFunction) -> Spectrum:
@@ -321,13 +393,14 @@ def inverse(F: GridFunction) -> GridFunction:
     when every cyclotomic coordinate above degree zero cancels."""
     ambient = F.ambient
     if F.kind == COMPLEX:
-        vals = _axis_passes(F.values, ambient, +1, exact=False)
+        vals = _axis_passes(F.values, ambient, +1)
         return GridFunction(ambient, COMPLEX, vals)
-    vals = _axis_passes(F.to_cyclotomic().values, ambient, +1, exact=True)
-    rationals = [v.rational_part() for v in vals]
-    if all(r is not None for r in rationals):
-        return GridFunction(ambient, RATIONAL, rationals)
-    return GridFunction(ambient, CYCLOTOMIC, vals)
+    p, ell = ambient.p, ambient.ell
+    L, rows = _exact_transform(F.values, p, ell, ambient.d, +1)
+    if not any(any(row[1:]) for row in rows):
+        frac = _fractions(L)
+        return GridFunction(ambient, RATIONAL, [frac(row[0]) for row in rows])
+    return GridFunction(ambient, CYCLOTOMIC, _cyclotomics(rows, p, ell, L))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError
+from .errors import CapacityError, TheoremViolation
 from .scalars import is_prime
 
 Point = tuple[int, ...]
@@ -331,7 +331,7 @@ def sqrt_minus_one(p: int) -> int:
     for i in range(2, p):
         if i * i % p == p - 1:
             return i
-    raise AssertionError("unreachable: a root exists for p = 1 mod 4")
+    raise TheoremViolation("unreachable: a root exists for p = 1 mod 4")
 
 
 def avoid_lines_subspace(ambient: Ambient, lines, k: int) -> Subspace:
@@ -363,7 +363,7 @@ def avoid_lines_subspace(ambient: Ambient, lines, k: int) -> Subspace:
                 current = ext
                 break
         else:
-            raise AssertionError("unreachable under the size precondition")
+            raise TheoremViolation("unreachable under the size precondition")
     return current
 
 

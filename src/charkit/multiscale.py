@@ -1,6 +1,6 @@
 """Multi-scale structure over Z_{p**ell}**d: valuations, lines and
-hyperplanes at levels, the exact transform with conductor p**ell, level
-wavelets, and a finite wavelet decomposition.
+hyperplanes at levels, level wavelets, and a finite wavelet decomposition.
+The exact transform with conductor p**ell is ``fourier.forward``.
 
 A nonzero scalar factors as p**j * unit; j is its valuation and p**(-j)
 its norm.  The line generated by a vector of valuation j has p**(ell-j)
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapacityError
+from .errors import CapacityError, TheoremViolation
 from .fourier import CYCLOTOMIC, GridFunction, Spectrum, forward, inverse
 from .geometry import MAX_GRID_POINTS, Point, dot, vscale
 from .scalars import Cyclotomic, is_prime
@@ -162,19 +162,10 @@ def hyperplane_mod(ambient: RingAmbient, v: Point) -> frozenset:
     pts = frozenset(x for x in ambient.points() if dot(x, v, q) == 0)
     expected = ambient.p ** (ambient.ell * (ambient.d - 1) + vector_valuation(ambient, v))
     if len(pts) != expected:
-        raise AssertionError(
+        raise TheoremViolation(
             f"hyperplane size {len(pts)} differs from p**(l(d-1)+v) = {expected}"
         )
     return pts
-
-
-def forward_mod(f: GridFunction) -> Spectrum:
-    """Exact transform with conductor p**ell and normalization q**(-d)."""
-    return forward(f)
-
-
-def inverse_mod(F: GridFunction) -> GridFunction:
-    return inverse(F)
 
 
 @dataclass(frozen=True)
@@ -199,7 +190,7 @@ def is_level_l_wavelet(f: GridFunction) -> LevelWaveletResult:
     """
     ambient = f.ambient
     q = ambient.modulus
-    F = forward_mod(f)
+    F = forward(f)
     supp = set(F.support())
     if not (supp - {ambient.origin()}):
         return LevelWaveletResult(
@@ -291,7 +282,7 @@ def multiscale_decompose(f: GridFunction) -> tuple:
     """
     ambient = f.ambient
     q = ambient.modulus
-    F = forward_mod(f)
+    F = forward(f)
     origin = ambient.origin()
     unclaimed = {x for x in F.support() if x != origin}
     zero = Cyclotomic.zero(ambient.p, ambient.ell)
@@ -301,7 +292,7 @@ def multiscale_decompose(f: GridFunction) -> tuple:
             F.values[ambient.index_of(x)] if x in points else zero
             for x in ambient.points()
         ]
-        return inverse_mod(Spectrum(ambient, CYCLOTOMIC, vals))
+        return inverse(Spectrum(ambient, CYCLOTOMIC, vals))
 
     lines = enumerate_level_lines(ambient)
     claims = []  # (level, generator, claimed point set)
@@ -315,7 +306,7 @@ def multiscale_decompose(f: GridFunction) -> tuple:
                 unclaimed -= mine
                 claims.append((level, line.generator, set(mine)))
     if unclaimed:
-        raise AssertionError(f"frequencies never claimed: {sorted(unclaimed)}")
+        raise TheoremViolation(f"frequencies never claimed: {sorted(unclaimed)}")
     dc = F.values[0]
     parts = []
     if len(claims) == 1:

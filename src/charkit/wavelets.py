@@ -21,6 +21,8 @@ from .fourier import (
     RATIONAL,
     GridFunction,
     Spectrum,
+    _cyclotomics,
+    _exact_transform,
     _join_kind,
     _kind_of_scalar,
     forward,
@@ -244,13 +246,18 @@ def reconstruct_from_masses(table: MassTable) -> GridFunction:
     values[0] = Cyclotomic.from_rational(p, scale * total) if not isinstance(
         total, Cyclotomic
     ) else total.scale(scale)
-    for line, ms in table.rows:
+    # One length-p pass over the masses, indexed (line, t), gives the
+    # spectrum on every line, indexed (k, line).
+    flat = [m for _, ms in table.rows for m in ms]
+    if any(isinstance(m, Cyclotomic) for m in flat):
+        # One power basis for every mass; a conductor mismatch raises.
+        flat = [zero._coerce(m) for m in flat]
+    L, rows = _exact_transform(flat, p, 1, 1, -1)
+    spectral = _cyclotomics(rows, p, 1, L * ambient.size)
+    n = len(table.rows)
+    for i, (line, _) in enumerate(table.rows):
         for k in range(1, p):
-            acc = Cyclotomic.zero(p)
-            for t, m in enumerate(ms):
-                z = m if isinstance(m, Cyclotomic) else Cyclotomic.from_rational(p, m)
-                acc = acc + z.mul_zeta(-k * t)
-            values[ambient.index_of(vscale(k, line.rep, p))] = acc.scale(scale)
+            values[ambient.index_of(vscale(k, line.rep, p))] = spectral[k * n + i]
     return inverse(Spectrum(ambient, CYCLOTOMIC, values))
 
 

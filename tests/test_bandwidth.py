@@ -21,6 +21,7 @@ from charkit.corpus import (
     staircase_function,
     staircase_set,
 )
+from charkit.errors import TheoremViolation
 from charkit.fourier import GridFunction, forward
 from charkit.geometry import (
     Ambient,
@@ -246,6 +247,15 @@ def test_inverse_phi_support_contained_in_seeded_lines():
     f = inverse_phi(amb, Fraction(0), {line: Fraction(2, 3)})
     profile = support_profile(forward(f), source_kind="rational")
     assert [l.rep for l in profile.active] == [(1, 2)]
+
+
+def test_inverse_phi_non_equivariant_seeds_raise_theorem_violation():
+    # A seed keyed by the zero vector overwrites the average with
+    # g_{p-1}(zeta), so the spectrum is not equivariant and its inverse is
+    # not rational.
+    amb = Ambient(3, 2)
+    with pytest.raises(TheoremViolation):
+        inverse_phi(amb, Fraction(1), {ProjectiveLine((0, 0)): Cyclotomic.zeta(3)})
 
 
 def test_spectrum_in_subspace_forces_coset_constancy():

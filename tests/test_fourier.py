@@ -23,6 +23,7 @@ from charkit.geometry import (
     vadd,
     vscale,
 )
+from charkit.multiscale import RingAmbient
 from charkit.scalars import Cyclotomic
 
 GRID = [(p, d) for p in (2, 3, 5) for d in (1, 2, 3)]
@@ -91,6 +92,69 @@ def test_axis_pass_equals_naive_oracle(p, d):
         rng = rng_for(9100 + p * 10 + d, f"oracle/{i}")
         f = random_rational_function(amb, rng)
         assert forward(f).values == forward_naive(f).values
+
+
+# Prime grids and the rings Z_9^2, Z_25, Z_8^2, for the lattice kernel.
+LATTICE_GRIDS = [
+    Ambient(5, 2),
+    Ambient(7, 2),
+    Ambient(3, 3),
+    RingAmbient(3, 2, 2),
+    RingAmbient(5, 2, 1),
+    RingAmbient(2, 3, 2),
+]
+
+
+def _mixed_cyclotomic_function(ambient, rng):
+    """Cyclotomic values whose coefficients have mixed denominators; about a
+    third of the values are zero."""
+    degree = ambient.p ** (ambient.ell - 1) * (ambient.p - 1)
+    vals = []
+    for _ in range(ambient.size):
+        zero = rng.random() < 1 / 3
+        coeffs = [
+            0 if zero else Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 7)))
+            for _ in range(degree)
+        ]
+        vals.append(Cyclotomic(ambient.p, coeffs, ambient.ell))
+    return GridFunction(ambient, "cyclotomic", vals)
+
+
+@pytest.mark.parametrize("ambient", LATTICE_GRIDS, ids=repr)
+def test_lattice_kernel_equals_naive_oracle_on_cyclotomic_inputs(ambient):
+    q = ambient.modulus
+    for i in range(2):
+        f = _mixed_cyclotomic_function(ambient, rng_for(9800, f"{ambient!r}/{i}"))
+        F = forward(f)
+        assert F.values == forward_naive(f).values
+        g = inverse(F)
+        assert g == f and g.kind == f.kind
+        # The + sign: inverse(f)(x) = q**d * forward(f)(-x).
+        naive = forward_naive(f)
+        want = [
+            naive.value_at(tuple(-c % q for c in x)).scale(ambient.size)
+            for x in ambient.points()
+        ]
+        assert inverse(f) == GridFunction(ambient, "cyclotomic", want)
+
+
+@pytest.mark.parametrize("ambient", LATTICE_GRIDS, ids=repr)
+def test_inverse_demotes_to_rational_exactly_when_rational(ambient):
+    rng = rng_for(9900, repr(ambient))
+    f = random_rational_function(ambient, rng)
+    back = inverse(forward(f))
+    assert back.kind == "rational" and back.values == f.values
+    # A cyclotomic function with rational values comes back rational.
+    back = inverse(forward(f.to_cyclotomic()))
+    assert back.kind == "rational" and back.values == f.values
+    # One value with a nonzero top power-basis coordinate keeps the whole
+    # result cyclotomic.
+    vals = list(f.to_cyclotomic().values)
+    top = Cyclotomic.zeta(ambient.p, vals[0].degree - 1, ambient.ell)
+    vals[-1] = vals[-1] + top.scale(Fraction(1, 7))
+    h = GridFunction(ambient, "cyclotomic", vals)
+    back = inverse(forward(h))
+    assert back.kind == "cyclotomic" and back.values == h.values
 
 
 def test_galois_equivariance():

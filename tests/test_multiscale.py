@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 
 from charkit.corpus import rng_for
-from charkit.fourier import GridFunction
+from charkit.fourier import GridFunction, forward, inverse
 from charkit.multiscale import (
     RingAmbient,
     canonical_generator,
     enumerate_level_lines,
-    forward_mod,
     hyperplane_mod,
-    inverse_mod,
     is_level_l_wavelet,
     line_mod,
     multiscale_decompose,
@@ -123,17 +121,17 @@ def test_transform_round_trip_exact():
         rng = rng_for(700, f"rt/{i}")
         vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(16)]
         f = GridFunction(a, "rational", vals)
-        F = forward_mod(f)
-        assert inverse_mod(F) == f
+        F = forward(f)
+        assert inverse(F) == f
         assert F.values[0].rational_part() == f.total() / 16
 
 
 def test_transform_constant_and_delta():
     a = RingAmbient(2, 2, 2)
-    Fc = forward_mod(GridFunction.constant(a, 1))
+    Fc = forward(GridFunction.constant(a, 1))
     assert Fc.values[0].rational_part() == 1
     assert all(v.is_zero() for v in Fc.values[1:])
-    Fd = forward_mod(GridFunction.delta(a, a.origin()))
+    Fd = forward(GridFunction.delta(a, a.origin()))
     assert all(v.rational_part() == Fraction(1, 16) for v in Fd.values)
 
 
@@ -146,7 +144,7 @@ def test_level_wavelet_from_hyperplane_family():
     coeffs = dict(res.coeffs)
     assert coeffs[1] == 1 and coeffs[0] == 0
     # spectrum side: support inside the line through (1,0)
-    F = forward_mod(f)
+    F = forward(f)
     line_pts = line_mod(a, (1, 0)).points()
     assert set(F.support()) <= set(line_pts)
 
@@ -172,7 +170,7 @@ def test_level_wavelet_modulated_offset_line():
     vals[a.index_of((1, 1))] = Cyclotomic.one(2, ell=2)
     vals[a.index_of((1, 2))] = Cyclotomic.zeta(2, 1, ell=2)
     F = GridFunction(a, "cyclotomic", vals)
-    f = inverse_mod(F)
+    f = inverse(F)
     res = is_level_l_wavelet(f)
     assert res.is_wavelet and res.offset is not None and res.coeffs is None
 
@@ -230,7 +228,7 @@ def test_multiscale_parts_are_level_wavelets():
     for part in multiscale_decompose(f):
         if part.is_constant:
             continue
-        F = forward_mod(part.function)
+        F = forward(part.function)
         line_pts = line_mod(a, part.generator).points()
         assert set(F.support()) <= set(line_pts)
         assert part.level == line_mod(a, part.generator).level
@@ -246,7 +244,7 @@ def test_exponent_three_smoke():
     rng = rng_for(704, "l3")
     vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(8)]
     f = GridFunction(a, "rational", vals)
-    assert inverse_mod(forward_mod(f)) == f
+    assert inverse(forward(f)) == f
     parts = multiscale_decompose(f)
     acc = None
     for part in parts:

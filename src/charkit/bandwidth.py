@@ -32,6 +32,7 @@ from .geometry import (
     enumerate_subspaces,
     is_compass_set,
     line_count,
+    line_through,
     perp,
     translate_set,
     vscale,
@@ -327,17 +328,22 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
     spectrum seed per line.
 
     ``seeds`` maps ProjectiveLine (canonical representatives) to Cyclotomic
-    or rational values; absent lines default to zero.  The full spectrum is
-    the equivariant extension F(r*m) = g_r(seed) and the result of
-    inverting it is exactly rational.
+    or rational values; absent lines default to zero.  A key that is not the
+    canonical representative of a nonzero line raises ValueError.  The full
+    spectrum is the equivariant extension F(r*m) = g_r(seed) and the result
+    of inverting it is exactly rational.
     """
     p = ambient.p
     zero = Cyclotomic.zero(p)
     values = [zero] * ambient.size
     values[0] = Cyclotomic.from_rational(p, Fraction(dc))
-    for line, seed in seeds.items():
-        if not isinstance(line, ProjectiveLine):
-            line = ProjectiveLine(tuple(line))
+    for key, seed in seeds.items():
+        rep = tuple(key.rep if isinstance(key, ProjectiveLine) else key)
+        line = line_through(ambient, rep)
+        if len(rep) != ambient.d or line.rep != rep:
+            raise ValueError(
+                f"seed key {rep} is not a canonical line of Z_{p}**{ambient.d}"
+            )
         z = seed if isinstance(seed, Cyclotomic) else Cyclotomic.from_rational(p, seed)
         for r in range(1, p):
             pt = vscale(r, line.rep, p)

@@ -294,7 +294,9 @@ def _lattice_pass(A: list, q: int, sign: int) -> list:
     x**e rotates it by e*n places (n = len(A) / q**2), so the loops only
     slice and add ints.  The result is indexed (i, k, r): the transformed
     coordinate moves to the front of the position, and d passes over a
-    d-dimensional grid bring it back to lexicographic order.
+    d-dimensional grid bring it back to lexicographic order.  Entries may
+    also be complex: the pass only slices and sums, and
+    ``wavelets.mass_table`` runs it on complex values as they are.
     """
     m = len(A) // q
     n = m // q

@@ -97,10 +97,6 @@ def vector_valuation(ambient: RingAmbient, v: Point) -> int:
     return min(valuation(ambient, c) for c in v)
 
 
-def vector_norm(ambient: RingAmbient, v: Point) -> Fraction:
-    return max(norm(ambient, c) for c in v)
-
-
 def unit_count(ambient: RingAmbient) -> int:
     """Number of invertible residues, p**ell - p**(ell-1)."""
     return ambient.modulus - ambient.modulus // ambient.p

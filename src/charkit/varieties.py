@@ -21,13 +21,6 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class VarietyPoints:
-    kind: str
-    ambient: Ambient
-    points: frozenset
-
-
 def paraboloid_points(ambient: Ambient) -> frozenset:
     """{x : x_d = x_1**2 + ... + x_{d-1}**2}; contains the origin."""
     p = ambient.p
@@ -52,14 +45,6 @@ def sphere_points(ambient: Ambient, radius: int, center: Point | None = None) ->
 
 def isotropic_cone(ambient: Ambient) -> frozenset:
     return sphere_points(ambient, 0)
-
-
-def paraboloid(ambient: Ambient) -> VarietyPoints:
-    return VarietyPoints("paraboloid", ambient, paraboloid_points(ambient))
-
-
-def sphere(ambient: Ambient, radius: int) -> VarietyPoints:
-    return VarietyPoints(f"sphere({radius % ambient.p})", ambient, sphere_points(ambient, radius))
 
 
 def sphere_count(p: int, d: int, r: int) -> int:

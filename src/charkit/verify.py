@@ -4,16 +4,12 @@ exercised exhaustively at desk scale or on seeded random corpora.
 Each suite returns a SuiteResult with one named check per statement and a
 counterexample dump on failure; the CLI ``verify`` command renders them
 and exits nonzero when anything fails.  Identical (seed, options) always
-produce identical results, including with a thread pool
-(set CHARKIT_THREADS to cap parallelism; work items are independent and
-reassembled in order).
+produce identical results: work items run in order, one after another.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -123,24 +119,6 @@ class SuiteResult:
             self.counterexamples.append(f"{name}: {exc}")
 
 
-def thread_count() -> int:
-    raw = os.environ.get("CHARKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_items(fn, items):
-    """Ordered map over work items, parallel when CHARKIT_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _grid_cycle(ps, ds, count):
     combos = [(p, d) for p in ps for d in ds]
     return [combos[i % len(combos)] for i in range(count)]
@@ -172,7 +150,7 @@ def run_galois(config: VerifyConfig) -> SuiteResult:
                         return f"m={vscale(t, line.rep, p)}, r={r}"
         return None
 
-    failures = [msg for msg in _map_items(one, jobs) if msg]
+    failures = [msg for msg in map(one, jobs) if msg]
     res.check(
         f"equivariance on {count} functions, p in {ps}, d={d}",
         not failures,
@@ -235,7 +213,7 @@ def run_tomography(config: VerifyConfig) -> SuiteResult:
             return f"round trip failed at p={p}, d={d}"
         return None
 
-    failures = [m for m in _map_items(one, jobs) if m]
+    failures = [m for m in map(one, jobs) if m]
     res.check(f"exact round trip on {count} functions", not failures,
               failures[0] if failures else "exact")
     res.counterexamples.extend(failures)
@@ -301,7 +279,7 @@ def run_equidist(config: VerifyConfig) -> SuiteResult:
             return ("indicator", True, len(members) % p ** V.dim == 0)
         return ("indicator", True, None)
 
-    for style, ok, extra in _map_items(one, jobs):
+    for style, ok, extra in map(one, jobs):
         if style == "constructed" and not ok:
             constructed_ok = False
         if extra is False:
@@ -350,7 +328,7 @@ def run_uncertainty(config: VerifyConfig) -> SuiteResult:
         rep = uncertainty_check(ambient, E)
         return rep.holds and rep.dim_bound_holds
 
-    results = _map_items(one, range(n))
+    results = [one(i) for i in range(n)]
     res.check(f"{n} random nonempty sets at (3,3)", all(results),
               f"{sum(results)}/{n} pass")
     return res
@@ -402,7 +380,7 @@ def run_paraboloid(config: VerifyConfig) -> SuiteResult:
         report = check_paraboloid_theorem(f)
         return report.hypothesis_met and report.all_good
 
-    results = _map_items(one, range(count))
+    results = [one(i) for i in range(count)]
     res.check(
         f"{count} constructed functions at ({p},{d}): every slice difference good",
         all(results),
@@ -560,7 +538,7 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
             acc = part.function if acc is None else acc + part.function
         return acc == f
 
-    results = _map_items(one, range(count))
+    results = [one(i) for i in range(count)]
     res.check(
         f"multiscale decomposition round-trips {count} random functions",
         all(results),

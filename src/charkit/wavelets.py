@@ -5,6 +5,17 @@ parallel affine hyperplanes perpendicular to s; its transform lives on the
 line through s.  Conversely the masses m_{s,t}(f) = sum over H_{s,t} of f
 determine the transform of f on that line, which is why a function is
 recoverable from its complete mass table (the sinogram).
+
+The mass table comes from one run of the exact-transform lattice kernel.
+For a direction s let G(s) = sum_x f(x) * X**(x.s) in K[X]/(X**p - 1);
+its coefficient of X**t is m_{s,t}.  With the values placed at power 0,
+the d lattice passes (sign +1, q = p) give G at every s at once, and
+skipping the reduction to the power basis keeps all p coefficients.  That
+is d*N*p*p slice additions for all p**d directions (N = p**d points),
+against one grid scan of N dot products per direction for ``masses``,
+which is kept as the one-direction path and the reference the tests
+compare the table with.  Masses are defined on Z_p**d only: ring grids
+(modulus p**ell, ell > 1) are rejected.
 """
 
 from __future__ import annotations
@@ -23,8 +34,11 @@ from .fourier import (
     Spectrum,
     _cyclotomics,
     _exact_transform,
+    _fractions,
     _join_kind,
     _kind_of_scalar,
+    _lattice,
+    _lattice_pass,
     forward,
     inverse,
 )
@@ -79,9 +93,18 @@ class Wavelet:
         return GridFunction(self.ambient, kind, vals)
 
 
+def _require_prime_grid(ambient) -> None:
+    if ambient.ell > 1:
+        raise ValueError(
+            "hyperplane masses are defined on Z_p**d only, not on the ring grid "
+            f"Z_{ambient.modulus}**{ambient.d}"
+        )
+
+
 def masses(f: GridFunction, s) -> tuple:
     """The p hyperplane masses m_{s,t}(f) = sum of f over {x : x.s = t}."""
     ambient = f.ambient
+    _require_prime_grid(ambient)
     p = ambient.p
     s = tuple(c % p for c in s)
     if not any(s):
@@ -91,6 +114,43 @@ def masses(f: GridFunction, s) -> tuple:
         t = dot(x, s, p)
         sums[t] = sums[t] + v
     return tuple(sums)
+
+
+def _mass_rows(f: GridFunction, lines) -> list:
+    """The masses of f in every direction of ``lines``, from one lattice run.
+
+    Exact values enter the lattice as ints over the lcm L of their
+    denominators, one untransformed leading axis per power-basis
+    coordinate, so the d passes leave coordinate c of m_{s,t} at
+    A[t*N*width + index(s)*width + c], width = p - 1 for cyclotomic values
+    and 1 otherwise.  Complex values go through the same passes as they are.
+    """
+    ambient = f.ambient
+    p, n = ambient.p, ambient.size
+    if f.kind == COMPLEX:
+        width = 1
+        A = list(f.values) + [0] * ((p - 1) * n)
+        mass = lambda cell: complex(cell[0])
+    elif f.kind == CYCLOTOMIC:
+        width = p - 1
+        coords = zip(*(v.coeffs for v in f.values))
+        L, A = _lattice([c for col in coords for c in col], p)
+        frac = _fractions(L)
+        mass = lambda cell: Cyclotomic._make(p, 1, tuple(map(frac, cell)))
+    else:
+        width = 1
+        L, A = _lattice(f.values, p)
+        frac = _fractions(L)
+        mass = lambda cell: frac(cell[0])
+    for _ in range(ambient.d):
+        A = _lattice_pass(A, p, +1)
+    plane = width * n
+    rows = []
+    for line in lines:
+        base = ambient.index_of(line.rep) * width
+        cells = (A[t * plane + base : t * plane + base + width] for t in range(p))
+        rows.append(tuple(map(mass, cells)))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -130,8 +190,9 @@ class MassTable:
 
 def mass_table(f: GridFunction) -> MassTable:
     ambient = f.ambient
-    rows = tuple((line, masses(f, line.rep)) for line in enumerate_lines(ambient))
-    return MassTable(ambient, rows)
+    _require_prime_grid(ambient)
+    lines = enumerate_lines(ambient)
+    return MassTable(ambient, tuple(zip(lines, _mass_rows(f, lines))))
 
 
 def associated_wavelet(f: GridFunction, s) -> Wavelet:
@@ -178,6 +239,7 @@ def decompose(f: GridFunction, form: str = "reduced") -> Decomposition:
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
     ambient = f.ambient
+    _require_prime_grid(ambient)
     p, d = ambient.p, ambient.d
     profile = support_profile(forward(f), source_kind=f.kind)
     total = f.total()
@@ -186,8 +248,7 @@ def decompose(f: GridFunction, form: str = "reduced") -> Decomposition:
     parts = []
     plain_constant = (1 - profile.cbw) * grid_inv * total
     reduced_shift = f.zero_scalar()
-    for line in profile.active:
-        ms = masses(f, line.rep)
+    for line, ms in zip(profile.active, _mass_rows(f, profile.active)):
         if form == "plain":
             coeffs = tuple(cell * m for m in ms)
         elif form == "reduced":

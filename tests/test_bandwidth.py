@@ -21,7 +21,6 @@ from charkit.corpus import (
     staircase_function,
     staircase_set,
 )
-from charkit.errors import TheoremViolation
 from charkit.fourier import GridFunction, forward
 from charkit.geometry import (
     Ambient,
@@ -249,13 +248,20 @@ def test_inverse_phi_support_contained_in_seeded_lines():
     assert [l.rep for l in profile.active] == [(1, 2)]
 
 
-def test_inverse_phi_non_equivariant_seeds_raise_theorem_violation():
-    # A seed keyed by the zero vector overwrites the average with
-    # g_{p-1}(zeta), so the spectrum is not equivariant and its inverse is
-    # not rational.
-    amb = Ambient(3, 2)
-    with pytest.raises(TheoremViolation):
-        inverse_phi(amb, Fraction(1), {ProjectiveLine((0, 0)): Cyclotomic.zeta(3)})
+def test_inverse_phi_rejects_non_canonical_seed_keys():
+    # The zero vector spans no line: keyed by it, a seed would overwrite the
+    # average.  A non-canonical generator such as (2, 0) would put the seed
+    # at F(2, 0) rather than at the line's canonical point F(1, 0).
+    zero_key = {ProjectiveLine((0, 0)): Cyclotomic.zeta(3)}
+    with pytest.raises(ValueError):
+        inverse_phi(Ambient(3, 2), Fraction(1), zero_key)
+    amb = Ambient(5, 2)
+    for key in (ProjectiveLine((2, 0)), (2, 0), (6, 0), (1, 0, 0), (0,)):
+        with pytest.raises(ValueError):
+            inverse_phi(amb, Fraction(0), {key: Fraction(1, 5)})
+    assert inverse_phi(amb, Fraction(0), {(1, 0): Fraction(1, 5)}) == inverse_phi(
+        amb, Fraction(0), {ProjectiveLine((1, 0)): Fraction(1, 5)}
+    )
 
 
 def test_spectrum_in_subspace_forces_coset_constancy():

@@ -232,3 +232,21 @@ def test_cli_table_format(tmp_path, capsys):
     assert run_cli("bandwidth", "--input", str(fn), "--format", "table") == 0
     out = capsys.readouterr().out
     assert "cbw: 3" in out
+
+
+def test_cli_mass_commands_reject_ring_grids(tmp_path, capsys):
+    fn = tmp_path / "ring.json"
+    rng = rng_for(804, "cli-ring")
+    fileio.save_function(random_rational_function(RingAmbient(2, 2, 2), rng), fn)
+    capsys.readouterr()
+    for argv in (
+        ("tomography", "project", "--input", str(fn)),
+        ("decompose", "--input", str(fn)),
+        ("decompose", "--input", str(fn), "--form", "massless"),
+        ("eigen", "--input", str(fn)),
+    ):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:")
+        assert "Traceback" not in captured.err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from charkit.corpus import (
+    random_complex_function,
     random_cyclotomic_function,
     random_density,
     random_rational_function,
@@ -19,7 +20,8 @@ from charkit.geometry import (
     line_through,
     vscale,
 )
-from charkit.scalars import Cyclotomic
+from charkit.multiscale import RingAmbient
+from charkit.scalars import Cyclotomic, complex_close
 from charkit.wavelets import (
     Decomposition,
     MassTable,
@@ -294,8 +296,6 @@ def test_all_masses_constant_reconstructs_constant():
 
 
 def test_complex_functions_decompose_and_reconstruct():
-    from charkit.corpus import random_complex_function
-
     amb = Ambient(3, 2)
     f = random_complex_function(amb, rng_for(408, "cplx"))
     for form in ("plain", "reduced", "massless"):
@@ -312,3 +312,68 @@ def test_is_wavelet_detection():
     w2 = Wavelet(amb, ProjectiveLine((0, 1)), (0, Fraction(1), 0)).evaluate()
     assert is_wavelet(w1 + w2).line is None
     assert is_wavelet(GridFunction.constant(amb, 3)).is_constant
+
+
+MASS_GRIDS = [(2, 1), (3, 1), (2, 6), (3, 4), (5, 3), (7, 2)]
+
+
+def _mixed_cyclotomic_function(ambient, rng):
+    """Cyclotomic values whose coefficients have mixed denominators."""
+    vals = [
+        Cyclotomic(
+            ambient.p,
+            [
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 7)))
+                for _ in range(ambient.p - 1)
+            ],
+        )
+        for _ in range(ambient.size)
+    ]
+    return GridFunction(ambient, "cyclotomic", vals)
+
+
+MASS_INPUTS = {
+    "rational": random_rational_function,
+    "cyclotomic": _mixed_cyclotomic_function,
+    "complex": random_complex_function,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MASS_INPUTS))
+@pytest.mark.parametrize("p,d", MASS_GRIDS)
+def test_mass_table_equals_direct_scan(p, d, kind):
+    amb = Ambient(p, d)
+    f = MASS_INPUTS[kind](amb, rng_for(409, f"masses/{p}/{d}/{kind}"))
+    table = mass_table(f)
+    assert table.directions() == enumerate_lines(amb)
+    for line, ms in table.rows:
+        ref = masses(f, line.rep)
+        if kind == "complex":
+            assert all(type(m) is complex for m in ms)
+            assert all(complex_close(a, b, 1e-9) for a, b in zip(ms, ref))
+        else:
+            assert ms == ref
+            assert [type(m) for m in ms] == [type(m) for m in ref]
+    for form in ("plain", "reduced", "massless"):
+        back = decompose(f, form).evaluate()
+        assert back.isclose(f) if kind == "complex" else back == f
+
+
+def test_mass_table_of_sparse_complex_function_keeps_complex_masses():
+    # Most hyperplanes miss the one nonzero point; their masses are 0j, not 0.
+    amb = Ambient(3, 2)
+    f = GridFunction.delta(amb, (1, 2), 0.5 + 2j)
+    for line, ms in mass_table(f).rows:
+        assert ms == masses(f, line.rep)
+        assert all(type(m) is complex for m in ms)
+
+
+def test_mass_code_rejects_ring_grids():
+    f = random_rational_function(RingAmbient(2, 2, 2), rng_for(410, "ring"))
+    with pytest.raises(ValueError):
+        masses(f, (1, 0))
+    with pytest.raises(ValueError):
+        mass_table(f)
+    for form in ("plain", "reduced", "massless"):
+        with pytest.raises(ValueError):
+            decompose(f, form)

@@ -9,8 +9,8 @@ function splits into finitely many level-tagged wavelets.
 from fractions import Fraction
 
 from charkit import (
+    Ambient,
     GridFunction,
-    RingAmbient,
     forward,
     hyperplane_mod,
     inverse,
@@ -22,7 +22,7 @@ from charkit import (
     valuation,
 )
 
-ambient = RingAmbient(2, 2, 2)  # Z_4 x Z_4
+ambient = Ambient(2, 2, ell=2)  # Z_4 x Z_4
 print(f"Z_4: units={unit_count(ambient)}, "
       f"valuation(2)={valuation(ambient, 2)}, norm(2)={norm(ambient, 2)}")
 

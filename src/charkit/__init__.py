@@ -42,6 +42,7 @@ from .fourier import (
     phase,
     transform_affine,
     transform_subspace,
+    vanishes_on,
 )
 from .geometry import (
     AffineSubspace,
@@ -60,7 +61,6 @@ from .geometry import (
 )
 from .multiscale import (
     LevelLine,
-    RingAmbient,
     hyperplane_mod,
     is_level_l_wavelet,
     line_mod,
@@ -70,7 +70,7 @@ from .multiscale import (
     valuation,
     vector_valuation,
 )
-from .scalars import Cyclotomic, complex_close, embed_complex, galois_apply, rational_part
+from .scalars import Cyclotomic, complex_close, is_zero, rational_part
 from .varieties import (
     check_paraboloid_theorem,
     classify_direction_paraboloid,

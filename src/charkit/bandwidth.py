@@ -22,6 +22,7 @@ from .fourier import (
     Spectrum,
     forward,
     inverse,
+    vanishes_on,
 )
 from .geometry import (
     Ambient,
@@ -37,7 +38,7 @@ from .geometry import (
     translate_set,
     vscale,
 )
-from .scalars import Cyclotomic
+from .scalars import DEFAULT_TOL, Cyclotomic, complex_close, is_zero
 
 # Granularity for comparing bandwidth dimensions (a derived float).
 BWD_EPS = 1e-12
@@ -67,15 +68,9 @@ class BandwidthReport:
     approximate: bool
 
 
-def _value_is_zero(v, approximate: bool, tol) -> bool:
-    if approximate:
-        return abs(v) <= tol
-    if isinstance(v, Cyclotomic):
-        return v.is_zero()
-    return v == 0
-
-
-def support_profile(F: Spectrum, source_kind: str | None = None, tol=None) -> LineSupportProfile:
+def support_profile(
+    F: Spectrum, source_kind: str | None = None, tol: float = DEFAULT_TOL
+) -> LineSupportProfile:
     """Classify every line as active or vanishing on the given spectrum.
 
     The whole punctured line is inspected, never a single sample.  For
@@ -84,14 +79,10 @@ def support_profile(F: Spectrum, source_kind: str | None = None, tol=None) -> Li
     """
     ambient = F.ambient
     approximate = F.kind == COMPLEX
-    if tol is None:
-        from .scalars import DEFAULT_TOL
-
-        tol = DEFAULT_TOL
     active = []
     for line in enumerate_lines(ambient):
         flags = [
-            _value_is_zero(F.values[ambient.index_of(pt)], approximate, tol)
+            is_zero(F.values[ambient.index_of(pt)], tol)
             for pt in line.punctured(ambient)
         ]
         if source_kind == RATIONAL and not approximate and any(flags) and not all(flags):
@@ -101,7 +92,7 @@ def support_profile(F: Spectrum, source_kind: str | None = None, tol=None) -> Li
             )
         if not all(flags):
             active.append(line)
-    dc = not _value_is_zero(F.values[0], approximate, tol)
+    dc = not is_zero(F.values[0], tol)
     return LineSupportProfile(ambient, tuple(active), dc, approximate)
 
 
@@ -122,7 +113,7 @@ def report_from_profile(profile: LineSupportProfile) -> BandwidthReport:
     )
 
 
-def bandwidth(f: GridFunction, tol=None) -> BandwidthReport:
+def bandwidth(f: GridFunction, tol: float = DEFAULT_TOL) -> BandwidthReport:
     """Bandwidth report of f.  cbw = 0 exactly when f is constant."""
     profile = support_profile(forward(f), source_kind=f.kind, tol=tol)
     return report_from_profile(profile)
@@ -167,17 +158,6 @@ def vanishing_certificate(f: GridFunction) -> Subspace | None:
     if profile.cbw == line_count(ambient):
         return None
 
-    if profile.approximate:
-        from .scalars import DEFAULT_TOL as _tol
-    else:
-        _tol = 0.0
-
-    def spectrum_vanishes_on(W: Subspace) -> bool:
-        return all(
-            _value_is_zero(F.values[ambient.index_of(x)], profile.approximate, _tol)
-            for x in W.nonzero_points()
-        )
-
     cbw = profile.cbw
     k = 1
     while cbw >= (p ** k - 1) // (p - 1):
@@ -189,14 +169,14 @@ def vanishing_certificate(f: GridFunction) -> Subspace | None:
                 (
                     W
                     for W in enumerate_subspaces(ambient, dim)
-                    if spectrum_vanishes_on(W)
+                    if vanishes_on(F, W.nonzero_points())
                 ),
                 None,
             )
             if found is not None:
                 best = found if found.dim > best.dim else best
                 break
-    if not spectrum_vanishes_on(best):
+    if not vanishes_on(F, best.nonzero_points()):
         raise TheoremViolation("certificate construction produced a non-vanishing subspace")
     return best
 
@@ -231,23 +211,10 @@ def equidistribution_check(f: GridFunction, V: Subspace) -> EquidistributionResu
             buckets[key] = v
     masses = tuple(buckets[key] for key in sorted(buckets))
     if f.kind == COMPLEX:
-        from .scalars import complex_close
-
         equal = all(complex_close(m, masses[0]) for m in masses)
     else:
         equal = all(m == masses[0] for m in masses)
-    F = forward(f)
-    if f.kind == COMPLEX:
-        from .scalars import DEFAULT_TOL
-
-        vanishes = all(
-            abs(F.values[ambient.index_of(x)]) <= DEFAULT_TOL
-            for x in V.nonzero_points()
-        )
-    else:
-        vanishes = all(
-            F.values[ambient.index_of(x)].is_zero() for x in V.nonzero_points()
-        )
+    vanishes = vanishes_on(forward(f), V.nonzero_points())
     if equal != vanishes:
         raise TheoremViolation(
             "equidistribution biconditional failed: "

@@ -9,6 +9,7 @@ identity failed (a genuine counterexample or a bug).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import fileio
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .fourier import forward, forward_naive, inverse
 from .multiscale import is_level_l_wavelet, multiscale_decompose
-from .scalars import set_default_tolerance
+from .scalars import DEFAULT_TOL
 from .varieties import (
     classify_direction_paraboloid,
     sphere_count,
@@ -48,6 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return tol
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="charkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -55,7 +66,12 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--tolerance", type=float, help="override the 1e-9 default")
+        p.add_argument(
+            "--tolerance",
+            type=_tolerance,
+            default=DEFAULT_TOL,
+            help=f"tolerance of the command's complex comparisons (default {DEFAULT_TOL})",
+        )
 
     t = sub.add_parser("transform", help="Fourier transform of a function file")
     t.add_argument("--input", required=True)
@@ -100,7 +116,6 @@ def _build_parser() -> _Parser:
     vf.add_argument("--l", dest="ell", type=int)
     vf.add_argument("--seed", type=int, default=2024)
     vf.add_argument("--suite-size", type=int)
-    vf.add_argument("--exhaustive", action="store_true")
     common(vf)
     return parser
 
@@ -153,7 +168,7 @@ def _cmd_transform(args) -> int:
         fast = forward(f)
         slow = forward_naive(f)
         if f.kind == "complex":
-            ok = fast.isclose(slow)
+            ok = fast.isclose(slow, args.tolerance)
             verdict = "within tolerance" if ok else "MISMATCH"
         else:
             ok = fast.values == slow.values
@@ -166,13 +181,14 @@ def _cmd_transform(args) -> int:
 
 def _cmd_bandwidth(args) -> int:
     f = fileio.load_function(args.input)
-    _emit(fileio.bandwidth_report_payload(bandwidth(f)), args)
+    _emit(fileio.bandwidth_report_payload(bandwidth(f, args.tolerance)), args)
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
     f = fileio.load_function(args.input)
-    _emit(fileio.decomposition_to_payload(decompose(f, args.form)), args)
+    dec = decompose(f, args.form, args.tolerance)
+    _emit(fileio.decomposition_to_payload(dec), args)
     return EXIT_OK
 
 
@@ -182,7 +198,7 @@ def _cmd_tomography(args) -> int:
         _emit(fileio.sinogram_to_payload(mass_table(f)), args)
         return EXIT_OK
     table = fileio.load_sinogram(args.input)
-    f = reconstruct_from_masses(table)
+    f = reconstruct_from_masses(table, args.tolerance)
     _emit(fileio.function_to_payload(f), args)
     return EXIT_OK
 
@@ -200,10 +216,10 @@ def _cmd_eigen(args) -> int:
         }
     else:
         payload["self_dual"] = None
-    expansion = eigen_expand(f)
+    expansion = eigen_expand(f, args.tolerance)
     reconstructed = expansion.evaluate()
     exact = reconstructed == f
-    close = exact or reconstructed.isclose(f)
+    close = exact or reconstructed.isclose(f, args.tolerance)
     payload["expansion"] = {
         "terms": len(expansion.terms),
         "reconstruction": "exact" if exact else ("close" if close else "FAILED"),
@@ -221,7 +237,7 @@ def _cmd_variety(args) -> int:
     for line in enumerate_lines(ambient):
         types[classify_direction_paraboloid(ambient, line.rep)] += 1
     payload = {
-        "good": is_good(f),
+        "good": is_good(f, args.tolerance),
         "direction_types": types,
         "sphere_counts": {
             str(r): sphere_count(ambient.p, ambient.d, r) for r in range(ambient.p)
@@ -233,7 +249,7 @@ def _cmd_variety(args) -> int:
         a = 1
         b = next(r for r in range(2, ambient.p) if quadratic_class(r, ambient.p) == "non-residue")
         try:
-            res = two_circle_analysis(f, a, b)
+            res = two_circle_analysis(f, a, b, args.tolerance)
             payload["two_circle"] = {
                 "kind": res.kind,
                 "direction": list(res.direction) if res.direction else None,
@@ -275,7 +291,6 @@ def _cmd_verify(args) -> int:
         p=args.p,
         d=args.d,
         ell=args.ell,
-        exhaustive=args.exhaustive,
         tolerance=args.tolerance,
     )
     results = run_suites([args.suite], config)
@@ -334,8 +349,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "tolerance", None):
-        set_default_tolerance(args.tolerance)
     try:
         return _DISPATCH[args.command](args)
     except TheoremViolation as exc:

@@ -33,7 +33,7 @@ from .geometry import (
     enumerate_subspaces,
     perp,
 )
-from .scalars import Cyclotomic, complex_close
+from .scalars import DEFAULT_TOL, Cyclotomic, is_zero
 from .wavelets import decompose
 
 
@@ -170,7 +170,7 @@ def affine_eigenfunction_pair(V: Subspace, x: Point) -> EigenPair:
     )
 
 
-def eigen_residuals(pair: EigenPair, tol: float | None = None):
+def eigen_residuals(pair: EigenPair):
     """Sup-norm residuals of the eigen identities for the pair.
 
     plain:     forward(f) - lambda * f
@@ -237,46 +237,43 @@ class Expansion:
         return acc
 
 
-def eigen_expand(f: GridFunction) -> Expansion:
+def eigen_expand(f: GridFunction, tol: float = DEFAULT_TOL) -> Expansion:
     """Write f as a combination of conjugate-transform eigenfunctions.
 
     Routes through the plain wavelet decomposition; each hyperplane
     indicator 1_{H_{s,t}} equals (plus + minus) / (2 * p**(d/2-k)) for the
     pair built on V = H_{s,0} and a deterministic offset with x.s = t.
+    Coefficients within tol of zero are skipped.  At odd d the pairs are
+    floating, and cyclotomic coefficients enter by their complex value.
     """
     ambient = f.ambient
     p, d = ambient.p, ambient.d
     exact = d % 2 == 0
-    dec = decompose(f, form="plain")
+    dec = decompose(f, form="plain", tol=tol)
     terms = []
 
-    def inv_double_coef(k: int):
+    def scaled(c, k: int):
+        """c / (2 * p**(d/2-k))."""
         if exact:
-            return Fraction(1, 2) * Fraction(p) ** (k - Fraction(d, 2))
-        return 1.0 / (2 * p ** (d / 2 - k))
+            return c * (Fraction(1, 2) * Fraction(p) ** (k - Fraction(d, 2)))
+        if isinstance(c, Cyclotomic):
+            c = c.embed()
+        return c * (1.0 / (2 * p ** (d / 2 - k)))
 
-    if not _is_zero_scalar(dec.constant):
+    if not is_zero(dec.constant, tol):
         V = Subspace.full(ambient)
         pair = affine_eigenfunction_pair(V, ambient.origin())
-        c = dec.constant * inv_double_coef(d)
+        c = scaled(dec.constant, d)
         terms.append(ExpansionTerm(pair, c, c, None, None))
     for w in dec.parts:
         s = w.direction.rep
         V = perp(Subspace.span(ambient, [s]))  # the hyperplane x.s = 0
         axis = s.index(1)
         for t, c in enumerate(w.coeffs):
-            if _is_zero_scalar(c):
+            if is_zero(c, tol):
                 continue
             x = tuple(t if i == axis else 0 for i in range(d))
             pair = affine_eigenfunction_pair(V, x)
-            cc = c * inv_double_coef(d - 1)
+            cc = scaled(c, d - 1)
             terms.append(ExpansionTerm(pair, cc, cc, s, t))
     return Expansion(ambient, tuple(terms))
-
-
-def _is_zero_scalar(v) -> bool:
-    if isinstance(v, Cyclotomic):
-        return v.is_zero()
-    if isinstance(v, (complex, float)):
-        return complex_close(v, 0)
-    return v == 0

@@ -6,7 +6,9 @@ Function file:      {"p": 3, "d": 2, "kind": "rational", "values": ["0", "1/3", 
 Spectrum values:    {"p": 3, "coeffs": ["a/b", ...]} with exactly p-1 entries
                     (cyclotomic; conductor p**ell carries "ell" and phi entries).
 Complex values:     [re, im].
-Sinogram:           {"p": ..., "d": ..., "masses": [{"s": [...], "m": [...]}, ...]}.
+Sinogram:           {"p": ..., "d": ..., "masses": [{"s": [...], "m": [...]}, ...]};
+                    each mass is a rational string, a cyclotomic object of
+                    conductor p, or a complex [re, im] pair.
 Decomposition:      {"p", "d", "form", "constant", "parts": [{"s", "coeffs"}]}.
 
 Writers emit canonical bytes (sorted keys, two-space indent, trailing
@@ -21,7 +23,6 @@ from fractions import Fraction
 from .errors import DataFormatError
 from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, Spectrum
 from .geometry import Ambient, ProjectiveLine, enumerate_lines, line_through
-from .multiscale import RingAmbient
 from .scalars import Cyclotomic
 from .wavelets import Decomposition, MassTable, Wavelet
 
@@ -69,7 +70,10 @@ def scalar_from_payload(payload, kind: str, p: int, ell: int = 1):
         return Cyclotomic(p, [parse_rational(c) for c in payload["coeffs"]], ell)
     if not isinstance(payload, (list, tuple)) or len(payload) != 2:
         raise DataFormatError(f"bad complex value {payload!r}")
-    return complex(float(payload[0]), float(payload[1]))
+    try:
+        return complex(float(payload[0]), float(payload[1]))
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad complex value {payload!r}") from exc
 
 
 def canonical_dumps(obj) -> str:
@@ -102,7 +106,7 @@ def function_from_payload(payload, spectrum: bool = False) -> GridFunction:
     if kind not in (RATIONAL, CYCLOTOMIC, COMPLEX):
         raise DataFormatError(f"unknown kind {kind!r}")
     ell = payload.get("modulus_exponent", 1)
-    ambient = Ambient(p, d) if ell == 1 else RingAmbient(p, ell, d)
+    ambient = Ambient(p, d, ell)
     values = payload["values"]
     if not isinstance(values, list) or len(values) != ambient.size:
         raise DataFormatError(
@@ -144,18 +148,19 @@ def sinogram_from_payload(payload) -> MassTable:
     _require_fields(payload, ("p", "d", "masses"), "sinogram file")
     ambient = Ambient(payload["p"], payload["d"])
     p = ambient.p
+    if not isinstance(payload["masses"], list):
+        raise DataFormatError("sinogram masses must be a list of rows")
     rows: dict = {}
     for entry in payload["masses"]:
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"sinogram row must be an object, got {entry!r}")
         _require_fields(entry, ("s", "m"), "sinogram row")
         s = tuple(int(c) % p for c in entry["s"])
         if not any(s):
             raise DataFormatError("sinogram direction must be nonzero")
-        if len(entry["m"]) != p:
-            raise DataFormatError(f"direction {entry['s']} needs {p} masses")
-        ms = [
-            parse_rational(m) if isinstance(m, str) else scalar_from_payload(m, COMPLEX, p)
-            for m in entry["m"]
-        ]
+        if not isinstance(entry["m"], list) or len(entry["m"]) != p:
+            raise DataFormatError(f"direction {entry['s']} needs a list of {p} masses")
+        ms = [_mass_from_payload(m, p) for m in entry["m"]]
         line = line_through(ambient, s)
         # Rebase the masses onto the canonical generator: x.s = t is the
         # same plane as x.rep = t/c where c is the first nonzero entry of s.
@@ -169,7 +174,20 @@ def sinogram_from_payload(payload) -> MassTable:
     ordered = tuple(
         (line, rows[line]) for line in enumerate_lines(ambient) if line in rows
     )
+    kinds = {type(m) for _, ms in ordered for m in ms}
+    if complex in kinds and Cyclotomic in kinds:
+        raise DataFormatError("a sinogram cannot mix complex and cyclotomic masses")
     return MassTable(ambient, ordered)
+
+
+def _mass_from_payload(m, p: int):
+    """A mass in any of the three scalar forms: a rational string, a
+    cyclotomic object of conductor p, or a complex [re, im] pair."""
+    if isinstance(m, str):
+        return parse_rational(m)
+    if isinstance(m, dict):
+        return scalar_from_payload(m, CYCLOTOMIC, p)
+    return scalar_from_payload(m, COMPLEX, p)
 
 
 def save_sinogram(table: MassTable, path) -> None:

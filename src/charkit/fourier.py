@@ -1,5 +1,11 @@
 """Grid functions on Z_m**d (m = p**ell) and the normalized Fourier transform.
 
+Every grid is one ``geometry.Ambient(p, d, ell)``: the prime field grid
+Z_p**d at ell = 1 and the ring grid Z_{p**ell}**d above it, with the same
+point order and the same transform code.  ``vanishes_on`` is the one test
+of "F vanishes on this set", with the tolerance for complex values passed
+in.
+
 The forward transform is
 
     F(m) = q**(-d) * sum_x chi(-x.m) f(x),      chi(u) = exp(2*pi*i*u/q),
@@ -34,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import Point, Subspace, dot, perp, vsub
-from .scalars import ZERO, Cyclotomic, _reduce_ext, complex_close
+from .scalars import DEFAULT_TOL, ZERO, Cyclotomic, _reduce_ext, complex_close, is_zero
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -96,15 +102,10 @@ class GridFunction:
     def value_at(self, point: Point):
         return self.values[self.ambient.index_of(point)]
 
-    def support(self, tol: float | None = None) -> tuple:
+    def support(self, tol: float = DEFAULT_TOL) -> tuple:
         """Points where the value is nonzero (exact kinds) or exceeds tol."""
         pts = self.ambient.points()
-        if self.kind == COMPLEX:
-            from .scalars import DEFAULT_TOL
-
-            t = DEFAULT_TOL if tol is None else tol
-            return tuple(x for x, v in zip(pts, self.values) if abs(v) > t)
-        return tuple(x for x, v in zip(pts, self.values) if v)
+        return tuple(x for x, v in zip(pts, self.values) if not is_zero(v, tol))
 
     def is_zero(self) -> bool:
         if self.kind == CYCLOTOMIC:
@@ -160,7 +161,7 @@ class GridFunction:
             return self.to_complex().values == other.to_complex().values
         return self.to_cyclotomic().values == other.to_cyclotomic().values
 
-    def isclose(self, other: "GridFunction", tol: float | None = None) -> bool:
+    def isclose(self, other: "GridFunction", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient != other.ambient:
             return False
         a = self.to_complex().values
@@ -202,6 +203,12 @@ class GridFunction:
 
 class Spectrum(GridFunction):
     """A GridFunction tagged as living in the frequency domain."""
+
+
+def vanishes_on(F: GridFunction, points, tol: float = DEFAULT_TOL) -> bool:
+    """True when F is zero at every given point: exactly for exact values,
+    within tol in absolute value for complex ones."""
+    return all(is_zero(F.value_at(x), tol) for x in points)
 
 
 ONE_F = Fraction(1)

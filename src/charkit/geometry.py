@@ -2,9 +2,12 @@
 affine hyperplanes, subspaces in reduced echelon form, perpendiculars,
 compass sets, and quadratic-residue utilities.
 
-Points are plain tuples of residues.  The lexicographic index of a point
-(x_0, ..., x_{d-1}) is sum(x_i * p**(d-1-i)), a bijection with
-range(p**d); every dense array in the package uses this order.
+``Ambient(p, d, ell)`` is the one grid type for every modulus m = p**ell;
+the line and subspace geometry here is that of Z_p**d, and the ring
+grids (ell > 1) get theirs from ``multiscale``.  Points are plain tuples
+of residues.  The lexicographic index of a point (x_0, ..., x_{d-1}) is
+sum(x_i * m**(d-1-i)), a bijection with range(m**d); every dense array
+in the package uses this order.
 """
 
 from __future__ import annotations
@@ -26,32 +29,35 @@ MAX_SUBSPACE_ENUMERATION = 1 << 20
 
 @dataclass(frozen=True)
 class Ambient:
-    """The grid Z_p**d for a prime p and dimension d >= 1."""
+    """The grid Z_m**d, m = p**ell, for a prime p, ell >= 1 and d >= 1.
+
+    ell = 1 is the prime field grid Z_p**d; ell > 1 is the ring grid of the
+    multi-scale module.
+    """
 
     p: int
     d: int
+    ell: int = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+            raise ValueError(f"base modulus must be prime, got {self.p}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.p ** self.d > MAX_GRID_POINTS:
+        if self.ell < 1:
+            raise ValueError(f"exponent must be >= 1, got {self.ell}")
+        if self.size > MAX_GRID_POINTS:
             raise CapacityError(
-                f"grid of {self.p}**{self.d} points exceeds the enumeration limit"
+                f"grid of {self.modulus}**{self.d} points exceeds the enumeration limit"
             )
 
     @property
-    def ell(self) -> int:
-        return 1
-
-    @property
     def modulus(self) -> int:
-        return self.p
+        return self.p ** self.ell
 
     @property
     def size(self) -> int:
-        return self.p ** self.d
+        return self.modulus ** self.d
 
     def points(self) -> tuple:
         return _points_of(self.modulus, self.d)

@@ -1,6 +1,8 @@
 """Multi-scale structure over Z_{p**ell}**d: valuations, lines and
 hyperplanes at levels, level wavelets, and a finite wavelet decomposition.
-The exact transform with conductor p**ell is ``fourier.forward``.
+The grid is the same ``geometry.Ambient`` as everywhere else, built as
+``Ambient(p, d, ell)``; the exact transform with conductor p**ell is
+``fourier.forward``.
 
 A nonzero scalar factors as p**j * unit; j is its valuation and p**(-j)
 its norm.  The line generated by a vector of valuation j has p**(ell-j)
@@ -10,70 +12,16 @@ nest, which is what drives the inclusion-exclusion decomposition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import CapacityError, TheoremViolation
-from .fourier import CYCLOTOMIC, GridFunction, Spectrum, forward, inverse
-from .geometry import MAX_GRID_POINTS, Point, dot, vscale
-from .scalars import Cyclotomic, is_prime
-
-
-@dataclass(frozen=True)
-class RingAmbient:
-    """The free module Z_{p**ell}**d."""
-
-    p: int
-    ell: int
-    d: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"base modulus must be prime, got {self.p}")
-        if self.ell < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.ell}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.modulus ** self.d > MAX_GRID_POINTS:
-            raise CapacityError("grid exceeds the enumeration limit")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.ell
-
-    @property
-    def size(self) -> int:
-        return self.modulus ** self.d
-
-    def points(self) -> tuple:
-        return _ring_points(self.modulus, self.d)
-
-    def index_of(self, point: Point) -> int:
-        m = self.modulus
-        idx = 0
-        for c in point:
-            idx = idx * m + c % m
-        return idx
-
-    def point_at(self, index: int) -> Point:
-        m = self.modulus
-        coords = [0] * self.d
-        for i in range(self.d - 1, -1, -1):
-            index, coords[i] = divmod(index, m)
-        return tuple(coords)
-
-    def origin(self) -> Point:
-        return (0,) * self.d
+from .errors import TheoremViolation
+from .fourier import COMPLEX, CYCLOTOMIC, GridFunction, Spectrum, forward, inverse
+from .geometry import Ambient, Point, dot, vscale
+from .scalars import Cyclotomic
 
 
-@lru_cache(maxsize=None)
-def _ring_points(m: int, d: int) -> tuple:
-    return tuple(itertools.product(range(m), repeat=d))
-
-
-def valuation(ambient: RingAmbient, n: int) -> int:
+def valuation(ambient: Ambient, n: int) -> int:
     """The exponent j in n = p**j * unit; the zero residue gets the sentinel ell."""
     n %= ambient.modulus
     if n == 0:
@@ -85,7 +33,7 @@ def valuation(ambient: RingAmbient, n: int) -> int:
     return j
 
 
-def norm(ambient: RingAmbient, n: int) -> Fraction:
+def norm(ambient: Ambient, n: int) -> Fraction:
     """p-adic size p**(-valuation); zero has norm 0."""
     v = valuation(ambient, n)
     if v >= ambient.ell:
@@ -93,16 +41,16 @@ def norm(ambient: RingAmbient, n: int) -> Fraction:
     return Fraction(1, ambient.p ** v)
 
 
-def vector_valuation(ambient: RingAmbient, v: Point) -> int:
+def vector_valuation(ambient: Ambient, v: Point) -> int:
     return min(valuation(ambient, c) for c in v)
 
 
-def unit_count(ambient: RingAmbient) -> int:
+def unit_count(ambient: Ambient) -> int:
     """Number of invertible residues, p**ell - p**(ell-1)."""
     return ambient.modulus - ambient.modulus // ambient.p
 
 
-def canonical_generator(ambient: RingAmbient, v: Point) -> Point:
+def canonical_generator(ambient: Ambient, v: Point) -> Point:
     """Scale v by a unit so its first minimal-valuation coordinate is p**j.
 
     Two vectors generate the same line exactly when they differ by a unit
@@ -123,7 +71,7 @@ def canonical_generator(ambient: RingAmbient, v: Point) -> Point:
 class LevelLine:
     """The cyclic set {a*v} generated by a nonzero vector, tagged by level."""
 
-    ambient: RingAmbient
+    ambient: Ambient
     generator: Point  # canonical
     level: int
 
@@ -132,13 +80,13 @@ class LevelLine:
         return frozenset(vscale(a, self.generator, q) for a in range(q))
 
 
-def line_mod(ambient: RingAmbient, v: Point) -> LevelLine:
+def line_mod(ambient: Ambient, v: Point) -> LevelLine:
     gen = canonical_generator(ambient, v)
     level = ambient.ell - vector_valuation(ambient, gen)
     return LevelLine(ambient, gen, level)
 
 
-def enumerate_level_lines(ambient: RingAmbient) -> tuple:
+def enumerate_level_lines(ambient: Ambient) -> tuple:
     """All distinct lines through the origin, in lexicographic generator order."""
     seen = {}
     for v in ambient.points():
@@ -149,7 +97,7 @@ def enumerate_level_lines(ambient: RingAmbient) -> tuple:
     return tuple(seen[g] for g in sorted(seen))
 
 
-def hyperplane_mod(ambient: RingAmbient, v: Point) -> frozenset:
+def hyperplane_mod(ambient: Ambient, v: Point) -> frozenset:
     """{x : x.v = 0 mod p**ell}; its size is p**(ell*(d-1) + valuation(v))."""
     q = ambient.modulus
     v = tuple(c % q for c in v)
@@ -162,6 +110,13 @@ def hyperplane_mod(ambient: RingAmbient, v: Point) -> frozenset:
             f"hyperplane size {len(pts)} differs from p**(l(d-1)+v) = {expected}"
         )
     return pts
+
+
+def _require_exact(f: GridFunction) -> None:
+    if f.kind == COMPLEX:
+        raise ValueError(
+            "the multi-scale analysis is exact: it takes rational or cyclotomic values"
+        )
 
 
 @dataclass(frozen=True)
@@ -183,7 +138,9 @@ def is_level_l_wavelet(f: GridFunction) -> LevelWaveletResult:
     f(x) = c_{x.v} over the parallel hyperplane family is extracted and
     cross-checked against the spectral side; a line missing the origin
     yields a modulated function with no plain hyperplane form (coeffs None).
+    Complex input raises ValueError.
     """
+    _require_exact(f)
     ambient = f.ambient
     q = ambient.modulus
     F = forward(f)
@@ -274,8 +231,9 @@ def multiscale_decompose(f: GridFunction) -> tuple:
     (inclusion-exclusion over the nesting of lines, so nothing is claimed
     twice).  The origin contributes the constant part; when exactly one
     line is used the constant folds into it, since every line through the
-    origin contains the origin.
+    origin contains the origin.  Complex input raises ValueError.
     """
+    _require_exact(f)
     ambient = f.ambient
     q = ambient.modulus
     F = forward(f)

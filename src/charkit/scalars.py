@@ -6,9 +6,10 @@ zeta = exp(2*pi*i / p**ell), stored as rational coordinates on the power
 basis zeta**0 .. zeta**(phi-1) with phi = p**(ell-1) * (p-1).  The power
 basis makes the representation unique, so ``is_zero`` is an exact test.
 
-Floating complex values are compared through one module-level tolerance,
-``DEFAULT_TOL``; every approximate comparison in the package routes
-through :func:`complex_close`.
+Floating complex values are compared with a tolerance that the caller
+passes in; ``DEFAULT_TOL`` is a constant and only its default value.
+:func:`is_zero` is the one zero test for every scalar kind and
+:func:`complex_close` the one test for two values being close.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ ONE = Fraction(1)
 DEFAULT_TOL = 1e-9
 
 
-def set_default_tolerance(tol: float) -> None:
-    """Override the package-wide tolerance for approximate comparisons."""
-    global DEFAULT_TOL
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    DEFAULT_TOL = float(tol)
-
-
-def complex_close(a: complex, b: complex, tol: float | None = None) -> bool:
+def complex_close(a: complex, b: complex, tol: float = DEFAULT_TOL) -> bool:
     """Componentwise comparison |Re(a-b)| <= tol and |Im(a-b)| <= tol."""
-    t = DEFAULT_TOL if tol is None else tol
     d = complex(a) - complex(b)
-    return abs(d.real) <= t and abs(d.imag) <= t
+    return abs(d.real) <= tol and abs(d.imag) <= tol
+
+
+def is_zero(v, tol: float = DEFAULT_TOL) -> bool:
+    """Exact for Cyclotomic and rational values, |v| <= tol for floating ones."""
+    if isinstance(v, Cyclotomic):
+        return v.is_zero()
+    if isinstance(v, (complex, float)):
+        return abs(v) <= tol
+    return v == 0
 
 
 def is_prime(n: int) -> bool:
@@ -296,18 +297,6 @@ class Cyclotomic:
                 terms.append(str(c) if j == 0 else f"{c}*z^{j}")
         body = " + ".join(terms) if terms else "0"
         return f"Cyclotomic({self.p}^{self.ell}: {body})"
-
-
-def galois_apply(r: int, z: Cyclotomic) -> Cyclotomic:
-    """Apply the automorphism zeta -> zeta**r to z."""
-    return z.galois(r)
-
-
-def embed_complex(z) -> complex:
-    """Embed a Cyclotomic, Fraction, or number into the complex plane."""
-    if isinstance(z, Cyclotomic):
-        return z.embed()
-    return complex(z)
 
 
 def rational_part(z):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, TheoremViolation
-from .fourier import COMPLEX, GridFunction, forward
+from .fourier import COMPLEX, GridFunction, forward, vanishes_on
 from .geometry import (
     Ambient,
     Point,
@@ -19,6 +19,7 @@ from .geometry import (
     translate_set,
     vsub,
 )
+from .scalars import DEFAULT_TOL, complex_close
 
 
 def paraboloid_points(ambient: Ambient) -> frozenset:
@@ -52,12 +53,10 @@ def sphere_count(p: int, d: int, r: int) -> int:
     return len(sphere_points(Ambient(p, d), r))
 
 
-def is_good(f: GridFunction) -> bool:
+def is_good(f: GridFunction, tol: float = DEFAULT_TOL) -> bool:
     """True when the transform of f is supported inside the isotropic cone."""
-    ambient = f.ambient
-    cone = isotropic_cone(ambient)
-    F = forward(f)
-    return all(x in cone for x in F.support())
+    cone = isotropic_cone(f.ambient)
+    return all(x in cone for x in forward(f).support(tol))
 
 
 def slice_last(f: GridFunction, a: int) -> GridFunction:
@@ -110,15 +109,7 @@ def check_paraboloid_theorem(f: GridFunction) -> ParaboloidReport:
     ambient = f.ambient
     if ambient.d < 2:
         raise ValueError("the slicing statement requires dimension >= 2")
-    F = forward(f)
-    para = paraboloid_points(ambient)
-    if F.kind == COMPLEX:
-        from .scalars import DEFAULT_TOL
-
-        met = all(abs(F.value_at(x)) <= DEFAULT_TOL for x in para)
-    else:
-        met = all(F.value_at(x).is_zero() for x in para)
-    if not met:
+    if not vanishes_on(forward(f), paraboloid_points(ambient)):
         return ParaboloidReport(False, 0, (), False)
     violations = []
     pairs = 0
@@ -138,7 +129,9 @@ class TwoCircleResult:
     support_in_cone: bool | None = None
 
 
-def two_circle_analysis(f: GridFunction, a: int, b: int) -> TwoCircleResult:
+def two_circle_analysis(
+    f: GridFunction, a: int, b: int, tol: float = DEFAULT_TOL
+) -> TwoCircleResult:
     """Structure of a planar rational function whose transform vanishes on
     a residue circle and a non-residue circle.
 
@@ -157,13 +150,7 @@ def two_circle_analysis(f: GridFunction, a: int, b: int) -> TwoCircleResult:
         raise ValueError(f"{b} is not a quadratic non-residue mod {p}")
     F = forward(f)
     circle = sphere_points(ambient, a) | sphere_points(ambient, b)
-    if F.kind == COMPLEX:
-        from .scalars import DEFAULT_TOL
-
-        vanishes = all(abs(F.value_at(x)) <= DEFAULT_TOL for x in circle)
-    else:
-        vanishes = all(F.value_at(x).is_zero() for x in circle)
-    if not vanishes:
+    if not vanishes_on(F, circle, tol):
         raise HypothesisNotMet(
             f"the transform does not vanish on the circles of radii {a} and {b}"
         )
@@ -186,7 +173,7 @@ def two_circle_analysis(f: GridFunction, a: int, b: int) -> TwoCircleResult:
             "indicator with two-circle vanishing is parallel to neither isotropic line"
         )
     cone = isotropic_cone(ambient)
-    in_cone = all(x in cone for x in F.support())
+    in_cone = all(x in cone for x in F.support(tol))
     if not in_cone:
         raise TheoremViolation("two-circle vanishing but spectrum leaves the cone")
     return TwoCircleResult(kind="other", support_in_cone=True)
@@ -214,15 +201,8 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
     if p == 2:
         raise ValueError("sphere equidistribution requires p > 2")
     b = next(r for r in range(2, p) if quadratic_class(r, p) == "non-residue")
-    F = forward(f)
     test_set = sphere_points(ambient, 1) | sphere_points(ambient, b)
-    if F.kind == COMPLEX:
-        from .scalars import DEFAULT_TOL
-
-        vanishes = all(abs(F.value_at(x)) <= DEFAULT_TOL for x in test_set)
-    else:
-        vanishes = all(F.value_at(x).is_zero() for x in test_set)
-    if not vanishes:
+    if not vanishes_on(forward(f), test_set):
         raise HypothesisNotMet(
             f"the transform does not vanish on the spheres of radii 1 and {b}"
         )
@@ -235,8 +215,6 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
         out.append(acc)
     masses = tuple(out)
     if f.kind == COMPLEX:
-        from .scalars import complex_close
-
         equal = all(complex_close(m, masses[0]) for m in masses)
     else:
         equal = all(m == masses[0] for m in masses)

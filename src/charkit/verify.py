@@ -35,7 +35,7 @@ from .eigen import (
     eigenfunction_pair,
     self_dual_classify,
 )
-from .errors import CharkitError, SinogramError
+from .errors import SinogramError
 from .fourier import GridFunction, forward
 from .geometry import (
     Ambient,
@@ -45,7 +45,6 @@ from .geometry import (
     vscale,
 )
 from .multiscale import (
-    RingAmbient,
     hyperplane_mod,
     line_mod,
     multiscale_decompose,
@@ -85,8 +84,7 @@ class VerifyConfig:
     p: int | None = None
     d: int | None = None
     ell: int | None = None
-    exhaustive: bool = False
-    tolerance: float | None = None
+    tolerance: float = DEFAULT_TOL
 
 
 @dataclass
@@ -108,15 +106,6 @@ class SuiteResult:
 
     def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(name, bool(passed), detail))
-
-    def run(self, name: str, fn) -> None:
-        """Run fn; any CharkitError becomes a failing check with a dump."""
-        try:
-            passed, detail = fn()
-            self.checks.append(Check(name, bool(passed), detail))
-        except CharkitError as exc:
-            self.checks.append(Check(name, False, f"{type(exc).__name__}: {exc}"))
-            self.counterexamples.append(f"{name}: {exc}")
 
 
 def _grid_cycle(ps, ds, count):
@@ -463,7 +452,7 @@ def run_eigen(config: VerifyConfig) -> SuiteResult:
     """Plus/minus eigenfunction identities, plain and conjugate."""
     res = SuiteResult("eigen")
     rng = rng_for(config.seed, "eigen")
-    tol = config.tolerance or DEFAULT_TOL
+    tol = config.tolerance
     grids = ((config.p, config.d),) if config.p and config.d else ((2, 2), (3, 2), (2, 3))
     ambients = [Ambient(p, d) for p, d in grids]
     worst = 0.0
@@ -502,7 +491,7 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
     p = config.p or 2
     ell = config.ell or 2
     d = config.d or 2
-    ambient = RingAmbient(p, ell, d)
+    ambient = Ambient(p, d, ell)
     q = ambient.modulus
     units = sum(1 for n in range(q) if valuation(ambient, n) == 0)
     res.check(

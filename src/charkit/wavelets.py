@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .bandwidth import support_profile
 from .errors import SinogramError
-from .scalars import complex_close
 from .fourier import (
     COMPLEX,
     CYCLOTOMIC,
@@ -43,15 +42,9 @@ from .fourier import (
     inverse,
 )
 from .geometry import Ambient, ProjectiveLine, dot, enumerate_lines, line_through, vscale
-from .scalars import Cyclotomic
+from .scalars import DEFAULT_TOL, Cyclotomic, complex_close, is_zero
 
 FORMS = ("plain", "reduced", "massless")
-
-
-def _scalar_is_zero(value) -> bool:
-    if isinstance(value, (complex, float)):
-        return complex_close(value, 0)
-    return value == 0
 
 
 @dataclass(frozen=True)
@@ -68,11 +61,9 @@ class Wavelet:
             raise ValueError(f"unknown wavelet form {self.form!r}")
         if len(self.coeffs) != self.ambient.p:
             raise ValueError(f"need {self.ambient.p} coefficients")
-        if self.form == "reduced" and not _scalar_is_zero(self.coeffs[0]):
+        if self.form == "reduced" and not is_zero(self.coeffs[0]):
             raise ValueError("a reduced wavelet has c_0 = 0")
-        if self.form == "massless" and not _scalar_is_zero(
-            sum(self.coeffs[1:], self.coeffs[0])
-        ):
+        if self.form == "massless" and not is_zero(sum(self.coeffs[1:], self.coeffs[0])):
             raise ValueError("a massless wavelet has coefficient sum 0")
 
     @property
@@ -181,10 +172,10 @@ class MassTable:
     def total(self):
         return self.totals()[0]
 
-    def is_consistent(self) -> bool:
+    def is_consistent(self, tol: float = DEFAULT_TOL) -> bool:
         totals = self.totals()
         if any(isinstance(t, (complex, float)) for t in totals):
-            return all(complex_close(t, totals[0]) for t in totals)
+            return all(complex_close(t, totals[0], tol) for t in totals)
         return all(t == totals[0] for t in totals)
 
 
@@ -226,7 +217,9 @@ class Decomposition:
         return acc
 
 
-def decompose(f: GridFunction, form: str = "reduced") -> Decomposition:
+def decompose(
+    f: GridFunction, form: str = "reduced", tol: float = DEFAULT_TOL
+) -> Decomposition:
     """Split f into one wavelet per active spectral line, plus a constant.
 
     plain:    coefficients m_{s,t}/p**(d-1), constant (1 - cbw) * m(f)/p**d
@@ -234,14 +227,15 @@ def decompose(f: GridFunction, form: str = "reduced") -> Decomposition:
     massless: coefficients (p*m_{s,t} - m(f))/p**d, constant m(f)/p**d
 
     The massless constant is forced by mass balance: every massless part
-    sums to zero, so the constant alone must carry m(f).
+    sums to zero, so the constant alone must carry m(f).  A line is active
+    when the spectrum of f is nonzero on it, by more than tol for complex f.
     """
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
     ambient = f.ambient
     _require_prime_grid(ambient)
     p, d = ambient.p, ambient.d
-    profile = support_profile(forward(f), source_kind=f.kind)
+    profile = support_profile(forward(f), source_kind=f.kind, tol=tol)
     total = f.total()
     cell = Fraction(1, p ** (d - 1))
     grid_inv = Fraction(1, ambient.size)
@@ -266,12 +260,13 @@ def decompose(f: GridFunction, form: str = "reduced") -> Decomposition:
     return Decomposition(ambient, form, constant, tuple(parts))
 
 
-def reconstruct_from_masses(table: MassTable) -> GridFunction:
+def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridFunction:
     """Tomography: rebuild the unique function with the given sinogram.
 
     The table must contain every canonical direction and all per-direction
     totals must agree (each hyperplane family partitions the grid, so they
-    all sum to the same mass); violations raise SinogramError.
+    all sum to the same mass, within tol for complex masses); violations
+    raise SinogramError.
     """
     ambient = table.ambient
     p, d = ambient.p, ambient.d
@@ -280,7 +275,7 @@ def reconstruct_from_masses(table: MassTable) -> GridFunction:
     missing = [line.rep for line in expected if line not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
-    if not table.is_consistent():
+    if not table.is_consistent(tol):
         raise SinogramError(
             f"per-direction totals disagree: {[str(t) for t in table.totals()]}"
         )

@@ -7,6 +7,7 @@ import pytest
 from charkit import cli, fileio
 from charkit.corpus import (
     random_complex_function,
+    random_cyclotomic_function,
     random_rational_function,
     rng_for,
     staircase_function,
@@ -14,7 +15,6 @@ from charkit.corpus import (
 from charkit.errors import DataFormatError
 from charkit.fourier import GridFunction, Spectrum, forward
 from charkit.geometry import Ambient
-from charkit.multiscale import RingAmbient
 from charkit.scalars import Cyclotomic
 from charkit.wavelets import decompose, mass_table
 
@@ -37,7 +37,7 @@ def test_rational_formatting():
 
 def test_function_payload_round_trip(tmp_path):
     rng = rng_for(800, "io")
-    for amb in (Ambient(3, 2), Ambient(5, 1), RingAmbient(2, 2, 2)):
+    for amb in (Ambient(3, 2), Ambient(5, 1), Ambient(2, 2, 2)):
         f = random_rational_function(amb, rng)
         path = tmp_path / "f.json"
         fileio.save_function(f, path)
@@ -182,14 +182,14 @@ def test_cli_eigen_variety_zpl(tmp_path, capsys):
     assert payload["good"] is False
     zfn = tmp_path / "zfn.json"
     rng = rng_for(802, "cli-zpl")
-    fileio.save_function(random_rational_function(RingAmbient(2, 2, 2), rng), zfn)
+    fileio.save_function(random_rational_function(Ambient(2, 2, 2), rng), zfn)
     assert run_cli("zpl", "--input", str(zfn)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["multiscale"]["reconstruction"] == "exact"
 
 
 def test_cli_verify_exhaustive_flags(capsys):
-    assert run_cli("verify", "uncertainty", "--p", "2", "--d", "2", "--exhaustive") == 0
+    assert run_cli("verify", "uncertainty", "--p", "2", "--d", "2") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"]
     detail = payload["suites"][0]["checks"][0]["detail"]
@@ -237,7 +237,7 @@ def test_cli_table_format(tmp_path, capsys):
 def test_cli_mass_commands_reject_ring_grids(tmp_path, capsys):
     fn = tmp_path / "ring.json"
     rng = rng_for(804, "cli-ring")
-    fileio.save_function(random_rational_function(RingAmbient(2, 2, 2), rng), fn)
+    fileio.save_function(random_rational_function(Ambient(2, 2, 2), rng), fn)
     capsys.readouterr()
     for argv in (
         ("tomography", "project", "--input", str(fn)),
@@ -250,3 +250,111 @@ def test_cli_mass_commands_reject_ring_grids(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("data error:")
         assert "Traceback" not in captured.err
+
+
+def _noisy_wavelet_file(tmp_path):
+    """A complex wavelet on (3,2) plus 1e-4 noise: every line is active at
+    the default tolerance, only the wavelet's line at tolerance 0.01."""
+    amb = Ambient(3, 2)
+    rng = rng_for(805, "noisy")
+    vals = [
+        (1.0, -2.0, 0.5)[x[0]] + complex(rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4))
+        for x in amb.points()
+    ]
+    fn = tmp_path / "noisy.json"
+    fileio.save_function(GridFunction(amb, "complex", vals), fn)
+    return fn
+
+
+def test_cli_tolerance_applies_to_one_request_only(tmp_path, capsys):
+    fn = _noisy_wavelet_file(tmp_path)
+    assert run_cli("bandwidth", "--input", str(fn)) == 0
+    before = capsys.readouterr().out
+    assert json.loads(before)["cbw"] == 4
+    assert run_cli("bandwidth", "--input", str(fn), "--tolerance", "0.01") == 0
+    assert json.loads(capsys.readouterr().out)["cbw"] == 1
+    assert run_cli("bandwidth", "--input", str(fn)) == 0
+    assert capsys.readouterr().out == before
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0", "abc", "inf"])
+def test_cli_rejects_bad_tolerance(tmp_path, capsys, value):
+    fn = _noisy_wavelet_file(tmp_path)
+    capsys.readouterr()
+    assert run_cli("bandwidth", "--input", str(fn), "--tolerance", value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert "Traceback" not in captured.err
+
+
+def test_ring_function_built_in_code_equals_its_file(tmp_path):
+    amb = Ambient(3, 2, 2)
+    f = random_rational_function(amb, rng_for(806, "z9"))
+    path = tmp_path / "z9.json"
+    fileio.save_function(f, path)
+    g = fileio.load_function(path)
+    assert g.ambient == amb and g == f
+    assert (g - f).is_zero()
+    h = fileio.function_from_payload(
+        {"p": 3, "d": 2, "kind": "rational", "values": ["1"] * 9, "modulus_exponent": 1}
+    )
+    assert h == GridFunction.constant(Ambient(3, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("p,d", [(2, 5), (3, 3)])
+def test_cli_eigen_cyclotomic_at_odd_dimension(tmp_path, capsys, p, d):
+    fn = tmp_path / "cyc.json"
+    fileio.save_function(random_cyclotomic_function(Ambient(p, d), rng_for(807, "eig")), fn)
+    assert run_cli("eigen", "--input", str(fn)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["expansion"]["reconstruction"] in ("exact", "close")
+
+
+@pytest.mark.parametrize("p,d", [(2, 5), (3, 3), (5, 2)])
+def test_cli_tomography_round_trip_of_cyclotomic_function(tmp_path, capsys, p, d):
+    f = random_cyclotomic_function(Ambient(p, d), rng_for(808, f"tomo{p}{d}"))
+    fn, sino, back = tmp_path / "f.json", tmp_path / "sino.json", tmp_path / "back.json"
+    fileio.save_function(f, fn)
+    assert run_cli("tomography", "project", "--input", str(fn), "--output", str(sino)) == 0
+    assert run_cli("tomography", "reconstruct", "--input", str(sino), "--output", str(back)) == 0
+    assert fileio.load_function(back) == f
+
+
+def test_sinogram_mass_shapes():
+    z = Cyclotomic.zeta(3)
+    payload = {
+        "p": 3,
+        "d": 1,
+        "masses": [{"s": [1], "m": ["1/2", fileio.scalar_to_payload(z), "0"]}],
+    }
+    table = fileio.sinogram_from_payload(payload)
+    assert table.rows[0][1] == (Fraction(1, 2), z, Fraction(0))
+    for bad in (
+        {"p": 3, "d": 1, "masses": [7]},
+        {"p": 3, "d": 1, "masses": ["s"]},
+        {"p": 3, "d": 1, "masses": 7},
+        {"p": 3, "d": 1, "masses": [{"s": [1], "m": 7}]},
+        {"p": 3, "d": 1, "masses": [{"s": [1], "m": ["1", 2, "0"]}]},
+        {"p": 3, "d": 1, "masses": [{"s": [1], "m": ["1", [{}, 0], "0"]}]},
+        {"p": 3, "d": 1, "masses": [{"s": [1], "m": ["1", {"p": 5, "coeffs": ["1"] * 4}, "0"]}]},
+        {"p": 3, "d": 1, "masses": [{"s": [1], "m": [[1, 0], fileio.scalar_to_payload(z), "0"]}]},
+    ):
+        with pytest.raises(DataFormatError):
+            fileio.sinogram_from_payload(bad)
+
+
+def test_cli_reconstruct_rejects_non_object_mass_rows(tmp_path, capsys):
+    fn = tmp_path / "sino.json"
+    fn.write_text(json.dumps({"p": 3, "d": 1, "masses": [1, 2]}))
+    assert run_cli("tomography", "reconstruct", "--input", str(fn)) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_cli_zpl_rejects_complex_input(tmp_path, capsys):
+    fn = tmp_path / "cz4.json"
+    fileio.save_function(random_complex_function(Ambient(2, 2, 2), rng_for(809, "cz4")), fn)
+    capsys.readouterr()
+    assert run_cli("zpl", "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("data error:")

@@ -276,3 +276,14 @@ def test_subspace_membership_and_points():
     assert len(set(pts)) == 25
     assert all(V.contains(x) for x in pts)
     assert not V.contains((0, 1, 0))
+
+
+def test_one_ambient_for_every_modulus():
+    assert Ambient(3, 2, 1) == Ambient(3, 2)
+    assert hash(Ambient(3, 2, 1)) == hash(Ambient(3, 2))
+    ring = Ambient(2, 2, 2)
+    assert ring.modulus == 4 and ring.size == 16 and len(ring.points()) == 16
+    assert ring.point_at(ring.index_of((3, 1))) == (3, 1)
+    assert Ambient(3, 2, 2).points()[-1] == (8, 8)
+    with pytest.raises(CapacityError):
+        Ambient(2, 12, 2)  # 4**12 points, though 2**12 would fit

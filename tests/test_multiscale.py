@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from charkit.corpus import rng_for
+from charkit.corpus import random_complex_function, rng_for
 from charkit.fourier import GridFunction, forward, inverse
+from charkit.geometry import Ambient
 from charkit.multiscale import (
-    RingAmbient,
     canonical_generator,
     enumerate_level_lines,
     hyperplane_mod,
@@ -21,17 +21,17 @@ from charkit.scalars import Cyclotomic
 
 
 def test_valuation_and_norm():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     assert valuation(a, 2) == 1 and norm(a, 2) == Fraction(1, 2)
     assert valuation(a, 3) == 0 and norm(a, 3) == 1
     assert valuation(a, 0) == 2 and norm(a, 0) == 0  # sentinel for zero
-    a9 = RingAmbient(3, 2, 1)
+    a9 = Ambient(3, 1, 2)
     assert valuation(a9, 6) == 1  # 6 = 3 * 2 with 2 a unit mod 9
 
 
 def test_valuation_range_and_strata():
     for p in (2, 3):
-        a = RingAmbient(p, 2, 1)
+        a = Ambient(p, 1, 2)
         q = p * p
         strata = {}
         for n in range(1, q):
@@ -42,29 +42,29 @@ def test_valuation_range_and_strata():
 
 def test_unit_count_matches_enumeration():
     for p, ell in [(2, 2), (3, 2), (2, 3)]:
-        a = RingAmbient(p, ell, 1)
+        a = Ambient(p, 1, ell)
         enumerated = sum(1 for n in range(a.modulus) if valuation(a, n) == 0)
         assert enumerated == unit_count(a) == p ** ell - p ** (ell - 1)
 
 
 def test_vector_valuation():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     assert vector_valuation(a, (2, 1)) == 0
     assert vector_valuation(a, (2, 0)) == 1
 
 
 def test_hyperplane_sizes_examples():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     h = hyperplane_mod(a, (1, 0))
     assert len(h) == 4 and h == {(0, y) for y in range(4)}
     h2 = hyperplane_mod(a, (2, 0))
     assert len(h2) == 8 and h2 == {(x, y) for x in (0, 2) for y in range(4)}
-    a9 = RingAmbient(3, 2, 2)
+    a9 = Ambient(3, 2, 2)
     assert len(hyperplane_mod(a9, (1, 3))) == 9
 
 
 def test_hyperplane_sizes_all_nonzero_directions():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     for v in a.points():
         if any(v):
             expected = 2 ** (2 * 1 + vector_valuation(a, v))
@@ -74,7 +74,7 @@ def test_hyperplane_sizes_all_nonzero_directions():
 
 
 def test_line_cardinality_and_levels():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     for v in a.points():
         if any(v):
             line = line_mod(a, v)
@@ -83,7 +83,7 @@ def test_line_cardinality_and_levels():
 
 
 def test_canonical_generator_is_canonical():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     for v in a.points():
         if not any(v):
             continue
@@ -97,7 +97,7 @@ def test_canonical_generator_is_canonical():
 
 def test_affine_line_nesting():
     # every affine level-2 line splits into 2 disjoint affine level-1 lines
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     q = 4
     level2 = [l for l in enumerate_level_lines(a) if l.level == 2]
     for line in level2:
@@ -116,7 +116,7 @@ def test_affine_line_nesting():
 
 
 def test_transform_round_trip_exact():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     for i in range(20):
         rng = rng_for(700, f"rt/{i}")
         vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(16)]
@@ -127,7 +127,7 @@ def test_transform_round_trip_exact():
 
 
 def test_transform_constant_and_delta():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     Fc = forward(GridFunction.constant(a, 1))
     assert Fc.values[0].rational_part() == 1
     assert all(v.is_zero() for v in Fc.values[1:])
@@ -136,7 +136,7 @@ def test_transform_constant_and_delta():
 
 
 def test_level_wavelet_from_hyperplane_family():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     f = GridFunction.indicator(a, [x for x in a.points() if x[0] == 1])
     res = is_level_l_wavelet(f)
     assert res.is_wavelet and res.generator == (1, 0) and res.level == 2
@@ -150,14 +150,14 @@ def test_level_wavelet_from_hyperplane_family():
 
 
 def test_level_wavelet_absent_for_two_directions():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     f1 = GridFunction.indicator(a, [x for x in a.points() if x[0] == 1])
     f2 = GridFunction.indicator(a, [x for x in a.points() if x[1] == 3])
     assert not is_level_l_wavelet(f1 + f2).is_wavelet
 
 
 def test_level_wavelet_constant_flagged():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     res = is_level_l_wavelet(GridFunction.constant(a, Fraction(3, 2)))
     assert res.is_wavelet and res.is_constant
 
@@ -165,7 +165,7 @@ def test_level_wavelet_constant_flagged():
 def test_level_wavelet_modulated_offset_line():
     # spectrum on an affine line missing the origin: wavelet by the spectral
     # definition, but with no plain hyperplane form
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     vals = [Cyclotomic.zero(2, ell=2)] * 16
     vals[a.index_of((1, 1))] = Cyclotomic.one(2, ell=2)
     vals[a.index_of((1, 2))] = Cyclotomic.zeta(2, 1, ell=2)
@@ -176,7 +176,7 @@ def test_level_wavelet_modulated_offset_line():
 
 
 def test_multiscale_constant():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     c = GridFunction.constant(a, Fraction(7, 3))
     parts = multiscale_decompose(c)
     assert len(parts) == 1 and parts[0].is_constant
@@ -184,7 +184,7 @@ def test_multiscale_constant():
 
 
 def test_multiscale_single_wavelet_returned_as_itself():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     f = GridFunction.indicator(a, [x for x in a.points() if x[0] == 1])
     parts = multiscale_decompose(f)
     assert len(parts) == 1
@@ -193,7 +193,7 @@ def test_multiscale_single_wavelet_returned_as_itself():
 
 
 def test_multiscale_round_trip_2_2_2():
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     for i in range(100):
         rng = rng_for(701, f"ms/{i}")
         vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(16)]
@@ -207,7 +207,7 @@ def test_multiscale_round_trip_2_2_2():
 
 
 def test_multiscale_round_trip_3_2_1():
-    a = RingAmbient(3, 2, 1)
+    a = Ambient(3, 1, 2)
     for i in range(100):
         rng = rng_for(702, f"ms91/{i}")
         vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(9)]
@@ -221,7 +221,7 @@ def test_multiscale_round_trip_3_2_1():
 
 def test_multiscale_parts_are_level_wavelets():
     # every non-constant part has its spectrum inside one line through 0
-    a = RingAmbient(2, 2, 2)
+    a = Ambient(2, 2, 2)
     rng = rng_for(703, "partcheck")
     vals = [Fraction(rng.randint(-9, 9)) for _ in range(16)]
     f = GridFunction(a, "rational", vals)
@@ -236,7 +236,7 @@ def test_multiscale_parts_are_level_wavelets():
 
 def test_exponent_three_smoke():
     # l = 3: three scales; transform and decomposition still exact
-    a = RingAmbient(2, 3, 1)
+    a = Ambient(2, 1, 3)
     assert unit_count(a) == 4
     for v in range(1, 8):
         line = line_mod(a, (v,))
@@ -254,8 +254,16 @@ def test_exponent_three_smoke():
 
 def test_ring_ambient_validation():
     with pytest.raises(ValueError):
-        RingAmbient(4, 2, 1)
+        Ambient(4, 1, 2)
     with pytest.raises(ValueError):
-        RingAmbient(2, 0, 1)
+        Ambient(2, 1, 0)
     with pytest.raises(ValueError):
-        RingAmbient(2, 2, 0)
+        Ambient(2, 0, 2)
+
+
+def test_multiscale_rejects_complex_input():
+    f = random_complex_function(Ambient(2, 2, 2), rng_for(415, "cplx"))
+    with pytest.raises(ValueError):
+        multiscale_decompose(f)
+    with pytest.raises(ValueError):
+        is_level_l_wavelet(f)

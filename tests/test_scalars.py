@@ -7,9 +7,8 @@ import pytest
 from charkit.scalars import (
     Cyclotomic,
     complex_close,
-    embed_complex,
-    galois_apply,
     is_prime,
+    is_zero,
     rational_part,
 )
 
@@ -74,7 +73,7 @@ def test_galois_examples():
     assert Cyclotomic.zeta(3).galois(2).coeffs == (Fraction(-1), Fraction(-1))
     z = Cyclotomic(5, [Fraction(1, 2), 3, 0, -1])
     assert z.galois(1) == z
-    assert galois_apply(2, galois_apply(2, Cyclotomic.zeta(5))) == Cyclotomic.zeta(5).galois(4)
+    assert Cyclotomic.zeta(5).galois(2).galois(2) == Cyclotomic.zeta(5).galois(4)
 
 
 def test_galois_is_a_homomorphism():
@@ -155,7 +154,19 @@ def test_rational_part():
     assert rational_part(Cyclotomic.from_rational(7, Fraction(3, 4))) == Fraction(3, 4)
     assert rational_part(Cyclotomic.zeta(7)) is None
     assert rational_part(5) == 5
-    assert embed_complex(Fraction(1, 2)) == 0.5
+    assert complex(Fraction(1, 2)) == 0.5
+
+
+def test_is_zero_takes_an_explicit_tolerance():
+    # Exact kinds ignore the tolerance; floating values compare |v| <= tol.
+    assert is_zero(Cyclotomic.zero(5)) and is_zero(Cyclotomic.zero(5), tol=1.0)
+    assert not is_zero(Cyclotomic.zeta(5).scale(Fraction(1, 10**12)), tol=1.0)
+    assert is_zero(Fraction(0), tol=0.5) and is_zero(0)
+    assert not is_zero(Fraction(1, 10**12), tol=1.0)
+    assert is_zero(3e-4 + 4e-4j, tol=5e-4)
+    assert not is_zero(3e-4 + 4e-4j, tol=4.9e-4)
+    assert not is_zero(3e-4 + 4e-4j)  # the default 1e-9
+    assert is_zero(-2.0, tol=2.0) and not is_zero(-2.0, tol=1.99)
 
 
 def test_conductor_mismatch():

@@ -20,7 +20,6 @@ from charkit.geometry import (
     line_through,
     vscale,
 )
-from charkit.multiscale import RingAmbient
 from charkit.scalars import Cyclotomic, complex_close
 from charkit.wavelets import (
     Decomposition,
@@ -369,7 +368,7 @@ def test_mass_table_of_sparse_complex_function_keeps_complex_masses():
 
 
 def test_mass_code_rejects_ring_grids():
-    f = random_rational_function(RingAmbient(2, 2, 2), rng_for(410, "ring"))
+    f = random_rational_function(Ambient(2, 2, 2), rng_for(410, "ring"))
     with pytest.raises(ValueError):
         masses(f, (1, 0))
     with pytest.raises(ValueError):

@@ -12,10 +12,10 @@ from charkit import (
     Ambient,
     GridFunction,
     forward,
-    hyperplane_mod,
+    hyperplane_points,
     inverse,
     is_level_l_wavelet,
-    line_mod,
+    line_through,
     multiscale_decompose,
     norm,
     unit_count,
@@ -29,9 +29,9 @@ print(f"Z_4: units={unit_count(ambient)}, "
 # Lines at two scales: a unit generator spans 4 points (level 2), a
 # doubled generator only 2 (level 1).  Hyperplanes scale the other way.
 for v in [(1, 2), (2, 0)]:
-    line = line_mod(ambient, v)
-    print(f"line of {v}: level {line.level}, {len(line.points())} points; "
-          f"hyperplane size {len(hyperplane_mod(ambient, v))}")
+    line = line_through(ambient, v)
+    print(f"line of {v}: level {line.level(ambient)}, {len(line.points(ambient))} points; "
+          f"hyperplane size {len(hyperplane_points(ambient, v, 0))}")
 
 # The transform round-trips exactly, conductor 4 scalars and all.
 f = GridFunction(ambient, "rational", [Fraction(k % 5, 2) for k in range(16)])

@@ -58,17 +58,14 @@ from .geometry import (
     perp,
     quadratic_class,
     sqrt_minus_one,
+    valuation,
+    vector_valuation,
 )
 from .multiscale import (
-    LevelLine,
-    hyperplane_mod,
     is_level_l_wavelet,
-    line_mod,
     multiscale_decompose,
     norm,
     unit_count,
-    valuation,
-    vector_valuation,
 )
 from .scalars import Cyclotomic, complex_close, is_zero, rational_part
 from .varieties import (

@@ -35,6 +35,7 @@ from .geometry import (
     line_count,
     line_through,
     perp,
+    require_prime_grid,
     translate_set,
     vscale,
 )
@@ -75,9 +76,11 @@ def support_profile(
 
     The whole punctured line is inspected, never a single sample.  For
     rational sources a mixed line (some zeros, some not) contradicts the
-    vanishing principle and raises TheoremViolation.
+    vanishing principle and raises TheoremViolation.  Ring grids raise
+    ValueError: bandwidth counts the lines of Z_p**d.
     """
     ambient = F.ambient
+    require_prime_grid(ambient)
     approximate = F.kind == COMPLEX
     active = []
     for line in enumerate_lines(ambient):

@@ -23,6 +23,7 @@ from .errors import (
     TheoremViolation,
 )
 from .fourier import forward, forward_naive, inverse
+from .geometry import enumerate_lines, quadratic_class
 from .multiscale import is_level_l_wavelet, multiscale_decompose
 from .scalars import DEFAULT_TOL
 from .varieties import (
@@ -231,21 +232,18 @@ def _cmd_eigen(args) -> int:
 def _cmd_variety(args) -> int:
     f = fileio.load_function(args.input)
     ambient = f.ambient
+    good = is_good(f, args.tolerance)  # rejects ring grids before any line is read
     types = {"covered": 0, "type1": 0, "type2": 0}
-    from .geometry import enumerate_lines
-
     for line in enumerate_lines(ambient):
         types[classify_direction_paraboloid(ambient, line.rep)] += 1
     payload = {
-        "good": is_good(f, args.tolerance),
+        "good": good,
         "direction_types": types,
         "sphere_counts": {
             str(r): sphere_count(ambient.p, ambient.d, r) for r in range(ambient.p)
         },
     }
     if ambient.d == 2 and ambient.p > 2:
-        from .geometry import quadratic_class
-
         a = 1
         b = next(r for r in range(2, ambient.p) if quadratic_class(r, ambient.p) == "non-residue")
         try:

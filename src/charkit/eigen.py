@@ -83,12 +83,12 @@ def self_dual_classify(ambient: Ambient, E) -> SelfDualResult:
     return SelfDualResult(kind="lagrangian", subspace=span, eigenvalue=lam)
 
 
-def enumerate_lagrangian(ambient: Ambient, limit: int | None = None) -> list:
+def enumerate_lagrangian(ambient: Ambient) -> list:
     """All subspaces equal to their own perpendicular; empty for odd d."""
     if ambient.d % 2 != 0:
         return []
     half = ambient.d // 2
-    return [L for L in enumerate_subspaces(ambient, half, limit) if perp(L) == L]
+    return [L for L in enumerate_subspaces(ambient, half) if perp(L) == L]
 
 
 def _pair_values(ambient, k, in_V, in_W, phases, exact):

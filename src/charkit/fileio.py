@@ -2,12 +2,14 @@
 
 Function file:      {"p": 3, "d": 2, "kind": "rational", "values": ["0", "1/3", ...]}
                     values in lexicographic point order, length p**d; grids over
-                    Z_{p**ell} add "modulus_exponent": ell.
+                    Z_{p**ell} add "modulus_exponent": ell.  p, d and ell are
+                    JSON integers (not floats, not booleans).
 Spectrum values:    {"p": 3, "coeffs": ["a/b", ...]} with exactly p-1 entries
                     (cyclotomic; conductor p**ell carries "ell" and phi entries).
 Complex values:     [re, im].
 Sinogram:           {"p": ..., "d": ..., "masses": [{"s": [...], "m": [...]}, ...]};
-                    each mass is a rational string, a cyclotomic object of
+                    each direction s is a list of d integers and each mass
+                    is a rational string, a cyclotomic object of
                     conductor p, or a complex [re, im] pair.
 Decomposition:      {"p", "d", "form", "constant", "parts": [{"s", "coeffs"}]}.
 
@@ -155,7 +157,12 @@ def sinogram_from_payload(payload) -> MassTable:
         if not isinstance(entry, dict):
             raise DataFormatError(f"sinogram row must be an object, got {entry!r}")
         _require_fields(entry, ("s", "m"), "sinogram row")
-        s = tuple(int(c) % p for c in entry["s"])
+        s = entry["s"]
+        if not isinstance(s, list) or len(s) != ambient.d or any(type(c) is not int for c in s):
+            raise DataFormatError(
+                f"sinogram direction must be a list of {ambient.d} integers, got {s!r}"
+            )
+        s = tuple(c % p for c in s)
         if not any(s):
             raise DataFormatError("sinogram direction must be nonzero")
         if not isinstance(entry["m"], list) or len(entry["m"]) != p:

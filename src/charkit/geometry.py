@@ -1,20 +1,23 @@
-"""Combinatorial geometry of Z_p**d: points, lines through the origin,
-affine hyperplanes, subspaces in reduced echelon form, perpendiculars,
-compass sets, and quadratic-residue utilities.
+"""Combinatorial geometry of Z_m**d, m = p**ell: points, valuations, lines
+through the origin and affine hyperplanes for every modulus; subspaces in
+reduced echelon form, perpendiculars, compass sets and quadratic-residue
+utilities on Z_p**d.
 
-``Ambient(p, d, ell)`` is the one grid type for every modulus m = p**ell;
-the line and subspace geometry here is that of Z_p**d, and the ring
-grids (ell > 1) get theirs from ``multiscale``.  Points are plain tuples
-of residues.  The lexicographic index of a point (x_0, ..., x_{d-1}) is
-sum(x_i * m**(d-1-i)), a bijection with range(m**d); every dense array
-in the package uses this order.
+``Ambient(p, d, ell)`` is the one grid type.  Lines and hyperplanes are
+computed modulo m: a vector of valuation j generates a line of p**(ell-j)
+points, of level ell-j (at ell = 1, p points and level 1).  Echelon forms
+need a field, so ``require_prime_grid`` rejects ring grids wherever
+Z_p**d-only analysis starts.  Points are plain tuples of residues; the
+lexicographic index of (x_0, ..., x_{d-1}) is sum(x_i * m**(d-1-i)), the
+order of every dense array in the package.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CapacityError, TheoremViolation
 from .scalars import is_prime
@@ -40,6 +43,9 @@ class Ambient:
     ell: int = 1
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("d", self.d), ("ell", self.ell)):
+            if type(value) is not int:  # bools and floats are no grid sizes
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not is_prime(self.p):
             raise ValueError(f"base modulus must be prime, got {self.p}")
         if self.d < 1:
@@ -51,11 +57,11 @@ class Ambient:
                 f"grid of {self.modulus}**{self.d} points exceeds the enumeration limit"
             )
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p ** self.ell
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.modulus ** self.d
 
@@ -105,65 +111,111 @@ def translate_set(points, u: Point, m: int) -> frozenset:
     return frozenset(vadd(x, u, m) for x in points)
 
 
+def require_prime_grid(ambient: Ambient) -> None:
+    """Reject a ring grid where an analysis needs the field Z_p."""
+    if ambient.ell > 1:
+        raise ValueError(
+            "this analysis is defined on Z_p**d only, not on the ring grid "
+            f"Z_{ambient.modulus}**{ambient.d}"
+        )
+
+
+def valuation(ambient: Ambient, n: int) -> int:
+    """The exponent j in n = p**j * unit; the zero residue gets the sentinel ell."""
+    n %= ambient.modulus
+    if n == 0:
+        return ambient.ell
+    j = 0
+    while n % ambient.p == 0:
+        n //= ambient.p
+        j += 1
+    return j
+
+
+def vector_valuation(ambient: Ambient, v: Point) -> int:
+    """The least valuation of a coordinate of v; ell for the zero vector."""
+    return valuation(ambient, math.gcd(ambient.modulus, *v))
+
+
 @dataclass(frozen=True)
 class ProjectiveLine:
-    """A line through the origin, named by its canonical representative.
+    """A line through the origin, named by its canonical generator.
 
-    The representative is the unique generator whose first nonzero
-    coordinate equals 1; this fixes a deterministic enumeration order.
+    The generator of a line of valuation j has p**j as its first coordinate
+    of valuation j; at ell = 1 that is the first nonzero coordinate, equal
+    to 1.  This fixes a deterministic enumeration order.
     """
 
     rep: Point
 
     def points(self, ambient: Ambient) -> tuple:
-        p = ambient.p
-        return tuple(vscale(t, self.rep, p) for t in range(p))
+        # gcd(m, *rep) = p**j, and the line has m / p**j points
+        m, rep = ambient.modulus, self.rep
+        return tuple(vscale(t, rep, m) for t in range(m // math.gcd(m, *rep)))
 
     def punctured(self, ambient: Ambient) -> tuple:
-        p = ambient.p
-        return tuple(vscale(t, self.rep, p) for t in range(1, p))
+        m, rep = ambient.modulus, self.rep
+        return tuple(vscale(t, rep, m) for t in range(1, m // math.gcd(m, *rep)))
+
+    def level(self, ambient: Ambient) -> int:
+        """ell - j: the line has p**level points."""
+        return ambient.ell - vector_valuation(ambient, self.rep)
 
 
 def line_through(ambient: Ambient, v: Point) -> ProjectiveLine:
-    """Canonical line containing the nonzero vector v."""
-    p = ambient.p
-    v = tuple(c % p for c in v)
-    if not any(v):
+    """Canonical line containing the nonzero vector v.
+
+    Two vectors generate the same line exactly when they differ by a unit
+    factor; v is scaled by the unit that turns its first coordinate of least
+    valuation j into p**j.
+    """
+    m = ambient.modulus
+    g = math.gcd(m, *v)  # p**j
+    if g == m:
         raise ValueError("the zero vector spans no line")
-    first = next(c for c in v if c)
-    inv = pow(first, p - 2, p)
-    return ProjectiveLine(vscale(inv, v, p))
+    step = g * ambient.p
+    lead = next(c for c in v if c % step)
+    return ProjectiveLine(vscale(pow(lead // g, -1, m), v, m))
 
 
 def line_count(ambient: Ambient) -> int:
-    return (ambient.p ** ambient.d - 1) // (ambient.p - 1)
+    """(p**d - 1)/(p - 1) lines of level 1, times p**(k*(d-1)) at level k + 1."""
+    p, d = ambient.p, ambient.d
+    return (p ** d - 1) // (p - 1) * sum(p ** (k * (d - 1)) for k in range(ambient.ell))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_lines(p: int, d: int) -> tuple:
+def _enumerate_lines(p: int, d: int, ell: int) -> tuple:
+    # Generators of valuation j: coordinates before the lead p**j are
+    # multiples of p**(j+1), those after it multiples of p**j.
+    m = p ** ell
     reps = []
-    for lead in range(d - 1, -1, -1):
-        for tail in itertools.product(range(p), repeat=d - 1 - lead):
-            reps.append((0,) * lead + (1,) + tail)
-    return tuple(ProjectiveLine(r) for r in reps)
+    for j in range(ell):
+        pj = p ** j
+        for lead in range(d):
+            for head in itertools.product(range(0, m, pj * p), repeat=lead):
+                for tail in itertools.product(range(0, m, pj), repeat=d - 1 - lead):
+                    reps.append(head + (pj,) + tail)
+    return tuple(ProjectiveLine(r) for r in sorted(reps))
 
 
-def enumerate_lines(ambient: Ambient, limit: int | None = None) -> tuple:
-    """All lines through the origin, ordered lexicographically by representative."""
+def enumerate_lines(ambient: Ambient) -> tuple:
+    """All lines through the origin, ordered lexicographically by generator."""
     count = line_count(ambient)
-    cap = MAX_LINE_ENUMERATION if limit is None else limit
-    if count > cap:
-        raise CapacityError(f"{count} lines exceed the enumeration limit {cap}")
-    return _enumerate_lines(ambient.p, ambient.d)
+    if count > MAX_LINE_ENUMERATION:
+        raise CapacityError(
+            f"{count} lines exceed the enumeration limit {MAX_LINE_ENUMERATION}"
+        )
+    return _enumerate_lines(ambient.p, ambient.d, ambient.ell)
 
 
 def hyperplane_points(ambient: Ambient, s: Point, t: int) -> frozenset:
-    """The affine hyperplane {x : x.s = t}; the p values of t partition the grid."""
-    p = ambient.p
-    if not any(c % p for c in s):
+    """The affine hyperplane {x : x.s = t mod m}; the values of t partition the grid."""
+    m = ambient.modulus
+    if not any(c % m for c in s):
         raise ValueError("hyperplane direction must be nonzero")
-    t %= p
-    return frozenset(x for x in ambient.points() if dot(x, s, p) == t)
+    t %= m
+    return frozenset(x for x in ambient.points() if dot(x, s, m) == t)
 
 
 def rref(rows, p: int):
@@ -206,6 +258,9 @@ class Subspace:
 
     ambient: Ambient
     basis: tuple
+
+    def __post_init__(self):
+        require_prime_grid(self.ambient)
 
     @classmethod
     def span(cls, ambient: Ambient, vectors) -> "Subspace":
@@ -314,7 +369,7 @@ def is_compass_set(ambient: Ambient, points) -> bool:
     pts = list(points)
     if not pts:
         return False
-    covered = {line_through(ambient, x) for x in pts if any(c % ambient.p for c in x)}
+    covered = {line_through(ambient, x) for x in pts if any(c % ambient.modulus for c in x)}
     return len(covered) == line_count(ambient)
 
 
@@ -384,13 +439,14 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(ambient: Ambient, k: int, limit: int | None = None):
+def enumerate_subspaces(ambient: Ambient, k: int):
     """Yield every k-dimensional subspace, via echelon forms with fixed pivots."""
     p, d = ambient.p, ambient.d
-    cap = MAX_SUBSPACE_ENUMERATION if limit is None else limit
     total = gaussian_binomial(d, k, p)
-    if total > cap:
-        raise CapacityError(f"{total} subspaces exceed the enumeration limit {cap}")
+    if total > MAX_SUBSPACE_ENUMERATION:
+        raise CapacityError(
+            f"{total} subspaces exceed the enumeration limit {MAX_SUBSPACE_ENUMERATION}"
+        )
     if k == 0:
         yield Subspace.zero(ambient)
         return
@@ -411,6 +467,6 @@ def enumerate_subspaces(ambient: Ambient, k: int, limit: int | None = None):
             yield Subspace(ambient, tuple(tuple(row) for row in rows))
 
 
-def all_subspaces(ambient: Ambient, limit: int | None = None):
+def all_subspaces(ambient: Ambient):
     for k in range(ambient.d + 1):
-        yield from enumerate_subspaces(ambient, k, limit)
+        yield from enumerate_subspaces(ambient, k)

@@ -1,8 +1,8 @@
-"""Multi-scale structure over Z_{p**ell}**d: valuations, lines and
-hyperplanes at levels, level wavelets, and a finite wavelet decomposition.
-The grid is the same ``geometry.Ambient`` as everywhere else, built as
-``Ambient(p, d, ell)``; the exact transform with conductor p**ell is
-``fourier.forward``.
+"""Multi-scale analysis over Z_{p**ell}**d: norms, level wavelets, and a
+finite wavelet decomposition.  The grid is the same ``geometry.Ambient`` as
+everywhere else, built as ``Ambient(p, d, ell)``; its lines, hyperplanes and
+valuations are those of ``geometry``, which computes modulo p**ell, and the
+exact transform with conductor p**ell is ``fourier.forward``.
 
 A nonzero scalar factors as p**j * unit; j is its valuation and p**(-j)
 its norm.  The line generated by a vector of valuation j has p**(ell-j)
@@ -17,20 +17,8 @@ from fractions import Fraction
 
 from .errors import TheoremViolation
 from .fourier import COMPLEX, CYCLOTOMIC, GridFunction, Spectrum, forward, inverse
-from .geometry import Ambient, Point, dot, vscale
+from .geometry import Ambient, Point, dot, enumerate_lines, valuation, vector_valuation
 from .scalars import Cyclotomic
-
-
-def valuation(ambient: Ambient, n: int) -> int:
-    """The exponent j in n = p**j * unit; the zero residue gets the sentinel ell."""
-    n %= ambient.modulus
-    if n == 0:
-        return ambient.ell
-    j = 0
-    while n % ambient.p == 0:
-        n //= ambient.p
-        j += 1
-    return j
 
 
 def norm(ambient: Ambient, n: int) -> Fraction:
@@ -41,75 +29,9 @@ def norm(ambient: Ambient, n: int) -> Fraction:
     return Fraction(1, ambient.p ** v)
 
 
-def vector_valuation(ambient: Ambient, v: Point) -> int:
-    return min(valuation(ambient, c) for c in v)
-
-
 def unit_count(ambient: Ambient) -> int:
     """Number of invertible residues, p**ell - p**(ell-1)."""
     return ambient.modulus - ambient.modulus // ambient.p
-
-
-def canonical_generator(ambient: Ambient, v: Point) -> Point:
-    """Scale v by a unit so its first minimal-valuation coordinate is p**j.
-
-    Two vectors generate the same line exactly when they differ by a unit
-    factor, so this is a canonical line representative.
-    """
-    q = ambient.modulus
-    v = tuple(c % q for c in v)
-    if not any(v):
-        raise ValueError("the zero vector generates no line")
-    j = vector_valuation(ambient, v)
-    lead = next(c for c in v if valuation(ambient, c) == j)
-    u = lead // ambient.p ** j
-    inv = pow(u, -1, q)
-    return vscale(inv, v, q)
-
-
-@dataclass(frozen=True)
-class LevelLine:
-    """The cyclic set {a*v} generated by a nonzero vector, tagged by level."""
-
-    ambient: Ambient
-    generator: Point  # canonical
-    level: int
-
-    def points(self) -> frozenset:
-        q = self.ambient.modulus
-        return frozenset(vscale(a, self.generator, q) for a in range(q))
-
-
-def line_mod(ambient: Ambient, v: Point) -> LevelLine:
-    gen = canonical_generator(ambient, v)
-    level = ambient.ell - vector_valuation(ambient, gen)
-    return LevelLine(ambient, gen, level)
-
-
-def enumerate_level_lines(ambient: Ambient) -> tuple:
-    """All distinct lines through the origin, in lexicographic generator order."""
-    seen = {}
-    for v in ambient.points():
-        if any(v):
-            gen = canonical_generator(ambient, v)
-            if gen not in seen:
-                seen[gen] = line_mod(ambient, gen)
-    return tuple(seen[g] for g in sorted(seen))
-
-
-def hyperplane_mod(ambient: Ambient, v: Point) -> frozenset:
-    """{x : x.v = 0 mod p**ell}; its size is p**(ell*(d-1) + valuation(v))."""
-    q = ambient.modulus
-    v = tuple(c % q for c in v)
-    if not any(v):
-        raise ValueError("hyperplane direction must be nonzero")
-    pts = frozenset(x for x in ambient.points() if dot(x, v, q) == 0)
-    expected = ambient.p ** (ambient.ell * (ambient.d - 1) + vector_valuation(ambient, v))
-    if len(pts) != expected:
-        raise TheoremViolation(
-            f"hyperplane size {len(pts)} differs from p**(l(d-1)+v) = {expected}"
-        )
-    return pts
 
 
 def _require_exact(f: GridFunction) -> None:
@@ -122,12 +44,12 @@ def _require_exact(f: GridFunction) -> None:
 @dataclass(frozen=True)
 class LevelWaveletResult:
     is_wavelet: bool
-    is_constant: bool
-    generator: Point | None
-    offset: Point | None  # None for a line through the origin
-    level: int | None
-    coeffs: tuple | None  # (t, value) pairs over t in Z_q, hyperplane form
-    spatial_matches: bool
+    is_constant: bool = False
+    generator: Point | None = None
+    offset: Point | None = None  # None for a line through the origin
+    level: int | None = None
+    coeffs: tuple | None = None  # (t, value) pairs over t in Z_q, hyperplane form
+    spatial_matches: bool = False
 
 
 def is_level_l_wavelet(f: GridFunction) -> LevelWaveletResult:
@@ -146,43 +68,30 @@ def is_level_l_wavelet(f: GridFunction) -> LevelWaveletResult:
     F = forward(f)
     supp = set(F.support())
     if not (supp - {ambient.origin()}):
-        return LevelWaveletResult(
-            is_wavelet=True,
-            is_constant=True,
-            generator=None,
-            offset=None,
-            level=None,
-            coeffs=None,
-            spatial_matches=True,
-        )
+        return LevelWaveletResult(True, is_constant=True, spatial_matches=True)
     unit_lines = [
-        line for line in enumerate_level_lines(ambient) if line.level == ambient.ell
+        line for line in enumerate_lines(ambient) if line.level(ambient) == ambient.ell
     ]
     # Through-origin lines first, then proper affine translates.
     for line in unit_lines:
-        if supp <= line.points():
-            v = line.generator
+        if supp.issubset(line.points(ambient)):
+            v = line.rep
             coeff_map = {}
-            matches = True
             for x, value in zip(ambient.points(), f.values):
-                t = dot(x, v, q)
-                if t in coeff_map:
-                    if coeff_map[t] != value:
-                        matches = False
-                        break
-                else:
-                    coeff_map[t] = value
+                coeff_map.setdefault(dot(x, v, q), value)
+            matches = all(
+                coeff_map[dot(x, v, q)] == value
+                for x, value in zip(ambient.points(), f.values)
+            )
             return LevelWaveletResult(
-                is_wavelet=True,
-                is_constant=False,
+                True,
                 generator=v,
-                offset=None,
                 level=ambient.ell,
                 coeffs=tuple(sorted(coeff_map.items())) if matches else None,
                 spatial_matches=matches,
             )
     for line in unit_lines:
-        base = line.points()
+        base = line.points(ambient)
         seen = set()
         for w in ambient.points():
             coset = frozenset(tuple((a + b) % q for a, b in zip(w, pt)) for pt in base)
@@ -192,23 +101,9 @@ def is_level_l_wavelet(f: GridFunction) -> LevelWaveletResult:
             seen.add(key)
             if supp <= coset:
                 return LevelWaveletResult(
-                    is_wavelet=True,
-                    is_constant=False,
-                    generator=line.generator,
-                    offset=key,
-                    level=ambient.ell,
-                    coeffs=None,
-                    spatial_matches=False,
+                    True, generator=line.rep, offset=key, level=ambient.ell
                 )
-    return LevelWaveletResult(
-        is_wavelet=False,
-        is_constant=False,
-        generator=None,
-        offset=None,
-        level=None,
-        coeffs=None,
-        spatial_matches=False,
-    )
+    return LevelWaveletResult(False)
 
 
 @dataclass(frozen=True)
@@ -248,28 +143,23 @@ def multiscale_decompose(f: GridFunction) -> tuple:
         ]
         return inverse(Spectrum(ambient, CYCLOTOMIC, vals))
 
-    lines = enumerate_level_lines(ambient)
+    lines = [(line.level(ambient), line) for line in enumerate_lines(ambient)]
     claims = []  # (level, generator, claimed point set)
     for j in range(ambient.ell):
         level = ambient.ell - j
-        for line in lines:
-            if line.level != level:
+        for line_level, line in lines:
+            if line_level != level:
                 continue
-            mine = unclaimed & line.points()
+            mine = unclaimed.intersection(line.points(ambient))
             if any(vector_valuation(ambient, x) == j for x in mine):
                 unclaimed -= mine
-                claims.append((level, line.generator, set(mine)))
+                claims.append((level, line.rep, mine))
     if unclaimed:
         raise TheoremViolation(f"frequencies never claimed: {sorted(unclaimed)}")
-    dc = F.values[0]
-    parts = []
     if len(claims) == 1:
         level, gen, pts = claims[0]
-        pts.add(origin)
-        parts.append(MultiscalePart(level, gen, restriction(pts)))
-        return tuple(parts)
-    for level, gen, pts in claims:
-        parts.append(MultiscalePart(level, gen, restriction(pts)))
-    if not claims or not dc.is_zero():
+        return (MultiscalePart(level, gen, restriction(pts | {origin})),)
+    parts = [MultiscalePart(level, gen, restriction(pts)) for level, gen, pts in claims]
+    if not claims or not F.values[0].is_zero():
         parts.append(MultiscalePart(None, None, restriction({origin})))
     return tuple(parts)

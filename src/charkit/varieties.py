@@ -15,6 +15,7 @@ from .geometry import (
     Ambient,
     Point,
     quadratic_class,
+    require_prime_grid,
     sqrt_minus_one,
     translate_set,
     vsub,
@@ -24,6 +25,7 @@ from .scalars import DEFAULT_TOL, complex_close
 
 def paraboloid_points(ambient: Ambient) -> frozenset:
     """{x : x_d = x_1**2 + ... + x_{d-1}**2}; contains the origin."""
+    require_prime_grid(ambient)
     p = ambient.p
     return frozenset(
         x for x in ambient.points() if x[-1] == sum(c * c for c in x[:-1]) % p
@@ -31,6 +33,7 @@ def paraboloid_points(ambient: Ambient) -> frozenset:
 
 
 def sphere_points(ambient: Ambient, radius: int, center: Point | None = None) -> frozenset:
+    require_prime_grid(ambient)
     p = ambient.p
     radius %= p
     if center is None:
@@ -62,6 +65,7 @@ def is_good(f: GridFunction, tol: float = DEFAULT_TOL) -> bool:
 def slice_last(f: GridFunction, a: int) -> GridFunction:
     """Restriction of f to the plane x_d = a, as a function in d-1 variables."""
     ambient = f.ambient
+    require_prime_grid(ambient)
     if ambient.d < 2:
         raise ValueError("slicing requires dimension >= 2")
     a %= ambient.p

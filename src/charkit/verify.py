@@ -2,9 +2,11 @@
 exercised exhaustively at desk scale or on seeded random corpora.
 
 Each suite returns a SuiteResult with one named check per statement and a
-counterexample dump on failure; the CLI ``verify`` command renders them
-and exits nonzero when anything fails.  Identical (seed, options) always
-produce identical results: work items run in order, one after another.
+counterexample dump on failure; a suite that raises TheoremViolation is
+reported as one failing check, and the other suites still run.  The CLI
+``verify`` command renders the results and exits nonzero when anything
+fails.  Identical (seed, options) always produce identical results: work
+items run in order, one after another.
 """
 
 from __future__ import annotations
@@ -35,23 +37,20 @@ from .eigen import (
     eigenfunction_pair,
     self_dual_classify,
 )
-from .errors import SinogramError
+from .errors import SinogramError, TheoremViolation
 from .fourier import GridFunction, forward
 from .geometry import (
     Ambient,
     ProjectiveLine,
     all_subspaces,
     enumerate_lines,
-    vscale,
-)
-from .multiscale import (
-    hyperplane_mod,
-    line_mod,
-    multiscale_decompose,
-    unit_count,
+    hyperplane_points,
+    line_through,
     valuation,
     vector_valuation,
+    vscale,
 )
+from .multiscale import multiscale_decompose, unit_count
 from .scalars import DEFAULT_TOL
 from .varieties import (
     classify_direction_paraboloid,
@@ -501,13 +500,14 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
     )
     nonzero = [v for v in ambient.points() if any(v)]
     ok_h = all(
-        len(hyperplane_mod(ambient, v))
+        len(hyperplane_points(ambient, v, 0))
         == p ** (ell * (d - 1) + vector_valuation(ambient, v))
         for v in nonzero
     )
     res.check(f"hyperplane sizes match for all {len(nonzero)} nonzero directions", ok_h)
     ok_l = all(
-        len(line_mod(ambient, v).points()) == p ** (ell - vector_valuation(ambient, v))
+        len(line_through(ambient, v).points(ambient))
+        == p ** (ell - vector_valuation(ambient, v))
         for v in nonzero
     )
     res.check("line cardinality p**(l - valuation) for every generator", ok_l)
@@ -558,4 +558,14 @@ def run_suites(names, config: VerifyConfig) -> list:
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
     ordered = [n for n in SUITE_ORDER if n in names]
-    return [SUITES[name](config) for name in ordered]
+    return [_run_suite(name, config) for name in ordered]
+
+
+def _run_suite(name: str, config: VerifyConfig) -> SuiteResult:
+    """One suite's result; a TheoremViolation it raises becomes a failing check."""
+    try:
+        return SUITES[name](config)
+    except TheoremViolation as exc:
+        res = SuiteResult(name, counterexamples=[str(exc)])
+        res.check("raised TheoremViolation", False, str(exc))
+        return res

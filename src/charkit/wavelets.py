@@ -15,7 +15,7 @@ is d*N*p*p slice additions for all p**d directions (N = p**d points),
 against one grid scan of N dot products per direction for ``masses``,
 which is kept as the one-direction path and the reference the tests
 compare the table with.  Masses are defined on Z_p**d only: ring grids
-(modulus p**ell, ell > 1) are rejected.
+(modulus p**ell, ell > 1) are rejected by ``geometry.require_prime_grid``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,15 @@ from .fourier import (
     forward,
     inverse,
 )
-from .geometry import Ambient, ProjectiveLine, dot, enumerate_lines, line_through, vscale
+from .geometry import (
+    Ambient,
+    ProjectiveLine,
+    dot,
+    enumerate_lines,
+    line_through,
+    require_prime_grid,
+    vscale,
+)
 from .scalars import DEFAULT_TOL, Cyclotomic, complex_close, is_zero
 
 FORMS = ("plain", "reduced", "massless")
@@ -84,18 +92,10 @@ class Wavelet:
         return GridFunction(self.ambient, kind, vals)
 
 
-def _require_prime_grid(ambient) -> None:
-    if ambient.ell > 1:
-        raise ValueError(
-            "hyperplane masses are defined on Z_p**d only, not on the ring grid "
-            f"Z_{ambient.modulus}**{ambient.d}"
-        )
-
-
 def masses(f: GridFunction, s) -> tuple:
     """The p hyperplane masses m_{s,t}(f) = sum of f over {x : x.s = t}."""
     ambient = f.ambient
-    _require_prime_grid(ambient)
+    require_prime_grid(ambient)
     p = ambient.p
     s = tuple(c % p for c in s)
     if not any(s):
@@ -181,7 +181,7 @@ class MassTable:
 
 def mass_table(f: GridFunction) -> MassTable:
     ambient = f.ambient
-    _require_prime_grid(ambient)
+    require_prime_grid(ambient)
     lines = enumerate_lines(ambient)
     return MassTable(ambient, tuple(zip(lines, _mass_rows(f, lines))))
 
@@ -233,7 +233,6 @@ def decompose(
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
     ambient = f.ambient
-    _require_prime_grid(ambient)
     p, d = ambient.p, ambient.d
     profile = support_profile(forward(f), source_kind=f.kind, tol=tol)
     total = f.total()

@@ -280,3 +280,18 @@ def test_spectrum_in_subspace_forces_coset_constancy():
         key = W.reduce(x)
         reps.setdefault(key, set()).add(f.value_at(x))
     assert all(len(vals) == 1 for vals in reps.values())
+
+
+def test_line_support_analysis_rejects_ring_grids():
+    amb = Ambient(2, 2, 2)
+    f = random_rational_function(amb, rng_for(416, "ring"))
+    E = [(0, 0), (1, 2)]
+    for call in (
+        lambda: support_profile(forward(f), f.kind),
+        lambda: bandwidth(f),
+        lambda: vanishing_certificate(f),
+        lambda: uncertainty_check(amb, E),
+        lambda: classify_small_cbw_set(amb, E),
+    ):
+        with pytest.raises(ValueError, match="Z_p\\*\\*d only"):
+            call()

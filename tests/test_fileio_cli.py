@@ -12,7 +12,7 @@ from charkit.corpus import (
     rng_for,
     staircase_function,
 )
-from charkit.errors import DataFormatError
+from charkit.errors import DataFormatError, TheoremViolation
 from charkit.fourier import GridFunction, Spectrum, forward
 from charkit.geometry import Ambient
 from charkit.scalars import Cyclotomic
@@ -250,6 +250,91 @@ def test_cli_mass_commands_reject_ring_grids(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("data error:")
         assert "Traceback" not in captured.err
+
+
+def test_cli_field_commands_reject_ring_grids(tmp_path, capsys):
+    fn = tmp_path / "z4.json"
+    fileio.save_function(random_rational_function(Ambient(2, 2, 2), rng_for(809, "z4")), fn)
+    capsys.readouterr()
+    for argv in (
+        ("bandwidth", "--input", str(fn)),
+        ("decompose", "--input", str(fn)),
+        ("tomography", "project", "--input", str(fn)),
+        ("eigen", "--input", str(fn)),
+        ("variety", "--input", str(fn)),
+    ):
+        assert run_cli(*argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:") and "Z_p**d only" in captured.err
+        assert "Traceback" not in captured.err
+    for argv in (("transform", "--input", str(fn)), ("zpl", "--input", str(fn))):
+        assert run_cli(*argv) == 0, argv
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"p": 3.0},
+        {"p": "3"},
+        {"p": True},
+        {"d": True},
+        {"d": 1.0},
+        {"modulus_exponent": 1.0},
+        {"modulus_exponent": True},
+    ],
+    ids=lambda c: "-".join(f"{k}={v!r}" for k, v in c.items()),
+)
+def test_cli_rejects_non_integer_grid_fields(tmp_path, capsys, change):
+    # one-dimensional, so that "d": true read as d = 1 would be a valid file
+    payload = fileio.function_to_payload(GridFunction.constant(Ambient(3, 1), Fraction(1)))
+    payload.update(change)
+    fn = tmp_path / "bad.json"
+    fn.write_text(json.dumps(payload))
+    assert run_cli("bandwidth", "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "s", [[1.5, 0], [True, 0], [1, 0, 0], "10", [1, "0"]], ids=repr
+)
+def test_cli_rejects_non_integer_sinogram_directions(tmp_path, capsys, s):
+    payload = fileio.sinogram_to_payload(mass_table(staircase_function(3)))
+    payload["masses"][1]["s"] = s
+    fn = tmp_path / "bad.json"
+    fn.write_text(json.dumps(payload))
+    assert run_cli("tomography", "reconstruct", "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_verify_reports_a_suite_that_raises(monkeypatch, capsys):
+    from charkit import verify
+
+    def broken(config):
+        raise TheoremViolation("planted counterexample")
+
+    monkeypatch.setitem(verify.SUITES, "spheres", broken)
+    assert run_cli("verify", "all", "--seed", "42", "--suite-size", "2") == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert [r["suite"] for r in payload["suites"]] == list(verify.SUITE_ORDER)
+    assert payload["passed"] is False
+    for r in payload["suites"]:
+        if r["suite"] == "spheres":
+            assert r["passed"] is False
+            assert r["checks"] == [
+                {"name": "raised TheoremViolation", "passed": False,
+                 "detail": "planted counterexample"}
+            ]
+            assert r["counterexamples"] == ["planted counterexample"]
+        else:
+            assert r["passed"] is True, r["suite"]
 
 
 def _noisy_wavelet_file(tmp_path):

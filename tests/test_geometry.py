@@ -21,7 +21,9 @@ from charkit.geometry import (
     line_through,
     perp,
     quadratic_class,
+    require_prime_grid,
     sqrt_minus_one,
+    vector_valuation,
 )
 
 
@@ -84,8 +86,108 @@ def test_lines_partition_nonzero_points(p, d):
 
 
 def test_enumeration_capacity():
+    amb = Ambient(2, 21)
+    assert line_count(amb) == 2 ** 21 - 1
     with pytest.raises(CapacityError):
-        enumerate_lines(Ambient(5, 3), limit=10)
+        enumerate_lines(amb)
+
+
+def cyclic_span_oracle(ambient):
+    """Brute-force set of lines {a*v : a in Z_m} over the nonzero v."""
+    m = ambient.modulus
+    return {
+        frozenset(tuple(a * c % m for c in v) for a in range(m))
+        for v in ambient.points()
+        if any(v)
+    }
+
+
+RING_AND_FIELD_GRIDS = [
+    (2, 2, 1), (3, 3, 1), (5, 2, 1), (2, 1, 2), (2, 1, 3), (5, 1, 2),
+    (2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (2, 4, 2),
+]
+
+
+@pytest.mark.parametrize("p,d,ell", RING_AND_FIELD_GRIDS)
+def test_lines_against_cyclic_span_oracle(p, d, ell):
+    amb = Ambient(p, d, ell)
+    oracle = cyclic_span_oracle(amb)
+    lines = enumerate_lines(amb)
+    assert len(lines) == line_count(amb) == len(oracle)
+    reps = [line.rep for line in lines]
+    assert reps == sorted(set(reps))
+    assert {frozenset(line.points(amb)) for line in lines} == oracle
+    for line in lines:
+        pts = line.points(amb)
+        assert len(set(pts)) == len(pts) == p ** line.level(amb)
+        assert line.punctured(amb) == pts[1:]
+        j = ell - line.level(amb)
+        lead = next(c for c in line.rep if c % p ** (j + 1))
+        assert lead == p ** j
+    for v in amb.points():
+        if any(v):
+            span = frozenset(tuple(a * c % amb.modulus for c in v) for a in range(amb.modulus))
+            assert frozenset(line_through(amb, v).points(amb)) == span
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (2, 5)])
+def test_field_lines_keep_their_representatives_and_points(p, d):
+    # the Z_p**d line API from before ring lines were folded in
+    amb = Ambient(p, d)
+    reps = [
+        (0,) * lead + (1,) + tail
+        for lead in range(d - 1, -1, -1)
+        for tail in itertools.product(range(p), repeat=d - 1 - lead)
+    ]
+    lines = enumerate_lines(amb)
+    assert [line.rep for line in lines] == reps
+    for line in lines:
+        assert line.points(amb) == tuple(
+            tuple(t * c % p for c in line.rep) for t in range(p)
+        )
+        assert line.level(amb) == 1
+    rng = random.Random(f"{p}/{d}")
+    for _ in range(50):
+        v = tuple(rng.randrange(p) for _ in range(d))
+        if any(v):
+            first = next(c for c in v if c)
+            inv = pow(first, p - 2, p)
+            assert line_through(amb, v).rep == tuple(c * inv % p for c in v)
+
+
+@pytest.mark.parametrize("p,d,ell", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_ring_hyperplanes_partition_grid(p, d, ell):
+    amb = Ambient(p, d, ell)
+    m = amb.modulus
+    for s in amb.points():
+        if not any(s):
+            continue
+        plane = hyperplane_points(amb, s, 0)
+        assert len(plane) == p ** (ell * (d - 1) + vector_valuation(amb, s))
+        parts = [hyperplane_points(amb, s, t) for t in range(m)]
+        assert sum(map(len, parts)) == amb.size
+        assert set().union(*parts) == set(amb.points())
+
+
+@pytest.mark.parametrize(
+    "args", [(3.0, 2), (3, 2.0), (3, 2, 1.0), (True, 2), (3, True), (3, 2, True), ("3", 2)]
+)
+def test_ambient_rejects_non_integer_fields(args):
+    with pytest.raises(ValueError):
+        Ambient(*args)
+
+
+def test_subspaces_reject_ring_grids():
+    amb = Ambient(2, 2, 2)
+    with pytest.raises(ValueError):
+        Subspace.zero(amb)
+    with pytest.raises(ValueError):
+        Subspace.span(amb, [(1, 0)])
+    with pytest.raises(ValueError):
+        next(enumerate_subspaces(amb, 1))
+    with pytest.raises(ValueError):
+        require_prime_grid(amb)
+    require_prime_grid(Ambient(2, 2))
 
 
 def test_hyperplane_examples():

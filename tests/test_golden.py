@@ -1,0 +1,48 @@
+"""Byte-identity of CLI outputs against files written before the ring
+lines and hyperplanes moved into ``geometry``.
+
+``golden/verify_all_seed42.out.json`` is the report of ``charkit verify all
+--seed 42``.  ``golden/ring/<name>.json`` are function files on Z_4^2,
+Z_4^3, Z_8^2, Z_9^2 and Z_25 (random rational values, the indicator of a
+hyperplane whose direction has positive valuation, a sparse spectrum
+weighted towards frequencies of positive valuation, and on Z_4^2 also a
+random cyclotomic function and a modulated wavelet on an affine line), and
+``<name>.zpl.out.json`` and ``<name>.transform.out.json`` are what ``charkit
+zpl`` and ``charkit transform`` printed for them.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from charkit import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+RING_INPUTS = sorted(
+    p for p in (GOLDEN / "ring").glob("*.json") if not p.name.endswith(".out.json")
+)
+
+
+def cli_stdout(*argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(list(argv)) == 0
+    return buf.getvalue()
+
+
+def test_ring_goldens_present():
+    assert len(RING_INPUTS) == 17
+
+
+def test_verify_all_seed_42_is_byte_identical():
+    want = (GOLDEN / "verify_all_seed42.out.json").read_text()
+    assert cli_stdout("verify", "all", "--seed", "42") == want
+
+
+@pytest.mark.parametrize("command", ["zpl", "transform"])
+@pytest.mark.parametrize("path", RING_INPUTS, ids=lambda p: p.stem)
+def test_ring_outputs_are_byte_identical(path, command):
+    want = path.with_name(f"{path.stem}.{command}.out.json").read_text()
+    assert cli_stdout(command, "--input", str(path)) == want

@@ -4,18 +4,19 @@ import pytest
 
 from charkit.corpus import random_complex_function, rng_for
 from charkit.fourier import GridFunction, forward, inverse
-from charkit.geometry import Ambient
+from charkit.geometry import (
+    Ambient,
+    enumerate_lines,
+    hyperplane_points,
+    line_through,
+    valuation,
+    vector_valuation,
+)
 from charkit.multiscale import (
-    canonical_generator,
-    enumerate_level_lines,
-    hyperplane_mod,
     is_level_l_wavelet,
-    line_mod,
     multiscale_decompose,
     norm,
     unit_count,
-    valuation,
-    vector_valuation,
 )
 from charkit.scalars import Cyclotomic
 
@@ -55,12 +56,12 @@ def test_vector_valuation():
 
 def test_hyperplane_sizes_examples():
     a = Ambient(2, 2, 2)
-    h = hyperplane_mod(a, (1, 0))
+    h = hyperplane_points(a, (1, 0), 0)
     assert len(h) == 4 and h == {(0, y) for y in range(4)}
-    h2 = hyperplane_mod(a, (2, 0))
+    h2 = hyperplane_points(a, (2, 0), 0)
     assert len(h2) == 8 and h2 == {(x, y) for x in (0, 2) for y in range(4)}
     a9 = Ambient(3, 2, 2)
-    assert len(hyperplane_mod(a9, (1, 3))) == 9
+    assert len(hyperplane_points(a9, (1, 3), 0)) == 9
 
 
 def test_hyperplane_sizes_all_nonzero_directions():
@@ -68,46 +69,46 @@ def test_hyperplane_sizes_all_nonzero_directions():
     for v in a.points():
         if any(v):
             expected = 2 ** (2 * 1 + vector_valuation(a, v))
-            assert len(hyperplane_mod(a, v)) == expected
+            assert len(hyperplane_points(a, v, 0)) == expected
     with pytest.raises(ValueError):
-        hyperplane_mod(a, (0, 0))
+        hyperplane_points(a, (0, 0), 0)
 
 
 def test_line_cardinality_and_levels():
     a = Ambient(2, 2, 2)
     for v in a.points():
         if any(v):
-            line = line_mod(a, v)
-            assert len(line.points()) == 2 ** line.level
-            assert line.level == 2 - vector_valuation(a, v)
+            line = line_through(a, v)
+            assert len(line.points(a)) == 2 ** line.level(a)
+            assert line.level(a) == 2 - vector_valuation(a, v)
 
 
-def test_canonical_generator_is_canonical():
+def test_line_through_is_canonical():
     a = Ambient(2, 2, 2)
     for v in a.points():
         if not any(v):
             continue
-        gen = canonical_generator(a, v)
+        gen = line_through(a, v).rep
         # same line, and every unit multiple canonicalizes identically
-        assert line_mod(a, v).points() == line_mod(a, gen).points()
+        assert line_through(a, v).points(a) == line_through(a, gen).points(a)
         for u in (1, 3):
             scaled = tuple(u * c % 4 for c in v)
-            assert canonical_generator(a, scaled) == gen
+            assert line_through(a, scaled).rep == gen
 
 
 def test_affine_line_nesting():
     # every affine level-2 line splits into 2 disjoint affine level-1 lines
     a = Ambient(2, 2, 2)
     q = 4
-    level2 = [l for l in enumerate_level_lines(a) if l.level == 2]
+    level2 = [l for l in enumerate_lines(a) if l.level(a) == 2]
     for line in level2:
         for w in a.points():
-            affine = {tuple((c + s) % q for c, s in zip(x, w)) for x in line.points()}
-            sub = line_mod(a, tuple(2 * c % q for c in line.generator))
+            affine = {tuple((c + s) % q for c, s in zip(x, w)) for x in line.points(a)}
+            sub = line_through(a, tuple(2 * c % q for c in line.rep))
             pieces = set()
             for x in affine:
                 piece = frozenset(
-                    tuple((c + s) % q for c, s in zip(y, x)) for y in sub.points()
+                    tuple((c + s) % q for c, s in zip(y, x)) for y in sub.points(a)
                 )
                 pieces.add(piece)
             assert len(pieces) == 2
@@ -145,7 +146,7 @@ def test_level_wavelet_from_hyperplane_family():
     assert coeffs[1] == 1 and coeffs[0] == 0
     # spectrum side: support inside the line through (1,0)
     F = forward(f)
-    line_pts = line_mod(a, (1, 0)).points()
+    line_pts = line_through(a, (1, 0)).points(a)
     assert set(F.support()) <= set(line_pts)
 
 
@@ -229,9 +230,9 @@ def test_multiscale_parts_are_level_wavelets():
         if part.is_constant:
             continue
         F = forward(part.function)
-        line_pts = line_mod(a, part.generator).points()
+        line_pts = line_through(a, part.generator).points(a)
         assert set(F.support()) <= set(line_pts)
-        assert part.level == line_mod(a, part.generator).level
+        assert part.level == line_through(a, part.generator).level(a)
 
 
 def test_exponent_three_smoke():
@@ -239,8 +240,8 @@ def test_exponent_three_smoke():
     a = Ambient(2, 1, 3)
     assert unit_count(a) == 4
     for v in range(1, 8):
-        line = line_mod(a, (v,))
-        assert len(line.points()) == 2 ** line.level
+        line = line_through(a, (v,))
+        assert len(line.points(a)) == 2 ** line.level(a)
     rng = rng_for(704, "l3")
     vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(8)]
     f = GridFunction(a, "rational", vals)

@@ -246,3 +246,18 @@ def test_good_functions_active_lines_inside_cone():
         profile = support_profile(forward(f), source_kind="rational")
         for line in profile.active:
             assert line.rep in cone
+
+
+def test_varieties_reject_ring_grids():
+    amb = Ambient(3, 2, 2)
+    f = random_rational_function(amb, rng_for(417, "ring"))
+    for call in (
+        lambda: paraboloid_points(amb),
+        lambda: sphere_points(amb, 1),
+        lambda: slice_last(f, 0),
+        lambda: is_good(f),
+        lambda: check_paraboloid_theorem(f),
+        lambda: two_circle_analysis(f, 1, 2),
+    ):
+        with pytest.raises(ValueError, match="Z_p\\*\\*d only"):
+            call()

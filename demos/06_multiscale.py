@@ -40,12 +40,12 @@ print("\nexact round trip over Q(zeta_4):", True)
 
 # A function constant on the fibers of x -> x.v is a top-level wavelet.
 w = GridFunction.indicator(ambient, [x for x in ambient.points() if x[0] == 1])
-res = is_level_l_wavelet(w)
+res = is_level_l_wavelet(w, forward(w))
 print(f"hyperplane family function: wavelet={res.is_wavelet}, "
       f"generator={res.generator}, level={res.level}")
 
 # Generic functions decompose into wavelets across the available levels.
-parts = multiscale_decompose(f)
+parts = multiscale_decompose(forward(f))
 print(f"\nmultiscale decomposition: {len(parts)} parts, "
       f"levels {[part.level for part in parts]}")
 total = None

@@ -118,6 +118,7 @@ def report_from_profile(profile: LineSupportProfile) -> BandwidthReport:
 
 def bandwidth(f: GridFunction, tol: float = DEFAULT_TOL) -> BandwidthReport:
     """Bandwidth report of f.  cbw = 0 exactly when f is constant."""
+    require_prime_grid(f.ambient)
     profile = support_profile(forward(f), source_kind=f.kind, tol=tol)
     return report_from_profile(profile)
 
@@ -303,6 +304,7 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
     spectrum is the equivariant extension F(r*m) = g_r(seed) and the result
     of inverting it is exactly rational.
     """
+    require_prime_grid(ambient)
     p = ambient.p
     zero = Cyclotomic.zero(p)
     values = [zero] * ambient.size

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fourier import forward, forward_naive, inverse
 from .geometry import enumerate_lines, quadratic_class
-from .multiscale import is_level_l_wavelet, multiscale_decompose
+from .multiscale import is_level_l_wavelet, multiscale_decompose, require_exact
 from .scalars import DEFAULT_TOL
 from .varieties import (
     classify_direction_paraboloid,
@@ -260,8 +260,10 @@ def _cmd_variety(args) -> int:
 
 def _cmd_zpl(args) -> int:
     f = fileio.load_function(args.input)
-    wavelet = is_level_l_wavelet(f)
-    parts = multiscale_decompose(f)
+    require_exact(f)  # reject complex input before the transform
+    F = forward(f)
+    wavelet = is_level_l_wavelet(f, F)
+    parts = multiscale_decompose(F)
     acc = None
     for part in parts:
         acc = part.function if acc is None else acc + part.function

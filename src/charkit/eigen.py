@@ -32,6 +32,7 @@ from .geometry import (
     dot,
     enumerate_subspaces,
     perp,
+    require_prime_grid,
 )
 from .scalars import DEFAULT_TOL, Cyclotomic, is_zero
 from .wavelets import decompose
@@ -64,6 +65,7 @@ def self_dual_classify(ambient: Ambient, E) -> SelfDualResult:
     a Lagrangian subspace with lambda = p**(-d/2); anything else raises
     TheoremViolation.
     """
+    require_prime_grid(ambient)
     members = frozenset(tuple(c % ambient.p for c in x) for x in E)
     f = GridFunction.indicator(ambient, members)
     F = forward(f)

@@ -358,6 +358,15 @@ def _cyclotomics(rows, p: int, ell: int, den: int) -> list:
     return [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
 
 
+def _scalars(rows, p: int, ell: int, den: int):
+    """(kind, values) for rows of power-basis ints divided by den: rational
+    exactly when every coordinate above degree zero is zero."""
+    if any(any(row[1:]) for row in rows):
+        return CYCLOTOMIC, _cyclotomics(rows, p, ell, den)
+    frac = _fractions(den)
+    return RATIONAL, [frac(row[0]) for row in rows]
+
+
 def forward(f: GridFunction) -> Spectrum:
     """The normalized transform; exact over Q(zeta) for exact inputs."""
     ambient = f.ambient
@@ -406,10 +415,7 @@ def inverse(F: GridFunction) -> GridFunction:
         return GridFunction(ambient, COMPLEX, vals)
     p, ell = ambient.p, ambient.ell
     L, rows = _exact_transform(F.values, p, ell, ambient.d, +1)
-    if not any(any(row[1:]) for row in rows):
-        frac = _fractions(L)
-        return GridFunction(ambient, RATIONAL, [frac(row[0]) for row in rows])
-    return GridFunction(ambient, CYCLOTOMIC, _cyclotomics(rows, p, ell, L))
+    return GridFunction(ambient, *_scalars(rows, p, ell, L))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -1,23 +1,30 @@
-"""Multi-scale analysis over Z_{p**ell}**d: norms, level wavelets, and a
-finite wavelet decomposition.  The grid is the same ``geometry.Ambient`` as
-everywhere else, built as ``Ambient(p, d, ell)``; its lines, hyperplanes and
-valuations are those of ``geometry``, which computes modulo p**ell, and the
-exact transform with conductor p**ell is ``fourier.forward``.
+"""Multi-scale analysis over Z_q**d, q = p**ell: norms, level wavelets, and
+a finite wavelet decomposition, on the grid ``geometry.Ambient(p, d, ell)``
+with the lines, hyperplanes and valuations of ``geometry``.
 
 A nonzero scalar factors as p**j * unit; j is its valuation and p**(-j)
 its norm.  The line generated by a vector of valuation j has p**(ell-j)
 points and is called a level-(ell-j) line; lines of consecutive levels
 nest, which is what drives the inclusion-exclusion decomposition.
+
+Each part is built on its own line by the projection-slice lemma, which
+holds over Z_q as over Z_p: a spectrum F on the points t*v of the line
+through v (one t per point) has inverse f(x) = sum_t F(t*v) chi(t * x.v)
+= c[x.v], with c the length-q inverse transform of t -> F(t*v).  So f is
+constant on each hyperplane {x : x.v = s}, and one length-q lattice pass
+replaces a d-axis inverse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .fourier import COMPLEX, CYCLOTOMIC, GridFunction, Spectrum, forward, inverse
-from .geometry import Ambient, Point, dot, enumerate_lines, valuation, vector_valuation
+from .fourier import COMPLEX, GridFunction, Spectrum, _exact_transform, _scalars
+from .geometry import Ambient, Point, enumerate_lines, vadd, valuation, vector_valuation
+from .geometry import vscale, vsub
 from .scalars import Cyclotomic
 
 
@@ -34,11 +41,34 @@ def unit_count(ambient: Ambient) -> int:
     return ambient.modulus - ambient.modulus // ambient.p
 
 
-def _require_exact(f: GridFunction) -> None:
+def require_exact(f: GridFunction) -> None:
+    """Reject complex values, which the multi-scale analysis does not take."""
     if f.kind == COMPLEX:
         raise ValueError(
             "the multi-scale analysis is exact: it takes rational or cyclotomic values"
         )
+
+
+def _line_part(F: Spectrum, v: Point, claimed) -> tuple:
+    """x -> c[x.v], the function whose spectrum is F on ``claimed`` (points
+    t*v of the line through v; v = 0 for the origin) and 0 elsewhere, and
+    its hyperplane form: (s, c[s]) for every s some x.v reaches, the
+    multiples of g = gcd(q, v).  It is rational exactly when those c[s] are."""
+    ambient = F.ambient
+    p, ell, q = ambient.p, ambient.ell, ambient.modulus
+    g = math.gcd(q, *v)
+    vec = [Cyclotomic.zero(p, ell)] * q
+    for t in range(q // g):
+        m = vscale(t, v, q)
+        if m in claimed:
+            vec[t] = F.values[ambient.index_of(m)]
+    L, rows = _exact_transform(vec, p, ell, 1, +1)
+    kind, c = _scalars(rows[::g], p, ell, L)  # c[s // g] is the value at s
+    dots = [0]  # x.v for every x, in point order
+    for a in v:
+        dots = [(s + t * a) % q for s in dots for t in range(q)]
+    part = GridFunction(ambient, kind, [c[s // g] for s in dots])
+    return part, tuple(zip(range(0, q, g), c))
 
 
 @dataclass(frozen=True)
@@ -52,57 +82,36 @@ class LevelWaveletResult:
     spatial_matches: bool = False
 
 
-def is_level_l_wavelet(f: GridFunction) -> LevelWaveletResult:
-    """Detect a top-level wavelet: a spectrum supported on one affine line
-    whose generator has valuation zero.
+def is_level_l_wavelet(f: GridFunction, F: Spectrum) -> LevelWaveletResult:
+    """Detect a top-level wavelet: a spectrum F = forward(f) supported on
+    one affine line whose generator has valuation zero.
 
-    When the supporting line passes through the origin the spatial form
-    f(x) = c_{x.v} over the parallel hyperplane family is extracted and
-    cross-checked against the spectral side; a line missing the origin
-    yields a modulated function with no plain hyperplane form (coeffs None).
-    Complex input raises ValueError.
+    On a line through the origin the hyperplane form f(x) = c_{x.v} is
+    built from F and checked against f; a line missing the origin (the
+    support's differences from one support point lie on it) yields a
+    modulated function with no such form (coeffs None).  Complex input
+    raises ValueError.
     """
-    _require_exact(f)
+    require_exact(f)
     ambient = f.ambient
-    q = ambient.modulus
-    F = forward(f)
+    q, ell = ambient.modulus, ambient.ell
     supp = set(F.support())
     if not (supp - {ambient.origin()}):
         return LevelWaveletResult(True, is_constant=True, spatial_matches=True)
-    unit_lines = [
-        line for line in enumerate_lines(ambient) if line.level(ambient) == ambient.ell
-    ]
+    unit_lines = [line for line in enumerate_lines(ambient) if line.level(ambient) == ell]
     # Through-origin lines first, then proper affine translates.
     for line in unit_lines:
         if supp.issubset(line.points(ambient)):
-            v = line.rep
-            coeff_map = {}
-            for x, value in zip(ambient.points(), f.values):
-                coeff_map.setdefault(dot(x, v, q), value)
-            matches = all(
-                coeff_map[dot(x, v, q)] == value
-                for x, value in zip(ambient.points(), f.values)
-            )
-            return LevelWaveletResult(
-                True,
-                generator=v,
-                level=ambient.ell,
-                coeffs=tuple(sorted(coeff_map.items())) if matches else None,
-                spatial_matches=matches,
-            )
+            part, coeffs = _line_part(F, line.rep, supp)
+            ok = part == f
+            return LevelWaveletResult(True, generator=line.rep, level=ell,
+                                      coeffs=coeffs if ok else None, spatial_matches=ok)
+    m0 = min(supp)
     for line in unit_lines:
-        base = line.points(ambient)
-        seen = set()
-        for w in ambient.points():
-            coset = frozenset(tuple((a + b) % q for a, b in zip(w, pt)) for pt in base)
-            key = min(coset)
-            if key in seen:
-                continue
-            seen.add(key)
-            if supp <= coset:
-                return LevelWaveletResult(
-                    True, generator=line.rep, offset=key, level=ambient.ell
-                )
+        base = set(line.points(ambient))
+        if all(vsub(m, m0, q) in base for m in supp):
+            return LevelWaveletResult(True, generator=line.rep, level=ell,
+                                      offset=min(vadd(m0, pt, q) for pt in base))
     return LevelWaveletResult(False)
 
 
@@ -117,8 +126,8 @@ class MultiscalePart:
         return self.level is None
 
 
-def multiscale_decompose(f: GridFunction) -> tuple:
-    """Split f into level-tagged wavelets summing back to f exactly.
+def multiscale_decompose(F: Spectrum) -> tuple:
+    """Split the function with spectrum F into level-tagged wavelets that sum to it.
 
     Nonzero frequencies are claimed stratum by stratum: a line of level
     ell-j is used when it still owns an unclaimed frequency of valuation
@@ -128,21 +137,10 @@ def multiscale_decompose(f: GridFunction) -> tuple:
     line is used the constant folds into it, since every line through the
     origin contains the origin.  Complex input raises ValueError.
     """
-    _require_exact(f)
-    ambient = f.ambient
-    q = ambient.modulus
-    F = forward(f)
+    require_exact(F)
+    ambient = F.ambient
     origin = ambient.origin()
     unclaimed = {x for x in F.support() if x != origin}
-    zero = Cyclotomic.zero(ambient.p, ambient.ell)
-
-    def restriction(points) -> GridFunction:
-        vals = [
-            F.values[ambient.index_of(x)] if x in points else zero
-            for x in ambient.points()
-        ]
-        return inverse(Spectrum(ambient, CYCLOTOMIC, vals))
-
     lines = [(line.level(ambient), line) for line in enumerate_lines(ambient)]
     claims = []  # (level, generator, claimed point set)
     for j in range(ambient.ell):
@@ -157,9 +155,10 @@ def multiscale_decompose(f: GridFunction) -> tuple:
     if unclaimed:
         raise TheoremViolation(f"frequencies never claimed: {sorted(unclaimed)}")
     if len(claims) == 1:
-        level, gen, pts = claims[0]
-        return (MultiscalePart(level, gen, restriction(pts | {origin})),)
-    parts = [MultiscalePart(level, gen, restriction(pts)) for level, gen, pts in claims]
-    if not claims or not F.values[0].is_zero():
-        parts.append(MultiscalePart(None, None, restriction({origin})))
-    return tuple(parts)
+        claims[0][2].add(origin)
+    elif not claims or not F.values[0].is_zero():
+        claims.append((None, origin, {origin}))
+    return tuple(
+        MultiscalePart(level, gen if level else None, _line_part(F, gen, pts)[0])
+        for level, gen, pts in claims
+    )

@@ -107,7 +107,10 @@ class SuiteResult:
         self.checks.append(Check(name, bool(passed), detail))
 
 
-def _grid_cycle(ps, ds, count):
+def _grid_cycle(config: VerifyConfig, ps, ds, count: int) -> list:
+    """``count`` grids cycling through ps x ds; a requested p or d replaces either."""
+    ps = (config.p,) if config.p else ps
+    ds = (config.d,) if config.d else ds
     combos = [(p, d) for p in ps for d in ds]
     return [combos[i % len(combos)] for i in range(count)]
 
@@ -121,7 +124,7 @@ def run_galois(config: VerifyConfig) -> SuiteResult:
     count = config.suite_size or 200
     ps = (config.p,) if config.p else (3, 5, 7)
     d = config.d or 2
-    jobs = list(enumerate(_grid_cycle(ps, (d,), count)))
+    jobs = list(enumerate(_grid_cycle(config, ps, (d,), count)))
 
     def one(job):
         i, (p, d) = job
@@ -190,7 +193,7 @@ def run_tomography(config: VerifyConfig) -> SuiteResult:
     """Project-then-reconstruct is the identity; corrupt sinograms are rejected."""
     res = SuiteResult("tomography")
     count = config.suite_size or 100
-    jobs = list(enumerate(_grid_cycle((2, 3, 5), (1, 2, 3), count)))
+    jobs = list(enumerate(_grid_cycle(config, (2, 3, 5), (1, 2, 3), count)))
 
     def one(job):
         i, (p, d) = job
@@ -239,7 +242,7 @@ def run_equidist(config: VerifyConfig) -> SuiteResult:
     punctured subspace; indicator masses force divisibility by p**k."""
     res = SuiteResult("equidist")
     count = config.suite_size or 500
-    jobs = list(enumerate(_grid_cycle((2, 3, 5), (1, 2, 3), count)))
+    jobs = list(enumerate(_grid_cycle(config, (2, 3, 5), (1, 2, 3), count)))
     divisibility_ok = True
     constructed_ok = True
 
@@ -521,7 +524,7 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
             for _ in range(ambient.size)
         ]
         f = GridFunction(ambient, "rational", vals)
-        parts = multiscale_decompose(f)
+        parts = multiscale_decompose(forward(f))
         acc = None
         for part in parts:
             acc = part.function if acc is None else acc + part.function

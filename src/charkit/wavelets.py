@@ -233,6 +233,7 @@ def decompose(
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
     ambient = f.ambient
+    require_prime_grid(ambient)
     p, d = ambient.p, ambient.d
     profile = support_profile(forward(f), source_kind=f.kind, tol=tol)
     total = f.total()

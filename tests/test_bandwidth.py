@@ -292,6 +292,8 @@ def test_line_support_analysis_rejects_ring_grids():
         lambda: vanishing_certificate(f),
         lambda: uncertainty_check(amb, E),
         lambda: classify_small_cbw_set(amb, E),
+        lambda: inverse_phi(amb, 1, {}),
+        lambda: inverse_phi(amb, 1, {ProjectiveLine((1, 0)): 1}),
     ):
         with pytest.raises(ValueError, match="Z_p\\*\\*d only"):
             call()

@@ -1,10 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from charkit import cli, fileio
+from charkit.bandwidth import bandwidth
 from charkit.corpus import (
     random_complex_function,
     random_cyclotomic_function,
@@ -12,6 +14,7 @@ from charkit.corpus import (
     rng_for,
     staircase_function,
 )
+from charkit.eigen import eigen_expand, self_dual_classify
 from charkit.errors import DataFormatError, TheoremViolation
 from charkit.fourier import GridFunction, Spectrum, forward
 from charkit.geometry import Ambient
@@ -436,10 +439,78 @@ def test_cli_reconstruct_rejects_non_object_mass_rows(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error:")
 
 
-def test_cli_zpl_rejects_complex_input(tmp_path, capsys):
+def test_cli_zpl_rejects_complex_input(tmp_path, capsys, monkeypatch):
     fn = tmp_path / "cz4.json"
     fileio.save_function(random_complex_function(Ambient(2, 2, 2), rng_for(809, "cz4")), fn)
     capsys.readouterr()
+    calls = _count_transforms(monkeypatch)
     assert run_cli("zpl", "--input", str(fn)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("data error:")
+    assert calls == {"forward": 0, "inverse": 0}
+
+
+def _count_transforms(monkeypatch) -> dict:
+    """Count forward and inverse calls made through any charkit module."""
+    from charkit import fourier
+
+    originals = {"forward": fourier.forward, "inverse": fourier.inverse}
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "charkit"]
+    for module in modules:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
+def test_field_analyses_reject_ring_grids_before_any_transform(monkeypatch):
+    amb = Ambient(2, 2, 2)
+    f = random_rational_function(amb, rng_for(810, "z4"))
+    calls = _count_transforms(monkeypatch)
+    for call in (
+        lambda: bandwidth(f),
+        lambda: decompose(f),
+        lambda: eigen_expand(f),
+        lambda: self_dual_classify(amb, [(0, 0), (0, 2)]),
+    ):
+        with pytest.raises(ValueError, match="Z_p\\*\\*d only"):
+            call()
+    assert calls == {"forward": 0, "inverse": 0}
+
+
+def test_cli_zpl_runs_one_forward_and_no_inverse(monkeypatch, capsys):
+    ring = GOLDEN / "ring"
+    inputs = sorted(p for p in ring.glob("z9_2_*.json") if not p.name.endswith(".out.json"))
+    assert [p.stem for p in inputs] == ["z9_2_hyperplane", "z9_2_random", "z9_2_sparse"]
+    for path in inputs:
+        calls = _count_transforms(monkeypatch)
+        assert run_cli("zpl", "--input", str(path)) == 0
+        capsys.readouterr()
+        assert calls == {"forward": 1, "inverse": 0}, path.stem
+        monkeypatch.undo()
+
+
+def test_cli_verify_round_trips_use_only_the_requested_grid(monkeypatch, capsys):
+    from charkit import verify
+
+    built = []
+
+    def recording(p, d, ell=1):
+        built.append((p, d, ell))
+        return Ambient(p, d, ell)
+
+    monkeypatch.setattr(verify, "Ambient", recording)
+    for suite in ("equidist", "tomography"):
+        argv = ("verify", suite, "--p", "7", "--d", "2", "--suite-size", "3")
+        assert run_cli(*argv) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+    assert len(built) == 6 and set(built) == {(7, 2, 1)}

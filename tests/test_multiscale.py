@@ -2,17 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from charkit.corpus import random_complex_function, rng_for
+from charkit.corpus import random_complex_function, random_rational_function, rng_for
 from charkit.fourier import GridFunction, forward, inverse
 from charkit.geometry import (
     Ambient,
+    dot,
     enumerate_lines,
     hyperplane_points,
     line_through,
+    vadd,
     valuation,
     vector_valuation,
 )
 from charkit.multiscale import (
+    LevelWaveletResult,
     is_level_l_wavelet,
     multiscale_decompose,
     norm,
@@ -139,7 +142,7 @@ def test_transform_constant_and_delta():
 def test_level_wavelet_from_hyperplane_family():
     a = Ambient(2, 2, 2)
     f = GridFunction.indicator(a, [x for x in a.points() if x[0] == 1])
-    res = is_level_l_wavelet(f)
+    res = is_level_l_wavelet(f, forward(f))
     assert res.is_wavelet and res.generator == (1, 0) and res.level == 2
     assert res.spatial_matches
     coeffs = dict(res.coeffs)
@@ -154,12 +157,14 @@ def test_level_wavelet_absent_for_two_directions():
     a = Ambient(2, 2, 2)
     f1 = GridFunction.indicator(a, [x for x in a.points() if x[0] == 1])
     f2 = GridFunction.indicator(a, [x for x in a.points() if x[1] == 3])
-    assert not is_level_l_wavelet(f1 + f2).is_wavelet
+    f = f1 + f2
+    assert not is_level_l_wavelet(f, forward(f)).is_wavelet
 
 
 def test_level_wavelet_constant_flagged():
     a = Ambient(2, 2, 2)
-    res = is_level_l_wavelet(GridFunction.constant(a, Fraction(3, 2)))
+    c = GridFunction.constant(a, Fraction(3, 2))
+    res = is_level_l_wavelet(c, forward(c))
     assert res.is_wavelet and res.is_constant
 
 
@@ -172,14 +177,14 @@ def test_level_wavelet_modulated_offset_line():
     vals[a.index_of((1, 2))] = Cyclotomic.zeta(2, 1, ell=2)
     F = GridFunction(a, "cyclotomic", vals)
     f = inverse(F)
-    res = is_level_l_wavelet(f)
+    res = is_level_l_wavelet(f, forward(f))
     assert res.is_wavelet and res.offset is not None and res.coeffs is None
 
 
 def test_multiscale_constant():
     a = Ambient(2, 2, 2)
     c = GridFunction.constant(a, Fraction(7, 3))
-    parts = multiscale_decompose(c)
+    parts = multiscale_decompose(forward(c))
     assert len(parts) == 1 and parts[0].is_constant
     assert parts[0].function == c
 
@@ -187,7 +192,7 @@ def test_multiscale_constant():
 def test_multiscale_single_wavelet_returned_as_itself():
     a = Ambient(2, 2, 2)
     f = GridFunction.indicator(a, [x for x in a.points() if x[0] == 1])
-    parts = multiscale_decompose(f)
+    parts = multiscale_decompose(forward(f))
     assert len(parts) == 1
     assert parts[0].function == f
     assert parts[0].level == 2 and parts[0].generator == (1, 0)
@@ -199,7 +204,7 @@ def test_multiscale_round_trip_2_2_2():
         rng = rng_for(701, f"ms/{i}")
         vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(16)]
         f = GridFunction(a, "rational", vals)
-        parts = multiscale_decompose(f)
+        parts = multiscale_decompose(forward(f))
         acc = None
         for part in parts:
             assert part.is_constant or part.level in (1, 2)
@@ -213,7 +218,7 @@ def test_multiscale_round_trip_3_2_1():
         rng = rng_for(702, f"ms91/{i}")
         vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(9)]
         f = GridFunction(a, "rational", vals)
-        parts = multiscale_decompose(f)
+        parts = multiscale_decompose(forward(f))
         acc = None
         for part in parts:
             acc = part.function if acc is None else acc + part.function
@@ -226,7 +231,7 @@ def test_multiscale_parts_are_level_wavelets():
     rng = rng_for(703, "partcheck")
     vals = [Fraction(rng.randint(-9, 9)) for _ in range(16)]
     f = GridFunction(a, "rational", vals)
-    for part in multiscale_decompose(f):
+    for part in multiscale_decompose(forward(f)):
         if part.is_constant:
             continue
         F = forward(part.function)
@@ -246,7 +251,7 @@ def test_exponent_three_smoke():
     vals = [Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(8)]
     f = GridFunction(a, "rational", vals)
     assert inverse(forward(f)) == f
-    parts = multiscale_decompose(f)
+    parts = multiscale_decompose(forward(f))
     acc = None
     for part in parts:
         acc = part.function if acc is None else acc + part.function
@@ -265,6 +270,125 @@ def test_ring_ambient_validation():
 def test_multiscale_rejects_complex_input():
     f = random_complex_function(Ambient(2, 2, 2), rng_for(415, "cplx"))
     with pytest.raises(ValueError):
-        multiscale_decompose(f)
+        multiscale_decompose(forward(f))
     with pytest.raises(ValueError):
-        is_level_l_wavelet(f)
+        is_level_l_wavelet(f, forward(f))
+
+
+# --- differential reference --------------------------------------------------
+# The decomposition with one full d-axis inverse per part, and the wavelet
+# test that scans the grid for the hyperplane form and builds every coset of
+# every unit line.  multiscale.py builds each part on its own line and finds
+# an affine line with a difference test; both must agree with these.
+
+
+def _reference_decompose(f):
+    ambient = f.ambient
+    F = forward(f)
+    origin = ambient.origin()
+    unclaimed = {x for x in F.support() if x != origin}
+    zero = Cyclotomic.zero(ambient.p, ambient.ell)
+
+    def restriction(points):
+        vals = [
+            F.values[ambient.index_of(x)] if x in points else zero
+            for x in ambient.points()
+        ]
+        return inverse(GridFunction(ambient, "cyclotomic", vals))
+
+    claims = []
+    for j in range(ambient.ell):
+        level = ambient.ell - j
+        for line in enumerate_lines(ambient):
+            if line.level(ambient) != level:
+                continue
+            mine = unclaimed.intersection(line.points(ambient))
+            if any(vector_valuation(ambient, x) == j for x in mine):
+                unclaimed -= mine
+                claims.append((level, line.rep, mine))
+    assert not unclaimed
+    if len(claims) == 1:
+        level, gen, pts = claims[0]
+        return [(level, gen, restriction(pts | {origin}))]
+    parts = [(level, gen, restriction(pts)) for level, gen, pts in claims]
+    if not claims or not F.values[0].is_zero():
+        parts.append((None, None, restriction({origin})))
+    return parts
+
+
+def _reference_wavelet(f):
+    ambient = f.ambient
+    q = ambient.modulus
+    supp = set(forward(f).support())
+    if not (supp - {ambient.origin()}):
+        return LevelWaveletResult(True, is_constant=True, spatial_matches=True)
+    unit_lines = [l for l in enumerate_lines(ambient) if l.level(ambient) == ambient.ell]
+    for line in unit_lines:
+        if supp.issubset(line.points(ambient)):
+            v = line.rep
+            coeff_map = {}
+            for x, value in zip(ambient.points(), f.values):
+                coeff_map.setdefault(dot(x, v, q), value)
+            matches = all(
+                coeff_map[dot(x, v, q)] == value for x, value in zip(ambient.points(), f.values)
+            )
+            return LevelWaveletResult(
+                True,
+                generator=v,
+                level=ambient.ell,
+                coeffs=tuple(sorted(coeff_map.items())) if matches else None,
+                spatial_matches=matches,
+            )
+    for line in unit_lines:
+        base = line.points(ambient)
+        for w in ambient.points():
+            coset = frozenset(tuple((a + b) % q for a, b in zip(w, pt)) for pt in base)
+            if supp <= coset:
+                return LevelWaveletResult(
+                    True, generator=line.rep, offset=min(coset), level=ambient.ell
+                )
+    return LevelWaveletResult(False)
+
+
+def _differential_inputs(a, rng):
+    """Random, sparse-spectrum, and on-a-line (through the origin, and
+    modulated onto an offset line) functions, and one whose parts mix kinds:
+    a rational part on a lower-level line and a cyclotomic one elsewhere."""
+    p, ell, q = a.p, a.ell, a.modulus
+
+    def from_spectrum(freqs):
+        vals = [Cyclotomic.zero(p, ell)] * a.size
+        for m, value in freqs.items():
+            vals[a.index_of(m)] = value
+        return inverse(GridFunction(a, "cyclotomic", vals))
+
+    def zeta():
+        return Cyclotomic.zeta(p, rng.randrange(q), ell)
+
+    yield random_rational_function(a, rng)
+    nonzero = [x for x in a.points() if any(x)]
+    deep = [x for x in nonzero if vector_valuation(a, x) > 0]
+    yield from_spectrum({m: zeta() for m in rng.sample(deep, 2) + rng.sample(nonzero, 2)})
+    units = [l for l in enumerate_lines(a) if l.level(a) == ell]
+    low = [l for l in enumerate_lines(a) if l.level(a) < ell]
+    for offset in ((0,) * a.d, tuple(rng.randrange(q) for _ in range(a.d))):
+        pts = rng.choice(units).points(a)
+        yield from_spectrum({vadd(offset, m, q): zeta() for m in rng.sample(pts, 3)})
+    mixed = {m: Cyclotomic.one(p, ell) for m in rng.choice(low).points(a)}
+    mixed[rng.choice([x for x in nonzero if x not in deep])] = zeta()
+    yield from_spectrum(mixed)
+
+
+@pytest.mark.parametrize("p,d,ell", [(3, 2, 2), (2, 2, 3), (2, 3, 2), (5, 1, 2), (3, 1, 3)])
+def test_line_parts_match_full_inverse_reference(p, d, ell):
+    a = Ambient(p, d, ell)
+    rng = rng_for(705, f"differential/{p},{d},{ell}")
+    for f in _differential_inputs(a, rng):
+        F = forward(f)
+        got = [
+            (part.level, part.generator, part.function.kind, part.function.values)
+            for part in multiscale_decompose(F)
+        ]
+        want = [(lv, gen, g.kind, g.values) for lv, gen, g in _reference_decompose(f)]
+        assert got == want
+        assert is_level_l_wavelet(f, F) == _reference_wavelet(f)

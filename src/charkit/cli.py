@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
     common(z)
 
     vf = sub.add_parser("verify", help="run verification suites")
-    vf.add_argument("suite", choices=tuple(SUITE_ORDER) + ("all",))
+    vf.add_argument("suite", choices=SUITE_ORDER + ("all",))
     vf.add_argument("--p", type=int)
     vf.add_argument("--d", type=int)
     vf.add_argument("--l", dest="ell", type=int)
@@ -119,18 +119,6 @@ def _build_parser() -> _Parser:
     vf.add_argument("--suite-size", type=int)
     common(vf)
     return parser
-
-
-def _emit(payload, args) -> None:
-    if args.format == "table":
-        text = _render_table(payload)
-    else:
-        text = fileio.canonical_dumps(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _render_table(payload, indent: str = "") -> str:
@@ -156,6 +144,18 @@ def _render_table(payload, indent: str = "") -> str:
 
     walk(payload, indent)
     return "\n".join(lines) + "\n"
+
+
+def _emit(payload, args, render_table=_render_table) -> None:
+    if args.format == "table":
+        text = render_table(payload)
+    else:
+        text = fileio.canonical_dumps(payload)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_transform(args) -> int:
@@ -310,24 +310,21 @@ def _cmd_verify(args) -> int:
         ],
         "passed": all(r.passed for r in results),
     }
-    if args.format == "table":
-        lines = []
-        for r in payload["suites"]:
-            for c in r["checks"]:
-                mark = "PASS" if c["passed"] else "FAIL"
-                detail = f"  [{c['detail']}]" if c["detail"] else ""
-                lines.append(f"{mark} {r['suite']}: {c['name']}{detail}")
-            for ce in r["counterexamples"]:
-                lines.append(f"  counterexample: {ce}")
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(payload, args)
+    _emit(payload, args, _verify_table)
     return EXIT_OK if payload["passed"] else EXIT_VIOLATION
+
+
+def _verify_table(payload) -> str:
+    """One PASS/FAIL line per check, then the suite's counterexamples."""
+    lines = []
+    for r in payload["suites"]:
+        for c in r["checks"]:
+            mark = "PASS" if c["passed"] else "FAIL"
+            detail = f"  [{c['detail']}]" if c["detail"] else ""
+            lines.append(f"{mark} {r['suite']}: {c['name']}{detail}")
+        for ce in r["counterexamples"]:
+            lines.append(f"  counterexample: {ce}")
+    return "\n".join(lines) + "\n"
 
 
 _DISPATCH = {

@@ -28,6 +28,9 @@ Point = tuple[int, ...]
 MAX_GRID_POINTS = 1 << 22
 MAX_LINE_ENUMERATION = 1 << 20
 MAX_SUBSPACE_ENUMERATION = 1 << 20
+# Exhaustive verify suites visit all 2**N subsets of an N-point grid.  The
+# largest allowed, (2,4) with 65,536 subsets, takes 10-17 s per suite.
+MAX_SUBSET_ENUMERATION = 1 << 16
 
 
 @dataclass(frozen=True)

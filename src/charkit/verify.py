@@ -2,8 +2,13 @@
 exercised exhaustively at desk scale or on seeded random corpora.
 
 Each suite returns a SuiteResult with one named check per statement and a
-counterexample dump on failure; a suite that raises TheoremViolation is
-reported as one failing check, and the other suites still run.  The CLI
+counterexample dump on failure.  A suite's work items (random functions,
+pairs, subsets) all run through one runner: an item that raises
+TheoremViolation fails only its own check, with a counterexample naming
+the item, and the suite's other items and checks keep their results.  A
+violation raised outside any item is reported as one failing check of its
+suite, and the other suites still run.  Exhaustive suites refuse a grid
+with more than MAX_SUBSET_ENUMERATION subsets (CapacityError).  The CLI
 ``verify`` command renders the results and exits nonzero when anything
 fails.  Identical (seed, options) always produce identical results: work
 items run in order, one after another.
@@ -11,6 +16,7 @@ items run in order, one after another.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,11 +41,13 @@ from .eigen import (
     affine_eigenfunction_pair,
     eigen_residuals,
     eigenfunction_pair,
+    enumerate_lagrangian,
     self_dual_classify,
 )
-from .errors import SinogramError, TheoremViolation
+from .errors import CapacityError, SinogramError, TheoremViolation
 from .fourier import GridFunction, forward
 from .geometry import (
+    MAX_SUBSET_ENUMERATION,
     Ambient,
     ProjectiveLine,
     all_subspaces,
@@ -60,20 +68,6 @@ from .varieties import (
     two_circle_analysis,
 )
 from .wavelets import decompose, mass_table, reconstruct_from_masses
-
-SUITE_ORDER = (
-    "galois",
-    "wavelet",
-    "tomography",
-    "equidist",
-    "uncertainty",
-    "dichotomy",
-    "paraboloid",
-    "spheres",
-    "selfdual",
-    "eigen",
-    "zpl",
-)
 
 
 @dataclass(frozen=True)
@@ -103,19 +97,101 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks) and not self.counterexamples
 
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, bool(passed), detail))
+    def check(self, name: str, passed: bool = True, detail: str = "", raised=()) -> None:
+        """Record one check; a check over work items also fails when any of
+        them raised, and then shows the first such counterexample."""
+        self.checks.append(
+            Check(name, bool(passed) and not raised, raised[0] if raised else detail)
+        )
+
+
+# --- work items and grids -----------------------------------------------------
+
+
+def _run_items(res: SuiteResult, items, work) -> tuple:
+    """Run ``work(*args)`` on each ``(where, args)`` item, in order.
+
+    A TheoremViolation fails its own item only: it is recorded as a
+    counterexample naming the item by index and ``where`` (grid and seed or
+    subset), and the remaining items still run.  ``where`` is formatted
+    with the item's args only then, so it may name them as {0}, {1}, ...
+    Returns the results of the items that returned and the counterexamples
+    of those that raised.
+    """
+    results, raised = [], []
+    for index, (where, args) in enumerate(items):
+        try:
+            results.append(work(*args))
+        except TheoremViolation as exc:
+            raised.append(f"item {index} at {where.format(*args)}: {exc}")
+    res.counterexamples.extend(raised)
+    return results, raised
+
+
+def _seeded(config: VerifyConfig, suite: str, ambients):
+    """Item i runs on ambients[i] with its own random stream ``suite/i``."""
+    for i, ambient in enumerate(ambients):
+        stream = f"{suite}/{i}"
+        where = f"{_grid_name(ambient)}, seed {config.seed}/{stream}"
+        yield where, (i, ambient, rng_for(config.seed, stream))
+
+
+def _subsets(ambient: Ambient, least: int = 0):
+    """Items ``(ambient, E)``, one per subset E of at least ``least`` points,
+    smallest first; a grid with too many subsets raises before the first."""
+    pts = ambient.points()
+    grid = _grid_name(ambient)
+    if 2 ** len(pts) > MAX_SUBSET_ENUMERATION:
+        raise CapacityError(
+            f"2**{len(pts)} subsets of {grid} exceed the limit {MAX_SUBSET_ENUMERATION}"
+        )
+    where = grid + ", E={1}"
+    return (
+        (where, (ambient, E))
+        for r in range(least, len(pts) + 1)
+        for E in itertools.combinations(pts, r)
+    )
+
+
+def _grid_name(ambient: Ambient) -> str:
+    """(p,d), or (p,d,l) on a ring grid."""
+    dims = (ambient.p, ambient.d) + ((ambient.ell,) if ambient.ell > 1 else ())
+    return "(" + ",".join(map(str, dims)) + ")"
 
 
 def _grid_cycle(config: VerifyConfig, ps, ds, count: int) -> list:
-    """``count`` grids cycling through ps x ds; a requested p or d replaces either."""
+    """``count`` Ambients cycling through ps x ds; a requested p or d replaces either."""
     ps = (config.p,) if config.p else ps
     ds = (config.d,) if config.d else ds
     combos = [(p, d) for p in ps for d in ds]
-    return [combos[i % len(combos)] for i in range(count)]
+    return [Ambient(*combos[i % len(combos)]) for i in range(count)]
+
+
+def _requested_grids(config: VerifyConfig, ambients) -> str:
+    """' at <grids>' naming the grids built when --p or --d chose them."""
+    if not (config.p or config.d):
+        return ""
+    return " at " + ", ".join(dict.fromkeys(map(_grid_name, ambients)))
+
+
+def _grids(config: VerifyConfig, defaults: tuple) -> tuple:
+    """The grid of --p and --d when both are given, else the suite's defaults."""
+    return ((config.p, config.d),) if config.p and config.d else defaults
 
 
 # --- suites -----------------------------------------------------------------
+
+
+def _galois_item(_i, ambient, rng) -> None:
+    p = ambient.p
+    F = forward(random_rational_function(ambient, rng))
+    for line in enumerate_lines(ambient):
+        for t in range(1, p):
+            base = F.values[ambient.index_of(vscale(t, line.rep, p))]
+            for r in range(1, p):
+                got = F.values[ambient.index_of(vscale(r * t, line.rep, p))]
+                if got != base.galois(r):
+                    raise TheoremViolation(f"m={vscale(t, line.rep, p)}, r={r}")
 
 
 def run_galois(config: VerifyConfig) -> SuiteResult:
@@ -124,30 +200,10 @@ def run_galois(config: VerifyConfig) -> SuiteResult:
     count = config.suite_size or 200
     ps = (config.p,) if config.p else (3, 5, 7)
     d = config.d or 2
-    jobs = list(enumerate(_grid_cycle(config, ps, (d,), count)))
-
-    def one(job):
-        i, (p, d) = job
-        rng = rng_for(config.seed, f"galois/{i}")
-        ambient = Ambient(p, d)
-        f = random_rational_function(ambient, rng)
-        F = forward(f)
-        for line in enumerate_lines(ambient):
-            for t in range(1, p):
-                base = F.values[ambient.index_of(vscale(t, line.rep, p))]
-                for r in range(1, p):
-                    got = F.values[ambient.index_of(vscale(r * t, line.rep, p))]
-                    if got != base.galois(r):
-                        return f"m={vscale(t, line.rep, p)}, r={r}"
-        return None
-
-    failures = [msg for msg in map(one, jobs) if msg]
-    res.check(
-        f"equivariance on {count} functions, p in {ps}, d={d}",
-        not failures,
-        failures[0] if failures else "exact",
-    )
-    res.counterexamples.extend(failures)
+    ambients = _grid_cycle(config, ps, (d,), count)
+    _, raised = _run_items(res, _seeded(config, "galois", ambients), _galois_item)
+    res.check(f"equivariance on {count} functions, p in {ps}, d={d}",
+              detail="exact", raised=raised)
     return res
 
 
@@ -189,25 +245,20 @@ def run_wavelet(config: VerifyConfig) -> SuiteResult:
     return res
 
 
+def _round_trip_item(_i, ambient, rng) -> None:
+    f = random_rational_function(ambient, rng)
+    if reconstruct_from_masses(mass_table(f)) != f:
+        raise TheoremViolation("reconstruct(project(f)) differs from f")
+
+
 def run_tomography(config: VerifyConfig) -> SuiteResult:
     """Project-then-reconstruct is the identity; corrupt sinograms are rejected."""
     res = SuiteResult("tomography")
     count = config.suite_size or 100
-    jobs = list(enumerate(_grid_cycle(config, (2, 3, 5), (1, 2, 3), count)))
-
-    def one(job):
-        i, (p, d) = job
-        rng = rng_for(config.seed, f"tomography/{i}")
-        ambient = Ambient(p, d)
-        f = random_rational_function(ambient, rng)
-        if reconstruct_from_masses(mass_table(f)) != f:
-            return f"round trip failed at p={p}, d={d}"
-        return None
-
-    failures = [m for m in map(one, jobs) if m]
-    res.check(f"exact round trip on {count} functions", not failures,
-              failures[0] if failures else "exact")
-    res.counterexamples.extend(failures)
+    ambients = _grid_cycle(config, (2, 3, 5), (1, 2, 3), count)
+    _, raised = _run_items(res, _seeded(config, "tomography", ambients), _round_trip_item)
+    res.check(f"exact round trip on {count} functions{_requested_grids(config, ambients)}",
+              detail="exact", raised=raised)
 
     p = config.p or 3
     f = staircase_function(p)
@@ -237,115 +288,89 @@ def run_tomography(config: VerifyConfig) -> SuiteResult:
     return res
 
 
+def _equidist_item(i, ambient, rng) -> tuple:
+    """(a constructed input equidistributes, an equidistributed indicator has
+    size divisible by p**k); True where the item's style is another."""
+    V = random_subspace(ambient, rng)
+    if i % 3 == 0:
+        seeds = {}
+        for line in enumerate_lines(ambient):
+            if not V.contains(line.rep):
+                seeds[line] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        f = inverse_phi(ambient, Fraction(rng.randint(-4, 4)), seeds)
+        return equidistribution_check(f, V).equidistributed, True
+    if i % 3 == 1:
+        equidistribution_check(random_rational_function(ambient, rng), V)
+        return True, True
+    f, members = random_indicator(ambient, rng)
+    r = equidistribution_check(f, V)
+    return True, not r.equidistributed or len(members) % ambient.p ** V.dim == 0
+
+
 def run_equidist(config: VerifyConfig) -> SuiteResult:
     """Coset masses are constant exactly when the spectrum dies on the
     punctured subspace; indicator masses force divisibility by p**k."""
     res = SuiteResult("equidist")
     count = config.suite_size or 500
-    jobs = list(enumerate(_grid_cycle(config, (2, 3, 5), (1, 2, 3), count)))
-    divisibility_ok = True
-    constructed_ok = True
-
-    def one(job):
-        i, (p, d) = job
-        rng = rng_for(config.seed, f"equidist/{i}")
-        ambient = Ambient(p, d)
-        V = random_subspace(ambient, rng)
-        style = i % 3
-        if style == 0:
-            seeds = {}
-            for line in enumerate_lines(ambient):
-                if not V.contains(line.rep):
-                    seeds[line] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-            f = inverse_phi(ambient, Fraction(rng.randint(-4, 4)), seeds)
-            r = equidistribution_check(f, V)
-            return ("constructed", r.equidistributed, None)
-        if style == 1:
-            f = random_rational_function(ambient, rng)
-            equidistribution_check(f, V)
-            return ("random", True, None)
-        f, members = random_indicator(ambient, rng)
-        r = equidistribution_check(f, V)
-        if r.equidistributed:
-            return ("indicator", True, len(members) % p ** V.dim == 0)
-        return ("indicator", True, None)
-
-    for style, ok, extra in map(one, jobs):
-        if style == "constructed" and not ok:
-            constructed_ok = False
-        if extra is False:
-            divisibility_ok = False
-    res.check(f"biconditional held on {count} pairs", True, "no violation raised")
-    res.check("constructed vanishing-spectrum inputs equidistribute", constructed_ok)
-    res.check("equidistributed indicators have size divisible by p**k", divisibility_ok)
+    ambients = _grid_cycle(config, (2, 3, 5), (1, 2, 3), count)
+    results, raised = _run_items(res, _seeded(config, "equidist", ambients), _equidist_item)
+    res.check(f"biconditional held on {count} pairs{_requested_grids(config, ambients)}",
+              detail="no violation raised", raised=raised)
+    res.check("constructed vanishing-spectrum inputs equidistribute",
+              all(ok for ok, _ in results))
+    res.check("equidistributed indicators have size divisible by p**k",
+              all(ok for _, ok in results))
     return res
+
+
+def _uncertainty_holds(ambient, E) -> bool:
+    rep = uncertainty_check(ambient, E)
+    return rep.holds and rep.dim_bound_holds
+
+
+def _random_set_holds(_i, ambient, rng) -> bool:
+    return _uncertainty_holds(ambient, random_subset(ambient, rng, nonempty=True))
 
 
 def run_uncertainty(config: VerifyConfig) -> SuiteResult:
     """((p-1)cbw + 1)|E| >= p**d for every nonempty set tested."""
     res = SuiteResult("uncertainty")
-    if config.p and config.d:
-        ambient = Ambient(config.p, config.d)
-        pts = ambient.points()
-        count = 0
-        holds = 0
-        for r in range(1, len(pts) + 1):
-            for E in itertools.combinations(pts, r):
-                count += 1
-                rep = uncertainty_check(ambient, E)
-                holds += rep.holds and rep.dim_bound_holds
-        res.check(
-            f"exhaustive at ({config.p},{config.d})",
-            holds == count,
-            f"{holds}/{count} pass",
-        )
+    defaults = ((2, 2), (2, 3))
+    grids = _grids(config, defaults)
+    for (p, d) in grids:
+        holds, raised = _run_items(res, _subsets(Ambient(p, d), least=1), _uncertainty_holds)
+        res.check(f"exhaustive at ({p},{d})", all(holds),
+                  f"{sum(holds)}/{len(holds) + len(raised)} pass", raised)
+    if grids != defaults:  # a requested grid is checked exhaustively only
         return res
-    for (p, d) in ((2, 2), (2, 3)):
-        ambient = Ambient(p, d)
-        pts = ambient.points()
-        count = holds = 0
-        for r in range(1, len(pts) + 1):
-            for E in itertools.combinations(pts, r):
-                count += 1
-                rep = uncertainty_check(ambient, E)
-                holds += rep.holds and rep.dim_bound_holds
-        res.check(f"exhaustive at ({p},{d})", holds == count, f"{holds}/{count} pass")
     n = config.suite_size or 1000
-    ambient = Ambient(3, 3)
-
-    def one(i):
-        rng = rng_for(config.seed, f"uncertainty/{i}")
-        E = random_subset(ambient, rng, nonempty=True)
-        rep = uncertainty_check(ambient, E)
-        return rep.holds and rep.dim_bound_holds
-
-    results = [one(i) for i in range(n)]
-    res.check(f"{n} random nonempty sets at (3,3)", all(results),
-              f"{sum(results)}/{n} pass")
+    items = _seeded(config, "uncertainty", [Ambient(3, 3)] * n)
+    holds, raised = _run_items(res, items, _random_set_holds)
+    res.check(f"{n} random nonempty sets at (3,3)", all(holds),
+              f"{sum(holds)}/{n} pass", raised)
     return res
 
 
 def run_dichotomy(config: VerifyConfig) -> SuiteResult:
     """Every set is a union of parallel lines or has cbw > d."""
     res = SuiteResult("dichotomy")
-    grids = ((config.p, config.d),) if config.p and config.d else ((2, 2), (2, 3))
-    for (p, d) in grids:
-        ambient = Ambient(p, d)
-        pts = ambient.points()
-        unions = exceeds = 0
-        for r in range(len(pts) + 1):
-            for E in itertools.combinations(pts, r):
-                cls = classify_small_cbw_set(ambient, E)
-                if cls.kind == "union_of_parallel_lines":
-                    unions += 1
-                else:
-                    exceeds += 1
-        res.check(
-            f"exhaustive at ({p},{d})",
-            True,
-            f"{unions} unions of parallel lines, {exceeds} with cbw > d",
-        )
+    for (p, d) in _grids(config, ((2, 2), (2, 3))):
+        classes, raised = _run_items(res, _subsets(Ambient(p, d)), classify_small_cbw_set)
+        unions = sum(cls.kind == "union_of_parallel_lines" for cls in classes)
+        exceeds = len(classes) - unions
+        res.check(f"exhaustive at ({p},{d})", raised=raised,
+                  detail=f"{unions} unions of parallel lines, {exceeds} with cbw > d")
     return res
+
+
+def _paraboloid_item(admissible, _i, ambient, rng) -> bool:
+    seeds = {}
+    for line in admissible:
+        if rng.random() < 0.8:
+            seeds[line] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+    f = inverse_phi(ambient, Fraction(0), seeds)
+    report = check_paraboloid_theorem(f)
+    return report.hypothesis_met and report.all_good
 
 
 def run_paraboloid(config: VerifyConfig) -> SuiteResult:
@@ -360,23 +385,10 @@ def run_paraboloid(config: VerifyConfig) -> SuiteResult:
         for line in enumerate_lines(ambient)
         if classify_direction_paraboloid(ambient, line.rep) != "covered"
     ]
-
-    def one(i):
-        rng = rng_for(config.seed, f"paraboloid/{i}")
-        seeds = {}
-        for line in admissible:
-            if rng.random() < 0.8:
-                seeds[line] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-        f = inverse_phi(ambient, Fraction(0), seeds)
-        report = check_paraboloid_theorem(f)
-        return report.hypothesis_met and report.all_good
-
-    results = [one(i) for i in range(count)]
-    res.check(
-        f"{count} constructed functions at ({p},{d}): every slice difference good",
-        all(results),
-        f"{sum(results)}/{count} pass",
-    )
+    items = _seeded(config, "paraboloid", [ambient] * count)
+    results, raised = _run_items(res, items, functools.partial(_paraboloid_item, admissible))
+    res.check(f"{count} constructed functions at ({p},{d}): every slice difference good",
+              all(results), f"{sum(results)}/{count} pass", raised)
     return res
 
 
@@ -428,25 +440,15 @@ def run_spheres(config: VerifyConfig) -> SuiteResult:
 def run_selfdual(config: VerifyConfig) -> SuiteResult:
     """Exhaustive classification of sets with transform proportional to themselves."""
     res = SuiteResult("selfdual")
-    grids = ((config.p, config.d),) if config.p and config.d else ((2, 2), (3, 2), (2, 3))
-    for (p, d) in grids:
+    for (p, d) in _grids(config, ((2, 2), (3, 2), (2, 3))):
         ambient = Ambient(p, d)
-        pts = ambient.points()
-        found = []
-        for r in range(len(pts) + 1):
-            for E in itertools.combinations(pts, r):
-                cls = self_dual_classify(ambient, E)
-                if cls.kind != "not_self_dual":
-                    found.append((cls.kind, cls.eigenvalue))
-        if (p, d) == (2, 2):
-            ok = found == [("empty", Fraction(0)), ("lagrangian", Fraction(1, 2))]
-        else:
-            ok = found == [("empty", Fraction(0))]
-        res.check(
-            f"exhaustive over all {2 ** len(pts)} subsets at ({p},{d})",
-            ok,
-            f"self-dual: {found}",
-        )
+        classes, raised = _run_items(res, _subsets(ambient), self_dual_classify)
+        found = [(c.kind, c.eigenvalue) for c in classes if c.kind != "not_self_dual"]
+        # The empty set, then each Lagrangian subspace with eigenvalue p**(-d/2).
+        lagrangian = ("lagrangian", Fraction(1, p ** (d // 2)))
+        expected = [("empty", 0)] + [lagrangian] * len(enumerate_lagrangian(ambient))
+        res.check(f"exhaustive over all {2 ** ambient.size} subsets at ({p},{d})",
+                  found == expected, f"self-dual: {found}", raised)
     return res
 
 
@@ -455,7 +457,7 @@ def run_eigen(config: VerifyConfig) -> SuiteResult:
     res = SuiteResult("eigen")
     rng = rng_for(config.seed, "eigen")
     tol = config.tolerance
-    grids = ((config.p, config.d),) if config.p and config.d else ((2, 2), (3, 2), (2, 3))
+    grids = _grids(config, ((2, 2), (3, 2), (2, 3)))
     ambients = [Ambient(p, d) for p, d in grids]
     worst = 0.0
     total = 0
@@ -487,6 +489,18 @@ def run_eigen(config: VerifyConfig) -> SuiteResult:
     return res
 
 
+def _zpl_item(_i, ambient, rng) -> bool:
+    vals = [
+        Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+        for _ in range(ambient.size)
+    ]
+    f = GridFunction(ambient, "rational", vals)
+    acc = None
+    for part in multiscale_decompose(forward(f)):
+        acc = part.function if acc is None else acc + part.function
+    return acc == f
+
+
 def run_zpl(config: VerifyConfig) -> SuiteResult:
     """Valuation geometry and the multiscale decomposition over Z_{p**ell}."""
     res = SuiteResult("zpl")
@@ -516,26 +530,9 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
     res.check("line cardinality p**(l - valuation) for every generator", ok_l)
 
     count = config.suite_size or 100
-
-    def one(i):
-        rng = rng_for(config.seed, f"zpl/{i}")
-        vals = [
-            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-            for _ in range(ambient.size)
-        ]
-        f = GridFunction(ambient, "rational", vals)
-        parts = multiscale_decompose(forward(f))
-        acc = None
-        for part in parts:
-            acc = part.function if acc is None else acc + part.function
-        return acc == f
-
-    results = [one(i) for i in range(count)]
-    res.check(
-        f"multiscale decomposition round-trips {count} random functions",
-        all(results),
-        f"{sum(results)}/{count} exact",
-    )
+    results, raised = _run_items(res, _seeded(config, "zpl", [ambient] * count), _zpl_item)
+    res.check(f"multiscale decomposition round-trips {count} random functions",
+              all(results), f"{sum(results)}/{count} exact", raised)
     return res
 
 
@@ -552,20 +549,19 @@ SUITES = {
     "eigen": run_eigen,
     "zpl": run_zpl,
 }
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suites(names, config: VerifyConfig) -> list:
-    if "all" in names:
-        names = SUITE_ORDER
-    unknown = [n for n in names if n not in SUITES]
+    unknown = [n for n in names if n not in SUITES and n != "all"]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-    ordered = [n for n in SUITE_ORDER if n in names]
-    return [_run_suite(name, config) for name in ordered]
+    return [_run_suite(n, config) for n in SUITE_ORDER if n in names or "all" in names]
 
 
 def _run_suite(name: str, config: VerifyConfig) -> SuiteResult:
-    """One suite's result; a TheoremViolation it raises becomes a failing check."""
+    """One suite's result; a TheoremViolation raised outside any work item
+    becomes a failing check."""
     try:
         return SUITES[name](config)
     except TheoremViolation as exc:

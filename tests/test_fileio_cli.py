@@ -509,8 +509,100 @@ def test_cli_verify_round_trips_use_only_the_requested_grid(monkeypatch, capsys)
         return Ambient(p, d, ell)
 
     monkeypatch.setattr(verify, "Ambient", recording)
+    names = {}
     for suite in ("equidist", "tomography"):
         argv = ("verify", suite, "--p", "7", "--d", "2", "--suite-size", "3")
         assert run_cli(*argv) == 0
-        assert json.loads(capsys.readouterr().out)["passed"]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"]
+        names[suite] = payload["suites"][0]["checks"][0]["name"]
     assert len(built) == 6 and set(built) == {(7, 2, 1)}
+    assert names == {
+        "equidist": "biconditional held on 3 pairs at (7,2)",
+        "tomography": "exact round trip on 3 functions at (7,2)",
+    }
+    assert run_cli("verify", "equidist", "--p", "7", "--suite-size", "4") == 0
+    check = json.loads(capsys.readouterr().out)["suites"][0]["checks"][0]
+    assert check["name"] == "biconditional held on 4 pairs at (7,1), (7,2), (7,3)"
+
+
+# (suite, the library call it makes once per work item, the check that
+# item 2 feeds, where item 2 is)
+_ITEM_CALLS = (
+    ("tomography", "reconstruct_from_masses", "exact round trip on 6 functions",
+     "(2,3), seed 42/tomography/2"),
+    ("equidist", "equidistribution_check", "biconditional held on 6 pairs",
+     "(2,3), seed 42/equidist/2"),
+    ("paraboloid", "check_paraboloid_theorem",
+     "6 constructed functions at (5,3): every slice difference good",
+     "(5,3), seed 42/paraboloid/2"),
+    ("zpl", "multiscale_decompose", "multiscale decomposition round-trips 6 random functions",
+     "(2,2,2), seed 42/zpl/2"),
+    ("dichotomy", "classify_small_cbw_set", "exhaustive at (2,2)", "(2,2), E=((0, 1),)"),
+)
+
+
+@pytest.mark.parametrize(
+    "suite,call,affected,where", _ITEM_CALLS, ids=[c[0] for c in _ITEM_CALLS]
+)
+def test_cli_verify_a_raising_item_fails_alone(
+    monkeypatch, capsys, suite, call, affected, where
+):
+    from charkit import verify
+
+    argv = ("verify", suite, "--seed", "42", "--suite-size", "6")
+    assert run_cli(*argv) == 0
+    clean = json.loads(capsys.readouterr().out)["suites"][0]
+    real = getattr(verify, call)
+    calls = []
+
+    def planted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:  # the call of item 2
+            raise TheoremViolation("planted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, call, planted)
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)["suites"][0]
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [affected]
+    assert report["counterexamples"] == [f"item 2 at {where}: planted"]
+    failing = next(c for c in report["checks"] if not c["passed"])
+    assert failing["detail"] == f"item 2 at {where}: planted"
+
+
+def test_cli_verify_selfdual_expects_the_lagrangian_subspaces_at_even_d(capsys):
+    # (2,4) holds 3 Lagrangian subspaces, each with eigenvalue 2**-2; about 10 s.
+    assert run_cli("verify", "selfdual", "--p", "2", "--d", "4") == 0
+    [check] = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    assert check["passed"]
+    assert check["name"] == "exhaustive over all 65536 subsets at (2,4)"
+    assert check["detail"].count("('lagrangian', Fraction(1, 4))") == 3
+
+
+@pytest.mark.parametrize(
+    "suite,classifier",
+    [
+        ("dichotomy", "classify_small_cbw_set"),
+        ("uncertainty", "uncertainty_check"),
+        ("selfdual", "self_dual_classify"),
+    ],
+)
+def test_cli_verify_refuses_a_grid_with_too_many_subsets(monkeypatch, capsys, suite, classifier):
+    from charkit import verify
+
+    calls = []
+
+    def classify(*args):
+        calls.append(args)
+        raise TheoremViolation("the classifier ran")
+
+    monkeypatch.setattr(verify, classifier, classify)
+    assert run_cli("verify", suite, "--p", "3", "--d", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and "2**27 subsets" in captured.err
+    assert "Traceback" not in captured.err
+    assert calls == []

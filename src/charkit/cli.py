@@ -60,6 +60,16 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="charkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -112,11 +122,11 @@ def _build_parser() -> _Parser:
 
     vf = sub.add_parser("verify", help="run verification suites")
     vf.add_argument("suite", choices=SUITE_ORDER + ("all",))
-    vf.add_argument("--p", type=int)
-    vf.add_argument("--d", type=int)
-    vf.add_argument("--l", dest="ell", type=int)
+    vf.add_argument("--p", type=_positive_int)
+    vf.add_argument("--d", type=_positive_int)
+    vf.add_argument("--l", dest="ell", type=_positive_int)
     vf.add_argument("--seed", type=int, default=2024)
-    vf.add_argument("--suite-size", type=int)
+    vf.add_argument("--suite-size", type=_positive_int)
     common(vf)
     return parser
 
@@ -311,7 +321,12 @@ def _cmd_verify(args) -> int:
         "passed": all(r.passed for r in results),
     }
     _emit(payload, args, _verify_table)
-    return EXIT_OK if payload["passed"] else EXIT_VIOLATION
+    refused = [r for r in results if r.refused]
+    for r in refused:
+        print(f"data error: verify {r.suite}: {r.refused}", file=sys.stderr)
+    if any(not r.passed and not r.refused for r in results):
+        return EXIT_VIOLATION
+    return EXIT_DATA if refused else EXIT_OK
 
 
 def _verify_table(payload) -> str:

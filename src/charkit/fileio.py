@@ -5,7 +5,8 @@ Function file:      {"p": 3, "d": 2, "kind": "rational", "values": ["0", "1/3", 
                     Z_{p**ell} add "modulus_exponent": ell.  p, d and ell are
                     JSON integers (not floats, not booleans).
 Spectrum values:    {"p": 3, "coeffs": ["a/b", ...]} with exactly p-1 entries
-                    (cyclotomic; conductor p**ell carries "ell" and phi entries).
+                    (cyclotomic; conductor p**ell carries "ell" and phi entries);
+                    "coeffs" is a list, "p" and "ell" are JSON integers.
 Complex values:     [re, im].
 Sinogram:           {"p": ..., "d": ..., "masses": [{"s": [...], "m": [...]}, ...]};
                     each direction s is a list of d integers and each mass
@@ -61,10 +62,12 @@ def scalar_from_payload(payload, kind: str, p: int, ell: int = 1):
     if kind == CYCLOTOMIC:
         if isinstance(payload, str):
             return Cyclotomic.from_rational(p, parse_rational(payload), ell)
-        if not isinstance(payload, dict) or "coeffs" not in payload:
-            raise DataFormatError(f"bad cyclotomic value {payload!r}")
+        if not isinstance(payload, dict) or not isinstance(payload.get("coeffs"), list):
+            raise DataFormatError(f"bad cyclotomic value {payload!r}: coeffs must be a list")
         vp = payload.get("p", p)
         vell = payload.get("ell", 1)
+        if type(vp) is not int or type(vell) is not int:
+            raise DataFormatError(f"bad cyclotomic value {payload!r}: p and ell must be integers")
         if vp != p or vell != ell:
             raise DataFormatError(
                 f"value conductor {vp}**{vell} does not match grid conductor {p}**{ell}"

@@ -8,9 +8,10 @@ TheoremViolation fails only its own check, with a counterexample naming
 the item, and the suite's other items and checks keep their results.  A
 violation raised outside any item is reported as one failing check of its
 suite, and the other suites still run.  Exhaustive suites refuse a grid
-with more than MAX_SUBSET_ENUMERATION subsets (CapacityError).  The CLI
-``verify`` command renders the results and exits nonzero when anything
-fails.  Identical (seed, options) always produce identical results: work
+with more than MAX_SUBSET_ENUMERATION subsets (CapacityError); a refused
+suite is reported as one failing check, and the other suites still run.
+The CLI ``verify`` command renders the results and exits nonzero when
+anything fails.  Identical (seed, options) always produce identical results: work
 items run in order, one after another.
 """
 
@@ -92,6 +93,7 @@ class SuiteResult:
     suite: str
     checks: list = field(default_factory=list)
     counterexamples: list = field(default_factory=list)
+    refused: str = ""  # why the suite did not run: its CapacityError message
 
     @property
     def passed(self) -> bool:
@@ -167,9 +169,10 @@ def _grid_cycle(config: VerifyConfig, ps, ds, count: int) -> list:
     return [Ambient(*combos[i % len(combos)]) for i in range(count)]
 
 
-def _requested_grids(config: VerifyConfig, ambients) -> str:
-    """' at <grids>' naming the grids built when --p or --d chose them."""
-    if not (config.p or config.d):
+def _requested_grids(options, ambients) -> str:
+    """' at <grids>' naming the grids built when any of the grid options
+    that chose them (--p, --d, --l) was given."""
+    if not any(options):
         return ""
     return " at " + ", ".join(dict.fromkeys(map(_grid_name, ambients)))
 
@@ -257,8 +260,8 @@ def run_tomography(config: VerifyConfig) -> SuiteResult:
     count = config.suite_size or 100
     ambients = _grid_cycle(config, (2, 3, 5), (1, 2, 3), count)
     _, raised = _run_items(res, _seeded(config, "tomography", ambients), _round_trip_item)
-    res.check(f"exact round trip on {count} functions{_requested_grids(config, ambients)}",
-              detail="exact", raised=raised)
+    at = _requested_grids((config.p, config.d), ambients)
+    res.check(f"exact round trip on {count} functions{at}", detail="exact", raised=raised)
 
     p = config.p or 3
     f = staircase_function(p)
@@ -314,7 +317,8 @@ def run_equidist(config: VerifyConfig) -> SuiteResult:
     count = config.suite_size or 500
     ambients = _grid_cycle(config, (2, 3, 5), (1, 2, 3), count)
     results, raised = _run_items(res, _seeded(config, "equidist", ambients), _equidist_item)
-    res.check(f"biconditional held on {count} pairs{_requested_grids(config, ambients)}",
+    at = _requested_grids((config.p, config.d), ambients)
+    res.check(f"biconditional held on {count} pairs{at}",
               detail="no violation raised", raised=raised)
     res.check("constructed vanishing-spectrum inputs equidistribute",
               all(ok for ok, _ in results))
@@ -508,10 +512,11 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
     ell = config.ell or 2
     d = config.d or 2
     ambient = Ambient(p, d, ell)
+    at = _requested_grids((config.p, config.d, config.ell), [ambient])
     q = ambient.modulus
     units = sum(1 for n in range(q) if valuation(ambient, n) == 0)
     res.check(
-        f"unit count mod {q} is p**l - p**(l-1)",
+        f"unit count mod {q} is p**l - p**(l-1){at}",
         units == unit_count(ambient) == q - q // p,
         f"{units} units",
     )
@@ -521,17 +526,17 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
         == p ** (ell * (d - 1) + vector_valuation(ambient, v))
         for v in nonzero
     )
-    res.check(f"hyperplane sizes match for all {len(nonzero)} nonzero directions", ok_h)
+    res.check(f"hyperplane sizes match for all {len(nonzero)} nonzero directions{at}", ok_h)
     ok_l = all(
         len(line_through(ambient, v).points(ambient))
         == p ** (ell - vector_valuation(ambient, v))
         for v in nonzero
     )
-    res.check("line cardinality p**(l - valuation) for every generator", ok_l)
+    res.check(f"line cardinality p**(l - valuation) for every generator{at}", ok_l)
 
     count = config.suite_size or 100
     results, raised = _run_items(res, _seeded(config, "zpl", [ambient] * count), _zpl_item)
-    res.check(f"multiscale decomposition round-trips {count} random functions",
+    res.check(f"multiscale decomposition round-trips {count} random functions{at}",
               all(results), f"{sum(results)}/{count} exact", raised)
     return res
 
@@ -560,11 +565,14 @@ def run_suites(names, config: VerifyConfig) -> list:
 
 
 def _run_suite(name: str, config: VerifyConfig) -> SuiteResult:
-    """One suite's result; a TheoremViolation raised outside any work item
-    becomes a failing check."""
+    """One suite's result; a TheoremViolation raised outside any work item,
+    or a CapacityError refusing the suite's grid, becomes a failing check."""
     try:
         return SUITES[name](config)
     except TheoremViolation as exc:
         res = SuiteResult(name, counterexamples=[str(exc)])
         res.check("raised TheoremViolation", False, str(exc))
-        return res
+    except CapacityError as exc:
+        res = SuiteResult(name, refused=str(exc))
+        res.check("raised CapacityError", False, str(exc))
+    return res

@@ -16,6 +16,12 @@ against one grid scan of N dot products per direction for ``masses``,
 which is kept as the one-direction path and the reference the tests
 compare the table with.  Masses are defined on Z_p**d only: ring grids
 (modulus p**ell, ell > 1) are rejected by ``geometry.require_prime_grid``.
+
+Tomography is back-projection, the adjoint of the mass table: f is its
+plain decomposition over all n lines, f(x) = p**(-(d-1)) * sum_lines
+m_{s,x.s} - (n - 1) * m(f) / p**d with m(f) the total mass.  Placing each
+m_{s,t} at X**(-t) and position s, the same d passes leave sum_lines
+m_{s,x.s} at X**0 and position x; no spectrum is built.
 """
 
 from __future__ import annotations
@@ -30,16 +36,12 @@ from .fourier import (
     CYCLOTOMIC,
     RATIONAL,
     GridFunction,
-    Spectrum,
-    _cyclotomics,
-    _exact_transform,
     _fractions,
     _join_kind,
     _kind_of_scalar,
     _lattice,
     _lattice_pass,
     forward,
-    inverse,
 )
 from .geometry import (
     Ambient,
@@ -48,7 +50,6 @@ from .geometry import (
     enumerate_lines,
     line_through,
     require_prime_grid,
-    vscale,
 )
 from .scalars import DEFAULT_TOL, Cyclotomic, complex_close, is_zero
 
@@ -107,35 +108,42 @@ def masses(f: GridFunction, s) -> tuple:
     return tuple(sums)
 
 
-def _mass_rows(f: GridFunction, lines) -> list:
-    """The masses of f in every direction of ``lines``, from one lattice run.
-
-    Exact values enter the lattice as ints over the lcm L of their
-    denominators, one untransformed leading axis per power-basis
-    coordinate, so the d passes leave coordinate c of m_{s,t} at
-    A[t*N*width + index(s)*width + c], width = p - 1 for cyclotomic values
-    and 1 otherwise.  Complex values go through the same passes as they are.
-    """
-    ambient = f.ambient
-    p, n = ambient.p, ambient.size
-    if f.kind == COMPLEX:
-        width = 1
-        A = list(f.values) + [0] * ((p - 1) * n)
-        mass = lambda cell: complex(cell[0])
-    elif f.kind == CYCLOTOMIC:
-        width = p - 1
-        coords = zip(*(v.coeffs for v in f.values))
+def _encode(values, p: int):
+    """(kind, width, L, A): values at power 0 of the lattice Z[X]/(X**p - 1),
+    A[c*len(values) + i] = L * coordinate c of values[i].  Cyclotomic values
+    (rationals among them promoted) have p - 1 coordinates, and rational and
+    complex ones one; complex values enter as they are, with L = 1."""
+    if any(isinstance(v, complex) for v in values):
+        return COMPLEX, 1, 1, [complex(v) for v in values] + [0] * ((p - 1) * len(values))
+    if any(isinstance(v, Cyclotomic) for v in values):
+        zero = Cyclotomic.zero(p)
+        coords = zip(*(zero._coerce(v).coeffs for v in values))
         L, A = _lattice([c for col in coords for c in col], p)
-        frac = _fractions(L)
-        mass = lambda cell: Cyclotomic._make(p, 1, tuple(map(frac, cell)))
-    else:
-        width = 1
-        L, A = _lattice(f.values, p)
-        frac = _fractions(L)
-        mass = lambda cell: frac(cell[0])
+        return CYCLOTOMIC, p - 1, L, A
+    L, A = _lattice(values, p)
+    return RATIONAL, 1, L, A
+
+
+def _decoder(kind: str, p: int, den):
+    """cell -> the scalar its ``width`` lattice entries encode, over den."""
+    if kind == COMPLEX:
+        return lambda cell: complex(cell[0]) / den
+    frac = _fractions(den)
+    if kind == CYCLOTOMIC:
+        return lambda cell: Cyclotomic._make(p, 1, tuple(map(frac, cell)))
+    return lambda cell: frac(cell[0])
+
+
+def _mass_rows(f: GridFunction, lines) -> list:
+    """The masses of f in every direction of ``lines``, from one lattice run:
+    the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
+    ambient = f.ambient
+    p = ambient.p
+    kind, width, L, A = _encode(f.values, p)
     for _ in range(ambient.d):
         A = _lattice_pass(A, p, +1)
-    plane = width * n
+    mass = _decoder(kind, p, L)
+    plane = width * ambient.size
     rows = []
     for line in lines:
         base = ambient.index_of(line.rep) * width
@@ -150,12 +158,6 @@ class MassTable:
 
     ambient: Ambient
     rows: tuple  # ((ProjectiveLine, (m_0, ..., m_{p-1})), ...) in canonical order
-
-    def row(self, line: ProjectiveLine) -> tuple:
-        for ln, ms in self.rows:
-            if ln == line:
-                return ms
-        raise KeyError(line)
 
     def directions(self) -> tuple:
         return tuple(ln for ln, _ in self.rows)
@@ -266,55 +268,44 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     The table must contain every canonical direction and all per-direction
     totals must agree (each hyperplane family partitions the grid, so they
     all sum to the same mass, within tol for complex masses); violations
-    raise SinogramError.
+    raise SinogramError.  Exact masses give exact values, rational exactly
+    when every cyclotomic coordinate above degree zero cancels, as in
+    ``inverse``; complex masses give complex values.
     """
     ambient = table.ambient
-    p, d = ambient.p, ambient.d
-    expected = enumerate_lines(ambient)
+    p, d, N = ambient.p, ambient.d, ambient.size
+    lines = enumerate_lines(ambient)
     present = set(table.directions())
-    missing = [line.rep for line in expected if line not in present]
+    missing = [line.rep for line in lines if line not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
     if not table.is_consistent(tol):
         raise SinogramError(
             f"per-direction totals disagree: {[str(t) for t in table.totals()]}"
         )
-    total = table.total()
-    approximate = any(
-        isinstance(m, complex) for _, ms in table.rows for m in ms
-    )
-    scale = Fraction(1, ambient.size)
-    if approximate:
-        from .fourier import _complex_roots
-
-        roots = _complex_roots(p)
-        values = [0j] * ambient.size
-        values[0] = complex(total) / ambient.size
-        for line, ms in table.rows:
-            for k in range(1, p):
-                acc = 0j
-                for t, m in enumerate(ms):
-                    acc += roots[-k * t % p] * complex(m)
-                values[ambient.index_of(vscale(k, line.rep, p))] = acc / ambient.size
-        return inverse(Spectrum(ambient, COMPLEX, values))
-    zero = Cyclotomic.zero(p)
-    values = [zero] * ambient.size
-    values[0] = Cyclotomic.from_rational(p, scale * total) if not isinstance(
-        total, Cyclotomic
-    ) else total.scale(scale)
-    # One length-p pass over the masses, indexed (line, t), gives the
-    # spectrum on every line, indexed (k, line).
-    flat = [m for _, ms in table.rows for m in ms]
-    if any(isinstance(m, Cyclotomic) for m in flat):
-        # One power basis for every mass; a conductor mismatch raises.
-        flat = [zero._coerce(m) for m in flat]
-    L, rows = _exact_transform(flat, p, 1, 1, -1)
-    spectral = _cyclotomics(rows, p, 1, L * ambient.size)
-    n = len(table.rows)
-    for i, (line, _) in enumerate(table.rows):
-        for k in range(1, p):
-            values[ambient.index_of(vscale(k, line.rep, p))] = spectral[k * n + i]
-    return inverse(Spectrum(ambient, CYCLOTOMIC, values))
+    kind, width, L, M = _encode([m for _, ms in table.rows for m in ms], p)
+    count = p * len(table.rows)  # M[c*count + i*p + t]: coordinate c of L*m_{s_i,t}
+    plane = width * N
+    A = [0] * (p * plane)
+    at = [ambient.index_of(line.rep) for line, _ in table.rows]
+    for c in range(width):
+        for t in range(p):
+            base = -t % p * plane + c * N
+            for i, m in zip(at, M[c * count + t : (c + 1) * count : p]):
+                A[base + i] = m
+    for _ in range(d):
+        A = _lattice_pass(A, p, +1)
+    # Power 0 holds L * sum_lines m_{s,x.s} at A[index(x)*width + c]; the
+    # total mass L * m(f) is the sum of any one row, here the first.
+    total = [sum(M[c * count : c * count + p]) for c in range(width)]
+    n = len(lines)
+    cells = [
+        [p * b - (n - 1) * m for b, m in zip(A[x * width : (x + 1) * width], total)]
+        for x in range(N)
+    ]
+    if kind == CYCLOTOMIC and not any(any(cell[1:]) for cell in cells):
+        kind = RATIONAL
+    return GridFunction(ambient, kind, map(_decoder(kind, p, L * N), cells))
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,30 @@ def test_cli_verify_reports_a_suite_that_raises(monkeypatch, capsys):
             assert r["passed"] is True, r["suite"]
 
 
+def test_cli_verify_reports_every_suite_when_one_is_refused(capsys):
+    from charkit import verify
+
+    assert run_cli("verify", "all", "--p", "3", "--d", "3", "--suite-size", "2") == 2
+    captured = capsys.readouterr()
+    refused = ("uncertainty", "dichotomy", "selfdual")
+    assert captured.err.splitlines() == [
+        f"data error: verify {suite}: 2**27 subsets of (3,3) exceed the limit 65536"
+        for suite in refused
+    ]
+    payload = json.loads(captured.out)
+    assert [r["suite"] for r in payload["suites"]] == list(verify.SUITE_ORDER)
+    assert payload["passed"] is False
+    for r in payload["suites"]:
+        if r["suite"] in refused:
+            assert r["checks"] == [
+                {"name": "raised CapacityError", "passed": False,
+                 "detail": "2**27 subsets of (3,3) exceed the limit 65536"}
+            ]
+            assert r["counterexamples"] == []
+        else:
+            assert r["passed"] is True, r["suite"]
+
+
 def _noisy_wavelet_file(tmp_path):
     """A complex wavelet on (3,2) plus 1e-4 noise: every line is active at
     the default tolerance, only the wavelet's line at tolerance 0.01."""
@@ -373,6 +397,19 @@ def test_cli_rejects_bad_tolerance(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--p", "0"), ("--d", "0"), ("--l", "0"), ("--suite-size", "0"),
+     ("--suite-size", "-3"), ("--p", "-5"), ("--d", "two")],
+)
+def test_cli_verify_rejects_non_positive_grid_and_size_options(capsys, option, value):
+    assert run_cli("verify", "galois", option, value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "positive integer" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -430,6 +467,34 @@ def test_sinogram_mass_shapes():
     ):
         with pytest.raises(DataFormatError):
             fileio.sinogram_from_payload(bad)
+
+
+@pytest.mark.parametrize(
+    "value,reason",
+    [
+        ({"p": 3, "coeffs": 7}, "coeffs must be a list"),
+        ({"p": 3, "coeffs": "12"}, "coeffs must be a list"),
+        ({"p": 3.0, "coeffs": ["1", "2"]}, "p and ell must be integers"),
+        ({"p": 3, "ell": "1", "coeffs": ["1", "2"]}, "p and ell must be integers"),
+        ({"p": True, "coeffs": ["1", "2"]}, "p and ell must be integers"),
+    ],
+    ids=["coeffs-int", "coeffs-string", "p-float", "ell-string", "p-bool"],
+)
+@pytest.mark.parametrize("file_kind", ["function", "sinogram"])
+def test_cli_rejects_a_malformed_cyclotomic_value(tmp_path, capsys, value, reason, file_kind):
+    good = {"p": 3, "coeffs": ["1", "2"]}
+    if file_kind == "function":
+        payload = {"p": 3, "d": 1, "kind": "cyclotomic", "values": [good, value, good]}
+        argv = ("transform",)
+    else:
+        payload = {"p": 3, "d": 1, "masses": [{"s": [1], "m": [good, value, good]}]}
+        argv = ("tomography", "reconstruct")
+    fn = tmp_path / "input.json"
+    fn.write_text(json.dumps(payload))
+    assert run_cli(*argv, "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: bad cyclotomic value") and reason in captured.err
 
 
 def test_cli_reconstruct_rejects_non_object_mass_rows(tmp_path, capsys):
@@ -499,6 +564,24 @@ def test_cli_zpl_runs_one_forward_and_no_inverse(monkeypatch, capsys):
         monkeypatch.undo()
 
 
+def test_cli_reconstruct_runs_no_forward_and_no_inverse(monkeypatch, capsys, tmp_path):
+    tomography = GOLDEN / "tomography"
+    complex_sinogram = tmp_path / "complex_3_3.json"
+    f = random_complex_function(Ambient(3, 3), rng_for(811, "reconstruct"))
+    fileio.save_sinogram(mass_table(f), complex_sinogram)
+    for path in (
+        tomography / "rational_5_3.json",
+        tomography / "cyclotomic_5_2.json",
+        tomography / "rational_as_cyclotomic_3_3.json",
+        complex_sinogram,
+    ):
+        calls = _count_transforms(monkeypatch)
+        assert run_cli("tomography", "reconstruct", "--input", str(path)) == 0
+        capsys.readouterr()
+        assert calls == {"forward": 0, "inverse": 0}, path.stem
+        monkeypatch.undo()
+
+
 def test_cli_verify_round_trips_use_only_the_requested_grid(monkeypatch, capsys):
     from charkit import verify
 
@@ -524,6 +607,19 @@ def test_cli_verify_round_trips_use_only_the_requested_grid(monkeypatch, capsys)
     assert run_cli("verify", "equidist", "--p", "7", "--suite-size", "4") == 0
     check = json.loads(capsys.readouterr().out)["suites"][0]["checks"][0]
     assert check["name"] == "biconditional held on 4 pairs at (7,1), (7,2), (7,3)"
+    built.clear()
+    assert run_cli("verify", "zpl", "--p", "3", "--d", "2", "--l", "2", "--suite-size", "2") == 0
+    checks = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    assert built == [(3, 2, 2)]
+    assert [c["name"] for c in checks] == [
+        "unit count mod 9 is p**l - p**(l-1) at (3,2,2)",
+        "hyperplane sizes match for all 80 nonzero directions at (3,2,2)",
+        "line cardinality p**(l - valuation) for every generator at (3,2,2)",
+        "multiscale decomposition round-trips 2 random functions at (3,2,2)",
+    ]
+    assert run_cli("verify", "zpl", "--l", "3", "--suite-size", "1") == 0
+    checks = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    assert all(c["name"].endswith(" at (2,2,3)") for c in checks)
 
 
 # (suite, the library call it makes once per work item, the check that

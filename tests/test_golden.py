@@ -13,6 +13,14 @@ and Z_25^2 (random rational values, and a rational function whose sparse
 spectrum is constant on unit orbits) were written before each multi-scale
 part was built on its own line, and pin ``zpl`` only: their transforms
 would add 0.7 MB of goldens.
+
+``golden/tomography/<name>.json`` are sinograms written by ``charkit
+tomography project`` of random functions with mixed denominators: rational
+ones on (3,2), (5,3) and (2,6), a cyclotomic one on (5,2), and a rational
+one on (3,3) promoted to cyclotomic values, so that its masses are
+cyclotomic objects with rational values.  ``<name>.reconstruct.out.json`` is
+what ``charkit tomography reconstruct`` printed for them (the last one as
+``"kind": "rational"``) before the reconstruction became a back-projection.
 """
 
 import contextlib
@@ -35,6 +43,11 @@ RING_CASES = [
 ]
 
 
+TOMOGRAPHY_INPUTS = sorted(
+    p for p in (GOLDEN / "tomography").glob("*.json") if not p.name.endswith(".out.json")
+)
+
+
 def cli_stdout(*argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -48,6 +61,17 @@ def test_ring_goldens_present():
     assert commands.count("zpl") == 21 and commands.count("transform") == 17
 
 
+def test_tomography_goldens_present():
+    assert [p.stem for p in TOMOGRAPHY_INPUTS] == [
+        "cyclotomic_5_2",
+        "rational_2_6",
+        "rational_3_2",
+        "rational_5_3",
+        "rational_as_cyclotomic_3_3",
+    ]
+    assert all(p.with_name(f"{p.stem}.reconstruct.out.json").exists() for p in TOMOGRAPHY_INPUTS)
+
+
 def test_verify_all_seed_42_is_byte_identical():
     want = (GOLDEN / "verify_all_seed42.out.json").read_text()
     assert cli_stdout("verify", "all", "--seed", "42") == want
@@ -59,3 +83,9 @@ def test_verify_all_seed_42_is_byte_identical():
 def test_ring_outputs_are_byte_identical(path, command):
     want = path.with_name(f"{path.stem}.{command}.out.json").read_text()
     assert cli_stdout(command, "--input", str(path)) == want
+
+
+@pytest.mark.parametrize("path", TOMOGRAPHY_INPUTS, ids=[p.stem for p in TOMOGRAPHY_INPUTS])
+def test_tomography_reconstruct_is_byte_identical(path):
+    want = path.with_name(f"{path.stem}.reconstruct.out.json").read_text()
+    assert cli_stdout("tomography", "reconstruct", "--input", str(path)) == want

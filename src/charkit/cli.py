@@ -9,6 +9,7 @@ identity failed (a genuine counterexample or a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -70,7 +71,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process: parsing does not mutate it."""
     parser = _Parser(prog="charkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,12 +7,18 @@ Function file:      {"p": 3, "d": 2, "kind": "rational", "values": ["0", "1/3", 
 Spectrum values:    {"p": 3, "coeffs": ["a/b", ...]} with exactly p-1 entries
                     (cyclotomic; conductor p**ell carries "ell" and phi entries);
                     "coeffs" is a list, "p" and "ell" are JSON integers.
-Complex values:     [re, im].
+Complex values:     [re, im], two JSON numbers (not booleans, not strings).
 Sinogram:           {"p": ..., "d": ..., "masses": [{"s": [...], "m": [...]}, ...]};
                     each direction s is a list of d integers and each mass
                     is a rational string, a cyclotomic object of
                     conductor p, or a complex [re, im] pair.
 Decomposition:      {"p", "d", "form", "constant", "parts": [{"s", "coeffs"}]}.
+
+A rational literal ("a/b" above, every rational value, coefficient and mass)
+is a JSON string of the form [-+]?digits or [-+]?digits/digits, with ASCII
+digits and a nonzero denominator: "3", "-7/2", "+04/6".  JSON numbers,
+booleans, null, decimals ("1.5"), exponents ("1e3"), spaces (" 3") and
+non-ASCII digits are data errors.
 
 Writers emit canonical bytes (sorted keys, two-space indent, trailing
 newline) so that identical inputs produce identical files.
@@ -21,7 +27,9 @@ newline) so that identical inputs produce identical files.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DataFormatError
 from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, Spectrum
@@ -31,17 +39,27 @@ from .wavelets import Decomposition, MassTable, Wavelet
 
 
 def format_rational(value) -> str:
-    value = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rational(text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DataFormatError(f"bad rational literal {text!r}") from exc
+    """A rational literal: a JSON string ``[-+]?digits`` or ``[-+]?digits/digits``
+    of ASCII digits with a nonzero denominator; anything else is a DataFormatError."""
+    if type(text) is str and text.isascii():
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("-", "+") else num
+        if digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
+    raise DataFormatError(f"bad rational literal {text!r}")
 
 
 def scalar_to_payload(value):
@@ -73,16 +91,78 @@ def scalar_from_payload(payload, kind: str, p: int, ell: int = 1):
                 f"value conductor {vp}**{vell} does not match grid conductor {p}**{ell}"
             )
         return Cyclotomic(p, [parse_rational(c) for c in payload["coeffs"]], ell)
-    if not isinstance(payload, (list, tuple)) or len(payload) != 2:
-        raise DataFormatError(f"bad complex value {payload!r}")
+    if (
+        not isinstance(payload, (list, tuple))
+        or len(payload) != 2
+        or any(type(part) not in (int, float) for part in payload)
+    ):
+        raise DataFormatError(f"bad complex value {payload!r}: need [re, im] JSON numbers")
     try:
         return complex(float(payload[0]), float(payload[1]))
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise DataFormatError(f"bad complex value {payload!r}") from exc
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for a tree of dicts
+    with string keys, lists, tuples, strings, ints, floats, bools and None."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list) -> None:
+    """Append the JSON text of obj, whose lines are indented by ``newline``."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(v, str) for v in obj):
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, obj))}{newline}]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, v in sorted(obj.items()):
+            out.append(f"{sep}{_quote(key)}: ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _require_fields(payload: dict, fields, where: str) -> None:
@@ -191,13 +271,13 @@ def sinogram_from_payload(payload) -> MassTable:
 
 
 def _mass_from_payload(m, p: int):
-    """A mass in any of the three scalar forms: a rational string, a
+    """A mass in any of the three scalar forms: a rational literal, a
     cyclotomic object of conductor p, or a complex [re, im] pair."""
-    if isinstance(m, str):
-        return parse_rational(m)
     if isinstance(m, dict):
         return scalar_from_payload(m, CYCLOTOMIC, p)
-    return scalar_from_payload(m, COMPLEX, p)
+    if isinstance(m, list):
+        return scalar_from_payload(m, COMPLEX, p)
+    return parse_rational(m)
 
 
 def save_sinogram(table: MassTable, path) -> None:

@@ -171,15 +171,6 @@ class MassTable:
             out.append(total)
         return tuple(out)
 
-    def total(self):
-        return self.totals()[0]
-
-    def is_consistent(self, tol: float = DEFAULT_TOL) -> bool:
-        totals = self.totals()
-        if any(isinstance(t, (complex, float)) for t in totals):
-            return all(complex_close(t, totals[0], tol) for t in totals)
-        return all(t == totals[0] for t in totals)
-
 
 def mass_table(f: GridFunction) -> MassTable:
     ambient = f.ambient
@@ -279,12 +270,21 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     missing = [line.rep for line in lines if line not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
-    if not table.is_consistent(tol):
+    kind, width, L, M = _encode([m for _, ms in table.rows for m in ms], p)
+    rows = len(table.rows)
+    count = p * rows  # M[c*count + i*p + t]: coordinate c of L*m_{s_i,t}
+    # Row totals on the lattice ints: sums[c*rows + i] is coordinate c of
+    # L times the total of row i.  All rows must share the total of the first.
+    sums = [sum(M[k : k + p]) for k in range(0, width * count, p)]
+    total = sums[::rows]
+    if kind == COMPLEX:
+        consistent = all(complex_close(s, total[0], tol) for s in sums)
+    else:
+        consistent = all(s == total[k // rows] for k, s in enumerate(sums))
+    if not consistent:
         raise SinogramError(
             f"per-direction totals disagree: {[str(t) for t in table.totals()]}"
         )
-    kind, width, L, M = _encode([m for _, ms in table.rows for m in ms], p)
-    count = p * len(table.rows)  # M[c*count + i*p + t]: coordinate c of L*m_{s_i,t}
     plane = width * N
     A = [0] * (p * plane)
     at = [ambient.index_of(line.rep) for line, _ in table.rows]
@@ -297,7 +297,6 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
         A = _lattice_pass(A, p, +1)
     # Power 0 holds L * sum_lines m_{s,x.s} at A[index(x)*width + c]; the
     # total mass L * m(f) is the sum of any one row, here the first.
-    total = [sum(M[c * count : c * count + p]) for c in range(width)]
     n = len(lines)
     cells = [
         [p * b - (n - 1) * m for b, m in zip(A[x * width : (x + 1) * width], total)]

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,14 +30,66 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+# Every literal that a rational value, cyclotomic coefficient or mass rejects.
+LOOSE_LITERALS = [0.1, 2, True, None, "1.5", " 3", "--3", "3/-4", "1/0", "\u0663", "1e3"]
+
+
 def test_rational_formatting():
     assert fileio.format_rational(Fraction(3, 4)) == "3/4"
     assert fileio.format_rational(Fraction(-2)) == "-2"
+    assert fileio.format_rational(-5) == "-5"
+    assert fileio.format_rational(True) == "1"
     assert fileio.parse_rational("-7/2") == Fraction(-7, 2)
-    with pytest.raises(DataFormatError):
-        fileio.parse_rational("1/0")
-    with pytest.raises(DataFormatError):
-        fileio.parse_rational("x")
+    assert fileio.parse_rational("+04/6") == Fraction(2, 3)
+    assert fileio.parse_rational("-0") == 0
+    for text in LOOSE_LITERALS + ["x", "", "+", "1/", "/2", "1/00", "1_000", "1/2/3", "3 "]:
+        with pytest.raises(DataFormatError) as err:
+            fileio.parse_rational(text)
+        assert repr(text) in str(err.value)
+
+
+def _with_literal(where: str, literal):
+    """A valid file with one rational literal replaced by ``literal``."""
+    coeffs = {"p": 3, "coeffs": ["1", literal]}
+    if where == "rational value":
+        return "transform", {"p": 3, "d": 1, "kind": "rational", "values": ["1", literal, "0"]}
+    if where == "cyclotomic coeff":
+        return "transform", {"p": 3, "d": 1, "kind": "cyclotomic", "values": ["1", coeffs, "0"]}
+    masses = ["1", literal, "0"] if where == "mass" else ["1", coeffs, "0"]
+    return "tomography reconstruct", {"p": 3, "d": 1, "masses": [{"s": [1], "m": masses}]}
+
+
+@pytest.mark.parametrize("literal", LOOSE_LITERALS, ids=repr)
+@pytest.mark.parametrize("where", ["rational value", "cyclotomic coeff", "mass", "mass coeff"])
+def test_cli_rejects_a_loose_rational_literal(tmp_path, capsys, where, literal):
+    command, payload = _with_literal(where, literal)
+    fn = tmp_path / "input.json"
+    fn.write_text(json.dumps(payload))
+    assert run_cli(*command.split(), "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: bad rational literal {literal!r}\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[True, 0], [0, False], ["1.5", 0], [None, 0], [10**400, 0], [1, 2, 3]],
+    ids=["bool-re", "bool-im", "string", "null", "overflow", "three-parts"],
+)
+@pytest.mark.parametrize("file_kind", ["function", "sinogram"])
+def test_cli_rejects_a_complex_value_that_is_not_two_numbers(tmp_path, capsys, value, file_kind):
+    if file_kind == "function":
+        argv = ("transform",)
+        payload = {"p": 2, "d": 1, "kind": "complex", "values": [[1, 0.5], value]}
+    else:
+        argv = ("tomography", "reconstruct")
+        payload = {"p": 2, "d": 1, "masses": [{"s": [1], "m": [[1, 0.5], value]}]}
+    fn = tmp_path / "input.json"
+    fn.write_text(json.dumps(payload))
+    assert run_cli(*argv, "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: bad complex value")
 
 
 def test_function_payload_round_trip(tmp_path):
@@ -387,6 +441,59 @@ def test_cli_tolerance_applies_to_one_request_only(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cbw"] == 1
     assert run_cli("bandwidth", "--input", str(fn)) == 0
     assert capsys.readouterr().out == before
+
+
+def _fresh_process(*argv):
+    """(exit code, stdout, stderr) of one request in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "charkit.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_cli_parser_carries_no_state_between_requests(tmp_path, capsys):
+    noisy = str(_noisy_wavelet_file(tmp_path))
+    fn = tmp_path / "fn.json"
+    fileio.save_function(staircase_function(3), fn)
+    fn = str(fn)
+    pairs = [
+        (("bandwidth", "--input", noisy, "--tolerance", "0.01"), ("bandwidth", "--input", noisy)),
+        (("bandwidth", "--input", fn, "--format", "table"), ("bandwidth", "--input", fn)),
+        (
+            ("transform", "--input", fn, "--output", str(tmp_path / "out.json")),
+            ("transform", "--input", fn),
+        ),
+        (("bandwidth", "--input", fn, "--format", "xml"), ("bandwidth", "--input", fn)),
+    ]
+    for first, second in pairs:
+        run_cli(*first)
+        capsys.readouterr()
+        code = run_cli(*second)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(*second), first
+
+
+def test_cli_builds_its_parser_at_most_once(tmp_path, monkeypatch, capsys):
+    fn = tmp_path / "fn.json"
+    fileio.save_function(staircase_function(3), fn)
+    trees = []
+    add_subparsers = cli._Parser.add_subparsers
+
+    def counting(self, **kwargs):
+        trees.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_subparsers", counting)
+    for i in range(20):
+        argv = ("bandwidth", "--input", str(fn)) if i % 2 else ("bandwidth",)
+        assert run_cli(*argv) == (0 if i % 2 else 1)
+    capsys.readouterr()
+    assert len(trees) <= 1
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "abc", "inf"])

@@ -1,0 +1,196 @@
+"""Property tests of the JSON request path against the references it replaced.
+
+``canonical_dumps`` must write what ``json.dumps(sort_keys=True, indent=2)``
+writes, ``parse_rational`` must read what ``Fraction(str)`` reads on every
+literal it accepts, and no mutated input file may get past the CLI's exit
+codes.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import re
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from charkit import cli, fileio
+from charkit.corpus import (
+    random_complex_function,
+    random_cyclotomic_function,
+    random_rational_function,
+    rng_for,
+)
+from charkit.errors import DataFormatError
+from charkit.geometry import Ambient
+from charkit.wavelets import mass_table
+
+FIXED = settings(derandomize=True, database=None, deadline=None)
+
+# --- canonical_dumps == json.dumps
+
+SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, 1e16, 0.1, 5e-324, 1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan]
+SPECIAL_TEXT = ['"', "\\", "\x00", "\x1f", "\x7f", " ", "é", "\U0001f600", "\ud800", "a/b"]
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | st.sampled_from(SPECIAL_FLOATS)
+    | st.text()
+    | st.sampled_from(SPECIAL_TEXT)
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(st.text(), max_size=6)
+        | st.dictionaries(st.text() | st.sampled_from(SPECIAL_TEXT), children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(FIXED, max_examples=200)
+@given(json_trees)
+def test_canonical_dumps_equals_json_dumps(obj):
+    assert fileio.canonical_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_dumps_rejects_non_string_keys_and_other_types():
+    with pytest.raises(TypeError):
+        fileio.canonical_dumps({1: "a"})
+    with pytest.raises(TypeError):
+        fileio.canonical_dumps([Fraction(1, 2)])
+
+
+# --- parse_rational == Fraction(str) on the literal syntax
+
+LITERAL = re.compile(r"[-+]?[0-9]+(/[0-9]*[1-9][0-9]*)?", re.ASCII)
+
+literals = st.from_regex(LITERAL, fullmatch=True)
+near_literals = st.text(alphabet="0123456789+-/ ._eE٣²", max_size=12)
+
+
+@settings(FIXED, max_examples=200)
+@given(literals | near_literals)
+def test_parse_rational_accepts_exactly_the_literal_syntax(text):
+    if LITERAL.fullmatch(text):
+        assert fileio.parse_rational(text) == Fraction(text)
+    else:
+        with pytest.raises(DataFormatError):
+            fileio.parse_rational(text)
+
+
+@settings(FIXED, max_examples=300)
+@given(st.integers() | st.fractions())
+def test_format_rational_round_trips(x):
+    text = fileio.format_rational(x)
+    assert LITERAL.fullmatch(text)
+    assert fileio.parse_rational(text) == x
+    assert text == fileio.format_rational(Fraction(x))
+
+
+# --- the exit-code contract on mutated input files
+
+
+def _valid_payloads() -> list:
+    rng = rng_for(810, "fuzz")
+    rational = random_rational_function(Ambient(3, 2), rng)
+    return [
+        fileio.function_to_payload(rational),
+        fileio.function_to_payload(random_cyclotomic_function(Ambient(3, 1), rng)),
+        fileio.function_to_payload(random_complex_function(Ambient(2, 2), rng)),
+        fileio.function_to_payload(random_rational_function(Ambient(2, 1, 2), rng)),
+        fileio.sinogram_to_payload(mass_table(rational)),
+        fileio.sinogram_to_payload(mass_table(random_cyclotomic_function(Ambient(3, 1), rng))),
+    ]
+
+
+VALID = _valid_payloads()
+FILE_COMMANDS = [
+    ("transform",),
+    ("transform", "--inverse"),
+    ("bandwidth",),
+    ("decompose",),
+    ("tomography", "project"),
+    ("tomography", "reconstruct"),
+    ("eigen",),
+    ("variety",),
+    ("zpl",),
+]
+FIELDS = ["p", "d", "kind", "values", "modulus_exponent", "coeffs", "ell", "masses", "s", "m"]
+junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats()
+    | st.sampled_from(["", "1", "-1/2", "1/0", "1.5", "x", "rational", "cyclotomic", "complex"]),
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(FIELDS), children, max_size=3)
+    ),
+    max_leaves=5,
+)
+
+
+def _slots(obj, out: list) -> list:
+    """Every (container, key) in a JSON tree, children before parents, so
+    that the simplest mutation hypothesis tries is at a leaf."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return out
+    for key, value in reversed(list(items)):
+        _slots(value, out)
+        out.append((obj, key))
+    return out
+
+
+@st.composite
+def mutated_payloads(draw):
+    payload = copy.deepcopy(draw(st.sampled_from(VALID)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(payload, [])
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["copy", "replace", "delete", "repeat", "bool"]))
+        if action == "copy":  # often still a valid file: another value of the same tree
+            other, other_key = draw(st.sampled_from(slots))
+            container[key] = copy.deepcopy(other[other_key])
+        elif action == "delete":
+            del container[key]
+        elif action == "repeat" and isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        elif action == "bool" and type(container[key]) is int:
+            container[key] = bool(container[key] % 2)
+        else:
+            container[key] = draw(junk)
+    return payload
+
+
+@settings(FIXED, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_payloads())
+def test_cli_exit_codes_hold_for_mutated_files(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload))
+        for command in FILE_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*command, "--input", str(path)])
+            assert code in (0, 1, 2), (command, payload, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -46,33 +46,19 @@ BWD_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class LineSupportProfile:
-    """Per-line activity flags of a spectrum, plus the DC flag."""
-
-    ambient: Ambient
-    active: tuple  # ProjectiveLine, canonical order
-    dc_active: bool
-    approximate: bool
-
-    @property
-    def cbw(self) -> int:
-        return len(self.active)
-
-
-@dataclass(frozen=True)
 class BandwidthReport:
     cbw: int
     bw: Fraction
     bwd: float
-    lines: tuple
-    dc_active: bool
+    lines: tuple  # the active lines, ProjectiveLine in canonical order
     approximate: bool
 
 
 def support_profile(
     F: Spectrum, source_kind: str | None = None, tol: float = DEFAULT_TOL
-) -> LineSupportProfile:
-    """Classify every line as active or vanishing on the given spectrum.
+) -> BandwidthReport:
+    """Classify every line as active or vanishing on the given spectrum,
+    and report the active ones.
 
     The whole punctured line is inspected, never a single sample.  For
     rational sources a mixed line (some zeros, some not) contradicts the
@@ -95,32 +81,24 @@ def support_profile(
             )
         if not all(flags):
             active.append(line)
-    dc = not is_zero(F.values[0], tol)
-    return LineSupportProfile(ambient, tuple(active), dc, approximate)
+    cbw = len(active)
+    return BandwidthReport(
+        cbw=cbw,
+        bw=Fraction(cbw * (ambient.p - 1), ambient.size - 1),
+        bwd=bwd_of_cbw(cbw, ambient.p),
+        lines=tuple(active),
+        approximate=approximate,
+    )
 
 
 def bwd_of_cbw(cbw: int, p: int) -> float:
     return math.log((p - 1) * cbw + 1, p)
 
 
-def report_from_profile(profile: LineSupportProfile) -> BandwidthReport:
-    ambient = profile.ambient
-    cbw = profile.cbw
-    return BandwidthReport(
-        cbw=cbw,
-        bw=Fraction(cbw * (ambient.p - 1), ambient.size - 1),
-        bwd=bwd_of_cbw(cbw, ambient.p),
-        lines=profile.active,
-        dc_active=profile.dc_active,
-        approximate=profile.approximate,
-    )
-
-
 def bandwidth(f: GridFunction, tol: float = DEFAULT_TOL) -> BandwidthReport:
     """Bandwidth report of f.  cbw = 0 exactly when f is constant."""
     require_prime_grid(f.ambient)
-    profile = support_profile(forward(f), source_kind=f.kind, tol=tol)
-    return report_from_profile(profile)
+    return support_profile(forward(f), source_kind=f.kind, tol=tol)
 
 
 def constancy_from_compass(f: GridFunction) -> bool:
@@ -166,7 +144,7 @@ def vanishing_certificate(f: GridFunction) -> Subspace | None:
     k = 1
     while cbw >= (p ** k - 1) // (p - 1):
         k += 1
-    best = avoid_lines_subspace(ambient, profile.active, d - k)
+    best = avoid_lines_subspace(ambient, profile.lines, d - k)
     if d <= 3:
         for dim in range(d, best.dim - 1, -1):
             found = next(

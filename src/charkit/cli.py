@@ -173,7 +173,7 @@ def _emit(payload, args, render_table=_render_table) -> None:
 
 def _cmd_transform(args) -> int:
     if args.inverse:
-        F = fileio.load_function(args.input, spectrum=True)
+        F = fileio.load_function(args.input)
         f = inverse(F)
         _emit(fileio.function_to_payload(f), args)
         return EXIT_OK
@@ -233,7 +233,10 @@ def _cmd_eigen(args) -> int:
     expansion = eigen_expand(f, args.tolerance)
     reconstructed = expansion.evaluate()
     exact = reconstructed == f
-    close = exact or reconstructed.isclose(f, args.tolerance)
+    # Rounding grows with the values: the tolerance is relative to the
+    # largest |f(x)| (absolute below 1).
+    scale = max([1.0, *map(abs, f.to_complex().values)])
+    close = exact or reconstructed.isclose(f, args.tolerance * scale)
     payload["expansion"] = {
         "terms": len(expansion.terms),
         "reconstruction": "exact" if exact else ("close" if close else "FAILED"),

@@ -34,7 +34,7 @@ from .geometry import (
     perp,
     require_prime_grid,
 )
-from .scalars import DEFAULT_TOL, Cyclotomic, is_zero
+from .scalars import DEFAULT_TOL, Cyclotomic, _embed_roots, is_zero
 from .wavelets import decompose
 
 
@@ -153,9 +153,8 @@ def affine_eigenfunction_pair(V: Subspace, x: Point) -> EigenPair:
             phases = [Fraction(1)] * len(pts)
             kind = RATIONAL
     else:
-        import cmath
-
-        phases = [cmath.exp(2j * cmath.pi * dot(x, m, q) / q) for m in pts]
+        roots = _embed_roots(q)
+        phases = [roots[dot(x, m, q)] for m in pts]
         kind = COMPLEX
     plus_vals, minus_vals = _pair_values(ambient, k, in_V, in_W, phases, exact)
     plus = GridFunction(ambient, kind, plus_vals)

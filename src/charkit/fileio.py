@@ -32,10 +32,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DataFormatError
-from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, Spectrum
-from .geometry import Ambient, ProjectiveLine, enumerate_lines, line_through
+from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction
+from .geometry import Ambient, enumerate_lines, line_through
 from .scalars import Cyclotomic
-from .wavelets import Decomposition, MassTable, Wavelet
+from .wavelets import Decomposition, MassTable
 
 
 def format_rational(value) -> str:
@@ -183,7 +183,7 @@ def function_to_payload(f: GridFunction) -> dict:
     return payload
 
 
-def function_from_payload(payload, spectrum: bool = False) -> GridFunction:
+def function_from_payload(payload) -> GridFunction:
     if not isinstance(payload, dict):
         raise DataFormatError("function file must contain a JSON object")
     _require_fields(payload, ("p", "d", "kind", "values"), "function file")
@@ -197,9 +197,7 @@ def function_from_payload(payload, spectrum: bool = False) -> GridFunction:
         raise DataFormatError(
             f"values must be a list of length {ambient.size}, got {len(values) if isinstance(values, list) else type(values).__name__}"
         )
-    vals = [scalar_from_payload(v, kind, p, ell) for v in values]
-    cls = Spectrum if spectrum else GridFunction
-    return cls(ambient, kind, vals)
+    return GridFunction(ambient, kind, [scalar_from_payload(v, kind, p, ell) for v in values])
 
 
 def save_function(f: GridFunction, path) -> None:
@@ -207,13 +205,13 @@ def save_function(f: GridFunction, path) -> None:
         fh.write(canonical_dumps(function_to_payload(f)))
 
 
-def load_function(path, spectrum: bool = False) -> GridFunction:
+def load_function(path) -> GridFunction:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return function_from_payload(payload, spectrum=spectrum)
+    return function_from_payload(payload)
 
 
 def sinogram_to_payload(table: MassTable) -> dict:
@@ -308,20 +306,6 @@ def decomposition_to_payload(dec: Decomposition) -> dict:
             for w in dec.parts
         ],
     }
-
-
-def decomposition_from_payload(payload) -> Decomposition:
-    _require_fields(payload, ("p", "d", "form", "constant", "parts"), "decomposition file")
-    ambient = Ambient(payload["p"], payload["d"])
-    parts = []
-    for entry in payload["parts"]:
-        _require_fields(entry, ("s", "coeffs"), "decomposition part")
-        line = ProjectiveLine(tuple(int(c) % ambient.p for c in entry["s"]))
-        coeffs = tuple(parse_rational(c) for c in entry["coeffs"])
-        parts.append(Wavelet(ambient, line, coeffs, form=payload["form"]))
-    return Decomposition(
-        ambient, payload["form"], parse_rational(payload["constant"]), tuple(parts)
-    )
 
 
 def bandwidth_report_payload(report) -> dict:

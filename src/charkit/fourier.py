@@ -13,8 +13,15 @@ The forward transform is
 and the inverse carries no normalization, so F(0) is the average of f and
 the convolution theorem reads forward(f * g) = q**d * forward(f)*forward(g).
 
-Rational and cyclotomic inputs take the exact path over Q(zeta_q); complex
-inputs take a floating path of one length-q pass per axis.
+Rational and cyclotomic inputs take the exact path over Q(zeta_q), complex
+inputs the floating one.  Both run d passes of one shape, a length-q
+transform per axis: a pass cuts the points into q slices by the coordinate
+at one end of the position, skips all-zero slices, adds the rotated slices
+in increasing order and moves the transformed coordinate to the other end,
+so d passes restore the lexicographic order.  The complex pass
+(``_complex_pass``) starts from the first coordinate and multiplies by the
+roots exp(2*pi*i*e/q) of ``scalars._embed_roots``, the one root table,
+which ``forward_naive`` and the floating eigenfunctions read too.
 
 The exact path is an integer-lattice kernel in the style of Nussbaumer's
 polynomial transforms.  All values are scaled by the lcm L of their
@@ -28,19 +35,26 @@ returns rational scalars exactly when every reduced coefficient above
 degree zero is zero.
 
 ``forward_naive`` is the quadratic double loop over ``Cyclotomic``
-arithmetic.  It shares no code with the lattice kernel and is kept as the
-oracle that the tests compare the kernel with.
+arithmetic, or complex arithmetic on the root table.  It shares no code
+with either pass and is kept as the oracle that the tests compare them
+with.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .geometry import Point, Subspace, dot, perp, vsub
-from .scalars import DEFAULT_TOL, ZERO, Cyclotomic, _reduce_ext, complex_close, is_zero
+from .scalars import (
+    DEFAULT_TOL,
+    ZERO,
+    Cyclotomic,
+    _embed_roots,
+    _reduce_ext,
+    complex_close,
+    is_zero,
+)
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -240,41 +254,28 @@ def _promoted_values(f: GridFunction, kind: str):
     raise ValueError(f"cannot demote {f.kind} values to {kind}")
 
 
-@lru_cache(maxsize=None)
-def _complex_roots(q: int) -> tuple:
-    return tuple(cmath.exp(2j * cmath.pi * e / q) for e in range(q))
+def _complex_pass(A: list, q: int, sign: int) -> list:
+    """One length-q transform out[k] = sum_t root**(sign*k*t) * in[t] of
+    complex values, shaped like ``_lattice_pass``.
 
-
-def _complex_kernel(fiber, q: int, sign: int):
-    roots = _complex_roots(q)
-    out = [0j] * q
+    Block t, A[t*m:(t+1)*m] (m = len(A) / q), holds the points whose first
+    coordinate is t.  All-zero blocks are skipped, and output k, the sum
+    over t in increasing t of the rotated blocks, goes to out[k::q]: the
+    transformed coordinate moves to the back of the position, so d passes
+    over a d-dimensional grid bring it back to lexicographic order.
+    """
+    roots = _embed_roots(q)
+    m = len(A) // q
+    blocks = [(t, A[t * m : (t + 1) * m]) for t in range(q)]
+    blocks = [(t, block) for t, block in blocks if any(block)]
+    out = [0j] * len(A)
     for k in range(q):
-        acc = 0j
-        for t, v in enumerate(fiber):
-            if v:
-                acc += roots[sign * k * t % q] * v
-        out[k] = acc
+        acc = [0j] * m
+        for t, block in blocks:
+            root = roots[sign * k * t % q]
+            acc = [a + root * v for a, v in zip(acc, block)]
+        out[k::q] = acc
     return out
-
-
-def _axis_passes(values, ambient, sign: int):
-    q = ambient.modulus
-    d = ambient.d
-    vals = list(values)
-    for axis in range(d):
-        stride = q ** (d - 1 - axis)
-        block = stride * q
-        out = [None] * len(vals)
-        for hi in range(q ** axis):
-            base0 = hi * block
-            for lo in range(stride):
-                base = base0 + lo
-                fiber = [vals[base + t * stride] for t in range(q)]
-                col = _complex_kernel(fiber, q, sign)
-                for k in range(q):
-                    out[base + k * stride] = col[k]
-        vals = out
-    return vals
 
 
 def _lattice(values, q: int):
@@ -371,7 +372,9 @@ def forward(f: GridFunction) -> Spectrum:
     """The normalized transform; exact over Q(zeta) for exact inputs."""
     ambient = f.ambient
     if f.kind == COMPLEX:
-        vals = _axis_passes(f.values, ambient, -1)
+        vals = f.values
+        for _ in range(ambient.d):
+            vals = _complex_pass(vals, ambient.modulus, -1)
         scale = 1.0 / ambient.size
         return Spectrum(ambient, COMPLEX, [v * scale for v in vals])
     p, ell = ambient.p, ambient.ell
@@ -385,7 +388,7 @@ def forward_naive(f: GridFunction) -> Spectrum:
     q = ambient.modulus
     pts = ambient.points()
     if f.kind == COMPLEX:
-        roots = _complex_roots(q)
+        roots = _embed_roots(q)
         out = []
         for m in pts:
             acc = 0j
@@ -411,7 +414,9 @@ def inverse(F: GridFunction) -> GridFunction:
     when every cyclotomic coordinate above degree zero cancels."""
     ambient = F.ambient
     if F.kind == COMPLEX:
-        vals = _axis_passes(F.values, ambient, +1)
+        vals = F.values
+        for _ in range(ambient.d):
+            vals = _complex_pass(vals, ambient.modulus, +1)
         return GridFunction(ambient, COMPLEX, vals)
     p, ell = ambient.p, ambient.ell
     L, rows = _exact_transform(F.values, p, ell, ambient.d, +1)

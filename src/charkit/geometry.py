@@ -49,12 +49,21 @@ class Ambient:
         for name, value in (("p", self.p), ("d", self.d), ("ell", self.ell)):
             if type(value) is not int:  # bools and floats are no grid sizes
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not is_prime(self.p):
-            raise ValueError(f"base modulus must be prime, got {self.p}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.ell < 1:
             raise ValueError(f"exponent must be >= 1, got {self.ell}")
+        # A grid with p >= 2 has at least max(p, 2**(d*ell)) points, so one
+        # with p or 2**(d*ell) above the limit is refused before the trial
+        # division and the power, either of which could run for long.
+        if self.p > 1 and (
+            self.p > MAX_GRID_POINTS or self.d * self.ell >= MAX_GRID_POINTS.bit_length()
+        ):
+            raise CapacityError(
+                f"grid of {self.p}**{self.d * self.ell} points exceeds the enumeration limit"
+            )
+        if not is_prime(self.p):
+            raise ValueError(f"base modulus must be prime, got {self.p}")
         if self.size > MAX_GRID_POINTS:
             raise CapacityError(
                 f"grid of {self.modulus}**{self.d} points exceeds the enumeration limit"

@@ -36,11 +36,13 @@ from .fourier import (
     CYCLOTOMIC,
     RATIONAL,
     GridFunction,
+    _cyclotomics,
     _fractions,
     _join_kind,
     _kind_of_scalar,
     _lattice,
     _lattice_pass,
+    _scalars,
     forward,
 )
 from .geometry import (
@@ -124,16 +126,6 @@ def _encode(values, p: int):
     return RATIONAL, 1, L, A
 
 
-def _decoder(kind: str, p: int, den):
-    """cell -> the scalar its ``width`` lattice entries encode, over den."""
-    if kind == COMPLEX:
-        return lambda cell: complex(cell[0]) / den
-    frac = _fractions(den)
-    if kind == CYCLOTOMIC:
-        return lambda cell: Cyclotomic._make(p, 1, tuple(map(frac, cell)))
-    return lambda cell: frac(cell[0])
-
-
 def _mass_rows(f: GridFunction, lines) -> list:
     """The masses of f in every direction of ``lines``, from one lattice run:
     the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
@@ -142,14 +134,19 @@ def _mass_rows(f: GridFunction, lines) -> list:
     kind, width, L, A = _encode(f.values, p)
     for _ in range(ambient.d):
         A = _lattice_pass(A, p, +1)
-    mass = _decoder(kind, p, L)
     plane = width * ambient.size
-    rows = []
-    for line in lines:
-        base = ambient.index_of(line.rep) * width
-        cells = (A[t * plane + base : t * plane + base + width] for t in range(p))
-        rows.append(tuple(map(mass, cells)))
-    return rows
+    cells = [
+        A[t * plane + base : t * plane + base + width]
+        for base in (ambient.index_of(line.rep) * width for line in lines)
+        for t in range(p)
+    ]
+    if kind == COMPLEX:
+        ms = [complex(cell[0]) / L for cell in cells]
+    elif kind == CYCLOTOMIC:
+        ms = _cyclotomics(cells, p, 1, L)
+    else:
+        ms = [*map(_fractions(L), (cell[0] for cell in cells))]
+    return [tuple(ms[i : i + p]) for i in range(0, len(ms), p)]
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ def decompose(
     parts = []
     plain_constant = (1 - profile.cbw) * grid_inv * total
     reduced_shift = f.zero_scalar()
-    for line, ms in zip(profile.active, _mass_rows(f, profile.active)):
+    for line, ms in zip(profile.lines, _mass_rows(f, profile.lines)):
         if form == "plain":
             coeffs = tuple(cell * m for m in ms)
         elif form == "reduced":
@@ -302,9 +299,9 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
         [p * b - (n - 1) * m for b, m in zip(A[x * width : (x + 1) * width], total)]
         for x in range(N)
     ]
-    if kind == CYCLOTOMIC and not any(any(cell[1:]) for cell in cells):
-        kind = RATIONAL
-    return GridFunction(ambient, kind, map(_decoder(kind, p, L * N), cells))
+    if kind == COMPLEX:
+        return GridFunction(ambient, COMPLEX, [complex(cell[0]) / (L * N) for cell in cells])
+    return GridFunction(ambient, *_scalars(cells, p, 1, L * N))
 
 
 @dataclass(frozen=True)
@@ -323,5 +320,5 @@ def is_wavelet(f: GridFunction) -> WaveletCheck:
     if profile.cbw == 0:
         return WaveletCheck(is_constant=True, line=None)
     if profile.cbw == 1:
-        return WaveletCheck(is_constant=False, line=profile.active[0])
+        return WaveletCheck(is_constant=False, line=profile.lines[0])
     return WaveletCheck(is_constant=False, line=None)

@@ -245,7 +245,7 @@ def test_inverse_phi_support_contained_in_seeded_lines():
     line = ProjectiveLine((1, 2))
     f = inverse_phi(amb, Fraction(0), {line: Fraction(2, 3)})
     profile = support_profile(forward(f), source_kind="rational")
-    assert [l.rep for l in profile.active] == [(1, 2)]
+    assert [l.rep for l in profile.lines] == [(1, 2)]
 
 
 def test_inverse_phi_rejects_non_canonical_seed_keys():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +19,10 @@ from charkit.corpus import (
 )
 from charkit.eigen import eigen_expand, self_dual_classify
 from charkit.errors import DataFormatError, TheoremViolation
-from charkit.fourier import GridFunction, Spectrum, forward
-from charkit.geometry import Ambient
+from charkit.fourier import GridFunction, forward, inverse
+from charkit.geometry import Ambient, line_through
 from charkit.scalars import Cyclotomic
-from charkit.wavelets import decompose, mass_table
+from charkit.wavelets import Decomposition, Wavelet, decompose, mass_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,9 +110,9 @@ def test_spectrum_payload_round_trip(tmp_path):
     F = forward(staircase_function(3))
     path = tmp_path / "spec.json"
     fileio.save_function(F, path)
-    back = fileio.load_function(path, spectrum=True)
-    assert isinstance(back, Spectrum)
+    back = fileio.load_function(path)
     assert back.values == F.values
+    assert inverse(back) == staircase_function(3)
 
 
 def test_payload_schema_errors():
@@ -154,9 +155,18 @@ def test_sinogram_round_trip_and_rebasing(tmp_path):
 def test_decomposition_payload_round_trip():
     dec = decompose(staircase_function(3), "reduced")
     payload = fileio.decomposition_to_payload(dec)
-    again = fileio.decomposition_from_payload(payload)
-    assert again == dec
-    assert again.evaluate() == staircase_function(3)
+    assert (payload["p"], payload["d"], payload["form"]) == (3, 2, "reduced")
+    parts = tuple(
+        Wavelet(
+            dec.ambient,
+            line_through(dec.ambient, part["s"]),
+            tuple(map(fileio.parse_rational, part["coeffs"])),
+            "reduced",
+        )
+        for part in payload["parts"]
+    )
+    constant = fileio.parse_rational(payload["constant"])
+    assert Decomposition(dec.ambient, "reduced", constant, parts) == dec
 
 
 def test_cyclotomic_scalar_payload():
@@ -541,6 +551,34 @@ def test_cli_eigen_cyclotomic_at_odd_dimension(tmp_path, capsys, p, d):
     assert run_cli("eigen", "--input", str(fn)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["expansion"]["reconstruction"] in ("exact", "close")
+
+
+@pytest.mark.parametrize("big", [8388609.0, 1e8])
+def test_cli_eigen_tolerance_is_relative_to_the_largest_value(tmp_path, capsys, big):
+    # Against the absolute tolerance 1e-9 the rounding in this expansion
+    # was reported as a failed reconstruction (exit 3).
+    values = [
+        [0.9331857023435548, -0.8194478953311046],
+        [0.12943767486794577, 0.5244882644387632],
+        [0, big],
+        [0.877857771829814, -0.45350107315318744],
+    ]
+    fn = tmp_path / "big.json"
+    fn.write_text(json.dumps({"p": 2, "d": 2, "kind": "complex", "values": values}))
+    assert run_cli("eigen", "--input", str(fn)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["expansion"]["reconstruction"] == "close"
+
+
+@pytest.mark.parametrize("grid", [{"p": 2**61 - 1, "d": 2}, {"p": 2, "d": 10**9}], ids=str)
+def test_cli_refuses_a_huge_grid_at_once(tmp_path, capsys, grid):
+    # Neither the primality test of p nor the power p**d may run first.
+    fn = tmp_path / "huge.json"
+    fn.write_text(json.dumps({**grid, "kind": "rational", "values": []}))
+    start = time.perf_counter()
+    assert run_cli("bandwidth", "--input", str(fn)) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the enumeration limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p,d", [(2, 5), (3, 3), (5, 2)])

@@ -21,6 +21,16 @@ one on (3,3) promoted to cyclotomic values, so that its masses are
 cyclotomic objects with rational values.  ``<name>.reconstruct.out.json`` is
 what ``charkit tomography reconstruct`` printed for them (the last one as
 ``"kind": "rational"``) before the reconstruction became a back-projection.
+
+``golden/complex/<name>.json`` are complex function files on (7,3), (2,8),
+(3,5) and (2,3): a random one (every value nonzero) and a sparse one (30%
+of the values nonzero), real and imaginary parts uniform in [-1, 1].  Their
+``.transform``, ``.bandwidth``, ``.decompose`` and ``.project`` outputs are
+what ``charkit transform``, ``bandwidth``, ``decompose`` and ``tomography
+project`` printed for them, and ``.inverse`` is what ``charkit transform
+--inverse`` printed for the ``.transform`` output, all written before the
+complex transform became a block pass like the exact lattice kernel.  No
+other golden covers a floating output, so these pin its bits.
 """
 
 import contextlib
@@ -48,6 +58,19 @@ TOMOGRAPHY_INPUTS = sorted(
 )
 
 
+COMPLEX_INPUTS = sorted(
+    p for p in (GOLDEN / "complex").glob("*.json") if not p.name.endswith(".out.json")
+)
+COMPLEX_COMMANDS = {
+    "transform": ("transform",),
+    "bandwidth": ("bandwidth",),
+    "decompose": ("decompose",),
+    "project": ("tomography", "project"),
+    "inverse": ("transform", "--inverse"),
+}
+COMPLEX_CASES = [(path, name) for path in COMPLEX_INPUTS for name in COMPLEX_COMMANDS]
+
+
 def cli_stdout(*argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -72,6 +95,17 @@ def test_tomography_goldens_present():
     assert all(p.with_name(f"{p.stem}.reconstruct.out.json").exists() for p in TOMOGRAPHY_INPUTS)
 
 
+def test_complex_goldens_present():
+    assert [p.stem for p in COMPLEX_INPUTS] == [
+        f"{name}_{p}_{d}"
+        for name in ("random", "sparse")
+        for p, d in ((2, 3), (2, 8), (3, 5), (7, 3))
+    ]
+    assert all(
+        path.with_name(f"{path.stem}.{name}.out.json").exists() for path, name in COMPLEX_CASES
+    )
+
+
 def test_verify_all_seed_42_is_byte_identical():
     want = (GOLDEN / "verify_all_seed42.out.json").read_text()
     assert cli_stdout("verify", "all", "--seed", "42") == want
@@ -89,3 +123,13 @@ def test_ring_outputs_are_byte_identical(path, command):
 def test_tomography_reconstruct_is_byte_identical(path):
     want = path.with_name(f"{path.stem}.reconstruct.out.json").read_text()
     assert cli_stdout("tomography", "reconstruct", "--input", str(path)) == want
+
+
+@pytest.mark.parametrize(
+    "path,name", COMPLEX_CASES, ids=[f"{path.stem}-{name}" for path, name in COMPLEX_CASES]
+)
+def test_complex_outputs_are_byte_identical(path, name):
+    """``inverse`` reads the pinned spectrum, so it is pinned on its own."""
+    source = path.with_name(f"{path.stem}.transform.out.json") if name == "inverse" else path
+    want = path.with_name(f"{path.stem}.{name}.out.json").read_text()
+    assert cli_stdout(*COMPLEX_COMMANDS[name], "--input", str(source)) == want

@@ -244,7 +244,7 @@ def test_good_functions_active_lines_inside_cone():
     for _ in range(10):
         f = seeded_good_function(amb, rng, dc=Fraction(rng.randint(-2, 2)))
         profile = support_profile(forward(f), source_kind="rational")
-        for line in profile.active:
+        for line in profile.lines:
             assert line.rep in cone
 
 

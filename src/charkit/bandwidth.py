@@ -39,7 +39,7 @@ from .geometry import (
     translate_set,
     vscale,
 )
-from .scalars import DEFAULT_TOL, Cyclotomic, complex_close, is_zero
+from .scalars import DEFAULT_TOL, Cyclotomic, all_equal, is_zero, zero_bound
 
 # Granularity for comparing bandwidth dimensions (a derived float).
 BWD_EPS = 1e-12
@@ -68,10 +68,11 @@ def support_profile(
     ambient = F.ambient
     require_prime_grid(ambient)
     approximate = F.kind == COMPLEX
+    bound = zero_bound(F.values, tol)
     active = []
     for line in enumerate_lines(ambient):
         flags = [
-            is_zero(F.values[ambient.index_of(pt)], tol)
+            is_zero(F.values[ambient.index_of(pt)], bound)
             for pt in line.punctured(ambient)
         ]
         if source_kind == RATIONAL and not approximate and any(flags) and not all(flags):
@@ -192,10 +193,7 @@ def equidistribution_check(f: GridFunction, V: Subspace) -> EquidistributionResu
         else:
             buckets[key] = v
     masses = tuple(buckets[key] for key in sorted(buckets))
-    if f.kind == COMPLEX:
-        equal = all(complex_close(m, masses[0]) for m in masses)
-    else:
-        equal = all(m == masses[0] for m in masses)
+    equal = all_equal(masses)
     vanishes = vanishes_on(forward(f), V.nonzero_points())
     if equal != vanishes:
         raise TheoremViolation(

@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
             "--tolerance",
             type=_tolerance,
             default=DEFAULT_TOL,
-            help=f"tolerance of the command's complex comparisons (default {DEFAULT_TOL})",
+            help=f"relative tolerance of the command's complex comparisons (default {DEFAULT_TOL})",
         )
 
     t = sub.add_parser("transform", help="Fourier transform of a function file")
@@ -233,10 +233,7 @@ def _cmd_eigen(args) -> int:
     expansion = eigen_expand(f, args.tolerance)
     reconstructed = expansion.evaluate()
     exact = reconstructed == f
-    # Rounding grows with the values: the tolerance is relative to the
-    # largest |f(x)| (absolute below 1).
-    scale = max([1.0, *map(abs, f.to_complex().values)])
-    close = exact or reconstructed.isclose(f, args.tolerance * scale)
+    close = exact or reconstructed.isclose(f, args.tolerance)
     payload["expansion"] = {
         "terms": len(expansion.terms),
         "reconstruction": "exact" if exact else ("close" if close else "FAILED"),

@@ -34,7 +34,7 @@ from .geometry import (
     perp,
     require_prime_grid,
 )
-from .scalars import DEFAULT_TOL, Cyclotomic, _embed_roots, is_zero
+from .scalars import DEFAULT_TOL, Cyclotomic, _embed_roots, is_zero, zero_bound
 from .wavelets import decompose
 
 
@@ -244,13 +244,14 @@ def eigen_expand(f: GridFunction, tol: float = DEFAULT_TOL) -> Expansion:
     Routes through the plain wavelet decomposition; each hyperplane
     indicator 1_{H_{s,t}} equals (plus + minus) / (2 * p**(d/2-k)) for the
     pair built on V = H_{s,0} and a deterministic offset with x.s = t.
-    Coefficients within tol of zero are skipped.  At odd d the pairs are
-    floating, and cyclotomic coefficients enter by their complex value.
+    Coefficients zero by the zero rule are skipped.  At odd d the pairs
+    are floating, and cyclotomic coefficients enter by their complex value.
     """
     ambient = f.ambient
     p, d = ambient.p, ambient.d
     exact = d % 2 == 0
     dec = decompose(f, form="plain", tol=tol)
+    bound = zero_bound([dec.constant, *(c for w in dec.parts for c in w.coeffs)], tol)
     terms = []
 
     def scaled(c, k: int):
@@ -261,7 +262,7 @@ def eigen_expand(f: GridFunction, tol: float = DEFAULT_TOL) -> Expansion:
             c = c.embed()
         return c * (1.0 / (2 * p ** (d / 2 - k)))
 
-    if not is_zero(dec.constant, tol):
+    if not is_zero(dec.constant, bound):
         V = Subspace.full(ambient)
         pair = affine_eigenfunction_pair(V, ambient.origin())
         c = scaled(dec.constant, d)
@@ -271,7 +272,7 @@ def eigen_expand(f: GridFunction, tol: float = DEFAULT_TOL) -> Expansion:
         V = perp(Subspace.span(ambient, [s]))  # the hyperplane x.s = 0
         axis = s.index(1)
         for t, c in enumerate(w.coeffs):
-            if is_zero(c, tol):
+            if is_zero(c, bound):
                 continue
             x = tuple(t if i == axis else 0 for i in range(d))
             pair = affine_eigenfunction_pair(V, x)

@@ -4,7 +4,7 @@ Every grid is one ``geometry.Ambient(p, d, ell)``: the prime field grid
 Z_p**d at ell = 1 and the ring grid Z_{p**ell}**d above it, with the same
 point order and the same transform code.  ``vanishes_on`` is the one test
 of "F vanishes on this set", with the tolerance for complex values passed
-in.
+in and applied by the zero rule of ``scalars`` over the whole of F.
 
 The forward transform is
 
@@ -52,8 +52,8 @@ from .scalars import (
     Cyclotomic,
     _embed_roots,
     _reduce_ext,
-    complex_close,
     is_zero,
+    zero_bound,
 )
 
 RATIONAL = "rational"
@@ -117,9 +117,10 @@ class GridFunction:
         return self.values[self.ambient.index_of(point)]
 
     def support(self, tol: float = DEFAULT_TOL) -> tuple:
-        """Points where the value is nonzero (exact kinds) or exceeds tol."""
+        """Points where the value is nonzero, by the zero rule over all values."""
+        bound = zero_bound(self.values, tol)
         pts = self.ambient.points()
-        return tuple(x for x, v in zip(pts, self.values) if not is_zero(v, tol))
+        return tuple(x for x, v in zip(pts, self.values) if not is_zero(v, bound))
 
     def is_zero(self) -> bool:
         if self.kind == CYCLOTOMIC:
@@ -180,7 +181,8 @@ class GridFunction:
             return False
         a = self.to_complex().values
         b = other.to_complex().values
-        return all(complex_close(x, y, tol) for x, y in zip(a, b))
+        bound = zero_bound(a + b, tol)
+        return all(is_zero(x - y, bound) for x, y in zip(a, b))
 
     def _binop(self, other, op):
         if isinstance(other, GridFunction):
@@ -221,8 +223,9 @@ class Spectrum(GridFunction):
 
 def vanishes_on(F: GridFunction, points, tol: float = DEFAULT_TOL) -> bool:
     """True when F is zero at every given point: exactly for exact values,
-    within tol in absolute value for complex ones."""
-    return all(is_zero(F.value_at(x), tol) for x in points)
+    by the zero rule over all of F for complex ones."""
+    bound = zero_bound(F.values, tol)
+    return all(is_zero(F.value_at(x), bound) for x in points)
 
 
 ONE_F = Fraction(1)

@@ -6,10 +6,12 @@ zeta = exp(2*pi*i / p**ell), stored as rational coordinates on the power
 basis zeta**0 .. zeta**(phi-1) with phi = p**(ell-1) * (p-1).  The power
 basis makes the representation unique, so ``is_zero`` is an exact test.
 
-Floating complex values are compared with a tolerance that the caller
-passes in; ``DEFAULT_TOL`` is a constant and only its default value.
-:func:`is_zero` is the one zero test for every scalar kind and
-:func:`complex_close` the one test for two values being close.
+Floating values follow one zero rule: v is zero when |v| <= tol * S, S the
+largest magnitude among the values it is compared with (a whole spectrum,
+both functions of a comparison, a mass table), so no floating verdict moves
+when the values are scaled by s != 0.  :func:`zero_bound` computes tol * S
+once per array, never for exact values; :func:`is_zero` compares with it.
+``DEFAULT_TOL`` is a constant and only the default of tol.
 """
 
 from __future__ import annotations
@@ -24,19 +26,30 @@ ONE = Fraction(1)
 DEFAULT_TOL = 1e-9
 
 
+def zero_bound(values, tol: float = DEFAULT_TOL) -> float:
+    """tol * S, S the largest |v| of the values; 0.0 when none is floating."""
+    floating = not {complex, float}.isdisjoint(map(type, values))
+    return tol * max(map(abs, values)) if floating else 0.0
+
+
 def complex_close(a: complex, b: complex, tol: float = DEFAULT_TOL) -> bool:
-    """Componentwise comparison |Re(a-b)| <= tol and |Im(a-b)| <= tol."""
-    d = complex(a) - complex(b)
-    return abs(d.real) <= tol and abs(d.imag) <= tol
+    """|a - b| <= tol, the bound tol from :func:`zero_bound`."""
+    return is_zero(complex(a) - complex(b), tol)
 
 
 def is_zero(v, tol: float = DEFAULT_TOL) -> bool:
-    """Exact for Cyclotomic and rational values, |v| <= tol for floating ones."""
+    """Exact for Cyclotomic and rational values, |v| <= tol (a bound) for floating ones."""
     if isinstance(v, Cyclotomic):
         return v.is_zero()
     if isinstance(v, (complex, float)):
         return abs(v) <= tol
     return v == 0
+
+
+def all_equal(values, tol: float = DEFAULT_TOL) -> bool:
+    """Every value equals the first: exactly, or by the zero rule over them."""
+    bound = zero_bound(values, tol)
+    return all(v == values[0] or is_zero(v - values[0], bound) for v in values)
 
 
 def is_prime(n: int) -> bool:

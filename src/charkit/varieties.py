@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, TheoremViolation
-from .fourier import COMPLEX, GridFunction, forward, vanishes_on
+from .fourier import GridFunction, forward, vanishes_on
 from .geometry import (
     Ambient,
     Point,
@@ -20,7 +20,7 @@ from .geometry import (
     translate_set,
     vsub,
 )
-from .scalars import DEFAULT_TOL, complex_close
+from .scalars import DEFAULT_TOL, all_equal
 
 
 def paraboloid_points(ambient: Ambient) -> frozenset:
@@ -136,8 +136,9 @@ class TwoCircleResult:
 def two_circle_analysis(
     f: GridFunction, a: int, b: int, tol: float = DEFAULT_TOL
 ) -> TwoCircleResult:
-    """Structure of a planar rational function whose transform vanishes on
-    a residue circle and a non-residue circle.
+    """Structure of a planar function whose transform vanishes on a residue
+    circle and a non-residue circle: the vanishing and, for complex f, the
+    constancy are judged by the zero rule of ``scalars``.
 
     For p = 3 mod 4 the function must be constant.  For p = 1 mod 4 an
     indicator must be a union of lines parallel to one of the two isotropic
@@ -159,7 +160,7 @@ def two_circle_analysis(
             f"the transform does not vanish on the circles of radii {a} and {b}"
         )
     if p % 4 == 3:
-        if not f.is_constant():
+        if not all_equal(f.values, tol):
             raise TheoremViolation(
                 "two-circle vanishing with p = 3 mod 4 but a non-constant function"
             )
@@ -218,11 +219,7 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
             acc = acc + f.value_at(x)
         out.append(acc)
     masses = tuple(out)
-    if f.kind == COMPLEX:
-        equal = all(complex_close(m, masses[0]) for m in masses)
-    else:
-        equal = all(m == masses[0] for m in masses)
-    if not equal:
+    if not all_equal(masses):
         raise TheoremViolation(
             f"sphere masses about {center} differ: {[str(m) for m in masses]}"
         )

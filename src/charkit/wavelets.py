@@ -53,7 +53,7 @@ from .geometry import (
     line_through,
     require_prime_grid,
 )
-from .scalars import DEFAULT_TOL, Cyclotomic, complex_close, is_zero
+from .scalars import DEFAULT_TOL, Cyclotomic, is_zero, zero_bound
 
 FORMS = ("plain", "reduced", "massless")
 
@@ -72,9 +72,10 @@ class Wavelet:
             raise ValueError(f"unknown wavelet form {self.form!r}")
         if len(self.coeffs) != self.ambient.p:
             raise ValueError(f"need {self.ambient.p} coefficients")
-        if self.form == "reduced" and not is_zero(self.coeffs[0]):
+        bound = zero_bound(self.coeffs)
+        if self.form == "reduced" and not is_zero(self.coeffs[0], bound):
             raise ValueError("a reduced wavelet has c_0 = 0")
-        if self.form == "massless" and not is_zero(sum(self.coeffs[1:], self.coeffs[0])):
+        if self.form == "massless" and not is_zero(sum(self.coeffs[1:], self.coeffs[0]), bound):
             raise ValueError("a massless wavelet has coefficient sum 0")
 
     @property
@@ -217,8 +218,9 @@ def decompose(
     massless: coefficients (p*m_{s,t} - m(f))/p**d, constant m(f)/p**d
 
     The massless constant is forced by mass balance: every massless part
-    sums to zero, so the constant alone must carry m(f).  A line is active
-    when the spectrum of f is nonzero on it, by more than tol for complex f.
+    sums to zero (c_0 is minus the sum of the others, also in floating
+    point), so the constant alone must carry m(f).  A line is active when
+    the spectrum of f is nonzero on it, by the zero rule for complex f.
     """
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
@@ -239,7 +241,8 @@ def decompose(
             coeffs = tuple(cell * (m - ms[0]) for m in ms)
             reduced_shift = reduced_shift + cell * ms[0]
         else:
-            coeffs = tuple(grid_inv * (p * m - total) for m in ms)
+            rest = [grid_inv * (p * m - total) for m in ms[1:]]
+            coeffs = (-sum(rest), *rest)
         parts.append(Wavelet(ambient, line, coeffs, form=form))
     if form == "plain":
         constant = plain_constant
@@ -255,10 +258,10 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
 
     The table must contain every canonical direction and all per-direction
     totals must agree (each hyperplane family partitions the grid, so they
-    all sum to the same mass, within tol for complex masses); violations
-    raise SinogramError.  Exact masses give exact values, rational exactly
-    when every cyclotomic coordinate above degree zero cancels, as in
-    ``inverse``; complex masses give complex values.
+    all sum to the same mass, by the zero rule over the table if complex);
+    violations raise SinogramError.  Exact masses give exact values,
+    rational exactly when every cyclotomic coordinate above degree zero
+    cancels, as in ``inverse``; complex masses give complex values.
     """
     ambient = table.ambient
     p, d, N = ambient.p, ambient.d, ambient.size
@@ -274,13 +277,14 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     # L times the total of row i.  All rows must share the total of the first.
     sums = [sum(M[k : k + p]) for k in range(0, width * count, p)]
     total = sums[::rows]
-    if kind == COMPLEX:
-        consistent = all(complex_close(s, total[0], tol) for s in sums)
-    else:
-        consistent = all(s == total[k // rows] for k, s in enumerate(sums))
-    if not consistent:
+    bound = zero_bound(M, tol)
+    unequal = [k for k, s in enumerate(sums) if s != total[k // rows]]
+    bad = [k % rows for k in unequal if not is_zero(sums[k] - total[k // rows], bound)]
+    if bad:
+        i, totals = min(bad), table.totals()
         raise SinogramError(
-            f"per-direction totals disagree: {[str(t) for t in table.totals()]}"
+            f"per-direction totals disagree: direction {list(table.rows[i][0].rep)} sums "
+            f"to {totals[i]}, the first direction {list(table.rows[0][0].rep)} to {totals[0]}"
         )
     plane = width * N
     A = [0] * (p * plane)

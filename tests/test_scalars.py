@@ -6,10 +6,12 @@ import pytest
 
 from charkit.scalars import (
     Cyclotomic,
+    all_equal,
     complex_close,
     is_prime,
     is_zero,
     rational_part,
+    zero_bound,
 )
 
 
@@ -167,6 +169,17 @@ def test_is_zero_takes_an_explicit_tolerance():
     assert not is_zero(3e-4 + 4e-4j, tol=4.9e-4)
     assert not is_zero(3e-4 + 4e-4j)  # the default 1e-9
     assert is_zero(-2.0, tol=2.0) and not is_zero(-2.0, tol=1.99)
+
+
+def test_zero_bound_scales_with_the_largest_value():
+    vals = [1 + 0j, 3e-4j, -4e-4]
+    for s in (1e-12, 1.0, 1e12):
+        bound = zero_bound([s * v for v in vals], tol=4e-4)
+        assert [is_zero(s * v, bound) for v in vals] == [False, True, True]
+    assert zero_bound([Fraction(5), Fraction(0)]) == 0.0 and zero_bound([0j, 0j]) == 0.0
+    assert all_equal([1 + 1e-12j, 1.0 + 0j]) and not all_equal([1e-12 + 0j, 2e-12 + 0j])
+    assert all_equal([Cyclotomic.zeta(5)] * 3)
+    assert not all_equal([Fraction(1), 1 + Fraction(1, 10**12)])
 
 
 def test_conductor_mismatch():

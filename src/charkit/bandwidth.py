@@ -33,11 +33,11 @@ from .geometry import (
     enumerate_subspaces,
     is_compass_set,
     line_count,
+    line_indices,
     line_through,
     perp,
     require_prime_grid,
     translate_set,
-    vscale,
 )
 from .scalars import DEFAULT_TOL, Cyclotomic, all_equal, is_zero, zero_bound
 
@@ -70,11 +70,8 @@ def support_profile(
     approximate = F.kind == COMPLEX
     bound = zero_bound(F.values, tol)
     active = []
-    for line in enumerate_lines(ambient):
-        flags = [
-            is_zero(F.values[ambient.index_of(pt)], bound)
-            for pt in line.punctured(ambient)
-        ]
+    for line, indices in line_indices(ambient).items():
+        flags = [is_zero(F.values[i], bound) for i in indices[1:]]
         if source_kind == RATIONAL and not approximate and any(flags) and not all(flags):
             raise TheoremViolation(
                 f"rational source has a mixed line through {line.rep}: "
@@ -293,9 +290,8 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
                 f"seed key {rep} is not a canonical line of Z_{p}**{ambient.d}"
             )
         z = seed if isinstance(seed, Cyclotomic) else Cyclotomic.from_rational(p, seed)
-        for r in range(1, p):
-            pt = vscale(r, line.rep, p)
-            values[ambient.index_of(pt)] = z.galois(r)
+        for r, i in enumerate(line_indices(ambient)[line][1:], 1):
+            values[i] = z.galois(r)
     f = inverse(Spectrum(ambient, CYCLOTOMIC, values))
     if f.kind != RATIONAL:
         raise TheoremViolation("equivariant spectrum did not invert to a rational function")

@@ -29,7 +29,7 @@ from .geometry import (
     Ambient,
     Point,
     Subspace,
-    dot,
+    dots,
     enumerate_subspaces,
     perp,
     require_prime_grid,
@@ -135,7 +135,6 @@ def affine_eigenfunction_pair(V: Subspace, x: Point) -> EigenPair:
     """
     ambient = V.ambient
     p, d = ambient.p, ambient.d
-    q = ambient.modulus
     x = tuple(c % p for c in x)
     k = V.dim
     W = perp(V)
@@ -147,14 +146,14 @@ def affine_eigenfunction_pair(V: Subspace, x: Point) -> EigenPair:
     translated = x != ambient.origin()
     if exact:
         if translated:
-            phases = [Cyclotomic.zeta(p, dot(x, m, q)) for m in pts]
+            phases = [Cyclotomic.zeta(p, u) for u in dots(ambient, x)]
             kind = CYCLOTOMIC
         else:
             phases = [Fraction(1)] * len(pts)
             kind = RATIONAL
     else:
-        roots = _embed_roots(q)
-        phases = [roots[dot(x, m, q)] for m in pts]
+        roots = _embed_roots(p)
+        phases = [roots[u] for u in dots(ambient, x)]
         kind = COMPLEX
     plus_vals, minus_vals = _pair_values(ambient, k, in_V, in_W, phases, exact)
     plus = GridFunction(ambient, kind, plus_vals)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geometry import Point, Subspace, dot, perp, vsub
+from .geometry import Point, Subspace, dot, dots, perp, vsub
 from .scalars import (
     DEFAULT_TOL,
     ZERO,
@@ -458,10 +458,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 def phase(ambient, x: Point) -> GridFunction:
     """The phase function m -> chi(-x.m), exact over Q(zeta)."""
     q = ambient.modulus
-    vals = [
-        Cyclotomic.zeta(ambient.p, -dot(x, m, q) % q, ambient.ell)
-        for m in ambient.points()
-    ]
+    vals = [Cyclotomic.zeta(ambient.p, -u % q, ambient.ell) for u in dots(ambient, x)]
     return GridFunction(ambient, CYCLOTOMIC, vals)
 
 
@@ -485,9 +482,7 @@ def transform_affine(V: Subspace, x: Point) -> Spectrum:
     Vp = perp(V)
     zero = Cyclotomic.zero(ambient.p, ambient.ell)
     vals = [
-        Cyclotomic.zeta(ambient.p, -dot(x, m, q) % q, ambient.ell).scale(w)
-        if Vp.contains(m)
-        else zero
-        for m in ambient.points()
+        Cyclotomic.zeta(ambient.p, -u % q, ambient.ell).scale(w) if Vp.contains(m) else zero
+        for m, u in zip(ambient.points(), dots(ambient, x))
     ]
     return Spectrum(ambient, CYCLOTOMIC, vals)

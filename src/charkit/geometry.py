@@ -10,6 +10,12 @@ need a field, so ``require_prime_grid`` rejects ring grids wherever
 Z_p**d-only analysis starts.  Points are plain tuples of residues; the
 lexicographic index of (x_0, ..., x_{d-1}) is sum(x_i * m**(d-1-i)), the
 order of every dense array in the package.
+
+This module is the one home of point order, line indices and hyperplane
+labels: ``line_indices`` holds the dense indices of every line's points,
+once per grid, and ``dots`` the labels x.v of every point for a direction
+v.  Other modules read them; only the references ``forward_naive``,
+``masses`` and ``convolve`` keep their own arithmetic.
 """
 
 from __future__ import annotations
@@ -166,8 +172,7 @@ class ProjectiveLine:
         return tuple(vscale(t, rep, m) for t in range(m // math.gcd(m, *rep)))
 
     def punctured(self, ambient: Ambient) -> tuple:
-        m, rep = ambient.modulus, self.rep
-        return tuple(vscale(t, rep, m) for t in range(1, m // math.gcd(m, *rep)))
+        return self.points(ambient)[1:]
 
     def level(self, ambient: Ambient) -> int:
         """ell - j: the line has p**level points."""
@@ -221,13 +226,32 @@ def enumerate_lines(ambient: Ambient) -> tuple:
     return _enumerate_lines(ambient.p, ambient.d, ambient.ell)
 
 
+@lru_cache(maxsize=None)
+def line_indices(ambient: Ambient) -> dict:
+    """Each line of ``enumerate_lines``, in its order, mapped to the dense
+    indices of t*rep for t = 0, 1, ..., |L|-1; index 0 is the origin."""
+    return {
+        line: tuple(map(ambient.index_of, line.points(ambient)))
+        for line in enumerate_lines(ambient)
+    }
+
+
+def dots(ambient: Ambient, v: Point) -> list:
+    """x.v mod m for every x, in point order: the hyperplane labels of v."""
+    m = ambient.modulus
+    out = [0]
+    for a in v:
+        out = [(s + t * a) % m for s in out for t in range(m)]
+    return out
+
+
 def hyperplane_points(ambient: Ambient, s: Point, t: int) -> frozenset:
     """The affine hyperplane {x : x.s = t mod m}; the values of t partition the grid."""
     m = ambient.modulus
     if not any(c % m for c in s):
         raise ValueError("hyperplane direction must be nonzero")
     t %= m
-    return frozenset(x for x in ambient.points() if dot(x, s, m) == t)
+    return frozenset(x for x, u in zip(ambient.points(), dots(ambient, s)) if u == t)
 
 
 def rref(rows, p: int):

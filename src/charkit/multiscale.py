@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .errors import TheoremViolation
 from .fourier import COMPLEX, GridFunction, Spectrum, _exact_transform, _scalars
-from .geometry import Ambient, Point, enumerate_lines, vadd, valuation, vector_valuation
-from .geometry import vscale, vsub
+from .geometry import Ambient, Point, ProjectiveLine, dots, enumerate_lines, line_indices
+from .geometry import vadd, valuation, vector_valuation, vsub
 from .scalars import Cyclotomic
 
 
@@ -58,16 +58,12 @@ def _line_part(F: Spectrum, v: Point, claimed) -> tuple:
     p, ell, q = ambient.p, ambient.ell, ambient.modulus
     g = math.gcd(q, *v)
     vec = [Cyclotomic.zero(p, ell)] * q
-    for t in range(q // g):
-        m = vscale(t, v, q)
-        if m in claimed:
-            vec[t] = F.values[ambient.index_of(m)]
+    for t, i in enumerate(line_indices(ambient).get(ProjectiveLine(v), (0,))):
+        if ambient.point_at(i) in claimed:
+            vec[t] = F.values[i]
     L, rows = _exact_transform(vec, p, ell, 1, +1)
     kind, c = _scalars(rows[::g], p, ell, L)  # c[s // g] is the value at s
-    dots = [0]  # x.v for every x, in point order
-    for a in v:
-        dots = [(s + t * a) % q for s in dots for t in range(q)]
-    part = GridFunction(ambient, kind, [c[s // g] for s in dots])
+    part = GridFunction(ambient, kind, [c[s // g] for s in dots(ambient, v)])
     return part, tuple(zip(range(0, q, g), c))
 
 

@@ -54,10 +54,10 @@ from .geometry import (
     all_subspaces,
     enumerate_lines,
     hyperplane_points,
+    line_indices,
     line_through,
     valuation,
     vector_valuation,
-    vscale,
 )
 from .multiscale import multiscale_decompose, unit_count
 from .scalars import DEFAULT_TOL, zero_bound
@@ -188,13 +188,12 @@ def _grids(config: VerifyConfig, defaults: tuple) -> tuple:
 def _galois_item(_i, ambient, rng) -> None:
     p = ambient.p
     F = forward(random_rational_function(ambient, rng))
-    for line in enumerate_lines(ambient):
+    for indices in line_indices(ambient).values():
         for t in range(1, p):
-            base = F.values[ambient.index_of(vscale(t, line.rep, p))]
+            base = F.values[indices[t]]
             for r in range(1, p):
-                got = F.values[ambient.index_of(vscale(r * t, line.rep, p))]
-                if got != base.galois(r):
-                    raise TheoremViolation(f"m={vscale(t, line.rep, p)}, r={r}")
+                if F.values[indices[r * t % p]] != base.galois(r):
+                    raise TheoremViolation(f"m={ambient.point_at(indices[t])}, r={r}")
 
 
 def run_galois(config: VerifyConfig) -> SuiteResult:

@@ -49,6 +49,7 @@ from .geometry import (
     Ambient,
     ProjectiveLine,
     dot,
+    dots,
     enumerate_lines,
     line_through,
     require_prime_grid,
@@ -68,6 +69,7 @@ class Wavelet:
     form: str = "plain"
 
     def __post_init__(self):
+        require_prime_grid(self.ambient)
         if self.form not in FORMS:
             raise ValueError(f"unknown wavelet form {self.form!r}")
         if len(self.coeffs) != self.ambient.p:
@@ -87,12 +89,10 @@ class Wavelet:
 
     def evaluate(self) -> GridFunction:
         """The grid function x -> c_{x.s}."""
-        p = self.ambient.p
-        s = self.direction.rep
         kind = RATIONAL
         for c in self.coeffs:
             kind = _join_kind(kind, _kind_of_scalar(c))
-        vals = [self.coeffs[dot(x, s, p)] for x in self.ambient.points()]
+        vals = [self.coeffs[t] for t in dots(self.ambient, self.direction.rep)]
         return GridFunction(self.ambient, kind, vals)
 
 

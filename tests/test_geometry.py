@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charkit.errors import CapacityError
 from charkit.geometry import (
@@ -9,22 +12,28 @@ from charkit.geometry import (
     Ambient,
     ProjectiveLine,
     Subspace,
+    _enumerate_lines,
     all_subspaces,
     avoid_lines_subspace,
     dot,
+    dots,
     enumerate_lines,
     enumerate_subspaces,
     gaussian_binomial,
     hyperplane_points,
     is_compass_set,
     line_count,
+    line_indices,
     line_through,
     perp,
     quadratic_class,
     require_prime_grid,
     sqrt_minus_one,
     vector_valuation,
+    vscale,
 )
+
+FIXED = settings(derandomize=True, database=None, deadline=None)
 
 
 def scalar_class_partition_oracle(ambient):
@@ -389,3 +398,54 @@ def test_one_ambient_for_every_modulus():
     assert Ambient(3, 2, 2).points()[-1] == (8, 8)
     with pytest.raises(CapacityError):
         Ambient(2, 12, 2)  # 4**12 points, though 2**12 would fit
+
+
+# --- the index helpers against the point-by-point derivations they replace
+
+HELPER_GRIDS = [
+    Ambient(2, 10), Ambient(3, 4), Ambient(7, 3), Ambient(13, 2),
+    Ambient(2, 3, 2), Ambient(3, 2, 2), Ambient(2, 2, 3),
+]
+HELPER_IDS = [f"Z_{a.modulus}^{a.d}" for a in HELPER_GRIDS]
+
+
+@pytest.mark.parametrize("amb", HELPER_GRIDS, ids=HELPER_IDS)
+def test_line_indices_walk_each_line_from_the_origin(amb):
+    table = line_indices(amb)
+    assert list(table) == list(enumerate_lines(amb))
+    m = amb.modulus
+    for line, indices in table.items():
+        assert indices == tuple(
+            amb.index_of(vscale(t, line.rep, m)) for t in range(m // math.gcd(m, *line.rep))
+        )
+        assert indices[0] == 0
+    assert line_indices(amb) is table
+
+
+def test_line_indices_refuse_too_many_lines_before_building():
+    amb = Ambient(2, 21)
+    before = (_enumerate_lines.cache_info().currsize, line_indices.cache_info().currsize)
+    with pytest.raises(CapacityError):
+        line_indices(amb)
+    assert (_enumerate_lines.cache_info().currsize, line_indices.cache_info().currsize) == before
+
+
+@st.composite
+def grid_and_vector(draw):
+    amb = draw(st.sampled_from(HELPER_GRIDS))
+    m = amb.modulus
+    v = draw(st.tuples(*[st.integers(-m, 2 * m - 1)] * amb.d))
+    return amb, v
+
+
+@settings(FIXED, max_examples=60)
+@given(grid_and_vector())
+def test_dots_label_every_point_by_its_dot_product(case):
+    amb, v = case
+    assert dots(amb, v) == [dot(x, v, amb.modulus) for x in amb.points()]
+
+
+@pytest.mark.parametrize("amb", HELPER_GRIDS, ids=HELPER_IDS)
+def test_dots_of_the_zero_vector_label_every_point_zero(amb):
+    zero = amb.origin()
+    assert dots(amb, zero) == [dot(x, zero, amb.modulus) for x in amb.points()] == [0] * amb.size

@@ -36,6 +36,19 @@ tomography reconstruct`` printed for the ``.project`` output, were written
 before every floating comparison became relative to the largest value it
 compares; the smallest nonzero spectrum value of these files is 4.3e-4, so
 the change of rule moves no byte.
+
+``golden/exact/<kind>_<p>_<d>.json`` are exact function files on (2,8),
+(3,5) and (7,3), grids with many lines: ``rational`` and ``cyclotomic`` are
+``random_rational_function`` and ``random_cyclotomic_function`` drawn from
+``rng_for(42, "exact-golden/<kind>/<p>/<d>")``, and ``banded`` is the
+``inverse_phi`` of a random average and one random nonzero seed on about 30% of
+the lines, so its bandwidth report has active and vanishing lines.  Their
+``.bandwidth``, ``.decompose-<form>`` (every form) and ``.project`` outputs
+are what ``charkit bandwidth``, ``decompose --form <form>`` and
+``tomography project`` printed for them, and ``.reconstruct`` is what
+``charkit tomography reconstruct`` printed for the ``.project`` output, all
+written before the line indices and the hyperplane labels x.s moved into
+``geometry``.
 """
 
 import contextlib
@@ -45,6 +58,7 @@ from pathlib import Path
 import pytest
 
 from charkit import cli
+from charkit.wavelets import FORMS
 
 GOLDEN = Path(__file__).parent / "golden"
 RING_INPUTS = sorted(
@@ -79,6 +93,18 @@ COMPLEX_COMMANDS = {
 # The outputs whose input is another pinned output, not the function file.
 COMPLEX_SOURCES = {"inverse": "transform", "reconstruct": "project"}
 COMPLEX_CASES = [(path, name) for path in COMPLEX_INPUTS for name in COMPLEX_COMMANDS]
+
+
+EXACT_INPUTS = sorted(
+    p for p in (GOLDEN / "exact").glob("*.json") if not p.name.endswith(".out.json")
+)
+EXACT_COMMANDS = {
+    "bandwidth": ("bandwidth",),
+    **{f"decompose-{form}": ("decompose", "--form", form) for form in FORMS},
+    "project": ("tomography", "project"),
+    "reconstruct": ("tomography", "reconstruct"),
+}
+EXACT_CASES = [(path, name) for path in EXACT_INPUTS for name in EXACT_COMMANDS]
 
 
 def cli_stdout(*argv) -> str:
@@ -116,6 +142,17 @@ def test_complex_goldens_present():
     )
 
 
+def test_exact_goldens_present():
+    assert [p.stem for p in EXACT_INPUTS] == [
+        f"{name}_{p}_{d}"
+        for name in ("banded", "cyclotomic", "rational")
+        for p, d in ((2, 8), (3, 5), (7, 3))
+    ]
+    assert all(
+        path.with_name(f"{path.stem}.{name}.out.json").exists() for path, name in EXACT_CASES
+    )
+
+
 def test_verify_all_seed_42_is_byte_identical():
     want = (GOLDEN / "verify_all_seed42.out.json").read_text()
     assert cli_stdout("verify", "all", "--seed", "42") == want
@@ -146,3 +183,13 @@ def test_complex_outputs_are_byte_identical(path, name):
         source = path.with_name(f"{path.stem}.{COMPLEX_SOURCES[name]}.out.json")
     want = path.with_name(f"{path.stem}.{name}.out.json").read_text()
     assert cli_stdout(*COMPLEX_COMMANDS[name], "--input", str(source)) == want
+
+
+@pytest.mark.parametrize(
+    "path,name", EXACT_CASES, ids=[f"{path.stem}-{name}" for path, name in EXACT_CASES]
+)
+def test_exact_outputs_are_byte_identical(path, name):
+    """``reconstruct`` reads the pinned ``project`` output."""
+    source = path.with_name(f"{path.stem}.project.out.json") if name == "reconstruct" else path
+    want = path.with_name(f"{path.stem}.{name}.out.json").read_text()
+    assert cli_stdout(*EXACT_COMMANDS[name], "--input", str(source)) == want

@@ -86,6 +86,13 @@ def test_wavelet_form_validation():
         Wavelet(amb, ProjectiveLine((1, 0)), (1, 0))
 
 
+def test_wavelets_are_defined_on_prime_grids_only():
+    """On Z_4**2 the labels x.s run over Z_4, and p = 2 coefficients cannot
+    cover them."""
+    with pytest.raises(ValueError, match="ring grid Z_4"):
+        Wavelet(Ambient(2, 2, 2), ProjectiveLine((1, 0)), (0, 1))
+
+
 def test_masses_of_constant():
     amb = Ambient(3, 2)
     assert masses(GridFunction.constant(amb, Fraction(2)), (1, 2)) == (6, 6, 6)

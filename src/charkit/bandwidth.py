@@ -20,6 +20,7 @@ from .fourier import (
     RATIONAL,
     GridFunction,
     Spectrum,
+    _coerce_value,
     forward,
     inverse,
     vanishes_on,
@@ -39,7 +40,7 @@ from .geometry import (
     require_prime_grid,
     translate_set,
 )
-from .scalars import DEFAULT_TOL, Cyclotomic, all_equal, is_zero, zero_bound
+from .scalars import DEFAULT_TOL, all_equal, is_zero, zero_bound
 
 # Granularity for comparing bandwidth dimensions (a derived float).
 BWD_EPS = 1e-12
@@ -279,9 +280,7 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
     """
     require_prime_grid(ambient)
     p = ambient.p
-    zero = Cyclotomic.zero(p)
-    values = [zero] * ambient.size
-    values[0] = Cyclotomic.from_rational(p, Fraction(dc))
+    values = [dc] + [_coerce_value(CYCLOTOMIC, 0, ambient)] * (ambient.size - 1)
     for key, seed in seeds.items():
         rep = tuple(key.rep if isinstance(key, ProjectiveLine) else key)
         line = line_through(ambient, rep)
@@ -289,7 +288,7 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
             raise ValueError(
                 f"seed key {rep} is not a canonical line of Z_{p}**{ambient.d}"
             )
-        z = seed if isinstance(seed, Cyclotomic) else Cyclotomic.from_rational(p, seed)
+        z = _coerce_value(CYCLOTOMIC, seed, ambient)
         for r, i in enumerate(line_indices(ambient)[line][1:], 1):
             values[i] = z.galois(r)
     f = inverse(Spectrum(ambient, CYCLOTOMIC, values))

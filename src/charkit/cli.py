@@ -20,7 +20,6 @@ from .errors import (
     CapacityError,
     DataFormatError,
     HypothesisNotMet,
-    SinogramError,
     TheoremViolation,
 )
 from .fourier import forward, forward_naive, inverse
@@ -369,10 +368,7 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"identity violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (DataFormatError, SinogramError, HypothesisNotMet, CapacityError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as exc:
+    except (DataFormatError, HypothesisNotMet, CapacityError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -94,24 +94,14 @@ def enumerate_lagrangian(ambient: Ambient) -> list:
 
 
 def _pair_values(ambient, k, in_V, in_W, phases, exact):
-    """Assemble coef*1_{V+x} +- phase*1_{W} pointwise."""
+    """Assemble coef*1_{V+x} +- phase*1_{W} pointwise; the GridFunction
+    built from them promotes every value to the pair's kind."""
     p, d = ambient.p, ambient.d
-    if exact:
-        coef = Fraction(p) ** (Fraction(d, 2) - k) if d % 2 == 0 else None
-        plus, minus = [], []
-        for member, wmember, ph in zip(in_V, in_W, phases):
-            a = coef if member else Fraction(0)
-            b = ph if wmember else (
-                Cyclotomic.zero(p) if isinstance(ph, Cyclotomic) else Fraction(0)
-            )
-            plus.append(a + b)
-            minus.append(a - b)
-        return plus, minus
-    coef = p ** (d / 2 - k)
+    coef = Fraction(p) ** (Fraction(d, 2) - k) if exact else p ** (d / 2 - k)
     plus, minus = [], []
     for member, wmember, ph in zip(in_V, in_W, phases):
-        a = coef if member else 0.0
-        b = complex(ph) if wmember else 0j
+        a = coef if member else 0
+        b = ph if wmember else 0
         plus.append(a + b)
         minus.append(a - b)
     return plus, minus
@@ -189,10 +179,7 @@ def eigen_residuals(pair: EigenPair):
             if pair.transform_kind == "plain":
                 target = g.scale(sign * lam)
             else:
-                conj_vals = [
-                    v.conjugate() if isinstance(v, Cyclotomic) else v
-                    for v in g.to_cyclotomic().values
-                ]
+                conj_vals = [v.conjugate() for v in g.to_cyclotomic().values]
                 target = GridFunction(g.ambient, CYCLOTOMIC, conj_vals).scale(sign * lam)
             if F != target:
                 raise TheoremViolation(
@@ -257,9 +244,7 @@ def eigen_expand(f: GridFunction, tol: float = DEFAULT_TOL) -> Expansion:
         """c / (2 * p**(d/2-k))."""
         if exact:
             return c * (Fraction(1, 2) * Fraction(p) ** (k - Fraction(d, 2)))
-        if isinstance(c, Cyclotomic):
-            c = c.embed()
-        return c * (1.0 / (2 * p ** (d / 2 - k)))
+        return complex(c) * (1.0 / (2 * p ** (d / 2 - k)))
 
     if not is_zero(dec.constant, bound):
         V = Subspace.full(ambient)

@@ -205,13 +205,16 @@ def save_function(f: GridFunction, path) -> None:
         fh.write(canonical_dumps(function_to_payload(f)))
 
 
-def load_function(path) -> GridFunction:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return function_from_payload(payload)
+
+
+def load_function(path) -> GridFunction:
+    return function_from_payload(_read_json(path))
 
 
 def sinogram_to_payload(table: MassTable) -> dict:
@@ -284,12 +287,7 @@ def save_sinogram(table: MassTable, path) -> None:
 
 
 def load_sinogram(path) -> MassTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return sinogram_from_payload(payload)
+    return sinogram_from_payload(_read_json(path))
 
 
 def decomposition_to_payload(dec: Decomposition) -> dict:

@@ -13,6 +13,13 @@ The forward transform is
 and the inverse carries no normalization, so F(0) is the average of f and
 the convolution theorem reads forward(f * g) = q**d * forward(f)*forward(g).
 
+A value changes kind in one place, ``_coerce_value``, which the
+``GridFunction`` constructor applies to every value: rational values
+promote to cyclotomic or complex ones, cyclotomic values to complex ones
+by ``complex(z)`` (the embedding), and complex values never go back.
+``to_cyclotomic``, ``to_complex``, equality and arithmetic between kinds
+all promote by building a ``GridFunction`` of the joined kind.
+
 Rational and cyclotomic inputs take the exact path over Q(zeta_q), complex
 inputs the floating one.  Both run d passes of one shape, a length-q
 transform per axis: a pass cuts the points into q slices by the coordinate
@@ -123,8 +130,6 @@ class GridFunction:
         return tuple(x for x, v in zip(pts, self.values) if not is_zero(v, bound))
 
     def is_zero(self) -> bool:
-        if self.kind == CYCLOTOMIC:
-            return all(v.is_zero() for v in self.values)
         return not any(self.values)
 
     def is_constant(self) -> bool:
@@ -137,44 +142,24 @@ class GridFunction:
 
     def total(self):
         """Sum of all values (the mass of the function)."""
-        acc = self.zero_scalar()
-        for v in self.values:
-            acc = acc + v
-        return acc
-
-    def zero_scalar(self):
-        if self.kind == RATIONAL:
-            return ZERO
-        if self.kind == CYCLOTOMIC:
-            return Cyclotomic.zero(self.ambient.p, self.ambient.ell)
-        return 0j
+        return sum(self.values)
 
     def to_cyclotomic(self) -> "GridFunction":
-        if self.kind == CYCLOTOMIC:
-            return self
         if self.kind == COMPLEX:
             raise ValueError("complex values cannot be promoted to cyclotomic")
         return type(self)(self.ambient, CYCLOTOMIC, self.values)
 
     def to_complex(self) -> "GridFunction":
-        if self.kind == COMPLEX:
-            return self
-        if self.kind == RATIONAL:
-            vals = [complex(v) for v in self.values]
-        else:
-            vals = [v.embed() for v in self.values]
-        return type(self)(self.ambient, COMPLEX, vals)
+        return type(self)(self.ambient, COMPLEX, self.values)
 
     def __eq__(self, other):
         if not isinstance(other, GridFunction):
             return NotImplemented
         if self.ambient != other.ambient:
             return False
-        if self.kind == other.kind:
-            return self.values == other.values
-        if COMPLEX in (self.kind, other.kind):
-            return self.to_complex().values == other.to_complex().values
-        return self.to_cyclotomic().values == other.to_cyclotomic().values
+        kind = _join_kind(self.kind, other.kind)
+        a, b = (GridFunction(self.ambient, kind, g.values) for g in (self, other))
+        return a.values == b.values
 
     def isclose(self, other: "GridFunction", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient != other.ambient:
@@ -189,9 +174,8 @@ class GridFunction:
             if self.ambient != other.ambient:
                 raise ValueError("grid mismatch")
             kind = _join_kind(self.kind, other.kind)
-            a = _promoted_values(self, kind)
-            b = _promoted_values(other, kind)
-            return GridFunction(self.ambient, kind, [op(x, y) for x, y in zip(a, b)])
+            a, b = (GridFunction(self.ambient, kind, g.values) for g in (self, other))
+            return GridFunction(self.ambient, kind, map(op, a.values, b.values))
         return NotImplemented
 
     def __add__(self, other):
@@ -205,9 +189,7 @@ class GridFunction:
 
     def scale(self, factor) -> "GridFunction":
         kind = _join_kind(self.kind, _kind_of_scalar(factor))
-        vals = _promoted_values(self, kind)
-        if kind == CYCLOTOMIC and not isinstance(factor, Cyclotomic):
-            factor = Fraction(factor)
+        vals = GridFunction(self.ambient, kind, self.values).values
         return GridFunction(self.ambient, kind, [factor * v for v in vals])
 
     def __repr__(self):
@@ -239,22 +221,13 @@ def _kind_of_scalar(value) -> str:
     return COMPLEX
 
 
-def _join_kind(a: str, b: str) -> str:
-    if COMPLEX in (a, b):
+def _join_kind(*kinds: str) -> str:
+    """The kind that all of ``kinds`` promote to."""
+    if COMPLEX in kinds:
         return COMPLEX
-    if CYCLOTOMIC in (a, b):
+    if CYCLOTOMIC in kinds:
         return CYCLOTOMIC
     return RATIONAL
-
-
-def _promoted_values(f: GridFunction, kind: str):
-    if f.kind == kind:
-        return f.values
-    if kind == CYCLOTOMIC:
-        return f.to_cyclotomic().values
-    if kind == COMPLEX:
-        return f.to_complex().values
-    raise ValueError(f"cannot demote {f.kind} values to {kind}")
 
 
 def _complex_pass(A: list, q: int, sign: int) -> list:
@@ -433,24 +406,14 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     ambient = f.ambient
     q = ambient.modulus
     kind = _join_kind(f.kind, g.kind)
-    a = _promoted_values(f, kind)
-    b = _promoted_values(g, kind)
+    a, b = (GridFunction(ambient, kind, h.values).values for h in (f, g))
     pts = ambient.points()
     out = []
     for x in pts:
-        acc = None
+        acc = 0
         for y, fy in zip(pts, a):
-            if isinstance(fy, Cyclotomic):
-                if fy.is_zero():
-                    continue
-            elif not fy:
-                continue
-            term = fy * b[ambient.index_of(vsub(x, y, q))]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = ZERO if kind == RATIONAL else (
-                Cyclotomic.zero(ambient.p, ambient.ell) if kind == CYCLOTOMIC else 0j
-            )
+            if fy:
+                acc = acc + fy * b[ambient.index_of(vsub(x, y, q))]
         out.append(acc)
     return GridFunction(ambient, kind, out)
 

@@ -5,6 +5,9 @@ normalized).  ``Cyclotomic`` represents an element of Q(zeta) where
 zeta = exp(2*pi*i / p**ell), stored as rational coordinates on the power
 basis zeta**0 .. zeta**(phi-1) with phi = p**(ell-1) * (p-1).  The power
 basis makes the representation unique, so ``is_zero`` is an exact test.
+All three kinds speak Python's number protocol: ``complex(z)`` is the
+embedding ``z.embed()``, ``not z`` tests for zero, and ``sum(values)``
+starts from the int 0 on every kind.
 
 Floating values follow one zero rule: v is zero when |v| <= tol * S, S the
 largest magnitude among the values it is compared with (a whole spectrum,
@@ -290,6 +293,8 @@ class Cyclotomic:
             if c:
                 acc += float(c) * roots[j]
         return acc
+
+    __complex__ = embed
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

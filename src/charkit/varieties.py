@@ -212,13 +212,9 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
             f"the transform does not vanish on the spheres of radii 1 and {b}"
         )
     center = tuple(c % p for c in center)
-    out = []
-    for r in range(1, p):
-        acc = f.zero_scalar()
-        for x in sphere_points(ambient, r, center):
-            acc = acc + f.value_at(x)
-        out.append(acc)
-    masses = tuple(out)
+    masses = tuple(
+        sum(f.value_at(x) for x in sphere_points(ambient, r, center)) for r in range(1, p)
+    )
     if not all_equal(masses):
         raise TheoremViolation(
             f"sphere masses about {center} differ: {[str(m) for m in masses]}"

@@ -8,8 +8,10 @@ TheoremViolation fails only its own check, with a counterexample naming
 the item, and the suite's other items and checks keep their results.  A
 violation raised outside any item is reported as one failing check of its
 suite, and the other suites still run.  Exhaustive suites refuse a grid
-with more than MAX_SUBSET_ENUMERATION subsets (CapacityError); a refused
-suite is reported as one failing check, and the other suites still run.
+with more than MAX_SUBSET_ENUMERATION subsets (CapacityError), and a suite
+refuses a grid its statement does not cover (ValueError, as paraboloid at
+d = 1); a refused suite is reported as one failing check, and the other
+suites still run.
 The CLI ``verify`` command renders the results and exits nonzero when
 anything fails.  Identical (seed, options) always produce identical results: work
 items run in order, one after another.
@@ -93,7 +95,7 @@ class SuiteResult:
     suite: str
     checks: list = field(default_factory=list)
     counterexamples: list = field(default_factory=list)
-    refused: str = ""  # why the suite did not run: its CapacityError message
+    refused: str = ""  # why the suite did not run: its CapacityError or ValueError message
 
     @property
     def passed(self) -> bool:
@@ -561,14 +563,16 @@ def run_suites(names, config: VerifyConfig) -> list:
 
 
 def _run_suite(name: str, config: VerifyConfig) -> SuiteResult:
-    """One suite's result; a TheoremViolation raised outside any work item,
-    or a CapacityError refusing the suite's grid, becomes a failing check."""
+    """One suite's result; a TheoremViolation raised outside any work item
+    becomes a failing check.  So does a refusal of the requested grid, a
+    CapacityError or a ValueError (the paraboloid statement needs d >= 2),
+    which also marks the suite refused."""
     try:
         return SUITES[name](config)
     except TheoremViolation as exc:
         res = SuiteResult(name, counterexamples=[str(exc)])
         res.check("raised TheoremViolation", False, str(exc))
-    except CapacityError as exc:
+    except (CapacityError, ValueError) as exc:
         res = SuiteResult(name, refused=str(exc))
-        res.check("raised CapacityError", False, str(exc))
+        res.check(f"raised {type(exc).__name__}", False, str(exc))
     return res

@@ -36,6 +36,7 @@ from .fourier import (
     CYCLOTOMIC,
     RATIONAL,
     GridFunction,
+    _coerce_value,
     _cyclotomics,
     _fractions,
     _join_kind,
@@ -54,7 +55,7 @@ from .geometry import (
     line_through,
     require_prime_grid,
 )
-from .scalars import DEFAULT_TOL, Cyclotomic, is_zero, zero_bound
+from .scalars import DEFAULT_TOL, is_zero, zero_bound
 
 FORMS = ("plain", "reduced", "massless")
 
@@ -82,16 +83,11 @@ class Wavelet:
 
     @property
     def mass(self):
-        total = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            total = total + c
-        return self.ambient.p ** (self.ambient.d - 1) * total
+        return self.ambient.p ** (self.ambient.d - 1) * sum(self.coeffs)
 
     def evaluate(self) -> GridFunction:
         """The grid function x -> c_{x.s}."""
-        kind = RATIONAL
-        for c in self.coeffs:
-            kind = _join_kind(kind, _kind_of_scalar(c))
+        kind = _join_kind(*map(_kind_of_scalar, self.coeffs))
         vals = [self.coeffs[t] for t in dots(self.ambient, self.direction.rep)]
         return GridFunction(self.ambient, kind, vals)
 
@@ -104,24 +100,26 @@ def masses(f: GridFunction, s) -> tuple:
     s = tuple(c % p for c in s)
     if not any(s):
         raise ValueError("mass direction must be nonzero")
-    sums = [f.zero_scalar()] * p
+    sums = [0] * p
     for x, v in zip(ambient.points(), f.values):
         t = dot(x, s, p)
         sums[t] = sums[t] + v
     return tuple(sums)
 
 
-def _encode(values, p: int):
+def _encode(values, ambient: Ambient):
     """(kind, width, L, A): values at power 0 of the lattice Z[X]/(X**p - 1),
-    A[c*len(values) + i] = L * coordinate c of values[i].  Cyclotomic values
-    (rationals among them promoted) have p - 1 coordinates, and rational and
-    complex ones one; complex values enter as they are, with L = 1."""
-    if any(isinstance(v, complex) for v in values):
-        return COMPLEX, 1, 1, [complex(v) for v in values] + [0] * ((p - 1) * len(values))
-    if any(isinstance(v, Cyclotomic) for v in values):
-        zero = Cyclotomic.zero(p)
-        coords = zip(*(zero._coerce(v).coeffs for v in values))
-        L, A = _lattice([c for col in coords for c in col], p)
+    A[c*len(values) + i] = L * coordinate c of values[i], all values promoted
+    to the kind they join to.  Cyclotomic values have p - 1 coordinates, and
+    rational and complex ones one; complex values enter as they are, with
+    L = 1."""
+    p = ambient.p
+    kind = _join_kind(*map(_kind_of_scalar, values))
+    values = [_coerce_value(kind, v, ambient) for v in values]
+    if kind == COMPLEX:
+        return COMPLEX, 1, 1, values + [0] * ((p - 1) * len(values))
+    if kind == CYCLOTOMIC:
+        L, A = _lattice([c for col in zip(*(v.coeffs for v in values)) for c in col], p)
         return CYCLOTOMIC, p - 1, L, A
     L, A = _lattice(values, p)
     return RATIONAL, 1, L, A
@@ -132,7 +130,7 @@ def _mass_rows(f: GridFunction, lines) -> list:
     the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
     ambient = f.ambient
     p = ambient.p
-    kind, width, L, A = _encode(f.values, p)
+    kind, width, L, A = _encode(f.values, ambient)
     for _ in range(ambient.d):
         A = _lattice_pass(A, p, +1)
     plane = width * ambient.size
@@ -161,13 +159,7 @@ class MassTable:
         return tuple(ln for ln, _ in self.rows)
 
     def totals(self) -> tuple:
-        out = []
-        for _, ms in self.rows:
-            total = ms[0]
-            for m in ms[1:]:
-                total = total + m
-            out.append(total)
-        return tuple(out)
+        return tuple(sum(ms) for _, ms in self.rows)
 
 
 def mass_table(f: GridFunction) -> MassTable:
@@ -233,7 +225,7 @@ def decompose(
     grid_inv = Fraction(1, ambient.size)
     parts = []
     plain_constant = (1 - profile.cbw) * grid_inv * total
-    reduced_shift = f.zero_scalar()
+    reduced_shift = 0
     for line, ms in zip(profile.lines, _mass_rows(f, profile.lines)):
         if form == "plain":
             coeffs = tuple(cell * m for m in ms)
@@ -270,7 +262,7 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     missing = [line.rep for line in lines if line not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
-    kind, width, L, M = _encode([m for _, ms in table.rows for m in ms], p)
+    kind, width, L, M = _encode([m for _, ms in table.rows for m in ms], ambient)
     rows = len(table.rows)
     count = p * rows  # M[c*count + i*p + t]: coordinate c of L*m_{s_i,t}
     # Row totals on the lattice ints: sums[c*rows + i] is coordinate c of

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,6 +380,15 @@ def test_cli_rejects_non_integer_sinogram_directions(tmp_path, capsys, s):
     assert "Traceback" not in captured.err
 
 
+def test_cli_rejects_a_sinogram_with_a_non_finite_complex_mass(tmp_path, capsys):
+    payload = fileio.sinogram_to_payload(mass_table(staircase_function(3).to_complex()))
+    payload["masses"][0]["m"][0] = [math.nan, 0.0]
+    fn = tmp_path / "nan.json"
+    fn.write_text(json.dumps(payload))
+    assert run_cli("tomography", "reconstruct", "--input", str(fn)) == 2
+    assert capsys.readouterr().err == "data error: complex values must be finite\n"
+
+
 def test_cli_verify_reports_a_suite_that_raises(monkeypatch, capsys):
     from charkit import verify
 
@@ -426,6 +436,39 @@ def test_cli_verify_reports_every_suite_when_one_is_refused(capsys):
             assert r["counterexamples"] == []
         else:
             assert r["passed"] is True, r["suite"]
+
+
+PARABOLOID_AT_D1 = [
+    {"name": "raised ValueError", "passed": False,
+     "detail": "the slicing statement requires dimension >= 2"}
+]
+
+
+def test_cli_verify_reports_every_suite_when_one_cannot_take_the_grid(capsys):
+    from charkit import verify
+
+    assert run_cli("verify", "all", "--d", "1", "--suite-size", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "data error: verify paraboloid: the slicing statement requires dimension >= 2"
+    ]
+    payload = json.loads(captured.out)
+    assert [r["suite"] for r in payload["suites"]] == list(verify.SUITE_ORDER)
+    assert payload["passed"] is False
+    for r in payload["suites"]:
+        if r["suite"] == "paraboloid":
+            assert r["checks"] == PARABOLOID_AT_D1
+            assert r["counterexamples"] == []
+        else:
+            assert r["passed"] is True, r["suite"]
+
+
+def test_cli_verify_paraboloid_alone_at_d1_prints_its_report(capsys):
+    assert run_cli("verify", "paraboloid", "--d", "1") == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert [r["checks"] for r in payload["suites"]] == [PARABOLOID_AT_D1]
+    assert captured.err.startswith("data error: verify paraboloid:")
 
 
 def _noisy_wavelet_file(tmp_path):

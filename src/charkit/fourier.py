@@ -31,15 +31,19 @@ roots exp(2*pi*i*e/q) of ``scalars._embed_roots``, the one root table,
 which ``forward_naive`` and the floating eigenfunctions read too.
 
 The exact path is an integer-lattice kernel in the style of Nussbaumer's
-polynomial transforms.  All values are scaled by the lcm L of their
-coefficient denominators and become length-q int vectors in
+polynomial transforms, and this module is the one home of its format.
+``_encode`` scales values by the lcm L of their coefficient denominators
+and writes coordinate c of value i at A[c*N + i]: length-q int vectors in
 Z[x]/(x**q - 1), x standing for zeta.  There, multiplying by zeta**e is a
 rotation of the vector, so the d axis passes (one length-q pass per axis)
 only add ints: N*d*q*q of them for N = q**d points.  Each output value is
-then reduced to the power basis once, and each of its coefficients becomes
-one Fraction: c/(L*N) for ``forward``, c/L for ``inverse``.  ``inverse``
-returns rational scalars exactly when every reduced coefficient above
-degree zero is zero.
+then reduced to the power basis once, and ``_decode`` turns the rows back
+into values, one Fraction per coefficient: c/(L*N) for ``forward``, c/L
+for ``inverse``.  Its one demotion rule makes ``inverse`` return rational
+scalars exactly when every reduced coefficient above degree zero is zero.
+The mass table, back-projection and multi-scale parts of ``wavelets`` and
+``multiscale`` run the same kernel through ``_encode`` and ``_decode`` and
+only lay out their runs: padding, positions and planes.
 
 ``forward_naive`` is the quadratic double loop over ``Cyclotomic``
 arithmetic, or complex arithmetic on the root table.  It shares no code
@@ -190,6 +194,8 @@ class GridFunction:
     def scale(self, factor) -> "GridFunction":
         kind = _join_kind(self.kind, _kind_of_scalar(factor))
         vals = GridFunction(self.ambient, kind, self.values).values
+        if kind == COMPLEX:  # an exact factor keeps its own product on exact values
+            factor = _coerce_value(kind, factor, self.ambient)
         return GridFunction(self.ambient, kind, [factor * v for v in vals])
 
     def __repr__(self):
@@ -254,22 +260,6 @@ def _complex_pass(A: list, q: int, sign: int) -> list:
     return out
 
 
-def _lattice(values, q: int):
-    """Scale exact values onto the integer lattice Z[x]/(x**q - 1).
-
-    ``values`` are all rationals or all Cyclotomic of conductor q.  Returns
-    the lcm L of every coefficient denominator and one flat int list A with
-    A[j*N + i] = L * (coefficient of x**j in values[i]), N = len(values),
-    zero-padded from phi to q powers of x.
-    """
-    rows = [v.coeffs if isinstance(v, Cyclotomic) else (v,) for v in values]
-    dens = {c.denominator for row in rows for c in row}
-    L = math.lcm(*dens)
-    mult = {den: L // den for den in dens}
-    A = [c.numerator * mult[c.denominator] for col in zip(*rows) for c in col]
-    return L, A + [0] * (q * len(rows) - len(A))
-
-
 def _lattice_pass(A: list, q: int, sign: int) -> list:
     """One length-q transform out[k] = sum_t x**(sign*k*t) * in[t] on the lattice.
 
@@ -303,8 +293,46 @@ def _lattice_pass(A: list, q: int, sign: int) -> list:
     return out
 
 
-def _fractions(den: int):
-    """c -> Fraction(c, den), building each distinct Fraction once."""
+def _encode(values, ambient, kind: str | None = None):
+    """(kind, width, L, A): ``values`` on the lattice Z[x]/(x**q - 1), the
+    one place a value is scaled onto it.
+
+    Without ``kind`` the values are promoted to the kind they join to;
+    callers that hold values of one kind pass it.  Exact values are scaled
+    by the lcm L of every coefficient denominator, and A[c*N + i] = L *
+    coordinate c of values[i] for N = len(values): a cyclotomic value has
+    ``width`` = phi coordinates, a rational or complex one a single one.
+    Complex values enter as they are, with L = 1.  Each caller then lays A
+    out for its own run.
+    """
+    if kind is None:
+        kind = _join_kind(*map(_kind_of_scalar, values))
+        values = [_coerce_value(kind, v, ambient) for v in values]
+    if kind == COMPLEX:
+        return COMPLEX, 1, 1, list(values)
+    if kind == CYCLOTOMIC:
+        rows = [v.coeffs for v in values]
+        width = ambient.modulus - ambient.modulus // ambient.p
+    else:
+        rows = [(v,) for v in values]
+        width = 1
+    dens = {c.denominator for row in rows for c in row}
+    L = math.lcm(*dens)
+    mult = {den: L // den for den in dens}
+    return kind, width, L, [c.numerator * mult[c.denominator] for col in zip(*rows) for c in col]
+
+
+def _decode(kind: str, rows, den: int, ambient, demote: bool = False):
+    """(kind, values) from lattice rows, the one place they turn back into values.
+
+    Row i holds the coordinates of value i: its power-basis coordinates for
+    a cyclotomic value, one coordinate for a rational or complex one.  Each
+    is divided by den, and each distinct Fraction is built once.  With
+    ``demote`` the exact values come back rational exactly when every
+    coordinate above degree zero is zero, as an inverse transform's do.
+    """
+    if kind == COMPLEX:
+        return COMPLEX, [complex(row[0]) / den for row in rows]
     memo = {0: ZERO}
 
     def frac(c):
@@ -313,35 +341,26 @@ def _fractions(den: int):
             value = memo[c] = Fraction(c, den)
         return value
 
-    return frac
+    if demote and not any(any(row[1:]) for row in rows):
+        kind = RATIONAL
+    if kind == CYCLOTOMIC:
+        p, ell = ambient.p, ambient.ell
+        return CYCLOTOMIC, [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
+    return RATIONAL, [frac(row[0]) for row in rows]
 
 
-def _exact_transform(values, p: int, ell: int, passes: int, sign: int):
-    """The unnormalized exact transform of ``values`` over their last
-    ``passes`` axes of length q = p**ell: the lcm L of their denominators
-    and, per output position, its power-basis coordinates times L."""
-    q = p**ell
-    L, A = _lattice(values, q)
+def _exact_transform(A: list, ambient, passes: int, sign: int) -> list:
+    """The exact transform (sign -1 forward, +1 inverse) of N = q**passes
+    values on the lattice, A[c*N + i] = coordinate c of value i: A is
+    zero-padded to q planes, the passes run, and each position is reduced
+    to the power basis, one row of phi ints per position."""
+    p, ell, q = ambient.p, ambient.ell, ambient.modulus
+    A = A + [0] * (q ** (passes + 1) - len(A))
     for _ in range(passes):
         A = _lattice_pass(A, q, sign)
     n = len(A) // q
     planes = [A[j * n : (j + 1) * n] for j in range(q)]
-    return L, [_reduce_ext(p, ell, list(v)) for v in zip(*planes)]
-
-
-def _cyclotomics(rows, p: int, ell: int, den: int) -> list:
-    """One Cyclotomic per row of power-basis ints, each divided by den."""
-    frac = _fractions(den)
-    return [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
-
-
-def _scalars(rows, p: int, ell: int, den: int):
-    """(kind, values) for rows of power-basis ints divided by den: rational
-    exactly when every coordinate above degree zero is zero."""
-    if any(any(row[1:]) for row in rows):
-        return CYCLOTOMIC, _cyclotomics(rows, p, ell, den)
-    frac = _fractions(den)
-    return RATIONAL, [frac(row[0]) for row in rows]
+    return [_reduce_ext(p, ell, list(v)) for v in zip(*planes)]
 
 
 def forward(f: GridFunction) -> Spectrum:
@@ -353,9 +372,9 @@ def forward(f: GridFunction) -> Spectrum:
             vals = _complex_pass(vals, ambient.modulus, -1)
         scale = 1.0 / ambient.size
         return Spectrum(ambient, COMPLEX, [v * scale for v in vals])
-    p, ell = ambient.p, ambient.ell
-    L, rows = _exact_transform(f.values, p, ell, ambient.d, -1)
-    return Spectrum(ambient, CYCLOTOMIC, _cyclotomics(rows, p, ell, L * ambient.size))
+    _, _, L, A = _encode(f.values, ambient, f.kind)
+    rows = _exact_transform(A, ambient, ambient.d, -1)
+    return Spectrum(ambient, *_decode(CYCLOTOMIC, rows, L * ambient.size, ambient))
 
 
 def forward_naive(f: GridFunction) -> Spectrum:
@@ -394,9 +413,9 @@ def inverse(F: GridFunction) -> GridFunction:
         for _ in range(ambient.d):
             vals = _complex_pass(vals, ambient.modulus, +1)
         return GridFunction(ambient, COMPLEX, vals)
-    p, ell = ambient.p, ambient.ell
-    L, rows = _exact_transform(F.values, p, ell, ambient.d, +1)
-    return GridFunction(ambient, *_scalars(rows, p, ell, L))
+    _, _, L, A = _encode(F.values, ambient, F.kind)
+    rows = _exact_transform(A, ambient, ambient.d, +1)
+    return GridFunction(ambient, *_decode(CYCLOTOMIC, rows, L, ambient, demote=True))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

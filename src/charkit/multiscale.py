@@ -12,7 +12,10 @@ holds over Z_q as over Z_p: a spectrum F on the points t*v of the line
 through v (one t per point) has inverse f(x) = sum_t F(t*v) chi(t * x.v)
 = c[x.v], with c the length-q inverse transform of t -> F(t*v).  So f is
 constant on each hyperplane {x : x.v = s}, and one length-q lattice pass
-replaces a d-axis inverse.
+replaces a d-axis inverse.  ``fourier._encode`` scales the claimed values
+of F onto the lattice and ``fourier._decode`` turns c back into values,
+rational exactly when every c[s] is; this module only places F(t*v) at
+position t.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .fourier import COMPLEX, GridFunction, Spectrum, _exact_transform, _scalars
+from .fourier import COMPLEX, CYCLOTOMIC, GridFunction, Spectrum, _decode, _encode
+from .fourier import _exact_transform
 from .geometry import Ambient, Point, ProjectiveLine, dots, enumerate_lines, line_indices
 from .geometry import vadd, valuation, vector_valuation, vsub
-from .scalars import Cyclotomic
 
 
 def norm(ambient: Ambient, n: int) -> Fraction:
@@ -55,14 +58,19 @@ def _line_part(F: Spectrum, v: Point, claimed) -> tuple:
     its hyperplane form: (s, c[s]) for every s some x.v reaches, the
     multiples of g = gcd(q, v).  It is rational exactly when those c[s] are."""
     ambient = F.ambient
-    p, ell, q = ambient.p, ambient.ell, ambient.modulus
+    q = ambient.modulus
     g = math.gcd(q, *v)
-    vec = [Cyclotomic.zero(p, ell)] * q
-    for t, i in enumerate(line_indices(ambient).get(ProjectiveLine(v), (0,))):
-        if ambient.point_at(i) in claimed:
-            vec[t] = F.values[i]
-    L, rows = _exact_transform(vec, p, ell, 1, +1)
-    kind, c = _scalars(rows[::g], p, ell, L)  # c[s // g] is the value at s
+    on_line = [
+        (t, i)
+        for t, i in enumerate(line_indices(ambient).get(ProjectiveLine(v), (0,)))
+        if ambient.point_at(i) in claimed
+    ]
+    _, width, L, M = _encode([F.values[i] for _, i in on_line], ambient, F.kind)
+    A = [0] * (width * q)  # A[j*q + t]: coordinate j of L*F(t*v)
+    for k, (t, _) in enumerate(on_line):
+        A[t::q] = M[k :: len(on_line)]
+    rows = _exact_transform(A, ambient, 1, +1)
+    kind, c = _decode(CYCLOTOMIC, rows[::g], L, ambient, demote=True)  # c[s // g] at s
     part = GridFunction(ambient, kind, [c[s // g] for s in dots(ambient, v)])
     return part, tuple(zip(range(0, q, g), c))
 
@@ -152,7 +160,7 @@ def multiscale_decompose(F: Spectrum) -> tuple:
         raise TheoremViolation(f"frequencies never claimed: {sorted(unclaimed)}")
     if len(claims) == 1:
         claims[0][2].add(origin)
-    elif not claims or not F.values[0].is_zero():
+    elif not claims or F.values[0]:
         claims.append((None, origin, {origin}))
     return tuple(
         MultiscalePart(level, gen if level else None, _line_part(F, gen, pts)[0])

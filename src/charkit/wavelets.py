@@ -6,16 +6,19 @@ line through s.  Conversely the masses m_{s,t}(f) = sum over H_{s,t} of f
 determine the transform of f on that line, which is why a function is
 recoverable from its complete mass table (the sinogram).
 
-The mass table comes from one run of the exact-transform lattice kernel.
-For a direction s let G(s) = sum_x f(x) * X**(x.s) in K[X]/(X**p - 1);
-its coefficient of X**t is m_{s,t}.  With the values placed at power 0,
-the d lattice passes (sign +1, q = p) give G at every s at once, and
-skipping the reduction to the power basis keeps all p coefficients.  That
-is d*N*p*p slice additions for all p**d directions (N = p**d points),
-against one grid scan of N dot products per direction for ``masses``,
-which is kept as the one-direction path and the reference the tests
-compare the table with.  Masses are defined on Z_p**d only: ring grids
-(modulus p**ell, ell > 1) are rejected by ``geometry.require_prime_grid``.
+The mass table comes from one run of the exact-transform lattice kernel,
+whose format lives in ``fourier``: ``_encode`` scales the values onto the
+lattice and ``_decode`` turns its rows back into masses, so this module
+only lays out its runs.  For a direction s let G(s) = sum_x f(x) *
+X**(x.s) in K[X]/(X**p - 1); its coefficient of X**t is m_{s,t}.  With
+every coordinate of every value placed at power 0, the d lattice passes
+(sign +1, q = p) give G at every s at once, and skipping the reduction to
+the power basis keeps all p coefficients.  That is d*N*p*p slice
+additions for all p**d directions (N = p**d points), against one grid
+scan of N dot products per direction for ``masses``, which is kept as the
+one-direction path and the reference the tests compare the table with.
+Masses are defined on Z_p**d only: ring grids (modulus p**ell, ell > 1)
+are rejected by ``geometry.require_prime_grid``.
 
 Tomography is back-projection, the adjoint of the mass table: f is its
 plain decomposition over all n lines, f(x) = p**(-(d-1)) * sum_lines
@@ -29,23 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bandwidth import support_profile
+from .bandwidth import bandwidth
 from .errors import SinogramError
-from .fourier import (
-    COMPLEX,
-    CYCLOTOMIC,
-    RATIONAL,
-    GridFunction,
-    _coerce_value,
-    _cyclotomics,
-    _fractions,
-    _join_kind,
-    _kind_of_scalar,
-    _lattice,
-    _lattice_pass,
-    _scalars,
-    forward,
-)
+from .fourier import GridFunction, _decode, _encode, _join_kind, _kind_of_scalar, _lattice_pass
 from .geometry import (
     Ambient,
     ProjectiveLine,
@@ -107,30 +96,13 @@ def masses(f: GridFunction, s) -> tuple:
     return tuple(sums)
 
 
-def _encode(values, ambient: Ambient):
-    """(kind, width, L, A): values at power 0 of the lattice Z[X]/(X**p - 1),
-    A[c*len(values) + i] = L * coordinate c of values[i], all values promoted
-    to the kind they join to.  Cyclotomic values have p - 1 coordinates, and
-    rational and complex ones one; complex values enter as they are, with
-    L = 1."""
-    p = ambient.p
-    kind = _join_kind(*map(_kind_of_scalar, values))
-    values = [_coerce_value(kind, v, ambient) for v in values]
-    if kind == COMPLEX:
-        return COMPLEX, 1, 1, values + [0] * ((p - 1) * len(values))
-    if kind == CYCLOTOMIC:
-        L, A = _lattice([c for col in zip(*(v.coeffs for v in values)) for c in col], p)
-        return CYCLOTOMIC, p - 1, L, A
-    L, A = _lattice(values, p)
-    return RATIONAL, 1, L, A
-
-
 def _mass_rows(f: GridFunction, lines) -> list:
     """The masses of f in every direction of ``lines``, from one lattice run:
     the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
     ambient = f.ambient
     p = ambient.p
-    kind, width, L, A = _encode(f.values, ambient)
+    kind, width, L, A = _encode(f.values, ambient, f.kind)
+    A += [0] * ((p - 1) * len(A))  # every coordinate at power 0, p planes
     for _ in range(ambient.d):
         A = _lattice_pass(A, p, +1)
     plane = width * ambient.size
@@ -139,12 +111,7 @@ def _mass_rows(f: GridFunction, lines) -> list:
         for base in (ambient.index_of(line.rep) * width for line in lines)
         for t in range(p)
     ]
-    if kind == COMPLEX:
-        ms = [complex(cell[0]) / L for cell in cells]
-    elif kind == CYCLOTOMIC:
-        ms = _cyclotomics(cells, p, 1, L)
-    else:
-        ms = [*map(_fractions(L), (cell[0] for cell in cells))]
+    _, ms = _decode(kind, cells, L, ambient)
     return [tuple(ms[i : i + p]) for i in range(0, len(ms), p)]
 
 
@@ -216,10 +183,9 @@ def decompose(
     """
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
+    profile = bandwidth(f, tol)
     ambient = f.ambient
-    require_prime_grid(ambient)
     p, d = ambient.p, ambient.d
-    profile = support_profile(forward(f), source_kind=f.kind, tol=tol)
     total = f.total()
     cell = Fraction(1, p ** (d - 1))
     grid_inv = Fraction(1, ambient.size)
@@ -295,9 +261,7 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
         [p * b - (n - 1) * m for b, m in zip(A[x * width : (x + 1) * width], total)]
         for x in range(N)
     ]
-    if kind == COMPLEX:
-        return GridFunction(ambient, COMPLEX, [complex(cell[0]) / (L * N) for cell in cells])
-    return GridFunction(ambient, *_scalars(cells, p, 1, L * N))
+    return GridFunction(ambient, *_decode(kind, cells, L * N, ambient, demote=True))
 
 
 @dataclass(frozen=True)
@@ -312,7 +276,7 @@ def is_wavelet(f: GridFunction) -> WaveletCheck:
     Constants are wavelets in every direction and come back flagged;
     cbw >= 2 yields no line.
     """
-    profile = support_profile(forward(f), source_kind=f.kind)
+    profile = bandwidth(f)
     if profile.cbw == 0:
         return WaveletCheck(is_constant=True, line=None)
     if profile.cbw == 1:

@@ -48,7 +48,15 @@ are what ``charkit bandwidth``, ``decompose --form <form>`` and
 ``tomography project`` printed for them, and ``.reconstruct`` is what
 ``charkit tomography reconstruct`` printed for the ``.project`` output, all
 written before the line indices and the hyperplane labels x.s moved into
-``geometry``.
+``geometry``.  Their ``.transform`` output is what ``charkit transform``
+printed for them, and ``.inverse`` what ``charkit transform --inverse``
+printed for the ``.transform`` output, both written before the lattice
+format moved into one encoder and one decoder in ``fourier``.  Together
+they pin both rules of the decoder: a spectrum stays cyclotomic even where
+its values are rational (every spectrum on (2,8)), and an inverse comes
+back rational exactly when every coordinate above degree zero cancels (the
+``cyclotomic_2_8`` file, whose values are rational, comes back rational;
+``cyclotomic_3_5`` and ``cyclotomic_7_3`` stay cyclotomic).
 """
 
 import contextlib
@@ -99,11 +107,15 @@ EXACT_INPUTS = sorted(
     p for p in (GOLDEN / "exact").glob("*.json") if not p.name.endswith(".out.json")
 )
 EXACT_COMMANDS = {
+    "transform": ("transform",),
+    "inverse": ("transform", "--inverse"),
     "bandwidth": ("bandwidth",),
     **{f"decompose-{form}": ("decompose", "--form", form) for form in FORMS},
     "project": ("tomography", "project"),
     "reconstruct": ("tomography", "reconstruct"),
 }
+# The outputs whose input is another pinned output, not the function file.
+EXACT_SOURCES = {"inverse": "transform", "reconstruct": "project"}
 EXACT_CASES = [(path, name) for path in EXACT_INPUTS for name in EXACT_COMMANDS]
 
 
@@ -189,7 +201,10 @@ def test_complex_outputs_are_byte_identical(path, name):
     "path,name", EXACT_CASES, ids=[f"{path.stem}-{name}" for path, name in EXACT_CASES]
 )
 def test_exact_outputs_are_byte_identical(path, name):
-    """``reconstruct`` reads the pinned ``project`` output."""
-    source = path.with_name(f"{path.stem}.project.out.json") if name == "reconstruct" else path
+    """``inverse`` and ``reconstruct`` read a pinned output, so each is
+    pinned on its own."""
+    source = path
+    if name in EXACT_SOURCES:
+        source = path.with_name(f"{path.stem}.{EXACT_SOURCES[name]}.out.json")
     want = path.with_name(f"{path.stem}.{name}.out.json").read_text()
     assert cli_stdout(*EXACT_COMMANDS[name], "--input", str(source)) == want

@@ -187,6 +187,16 @@ def test_complex_values_are_never_promoted_to_cyclotomic():
         f.to_cyclotomic()
 
 
+def test_a_cyclotomic_factor_scales_complex_values_as_its_embedding():
+    zeta = Cyclotomic.zeta(3)
+    f = GridFunction(Ambient(3, 1), "complex", [1j, 2, 3])
+    got, want = f.scale(zeta), f.scale(complex(zeta))
+    assert got.kind == want.kind == "complex"
+    assert [(v.real.hex(), v.imag.hex()) for v in got.values] == [
+        (v.real.hex(), v.imag.hex()) for v in want.values
+    ]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     names = sys.argv[1:] or sorted(SECTIONS)

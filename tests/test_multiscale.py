@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from charkit.corpus import random_complex_function, random_rational_function, rng_for
-from charkit.fourier import GridFunction, forward, inverse
+from charkit.fourier import GridFunction, Spectrum, forward, inverse
 from charkit.geometry import (
     Ambient,
     dot,
@@ -238,6 +238,26 @@ def test_multiscale_parts_are_level_wavelets():
         line_pts = line_through(a, part.generator).points(a)
         assert set(F.support()) <= set(line_pts)
         assert part.level == line_through(a, part.generator).level(a)
+
+
+@pytest.mark.parametrize("p,d,ell", [(2, 2, 2), (3, 1, 2), (2, 1, 3)])
+def test_multiscale_takes_a_rational_spectrum(p, d, ell):
+    """A spectrum of rational kind is split like its cyclotomic promotion,
+    and its parts sum to its inverse; the origin's value is read by the
+    number protocol, which rational values speak too."""
+    a = Ambient(p, d, ell)
+    rng = rng_for(705, f"rational-spectrum/{p}/{d}/{ell}")
+    spectra = [
+        Spectrum(a, "rational", [Fraction(1)] * a.size),
+        Spectrum(a, "rational", [Fraction(rng.randint(-3, 3), 2) for _ in range(a.size)]),
+    ]
+    for F in spectra:
+        parts = multiscale_decompose(F)
+        acc = None
+        for part in parts:
+            acc = part.function if acc is None else acc + part.function
+        assert acc == inverse(F)
+        assert parts == multiscale_decompose(F.to_cyclotomic())
 
 
 def test_exponent_three_smoke():

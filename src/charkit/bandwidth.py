@@ -40,7 +40,7 @@ from .geometry import (
     require_prime_grid,
     translate_set,
 )
-from .scalars import DEFAULT_TOL, all_equal, is_zero, zero_bound
+from .scalars import DEFAULT_TOL, all_equal
 
 # Granularity for comparing bandwidth dimensions (a derived float).
 BWD_EPS = 1e-12
@@ -69,16 +69,16 @@ def support_profile(
     ambient = F.ambient
     require_prime_grid(ambient)
     approximate = F.kind == COMPLEX
-    bound = zero_bound(F.values, tol)
+    nonzero = F.nonzero(tol)
     active = []
     for line, indices in line_indices(ambient).items():
-        flags = [is_zero(F.values[i], bound) for i in indices[1:]]
+        flags = [nonzero[i] for i in indices[1:]]
         if source_kind == RATIONAL and not approximate and any(flags) and not all(flags):
             raise TheoremViolation(
                 f"rational source has a mixed line through {line.rep}: "
                 "zero and nonzero values on one punctured line"
             )
-        if not all(flags):
+        if any(flags):
             active.append(line)
     cbw = len(active)
     return BandwidthReport(
@@ -109,10 +109,7 @@ def constancy_from_compass(f: GridFunction) -> bool:
     if f.kind != RATIONAL:
         raise ValueError("the compass criterion applies to rational-valued functions")
     ambient = f.ambient
-    F = forward(f)
-    zero_set = [
-        pt for pt, v in zip(ambient.points(), F.values) if v.is_zero()
-    ]
+    zero_set = [pt for pt, nz in zip(ambient.points(), forward(f).nonzero()) if not nz]
     if not is_compass_set(ambient, zero_set):
         return False
     if not f.is_constant():

@@ -184,7 +184,7 @@ def _cmd_transform(args) -> int:
             ok = fast.isclose(slow, args.tolerance)
             verdict = "within tolerance" if ok else "MISMATCH"
         else:
-            ok = fast.values == slow.values
+            ok = fast == slow
             verdict = "exact" if ok else "MISMATCH"
         _emit({"match": verdict}, args)
         return EXIT_OK if ok else EXIT_VIOLATION

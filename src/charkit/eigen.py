@@ -71,7 +71,7 @@ def self_dual_classify(ambient: Ambient, E) -> SelfDualResult:
     F = forward(f)
     lam = Fraction(len(members), ambient.size)
     target = [lam if x in members else 0 for x in ambient.points()]
-    if any(Fv != tv for Fv, tv in zip(F.values, target)):
+    if F != GridFunction(ambient, RATIONAL, target):
         return SelfDualResult(kind="not_self_dual")
     if not members:
         return SelfDualResult(kind="empty", eigenvalue=Fraction(0))

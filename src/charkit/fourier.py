@@ -17,8 +17,9 @@ A value changes kind in one place, ``_coerce_value``, which the
 ``GridFunction`` constructor applies to every value: rational values
 promote to cyclotomic or complex ones, cyclotomic values to complex ones
 by ``complex(z)`` (the embedding), and complex values never go back.
-``to_cyclotomic``, ``to_complex``, equality and arithmetic between kinds
-all promote by building a ``GridFunction`` of the joined kind.
+``to_cyclotomic``, ``to_complex``, arithmetic between kinds and equality
+with a complex function all promote by building a ``GridFunction`` of the
+joined kind; equality of exact kinds compares lattices (below).
 
 Rational and cyclotomic inputs take the exact path over Q(zeta_q), complex
 inputs the floating one.  Both run d passes of one shape, a length-q
@@ -37,10 +38,17 @@ and writes coordinate c of value i at A[c*N + i]: length-q int vectors in
 Z[x]/(x**q - 1), x standing for zeta.  There, multiplying by zeta**e is a
 rotation of the vector, so the d axis passes (one length-q pass per axis)
 only add ints: N*d*q*q of them for N = q**d points.  Each output value is
-then reduced to the power basis once, and ``_decode`` turns the rows back
-into values, one Fraction per coefficient: c/(L*N) for ``forward``, c/L
-for ``inverse``.  Its one demotion rule makes ``inverse`` return rational
-scalars exactly when every reduced coefficient above degree zero is zero.
+then reduced to the power basis once.  An exact result of ``forward`` or
+``inverse`` carries these rows over one denominator, L*N for ``forward``
+and L for ``inverse``, and ``values`` is decoded from them by ``_decode``
+on the first read only, one Fraction per distinct coefficient.  The
+demotion rule makes ``inverse`` return rational scalars exactly when every
+reduced coefficient above degree zero is zero, read from the rows.  Until
+``values`` is read, the rows answer for the function: the zero mask
+``nonzero`` (any(row)), the Galois action ``galois`` (x**j -> x**(r*j) and
+one reduction), equality (rows cross-multiplied by the two denominators)
+and ``inverse`` (the rows go straight back into the lattice).  A function
+built from values takes the same paths through ``_encode``.
 The mass table, back-projection and multi-scale parts of ``wavelets`` and
 ``multiscale`` run the same kernel through ``_encode`` and ``_decode`` and
 only lay out their runs: padding, positions and planes.
@@ -54,15 +62,19 @@ with.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import zip_longest
 
-from .geometry import Point, Subspace, dot, dots, perp, vsub
+from .geometry import Point, Subspace, dilation_indices, dot, dots, perp, vsub
 from .scalars import (
     DEFAULT_TOL,
     ZERO,
     Cyclotomic,
     _embed_roots,
+    _galois_row,
     _reduce_ext,
+    _unit_index,
     is_zero,
     zero_bound,
 )
@@ -90,9 +102,13 @@ def _coerce_value(kind: str, value, ambient):
 
 
 class GridFunction:
-    """A dense function on the points of the grid, in lexicographic order."""
+    """A dense function on the points of the grid, in lexicographic order.
 
-    __slots__ = ("ambient", "kind", "values")
+    An exact result of ``forward`` or ``inverse`` holds its lattice form,
+    one power-basis int row per point over one denominator, and decodes
+    ``values`` from it on the first read only."""
+
+    __slots__ = ("ambient", "kind", "_values", "_rows", "_den")
 
     def __init__(self, ambient, kind: str, values):
         if kind not in _KINDS:
@@ -104,7 +120,21 @@ class GridFunction:
             )
         self.ambient = ambient
         self.kind = kind
-        self.values = values
+        self._values = values
+        self._rows = self._den = None
+
+    @classmethod
+    def _from_rows(cls, ambient, kind: str, rows, den: int) -> "GridFunction":
+        """The exact function whose value i has coordinates rows[i] / den."""
+        f = object.__new__(cls)
+        f.ambient, f.kind, f._values, f._rows, f._den = ambient, kind, None, rows, den
+        return f
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(_decode(self.kind, self._rows, self._den, self.ambient)[1])
+        return self._values
 
     @classmethod
     def constant(cls, ambient, value) -> "GridFunction":
@@ -127,14 +157,23 @@ class GridFunction:
     def value_at(self, point: Point):
         return self.values[self.ambient.index_of(point)]
 
-    def support(self, tol: float = DEFAULT_TOL) -> tuple:
-        """Points where the value is nonzero, by the zero rule over all values."""
+    def nonzero(self, tol: float = DEFAULT_TOL) -> tuple:
+        """The one zero mask: whether each value is nonzero.  Exact values
+        are read from the lattice rows when the function has them; complex
+        values follow the zero rule over all of them."""
+        if self._rows is not None:
+            return tuple(map(any, self._rows))
+        if self.kind != COMPLEX:
+            return tuple(map(bool, self.values))
         bound = zero_bound(self.values, tol)
-        pts = self.ambient.points()
-        return tuple(x for x, v in zip(pts, self.values) if not is_zero(v, bound))
+        return tuple(not is_zero(v, bound) for v in self.values)
+
+    def support(self, tol: float = DEFAULT_TOL) -> tuple:
+        """Points where the value is nonzero, by the zero mask."""
+        return tuple(x for x, nz in zip(self.ambient.points(), self.nonzero(tol)) if nz)
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not any(self.nonzero())
 
     def is_constant(self) -> bool:
         return all(v == self.values[0] for v in self.values)
@@ -156,14 +195,38 @@ class GridFunction:
     def to_complex(self) -> "GridFunction":
         return type(self)(self.ambient, COMPLEX, self.values)
 
+    def agrees(self, other: "GridFunction") -> tuple:
+        """Whether each value of self equals that of other."""
+        if self.ambient != other.ambient:
+            raise ValueError("grid mismatch")
+        return tuple(_agreement(self, other))
+
     def __eq__(self, other):
         if not isinstance(other, GridFunction):
             return NotImplemented
-        if self.ambient != other.ambient:
-            return False
-        kind = _join_kind(self.kind, other.kind)
-        a, b = (GridFunction(self.ambient, kind, g.values) for g in (self, other))
-        return a.values == b.values
+        return self.ambient == other.ambient and all(_agreement(self, other))
+
+    def galois(self, r: int) -> "GridFunction":
+        """The image under zeta -> zeta**r of every value (r a unit mod q),
+        computed on the lattice rows: x**j goes to x**(r*j), then one
+        reduction per value."""
+        if self.kind == COMPLEX:
+            raise ValueError("the Galois action is defined on exact values")
+        p, ell = self.ambient.p, self.ambient.ell
+        r = _unit_index(p, ell, r)
+        if r == 1 or self.kind == RATIONAL:
+            return self
+        den, rows = _rows_of(self)
+        rows = [_galois_row(p, ell, row, r) for row in rows]
+        return type(self)._from_rows(self.ambient, CYCLOTOMIC, rows, den)
+
+    def dilate(self, r: int) -> "GridFunction":
+        """The function x -> self(r*x), on the lattice rows when self has them."""
+        src = dilation_indices(self.ambient, r % self.ambient.modulus)
+        if self._rows is not None:
+            rows = [self._rows[i] for i in src]
+            return type(self)._from_rows(self.ambient, self.kind, rows, self._den)
+        return type(self)(self.ambient, self.kind, [self.values[i] for i in src])
 
     def isclose(self, other: "GridFunction", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient != other.ambient:
@@ -210,10 +273,10 @@ class Spectrum(GridFunction):
 
 
 def vanishes_on(F: GridFunction, points, tol: float = DEFAULT_TOL) -> bool:
-    """True when F is zero at every given point: exactly for exact values,
-    by the zero rule over all of F for complex ones."""
-    bound = zero_bound(F.values, tol)
-    return all(is_zero(F.value_at(x), bound) for x in points)
+    """True when F is zero at every given point, by the zero mask: exactly
+    for exact values, by the zero rule over all of F for complex ones."""
+    nonzero = F.nonzero(tol)
+    return not any(nonzero[F.ambient.index_of(x)] for x in points)
 
 
 ONE_F = Fraction(1)
@@ -316,10 +379,9 @@ def _encode(values, ambient, kind: str | None = None):
     else:
         rows = [(v,) for v in values]
         width = 1
-    dens = {c.denominator for row in rows for c in row}
-    L = math.lcm(*dens)
-    mult = {den: L // den for den in dens}
-    return kind, width, L, [c.numerator * mult[c.denominator] for col in zip(*rows) for c in col]
+    ratios = [c.as_integer_ratio() for col in zip(*rows) for c in col]
+    L = math.lcm(*{den for _, den in ratios})
+    return kind, width, L, [num * (L // den) for num, den in ratios]
 
 
 def _decode(kind: str, rows, den: int, ambient, demote: bool = False):
@@ -341,12 +403,51 @@ def _decode(kind: str, rows, den: int, ambient, demote: bool = False):
             value = memo[c] = Fraction(c, den)
         return value
 
-    if demote and not any(any(row[1:]) for row in rows):
-        kind = RATIONAL
+    if demote:
+        kind = _demoted(rows)
     if kind == CYCLOTOMIC:
         p, ell = ambient.p, ambient.ell
         return CYCLOTOMIC, [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
     return RATIONAL, [frac(row[0]) for row in rows]
+
+
+def _demoted(rows) -> str:
+    """The kind of exact rows when demoted: rational exactly when every
+    coordinate above degree zero is zero."""
+    return CYCLOTOMIC if any(any(row[1:]) for row in rows) else RATIONAL
+
+
+def _lattice_of(f: GridFunction):
+    """(den, A): exact f on the lattice, A[c*N + i] = den * coordinate c of
+    value i: the rows a transform left on f, else ``_encode`` of its values."""
+    if f._rows is not None:
+        return f._den, [c for col in zip(*f._rows) for c in col]
+    _, _, L, A = _encode(f.values, f.ambient, f.kind)
+    return L, A
+
+
+def _rows_of(f: GridFunction):
+    """(den, rows): exact f as one int row of coordinates per value over den."""
+    if f._rows is not None:
+        return f._den, f._rows
+    den, A = _lattice_of(f)
+    N = f.ambient.size
+    return den, list(zip(*(A[c : c + N] for c in range(0, len(A), N))))
+
+
+def _agreement(f: GridFunction, g: GridFunction):
+    """Per point, whether f and g take the same value.  Exact functions
+    compare their lattices, rows a/da and b/db as a*db == b*da with the
+    shorter row padded by zeros; complex ones their promoted values."""
+    if COMPLEX in (f.kind, g.kind):
+        return map(operator.eq, f.to_complex().values, g.to_complex().values)
+    (da, ra), (db, rb) = _rows_of(f), _rows_of(g)
+    if da == db and len(ra[0]) == len(rb[0]):
+        return map(operator.eq, ra, rb)
+    return (
+        all(x * db == y * da for x, y in zip_longest(a, b, fillvalue=0))
+        for a, b in zip(ra, rb)
+    )
 
 
 def _exact_transform(A: list, ambient, passes: int, sign: int) -> list:
@@ -372,9 +473,9 @@ def forward(f: GridFunction) -> Spectrum:
             vals = _complex_pass(vals, ambient.modulus, -1)
         scale = 1.0 / ambient.size
         return Spectrum(ambient, COMPLEX, [v * scale for v in vals])
-    _, _, L, A = _encode(f.values, ambient, f.kind)
+    L, A = _lattice_of(f)
     rows = _exact_transform(A, ambient, ambient.d, -1)
-    return Spectrum(ambient, *_decode(CYCLOTOMIC, rows, L * ambient.size, ambient))
+    return Spectrum._from_rows(ambient, CYCLOTOMIC, rows, L * ambient.size)
 
 
 def forward_naive(f: GridFunction) -> Spectrum:
@@ -413,9 +514,9 @@ def inverse(F: GridFunction) -> GridFunction:
         for _ in range(ambient.d):
             vals = _complex_pass(vals, ambient.modulus, +1)
         return GridFunction(ambient, COMPLEX, vals)
-    _, _, L, A = _encode(F.values, ambient, F.kind)
+    L, A = _lattice_of(F)
     rows = _exact_transform(A, ambient, ambient.d, +1)
-    return GridFunction(ambient, *_decode(CYCLOTOMIC, rows, L, ambient, demote=True))
+    return GridFunction._from_rows(ambient, _demoted(rows), rows, L)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

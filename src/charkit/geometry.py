@@ -13,8 +13,9 @@ order of every dense array in the package.
 
 This module is the one home of point order, line indices and hyperplane
 labels: ``line_indices`` holds the dense indices of every line's points,
-once per grid, and ``dots`` the labels x.v of every point for a direction
-v.  Other modules read them; only the references ``forward_naive``,
+once per grid, ``dilation_indices`` the index of r*x for every point, and
+``dots`` the labels x.v of every point for a direction v.  Other modules
+read them; only the references ``forward_naive``,
 ``masses`` and ``convolve`` keep their own arithmetic.
 """
 
@@ -234,6 +235,18 @@ def line_indices(ambient: Ambient) -> dict:
         line: tuple(map(ambient.index_of, line.points(ambient)))
         for line in enumerate_lines(ambient)
     }
+
+
+@lru_cache(maxsize=None)
+def dilation_indices(ambient: Ambient, r: int) -> tuple:
+    """The dense index of r*x for every point x, in point order: on each
+    line of ``line_indices``, t*rep goes to (r*t)*rep."""
+    out = [0] * ambient.size
+    for indices in line_indices(ambient).values():
+        n = len(indices)
+        for t, i in enumerate(indices):
+            out[i] = indices[r * t % n]
+    return tuple(out)
 
 
 def dots(ambient: Ambient, v: Point) -> list:

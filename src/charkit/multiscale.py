@@ -160,7 +160,7 @@ def multiscale_decompose(F: Spectrum) -> tuple:
         raise TheoremViolation(f"frequencies never claimed: {sorted(unclaimed)}")
     if len(claims) == 1:
         claims[0][2].add(origin)
-    elif not claims or F.values[0]:
+    elif not claims or F.nonzero()[0]:
         claims.append((None, origin, {origin}))
     return tuple(
         MultiscalePart(level, gen if level else None, _line_part(F, gen, pts)[0])

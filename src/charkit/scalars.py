@@ -95,6 +95,29 @@ def _reduce_ext(p: int, ell: int, ext: list) -> tuple:
     return tuple(out)
 
 
+def _unit_index(p: int, ell: int, r: int) -> int:
+    """r mod p**ell, checked to index an automorphism zeta -> zeta**r."""
+    q = p ** ell
+    r %= q
+    if ell == 1 and not 1 <= r <= p - 1:
+        raise ValueError(f"automorphism index must be in [1, {p - 1}], got {r}")
+    if r == 0 or r % p == 0:
+        raise ValueError(f"automorphism index must be a unit mod {q}, got {r}")
+    return r
+
+
+def _galois_row(p: int, ell: int, row, r: int, zero=0) -> tuple:
+    """The power-basis coordinates of sigma_r(z) from those of z: x**j goes
+    to x**(r*j), then one reduction.  ``zero`` fills the empty exponents:
+    0 for int lattice rows, ZERO for a Cyclotomic's Fractions."""
+    q = p ** ell
+    ext = [zero] * q
+    for j, c in enumerate(row):
+        if c:
+            ext[j * r % q] = c
+    return _reduce_ext(p, ell, ext)
+
+
 @lru_cache(maxsize=None)
 def _zero_coeffs(p: int, ell: int) -> tuple:
     return (ZERO,) * _degree(p, ell)
@@ -268,19 +291,12 @@ class Cyclotomic:
 
     def galois(self, r: int) -> "Cyclotomic":
         """Image under the field automorphism zeta -> zeta**r (r a unit mod conductor)."""
-        q = self.conductor
-        r %= q
-        if self.ell == 1 and not 1 <= r <= self.p - 1:
-            raise ValueError(f"automorphism index must be in [1, {self.p - 1}], got {r}")
-        if r == 0 or r % self.p == 0:
-            raise ValueError(f"automorphism index must be a unit mod {q}, got {r}")
+        r = _unit_index(self.p, self.ell, r)
         if r == 1:
             return self
-        ext = [ZERO] * q
-        for j, c in enumerate(self.coeffs):
-            if c:
-                ext[j * r % q] = c
-        return Cyclotomic._make(self.p, self.ell, _reduce_ext(self.p, self.ell, ext))
+        return Cyclotomic._make(
+            self.p, self.ell, _galois_row(self.p, self.ell, self.coeffs, r, ZERO)
+        )
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(self.conductor - 1)

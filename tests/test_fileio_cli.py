@@ -890,3 +890,66 @@ def test_cli_verify_refuses_a_grid_with_too_many_subsets(monkeypatch, capsys, su
     assert captured.err.startswith("data error:") and "2**27 subsets" in captured.err
     assert "Traceback" not in captured.err
     assert calls == []
+
+
+def _count_calls(monkeypatch):
+    """Count calls of ``fourier._decode`` (at every charkit binding of it)
+    and of ``Cyclotomic.galois``; returns the live counter."""
+    from charkit import fourier
+
+    calls = {"decode": 0, "galois": 0}
+    decode, galois = fourier._decode, Cyclotomic.galois
+
+    def counting_decode(*args, **kwargs):
+        calls["decode"] += 1
+        return decode(*args, **kwargs)
+
+    def counting_galois(self, r):
+        calls["galois"] += 1
+        return galois(self, r)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("charkit") and getattr(module, "_decode", None) is decode:
+            monkeypatch.setattr(module, "_decode", counting_decode)
+    monkeypatch.setattr(Cyclotomic, "galois", counting_galois)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["rational_7_3", "cyclotomic_7_3", "rational_3_5", "cyclotomic_3_5"])
+def test_cli_bandwidth_reads_the_lattice_rows_and_decodes_nothing(monkeypatch, capsys, source):
+    calls = _count_calls(monkeypatch)
+    assert run_cli("bandwidth", "--input", str(GOLDEN / "exact" / f"{source}.json")) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "exact" / f"{source}.bandwidth.out.json").read_text()
+    assert calls == {"decode": 0, "galois": 0}
+
+
+def test_cli_verify_galois_runs_on_the_lattice_rows(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch)
+    assert run_cli("verify", "galois", "--suite-size", "3") == 0
+    capsys.readouterr()
+    assert calls == {"decode": 0, "galois": 0}
+
+
+def test_cli_transform_decodes_once_per_request(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch)
+    sources = ["rational_7_3", "cyclotomic_7_3", "rational_3_5", "cyclotomic_3_5"]
+    for n, source in enumerate(sources, 1):
+        assert run_cli("transform", "--input", str(GOLDEN / "exact" / f"{source}.json")) == 0
+        assert calls["decode"] == n
+    capsys.readouterr()
+
+
+def test_cli_verify_galois_names_the_first_point_that_breaks_equivariance(monkeypatch, capsys):
+    from charkit import verify
+
+    def broken(f):  # F(0,2) no longer equals sigma_2(F(0,1))
+        F = forward(f)
+        values = list(F.values)
+        values[f.ambient.index_of((0, 2))] += 1
+        return type(F)(f.ambient, "cyclotomic", values)
+
+    monkeypatch.setattr(verify, "forward", broken)
+    assert run_cli("verify", "galois", "--suite-size", "1", "--p", "3", "--d", "2") == 3
+    out = capsys.readouterr().out
+    assert "m=(0, 1), r=2" in out

@@ -21,6 +21,8 @@ from .fourier import (
     GridFunction,
     Spectrum,
     _coerce_value,
+    _encode,
+    _from_lattice,
     forward,
     inverse,
     vanishes_on,
@@ -40,7 +42,7 @@ from .geometry import (
     require_prime_grid,
     translate_set,
 )
-from .scalars import DEFAULT_TOL, all_equal
+from .scalars import DEFAULT_TOL, _galois_row, all_equal
 
 # Granularity for comparing bandwidth dimensions (a derived float).
 BWD_EPS = 1e-12
@@ -277,7 +279,7 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
     """
     require_prime_grid(ambient)
     p = ambient.p
-    values = [dc] + [_coerce_value(CYCLOTOMIC, 0, ambient)] * (ambient.size - 1)
+    keyed = {}
     for key, seed in seeds.items():
         rep = tuple(key.rep if isinstance(key, ProjectiveLine) else key)
         line = line_through(ambient, rep)
@@ -285,10 +287,15 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
             raise ValueError(
                 f"seed key {rep} is not a canonical line of Z_{p}**{ambient.d}"
             )
-        z = _coerce_value(CYCLOTOMIC, seed, ambient)
+        keyed[line] = _coerce_value(CYCLOTOMIC, seed, ambient)
+    # F(r*m) = sigma_r(F(m)) on the lattice rows: one encoding, then x**j -> x**(r*j).
+    values = [_coerce_value(CYCLOTOMIC, dc, ambient), *keyed.values()]
+    _, den, seed_rows = _encode(values, ambient, CYCLOTOMIC)
+    rows = [seed_rows[0]] + [(0,) * (p - 1)] * (ambient.size - 1)
+    for line, row in zip(keyed, seed_rows[1:]):
         for r, i in enumerate(line_indices(ambient)[line][1:], 1):
-            values[i] = z.galois(r)
-    f = inverse(Spectrum(ambient, CYCLOTOMIC, values))
+            rows[i] = _galois_row(p, 1, row, r)
+    f = inverse(_from_lattice(ambient, rows, den, CYCLOTOMIC))
     if f.kind != RATIONAL:
         raise TheoremViolation("equivariant spectrum did not invert to a rational function")
     return f

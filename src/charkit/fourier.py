@@ -17,9 +17,9 @@ A value changes kind in one place, ``_coerce_value``, which the
 ``GridFunction`` constructor applies to every value: rational values
 promote to cyclotomic or complex ones, cyclotomic values to complex ones
 by ``complex(z)`` (the embedding), and complex values never go back.
-``to_cyclotomic``, ``to_complex``, arithmetic between kinds and equality
-with a complex function all promote by building a ``GridFunction`` of the
-joined kind; equality of exact kinds compares lattices (below).
+``to_cyclotomic``, ``to_complex`` and arithmetic or equality with a
+complex function promote by building a ``GridFunction`` of the joined
+kind; exact arithmetic and equality work on the lattice rows (below).
 
 Rational and cyclotomic inputs take the exact path over Q(zeta_q), complex
 inputs the floating one.  Both run d passes of one shape, a length-q
@@ -32,26 +32,23 @@ roots exp(2*pi*i*e/q) of ``scalars._embed_roots``, the one root table,
 which ``forward_naive`` and the floating eigenfunctions read too.
 
 The exact path is an integer-lattice kernel in the style of Nussbaumer's
-polynomial transforms, and this module is the one home of its format.
-``_encode`` scales values by the lcm L of their coefficient denominators
-and writes coordinate c of value i at A[c*N + i]: length-q int vectors in
-Z[x]/(x**q - 1), x standing for zeta.  There, multiplying by zeta**e is a
-rotation of the vector, so the d axis passes (one length-q pass per axis)
-only add ints: N*d*q*q of them for N = q**d points.  Each output value is
-then reduced to the power basis once.  An exact result of ``forward`` or
-``inverse`` carries these rows over one denominator, L*N for ``forward``
-and L for ``inverse``, and ``values`` is decoded from them by ``_decode``
-on the first read only, one Fraction per distinct coefficient.  The
-demotion rule makes ``inverse`` return rational scalars exactly when every
-reduced coefficient above degree zero is zero, read from the rows.  Until
-``values`` is read, the rows answer for the function: the zero mask
-``nonzero`` (any(row)), the Galois action ``galois`` (x**j -> x**(r*j) and
-one reduction), equality (rows cross-multiplied by the two denominators)
-and ``inverse`` (the rows go straight back into the lattice).  A function
-built from values takes the same paths through ``_encode``.
-The mass table, back-projection and multi-scale parts of ``wavelets`` and
-``multiscale`` run the same kernel through ``_encode`` and ``_decode`` and
-only lay out their runs: padding, positions and planes.
+polynomial transforms, and this module is the one home of its format.  An
+exact function holds it from construction: one int row per point over one
+denominator, the phi power-basis coordinates of a cyclotomic value or the
+one of a rational value.  ``_encode`` scales values onto rows by the lcm L
+of their denominators; a run builds its result from rows
+(``_from_lattice``), whose ``values`` ``_decode`` makes on the first read
+only.  A run lays rows out as planes, A[c*N + i] = coordinate c of value i
+(``_planes``): length-q int vectors in Z[x]/(x**q - 1), x standing for
+zeta, where multiplying by zeta**e is a rotation, so the d axis passes
+only add ints, N*d*q*q of them for N = q**d points, and each output value
+is reduced to the power basis once.  ``forward`` leaves rows over L*N,
+``inverse`` over L, rational exactly when every coordinate above degree
+zero is zero.  The rows answer for the function: the zero mask, the
+Galois action (x**j -> x**(r*j)), equality (cross-multiplied by the two
+denominators), ``+`` and ``-`` (over the lcm of the two), ``take`` and the
+transforms.  Every other module reads rows through ``_lattice_of``, builds
+from them through ``_from_lattice`` and only lays out its runs.
 
 ``forward_naive`` is the quadratic double loop over ``Cyclotomic``
 arithmetic, or complex arithmetic on the root table.  It shares no code
@@ -104,9 +101,9 @@ def _coerce_value(kind: str, value, ambient):
 class GridFunction:
     """A dense function on the points of the grid, in lexicographic order.
 
-    An exact result of ``forward`` or ``inverse`` holds its lattice form,
-    one power-basis int row per point over one denominator, and decodes
-    ``values`` from it on the first read only."""
+    An exact function holds its lattice rows over one denominator from
+    construction; ``values`` are the values it was built from, or decoded
+    from its rows on the first read.  A complex function holds values alone."""
 
     __slots__ = ("ambient", "kind", "_values", "_rows", "_den")
 
@@ -121,19 +118,13 @@ class GridFunction:
         self.ambient = ambient
         self.kind = kind
         self._values = values
-        self._rows = self._den = None
-
-    @classmethod
-    def _from_rows(cls, ambient, kind: str, rows, den: int) -> "GridFunction":
-        """The exact function whose value i has coordinates rows[i] / den."""
-        f = object.__new__(cls)
-        f.ambient, f.kind, f._values, f._rows, f._den = ambient, kind, None, rows, den
-        return f
+        if kind != COMPLEX:
+            _, self._den, self._rows = _encode(values, ambient, kind)
 
     @property
     def values(self) -> tuple:
         if self._values is None:
-            self._values = tuple(_decode(self.kind, self._rows, self._den, self.ambient)[1])
+            self._values = tuple(_decode(self.kind, self._rows, self._den, self.ambient))
         return self._values
 
     @classmethod
@@ -159,12 +150,10 @@ class GridFunction:
 
     def nonzero(self, tol: float = DEFAULT_TOL) -> tuple:
         """The one zero mask: whether each value is nonzero.  Exact values
-        are read from the lattice rows when the function has them; complex
-        values follow the zero rule over all of them."""
-        if self._rows is not None:
-            return tuple(map(any, self._rows))
+        are read from the lattice rows; complex values follow the zero rule
+        over all of them."""
         if self.kind != COMPLEX:
-            return tuple(map(bool, self.values))
+            return tuple(map(any, self._rows))
         bound = zero_bound(self.values, tol)
         return tuple(not is_zero(v, bound) for v in self.values)
 
@@ -216,17 +205,19 @@ class GridFunction:
         r = _unit_index(p, ell, r)
         if r == 1 or self.kind == RATIONAL:
             return self
-        den, rows = _rows_of(self)
-        rows = [_galois_row(p, ell, row, r) for row in rows]
-        return type(self)._from_rows(self.ambient, CYCLOTOMIC, rows, den)
+        rows = [_galois_row(p, ell, row, r) for row in self._rows]
+        return _from_lattice(self.ambient, rows, self._den, CYCLOTOMIC, type(self))
 
     def dilate(self, r: int) -> "GridFunction":
-        """The function x -> self(r*x), on the lattice rows when self has them."""
-        src = dilation_indices(self.ambient, r % self.ambient.modulus)
-        if self._rows is not None:
-            rows = [self._rows[i] for i in src]
-            return type(self)._from_rows(self.ambient, self.kind, rows, self._den)
-        return type(self)(self.ambient, self.kind, [self.values[i] for i in src])
+        """The function x -> self(r*x)."""
+        return self.take(self.ambient, dilation_indices(self.ambient, r % self.ambient.modulus))
+
+    def take(self, ambient, src) -> "GridFunction":
+        """The function on ``ambient`` whose value i is self's value src[i]."""
+        if self.kind == COMPLEX:
+            return type(self)(ambient, COMPLEX, [self.values[i] for i in src])
+        rows = [self._rows[i] for i in src]
+        return _from_lattice(ambient, rows, self._den, self.kind, type(self))
 
     def isclose(self, other: "GridFunction", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient != other.ambient:
@@ -237,26 +228,36 @@ class GridFunction:
         return all(is_zero(x - y, bound) for x, y in zip(a, b))
 
     def _binop(self, other, op):
-        if isinstance(other, GridFunction):
-            if self.ambient != other.ambient:
-                raise ValueError("grid mismatch")
-            kind = _join_kind(self.kind, other.kind)
-            a, b = (GridFunction(self.ambient, kind, g.values) for g in (self, other))
-            return GridFunction(self.ambient, kind, map(op, a.values, b.values))
-        return NotImplemented
+        """Pointwise op; exact functions combine their rows over the lcm of
+        the two denominators, a rational row padded with zeros."""
+        if not isinstance(other, GridFunction):
+            return NotImplemented
+        if self.ambient != other.ambient:
+            raise ValueError("grid mismatch")
+        kind = _join_kind(self.kind, other.kind)
+        if kind == COMPLEX:
+            a, b = self.to_complex().values, other.to_complex().values
+            return GridFunction(self.ambient, kind, map(op, a, b))
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        rows = [
+            tuple(op(x * sa, y * sb) for x, y in zip_longest(a, b, fillvalue=0))
+            for a, b in zip(self._rows, other._rows)
+        ]
+        return _from_lattice(self.ambient, rows, den, kind)
 
     def __add__(self, other):
-        return self._binop(other, lambda x, y: x + y)
+        return self._binop(other, operator.add)
 
     def __sub__(self, other):
-        return self._binop(other, lambda x, y: x - y)
+        return self._binop(other, operator.sub)
 
     def __neg__(self):
-        return GridFunction(self.ambient, self.kind, [-v for v in self.values])
+        return self._binop(self, lambda x, _: -x)
 
     def scale(self, factor) -> "GridFunction":
         kind = _join_kind(self.kind, _kind_of_scalar(factor))
-        vals = GridFunction(self.ambient, kind, self.values).values
+        vals = [_coerce_value(kind, v, self.ambient) for v in self.values]
         if kind == COMPLEX:  # an exact factor keeps its own product on exact values
             factor = _coerce_value(kind, factor, self.ambient)
         return GridFunction(self.ambient, kind, [factor * v for v in vals])
@@ -357,44 +358,40 @@ def _lattice_pass(A: list, q: int, sign: int) -> list:
 
 
 def _encode(values, ambient, kind: str | None = None):
-    """(kind, width, L, A): ``values`` on the lattice Z[x]/(x**q - 1), the
-    one place a value is scaled onto it.
+    """(kind, L, rows): ``values`` on the lattice Z[x]/(x**q - 1), the one
+    place a value is scaled onto it.
 
     Without ``kind`` the values are promoted to the kind they join to;
     callers that hold values of one kind pass it.  Exact values are scaled
-    by the lcm L of every coefficient denominator, and A[c*N + i] = L *
-    coordinate c of values[i] for N = len(values): a cyclotomic value has
-    ``width`` = phi coordinates, a rational or complex one a single one.
-    Complex values enter as they are, with L = 1.  Each caller then lays A
-    out for its own run.
+    by the lcm L of every coefficient denominator, and rows[i] holds L
+    times the coordinates of values[i]: the phi power-basis coordinates of
+    a cyclotomic value, the single one of a rational value.  Complex values
+    enter as they are, one per row, with L = 1.
     """
     if kind is None:
         kind = _join_kind(*map(_kind_of_scalar, values))
         values = [_coerce_value(kind, v, ambient) for v in values]
     if kind == COMPLEX:
-        return COMPLEX, 1, 1, list(values)
+        return COMPLEX, 1, [(v,) for v in values]
+    width = 1
     if kind == CYCLOTOMIC:
-        rows = [v.coeffs for v in values]
         width = ambient.modulus - ambient.modulus // ambient.p
-    else:
-        rows = [(v,) for v in values]
-        width = 1
-    ratios = [c.as_integer_ratio() for col in zip(*rows) for c in col]
+        values = [c for v in values for c in v.coeffs]
+    ratios = [c.as_integer_ratio() for c in values]
     L = math.lcm(*{den for _, den in ratios})
-    return kind, width, L, [num * (L // den) for num, den in ratios]
+    ints = iter([num * (L // den) for num, den in ratios])
+    return kind, L, list(zip(*[ints] * width))  # width ints per row
 
 
-def _decode(kind: str, rows, den: int, ambient, demote: bool = False):
-    """(kind, values) from lattice rows, the one place they turn back into values.
+def _decode(kind: str, rows, den: int, ambient) -> list:
+    """The values of lattice rows, the one place they turn back into values.
 
     Row i holds the coordinates of value i: its power-basis coordinates for
     a cyclotomic value, one coordinate for a rational or complex one.  Each
-    is divided by den, and each distinct Fraction is built once.  With
-    ``demote`` the exact values come back rational exactly when every
-    coordinate above degree zero is zero, as an inverse transform's do.
+    is divided by den, and each distinct Fraction is built once.
     """
     if kind == COMPLEX:
-        return COMPLEX, [complex(row[0]) / den for row in rows]
+        return [complex(row[0]) / den for row in rows]
     memo = {0: ZERO}
 
     def frac(c):
@@ -403,36 +400,37 @@ def _decode(kind: str, rows, den: int, ambient, demote: bool = False):
             value = memo[c] = Fraction(c, den)
         return value
 
-    if demote:
-        kind = _demoted(rows)
     if kind == CYCLOTOMIC:
         p, ell = ambient.p, ambient.ell
-        return CYCLOTOMIC, [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
-    return RATIONAL, [frac(row[0]) for row in rows]
+        return [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
+    return [frac(row[0]) for row in rows]
 
 
-def _demoted(rows) -> str:
-    """The kind of exact rows when demoted: rational exactly when every
-    coordinate above degree zero is zero."""
-    return CYCLOTOMIC if any(any(row[1:]) for row in rows) else RATIONAL
+def _from_lattice(ambient, rows, den: int, kind: str | None = None, cls=GridFunction):
+    """The exact function whose value i has the coordinates rows[i] / den,
+    ``values`` undecoded until read.  Without ``kind`` the rows are demoted
+    as an inverse transform's are: rational, one coordinate per row, exactly
+    when every coordinate above degree zero is zero."""
+    if kind is None:
+        first, *higher = zip(*rows)
+        kind = CYCLOTOMIC if any(map(any, higher)) else RATIONAL
+        rows = rows if kind == CYCLOTOMIC else list(zip(first))
+    f = object.__new__(cls)
+    f.ambient, f.kind, f._values, f._rows, f._den = ambient, kind, None, rows, den
+    return f
 
 
 def _lattice_of(f: GridFunction):
-    """(den, A): exact f on the lattice, A[c*N + i] = den * coordinate c of
-    value i: the rows a transform left on f, else ``_encode`` of its values."""
-    if f._rows is not None:
-        return f._den, [c for col in zip(*f._rows) for c in col]
-    _, _, L, A = _encode(f.values, f.ambient, f.kind)
-    return L, A
+    """(den, rows): f on the lattice, rows[i] / den the coordinates of value
+    i.  Complex values enter as they are, one per row, over 1."""
+    if f.kind == COMPLEX:
+        return 1, [(v,) for v in f.values]
+    return f._den, f._rows
 
 
-def _rows_of(f: GridFunction):
-    """(den, rows): exact f as one int row of coordinates per value over den."""
-    if f._rows is not None:
-        return f._den, f._rows
-    den, A = _lattice_of(f)
-    N = f.ambient.size
-    return den, list(zip(*(A[c : c + N] for c in range(0, len(A), N))))
+def _planes(rows) -> list:
+    """The rows laid out for a run: A[c*N + i] = rows[i][c], N = len(rows)."""
+    return [c for col in zip(*rows) for c in col]
 
 
 def _agreement(f: GridFunction, g: GridFunction):
@@ -441,7 +439,7 @@ def _agreement(f: GridFunction, g: GridFunction):
     shorter row padded by zeros; complex ones their promoted values."""
     if COMPLEX in (f.kind, g.kind):
         return map(operator.eq, f.to_complex().values, g.to_complex().values)
-    (da, ra), (db, rb) = _rows_of(f), _rows_of(g)
+    (da, ra), (db, rb) = (f._den, f._rows), (g._den, g._rows)
     if da == db and len(ra[0]) == len(rb[0]):
         return map(operator.eq, ra, rb)
     return (
@@ -450,13 +448,14 @@ def _agreement(f: GridFunction, g: GridFunction):
     )
 
 
-def _exact_transform(A: list, ambient, passes: int, sign: int) -> list:
-    """The exact transform (sign -1 forward, +1 inverse) of N = q**passes
-    values on the lattice, A[c*N + i] = coordinate c of value i: A is
-    zero-padded to q planes, the passes run, and each position is reduced
-    to the power basis, one row of phi ints per position."""
+def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
+    """The exact transform (sign -1 forward, +1 inverse) of the N =
+    q**passes values with lattice rows ``rows``: their planes are
+    zero-padded to q, the passes run, and each position is reduced to the
+    power basis, one row of phi ints per position."""
     p, ell, q = ambient.p, ambient.ell, ambient.modulus
-    A = A + [0] * (q ** (passes + 1) - len(A))
+    A = _planes(rows)
+    A += [0] * (q ** (passes + 1) - len(A))
     for _ in range(passes):
         A = _lattice_pass(A, q, sign)
     n = len(A) // q
@@ -473,9 +472,8 @@ def forward(f: GridFunction) -> Spectrum:
             vals = _complex_pass(vals, ambient.modulus, -1)
         scale = 1.0 / ambient.size
         return Spectrum(ambient, COMPLEX, [v * scale for v in vals])
-    L, A = _lattice_of(f)
-    rows = _exact_transform(A, ambient, ambient.d, -1)
-    return Spectrum._from_rows(ambient, CYCLOTOMIC, rows, L * ambient.size)
+    rows = _exact_transform(f._rows, ambient, ambient.d, -1)
+    return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC, Spectrum)
 
 
 def forward_naive(f: GridFunction) -> Spectrum:
@@ -514,9 +512,8 @@ def inverse(F: GridFunction) -> GridFunction:
         for _ in range(ambient.d):
             vals = _complex_pass(vals, ambient.modulus, +1)
         return GridFunction(ambient, COMPLEX, vals)
-    L, A = _lattice_of(F)
-    rows = _exact_transform(A, ambient, ambient.d, +1)
-    return GridFunction._from_rows(ambient, _demoted(rows), rows, L)
+    rows = _exact_transform(F._rows, ambient, ambient.d, +1)
+    return _from_lattice(ambient, rows, F._den)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

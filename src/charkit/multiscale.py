@@ -12,21 +12,19 @@ holds over Z_q as over Z_p: a spectrum F on the points t*v of the line
 through v (one t per point) has inverse f(x) = sum_t F(t*v) chi(t * x.v)
 = c[x.v], with c the length-q inverse transform of t -> F(t*v).  So f is
 constant on each hyperplane {x : x.v = s}, and one length-q lattice pass
-replaces a d-axis inverse.  ``fourier._encode`` scales the claimed values
-of F onto the lattice and ``fourier._decode`` turns c back into values,
-rational exactly when every c[s] is; this module only places F(t*v) at
-position t.
+replaces a d-axis inverse.  This module only places the lattice row of
+F(t*v) at position t and permutes the rows of c along x.v; the part is
+rational exactly when every c[s] is, and nothing is decoded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .fourier import COMPLEX, CYCLOTOMIC, GridFunction, Spectrum, _decode, _encode
-from .fourier import _exact_transform
+from .fourier import COMPLEX, GridFunction, Spectrum
+from .fourier import _exact_transform, _from_lattice, _lattice_of
 from .geometry import Ambient, Point, ProjectiveLine, dots, enumerate_lines, line_indices
 from .geometry import vadd, valuation, vector_valuation, vsub
 
@@ -52,27 +50,19 @@ def require_exact(f: GridFunction) -> None:
         )
 
 
-def _line_part(F: Spectrum, v: Point, claimed) -> tuple:
+def _line_part(F: Spectrum, v: Point, claimed) -> GridFunction:
     """x -> c[x.v], the function whose spectrum is F on ``claimed`` (points
-    t*v of the line through v; v = 0 for the origin) and 0 elsewhere, and
-    its hyperplane form: (s, c[s]) for every s some x.v reaches, the
-    multiples of g = gcd(q, v).  It is rational exactly when those c[s] are."""
+    t*v of the line through v; v = 0 for the origin) and 0 elsewhere.  The
+    rows of c are permuted along x.v, and the part is rational exactly when
+    every c[s] that x.v reaches is."""
     ambient = F.ambient
-    q = ambient.modulus
-    g = math.gcd(q, *v)
-    on_line = [
-        (t, i)
-        for t, i in enumerate(line_indices(ambient).get(ProjectiveLine(v), (0,)))
-        if ambient.point_at(i) in claimed
-    ]
-    _, width, L, M = _encode([F.values[i] for _, i in on_line], ambient, F.kind)
-    A = [0] * (width * q)  # A[j*q + t]: coordinate j of L*F(t*v)
-    for k, (t, _) in enumerate(on_line):
-        A[t::q] = M[k :: len(on_line)]
-    rows = _exact_transform(A, ambient, 1, +1)
-    kind, c = _decode(CYCLOTOMIC, rows[::g], L, ambient, demote=True)  # c[s // g] at s
-    part = GridFunction(ambient, kind, [c[s // g] for s in dots(ambient, v)])
-    return part, tuple(zip(range(0, q, g), c))
+    den, rows = _lattice_of(F)
+    line = [(0,) * len(rows[0])] * ambient.modulus  # row t: that of F(t*v), if claimed
+    for t, i in enumerate(line_indices(ambient).get(ProjectiveLine(v), (0,))):
+        if ambient.point_at(i) in claimed:
+            line[t] = rows[i]
+    c = _exact_transform(line, ambient, 1, +1)
+    return _from_lattice(ambient, [c[s] for s in dots(ambient, v)], den)
 
 
 @dataclass(frozen=True)
@@ -106,10 +96,13 @@ def is_level_l_wavelet(f: GridFunction, F: Spectrum) -> LevelWaveletResult:
     # Through-origin lines first, then proper affine translates.
     for line in unit_lines:
         if supp.issubset(line.points(ambient)):
-            part, coeffs = _line_part(F, line.rep, supp)
+            part = _line_part(F, line.rep, supp)
             ok = part == f
+            coeffs = None
+            if ok:  # the generator is a unit vector, so x.v takes every s in Z_q
+                coeffs = tuple(sorted(dict(zip(dots(ambient, line.rep), part.values)).items()))
             return LevelWaveletResult(True, generator=line.rep, level=ell,
-                                      coeffs=coeffs if ok else None, spatial_matches=ok)
+                                      coeffs=coeffs, spatial_matches=ok)
     m0 = min(supp)
     for line in unit_lines:
         base = set(line.points(ambient))
@@ -163,6 +156,6 @@ def multiscale_decompose(F: Spectrum) -> tuple:
     elif not claims or F.nonzero()[0]:
         claims.append((None, origin, {origin}))
     return tuple(
-        MultiscalePart(level, gen if level else None, _line_part(F, gen, pts)[0])
+        MultiscalePart(level, gen if level else None, _line_part(F, gen, pts))
         for level, gen, pts in claims
     )

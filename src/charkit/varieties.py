@@ -70,8 +70,7 @@ def slice_last(f: GridFunction, a: int) -> GridFunction:
         raise ValueError("slicing requires dimension >= 2")
     a %= ambient.p
     small = Ambient(ambient.p, ambient.d - 1)
-    vals = [f.value_at(y + (a,)) for y in small.points()]
-    return GridFunction(small, f.kind, vals)
+    return f.take(small, [ambient.index_of(y + (a,)) for y in small.points()])
 
 
 def classify_direction_paraboloid(ambient: Ambient, v: Point) -> str:

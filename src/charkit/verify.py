@@ -498,10 +498,8 @@ def _zpl_item(_i, ambient, rng) -> bool:
         for _ in range(ambient.size)
     ]
     f = GridFunction(ambient, "rational", vals)
-    acc = None
-    for part in multiscale_decompose(forward(f)):
-        acc = part.function if acc is None else acc + part.function
-    return acc == f
+    parts = [part.function for part in multiscale_decompose(forward(f))]
+    return sum(parts[1:], parts[0]) == f
 
 
 def run_zpl(config: VerifyConfig) -> SuiteResult:

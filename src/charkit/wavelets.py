@@ -7,9 +7,9 @@ determine the transform of f on that line, which is why a function is
 recoverable from its complete mass table (the sinogram).
 
 The mass table comes from one run of the exact-transform lattice kernel,
-whose format lives in ``fourier``: ``_encode`` scales the values onto the
-lattice and ``_decode`` turns its rows back into masses, so this module
-only lays out its runs.  For a direction s let G(s) = sum_x f(x) *
+whose format lives in ``fourier``: the run reads the function's rows and
+``_decode`` turns its cells into masses, so this module only lays out its
+runs.  For a direction s let G(s) = sum_x f(x) *
 X**(x.s) in K[X]/(X**p - 1); its coefficient of X**t is m_{s,t}.  With
 every coordinate of every value placed at power 0, the d lattice passes
 (sign +1, q = p) give G at every s at once, and skipping the reduction to
@@ -24,7 +24,8 @@ Tomography is back-projection, the adjoint of the mass table: f is its
 plain decomposition over all n lines, f(x) = p**(-(d-1)) * sum_lines
 m_{s,x.s} - (n - 1) * m(f) / p**d with m(f) the total mass.  Placing each
 m_{s,t} at X**(-t) and position s, the same d passes leave sum_lines
-m_{s,x.s} at X**0 and position x; no spectrum is built.
+m_{s,x.s} at X**0 and position x; no spectrum is built, and the function
+keeps those rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from fractions import Fraction
 
 from .bandwidth import bandwidth
 from .errors import SinogramError
-from .fourier import GridFunction, _decode, _encode, _join_kind, _kind_of_scalar, _lattice_pass
+from .fourier import COMPLEX, GridFunction, _join_kind, _kind_of_scalar
+from .fourier import _decode, _encode, _from_lattice, _lattice_of, _lattice_pass, _planes
 from .geometry import (
     Ambient,
     ProjectiveLine,
@@ -101,7 +103,9 @@ def _mass_rows(f: GridFunction, lines) -> list:
     the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
     ambient = f.ambient
     p = ambient.p
-    kind, width, L, A = _encode(f.values, ambient, f.kind)
+    den, rows = _lattice_of(f)
+    width = len(rows[0])
+    A = _planes(rows)
     A += [0] * ((p - 1) * len(A))  # every coordinate at power 0, p planes
     for _ in range(ambient.d):
         A = _lattice_pass(A, p, +1)
@@ -111,7 +115,7 @@ def _mass_rows(f: GridFunction, lines) -> list:
         for base in (ambient.index_of(line.rep) * width for line in lines)
         for t in range(p)
     ]
-    _, ms = _decode(kind, cells, L, ambient)
+    ms = _decode(f.kind, cells, den, ambient)
     return [tuple(ms[i : i + p]) for i in range(0, len(ms), p)]
 
 
@@ -228,7 +232,8 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     missing = [line.rep for line in lines if line not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
-    kind, width, L, M = _encode([m for _, ms in table.rows for m in ms], ambient)
+    kind, L, M = _encode([m for _, ms in table.rows for m in ms], ambient)
+    width, M = len(M[0]), _planes(M)
     rows = len(table.rows)
     count = p * rows  # M[c*count + i*p + t]: coordinate c of L*m_{s_i,t}
     # Row totals on the lattice ints: sums[c*rows + i] is coordinate c of
@@ -257,11 +262,11 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     # Power 0 holds L * sum_lines m_{s,x.s} at A[index(x)*width + c]; the
     # total mass L * m(f) is the sum of any one row, here the first.
     n = len(lines)
-    cells = [
-        [p * b - (n - 1) * m for b, m in zip(A[x * width : (x + 1) * width], total)]
-        for x in range(N)
-    ]
-    return GridFunction(ambient, *_decode(kind, cells, L * N, ambient, demote=True))
+    cells = list(zip(*([p * b - (n - 1) * m for b in A[c : width * N : width]]
+                       for c, m in enumerate(total))))
+    if kind == COMPLEX:
+        return GridFunction(ambient, COMPLEX, _decode(COMPLEX, cells, N, ambient))
+    return _from_lattice(ambient, cells, L * N)
 
 
 @dataclass(frozen=True)

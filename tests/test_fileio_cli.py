@@ -931,6 +931,15 @@ def test_cli_verify_galois_runs_on_the_lattice_rows(monkeypatch, capsys):
     assert calls == {"decode": 0, "galois": 0}
 
 
+@pytest.mark.parametrize("suite", ["paraboloid", "spheres"])
+def test_cli_verify_builds_equivariant_spectra_on_the_lattice_rows(monkeypatch, capsys, suite):
+    # these suites build their inputs with inverse_phi
+    calls = _count_calls(monkeypatch)
+    assert run_cli("verify", suite, "--suite-size", "3") == 0
+    capsys.readouterr()
+    assert calls["galois"] == 0
+
+
 def test_cli_transform_decodes_once_per_request(monkeypatch, capsys):
     calls = _count_calls(monkeypatch)
     sources = ["rational_7_3", "cyclotomic_7_3", "rational_3_5", "cyclotomic_3_5"]

@@ -1,19 +1,26 @@
-"""Exact results of ``forward`` and ``inverse`` keep their lattice rows and
-decode ``values`` only when read.  The zero mask, the Galois action,
-equality and ``inverse`` all read the rows; each must agree with the same
-operation on the decoded values, on prime and ring grids, for rational and
-cyclotomic functions whose values have mixed denominators."""
+"""Every exact function holds its lattice rows from construction, however
+it was made, and a function made from rows decodes ``values`` only when
+read.  The zero mask, the Galois action, equality, ``inverse``, ``+``,
+``-``, negation and the restrictions all work on the rows; each must agree
+with the same operation on the values, on prime and ring grids, for
+rational and cyclotomic functions whose values have mixed denominators."""
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charkit import fourier
+from charkit import fourier, wavelets
+from charkit.fileio import function_from_payload, function_to_payload
 from charkit.fourier import GridFunction, Spectrum, forward, inverse
 from charkit.geometry import Ambient
+from charkit.multiscale import multiscale_decompose
 from charkit.scalars import Cyclotomic, is_zero, rational_part
+from charkit.varieties import slice_last
+from charkit.wavelets import mass_table, reconstruct_from_masses
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 GRIDS = [Ambient(2, 3), Ambient(3, 2), Ambient(5, 2), Ambient(7, 2), Ambient(3, 2, 2), Ambient(2, 2, 3)]
@@ -26,14 +33,9 @@ def _fraction(rng, zeros: float) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
 
 
-@st.composite
-def exact_functions(draw):
-    """A rational or cyclotomic function, about a ``zeros`` share of whose
-    values (and, for cyclotomic ones, coordinates) are zero."""
-    ambient = draw(st.sampled_from(GRIDS))
-    kind = draw(st.sampled_from(["rational", "cyclotomic"]))
-    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
+def _random_function(ambient, kind: str, zeros: float, rng) -> GridFunction:
+    """About a ``zeros`` share of the values (and, for a cyclotomic
+    function, of the coordinates) are zero."""
     p, ell, q = ambient.p, ambient.ell, ambient.modulus
     if kind == "rational":
         values = [_fraction(rng, zeros) for _ in range(ambient.size)]
@@ -47,13 +49,34 @@ def exact_functions(draw):
     return GridFunction(ambient, kind, values)
 
 
+KINDS = st.sampled_from(["rational", "cyclotomic"])
+ZEROS = st.sampled_from([0.0, 0.3, 0.7])
+
+
+@st.composite
+def exact_functions(draw):
+    """A rational or cyclotomic function on one of the grids."""
+    ambient = draw(st.sampled_from(GRIDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return _random_function(ambient, draw(KINDS), draw(ZEROS), rng)
+
+
+@st.composite
+def function_pairs(draw):
+    """Two exact functions on one grid, of kinds drawn apart."""
+    ambient = draw(st.sampled_from(GRIDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return tuple(_random_function(ambient, draw(KINDS), draw(ZEROS), rng) for _ in "fg")
+
+
 def _units(ambient) -> list:
     return [r for r in range(1, ambient.modulus) if r % ambient.p]
 
 
 def _scaled(F: GridFunction, k: int) -> GridFunction:
     """F again, its rows and denominator multiplied by k."""
-    return type(F)._from_rows(F.ambient, F.kind, [tuple(k * c for c in row) for row in F._rows], F._den * k)
+    rows = [tuple(k * c for c in row) for row in F._rows]
+    return fourier._from_lattice(F.ambient, rows, F._den * k, F.kind, type(F))
 
 
 @FIXED
@@ -103,7 +126,7 @@ def test_a_lattice_that_differs_in_one_coordinate_is_unequal(f, k, where):
     for c in range(len(F._rows[i])):
         rows = list(F._rows)
         rows[i] = rows[i][:c] + (rows[i][c] + 1,) + rows[i][c + 1:]
-        same_den = Spectrum._from_rows(ambient, "cyclotomic", rows, F._den)
+        same_den = fourier._from_lattice(ambient, rows, F._den, "cyclotomic", Spectrum)
         other_den = _scaled(same_den, k)
         values = list(F.values)
         coeffs = list(values[i].coeffs)
@@ -136,3 +159,88 @@ def test_inverse_of_forward_decodes_nothing(monkeypatch):
         back = inverse(forward(f))
         assert back == f and back.is_zero() == f.is_zero()
         assert calls == []
+
+
+def _carries_rows(f: GridFunction) -> bool:
+    """f holds its lattice form: one row of ints per point over a positive
+    int denominator, one coordinate wide for a rational function and phi
+    for a cyclotomic one."""
+    q = f.ambient.modulus
+    width = 1 if f.kind == "rational" else q - q // f.ambient.p
+    return (
+        type(f._den) is int and f._den > 0 and len(f._rows) == f.ambient.size
+        and all(len(row) == width and all(type(c) is int for c in row) for row in f._rows)
+    )
+
+
+@FIXED
+@given(function_pairs())
+def test_every_exact_function_carries_rows(fg):
+    f, g = fg
+    ambient = f.ambient
+    F = forward(f)
+    made = [
+        f, g, function_from_payload(function_to_payload(f)), F, inverse(F),
+        f + g, f - g, -f, f + inverse(forward(g)),
+        f.take(ambient, range(ambient.size - 1, -1, -1)), F.dilate(ambient.modulus - 1),
+        *(part.function for part in multiscale_decompose(F)),
+    ]
+    if ambient.ell == 1:
+        made += [reconstruct_from_masses(mass_table(f)), slice_last(f, 1), slice_last(F, 0)]
+    assert [_carries_rows(h) for h in made] == [True] * len(made)
+
+
+@FIXED
+@given(function_pairs())
+def test_row_arithmetic_is_value_arithmetic(fg):
+    f, g = fg
+    kind = "cyclotomic" if "cyclotomic" in (f.kind, g.kind) else "rational"
+    assert (f + g).kind == (f - g).kind == kind
+    for a, b in ((f, g), (g, f), (f, inverse(forward(g))), (forward(f), g)):
+        for op in (operator.add, operator.sub):
+            got = op(a, b)
+            want = GridFunction(f.ambient, got.kind, map(op, a.values, b.values))
+            assert got == want and got.values == want.values
+    for a in (f, forward(f), inverse(forward(g))):
+        assert (-a).kind == a.kind and (-a).values == tuple(-v for v in a.values)
+
+
+@FIXED
+@given(exact_functions())
+def test_restrictions_move_rows_as_the_values_move(f):
+    ambient = f.ambient
+    p, d, q = ambient.p, ambient.d, ambient.modulus
+    for g in (f, forward(f)):
+        for r in range(q):
+            want = [g.value_at(tuple(r * c % q for c in x)) for x in ambient.points()]
+            got = g.dilate(r)
+            assert type(got) is type(g) and got.kind == g.kind
+            assert got == GridFunction(ambient, g.kind, want) and got.values == tuple(want)
+        if ambient.ell == 1:
+            small = Ambient(p, d - 1)
+            for a in range(p):
+                want = [g.value_at(y + (a,)) for y in small.points()]
+                got = slice_last(g, a)
+                assert got.kind == g.kind and got.ambient == small
+                assert got == GridFunction(small, g.kind, want) and got.values == tuple(want)
+
+
+def test_parts_and_tomography_decode_nothing(monkeypatch):
+    rng = random.Random(11)
+    cases = []
+    for ambient in GRIDS:
+        for kind in ("rational", "cyclotomic"):
+            f = _random_function(ambient, kind, 0.3, rng)
+            table = mass_table(f) if ambient.ell == 1 else None
+            cases.append((f, forward(f), table))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(fourier, "_decode", refuse)
+    monkeypatch.setattr(wavelets, "_decode", refuse)
+    for f, F, table in cases:
+        parts = [part.function for part in multiscale_decompose(F)]
+        assert reduce(operator.add, parts) == f
+        if table is not None:
+            assert reconstruct_from_masses(table) == f

@@ -20,11 +20,12 @@ from .fourier import (
     RATIONAL,
     GridFunction,
     Spectrum,
+    _back_project,
     _coerce_value,
     _encode,
     _from_lattice,
+    _traces,
     forward,
-    inverse,
     vanishes_on,
 )
 from .geometry import (
@@ -42,7 +43,7 @@ from .geometry import (
     require_prime_grid,
     translate_set,
 )
-from .scalars import DEFAULT_TOL, _galois_row, all_equal
+from .scalars import DEFAULT_TOL, all_equal
 
 # Granularity for comparing bandwidth dimensions (a derived float).
 BWD_EPS = 1e-12
@@ -269,13 +270,14 @@ def classify_small_cbw_set(ambient: Ambient, E) -> SetClassification:
 
 def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
     """Rebuild the unique rational function with the given average and one
-    spectrum seed per line.
-
-    ``seeds`` maps ProjectiveLine (canonical representatives) to Cyclotomic
-    or rational values; absent lines default to zero.  A key that is not the
-    canonical representative of a nonzero line raises ValueError.  The full
-    spectrum is the equivariant extension F(r*m) = g_r(seed) and the result
-    of inverting it is exactly rational.
+    spectrum seed per line (Cyclotomic or rational, keyed by the canonical
+    ProjectiveLine; absent lines are zero).  The spectrum is the equivariant
+    extension F(r*s) = sigma_r(F(s)), so f(x) = F(0) + sum over lines s of
+    Tr(F(s) * zeta**(x.s)), and Tr(z * zeta**u) = p*e_(-u mod p) - sum_j e_j
+    for the power-basis coordinates e of z (e_(p-1) = 0): f is the average
+    plus the back-projection of rational traces, and no spectrum is built.
+    A key that is not a canonical line, two keys for one line, a complex
+    value or an irrational average raise ValueError.
     """
     require_prime_grid(ambient)
     p = ambient.p
@@ -284,18 +286,16 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
         rep = tuple(key.rep if isinstance(key, ProjectiveLine) else key)
         line = line_through(ambient, rep)
         if len(rep) != ambient.d or line.rep != rep:
-            raise ValueError(
-                f"seed key {rep} is not a canonical line of Z_{p}**{ambient.d}"
-            )
-        keyed[line] = _coerce_value(CYCLOTOMIC, seed, ambient)
-    # F(r*m) = sigma_r(F(m)) on the lattice rows: one encoding, then x**j -> x**(r*j).
-    values = [_coerce_value(CYCLOTOMIC, dc, ambient), *keyed.values()]
-    _, den, seed_rows = _encode(values, ambient, CYCLOTOMIC)
-    rows = [seed_rows[0]] + [(0,) * (p - 1)] * (ambient.size - 1)
-    for line, row in zip(keyed, seed_rows[1:]):
-        for r, i in enumerate(line_indices(ambient)[line][1:], 1):
-            rows[i] = _galois_row(p, 1, row, r)
-    f = inverse(_from_lattice(ambient, rows, den, CYCLOTOMIC))
-    if f.kind != RATIONAL:
-        raise TheoremViolation("equivariant spectrum did not invert to a rational function")
-    return f
+            raise ValueError(f"seed key {rep} is not a canonical line of Z_{p}**{ambient.d}")
+        if line in keyed:
+            raise ValueError(f"two seeds for the line through {rep}")
+        keyed[line] = seed
+    try:
+        values = [_coerce_value(CYCLOTOMIC, v, ambient) for v in (dc, *keyed.values())]
+    except TypeError:
+        raise ValueError("the average and the seeds must be rational or cyclotomic") from None
+    _, den, (average, *rows) = _encode(values, ambient, CYCLOTOMIC)
+    if any(average[1:]):
+        raise ValueError(f"the average {dc} of a rational function must be rational")
+    sums = _back_project(ambient, keyed, _traces(p, rows)) if keyed else [(0,)] * ambient.size
+    return _from_lattice(ambient, [(average[0] + b,) for (b,) in sums], den, RATIONAL)

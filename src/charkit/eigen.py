@@ -169,18 +169,16 @@ def eigen_residuals(pair: EigenPair):
     Returns (plus_residual, minus_residual) as floats and, on the exact
     path, additionally asserts exact equality.
     """
-    lam = Fraction(1, pair.subspace.ambient.p ** (pair.subspace.ambient.d // 2)) if (
-        pair.exact
-    ) else pair.eigenvalue_magnitude
+    ambient = pair.subspace.ambient
+    lam = Fraction(1, ambient.p ** (ambient.d // 2)) if pair.exact else pair.eigenvalue_magnitude
 
     def residual(g: GridFunction, sign: int) -> float:
         F = forward(g)
         if pair.exact:
             if pair.transform_kind == "plain":
                 target = g.scale(sign * lam)
-            else:
-                conj_vals = [v.conjugate() for v in g.to_cyclotomic().values]
-                target = GridFunction(g.ambient, CYCLOTOMIC, conj_vals).scale(sign * lam)
+            else:  # conj = sigma_(q-1), applied to the rows
+                target = g.galois(ambient.modulus - 1).scale(sign * lam)
             if F != target:
                 raise TheoremViolation(
                     f"exact eigen identity failed for the {pair.transform_kind} pair"

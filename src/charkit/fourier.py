@@ -47,8 +47,19 @@ is reduced to the power basis once.  ``forward`` leaves rows over L*N,
 zero is zero.  The rows answer for the function: the zero mask, the
 Galois action (x**j -> x**(r*j)), equality (cross-multiplied by the two
 denominators), ``+`` and ``-`` (over the lcm of the two), ``take`` and the
-transforms.  Every other module reads rows through ``_lattice_of``, builds
-from them through ``_from_lattice`` and only lays out its runs.
+transforms.  Every run is laid out here; other modules read rows through
+``_lattice_of``, build from them through ``_from_lattice`` and call the runs.
+
+Two runs on Z_p**d (q = p) serve tomography.  The mass run (``_mass_rows``)
+places every coordinate of every value at power 0; the d passes (sign +1)
+then leave G(s) = sum_x f(x) * X**(x.s), whose coefficient of X**t is the
+hyperplane mass m_{s,t}, at every s at once, in d*N*p*p additions.  Its
+adjoint, back-projection (``_back_project``), places the value of line s
+at label t at X**(-t) and position s, and the same passes leave the sum
+over the lines of their values at x.s at X**0 and position x.  Tomography
+back-projects and builds no spectrum: ``reconstruct_from_masses`` the
+masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
+over all n lines, and ``inverse_phi`` the traces of its seeds (``_traces``).
 
 ``forward_naive`` is the quadratic double loop over ``Cyclotomic``
 arithmetic, or complex arithmetic on the root table.  It shares no code
@@ -333,8 +344,8 @@ def _lattice_pass(A: list, q: int, sign: int) -> list:
     slice and add ints.  The result is indexed (i, k, r): the transformed
     coordinate moves to the front of the position, and d passes over a
     d-dimensional grid bring it back to lexicographic order.  Entries may
-    also be complex: the pass only slices and sums, and
-    ``wavelets.mass_table`` runs it on complex values as they are.
+    also be complex: the pass only slices and sums, and the mass run and
+    back-projection run it on complex values as they are.
     """
     m = len(A) // q
     n = m // q
@@ -461,6 +472,46 @@ def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
     n = len(A) // q
     planes = [A[j * n : (j + 1) * n] for j in range(q)]
     return [_reduce_ext(p, ell, list(v)) for v in zip(*planes)]
+
+
+def _mass_rows(f: GridFunction, lines) -> list:
+    """The masses of f in every direction of ``lines``, from one mass run:
+    the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
+    ambient, p = f.ambient, f.ambient.p
+    den, rows = _lattice_of(f)
+    width = len(rows[0])
+    plane = width * ambient.size
+    A = _planes(rows) + [0] * ((p - 1) * plane)  # every coordinate at power 0, p planes
+    for _ in range(ambient.d):
+        A = _lattice_pass(A, p, +1)
+    at = [t * plane + ambient.index_of(line.rep) * width for line in lines for t in range(p)]
+    ms = _decode(f.kind, [A[i : i + width] for i in at], den, ambient)
+    return list(zip(*[iter(ms)] * p))
+
+
+def _back_project(ambient, lines, rows) -> list:
+    """Per point x, the row sum over i of rows[i*p + x.s_i], s_i = lines[i].rep:
+    row i*p + t goes in at X**(-t) and position s_i, and the d passes leave
+    coordinate c of the sum at x at power 0, A[index(x)*width + c]."""
+    p, N, width = ambient.p, ambient.size, len(rows[0])
+    plane = width * N
+    A = [0] * (p * plane)
+    at = [ambient.index_of(line.rep) for line in lines]
+    for c in range(width):
+        for t in range(p):  # coordinate c of row i*p + t at A[base + index(s_i)]
+            base = -t % p * plane + c * N
+            for i, row in zip(at, rows[t::p]):
+                A[base + i] = row[c]
+    for _ in range(ambient.d):
+        A = _lattice_pass(A, p, +1)
+    return list(zip(*[iter(A[:plane])] * width))
+
+
+def _traces(p: int, rows) -> list:
+    """Row i*p + u is (Tr(z_i * zeta**u),) for z_i in Q(zeta_p) with power-basis row
+    e = rows[i]: Tr(zeta**k) is p - 1 at k = 0 mod p, else -1, so p*e_(-u) - sum(e)."""
+    ext = [((*e, 0), sum(e)) for e in rows]
+    return [(p * e[-u % p] - total,) for e, total in ext for u in range(p)]
 
 
 def forward(f: GridFunction) -> Spectrum:

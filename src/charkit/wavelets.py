@@ -6,26 +6,12 @@ line through s.  Conversely the masses m_{s,t}(f) = sum over H_{s,t} of f
 determine the transform of f on that line, which is why a function is
 recoverable from its complete mass table (the sinogram).
 
-The mass table comes from one run of the exact-transform lattice kernel,
-whose format lives in ``fourier``: the run reads the function's rows and
-``_decode`` turns its cells into masses, so this module only lays out its
-runs.  For a direction s let G(s) = sum_x f(x) *
-X**(x.s) in K[X]/(X**p - 1); its coefficient of X**t is m_{s,t}.  With
-every coordinate of every value placed at power 0, the d lattice passes
-(sign +1, q = p) give G at every s at once, and skipping the reduction to
-the power basis keeps all p coefficients.  That is d*N*p*p slice
-additions for all p**d directions (N = p**d points), against one grid
-scan of N dot products per direction for ``masses``, which is kept as the
-one-direction path and the reference the tests compare the table with.
-Masses are defined on Z_p**d only: ring grids (modulus p**ell, ell > 1)
-are rejected by ``geometry.require_prime_grid``.
-
-Tomography is back-projection, the adjoint of the mass table: f is its
-plain decomposition over all n lines, f(x) = p**(-(d-1)) * sum_lines
-m_{s,x.s} - (n - 1) * m(f) / p**d with m(f) the total mass.  Placing each
-m_{s,t} at X**(-t) and position s, the same d passes leave sum_lines
-m_{s,x.s} at X**0 and position x; no spectrum is built, and the function
-keeps those rows.
+The mass table is one mass run and tomography one back-projection, its
+adjoint; both runs live in ``fourier`` with the lattice format, and this
+module keeps the sinogram checks, the mass table and the wavelet forms.
+``masses``, one grid scan per direction, is the one-direction path and the
+reference for the table.  Masses are defined on Z_p**d only: ring grids
+(modulus p**ell, ell > 1) are rejected by ``geometry.require_prime_grid``.
 """
 
 from __future__ import annotations
@@ -36,7 +22,7 @@ from fractions import Fraction
 from .bandwidth import bandwidth
 from .errors import SinogramError
 from .fourier import COMPLEX, GridFunction, _join_kind, _kind_of_scalar
-from .fourier import _decode, _encode, _from_lattice, _lattice_of, _lattice_pass, _planes
+from .fourier import _back_project, _decode, _encode, _from_lattice, _mass_rows
 from .geometry import (
     Ambient,
     ProjectiveLine,
@@ -96,27 +82,6 @@ def masses(f: GridFunction, s) -> tuple:
         t = dot(x, s, p)
         sums[t] = sums[t] + v
     return tuple(sums)
-
-
-def _mass_rows(f: GridFunction, lines) -> list:
-    """The masses of f in every direction of ``lines``, from one lattice run:
-    the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
-    ambient = f.ambient
-    p = ambient.p
-    den, rows = _lattice_of(f)
-    width = len(rows[0])
-    A = _planes(rows)
-    A += [0] * ((p - 1) * len(A))  # every coordinate at power 0, p planes
-    for _ in range(ambient.d):
-        A = _lattice_pass(A, p, +1)
-    plane = width * ambient.size
-    cells = [
-        A[t * plane + base : t * plane + base + width]
-        for base in (ambient.index_of(line.rep) * width for line in lines)
-        for t in range(p)
-    ]
-    ms = _decode(f.kind, cells, den, ambient)
-    return [tuple(ms[i : i + p]) for i in range(0, len(ms), p)]
 
 
 @dataclass(frozen=True)
@@ -226,44 +191,30 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     cancels, as in ``inverse``; complex masses give complex values.
     """
     ambient = table.ambient
-    p, d, N = ambient.p, ambient.d, ambient.size
+    p, N = ambient.p, ambient.size
     lines = enumerate_lines(ambient)
     present = set(table.directions())
     missing = [line.rep for line in lines if line not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
     kind, L, M = _encode([m for _, ms in table.rows for m in ms], ambient)
-    width, M = len(M[0]), _planes(M)
-    rows = len(table.rows)
-    count = p * rows  # M[c*count + i*p + t]: coordinate c of L*m_{s_i,t}
-    # Row totals on the lattice ints: sums[c*rows + i] is coordinate c of
-    # L times the total of row i.  All rows must share the total of the first.
-    sums = [sum(M[k : k + p]) for k in range(0, width * count, p)]
-    total = sums[::rows]
-    bound = zero_bound(M, tol)
-    unequal = [k for k, s in enumerate(sums) if s != total[k // rows]]
-    bad = [k % rows for k in unequal if not is_zero(sums[k] - total[k // rows], bound)]
+    # Row totals on the lattice ints: sums[i][c] is coordinate c of L times
+    # the total of row i.  All rows must share the total of the first.
+    cols = list(zip(*M))
+    sums = list(zip(*([sum(col[k : k + p]) for k in range(0, len(col), p)] for col in cols)))
+    total, bound = sums[0], zero_bound([c for col in cols for c in col], tol)
+    bad = [i for i, row in enumerate(sums) for s, m in zip(row, total)
+           if s != m and not is_zero(s - m, bound)]
     if bad:
-        i, totals = min(bad), table.totals()
+        i, totals = bad[0], table.totals()
         raise SinogramError(
             f"per-direction totals disagree: direction {list(table.rows[i][0].rep)} sums "
             f"to {totals[i]}, the first direction {list(table.rows[0][0].rep)} to {totals[0]}"
         )
-    plane = width * N
-    A = [0] * (p * plane)
-    at = [ambient.index_of(line.rep) for line, _ in table.rows]
-    for c in range(width):
-        for t in range(p):
-            base = -t % p * plane + c * N
-            for i, m in zip(at, M[c * count + t : (c + 1) * count : p]):
-                A[base + i] = m
-    for _ in range(d):
-        A = _lattice_pass(A, p, +1)
-    # Power 0 holds L * sum_lines m_{s,x.s} at A[index(x)*width + c]; the
-    # total mass L * m(f) is the sum of any one row, here the first.
-    n = len(lines)
-    cells = list(zip(*([p * b - (n - 1) * m for b in A[c : width * N : width]]
-                       for c, m in enumerate(total))))
+    # f is its plain decomposition over all n lines: L*N*f(x) is p times the
+    # back-projected L*m_{s,x.s}, less (n - 1) times the total mass L*m(f).
+    n, back = len(lines), _back_project(ambient, table.directions(), M)
+    cells = list(zip(*([p * b - (n - 1) * m for b in col] for col, m in zip(zip(*back), total))))
     if kind == COMPLEX:
         return GridFunction(ambient, COMPLEX, _decode(COMPLEX, cells, N, ambient))
     return _from_lattice(ambient, cells, L * N)

@@ -1,9 +1,14 @@
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charkit import fourier
 from charkit.bandwidth import (
     bandwidth,
     classify_small_cbw_set,
@@ -21,7 +26,7 @@ from charkit.corpus import (
     staircase_function,
     staircase_set,
 )
-from charkit.fourier import GridFunction, forward
+from charkit.fourier import GridFunction, Spectrum, forward, inverse
 from charkit.geometry import (
     Ambient,
     ProjectiveLine,
@@ -30,6 +35,7 @@ from charkit.geometry import (
     hyperplane_points,
     perp,
     vadd,
+    vscale,
 )
 from charkit.scalars import Cyclotomic
 
@@ -262,6 +268,97 @@ def test_inverse_phi_rejects_non_canonical_seed_keys():
     assert inverse_phi(amb, Fraction(0), {(1, 0): Fraction(1, 5)}) == inverse_phi(
         amb, Fraction(0), {ProjectiveLine((1, 0)): Fraction(1, 5)}
     )
+
+
+def test_inverse_phi_rejects_an_irrational_average():
+    with pytest.raises(ValueError, match="rational"):
+        inverse_phi(Ambient(3, 2), Cyclotomic.zeta(3), {})
+
+
+def test_inverse_phi_rejects_complex_values():
+    amb = Ambient(3, 2)
+    with pytest.raises(ValueError, match="rational or cyclotomic"):
+        inverse_phi(amb, Fraction(0), {(1, 0): 1j})
+    with pytest.raises(ValueError, match="rational or cyclotomic"):
+        inverse_phi(amb, 1j, {})
+
+
+def test_inverse_phi_rejects_two_seeds_for_one_line():
+    with pytest.raises(ValueError, match="two seeds"):
+        inverse_phi(Ambient(3, 2), Fraction(0), {(1, 0): 1, ProjectiveLine((1, 0)): 2})
+
+
+PHI_GRIDS = [Ambient(2, 3), Ambient(3, 2), Ambient(5, 2), Ambient(7, 2),
+             Ambient(3, 3), Ambient(5, 3), Ambient(13, 2)]
+PHI_EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=12)
+
+
+def _phi_input(ambient, rng, share: float):
+    """An average and a rational or cyclotomic seed on about a ``share`` of
+    the lines, each with mixed denominators."""
+    p = ambient.p
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 6, 12)))
+
+    seeds = {}
+    for line in enumerate_lines(ambient):
+        if rng.random() < share:
+            rational = rng.random() < 0.4
+            seeds[line] = fraction() if rational else Cyclotomic(p, [fraction() for _ in range(p - 1)])
+    return fraction(), seeds
+
+
+def _equivariant_extension(ambient, dc, seeds) -> Spectrum:
+    """The reference spectrum: F(0) = dc, F(r*s) = sigma_r(seed of s) filled
+    point by point with ``Cyclotomic.galois``, zero on unseeded lines."""
+    p = ambient.p
+    values = [Cyclotomic.zero(p)] * ambient.size
+    values[0] = Cyclotomic.from_rational(p, dc)
+    for line, seed in seeds.items():
+        z = seed if isinstance(seed, Cyclotomic) else Cyclotomic.from_rational(p, seed)
+        for r in range(1, p):
+            values[ambient.index_of(vscale(r, line.rep, p))] = z.galois(r)
+    return Spectrum(ambient, "cyclotomic", values)
+
+
+@pytest.mark.parametrize("ambient", PHI_GRIDS, ids=lambda a: f"{a.p}-{a.d}")
+@PHI_EXAMPLES
+@given(st.integers(0, 2**32), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_inverse_phi_equals_the_inverse_of_the_galois_filled_spectrum(ambient, seed, share):
+    dc, seeds = _phi_input(ambient, random.Random(seed), share)
+    F = _equivariant_extension(ambient, dc, seeds)
+    f, reference = inverse_phi(ambient, dc, seeds), inverse(F)
+    assert f.kind == reference.kind == "rational"
+    assert f.values == reference.values
+
+
+@pytest.mark.parametrize("ambient", PHI_GRIDS, ids=lambda a: f"{a.p}-{a.d}")
+@PHI_EXAMPLES
+@given(st.integers(0, 2**32), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_the_spectrum_of_inverse_phi_is_the_equivariant_extension(ambient, seed, share):
+    dc, seeds = _phi_input(ambient, random.Random(seed), share)
+    assert forward(inverse_phi(ambient, dc, seeds)).values == (
+        _equivariant_extension(ambient, dc, seeds).values
+    )
+
+
+def test_inverse_phi_makes_no_inverse_call(monkeypatch):
+    original, calls = fourier.inverse, []
+
+    def counted(F):
+        calls.append(F)
+        return original(F)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("charkit"):
+            if getattr(module, "inverse", None) is original:
+                monkeypatch.setattr(module, "inverse", counted)
+    for ambient in PHI_GRIDS:
+        inverse_phi(ambient, *_phi_input(ambient, random.Random(ambient.size), 0.7))
+    assert calls == []
+    fourier.inverse(GridFunction.constant(Ambient(3, 2), Fraction(1)))
+    assert len(calls) == 1  # the count sees a call through the module
 
 
 def test_spectrum_in_subspace_forces_coset_constancy():

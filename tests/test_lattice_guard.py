@@ -1,10 +1,12 @@
 """The exact lattice format has one home, ``charkit.fourier``: ``_encode``
-scales values onto Z[x]/(x**q - 1) and ``_decode`` turns lattice rows back
-into values, and every other module only lays out its runs.  A module that
-imports a private name of ``fourier`` other than the kind home and the
-lattice entry points, or that takes an lcm of denominators, reads
-``.denominator`` or builds a ``Cyclotomic`` with ``_make`` outside
-``fourier``, ``scalars`` and ``fileio``, must fail here.  Every exact
+scales values onto Z[x]/(x**q - 1), ``_decode`` turns lattice rows back
+into values, and every run on the lattice is laid out there (the
+transforms, the mass run and back-projection), so other modules only call
+the runs.  A module that imports a private name of ``fourier`` other than
+the kind home and the lattice entry points, imports the row arithmetic
+``_galois_row`` or ``_reduce_ext`` of ``scalars``, or that takes an lcm of
+denominators, reads ``.denominator`` or builds a ``Cyclotomic`` with
+``_make`` outside ``fourier``, ``scalars`` and ``fileio``, must fail here.  Every exact
 function holds its lattice rows over one denominator from construction; a
 module other than ``fourier`` that reads or builds that form other than
 through ``_lattice_of`` and ``_from_lattice`` must fail too, and so must a
@@ -18,9 +20,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "charkit"
 HOMES = {"fourier.py", "scalars.py", "fileio.py"}
 KIND_HOME = {"_coerce_value", "_join_kind", "_kind_of_scalar"}
 LATTICE = {
-    "_encode", "_decode", "_lattice_pass", "_exact_transform",
-    "_lattice_of", "_from_lattice", "_planes",
+    "_encode", "_decode", "_exact_transform", "_mass_rows", "_back_project",
+    "_traces", "_lattice_of", "_from_lattice",
 }
+ROW_ARITHMETIC = {"_galois_row", "_reduce_ext"}  # of scalars, for fourier alone
 LATTICE_FORM = {"_rows", "_den", "_values"}  # a GridFunction's two stores
 
 
@@ -34,15 +37,18 @@ def lattice_form_reads(source: str) -> list:
 
 
 def lattice_work(source: str) -> list:
-    """Lines that scale onto the lattice or decode its rows: a private
-    ``fourier`` import outside the kind home and the entry points, an
-    ``lcm``, a ``.denominator``, a ``Cyclotomic._make``, or a read of a
-    function's lattice form."""
+    """Lines that scale onto the lattice, decode its rows or lay out a run:
+    a private ``fourier`` import outside the kind home and the entry points,
+    the row arithmetic of ``scalars``, an ``lcm``, a ``.denominator``, a
+    ``Cyclotomic._make``, or a read of a function's lattice form."""
     lines = lattice_form_reads(source)
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fourier"):
             private = {a.name for a in node.names if a.name.startswith("_")}
             if private - KIND_HOME - LATTICE:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scalars"):
+            if ROW_ARITHMETIC & {a.name for a in node.names}:
                 lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             if any(a.name == "lcm" for a in node.names):
@@ -54,6 +60,7 @@ def lattice_work(source: str) -> list:
                 or node.attr == "_make" and owner == "Cyclotomic"
                 or owner == "fourier" and node.attr.startswith("_")
                 and node.attr not in KIND_HOME | LATTICE
+                or owner == "scalars" and node.attr in ROW_ARITHMETIC
             ):
                 lines.append(node.lineno)
     return sorted(set(lines))
@@ -131,6 +138,13 @@ def test_the_guard_sees_each_shape_of_a_second_format():
         "dens = {c.denominator for c in coeffs}",
         "z = Cyclotomic._make(p, ell, tuple(row))",
         "ms = fourier._cyclotomics(cells, p, 1, L)",
+        # the runs of wavelets.py and the spectrum of bandwidth.inverse_phi,
+        # laid out outside fourier before they moved there
+        "from .fourier import _decode, _encode, _from_lattice, _lattice_of, _lattice_pass, _planes",
+        "A = fourier._lattice_pass(A, p, +1)",
+        "from .scalars import DEFAULT_TOL, _galois_row, all_equal",
+        "from charkit.scalars import _reduce_ext",
+        "row = scalars._galois_row(p, 1, row, r)",
         # a function's lattice form read or built outside fourier
         "active = [any(row) for row in F._rows]",
         "scale = F._den",
@@ -142,8 +156,9 @@ def test_the_guard_sees_each_shape_of_a_second_format():
 def test_the_guard_lets_the_homes_and_entry_points_pass():
     allowed = [
         "from .fourier import GridFunction, _coerce_value, _join_kind, _kind_of_scalar",
-        "from .fourier import _decode, _encode, _exact_transform, _lattice_pass",
-        "from .fourier import _from_lattice, _lattice_of, _planes",
+        "from .fourier import _decode, _encode, _exact_transform, _mass_rows",
+        "from .fourier import _back_project, _from_lattice, _lattice_of, _traces",
+        "from .scalars import DEFAULT_TOL, all_equal, zero_bound",
         "g = math.gcd(q, *v)",
         "z = Cyclotomic.zeta(p, e, ell)",
         "ms = fourier._decode(kind, cells, den, ambient)",

@@ -40,6 +40,7 @@ from .geometry import (
     line_indices,
     line_through,
     perp,
+    point_set,
     require_prime_grid,
     translate_set,
 )
@@ -221,7 +222,7 @@ class UncertaintyReport:
 def uncertainty_check(ambient: Ambient, E) -> UncertaintyReport:
     """((p-1)*cbw(E) + 1) * |E| >= p**d, plus the dimension form
     bwd(E) + log_p|E| >= d."""
-    members = frozenset(tuple(c % ambient.p for c in x) for x in E)
+    members = point_set(ambient, E)
     if not members:
         raise ValueError("the inequality concerns nonempty sets")
     rep = bandwidth(GridFunction.indicator(ambient, members))
@@ -254,7 +255,7 @@ def classify_small_cbw_set(ambient: Ambient, E) -> SetClassification:
     for every direction while cbw <= d would falsify the dichotomy and
     raises TheoremViolation.
     """
-    members = frozenset(tuple(c % ambient.p for c in x) for x in E)
+    members = point_set(ambient, E)
     rep = bandwidth(GridFunction.indicator(ambient, members))
     if rep.cbw > ambient.d:
         return SetClassification(kind="cbw_exceeds_d", cbw=rep.cbw)

@@ -23,7 +23,7 @@ from .errors import (
     TheoremViolation,
 )
 from .fourier import forward, forward_naive, inverse
-from .geometry import enumerate_lines, quadratic_class
+from .geometry import enumerate_lines, least_non_residue
 from .multiscale import is_level_l_wavelet, multiscale_decompose, require_exact
 from .scalars import DEFAULT_TOL
 from .varieties import (
@@ -256,10 +256,8 @@ def _cmd_variety(args) -> int:
         },
     }
     if ambient.d == 2 and ambient.p > 2:
-        a = 1
-        b = next(r for r in range(2, ambient.p) if quadratic_class(r, ambient.p) == "non-residue")
         try:
-            res = two_circle_analysis(f, a, b, args.tolerance)
+            res = two_circle_analysis(f, 1, least_non_residue(ambient.p), args.tolerance)
             payload["two_circle"] = {
                 "kind": res.kind,
                 "direction": list(res.direction) if res.direction else None,

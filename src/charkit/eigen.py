@@ -32,6 +32,7 @@ from .geometry import (
     dots,
     enumerate_subspaces,
     perp,
+    point_set,
     require_prime_grid,
 )
 from .scalars import DEFAULT_TOL, Cyclotomic, _embed_roots, is_zero, zero_bound
@@ -66,7 +67,7 @@ def self_dual_classify(ambient: Ambient, E) -> SelfDualResult:
     TheoremViolation.
     """
     require_prime_grid(ambient)
-    members = frozenset(tuple(c % ambient.p for c in x) for x in E)
+    members = point_set(ambient, E)
     f = GridFunction.indicator(ambient, members)
     F = forward(f)
     lam = Fraction(len(members), ambient.size)

@@ -74,7 +74,7 @@ import operator
 from fractions import Fraction
 from itertools import zip_longest
 
-from .geometry import Point, Subspace, dilation_indices, dot, dots, perp, vsub
+from .geometry import Point, Subspace, dilation_indices, dot, dots, perp, point_set, vsub
 from .scalars import (
     DEFAULT_TOL,
     ZERO,
@@ -145,7 +145,7 @@ class GridFunction:
 
     @classmethod
     def indicator(cls, ambient, points) -> "GridFunction":
-        members = {tuple(c % ambient.modulus for c in x) for x in points}
+        members = point_set(ambient, points)
         vals = [ONE_F if x in members else ZERO for x in ambient.points()]
         return cls(ambient, RATIONAL, vals)
 

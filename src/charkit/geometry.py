@@ -130,6 +130,12 @@ def translate_set(points, u: Point, m: int) -> frozenset:
     return frozenset(vadd(x, u, m) for x in points)
 
 
+def point_set(ambient: Ambient, points) -> frozenset:
+    """The given points as a set of grid points, each coordinate reduced mod m."""
+    m = ambient.modulus
+    return frozenset(tuple(c % m for c in x) for x in points)
+
+
 def require_prime_grid(ambient: Ambient) -> None:
     """Reject a ring grid where an analysis needs the field Z_p."""
     if ambient.ell > 1:
@@ -432,6 +438,13 @@ def quadratic_class(a: int, p: int) -> str:
     if p == 2 or pow(a, (p - 1) // 2, p) == 1:
         return "residue"
     return "non-residue"
+
+
+def least_non_residue(p: int) -> int:
+    """The smallest quadratic non-residue mod an odd prime p."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime: no least quadratic non-residue")
+    return next(r for r in range(2, p) if quadratic_class(r, p) == "non-residue")
 
 
 def sqrt_minus_one(p: int) -> int:

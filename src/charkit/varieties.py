@@ -14,11 +14,11 @@ from .fourier import GridFunction, forward, vanishes_on
 from .geometry import (
     Ambient,
     Point,
+    least_non_residue,
     quadratic_class,
     require_prime_grid,
     sqrt_minus_one,
     translate_set,
-    vsub,
 )
 from .scalars import DEFAULT_TOL, all_equal
 
@@ -33,17 +33,14 @@ def paraboloid_points(ambient: Ambient) -> frozenset:
 
 
 def sphere_points(ambient: Ambient, radius: int, center: Point | None = None) -> frozenset:
+    """{x : |x - center|**2 = radius}; the center defaults to the origin."""
     require_prime_grid(ambient)
     p = ambient.p
-    radius %= p
-    if center is None:
-        return frozenset(
-            x for x in ambient.points() if sum(c * c for c in x) % p == radius
-        )
+    center = center or ambient.origin()
     return frozenset(
         x
         for x in ambient.points()
-        if sum(c * c for c in vsub(x, center, p)) % p == radius
+        if (sum((a - b) ** 2 for a, b in zip(x, center)) - radius) % p == 0
     )
 
 
@@ -56,10 +53,14 @@ def sphere_count(p: int, d: int, r: int) -> int:
     return len(sphere_points(Ambient(p, d), r))
 
 
+def _inside_cone(F: GridFunction, cone: frozenset, tol: float = DEFAULT_TOL) -> bool:
+    """True when the spectrum F is supported inside the given isotropic cone."""
+    return all(x in cone for x in F.support(tol))
+
+
 def is_good(f: GridFunction, tol: float = DEFAULT_TOL) -> bool:
     """True when the transform of f is supported inside the isotropic cone."""
-    cone = isotropic_cone(f.ambient)
-    return all(x in cone for x in forward(f).support(tol))
+    return _inside_cone(forward(f), isotropic_cone(f.ambient), tol)
 
 
 def slice_last(f: GridFunction, a: int) -> GridFunction:
@@ -107,22 +108,23 @@ def check_paraboloid_theorem(f: GridFunction) -> ParaboloidReport:
 
     The hypothesis is verified first; when it fails the report says so and
     no conclusion is claimed.  A conclusion violation would falsify the
-    slicing theorem and is listed in the report.
+    slicing theorem and is listed in the report.  The transform is linear,
+    so each slice is transformed once and a pair is judged on the spectrum
+    difference F_a - F_b, the transform of f_a - f_b.
     """
     ambient = f.ambient
     if ambient.d < 2:
         raise ValueError("the slicing statement requires dimension >= 2")
     if not vanishes_on(forward(f), paraboloid_points(ambient)):
         return ParaboloidReport(False, 0, (), False)
-    violations = []
-    pairs = 0
-    for a in range(ambient.p):
-        fa = slice_last(f, a)
-        for b in range(a + 1, ambient.p):
-            pairs += 1
-            if not is_good(fa - slice_last(f, b)):
-                violations.append((a, b))
-    return ParaboloidReport(True, pairs, tuple(violations), not violations)
+    p = ambient.p
+    spectra = [forward(slice_last(f, a)) for a in range(p)]
+    cone = isotropic_cone(spectra[0].ambient)
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    violations = tuple(
+        (a, b) for a, b in pairs if not _inside_cone(spectra[a] - spectra[b], cone)
+    )
+    return ParaboloidReport(True, len(pairs), violations, not violations)
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,7 @@ def two_circle_analysis(
         raise TheoremViolation(
             "indicator with two-circle vanishing is parallel to neither isotropic line"
         )
-    cone = isotropic_cone(ambient)
-    in_cone = all(x in cone for x in F.support(tol))
-    if not in_cone:
+    if not _inside_cone(F, isotropic_cone(ambient), tol):
         raise TheoremViolation("two-circle vanishing but spectrum leaves the cone")
     return TwoCircleResult(kind="other", support_in_cone=True)
 
@@ -202,9 +202,7 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
     p = ambient.p
     if ambient.d % 2 != 0:
         raise ValueError("sphere equidistribution is stated for even dimension")
-    if p == 2:
-        raise ValueError("sphere equidistribution requires p > 2")
-    b = next(r for r in range(2, p) if quadratic_class(r, p) == "non-residue")
+    b = least_non_residue(p)  # refuses p = 2
     test_set = sphere_points(ambient, 1) | sphere_points(ambient, b)
     if not vanishes_on(forward(f), test_set):
         raise HypothesisNotMet(

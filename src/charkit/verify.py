@@ -58,6 +58,7 @@ from .geometry import (
     hyperplane_points,
     line_indices,
     line_through,
+    sqrt_minus_one,
     valuation,
     vector_valuation,
 )
@@ -415,8 +416,6 @@ def run_spheres(config: VerifyConfig) -> SuiteResult:
         if p % 4 == 3:
             f = GridFunction.constant(ambient, Fraction(rng.randint(1, 5), 3))
         else:
-            from .geometry import sqrt_minus_one
-
             i = sqrt_minus_one(p)
             seeds = {
                 ProjectiveLine((1, i)): Fraction(rng.randint(-4, 4), 5),
@@ -431,7 +430,6 @@ def run_spheres(config: VerifyConfig) -> SuiteResult:
         res.check(f"p={p}: equidistributed on spheres about 5 random centers", ok)
     # Indicator classification at p = 5.
     ambient = Ambient(5, 2)
-    i = 2  # 2*2 = -1 mod 5
     plus_union = {(t, 2 * t % 5) for t in range(5)} | {(t, (2 * t + 1) % 5) for t in range(5)}
     minus_union = {(t, 3 * t % 5) for t in range(5)}
     r1 = two_circle_analysis(GridFunction.indicator(ambient, plus_union), 1, 2)
@@ -493,11 +491,7 @@ def _residual(pair, tol: float) -> tuple:
 
 
 def _zpl_item(_i, ambient, rng) -> bool:
-    vals = [
-        Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-        for _ in range(ambient.size)
-    ]
-    f = GridFunction(ambient, "rational", vals)
+    f = random_rational_function(ambient, rng)
     parts = [part.function for part in multiscale_decompose(forward(f))]
     return sum(parts[1:], parts[0]) == f
 

@@ -183,18 +183,31 @@ def decompose(
 def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridFunction:
     """Tomography: rebuild the unique function with the given sinogram.
 
-    The table must contain every canonical direction and all per-direction
-    totals must agree (each hyperplane family partitions the grid, so they
-    all sum to the same mass, by the zero rule over the table if complex);
-    violations raise SinogramError.  Exact masses give exact values,
+    The table must hold one row of p masses for each canonical direction
+    and no other row, and all per-direction totals must agree (each
+    hyperplane family partitions the grid, so they all sum to the same
+    mass, by the zero rule over the table if complex); violations raise
+    SinogramError, a ring grid ValueError.  Exact masses give exact values,
     rational exactly when every cyclotomic coordinate above degree zero
     cancels, as in ``inverse``; complex masses give complex values.
     """
     ambient = table.ambient
+    require_prime_grid(ambient)
     p, N = ambient.p, ambient.size
     lines = enumerate_lines(ambient)
-    present = set(table.directions())
-    missing = [line.rep for line in lines if line not in present]
+    canonical, present = {line.rep for line in lines}, set()
+    for line, ms in table.rows:
+        if line.rep not in canonical:
+            problem = "is not a canonical line"
+        elif line.rep in present:
+            problem = "appears twice"
+        elif len(ms) != p:
+            problem = f"has {len(ms)} masses, not {p}"
+        else:
+            present.add(line.rep)
+            continue
+        raise SinogramError(f"sinogram direction {list(line.rep)} {problem}")
+    missing = [line.rep for line in lines if line.rep not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
     kind, L, M = _encode([m for _, ms in table.rows for m in ms], ambient)

@@ -26,6 +26,7 @@ from charkit.geometry import (
     line_indices,
     line_through,
     perp,
+    point_set,
     quadratic_class,
     require_prime_grid,
     sqrt_minus_one,
@@ -298,6 +299,12 @@ def test_sqrt_minus_one():
         sqrt_minus_one(7)
     with pytest.raises(ValueError):
         sqrt_minus_one(2)
+
+
+def test_point_set_reduces_every_coordinate_mod_the_modulus():
+    assert point_set(Ambient(3, 2), [(4, -1), (1, 2), (0, 3)]) == {(1, 2), (0, 0)}
+    assert point_set(Ambient(2, 2, 2), [(5, -1), (1, 3)]) == {(1, 3)}
+    assert point_set(Ambient(5, 1), []) == frozenset()
 
 
 def test_avoid_lines_base_case():

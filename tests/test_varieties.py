@@ -3,18 +3,22 @@ from fractions import Fraction
 import pytest
 
 from charkit.bandwidth import inverse_phi, support_profile
-from charkit.corpus import random_rational_function, rng_for
+from charkit import varieties
+from charkit.corpus import random_complex_function, random_rational_function, rng_for
 from charkit.errors import HypothesisNotMet
-from charkit.fourier import GridFunction, forward
+from charkit.fourier import GridFunction, forward, vanishes_on
 from charkit.geometry import (
     Ambient,
     ProjectiveLine,
     enumerate_lines,
+    least_non_residue,
     line_through,
     quadratic_class,
     sqrt_minus_one,
+    translate_set,
 )
 from charkit.varieties import (
+    ParaboloidReport,
     check_paraboloid_theorem,
     classify_direction_paraboloid,
     is_good,
@@ -49,6 +53,16 @@ def test_sphere_counts_p3():
     assert sphere_count(3, 2, 1) == 4
     assert sphere_count(3, 2, 2) == 4
     assert sphere_points(Ambient(3, 2), 1) == {(0, 1), (0, 2), (1, 0), (2, 0)}
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 3)])
+def test_sphere_about_a_center_is_the_translated_sphere(p, d):
+    amb = Ambient(p, d)
+    rng = rng_for(509, f"center{p}{d}")
+    for r in range(-1, p + 1):
+        center = tuple(rng.randint(-p, 2 * p) for _ in range(d))
+        assert sphere_points(amb, r, center) == translate_set(sphere_points(amb, r), center, p)
+        assert sphere_points(amb, r, amb.origin()) == sphere_points(amb, r)
 
 
 def test_sphere_counts_equal_nonzero_radii_p5():
@@ -149,6 +163,86 @@ def test_paraboloid_theorem_guard_path():
     assert not rep.hypothesis_met
 
 
+def paraboloid_vanishing_function(ambient, rng):
+    """A rational function whose transform vanishes on the paraboloid: seeds
+    on the lines that meet it only at the origin, as the verify suite does."""
+    seeds = {
+        line: Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        for line in enumerate_lines(ambient)
+        if classify_direction_paraboloid(ambient, line.rep) != "covered"
+    }
+    return inverse_phi(ambient, Fraction(0), seeds)
+
+
+def pairwise_violations(f):
+    """The reference: one transform per slice difference, judged by is_good."""
+    p = f.ambient.p
+    return tuple(
+        (a, b)
+        for a in range(p)
+        for b in range(a + 1, p)
+        if not is_good(slice_last(f, a) - slice_last(f, b))
+    )
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (5, 3), (7, 2)])
+def test_paraboloid_theorem_equals_the_pairwise_reference(p, d):
+    amb = Ambient(p, d)
+    rng = rng_for(506, f"pairs{p}{d}")
+    f = paraboloid_vanishing_function(amb, rng)
+    for g in (f, f.to_cyclotomic(), f.to_complex()):
+        rep = check_paraboloid_theorem(g)
+        assert rep.hypothesis_met
+        assert rep.pairs_checked == p * (p - 1) // 2
+        assert rep.violations == pairwise_violations(g) == ()
+        assert rep.all_good
+    for g in (random_rational_function(amb, rng), random_complex_function(amb, rng)):
+        assert not vanishes_on(forward(g), paraboloid_points(amb))
+        assert check_paraboloid_theorem(g) == ParaboloidReport(False, 0, (), False)
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (5, 3), (7, 2)])
+def test_paraboloid_pair_judgments_equal_the_pairwise_reference(p, d, monkeypatch):
+    # With the hypothesis gate forced open, random functions have slice
+    # differences that leave the cone: every judgment is compared.
+    monkeypatch.setattr(varieties, "vanishes_on", lambda F, points: True)
+    amb = Ambient(p, d)
+    rng = rng_for(507, f"judge{p}{d}")
+    for g in (random_rational_function(amb, rng), random_complex_function(amb, rng)):
+        want = pairwise_violations(g)
+        assert want
+        rep = check_paraboloid_theorem(g)
+        assert rep.violations == want and not rep.all_good
+        assert rep.pairs_checked == p * (p - 1) // 2
+
+
+def test_paraboloid_theorem_transforms_each_slice_once(monkeypatch):
+    calls = []
+
+    def counting_forward(f):
+        calls.append(f.ambient)
+        return forward(f)
+
+    monkeypatch.setattr(varieties, "forward", counting_forward)
+    amb = Ambient(5, 3)
+    rep = check_paraboloid_theorem(paraboloid_vanishing_function(amb, rng_for(508, "count")))
+    assert rep.hypothesis_met and rep.all_good
+    assert calls == [amb] + [Ambient(5, 2)] * 5  # the function, then its p slices
+
+
+@pytest.mark.parametrize("p,want", [(3, 2), (5, 2), (7, 3), (13, 2), (23, 5)])
+def test_least_non_residue(p, want):
+    assert least_non_residue(p) == want
+    assert quadratic_class(want, p) == "non-residue"
+    assert all(quadratic_class(r, p) == "residue" for r in range(1, want))
+
+
+@pytest.mark.parametrize("p", [2, 4, 1])
+def test_least_non_residue_needs_an_odd_prime(p):
+    with pytest.raises(ValueError):
+        least_non_residue(p)
+
+
 def test_two_circle_constant_branch():
     amb = Ambient(3, 2)
     res = two_circle_analysis(GridFunction.constant(amb, Fraction(7)), 1, 2)
@@ -197,9 +291,7 @@ def test_compass_complement_for_p_3_mod_4():
     # forces constancy through the compass criterion
     for p in (3, 7):
         amb = Ambient(p, 2)
-        a = 1
-        b = next(r for r in range(2, p) if quadratic_class(r, p) == "non-residue")
-        circles = sphere_points(amb, a) | sphere_points(amb, b)
+        circles = sphere_points(amb, 1) | sphere_points(amb, least_non_residue(p))
         for line in enumerate_lines(amb):
             assert any(x in circles for x in line.punctured(amb))
 

@@ -323,6 +323,44 @@ def test_incomplete_sinogram_rejected():
     assert "missing" in str(err.value)
 
 
+def _ramp_table():
+    f = GridFunction(Ambient(3, 2), "rational", range(9))
+    return f, mass_table(f)
+
+
+def test_sinogram_with_a_repeated_direction_rejected():
+    # The rotated copy keeps the row total, so only the shape check sees it.
+    _, table = _ramp_table()
+    line, ms = table.rows[0]
+    rows = table.rows + ((line, ms[1:] + ms[:1]),)
+    with pytest.raises(SinogramError, match=r"direction \[0, 1\] appears twice"):
+        reconstruct_from_masses(MassTable(table.ambient, rows))
+
+
+def test_sinogram_with_a_non_canonical_direction_rejected():
+    _, table = _ramp_table()
+    rows = table.rows + ((ProjectiveLine((2, 2)), table.rows[0][1]),)
+    with pytest.raises(SinogramError, match=r"direction \[2, 2\] is not a canonical line"):
+        reconstruct_from_masses(MassTable(table.ambient, rows))
+
+
+def test_sinogram_row_of_the_wrong_length_rejected():
+    _, table = _ramp_table()
+    rows = list(table.rows)
+    line, ms = rows[1]
+    rows[1] = (line, ms + (0,))
+    with pytest.raises(SinogramError, match=r"direction \[1, 0\] has 4 masses, not 3"):
+        reconstruct_from_masses(MassTable(table.ambient, tuple(rows)))
+
+
+def test_sinogram_on_a_ring_grid_rejected():
+    amb = Ambient(3, 2, 2)
+    rows = tuple((line, (0,) * 3) for line in enumerate_lines(amb))
+    with pytest.raises(ValueError, match=r"Z_p\*\*d only") as err:
+        reconstruct_from_masses(MassTable(amb, rows))
+    assert not isinstance(err.value, SinogramError)
+
+
 def test_all_masses_constant_reconstructs_constant():
     amb = Ambient(3, 2)
     rows = tuple(

@@ -253,8 +253,11 @@ def classify_small_cbw_set(ambient: Ambient, E) -> SetClassification:
 
     The direction is found by translation invariance (E + u = E); failure
     for every direction while cbw <= d would falsify the dichotomy and
-    raises TheoremViolation.
+    raises TheoremViolation.  The statement needs d >= 2 (at d = 1 a single
+    point has cbw 1 = d), so d = 1 raises ValueError.
     """
+    if ambient.d < 2:
+        raise ValueError("the dichotomy requires dimension >= 2")
     members = point_set(ambient, E)
     rep = bandwidth(GridFunction.indicator(ambient, members))
     if rep.cbw > ambient.d:
@@ -286,7 +289,7 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
     for key, seed in seeds.items():
         rep = tuple(key.rep if isinstance(key, ProjectiveLine) else key)
         line = line_through(ambient, rep)
-        if len(rep) != ambient.d or line.rep != rep:
+        if line.rep != rep:
             raise ValueError(f"seed key {rep} is not a canonical line of Z_{p}**{ambient.d}")
         if line in keyed:
             raise ValueError(f"two seeds for the line through {rep}")

@@ -22,7 +22,7 @@ from .errors import (
     HypothesisNotMet,
     TheoremViolation,
 )
-from .fourier import forward, forward_naive, inverse
+from .fourier import COMPLEX, forward, forward_naive, inverse
 from .geometry import enumerate_lines, least_non_residue
 from .multiscale import is_level_l_wavelet, multiscale_decompose, require_exact
 from .scalars import DEFAULT_TOL
@@ -88,8 +88,9 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("transform", help="Fourier transform of a function file")
     t.add_argument("--input", required=True)
-    t.add_argument("--inverse", action="store_true", help="input is a spectrum file")
-    t.add_argument(
+    mode = t.add_mutually_exclusive_group()
+    mode.add_argument("--inverse", action="store_true", help="input is a spectrum file")
+    mode.add_argument(
         "--oracle",
         action="store_true",
         help="cross-check the axis-pass transform against the quadratic oracle",
@@ -180,7 +181,7 @@ def _cmd_transform(args) -> int:
     if args.oracle:
         fast = forward(f)
         slow = forward_naive(f)
-        if f.kind == "complex":
+        if f.kind == COMPLEX:
             ok = fast.isclose(slow, args.tolerance)
             verdict = "within tolerance" if ok else "MISMATCH"
         else:

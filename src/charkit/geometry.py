@@ -88,6 +88,7 @@ class Ambient:
         return _points_of(self.modulus, self.d)
 
     def index_of(self, point: Point) -> int:
+        require_length(self, point)
         m = self.modulus
         idx = 0
         for c in point:
@@ -145,6 +146,12 @@ def require_prime_grid(ambient: Ambient) -> None:
         )
 
 
+def require_length(ambient: Ambient, v: Point) -> None:
+    """Reject a point or direction that does not have d coordinates."""
+    if len(v) != ambient.d:
+        raise ValueError(f"{tuple(v)} has {len(v)} coordinates, not d = {ambient.d}")
+
+
 def valuation(ambient: Ambient, n: int) -> int:
     """The exponent j in n = p**j * unit; the zero residue gets the sentinel ell."""
     n %= ambient.modulus
@@ -193,6 +200,7 @@ def line_through(ambient: Ambient, v: Point) -> ProjectiveLine:
     factor; v is scaled by the unit that turns its first coordinate of least
     valuation j into p**j.
     """
+    require_length(ambient, v)
     m = ambient.modulus
     g = math.gcd(m, *v)  # p**j
     if g == m:
@@ -257,6 +265,7 @@ def dilation_indices(ambient: Ambient, r: int) -> tuple:
 
 def dots(ambient: Ambient, v: Point) -> list:
     """x.v mod m for every x, in point order: the hyperplane labels of v."""
+    require_length(ambient, v)
     m = ambient.modulus
     out = [0]
     for a in v:

@@ -81,6 +81,7 @@ def classify_direction_paraboloid(ambient: Ambient, v: Point) -> str:
     "type2": last coordinate zero, leading sum of squares nonzero;
     "covered" otherwise (the line contains a nonzero paraboloid point).
     """
+    require_prime_grid(ambient)
     p = ambient.p
     v = tuple(c % p for c in v)
     if not any(v):

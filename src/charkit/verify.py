@@ -7,11 +7,14 @@ pairs, subsets) all run through one runner: an item that raises
 TheoremViolation fails only its own check, with a counterexample naming
 the item, and the suite's other items and checks keep their results.  A
 violation raised outside any item is reported as one failing check of its
-suite, and the other suites still run.  Exhaustive suites refuse a grid
-with more than MAX_SUBSET_ENUMERATION subsets (CapacityError), and a suite
-refuses a grid its statement does not cover (ValueError, as paraboloid at
-d = 1); a refused suite is reported as one failing check, and the other
-suites still run.
+suite, and the other suites still run.  Each suite has default grids
+(p, d, l); a given --p, --d or --l replaces that coordinate in every one,
+and the suite runs exactly the resulting grids (``_suite_grids``) or
+refuses them.  Exhaustive suites refuse a grid with more than
+MAX_SUBSET_ENUMERATION subsets (CapacityError), and a suite refuses a grid
+its statement does not cover (ValueError, as paraboloid at d = 1); a
+refused suite is reported as one failing check, and the other suites
+still run.
 The CLI ``verify`` command renders the results and exits nonzero when
 anything fails.  Identical (seed, options) always produce identical results: work
 items run in order, one after another.
@@ -56,6 +59,7 @@ from .geometry import (
     all_subspaces,
     enumerate_lines,
     hyperplane_points,
+    least_non_residue,
     line_indices,
     line_through,
     sqrt_minus_one,
@@ -137,7 +141,7 @@ def _seeded(config: VerifyConfig, suite: str, ambients):
     """Item i runs on ambients[i] with its own random stream ``suite/i``."""
     for i, ambient in enumerate(ambients):
         stream = f"{suite}/{i}"
-        where = f"{_grid_name(ambient)}, seed {config.seed}/{stream}"
+        where = f"{_grid_name(ambient.p, ambient.d, ambient.ell)}, seed {config.seed}/{stream}"
         yield where, (i, ambient, rng_for(config.seed, stream))
 
 
@@ -145,7 +149,7 @@ def _subsets(ambient: Ambient, least: int = 0):
     """Items ``(ambient, E)``, one per subset E of at least ``least`` points,
     smallest first; a grid with too many subsets raises before the first."""
     pts = ambient.points()
-    grid = _grid_name(ambient)
+    grid = _grid_name(ambient.p, ambient.d, ambient.ell)
     if 2 ** len(pts) > MAX_SUBSET_ENUMERATION:
         raise CapacityError(
             f"2**{len(pts)} subsets of {grid} exceed the limit {MAX_SUBSET_ENUMERATION}"
@@ -158,31 +162,37 @@ def _subsets(ambient: Ambient, least: int = 0):
     )
 
 
-def _grid_name(ambient: Ambient) -> str:
+def _grid_name(p: int, d: int, ell: int = 1) -> str:
     """(p,d), or (p,d,l) on a ring grid."""
-    dims = (ambient.p, ambient.d) + ((ambient.ell,) if ambient.ell > 1 else ())
-    return "(" + ",".join(map(str, dims)) + ")"
+    return f"({p},{d})" if ell == 1 else f"({p},{d},{ell})"
 
 
-def _grid_cycle(config: VerifyConfig, ps, ds, count: int) -> list:
-    """``count`` Ambients cycling through ps x ds; a requested p or d replaces either."""
-    ps = (config.p,) if config.p else ps
-    ds = (config.d,) if config.d else ds
-    combos = [(p, d) for p in ps for d in ds]
-    return [Ambient(*combos[i % len(combos)]) for i in range(count)]
+def _suite_grids(config: VerifyConfig, *defaults, count: int | None = None) -> tuple:
+    """The (p, d, l) grids a suite runs, and the suffix naming them.
+
+    ``defaults`` are the suite's grids.  Each of --p, --d and --l that was
+    given replaces its coordinate in every one, and equal grids collapse,
+    the first kept.  With ``count``, the result holds one grid per work
+    item, cycling through those.  The suffix is ' at <grids>' when a grid
+    option was given, else ''.
+    """
+    grids = list(dict.fromkeys(
+        (config.p or p, config.d or d, config.ell or ell) for p, d, ell in defaults
+    ))
+    if count is not None:
+        grids = [grids[i % len(grids)] for i in range(count)]
+    if not (config.p or config.d or config.ell):
+        return grids, ""
+    return grids, " at " + ", ".join(dict.fromkeys(_grid_name(*g) for g in grids))
 
 
-def _requested_grids(options, ambients) -> str:
-    """' at <grids>' naming the grids built when any of the grid options
-    that chose them (--p, --d, --l) was given."""
-    if not any(options):
-        return ""
-    return " at " + ", ".join(dict.fromkeys(map(_grid_name, ambients)))
-
-
-def _grids(config: VerifyConfig, defaults: tuple) -> tuple:
-    """The grid of --p and --d when both are given, else the suite's defaults."""
-    return ((config.p, config.d),) if config.p and config.d else defaults
+def _require_plane(grids, what: str, odd: bool = False) -> None:
+    """Refuse ``what``, defined on Z_p**2 (p odd if ``odd``), on any other grid."""
+    for p, d, ell in grids:
+        if (d, ell) != (2, 1) or (odd and p == 2):
+            plane = "Z_p**2 for odd p" if odd else "Z_p**2"
+            grid = _grid_name(p, d, ell)
+            raise ValueError(f"{what} is defined on {plane} only, not on {grid}")
 
 
 # --- suites -----------------------------------------------------------------
@@ -200,15 +210,19 @@ def _galois_item(_i, ambient, rng) -> None:
                     raise TheoremViolation(f"m={ambient.point_at(indices[t])}, r={r}")
 
 
+# The round trips of tomography and the pairs of equidist: p in (2, 3, 5)
+# times d in (1, 2, 3).
+_SMALL_GRIDS = tuple((p, d, 1) for p in (2, 3, 5) for d in (1, 2, 3))
+
+
 def run_galois(config: VerifyConfig) -> SuiteResult:
     """F(r*m) equals the r-th automorphism of F(m) for rational inputs."""
     res = SuiteResult("galois")
     count = config.suite_size or 200
-    ps = (config.p,) if config.p else (3, 5, 7)
-    d = config.d or 2
-    ambients = _grid_cycle(config, ps, (d,), count)
+    grids, at = _suite_grids(config, (3, 2, 1), (5, 2, 1), (7, 2, 1), count=count)
+    ambients = [Ambient(*g) for g in grids]
     _, raised = _run_items(res, _seeded(config, "galois", ambients), _galois_item)
-    res.check(f"equivariance on {count} functions, p in {ps}, d={d}",
+    res.check(f"equivariance on {count} functions{at or ', p in (3, 5, 7), d=2'}",
               detail="exact", raised=raised)
     return res
 
@@ -216,22 +230,16 @@ def run_galois(config: VerifyConfig) -> SuiteResult:
 def run_wavelet(config: VerifyConfig) -> SuiteResult:
     """The sharp planar staircase example and its closed-form reduced parts."""
     res = SuiteResult("wavelet")
-    ps = (config.p,) if config.p else (3, 5, 7)
-    for p in ps:
-        ambient = Ambient(p, 2)
+    grids, at = _suite_grids(config, (3, 2, 1), (5, 2, 1), (7, 2, 1))
+    _require_plane(grids, "the staircase example")
+    for p, _, _ in grids:
+        where = at and f" at {_grid_name(p, 2)}"
         f = staircase_function(p)
         rep = bandwidth(f)
-        want_lines = (
-            ProjectiveLine((0, 1)),
-            ProjectiveLine((1, 0)),
-            ProjectiveLine((1, 1)),
-        )
-        res.check(f"p={p}: cbw = 3", rep.cbw == 3, f"cbw={rep.cbw}")
-        res.check(
-            f"p={p}: active lines (0,1),(1,0),(1,1)",
-            rep.lines == want_lines,
-            str([l.rep for l in rep.lines]),
-        )
+        want_lines = tuple(map(ProjectiveLine, ((0, 1), (1, 0), (1, 1))))
+        res.check(f"p={p}: cbw = 3{where}", rep.cbw == 3, f"cbw={rep.cbw}")
+        res.check(f"p={p}: active lines (0,1),(1,0),(1,1){where}",
+                  rep.lines == want_lines, str([l.rep for l in rep.lines]))
         dec = decompose(f, "reduced")
         expected = {
             (0, 1): tuple(Fraction(i, p) for i in range(p)),
@@ -239,15 +247,10 @@ def run_wavelet(config: VerifyConfig) -> SuiteResult:
             (1, 1): tuple(Fraction(-i, p) for i in range(p)),
         }
         got = {w.direction.rep: w.coeffs for w in dec.parts}
-        res.check(
-            f"p={p}: reduced parts match the closed form",
-            got == expected and dec.constant == 0,
-            f"constant={dec.constant}",
-        )
-        res.check(
-            f"p={p}: reduced decomposition re-evaluates to the set",
-            dec.evaluate() == f,
-        )
+        res.check(f"p={p}: reduced parts match the closed form{where}",
+                  got == expected and dec.constant == 0, f"constant={dec.constant}")
+        res.check(f"p={p}: reduced decomposition re-evaluates to the set{where}",
+                  dec.evaluate() == f)
     return res
 
 
@@ -261,18 +264,17 @@ def run_tomography(config: VerifyConfig) -> SuiteResult:
     """Project-then-reconstruct is the identity; corrupt sinograms are rejected."""
     res = SuiteResult("tomography")
     count = config.suite_size or 100
-    ambients = _grid_cycle(config, (2, 3, 5), (1, 2, 3), count)
+    grids, at = _suite_grids(config, *_SMALL_GRIDS, count=count)
+    ambients = [Ambient(*g) for g in grids]
     _, raised = _run_items(res, _seeded(config, "tomography", ambients), _round_trip_item)
-    at = _requested_grids((config.p, config.d), ambients)
     res.check(f"exact round trip on {count} functions{at}", detail="exact", raised=raised)
 
-    p = config.p or 3
+    [(p, d, _)], at = _suite_grids(config, (3, 2, 1))
+    if d != 2:  # the staircase example is planar
+        return res
     f = staircase_function(p)
     table = mass_table(f)
-    res.check(
-        f"staircase example round trips (p={p})",
-        reconstruct_from_masses(table) == f,
-    )
+    res.check(f"staircase example round trips (p={p}){at}", reconstruct_from_masses(table) == f)
     bad = 0
     tried = 0
     for i, (line, ms) in enumerate(table.rows):
@@ -286,11 +288,8 @@ def run_tomography(config: VerifyConfig) -> SuiteResult:
                 reconstruct_from_masses(type(table)(table.ambient, tuple(rows)))
             except SinogramError:
                 bad += 1
-    res.check(
-        "every single-entry corruption is rejected",
-        bad == tried,
-        f"{bad}/{tried} rejected",
-    )
+    res.check(f"every single-entry corruption is rejected{at}", bad == tried,
+              f"{bad}/{tried} rejected")
     return res
 
 
@@ -318,14 +317,14 @@ def run_equidist(config: VerifyConfig) -> SuiteResult:
     punctured subspace; indicator masses force divisibility by p**k."""
     res = SuiteResult("equidist")
     count = config.suite_size or 500
-    ambients = _grid_cycle(config, (2, 3, 5), (1, 2, 3), count)
+    grids, at = _suite_grids(config, *_SMALL_GRIDS, count=count)
+    ambients = [Ambient(*g) for g in grids]
     results, raised = _run_items(res, _seeded(config, "equidist", ambients), _equidist_item)
-    at = _requested_grids((config.p, config.d), ambients)
     res.check(f"biconditional held on {count} pairs{at}",
               detail="no violation raised", raised=raised)
-    res.check("constructed vanishing-spectrum inputs equidistribute",
+    res.check(f"constructed vanishing-spectrum inputs equidistribute{at}",
               all(ok for ok, _ in results))
-    res.check("equidistributed indicators have size divisible by p**k",
+    res.check(f"equidistributed indicators have size divisible by p**k{at}",
               all(ok for _, ok in results))
     return res
 
@@ -342,18 +341,16 @@ def _random_set_holds(_i, ambient, rng) -> bool:
 def run_uncertainty(config: VerifyConfig) -> SuiteResult:
     """((p-1)cbw + 1)|E| >= p**d for every nonempty set tested."""
     res = SuiteResult("uncertainty")
-    defaults = ((2, 2), (2, 3))
-    grids = _grids(config, defaults)
-    for (p, d) in grids:
-        holds, raised = _run_items(res, _subsets(Ambient(p, d), least=1), _uncertainty_holds)
-        res.check(f"exhaustive at ({p},{d})", all(holds),
+    grids, _ = _suite_grids(config, (2, 2, 1), (2, 3, 1))
+    for grid in grids:
+        holds, raised = _run_items(res, _subsets(Ambient(*grid), least=1), _uncertainty_holds)
+        res.check(f"exhaustive at {_grid_name(*grid)}", all(holds),
                   f"{sum(holds)}/{len(holds) + len(raised)} pass", raised)
-    if grids != defaults:  # a requested grid is checked exhaustively only
-        return res
     n = config.suite_size or 1000
-    items = _seeded(config, "uncertainty", [Ambient(3, 3)] * n)
+    [grid], _ = _suite_grids(config, (3, 3, 1))
+    items = _seeded(config, "uncertainty", [Ambient(*grid)] * n)
     holds, raised = _run_items(res, items, _random_set_holds)
-    res.check(f"{n} random nonempty sets at (3,3)", all(holds),
+    res.check(f"{n} random nonempty sets at {_grid_name(*grid)}", all(holds),
               f"{sum(holds)}/{n} pass", raised)
     return res
 
@@ -361,11 +358,12 @@ def run_uncertainty(config: VerifyConfig) -> SuiteResult:
 def run_dichotomy(config: VerifyConfig) -> SuiteResult:
     """Every set is a union of parallel lines or has cbw > d."""
     res = SuiteResult("dichotomy")
-    for (p, d) in _grids(config, ((2, 2), (2, 3))):
-        classes, raised = _run_items(res, _subsets(Ambient(p, d)), classify_small_cbw_set)
+    grids, _ = _suite_grids(config, (2, 2, 1), (2, 3, 1))
+    for grid in grids:
+        classes, raised = _run_items(res, _subsets(Ambient(*grid)), classify_small_cbw_set)
         unions = sum(cls.kind == "union_of_parallel_lines" for cls in classes)
         exceeds = len(classes) - unions
-        res.check(f"exhaustive at ({p},{d})", raised=raised,
+        res.check(f"exhaustive at {_grid_name(*grid)}", raised=raised,
                   detail=f"{unions} unions of parallel lines, {exceeds} with cbw > d")
     return res
 
@@ -383,10 +381,9 @@ def _paraboloid_item(admissible, _i, ambient, rng) -> bool:
 def run_paraboloid(config: VerifyConfig) -> SuiteResult:
     """Slice differences of paraboloid-vanishing functions are good."""
     res = SuiteResult("paraboloid")
-    p = config.p or 5
-    d = config.d or 3
+    [grid], _ = _suite_grids(config, (5, 3, 1))
     count = config.suite_size or 100
-    ambient = Ambient(p, d)
+    ambient = Ambient(*grid)
     admissible = [
         line
         for line in enumerate_lines(ambient)
@@ -394,25 +391,27 @@ def run_paraboloid(config: VerifyConfig) -> SuiteResult:
     ]
     items = _seeded(config, "paraboloid", [ambient] * count)
     results, raised = _run_items(res, items, functools.partial(_paraboloid_item, admissible))
-    res.check(f"{count} constructed functions at ({p},{d}): every slice difference good",
-              all(results), f"{sum(results)}/{count} pass", raised)
+    res.check(f"{count} constructed functions at {_grid_name(*grid)}: "
+              "every slice difference good", all(results), f"{sum(results)}/{count} pass", raised)
     return res
 
 
 def run_spheres(config: VerifyConfig) -> SuiteResult:
     """Sphere counts, sphere equidistribution, and the planar line structure."""
     res = SuiteResult("spheres")
+    grids, at = _suite_grids(config, (3, 2, 1), (5, 2, 1))
+    _require_plane(grids, "the sphere analysis", odd=True)
+    ambients = [Ambient(*g) for g in grids]
+    where = {a.p: at and f" at {_grid_name(a.p, 2)}" for a in ambients}
     rng = rng_for(config.seed, "spheres")
-    for p in (3, 5):
+    for ambient in ambients:
+        p = ambient.p
         counts = [sphere_count(p, 2, r) for r in range(1, p)]
-        res.check(
-            f"p={p}, d=2: nonzero-radius spheres equinumerous",
-            len(set(counts)) == 1,
-            f"measured counts {counts}",
-        )
+        res.check(f"p={p}, d=2: nonzero-radius spheres equinumerous{where[p]}",
+                  len(set(counts)) == 1, f"measured counts {counts}")
     # Constructed two-circle-vanishing functions, 5 random centers each.
-    for p in (3, 5):
-        ambient = Ambient(p, 2)
+    for ambient in ambients:
+        p = ambient.p
         if p % 4 == 3:
             f = GridFunction.constant(ambient, Fraction(rng.randint(1, 5), 3))
         else:
@@ -427,31 +426,36 @@ def run_spheres(config: VerifyConfig) -> SuiteResult:
             center = random_point(ambient, rng)
             report = sphere_equidistribution_check(f, center)
             ok = ok and report.equidistributed
-        res.check(f"p={p}: equidistributed on spheres about 5 random centers", ok)
-    # Indicator classification at p = 5.
-    ambient = Ambient(5, 2)
-    plus_union = {(t, 2 * t % 5) for t in range(5)} | {(t, (2 * t + 1) % 5) for t in range(5)}
-    minus_union = {(t, 3 * t % 5) for t in range(5)}
-    r1 = two_circle_analysis(GridFunction.indicator(ambient, plus_union), 1, 2)
-    r2 = two_circle_analysis(GridFunction.indicator(ambient, minus_union), 1, 2)
-    res.check("p=5: two parallel isotropic lines classify as Lplus_union",
-              r1.kind == "Lplus_union", r1.kind)
-    res.check("p=5: a line parallel to (1,-i) classifies as Lminus_union",
-              r2.kind == "Lminus_union", r2.kind)
+        res.check(f"p={p}: equidistributed on spheres about 5 random centers{where[p]}", ok)
+    # Indicator classification on the isotropic lines (1, i) and (1, -i), p = 1 mod 4.
+    for ambient in ambients:
+        p = ambient.p
+        if p % 4 != 1:
+            continue
+        i, b = sqrt_minus_one(p), least_non_residue(p)
+        plus_union = {(t, (i * t + c) % p) for t in range(p) for c in (0, 1)}
+        minus_union = {(t, -i * t % p) for t in range(p)}
+        r1 = two_circle_analysis(GridFunction.indicator(ambient, plus_union), 1, b)
+        r2 = two_circle_analysis(GridFunction.indicator(ambient, minus_union), 1, b)
+        res.check(f"p={p}: two parallel isotropic lines classify as Lplus_union{where[p]}",
+                  r1.kind == "Lplus_union", r1.kind)
+        res.check(f"p={p}: a line parallel to (1,-i) classifies as Lminus_union{where[p]}",
+                  r2.kind == "Lminus_union", r2.kind)
     return res
 
 
 def run_selfdual(config: VerifyConfig) -> SuiteResult:
     """Exhaustive classification of sets with transform proportional to themselves."""
     res = SuiteResult("selfdual")
-    for (p, d) in _grids(config, ((2, 2), (3, 2), (2, 3))):
-        ambient = Ambient(p, d)
+    grids, _ = _suite_grids(config, (2, 2, 1), (3, 2, 1), (2, 3, 1))
+    for p, d, ell in grids:
+        ambient = Ambient(p, d, ell)
         classes, raised = _run_items(res, _subsets(ambient), self_dual_classify)
         found = [(c.kind, c.eigenvalue) for c in classes if c.kind != "not_self_dual"]
         # The empty set, then each Lagrangian subspace with eigenvalue p**(-d/2).
         lagrangian = ("lagrangian", Fraction(1, p ** (d // 2)))
         expected = [("empty", 0)] + [lagrangian] * len(enumerate_lagrangian(ambient))
-        res.check(f"exhaustive over all {2 ** ambient.size} subsets at ({p},{d})",
+        res.check(f"exhaustive over all {2 ** ambient.size} subsets at {_grid_name(p, d, ell)}",
                   found == expected, f"self-dual: {found}", raised)
     return res
 
@@ -461,11 +465,11 @@ def run_eigen(config: VerifyConfig) -> SuiteResult:
     res = SuiteResult("eigen")
     rng = rng_for(config.seed, "eigen")
     tol = config.tolerance
-    grids = _grids(config, ((2, 2), (3, 2), (2, 3)))
-    ambients = [Ambient(p, d) for p, d in grids]
+    grids, at = _suite_grids(config, (2, 2, 1), (3, 2, 1), (2, 3, 1))
+    ambients = [Ambient(*g) for g in grids]
     plain = [_residual(eigenfunction_pair(V), tol) for a in ambients for V in all_subspaces(a)]
     res.check(
-        f"plain pairs for every subspace at {grids}",
+        f"plain pairs for every subspace{at or ' at ((2, 2), (3, 2), (2, 3))'}",
         all(ok for _, ok in plain),
         f"{len(plain)} pairs, max residual {max(r for r, _ in plain):.2e}",
     )
@@ -477,7 +481,7 @@ def run_eigen(config: VerifyConfig) -> SuiteResult:
         x = random_point(ambient, rng)
         affine.append(_residual(affine_eigenfunction_pair(V, x), tol))
     res.check(
-        f"{n_aff} random affine conjugate pairs",
+        f"{n_aff} random affine conjugate pairs{at}",
         all(ok for _, ok in affine),
         f"max residual {max(r for r, _ in affine):.2e}",
     )
@@ -499,18 +503,13 @@ def _zpl_item(_i, ambient, rng) -> bool:
 def run_zpl(config: VerifyConfig) -> SuiteResult:
     """Valuation geometry and the multiscale decomposition over Z_{p**ell}."""
     res = SuiteResult("zpl")
-    p = config.p or 2
-    ell = config.ell or 2
-    d = config.d or 2
-    ambient = Ambient(p, d, ell)
-    at = _requested_grids((config.p, config.d, config.ell), [ambient])
+    [grid], at = _suite_grids(config, (2, 2, 2))
+    ambient = Ambient(*grid)
+    p, d, ell = grid
     q = ambient.modulus
     units = sum(1 for n in range(q) if valuation(ambient, n) == 0)
-    res.check(
-        f"unit count mod {q} is p**l - p**(l-1){at}",
-        units == unit_count(ambient) == q - q // p,
-        f"{units} units",
-    )
+    res.check(f"unit count mod {q} is p**l - p**(l-1){at}",
+              units == unit_count(ambient) == q - q // p, f"{units} units")
     nonzero = [v for v in ambient.points() if any(v)]
     ok_h = all(
         len(hyperplane_points(ambient, v, 0))
@@ -558,8 +557,8 @@ def run_suites(names, config: VerifyConfig) -> list:
 def _run_suite(name: str, config: VerifyConfig) -> SuiteResult:
     """One suite's result; a TheoremViolation raised outside any work item
     becomes a failing check.  So does a refusal of the requested grid, a
-    CapacityError or a ValueError (the paraboloid statement needs d >= 2),
-    which also marks the suite refused."""
+    CapacityError or a ValueError (a statement the grid does not cover, as
+    the slicing statement at d = 1), which also marks the suite refused."""
     try:
         return SUITES[name](config)
     except TheoremViolation as exc:

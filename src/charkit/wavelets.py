@@ -30,6 +30,7 @@ from .geometry import (
     dots,
     enumerate_lines,
     line_through,
+    require_length,
     require_prime_grid,
 )
 from .scalars import DEFAULT_TOL, is_zero, zero_bound
@@ -73,6 +74,7 @@ def masses(f: GridFunction, s) -> tuple:
     """The p hyperplane masses m_{s,t}(f) = sum of f over {x : x.s = t}."""
     ambient = f.ambient
     require_prime_grid(ambient)
+    require_length(ambient, s)
     p = ambient.p
     s = tuple(c % p for c in s)
     if not any(s):

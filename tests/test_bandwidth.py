@@ -195,6 +195,13 @@ def test_dichotomy_staircase_exceeds_d():
     assert cls.kind == "cbw_exceeds_d" and cls.cbw == 3
 
 
+def test_dichotomy_refuses_dimension_one():
+    # at d = 1 a single point has cbw 1 = d and is no union of parallel lines
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            classify_small_cbw_set(Ambient(p, 1), [(0,)])
+
+
 def test_dichotomy_exhaustive_z2_squared():
     amb = Ambient(2, 2)
     pts = amb.points()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -419,19 +420,26 @@ def test_cli_verify_reports_every_suite_when_one_is_refused(capsys):
 
     assert run_cli("verify", "all", "--p", "3", "--d", "3", "--suite-size", "2") == 2
     captured = capsys.readouterr()
-    refused = ("uncertainty", "dichotomy", "selfdual")
+    # the exhaustive suites refuse 2**27 subsets; the planar suites refuse d = 3
+    refused = {
+        "wavelet": ("ValueError", "the staircase example is defined on Z_p**2 only, not on (3,3)"),
+        "uncertainty": ("CapacityError", "2**27 subsets of (3,3) exceed the limit 65536"),
+        "dichotomy": ("CapacityError", "2**27 subsets of (3,3) exceed the limit 65536"),
+        "spheres": ("ValueError",
+                    "the sphere analysis is defined on Z_p**2 for odd p only, not on (3,3)"),
+        "selfdual": ("CapacityError", "2**27 subsets of (3,3) exceed the limit 65536"),
+    }
     assert captured.err.splitlines() == [
-        f"data error: verify {suite}: 2**27 subsets of (3,3) exceed the limit 65536"
-        for suite in refused
+        f"data error: verify {suite}: {reason}" for suite, (_, reason) in refused.items()
     ]
     payload = json.loads(captured.out)
     assert [r["suite"] for r in payload["suites"]] == list(verify.SUITE_ORDER)
     assert payload["passed"] is False
     for r in payload["suites"]:
         if r["suite"] in refused:
+            error, reason = refused[r["suite"]]
             assert r["checks"] == [
-                {"name": "raised CapacityError", "passed": False,
-                 "detail": "2**27 subsets of (3,3) exceed the limit 65536"}
+                {"name": f"raised {error}", "passed": False, "detail": reason}
             ]
             assert r["counterexamples"] == []
         else:
@@ -449,15 +457,24 @@ def test_cli_verify_reports_every_suite_when_one_cannot_take_the_grid(capsys):
 
     assert run_cli("verify", "all", "--d", "1", "--suite-size", "2") == 2
     captured = capsys.readouterr()
+    # the planar suites, the dichotomy and the slicing statement need d >= 2
+    refused = {
+        "wavelet": "the staircase example is defined on Z_p**2 only, not on (3,1)",
+        "dichotomy": "the dichotomy requires dimension >= 2",
+        "paraboloid": "the slicing statement requires dimension >= 2",
+        "spheres": "the sphere analysis is defined on Z_p**2 for odd p only, not on (3,1)",
+    }
     assert captured.err.splitlines() == [
-        "data error: verify paraboloid: the slicing statement requires dimension >= 2"
+        f"data error: verify {suite}: {reason}" for suite, reason in refused.items()
     ]
     payload = json.loads(captured.out)
     assert [r["suite"] for r in payload["suites"]] == list(verify.SUITE_ORDER)
     assert payload["passed"] is False
     for r in payload["suites"]:
-        if r["suite"] == "paraboloid":
-            assert r["checks"] == PARABOLOID_AT_D1
+        if r["suite"] in refused:
+            assert r["checks"] == [
+                {"name": "raised ValueError", "passed": False, "detail": refused[r["suite"]]}
+            ]
             assert r["counterexamples"] == []
         else:
             assert r["passed"] is True, r["suite"]
@@ -856,6 +873,98 @@ def test_cli_verify_a_raising_item_fails_alone(
     assert report["counterexamples"] == [f"item 2 at {where}: planted"]
     failing = next(c for c in report["checks"] if not c["passed"])
     assert failing["detail"] == f"item 2 at {where}: planted"
+
+
+_GRID_OPTIONS = {"--p": ("3", 0), "--d": ("1", 1), "--l": ("2", 2)}
+
+
+@pytest.mark.parametrize("option", sorted(_GRID_OPTIONS))
+@pytest.mark.parametrize("suite", ["galois", "wavelet", "tomography", "equidist",
+                                   "uncertainty", "dichotomy", "paraboloid", "spheres",
+                                   "selfdual", "eigen", "zpl"])
+def test_cli_verify_runs_exactly_the_requested_coordinate_or_refuses(
+    monkeypatch, capsys, suite, option
+):
+    """Each grid a suite builds or names carries the requested coordinate, or
+    the suite is refused: exit 2 and one failing check giving the reason."""
+    from charkit import verify
+
+    value, axis = _GRID_OPTIONS[option]
+    built = []
+
+    def recording(p, d, ell=1):
+        built.append((p, d, ell))
+        return Ambient(p, d, ell)
+
+    monkeypatch.setattr(verify, "Ambient", recording)
+    code = run_cli("verify", suite, option, value, "--suite-size", "1")
+    [report] = json.loads(capsys.readouterr().out)["suites"]
+    if code == 2:
+        [check] = report["checks"]
+        assert check["name"].startswith("raised ") and not check["passed"]
+        assert check["detail"]
+        return
+    assert code == 0 and report["passed"]
+    assert all(grid[axis] == int(value) for grid in built), built
+    for check in report["checks"]:
+        named = re.findall(r"\((\d+),(\d+)(?:,(\d+))?\)", check["name"].rsplit(" at ", 1)[-1])
+        assert named, check["name"]
+        assert all(int(grid[axis] or 1) == int(value) for grid in named), check["name"]
+
+
+def test_cli_verify_refusals_of_each_grid_option(capsys):
+    expected = {
+        "--p": {"uncertainty", "dichotomy", "selfdual"},  # 2**27 subsets of (3,3)
+        "--d": {"wavelet", "dichotomy", "paraboloid", "spheres"},
+        "--l": {"wavelet", "tomography", "equidist", "uncertainty", "dichotomy",
+                "paraboloid", "spheres", "selfdual", "eigen"},
+    }
+    for option, (value, _) in _GRID_OPTIONS.items():
+        assert run_cli("verify", "all", option, value, "--suite-size", "1") == 2
+        captured = capsys.readouterr()
+        suites = json.loads(captured.out)["suites"]
+        assert {r["suite"] for r in suites if not r["passed"]} == expected[option], option
+        assert len(captured.err.splitlines()) == len(expected[option])
+
+
+@pytest.mark.parametrize("p,d,ell", [(3, 2, 2), (2, 3, 2)])
+def test_cli_verify_galois_runs_on_ring_grids(capsys, p, d, ell):
+    argv = ("verify", "galois", "--p", str(p), "--d", str(d), "--l", str(ell))
+    assert run_cli(*argv, "--suite-size", "2") == 0
+    [check] = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    assert check == {"name": f"equivariance on 2 functions at ({p},{d},{ell})",
+                     "passed": True, "detail": "exact"}
+
+
+def test_cli_verify_spheres_classifies_the_isotropic_lines_at_each_requested_p(capsys):
+    # 13 = 1 mod 4: i = 5 and the least non-residue is 2
+    assert run_cli("verify", "spheres", "--p", "13") == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["suites"][0]["checks"]]
+    assert names == [
+        "p=13, d=2: nonzero-radius spheres equinumerous at (13,2)",
+        "p=13: equidistributed on spheres about 5 random centers at (13,2)",
+        "p=13: two parallel isotropic lines classify as Lplus_union at (13,2)",
+        "p=13: a line parallel to (1,-i) classifies as Lminus_union at (13,2)",
+    ]
+    assert run_cli("verify", "spheres", "--p", "7") == 0  # 7 = 3 mod 4: no isotropic line
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["suites"][0]["checks"]]
+    assert not any("isotropic" in name or "(1,-i)" in name for name in names)
+
+
+def test_cli_verify_dichotomy_refuses_dimension_one(capsys):
+    assert run_cli("verify", "dichotomy", "--p", "2", "--d", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: verify dichotomy: the dichotomy requires dimension >= 2\n"
+    [check] = json.loads(captured.out)["suites"][0]["checks"]
+    assert check["name"] == "raised ValueError"
+
+
+def test_cli_transform_inverse_and_oracle_are_exclusive(capsys):
+    argv = ("transform", "--input", str(GOLDEN / "exact" / "rational_7_3.json"))
+    assert run_cli(*argv, "--inverse", "--oracle") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "not allowed with" in captured.err
 
 
 def test_cli_verify_selfdual_expects_the_lagrangian_subspaces_at_even_d(capsys):

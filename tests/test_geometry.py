@@ -37,6 +37,29 @@ from charkit.geometry import (
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
 
+def _short_vector_calls():
+    """Calls on Z_3**2 given a vector with the wrong number of coordinates."""
+    from charkit.fourier import GridFunction, forward, vanishes_on
+    from charkit.wavelets import masses
+
+    amb = Ambient(3, 2)
+    f = GridFunction(amb, "rational", range(9))
+    return {
+        "hyperplane_points": lambda: hyperplane_points(amb, (1,), 0),
+        "masses": lambda: masses(f, (1,)),
+        "delta": lambda: GridFunction.delta(amb, (1,)),
+        "line_through": lambda: line_through(amb, (1,)),
+        "vanishes_on": lambda: vanishes_on(forward(f), [(1,)]),
+        "value_at": lambda: f.value_at((1, 2, 0)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_short_vector_calls()))
+def test_vectors_of_the_wrong_length_are_refused(entry):
+    with pytest.raises(ValueError, match=r"coordinates, not d = 2"):
+        _short_vector_calls()[entry]()
+
+
 def scalar_class_partition_oracle(ambient):
     """Brute-force partition of nonzero points into scalar-multiple classes."""
     p = ambient.p

@@ -74,7 +74,8 @@ import operator
 from fractions import Fraction
 from itertools import zip_longest
 
-from .geometry import Point, Subspace, dilation_indices, dot, dots, perp, point_set, vsub
+from .geometry import Point, Subspace, dilation_indices, dot, dots, perp, point_set
+from .geometry import require_length, vsub
 from .scalars import (
     DEFAULT_TOL,
     ZERO,
@@ -152,11 +153,13 @@ class GridFunction:
     @classmethod
     def delta(cls, ambient, point: Point, value=1) -> "GridFunction":
         kind = _kind_of_scalar(value)
+        require_length(ambient, point)
         idx = ambient.index_of(point)
         vals = [value if i == idx else 0 for i in range(ambient.size)]
         return cls(ambient, kind, vals)
 
     def value_at(self, point: Point):
+        require_length(self.ambient, point)
         return self.values[self.ambient.index_of(point)]
 
     def nonzero(self, tol: float = DEFAULT_TOL) -> tuple:
@@ -287,8 +290,13 @@ class Spectrum(GridFunction):
 def vanishes_on(F: GridFunction, points, tol: float = DEFAULT_TOL) -> bool:
     """True when F is zero at every given point, by the zero mask: exactly
     for exact values, by the zero rule over all of F for complex ones."""
+    ambient = F.ambient
     nonzero = F.nonzero(tol)
-    return not any(nonzero[F.ambient.index_of(x)] for x in points)
+    for x in points:
+        require_length(ambient, x)
+        if nonzero[ambient.index_of(x)]:
+            return False
+    return True
 
 
 ONE_F = Fraction(1)

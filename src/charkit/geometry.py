@@ -88,7 +88,6 @@ class Ambient:
         return _points_of(self.modulus, self.d)
 
     def index_of(self, point: Point) -> int:
-        require_length(self, point)
         m = self.modulus
         idx = 0
         for c in point:

@@ -60,7 +60,6 @@ from .geometry import (
     enumerate_lines,
     hyperplane_points,
     least_non_residue,
-    line_indices,
     line_through,
     sqrt_minus_one,
     valuation,
@@ -186,28 +185,23 @@ def _suite_grids(config: VerifyConfig, *defaults, count: int | None = None) -> t
     return grids, " at " + ", ".join(dict.fromkeys(_grid_name(*g) for g in grids))
 
 
-def _require_plane(grids, what: str, odd: bool = False) -> None:
-    """Refuse ``what``, defined on Z_p**2 (p odd if ``odd``), on any other grid."""
+def _require_plane(grids, what: str) -> None:
+    """Refuse ``what``, defined on Z_p**2, on any other grid."""
     for p, d, ell in grids:
-        if (d, ell) != (2, 1) or (odd and p == 2):
-            plane = "Z_p**2 for odd p" if odd else "Z_p**2"
-            grid = _grid_name(p, d, ell)
-            raise ValueError(f"{what} is defined on {plane} only, not on {grid}")
+        if (d, ell) != (2, 1):
+            raise ValueError(f"{what} is defined on Z_p**2 only, not on {_grid_name(p, d, ell)}")
 
 
 # --- suites -----------------------------------------------------------------
 
 
 def _galois_item(_i, ambient, rng) -> None:
-    p = ambient.p
     F = forward(random_rational_function(ambient, rng))
-    # agree[r][i]: sigma_r(F(m)) == F(r*m) at the point m of index i
-    agree = {r: F.galois(r).agrees(F.dilate(r)) for r in range(1, p)}
-    for indices in line_indices(ambient).values():
-        for t in range(1, p):
-            for r in range(1, p):
-                if not agree[r][indices[t]]:
-                    raise TheoremViolation(f"m={ambient.point_at(indices[t])}, r={r}")
+    for r in range(1, ambient.modulus):
+        if r % ambient.p:  # a unit: sigma_r(F(m)) == F(r*m) at every point m
+            agree = F.galois(r).agrees(F.dilate(r))
+            if not all(agree):
+                raise TheoremViolation(f"m={ambient.point_at(agree.index(False))}, r={r}")
 
 
 # The round trips of tomography and the pairs of equidist: p in (2, 3, 5)
@@ -400,18 +394,18 @@ def run_spheres(config: VerifyConfig) -> SuiteResult:
     """Sphere counts, sphere equidistribution, and the planar line structure."""
     res = SuiteResult("spheres")
     grids, at = _suite_grids(config, (3, 2, 1), (5, 2, 1))
-    _require_plane(grids, "the sphere analysis", odd=True)
+    _require_plane(grids, "the sphere analysis")
     ambients = [Ambient(*g) for g in grids]
-    where = {a.p: at and f" at {_grid_name(a.p, 2)}" for a in ambients}
     rng = rng_for(config.seed, "spheres")
-    for ambient in ambients:
-        p = ambient.p
+    for p, _, _ in grids:
+        where = at and f" at {_grid_name(p, 2)}"
         counts = [sphere_count(p, 2, r) for r in range(1, p)]
-        res.check(f"p={p}, d=2: nonzero-radius spheres equinumerous{where[p]}",
+        res.check(f"p={p}, d=2: nonzero-radius spheres equinumerous{where}",
                   len(set(counts)) == 1, f"measured counts {counts}")
     # Constructed two-circle-vanishing functions, 5 random centers each.
     for ambient in ambients:
         p = ambient.p
+        where = at and f" at {_grid_name(p, 2)}"
         if p % 4 == 3:
             f = GridFunction.constant(ambient, Fraction(rng.randint(1, 5), 3))
         else:
@@ -426,20 +420,21 @@ def run_spheres(config: VerifyConfig) -> SuiteResult:
             center = random_point(ambient, rng)
             report = sphere_equidistribution_check(f, center)
             ok = ok and report.equidistributed
-        res.check(f"p={p}: equidistributed on spheres about 5 random centers{where[p]}", ok)
+        res.check(f"p={p}: equidistributed on spheres about 5 random centers{where}", ok)
     # Indicator classification on the isotropic lines (1, i) and (1, -i), p = 1 mod 4.
     for ambient in ambients:
         p = ambient.p
         if p % 4 != 1:
             continue
+        where = at and f" at {_grid_name(p, 2)}"
         i, b = sqrt_minus_one(p), least_non_residue(p)
         plus_union = {(t, (i * t + c) % p) for t in range(p) for c in (0, 1)}
         minus_union = {(t, -i * t % p) for t in range(p)}
         r1 = two_circle_analysis(GridFunction.indicator(ambient, plus_union), 1, b)
         r2 = two_circle_analysis(GridFunction.indicator(ambient, minus_union), 1, b)
-        res.check(f"p={p}: two parallel isotropic lines classify as Lplus_union{where[p]}",
+        res.check(f"p={p}: two parallel isotropic lines classify as Lplus_union{where}",
                   r1.kind == "Lplus_union", r1.kind)
-        res.check(f"p={p}: a line parallel to (1,-i) classifies as Lminus_union{where[p]}",
+        res.check(f"p={p}: a line parallel to (1,-i) classifies as Lminus_union{where}",
                   r2.kind == "Lminus_union", r2.kind)
     return res
 

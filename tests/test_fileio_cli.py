@@ -425,8 +425,7 @@ def test_cli_verify_reports_every_suite_when_one_is_refused(capsys):
         "wavelet": ("ValueError", "the staircase example is defined on Z_p**2 only, not on (3,3)"),
         "uncertainty": ("CapacityError", "2**27 subsets of (3,3) exceed the limit 65536"),
         "dichotomy": ("CapacityError", "2**27 subsets of (3,3) exceed the limit 65536"),
-        "spheres": ("ValueError",
-                    "the sphere analysis is defined on Z_p**2 for odd p only, not on (3,3)"),
+        "spheres": ("ValueError", "the sphere analysis is defined on Z_p**2 only, not on (3,3)"),
         "selfdual": ("CapacityError", "2**27 subsets of (3,3) exceed the limit 65536"),
     }
     assert captured.err.splitlines() == [
@@ -462,7 +461,7 @@ def test_cli_verify_reports_every_suite_when_one_cannot_take_the_grid(capsys):
         "wavelet": "the staircase example is defined on Z_p**2 only, not on (3,1)",
         "dichotomy": "the dichotomy requires dimension >= 2",
         "paraboloid": "the slicing statement requires dimension >= 2",
-        "spheres": "the sphere analysis is defined on Z_p**2 for odd p only, not on (3,1)",
+        "spheres": "the sphere analysis is defined on Z_p**2 only, not on (3,1)",
     }
     assert captured.err.splitlines() == [
         f"data error: verify {suite}: {reason}" for suite, reason in refused.items()
@@ -928,12 +927,22 @@ def test_cli_verify_refusals_of_each_grid_option(capsys):
 
 
 @pytest.mark.parametrize("p,d,ell", [(3, 2, 2), (2, 3, 2)])
-def test_cli_verify_galois_runs_on_ring_grids(capsys, p, d, ell):
+def test_cli_verify_galois_runs_on_ring_grids(monkeypatch, capsys, p, d, ell):
+    from charkit.fourier import GridFunction
+
     argv = ("verify", "galois", "--p", str(p), "--d", str(d), "--l", str(ell))
     assert run_cli(*argv, "--suite-size", "2") == 0
     [check] = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
     assert check == {"name": f"equivariance on 2 functions at ({p},{d},{ell})",
                      "passed": True, "detail": "exact"}
+    # every unit mod p**l is tested: an action that ignores the units above
+    # p (at (2,3,2) every unit but 1) is caught
+    galois = GridFunction.galois
+    monkeypatch.setattr(GridFunction, "galois",
+                        lambda self, r: self if r > p else galois(self, r))
+    assert run_cli(*argv, "--suite-size", "2") == 3
+    [check] = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    assert not check["passed"] and check["detail"].endswith(f", r={p + 1}")
 
 
 def test_cli_verify_spheres_classifies_the_isotropic_lines_at_each_requested_p(capsys):

@@ -31,6 +31,7 @@ from .geometry import (
     Subspace,
     dots,
     enumerate_subspaces,
+    grid_point,
     perp,
     point_set,
     require_prime_grid,
@@ -126,7 +127,7 @@ def affine_eigenfunction_pair(V: Subspace, x: Point) -> EigenPair:
     """
     ambient = V.ambient
     p, d = ambient.p, ambient.d
-    x = tuple(c % p for c in x)
+    x = grid_point(ambient, x)
     k = V.dim
     W = perp(V)
     exact = d % 2 == 0

@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DataFormatError
 from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction
-from .geometry import Ambient, enumerate_lines, line_through
+from .geometry import Ambient, enumerate_lines, grid_point, line_through
 from .scalars import Cyclotomic
 from .wavelets import Decomposition, MassTable
 
@@ -246,7 +246,7 @@ def sinogram_from_payload(payload) -> MassTable:
             raise DataFormatError(
                 f"sinogram direction must be a list of {ambient.d} integers, got {s!r}"
             )
-        s = tuple(c % p for c in s)
+        s = grid_point(ambient, s)
         if not any(s):
             raise DataFormatError("sinogram direction must be nonzero")
         if not isinstance(entry["m"], list) or len(entry["m"]) != p:

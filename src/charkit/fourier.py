@@ -74,8 +74,8 @@ import operator
 from fractions import Fraction
 from itertools import zip_longest
 
-from .geometry import Point, Subspace, dilation_indices, dot, dots, perp, point_set
-from .geometry import require_length, vsub
+from .geometry import Point, Subspace, dilation_indices, dot, dots, grid_point, perp
+from .geometry import point_set, vsub
 from .scalars import (
     DEFAULT_TOL,
     ZERO,
@@ -153,14 +153,12 @@ class GridFunction:
     @classmethod
     def delta(cls, ambient, point: Point, value=1) -> "GridFunction":
         kind = _kind_of_scalar(value)
-        require_length(ambient, point)
-        idx = ambient.index_of(point)
+        idx = ambient.index_of(grid_point(ambient, point))
         vals = [value if i == idx else 0 for i in range(ambient.size)]
         return cls(ambient, kind, vals)
 
     def value_at(self, point: Point):
-        require_length(self.ambient, point)
-        return self.values[self.ambient.index_of(point)]
+        return self.values[self.ambient.index_of(grid_point(self.ambient, point))]
 
     def nonzero(self, tol: float = DEFAULT_TOL) -> tuple:
         """The one zero mask: whether each value is nonzero.  Exact values
@@ -293,8 +291,7 @@ def vanishes_on(F: GridFunction, points, tol: float = DEFAULT_TOL) -> bool:
     ambient = F.ambient
     nonzero = F.nonzero(tol)
     for x in points:
-        require_length(ambient, x)
-        if nonzero[ambient.index_of(x)]:
+        if nonzero[ambient.index_of(grid_point(ambient, x))]:
             return False
     return True
 

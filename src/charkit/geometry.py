@@ -11,8 +11,11 @@ Z_p**d-only analysis starts.  Points are plain tuples of residues; the
 lexicographic index of (x_0, ..., x_{d-1}) is sum(x_i * m**(d-1-i)), the
 order of every dense array in the package.
 
-This module is the one home of point order, line indices and hyperplane
-labels: ``line_indices`` holds the dense indices of every line's points,
+This module is the one home of caller points, point order, line indices
+and hyperplane labels.  ``grid_point`` turns every point, direction,
+centre, offset and set member a caller passes into a grid point (its d
+coordinates mod m) and refuses any other length; ``point_set`` does so for
+a set.  ``line_indices`` holds the dense indices of every line's points,
 once per grid, ``dilation_indices`` the index of r*x for every point, and
 ``dots`` the labels x.v of every point for a direction v.  Other modules
 read them; only the references ``forward_naive``,
@@ -38,6 +41,9 @@ MAX_SUBSPACE_ENUMERATION = 1 << 20
 # Exhaustive verify suites visit all 2**N subsets of an N-point grid.  The
 # largest allowed, (2,4) with 65,536 subsets, takes 10-17 s per suite.
 MAX_SUBSET_ENUMERATION = 1 << 16
+# The zpl suite scans all N points for each of the N - 1 nonzero directions.
+# The largest allowed, (7,2,2) with 5.8M (direction, point) visits, takes 2 s.
+MAX_DIRECTION_SCAN = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,8 @@ class Ambient:
         return _points_of(self.modulus, self.d)
 
     def index_of(self, point: Point) -> int:
+        """The dense index of a grid point (no length check: it runs once per
+        point in the library's loops)."""
         m = self.modulus
         idx = 0
         for c in point:
@@ -130,10 +138,18 @@ def translate_set(points, u: Point, m: int) -> frozenset:
     return frozenset(vadd(x, u, m) for x in points)
 
 
-def point_set(ambient: Ambient, points) -> frozenset:
-    """The given points as a set of grid points, each coordinate reduced mod m."""
+def grid_point(ambient: Ambient, v) -> Point:
+    """The caller's vector v as a grid point: its coordinates mod m.  A vector
+    that does not have d coordinates is refused."""
+    if len(v) != ambient.d:
+        raise ValueError(f"{tuple(v)} has {len(v)} coordinates, not d = {ambient.d}")
     m = ambient.modulus
-    return frozenset(tuple(c % m for c in x) for x in points)
+    return tuple([c % m for c in v])  # a list builds faster than a generator
+
+
+def point_set(ambient: Ambient, points) -> frozenset:
+    """The given points as a set of grid points, each through ``grid_point``."""
+    return frozenset(grid_point(ambient, x) for x in points)
 
 
 def require_prime_grid(ambient: Ambient) -> None:
@@ -143,12 +159,6 @@ def require_prime_grid(ambient: Ambient) -> None:
             "this analysis is defined on Z_p**d only, not on the ring grid "
             f"Z_{ambient.modulus}**{ambient.d}"
         )
-
-
-def require_length(ambient: Ambient, v: Point) -> None:
-    """Reject a point or direction that does not have d coordinates."""
-    if len(v) != ambient.d:
-        raise ValueError(f"{tuple(v)} has {len(v)} coordinates, not d = {ambient.d}")
 
 
 def valuation(ambient: Ambient, n: int) -> int:
@@ -199,7 +209,7 @@ def line_through(ambient: Ambient, v: Point) -> ProjectiveLine:
     factor; v is scaled by the unit that turns its first coordinate of least
     valuation j into p**j.
     """
-    require_length(ambient, v)
+    v = grid_point(ambient, v)
     m = ambient.modulus
     g = math.gcd(m, *v)  # p**j
     if g == m:
@@ -264,30 +274,29 @@ def dilation_indices(ambient: Ambient, r: int) -> tuple:
 
 def dots(ambient: Ambient, v: Point) -> list:
     """x.v mod m for every x, in point order: the hyperplane labels of v."""
-    require_length(ambient, v)
     m = ambient.modulus
     out = [0]
-    for a in v:
+    for a in grid_point(ambient, v):
         out = [(s + t * a) % m for s in out for t in range(m)]
     return out
 
 
 def hyperplane_points(ambient: Ambient, s: Point, t: int) -> frozenset:
     """The affine hyperplane {x : x.s = t mod m}; the values of t partition the grid."""
-    m = ambient.modulus
-    if not any(c % m for c in s):
+    s = grid_point(ambient, s)
+    if not any(s):
         raise ValueError("hyperplane direction must be nonzero")
-    t %= m
+    t %= ambient.modulus
     return frozenset(x for x, u in zip(ambient.points(), dots(ambient, s)) if u == t)
 
 
 def rref(rows, p: int):
-    """Reduced row echelon form mod p.
+    """Reduced row echelon form of rows of residues mod p.
 
     Returns (rows, pivot_columns) with zero rows dropped; the output is the
     canonical representative of the row space.
     """
-    mat = [list(tuple(c % p for c in r)) for r in rows]
+    mat = [list(r) for r in rows]
     if not mat:
         return (), ()
     ncols = len(mat[0])
@@ -327,7 +336,7 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: Ambient, vectors) -> "Subspace":
-        rows, _ = rref(vectors, ambient.p)
+        rows, _ = rref([grid_point(ambient, v) for v in vectors], ambient.p)
         return cls(ambient, rows)
 
     @classmethod
@@ -350,7 +359,8 @@ class Subspace:
         return tuple(row.index(1) for row in self.basis)
 
     def reduce(self, point: Point) -> Point:
-        """Canonical coset representative of point + self."""
+        """Canonical coset representative of point + self, for a grid point
+        (no length check: it runs once per point in the library's loops)."""
         p = self.ambient.p
         x = [c % p for c in point]
         for row in self.basis:
@@ -361,6 +371,7 @@ class Subspace:
         return tuple(x)
 
     def contains(self, point: Point) -> bool:
+        """Whether the grid point lies in the subspace."""
         return not any(self.reduce(point))
 
     def points(self) -> tuple:
@@ -394,7 +405,8 @@ class AffineSubspace:
     anchor: Point
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", self.direction.reduce(self.anchor))
+        anchor = grid_point(self.direction.ambient, self.anchor)
+        object.__setattr__(self, "anchor", self.direction.reduce(anchor))
 
     def points(self) -> tuple:
         m = self.direction.ambient.modulus
@@ -429,10 +441,10 @@ def is_compass_set(ambient: Ambient, points) -> bool:
     Equivalently the set meets every line through the origin; the empty set
     is never a compass set for d >= 1.
     """
-    pts = list(points)
+    pts = point_set(ambient, points)
     if not pts:
         return False
-    covered = {line_through(ambient, x) for x in pts if any(c % ambient.modulus for c in x)}
+    covered = {line_through(ambient, x) for x in pts if any(x)}
     return len(covered) == line_count(ambient)
 
 

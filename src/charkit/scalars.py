@@ -20,6 +20,7 @@ once per array, never for exact values; :func:`is_zero` compares with it.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,7 +31,14 @@ DEFAULT_TOL = 1e-9
 
 
 def zero_bound(values, tol: float = DEFAULT_TOL) -> float:
-    """tol * S, S the largest |v| of the values; 0.0 when none is floating."""
+    """tol * S, S the largest |v| of the values; 0.0 when none is floating.
+
+    tol must be a positive finite number, the rule of the CLI's
+    ``--tolerance``: a negative, zero or NaN tol would count every floating
+    value as nonzero, and an infinite one every value as zero.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
     floating = not {complex, float}.isdisjoint(map(type, values))
     return tol * max(map(abs, values)) if floating else 0.0
 

@@ -14,6 +14,7 @@ from .fourier import GridFunction, forward, vanishes_on
 from .geometry import (
     Ambient,
     Point,
+    grid_point,
     least_non_residue,
     quadratic_class,
     require_prime_grid,
@@ -36,7 +37,7 @@ def sphere_points(ambient: Ambient, radius: int, center: Point | None = None) ->
     """{x : |x - center|**2 = radius}; the center defaults to the origin."""
     require_prime_grid(ambient)
     p = ambient.p
-    center = center or ambient.origin()
+    center = ambient.origin() if center is None else grid_point(ambient, center)
     return frozenset(
         x
         for x in ambient.points()
@@ -83,7 +84,7 @@ def classify_direction_paraboloid(ambient: Ambient, v: Point) -> str:
     """
     require_prime_grid(ambient)
     p = ambient.p
-    v = tuple(c % p for c in v)
+    v = grid_point(ambient, v)
     if not any(v):
         raise ValueError("direction must be nonzero")
     head = sum(c * c for c in v[:-1]) % p
@@ -201,6 +202,7 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
     """
     ambient = f.ambient
     p = ambient.p
+    center = grid_point(ambient, center)
     if ambient.d % 2 != 0:
         raise ValueError("sphere equidistribution is stated for even dimension")
     b = least_non_residue(p)  # refuses p = 2
@@ -209,7 +211,6 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
         raise HypothesisNotMet(
             f"the transform does not vanish on the spheres of radii 1 and {b}"
         )
-    center = tuple(c % p for c in center)
     masses = tuple(
         sum(f.value_at(x) for x in sphere_points(ambient, r, center)) for r in range(1, p)
     )

@@ -11,10 +11,11 @@ suite, and the other suites still run.  Each suite has default grids
 (p, d, l); a given --p, --d or --l replaces that coordinate in every one,
 and the suite runs exactly the resulting grids (``_suite_grids``) or
 refuses them.  Exhaustive suites refuse a grid with more than
-MAX_SUBSET_ENUMERATION subsets (CapacityError), and a suite refuses a grid
-its statement does not cover (ValueError, as paraboloid at d = 1); a
-refused suite is reported as one failing check, and the other suites
-still run.
+MAX_SUBSET_ENUMERATION subsets, and zpl one whose direction scan visits
+more than MAX_DIRECTION_SCAN (direction, point) pairs (CapacityError); a
+suite refuses a grid its statement does not cover (ValueError, as
+paraboloid at d = 1).  A refused suite is reported as one failing check,
+and the other suites still run.
 The CLI ``verify`` command renders the results and exits nonzero when
 anything fails.  Identical (seed, options) always produce identical results: work
 items run in order, one after another.
@@ -53,6 +54,7 @@ from .eigen import (
 from .errors import CapacityError, SinogramError, TheoremViolation
 from .fourier import GridFunction, forward
 from .geometry import (
+    MAX_DIRECTION_SCAN,
     MAX_SUBSET_ENUMERATION,
     Ambient,
     ProjectiveLine,
@@ -501,7 +503,12 @@ def run_zpl(config: VerifyConfig) -> SuiteResult:
     [grid], at = _suite_grids(config, (2, 2, 2))
     ambient = Ambient(*grid)
     p, d, ell = grid
-    q = ambient.modulus
+    q, size = ambient.modulus, ambient.size
+    if (size - 1) * size > MAX_DIRECTION_SCAN:
+        raise CapacityError(
+            f"{size - 1} directions times {size} points of {_grid_name(p, d, ell)} "
+            f"exceed the scan limit {MAX_DIRECTION_SCAN}"
+        )
     units = sum(1 for n in range(q) if valuation(ambient, n) == 0)
     res.check(f"unit count mod {q} is p**l - p**(l-1){at}",
               units == unit_count(ambient) == q - q // p, f"{units} units")

@@ -29,8 +29,8 @@ from .geometry import (
     dot,
     dots,
     enumerate_lines,
+    grid_point,
     line_through,
-    require_length,
     require_prime_grid,
 )
 from .scalars import DEFAULT_TOL, is_zero, zero_bound
@@ -74,9 +74,8 @@ def masses(f: GridFunction, s) -> tuple:
     """The p hyperplane masses m_{s,t}(f) = sum of f over {x : x.s = t}."""
     ambient = f.ambient
     require_prime_grid(ambient)
-    require_length(ambient, s)
+    s = grid_point(ambient, s)
     p = ambient.p
-    s = tuple(c % p for c in s)
     if not any(s):
         raise ValueError("mass direction must be nonzero")
     sums = [0] * p

@@ -911,6 +911,21 @@ def test_cli_verify_runs_exactly_the_requested_coordinate_or_refuses(
         assert all(int(grid[axis] or 1) == int(value) for grid in named), check["name"]
 
 
+def test_cli_verify_zpl_refuses_a_quadratic_scan_before_it_starts(capsys):
+    # (13,2,2) has 28,561 points: the direction scan would visit 8.2e8 of
+    # them, about four minutes, before the suite's first check
+    start = time.perf_counter()
+    assert run_cli("verify", "zpl", "--p", "13", "--suite-size", "1") == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    reason = "28560 directions times 28561 points of (13,2,2) exceed the scan limit 8388608"
+    assert captured.err.splitlines() == [f"data error: verify zpl: {reason}"]
+    [report] = json.loads(captured.out)["suites"]
+    assert report["checks"] == [
+        {"name": "raised CapacityError", "passed": False, "detail": reason}
+    ]
+
+
 def test_cli_verify_refusals_of_each_grid_option(capsys):
     expected = {
         "--p": {"uncertainty", "dichotomy", "selfdual"},  # 2**27 subsets of (3,3)

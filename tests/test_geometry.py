@@ -38,26 +38,56 @@ FIXED = settings(derandomize=True, database=None, deadline=None)
 
 
 def _short_vector_calls():
-    """Calls on Z_3**2 given a vector with the wrong number of coordinates."""
+    """Calls given a vector with the wrong number of coordinates, each with
+    the d of its grid: Z_3**2 unless named otherwise."""
+    from charkit.bandwidth import classify_small_cbw_set, uncertainty_check
+    from charkit.eigen import affine_eigenfunction_pair, self_dual_classify
     from charkit.fourier import GridFunction, forward, vanishes_on
+    from charkit.varieties import (
+        classify_direction_paraboloid,
+        sphere_equidistribution_check,
+        sphere_points,
+    )
     from charkit.wavelets import masses
 
-    amb = Ambient(3, 2)
+    amb, a5 = Ambient(3, 2), Ambient(5, 2)
     f = GridFunction(amb, "rational", range(9))
-    return {
+    calls = {
         "hyperplane_points": lambda: hyperplane_points(amb, (1,), 0),
         "masses": lambda: masses(f, (1,)),
         "delta": lambda: GridFunction.delta(amb, (1,)),
         "line_through": lambda: line_through(amb, (1,)),
         "vanishes_on": lambda: vanishes_on(forward(f), [(1,)]),
         "value_at": lambda: f.value_at((1, 2, 0)),
+        "uncertainty_check": lambda: uncertainty_check(amb, [(1,)]),
+        "classify_small_cbw_set": lambda: classify_small_cbw_set(amb, [(1,)]),
+        "self_dual_classify": lambda: self_dual_classify(amb, [(1,)]),
+        "indicator": lambda: GridFunction.indicator(amb, [(1,)]),
+        "Subspace.span": lambda: Subspace.span(amb, [(1, 0, 1)]),
+        "AffineSubspace": lambda: AffineSubspace(Subspace.span(amb, [(1, 0)]), (1,)),
+        "point_set": lambda: point_set(amb, [(1, 2, 3)]),
+        "dots": lambda: dots(amb, (1,)),
+        "is_compass_set": lambda: is_compass_set(amb, [(0,)]),
+        "affine_eigenfunction_pair": lambda: affine_eigenfunction_pair(
+            Subspace.span(amb, [(1, 0)]), (1,)
+        ),
+        "sphere_points": lambda: sphere_points(a5, 1, (1, 2, 3)),
+        "sphere_equidistribution_check": lambda: sphere_equidistribution_check(
+            GridFunction.constant(a5, 1), (1,)
+        ),
     }
+    calls = {name: (2, call) for name, call in calls.items()}
+    calls["classify_direction_paraboloid"] = (
+        3, lambda: classify_direction_paraboloid(Ambient(3, 3), (1,))
+    )
+    return calls
 
 
 @pytest.mark.parametrize("entry", sorted(_short_vector_calls()))
 def test_vectors_of_the_wrong_length_are_refused(entry):
-    with pytest.raises(ValueError, match=r"coordinates, not d = 2"):
-        _short_vector_calls()[entry]()
+    d, call = _short_vector_calls()[entry]
+    with pytest.raises(ValueError, match=rf"coordinates, not d = {d}$"):
+        call()
 
 
 def scalar_class_partition_oracle(ambient):

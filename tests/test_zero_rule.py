@@ -200,3 +200,13 @@ def test_bandwidth_and_decomposition_lines_are_invariant_under_scaling(case):
     want = verdict(1.0)
     assert want[0] == count
     assert [verdict(10.0**k) for k in range(-8, 13)] == [want] * 21
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), 0.0, float("inf")])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tol):
+    # the constant has cbw 0: -1.0, NaN and 0.0 gave cbw 4 (every value
+    # counted as nonzero), and inf would count every value as zero
+    f = GridFunction(Ambient(3, 2), "complex", [1] * 9)
+    assert bandwidth(f, 1e-9).cbw == 0
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        bandwidth(f, tol)

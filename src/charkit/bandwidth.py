@@ -65,10 +65,12 @@ def support_profile(
     """Classify every line as active or vanishing on the given spectrum,
     and report the active ones.
 
-    The whole punctured line is inspected, never a single sample.  For
-    rational sources a mixed line (some zeros, some not) contradicts the
-    vanishing principle and raises TheoremViolation.  Ring grids raise
-    ValueError: bandwidth counts the lines of Z_p**d.
+    The whole punctured line is inspected, never a single sample.  This is
+    the home of the Galois step sigma_r(F(m)) = F(r*m): for rational sources
+    a mixed line (some zeros, some not) contradicts the vanishing principle
+    and raises TheoremViolation, and the hypotheses of ``varieties`` are
+    read from the active lines.  Ring grids raise ValueError: bandwidth
+    counts the lines of Z_p**d.
     """
     ambient = F.ambient
     require_prime_grid(ambient)

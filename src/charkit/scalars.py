@@ -63,6 +63,13 @@ def all_equal(values, tol: float = DEFAULT_TOL) -> bool:
     return all(v == values[0] or is_zero(v - values[0], bound) for v in values)
 
 
+def constant_by_spectrum(values, tol: float = DEFAULT_TOL) -> bool:
+    """All n values of a function agree as far as a spectrum that is zero off
+    the origin by the zero rule allows: within 2(n - 1) * tol * max|v|,
+    since each such |F(m)| <= tol * max|F| <= tol * max|v|."""
+    return len(values) < 2 or all_equal(values, 2 * (len(values) - 1) * tol)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (desk-scale moduli)."""
     if n < 2:
@@ -286,7 +293,9 @@ class Cyclotomic:
         return NotImplemented
 
     def mul_zeta(self, e: int) -> "Cyclotomic":
-        """Multiply by zeta**e; the hot path of the exact transform."""
+        """Multiply by zeta**e, a shift of the power basis.  Only the oracle
+        ``fourier.forward_naive`` calls it; the exact transform rotates
+        lattice rows instead."""
         q = self.conductor
         e %= q
         if e == 0:

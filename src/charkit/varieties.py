@@ -3,14 +3,21 @@
 A function is "good" when its transform is supported on the isotropic cone
 sum x_i**2 = 0.  Variety membership is always decided by evaluating the
 defining polynomial pointwise; no point-counting formula is trusted.
+
+The paraboloid, two-circle and sphere hypotheses are judged on the active
+lines of ``bandwidth.support_profile``, the home of the Galois step
+sigma_r(F(m)) = F(r*m): for a rational source a zero at one point of a
+punctured line is a zero on all of it, so the line form equals vanishing on
+the variety; for other kinds it is the form the proofs use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bandwidth import support_profile
 from .errors import HypothesisNotMet, TheoremViolation
-from .fourier import GridFunction, forward, vanishes_on
+from .fourier import GridFunction, forward
 from .geometry import (
     Ambient,
     Point,
@@ -21,7 +28,7 @@ from .geometry import (
     sqrt_minus_one,
     translate_set,
 )
-from .scalars import DEFAULT_TOL, all_equal
+from .scalars import DEFAULT_TOL, all_equal, constant_by_spectrum
 
 
 def paraboloid_points(ambient: Ambient) -> frozenset:
@@ -108,8 +115,9 @@ def check_paraboloid_theorem(f: GridFunction) -> ParaboloidReport:
     """When the transform of f vanishes on the whole paraboloid, every slice
     difference f_a - f_b must be good in one dimension less.
 
-    The hypothesis is verified first; when it fails the report says so and
-    no conclusion is claimed.  A conclusion violation would falsify the
+    The hypothesis, in line form: F(0) = 0 and no active line is "covered".
+    It is verified first; when it fails the report says so and no
+    conclusion is claimed.  A conclusion violation would falsify the
     slicing theorem and is listed in the report.  The transform is linear,
     so each slice is transformed once and a pair is judged on the spectrum
     difference F_a - F_b, the transform of f_a - f_b.
@@ -117,7 +125,11 @@ def check_paraboloid_theorem(f: GridFunction) -> ParaboloidReport:
     ambient = f.ambient
     if ambient.d < 2:
         raise ValueError("the slicing statement requires dimension >= 2")
-    if not vanishes_on(forward(f), paraboloid_points(ambient)):
+    F = forward(f)
+    active = support_profile(F, f.kind).lines  # refuses ring grids
+    if F.nonzero()[0] or any(  # F(0): the origin has index 0
+        classify_direction_paraboloid(ambient, line.rep) == "covered" for line in active
+    ):
         return ParaboloidReport(False, 0, (), False)
     p = ambient.p
     spectra = [forward(slice_last(f, a)) for a in range(p)]
@@ -140,13 +152,17 @@ def two_circle_analysis(
     f: GridFunction, a: int, b: int, tol: float = DEFAULT_TOL
 ) -> TwoCircleResult:
     """Structure of a planar function whose transform vanishes on a residue
-    circle and a non-residue circle: the vanishing and, for complex f, the
+    circle (radius a) and a non-residue circle (radius b).
+
+    A line with rep.rep = c != 0 meets the circle of every radius in the
+    class of c, so the hypothesis, in line form, is that every active line
+    is isotropic (rep.rep = 0 mod p).  Activity and, for complex f,
     constancy are judged by the zero rule of ``scalars``.
 
-    For p = 3 mod 4 the function must be constant.  For p = 1 mod 4 an
-    indicator must be a union of lines parallel to one of the two isotropic
-    lines {(t, it)} or {(t, -it)}; other functions have their spectrum
-    inside the cone and come back as "other".
+    For p = 3 mod 4 no line is isotropic, so the function must be constant.
+    For p = 1 mod 4 an indicator must be a union of lines parallel to one of
+    the two isotropic lines {(t, it)} or {(t, -it)}; other functions have
+    their spectrum inside the cone and come back as "other".
     """
     ambient = f.ambient
     p = ambient.p
@@ -156,14 +172,14 @@ def two_circle_analysis(
         raise ValueError(f"{a} is not a nonzero quadratic residue mod {p}")
     if quadratic_class(b, p) != "non-residue":
         raise ValueError(f"{b} is not a quadratic non-residue mod {p}")
-    F = forward(f)
-    circle = sphere_points(ambient, a) | sphere_points(ambient, b)
-    if not vanishes_on(F, circle, tol):
-        raise HypothesisNotMet(
-            f"the transform does not vanish on the circles of radii {a} and {b}"
-        )
+    for line in support_profile(forward(f), f.kind, tol).lines:
+        if sum(c * c for c in line.rep) % p:
+            raise HypothesisNotMet(
+                f"the transform is active on the line through {line.rep}, which "
+                f"is not isotropic: it meets the circle of radius {a} or {b}"
+            )
     if p % 4 == 3:
-        if not all_equal(f.values, tol):
+        if not constant_by_spectrum(f.values, tol):
             raise TheoremViolation(
                 "two-circle vanishing with p = 3 mod 4 but a non-constant function"
             )
@@ -180,8 +196,6 @@ def two_circle_analysis(
         raise TheoremViolation(
             "indicator with two-circle vanishing is parallel to neither isotropic line"
         )
-    if not _inside_cone(F, isotropic_cone(ambient), tol):
-        raise TheoremViolation("two-circle vanishing but spectrum leaves the cone")
     return TwoCircleResult(kind="other", support_in_cone=True)
 
 
@@ -197,8 +211,9 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
     """Masses of f on the p-1 spheres of nonzero radius about the given center.
 
     Requires even dimension, p > 2, and a transform vanishing on a residue
-    sphere and a non-residue sphere (checked with radii 1 and the smallest
-    non-residue).  Under the hypothesis the masses must all agree.
+    sphere and a non-residue sphere (radii 1 and the smallest non-residue
+    b), in line form as in ``two_circle_analysis``: every active line is
+    isotropic.  Under the hypothesis the masses must all agree.
     """
     ambient = f.ambient
     p = ambient.p
@@ -206,11 +221,12 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
     if ambient.d % 2 != 0:
         raise ValueError("sphere equidistribution is stated for even dimension")
     b = least_non_residue(p)  # refuses p = 2
-    test_set = sphere_points(ambient, 1) | sphere_points(ambient, b)
-    if not vanishes_on(forward(f), test_set):
-        raise HypothesisNotMet(
-            f"the transform does not vanish on the spheres of radii 1 and {b}"
-        )
+    for line in support_profile(forward(f), f.kind).lines:
+        if sum(c * c for c in line.rep) % p:
+            raise HypothesisNotMet(
+                f"the transform is active on the line through {line.rep}, which "
+                f"is not isotropic: it meets the sphere of radius 1 or {b}"
+            )
     masses = tuple(
         sum(f.value_at(x) for x in sphere_points(ambient, r, center)) for r in range(1, p)
     )

@@ -8,6 +8,7 @@ from charkit.scalars import (
     Cyclotomic,
     all_equal,
     complex_close,
+    constant_by_spectrum,
     is_prime,
     is_zero,
     rational_part,
@@ -180,6 +181,16 @@ def test_zero_bound_scales_with_the_largest_value():
     assert all_equal([1 + 1e-12j, 1.0 + 0j]) and not all_equal([1e-12 + 0j, 2e-12 + 0j])
     assert all_equal([Cyclotomic.zeta(5)] * 3)
     assert not all_equal([Fraction(1), 1 + Fraction(1, 10**12)])
+
+
+def test_constant_by_spectrum_allows_the_spread_of_a_spectrum_zero_off_the_origin():
+    # Nine values: 2 * 8 * tol * max|v| = 1.6e-8 at the default tol.
+    assert constant_by_spectrum([1 + 1.5e-8] + [1.0 + 0j] * 8)
+    assert not constant_by_spectrum([1 + 1.7e-8] + [1.0 + 0j] * 8)
+    assert not all_equal([1 + 1.5e-8] + [1.0 + 0j] * 8)
+    assert constant_by_spectrum([3e-9j] + [0j] * 8, tol=1e-1)
+    assert not constant_by_spectrum([Fraction(1)] * 8 + [1 + Fraction(1, 10**12)])
+    assert constant_by_spectrum([Fraction(2)]) and constant_by_spectrum([])
 
 
 def test_conductor_mismatch():

@@ -1,12 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from charkit.bandwidth import inverse_phi, support_profile
-from charkit import varieties
+from charkit import cli, fileio, varieties
 from charkit.corpus import random_complex_function, random_rational_function, rng_for
 from charkit.errors import HypothesisNotMet
-from charkit.fourier import GridFunction, forward, vanishes_on
+from charkit.fourier import GridFunction, Spectrum, forward, inverse, vanishes_on
 from charkit.geometry import (
     Ambient,
     ProjectiveLine,
@@ -203,12 +204,14 @@ def test_paraboloid_theorem_equals_the_pairwise_reference(p, d):
 
 @pytest.mark.parametrize("p,d", [(3, 3), (5, 3), (7, 2)])
 def test_paraboloid_pair_judgments_equal_the_pairwise_reference(p, d, monkeypatch):
-    # With the hypothesis gate forced open, random functions have slice
+    # With the hypothesis gate forced open (no line counts as covered, and
+    # the functions have mass 0, so F(0) = 0), random functions have slice
     # differences that leave the cone: every judgment is compared.
-    monkeypatch.setattr(varieties, "vanishes_on", lambda F, points: True)
+    monkeypatch.setattr(varieties, "classify_direction_paraboloid", lambda ambient, v: "type1")
     amb = Ambient(p, d)
     rng = rng_for(507, f"judge{p}{d}")
-    for g in (random_rational_function(amb, rng), random_complex_function(amb, rng)):
+    for h in (random_rational_function(amb, rng), random_complex_function(amb, rng)):
+        g = h - GridFunction.constant(amb, h.total() / amb.size)
         want = pairwise_violations(g)
         assert want
         rep = check_paraboloid_theorem(g)
@@ -350,6 +353,144 @@ def test_varieties_reject_ring_grids():
         lambda: is_good(f),
         lambda: check_paraboloid_theorem(f),
         lambda: two_circle_analysis(f, 1, 2),
+        lambda: sphere_equidistribution_check(f, (0, 0)),
     ):
         with pytest.raises(ValueError, match="Z_p\\*\\*d only"):
             call()
+
+
+# The hypotheses are judged by lines through support_profile.  For a rational
+# source the Galois step makes that the same as the pointwise vanishing the
+# paper states; the pointwise checks below are the reference.
+
+EQUIVALENCE_GRIDS = [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (5, 3)]
+
+
+def pointwise_paraboloid(f):
+    return vanishes_on(forward(f), paraboloid_points(f.ambient))
+
+
+def pointwise_pair(f, r, s):
+    amb = f.ambient
+    return vanishes_on(forward(f), sphere_points(amb, r) | sphere_points(amb, s))
+
+
+def hypothesis_met(call):
+    try:
+        call()
+    except HypothesisNotMet:
+        return False
+    return True
+
+
+def equivalence_inputs(amb, rng):
+    """Random rational functions, and functions seeded on the lines one
+    hypothesis needs (isotropic, or not covered), then with a nonzero
+    average, then with one random line more."""
+    lines = enumerate_lines(amb)
+    isotropic = [l for l in lines if sum(c * c for c in l.rep) % amb.p == 0]
+    uncovered = [l for l in lines if classify_direction_paraboloid(amb, l.rep) != "covered"]
+    inputs = [random_rational_function(amb, rng) for _ in range(3)]
+    for group in (isotropic, uncovered):
+        seeds = {l: Fraction(rng.randint(1, 4), rng.choice((1, 2))) for l in group}
+        inputs.append(inverse_phi(amb, Fraction(0), seeds))
+        inputs.append(inverse_phi(amb, Fraction(1, 3), seeds))
+        seeds[rng.choice(lines)] = Fraction(rng.randint(1, 4))
+        inputs.append(inverse_phi(amb, Fraction(0), seeds))
+    return inputs
+
+
+@pytest.mark.parametrize("p,d", EQUIVALENCE_GRIDS)
+def test_line_hypotheses_equal_the_pointwise_ones_for_rational_sources(p, d):
+    amb = Ambient(p, d)
+    rng = rng_for(512, f"equiv{p}{d}")
+    verdicts = set()
+    for f in equivalence_inputs(amb, rng):
+        want = pointwise_paraboloid(f)
+        assert check_paraboloid_theorem(f).hypothesis_met == want
+        verdicts.add(("paraboloid", want))
+        if d != 2:
+            continue
+        b = least_non_residue(p)
+        want = pointwise_pair(f, 1, b)
+        assert hypothesis_met(lambda: two_circle_analysis(f, 1, b)) == want
+        assert hypothesis_met(lambda: sphere_equidistribution_check(f, (1, 0))) == want
+        verdicts.add(("circles", want))
+        a = max(r for r in range(1, p) if quadratic_class(r, p) == "residue")
+        assert hypothesis_met(lambda: two_circle_analysis(f, a, b)) == pointwise_pair(f, a, b)
+    # Both verdicts occur on every grid, so each side of the equivalence is exercised.
+    assert {v for _, v in verdicts} == {True, False}
+    assert len(verdicts) == (2 if d != 2 else 4)
+
+
+def one_circle_inputs(p, r):
+    """The cyclotomic and complex functions whose spectrum is the indicator of
+    the circle of radius r: zero on every other circle, active on lines that
+    are not isotropic, so the Galois step fails for them."""
+    amb = Ambient(p, 2)
+    circle = sphere_points(amb, r)
+    f = inverse(Spectrum(amb, "rational", [int(x in circle) for x in amb.points()]))
+    assert f.kind == "cyclotomic"
+    return f, f.to_complex()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_one_circle_spectra_do_not_meet_the_circle_hypotheses(p):
+    b = least_non_residue(p)
+    for r in range(1, p):
+        for f in one_circle_inputs(p, r):
+            with pytest.raises(HypothesisNotMet):
+                two_circle_analysis(f, 1, b)
+            for center in ((0, 0), (1, 2)):
+                with pytest.raises(HypothesisNotMet):
+                    sphere_equidistribution_check(f, center)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 3), (5, 3)])
+def test_paraboloid_hypothesis_fails_on_an_active_covered_line(p, d):
+    """F is one point of a covered line, off the paraboloid: F vanishes on the
+    paraboloid, yet the line is active, and for a cyclotomic or complex source
+    that is not the hypothesis the slicing argument needs."""
+    amb = Ambient(p, d)
+    para = paraboloid_points(amb)
+    probes = 0
+    for line in enumerate_lines(amb):
+        if classify_direction_paraboloid(amb, line.rep) != "covered":
+            continue
+        off = [m for m in line.punctured(amb) if m not in para]
+        if not off:
+            continue
+        f = inverse(Spectrum(amb, "rational", [int(x == off[0]) for x in amb.points()]))
+        for g in (f, f.to_complex()):
+            assert pointwise_paraboloid(g)
+            assert check_paraboloid_theorem(g) == ParaboloidReport(False, 0, (), False)
+        probes += 1
+    assert probes
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 3), (5, 3)])
+def test_paraboloid_theorem_holds_for_points_of_uncovered_lines(p, d):
+    """A single spectrum point on a line that meets the paraboloid only at the
+    origin meets the line hypothesis, whatever the kind, and the slice
+    differences are good."""
+    amb = Ambient(p, d)
+    for line in enumerate_lines(amb):
+        if classify_direction_paraboloid(amb, line.rep) == "covered":
+            continue
+        m = line.punctured(amb)[-1]
+        f = inverse(Spectrum(amb, "rational", [int(x == m) for x in amb.points()]))
+        for g in (f, f.to_complex()):
+            rep = check_paraboloid_theorem(g)
+            assert rep.hypothesis_met and rep.all_good, (line.rep, g.kind)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_cli_variety_of_a_one_circle_spectrum_is_hypothesis_not_met(p, tmp_path, capsys):
+    f, g = one_circle_inputs(p, p - 1)  # neither radius 1 nor the least non-residue
+    for h in (f, g):
+        path = tmp_path / f"circle_{h.kind}.json"
+        fileio.save_function(h, path)
+        assert cli.main(["variety", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["two_circle"] == {"kind": "hypothesis_not_met"}
+        assert captured.err == ""

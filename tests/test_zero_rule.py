@@ -146,6 +146,20 @@ def test_variety_of_a_noisy_constant_is_constant(tmp_path, capsys):
     assert (code, out["two_circle"]) == (0, {"kind": "constant", "direction": None})
 
 
+def test_variety_judges_constancy_within_the_bound_of_its_hypothesis(tmp_path, capsys):
+    """F = (1, 0.9e-9, ..., 0.9e-9) on Z_3**2: every F(m), m != 0, is zero by
+    the rule, so the hypothesis holds, yet f(0) = 1 + 7.2e-9 and f = 1 - 0.9e-9
+    elsewhere differ by more than tol * max|f|.  The hypothesis bounds every
+    difference of values by 2(N - 1) * tol * max|F|, and constancy is judged
+    within that bound."""
+    amb = Ambient(3, 2)
+    f = inverse(Spectrum(amb, "complex", [1] + [0.9e-9] * 8))
+    path = tmp_path / "near_constant.json"
+    fileio.save_function(f, path)
+    code, out = run(capsys, "variety", "--input", str(path))
+    assert (code, out["two_circle"]) == (0, {"kind": "constant", "direction": None})
+
+
 def test_sinogram_error_names_one_disagreeing_direction():
     amb = Ambient(2, 10)
     table = mass_table(GridFunction.constant(amb, 1))

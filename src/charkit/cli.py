@@ -22,7 +22,7 @@ from .errors import (
     HypothesisNotMet,
     TheoremViolation,
 )
-from .fourier import COMPLEX, forward, forward_naive, inverse
+from .fourier import COMPLEX, GridFunction, forward, forward_naive, inverse
 from .geometry import enumerate_lines, least_non_residue
 from .multiscale import is_level_l_wavelet, multiscale_decompose, require_exact
 from .scalars import DEFAULT_TOL
@@ -159,11 +159,17 @@ def _render_table(payload, indent: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload, args, render_table=_render_table) -> None:
+def _emit(result, args, render_table=_render_table) -> None:
+    """Write a command's result, a payload or a function (in the form of a
+    function file), as JSON or as a table."""
     if args.format == "table":
-        text = render_table(payload)
+        if isinstance(result, GridFunction):
+            result = fileio.function_to_payload(result)
+        text = render_table(result)
+    elif isinstance(result, GridFunction):
+        text = fileio.function_dumps(result)
     else:
-        text = fileio.canonical_dumps(payload)
+        text = fileio.canonical_dumps(result)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -174,8 +180,7 @@ def _emit(payload, args, render_table=_render_table) -> None:
 def _cmd_transform(args) -> int:
     if args.inverse:
         F = fileio.load_function(args.input)
-        f = inverse(F)
-        _emit(fileio.function_to_payload(f), args)
+        _emit(inverse(F), args)
         return EXIT_OK
     f = fileio.load_function(args.input)
     if args.oracle:
@@ -189,7 +194,7 @@ def _cmd_transform(args) -> int:
             verdict = "exact" if ok else "MISMATCH"
         _emit({"match": verdict}, args)
         return EXIT_OK if ok else EXIT_VIOLATION
-    _emit(fileio.function_to_payload(forward(f)), args)
+    _emit(forward(f), args)
     return EXIT_OK
 
 
@@ -212,8 +217,7 @@ def _cmd_tomography(args) -> int:
         _emit(fileio.sinogram_to_payload(mass_table(f)), args)
         return EXIT_OK
     table = fileio.load_sinogram(args.input)
-    f = reconstruct_from_masses(table, args.tolerance)
-    _emit(fileio.function_to_payload(f), args)
+    _emit(reconstruct_from_masses(table, args.tolerance), args)
     return EXIT_OK
 
 

@@ -22,44 +22,81 @@ non-ASCII digits are data errors.
 
 Writers emit canonical bytes (sorted keys, two-space indent, trailing
 newline) so that identical inputs produce identical files.
+
+Exact function files (rational and cyclotomic) are read into lattice rows
+and written from them, with no value built on the way.
+``function_from_payload`` checks each literal once, reads it once into a
+reduced ratio and scales the rows once by the lcm of the denominators;
+``function_dumps`` writes each coefficient c of the rows over den as the
+literal c/den reduced by one gcd, one per distinct c, in the shape of
+``canonical_dumps(function_to_payload(f))``.  Other paths stay per value:
+complex function files, ``function_to_payload`` (the ``--format table``
+view), and sinogram and decomposition payloads.  An integer whose decimal
+text is over the interpreter's limit (``sys.get_int_max_str_digits``) is a
+bad literal when read and a ``CapacityError`` when written.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import DataFormatError
-from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction
+from .errors import CapacityError, DataFormatError
+from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, _from_lattice, _lattice_of
 from .geometry import Ambient, enumerate_lines, grid_point, line_through
 from .scalars import Cyclotomic
 from .wavelets import Decomposition, MassTable
 
 
 def format_rational(value) -> str:
-    if type(value) is int:
-        return str(value)
-    if type(value) is not Fraction:
+    if type(value) is not int and type(value) is not Fraction:
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    num, den = value.numerator, value.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise _text_limit_error(num, den) from None
+
+
+def _text_limit_error(*ints) -> CapacityError:
+    """The error for integers one of which has more decimal digits than the
+    interpreter writes as text (``sys.get_int_max_str_digits``)."""
+    n = max(map(abs, ints))
+    digits = max(1, int((n.bit_length() - 1) * math.log10(2)))
+    while 10**digits <= n:
+        digits += 1
+    return CapacityError(
+        f"cannot write an integer of {digits} digits: the limit for integer text "
+        f"is {sys.get_int_max_str_digits()} digits"
+    )
+
+
+def _literal_ratio(text) -> tuple:
+    """(num, den), reduced with den > 0, of a rational literal; the one
+    reader of the literal syntax."""
+    if type(text) is str and text.isascii():
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("-", "+") else num
+        try:
+            if digits.isdigit():
+                if not slash:
+                    return int(num), 1
+                if den.isdigit() and den.strip("0"):
+                    num, den = int(num), int(den)
+                    g = math.gcd(num, den)
+                    return num // g, den // g
+        except ValueError:  # over the interpreter's limit for integer text
+            pass
+    raise DataFormatError(f"bad rational literal {text!r}")
 
 
 def parse_rational(text) -> Fraction:
     """A rational literal: a JSON string ``[-+]?digits`` or ``[-+]?digits/digits``
     of ASCII digits with a nonzero denominator; anything else is a DataFormatError."""
-    if type(text) is str and text.isascii():
-        num, slash, den = text.partition("/")
-        digits = num[1:] if num[:1] in ("-", "+") else num
-        if digits.isdigit():
-            if not slash:
-                return Fraction(int(num))
-            if den.isdigit() and den.strip("0"):
-                return Fraction(int(num), int(den))
-    raise DataFormatError(f"bad rational literal {text!r}")
+    return Fraction(*_literal_ratio(text))
 
 
 def scalar_to_payload(value):
@@ -80,17 +117,7 @@ def scalar_from_payload(payload, kind: str, p: int, ell: int = 1):
     if kind == CYCLOTOMIC:
         if isinstance(payload, str):
             return Cyclotomic.from_rational(p, parse_rational(payload), ell)
-        if not isinstance(payload, dict) or not isinstance(payload.get("coeffs"), list):
-            raise DataFormatError(f"bad cyclotomic value {payload!r}: coeffs must be a list")
-        vp = payload.get("p", p)
-        vell = payload.get("ell", 1)
-        if type(vp) is not int or type(vell) is not int:
-            raise DataFormatError(f"bad cyclotomic value {payload!r}: p and ell must be integers")
-        if vp != p or vell != ell:
-            raise DataFormatError(
-                f"value conductor {vp}**{vell} does not match grid conductor {p}**{ell}"
-            )
-        return Cyclotomic(p, [parse_rational(c) for c in payload["coeffs"]], ell)
+        return Cyclotomic(p, _cyclotomic_coeffs(payload, p, ell, parse_rational), ell)
     if (
         not isinstance(payload, (list, tuple))
         or len(payload) != 2
@@ -101,6 +128,30 @@ def scalar_from_payload(payload, kind: str, p: int, ell: int = 1):
         return complex(float(payload[0]), float(payload[1]))
     except OverflowError as exc:
         raise DataFormatError(f"bad complex value {payload!r}") from exc
+
+
+def _cyclotomic_coeffs(payload, p: int, ell: int, parse) -> list:
+    """``parse`` of each coefficient of a cyclotomic value object on the grid
+    conductor p**ell, in order, after the object's checks: a "coeffs" list,
+    integer "p" and "ell" (defaults p and 1) equal to the grid's, and then
+    exactly phi coefficients."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("coeffs"), list):
+        raise DataFormatError(f"bad cyclotomic value {payload!r}: coeffs must be a list")
+    vp = payload.get("p", p)
+    vell = payload.get("ell", 1)
+    if type(vp) is not int or type(vell) is not int:
+        raise DataFormatError(f"bad cyclotomic value {payload!r}: p and ell must be integers")
+    if vp != p or vell != ell:
+        raise DataFormatError(
+            f"value conductor {vp}**{vell} does not match grid conductor {p}**{ell}"
+        )
+    coeffs = [parse(c) for c in payload["coeffs"]]
+    phi = p ** (ell - 1) * (p - 1)
+    if len(coeffs) != phi:
+        raise ValueError(
+            f"need {phi} coefficients for conductor {p}**{ell}, got {len(coeffs)}"
+        )
+    return coeffs
 
 
 def canonical_dumps(obj) -> str:
@@ -183,7 +234,47 @@ def function_to_payload(f: GridFunction) -> dict:
     return payload
 
 
+def function_dumps(f: GridFunction) -> str:
+    """``canonical_dumps(function_to_payload(f))``, the text of f's function
+    file.  An exact f is written from its lattice rows over den: coefficient
+    c becomes the literal c/den reduced by one gcd, each distinct c once."""
+    if f.kind == COMPLEX:
+        return canonical_dumps(function_to_payload(f))
+    den, rows = _lattice_of(f)
+    ambient = f.ambient
+    memo = {}
+
+    def literal(c):
+        text = memo.get(c)
+        if text is None:
+            g = math.gcd(c, den)
+            try:
+                text = memo[c] = f'"{c // g}"' if g == den else f'"{c // g}/{den // g}"'
+            except ValueError:
+                raise _text_limit_error(c // g, den // g) from None
+        return text
+
+    if f.kind == RATIONAL:
+        values = [literal(c) for (c,) in rows]
+    else:
+        ell = f'      "ell": {ambient.ell},\n' if ambient.ell != 1 else ""
+        tail = f'\n      ],\n{ell}      "p": {ambient.p}\n    }}'
+        values = [
+            '{\n      "coeffs": [\n        ' + ",\n        ".join(map(literal, row)) + tail
+            for row in rows
+        ]
+    exponent = f'  "modulus_exponent": {ambient.ell},\n' if ambient.ell != 1 else ""
+    return (
+        f'{{\n  "d": {ambient.d},\n  "kind": "{f.kind}",\n{exponent}  "p": {ambient.p},\n'
+        '  "values": [\n    ' + ",\n    ".join(values) + "\n  ]\n}\n"
+    )
+
+
 def function_from_payload(payload) -> GridFunction:
+    """The function of a function file's parsed JSON.  Exact values go
+    straight onto lattice rows: each distinct literal is checked and read
+    into a reduced ratio once, and the rows are scaled once by the lcm L of
+    the denominators; complex values are read one by one."""
     if not isinstance(payload, dict):
         raise DataFormatError("function file must contain a JSON object")
     _require_fields(payload, ("p", "d", "kind", "values"), "function file")
@@ -197,12 +288,32 @@ def function_from_payload(payload) -> GridFunction:
         raise DataFormatError(
             f"values must be a list of length {ambient.size}, got {len(values) if isinstance(values, list) else type(values).__name__}"
         )
-    return GridFunction(ambient, kind, [scalar_from_payload(v, kind, p, ell) for v in values])
+    if kind == COMPLEX:
+        return GridFunction(ambient, kind, [scalar_from_payload(v, kind, p, ell) for v in values])
+    memo = {"0": (0, 1)}  # literal -> (num, den)
+
+    def literal(text):
+        if type(text) is not str or text not in memo:
+            memo[text] = _literal_ratio(text)
+        return text
+
+    if kind == RATIONAL:
+        rows = [(literal(v),) for v in values]
+    else:
+        pad = ("0",) * (ambient.modulus - ambient.modulus // p - 1)
+        rows = [
+            (literal(v), *pad) if isinstance(v, str) else _cyclotomic_coeffs(v, p, ell, literal)
+            for v in values
+        ]
+    L = math.lcm(*{den for _, den in memo.values()})
+    ints = {text: num * (L // den) for text, (num, den) in memo.items()}
+    rows = [tuple(map(ints.__getitem__, row)) for row in rows]
+    return _from_lattice(ambient, rows, L, kind)
 
 
 def save_function(f: GridFunction, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(function_to_payload(f)))
+        fh.write(function_dumps(f))
 
 
 def _read_json(path):

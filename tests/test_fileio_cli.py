@@ -20,7 +20,7 @@ from charkit.corpus import (
     staircase_function,
 )
 from charkit.eigen import eigen_expand, self_dual_classify
-from charkit.errors import DataFormatError, TheoremViolation
+from charkit.errors import CapacityError, DataFormatError, TheoremViolation
 from charkit.fourier import GridFunction, forward, inverse
 from charkit.geometry import Ambient, line_through
 from charkit.scalars import Cyclotomic
@@ -93,6 +93,277 @@ def test_cli_rejects_a_complex_value_that_is_not_two_numbers(tmp_path, capsys, v
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("data error: bad complex value")
+
+
+# Every fault the function reader finds, with the text it reports.
+FUNCTION_FAULTS = {
+    "bad literal": (
+        {"p": 3, "d": 1, "kind": "rational", "values": ["1", "1/x", "0"]},
+        "bad rational literal '1/x'",
+    ),
+    "non-list coeffs": (
+        {"p": 3, "d": 1, "kind": "cyclotomic", "values": ["1", {"p": 3, "coeffs": "1"}, "0"]},
+        "bad cyclotomic value {'p': 3, 'coeffs': '1'}: coeffs must be a list",
+    ),
+    "bool ell": (
+        {"p": 3, "d": 1, "kind": "cyclotomic",
+         "values": [{"p": 3, "ell": True, "coeffs": ["1", "0"]}, "1", "0"]},
+        "bad cyclotomic value {'p': 3, 'ell': True, 'coeffs': ['1', '0']}: p and ell must be integers",
+    ),
+    "conductor mismatch": (
+        {"p": 3, "d": 1, "kind": "cyclotomic",
+         "values": ["1", {"p": 5, "coeffs": ["1", "0", "0", "0"]}, "0"]},
+        "value conductor 5**1 does not match grid conductor 3**1",
+    ),
+    "coefficient count": (
+        {"p": 3, "d": 1, "kind": "cyclotomic", "values": ["1", "0", {"p": 3, "coeffs": ["1", "2", "3"]}]},
+        "need 2 coefficients for conductor 3**1, got 3",
+    ),
+    "wrong length": (
+        {"p": 3, "d": 1, "kind": "rational", "values": ["1", "0"]},
+        "values must be a list of length 3, got 2",
+    ),
+    "unknown kind": (
+        {"p": 3, "d": 1, "kind": "real", "values": ["1", "0", "0"]},
+        "unknown kind 'real'",
+    ),
+    "not an object": (["1", "0", "0"], "function file must contain a JSON object"),
+}
+
+
+@pytest.mark.parametrize("fault", FUNCTION_FAULTS)
+def test_cli_reports_each_function_file_fault(tmp_path, capsys, fault):
+    payload, message = FUNCTION_FAULTS[fault]
+    fn = tmp_path / "input.json"
+    fn.write_text(json.dumps(payload))
+    assert run_cli("transform", "--input", str(fn)) == 2
+    assert capsys.readouterr() == ("", f"data error: {message}\n")
+
+
+def test_a_cyclotomic_value_reports_its_first_fault_first():
+    """Literals are read in order before the coefficient count is checked,
+    and values in order, as the per-value reader found them."""
+    for values, error, message in [
+        ([{"coeffs": ["1", "x", "y"]}, {"coeffs": ["1"]}, "z"], DataFormatError, "bad rational literal 'x'"),
+        ([{"coeffs": ["1"]}, "z", "0"], ValueError, "need 2 coefficients for conductor 3**1, got 1"),
+    ]:
+        with pytest.raises(error) as err:
+            fileio.function_from_payload({"p": 3, "d": 1, "kind": "cyclotomic", "values": values})
+        assert str(err.value) == message
+
+
+TABLE_FUNCTIONS = {
+    "rational": {"p": 3, "d": 1, "kind": "rational", "values": ["1", "-1/2", "0"]},
+    "cyclotomic": {"p": 2, "d": 1, "kind": "cyclotomic", "modulus_exponent": 2,
+                   "values": [{"p": 2, "ell": 2, "coeffs": ["0", "1/2"]}, "1", "0", "-3"]},
+    "complex": {"p": 2, "d": 1, "kind": "complex", "values": [[1.0, 0.5], [-0.25, 0.0]]},
+}
+TABLE_SINOGRAMS = {
+    "rational": {"p": 3, "d": 1, "masses": [{"s": [1], "m": ["1", "-1/2", "0"]}]},
+    "cyclotomic": {"p": 3, "d": 1, "masses": [{"s": [1], "m": [{"p": 3, "coeffs": ["0", "1/2"]}, "1", "0"]}]},
+    "complex": {"p": 2, "d": 1, "masses": [{"s": [1], "m": [[1.0, 0.5], [-0.25, 0.0]]}]},
+}
+# What ``--format table`` printed for them before functions were written from rows.
+TABLES = {
+    ("rational", "transform"): (
+        "p: 3\n"
+        "d: 1\n"
+        "kind: cyclotomic\n"
+        "values:\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 1/6\n"
+        "      - 0\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 1/2\n"
+        "      - 1/6\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 1/3\n"
+        "      - -1/6\n"
+    ),
+    ("rational", "transform --inverse"): (
+        "p: 3\n"
+        "d: 1\n"
+        "kind: cyclotomic\n"
+        "values:\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 1/2\n"
+        "      - 0\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 1\n"
+        "      - -1/2\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 3/2\n"
+        "      - 1/2\n"
+    ),
+    ("rational", "tomography reconstruct"): (
+        "p: 3\n"
+        "d: 1\n"
+        "kind: rational\n"
+        "values:\n"
+        "  - 1\n"
+        "  - -1/2\n"
+        "  - 0\n"
+    ),
+    ("cyclotomic", "transform"): (
+        "p: 2\n"
+        "d: 1\n"
+        "kind: cyclotomic\n"
+        "values:\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - -1/2\n"
+        "      - 1/8\n"
+        "    ell: 2\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - 0\n"
+        "      - -7/8\n"
+        "    ell: 2\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - 1/2\n"
+        "      - 1/8\n"
+        "    ell: 2\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - 0\n"
+        "      - 9/8\n"
+        "    ell: 2\n"
+        "modulus_exponent: 2\n"
+    ),
+    ("cyclotomic", "transform --inverse"): (
+        "p: 2\n"
+        "d: 1\n"
+        "kind: cyclotomic\n"
+        "values:\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - -2\n"
+        "      - 1/2\n"
+        "    ell: 2\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - 0\n"
+        "      - 9/2\n"
+        "    ell: 2\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - 2\n"
+        "      - 1/2\n"
+        "    ell: 2\n"
+        "    p: 2\n"
+        "    coeffs:\n"
+        "      - 0\n"
+        "      - -7/2\n"
+        "    ell: 2\n"
+        "modulus_exponent: 2\n"
+    ),
+    ("cyclotomic", "tomography reconstruct"): (
+        "p: 3\n"
+        "d: 1\n"
+        "kind: cyclotomic\n"
+        "values:\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 0\n"
+        "      - 1/2\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 1\n"
+        "      - 0\n"
+        "    p: 3\n"
+        "    coeffs:\n"
+        "      - 0\n"
+        "      - 0\n"
+    ),
+    ("complex", "transform"): (
+        "p: 2\n"
+        "d: 1\n"
+        "kind: complex\n"
+        "values:\n"
+        "    - 0.375\n"
+        "    - 0.25\n"
+        "    - 0.625\n"
+        "    - 0.24999999999999997\n"
+    ),
+    ("complex", "transform --inverse"): (
+        "p: 2\n"
+        "d: 1\n"
+        "kind: complex\n"
+        "values:\n"
+        "    - 0.75\n"
+        "    - 0.5\n"
+        "    - 1.25\n"
+        "    - 0.49999999999999994\n"
+    ),
+    ("complex", "tomography reconstruct"): (
+        "p: 2\n"
+        "d: 1\n"
+        "kind: complex\n"
+        "values:\n"
+        "    - 1.0\n"
+        "    - 0.5\n"
+        "    - -0.25\n"
+        "    - 0.0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, command", TABLES)
+def test_cli_function_results_as_tables(tmp_path, capsys, kind, command):
+    inputs = TABLE_SINOGRAMS if command == "tomography reconstruct" else TABLE_FUNCTIONS
+    fn = tmp_path / "input.json"
+    fn.write_text(json.dumps(inputs[kind]))
+    assert run_cli(*command.split(), "--input", str(fn), "--format", "table") == 0
+    assert capsys.readouterr() == (TABLES[kind, command], "")
+
+
+def _text_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter writes integers of any length as text")
+    return limit
+
+
+@pytest.mark.parametrize("command", ["transform", "tomography project", "decompose"])
+def test_cli_reports_an_output_integer_over_the_text_limit(tmp_path, capsys, command):
+    """Two values whose denominators have half the limit's digits each give
+    outputs with denominators over the limit."""
+    limit = _text_limit()
+    e = limit // 2 + 50
+    values = [f"1/{10**e + 1}", f"1/{10**e + 3}"] + ["0"] * 7
+    fn = tmp_path / "input.json"
+    fn.write_text(json.dumps({"p": 3, "d": 2, "kind": "rational", "values": values}))
+    assert run_cli(*command.split(), "--input", str(fn)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        rf"data error: cannot write an integer of (\d+) digits: "
+        rf"the limit for integer text is {limit} digits\n",
+        err,
+    )
+    assert int(re.search(r"\d+", err).group()) > limit
+
+
+def test_cli_reports_a_literal_over_the_text_limit(tmp_path, capsys):
+    literal = "1/" + "7" * (_text_limit() + 1)
+    fn = tmp_path / "input.json"
+    fn.write_text(json.dumps({"p": 2, "d": 1, "kind": "rational", "values": ["0", literal]}))
+    assert run_cli("transform", "--input", str(fn)) == 2
+    assert capsys.readouterr() == ("", f"data error: bad rational literal {literal!r}\n")
+
+
+def test_format_rational_reports_an_integer_over_the_text_limit():
+    limit = _text_limit()
+    with pytest.raises(CapacityError, match=f"integer of {limit + 1} digits: .* is {limit} digits"):
+        fileio.format_rational(Fraction(1, 10**limit))
+    assert fileio.format_rational(Fraction(-1, 10**limit - 1)) == f"-1/{'9' * limit}"
 
 
 def test_function_payload_round_trip(tmp_path):
@@ -1073,12 +1344,14 @@ def test_cli_verify_builds_equivariant_spectra_on_the_lattice_rows(monkeypatch, 
     assert calls["galois"] == 0
 
 
-def test_cli_transform_decodes_once_per_request(monkeypatch, capsys):
+def test_cli_transform_decodes_nothing(monkeypatch, capsys):
+    """The file is read into rows and the spectrum written from its rows."""
     calls = _count_calls(monkeypatch)
     sources = ["rational_7_3", "cyclotomic_7_3", "rational_3_5", "cyclotomic_3_5"]
-    for n, source in enumerate(sources, 1):
+    for source in sources:
         assert run_cli("transform", "--input", str(GOLDEN / "exact" / f"{source}.json")) == 0
-        assert calls["decode"] == n
+        assert run_cli("transform", "--inverse", "--input", str(GOLDEN / "exact" / f"{source}.transform.out.json")) == 0
+    assert calls["decode"] == 0
     capsys.readouterr()
 
 

@@ -2,15 +2,20 @@
 
 ``canonical_dumps`` must write what ``json.dumps(sort_keys=True, indent=2)``
 writes, ``parse_rational`` must read what ``Fraction(str)`` reads on every
-literal it accepts, and no mutated input file may get past the CLI's exit
-codes.
+literal it accepts, the row writer ``function_dumps`` must write what
+``canonical_dumps(function_to_payload(f))`` writes, the row reader
+``function_from_payload`` must give the kind, rows and denominator of the
+function built from ``scalar_from_payload`` of each value, and no mutated
+input file may get past the CLI's exit codes.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
+import random
 import re
 import tempfile
 from fractions import Fraction
@@ -28,7 +33,9 @@ from charkit.corpus import (
     rng_for,
 )
 from charkit.errors import DataFormatError
+from charkit.fourier import GridFunction, _lattice_of, forward, inverse
 from charkit.geometry import Ambient
+from charkit.scalars import Cyclotomic
 from charkit.wavelets import mass_table
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
@@ -99,6 +106,110 @@ def test_format_rational_round_trips(x):
     assert LITERAL.fullmatch(text)
     assert fileio.parse_rational(text) == x
     assert text == fileio.format_rational(Fraction(x))
+
+
+# --- function files read into rows and written from rows
+
+# Prime and ring grids: (2,3), (3,2), (7,2), Z_9^2, Z_8^2 and Z_25.
+GRIDS = [Ambient(2, 3), Ambient(3, 2), Ambient(7, 2), Ambient(3, 2, 2), Ambient(2, 2, 3),
+         Ambient(5, 1, 2)]
+# Zero, denominator 1, negative and multi-digit values.
+fractions = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3)]) | st.fractions(
+    min_value=-(10**6), max_value=10**6, max_denominator=60
+)
+
+
+@st.composite
+def exact_functions(draw):
+    """A rational or cyclotomic function on one of GRIDS whose coefficients
+    are drawn from a small pool: the zero function when the pool is [0],
+    denominator 1 when it holds ints.  The coefficients are placed by a
+    seeded generator, so that a failing example shrinks to a small pool."""
+    ambient = draw(st.sampled_from(GRIDS))
+    kind = draw(st.sampled_from(["rational", "cyclotomic"]))
+    pool = draw(st.lists(fractions, min_size=1, max_size=6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = ambient.modulus - ambient.modulus // ambient.p if kind == "cyclotomic" else 1
+    rows = [[rng.choice(pool) for _ in range(width)] for _ in range(ambient.size)]
+    if kind == "rational":
+        return GridFunction(ambient, kind, [row[0] for row in rows])
+    return GridFunction(ambient, kind, [Cyclotomic(ambient.p, row, ambient.ell) for row in rows])
+
+
+def _same_text(got: str, want: str) -> None:
+    """Fail at the first line where two texts differ: a full diff of two
+    long files, on every failing example the shrinker tries, takes minutes."""
+    for i, (a, b) in enumerate(itertools.zip_longest(got.splitlines(), want.splitlines())):
+        if a != b:
+            pytest.fail(f"line {i + 1}: {a!r} != {b!r}")
+
+
+@settings(FIXED, max_examples=80)
+@given(exact_functions(), st.sampled_from(["function", "forward", "inverse"]))
+def test_the_row_writer_writes_the_canonical_payload(f, transform):
+    f = {"function": f, "forward": forward(f), "inverse": inverse(f)}[transform]
+    _same_text(fileio.function_dumps(f), fileio.canonical_dumps(fileio.function_to_payload(f)))
+
+
+def test_the_row_writer_writes_complex_functions_from_their_payload():
+    f = random_complex_function(Ambient(3, 2), rng_for(811, "complex-dumps"))
+    assert fileio.function_dumps(f) == fileio.canonical_dumps(fileio.function_to_payload(f))
+
+
+# Literals as a file may hold them: unreduced, signed, zero over any denominator.
+UNREDUCED = ["+04/6", "-0", "0/5", "007", "-12/8", "+3", "10/10"]
+
+
+@st.composite
+def literals(draw) -> str:
+    """A literal of a random value, sometimes unreduced or signed."""
+    x = draw(fractions)
+    k = draw(st.sampled_from([1, 1, 2, 7]))
+    sign = "+" if x >= 0 and draw(st.booleans()) else ""
+    if x.denominator == 1 and k == 1:
+        return f"{sign}{x.numerator}"
+    return f"{sign}{x.numerator * k}/{x.denominator * k}"
+
+
+@st.composite
+def function_payloads(draw):
+    """A rational or cyclotomic function file on one of GRIDS, its literals
+    drawn from a small pool.  A cyclotomic file mixes value objects (with
+    and without "p" and "ell") and rational strings."""
+    ambient = draw(st.sampled_from(GRIDS))
+    kind = draw(st.sampled_from(["rational", "cyclotomic"]))
+    pool = draw(st.lists(st.sampled_from(UNREDUCED) | literals(), min_size=1, max_size=6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = ambient.modulus - ambient.modulus // ambient.p
+    values = []
+    for _ in range(ambient.size):
+        if kind == "rational" or rng.random() < 0.3:
+            values.append(rng.choice(pool))
+            continue
+        value = {"coeffs": [rng.choice(pool) for _ in range(width)]}
+        if rng.random() < 0.5:
+            value["p"] = ambient.p
+        if ambient.ell != 1 or rng.random() < 0.5:
+            value["ell"] = ambient.ell
+        values.append(value)
+    payload = {"p": ambient.p, "d": ambient.d, "kind": kind, "values": values}
+    if ambient.ell != 1:
+        payload["modulus_exponent"] = ambient.ell
+    return payload
+
+
+@settings(FIXED, max_examples=80)
+@given(function_payloads())
+def test_the_row_reader_gives_the_rows_of_the_per_value_reader(payload):
+    ambient = Ambient(payload["p"], payload["d"], payload.get("modulus_exponent", 1))
+    kind, p, ell = payload["kind"], ambient.p, ambient.ell
+    reference = GridFunction(
+        ambient, kind, [fileio.scalar_from_payload(v, kind, p, ell) for v in payload["values"]]
+    )
+    f = fileio.function_from_payload(payload)
+    assert (f.ambient, f.kind) == (ambient, kind)
+    assert _lattice_of(f) == _lattice_of(reference)
+    assert f.values == reference.values
 
 
 # --- the exit-code contract on mutated input files

@@ -44,7 +44,7 @@ from .geometry import (
     require_prime_grid,
     translate_set,
 )
-from .scalars import DEFAULT_TOL, all_equal
+from .scalars import DEFAULT_TOL, implied_bound, is_zero
 
 # Granularity for comparing bandwidth dimensions (a derived float).
 BWD_EPS = 1e-12
@@ -174,11 +174,19 @@ class EquidistributionResult:
 
 
 def equidistribution_check(f: GridFunction, V: Subspace) -> EquidistributionResult:
-    """Masses of f over the cosets of the perpendicular of V are all equal
-    exactly when the transform of f vanishes on the punctured V.
+    """Masses of f over the cosets of W, the perpendicular of V, are all
+    equal exactly when the transform of f vanishes on the punctured V.
 
-    Both sides are computed independently; disagreement raises
-    TheoremViolation because it would falsify the equidistribution theorem.
+    Both sides are computed independently.  The mass of the coset y + W is
+    |W| * sum over m in V of F(m) chi(y.m), so two masses differ by
+    |W| * sum over m in V minus 0 of F(m) (chi(y.m) - chi(y'.m)): complex
+    masses agree within ``implied_bound`` of spread 2|W|(|V| - 1), the
+    vanishing being judged by the zero rule over F.  On exact input a
+    disagreement of the two sides raises TheoremViolation, since it would
+    falsify the equidistribution theorem.  On complex input it raises only
+    when F vanishes and the masses still differ: equal masses bound the
+    values of F on V minus 0 by 2(|V| - 1) * tol * max|F| only, not by the
+    zero rule, so in that band the result reports both judgments.
     """
     ambient = f.ambient
     if V.ambient != ambient:
@@ -194,9 +202,12 @@ def equidistribution_check(f: GridFunction, V: Subspace) -> EquidistributionResu
         else:
             buckets[key] = v
     masses = tuple(buckets[key] for key in sorted(buckets))
-    equal = all_equal(masses)
-    vanishes = vanishes_on(forward(f), V.nonzero_points())
-    if equal != vanishes:
+    F = forward(f)
+    vanishes = vanishes_on(F, V.nonzero_points())
+    p = ambient.p
+    bound = implied_bound(F, 2 * p ** W.dim * (p ** V.dim - 1))
+    equal = all(is_zero(m - masses[0], bound) for m in masses)
+    if equal != vanishes and (vanishes or F.kind != COMPLEX):
         raise TheoremViolation(
             "equidistribution biconditional failed: "
             f"masses equal={equal}, punctured-subspace vanishing={vanishes}"

@@ -148,7 +148,10 @@ def _render_table(payload, indent: str = "") -> str:
                     lines.append(f"{prefix}{key}: {val}")
         elif isinstance(obj, list):
             for val in obj:
-                if isinstance(val, (dict, list)):
+                if isinstance(val, list) and not any(isinstance(v, (dict, list)) for v in val):
+                    # one line keeps a complex value, a line or a point together
+                    lines.append(f"{prefix}- [{', '.join(map(str, val))}]")
+                elif isinstance(val, (dict, list)):
                     walk(val, prefix + "  ")
                 else:
                     lines.append(f"{prefix}- {val}")

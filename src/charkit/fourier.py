@@ -77,7 +77,10 @@ from itertools import zip_longest
 from .geometry import Point, Subspace, dilation_indices, dot, dots, grid_point, perp
 from .geometry import point_set, vsub
 from .scalars import (
+    COMPLEX,
+    CYCLOTOMIC,
     DEFAULT_TOL,
+    RATIONAL,
     ZERO,
     Cyclotomic,
     _embed_roots,
@@ -87,10 +90,6 @@ from .scalars import (
     is_zero,
     zero_bound,
 )
-
-RATIONAL = "rational"
-CYCLOTOMIC = "cyclotomic"
-COMPLEX = "complex"
 
 _KINDS = (RATIONAL, CYCLOTOMIC, COMPLEX)
 
@@ -160,13 +159,14 @@ class GridFunction:
     def value_at(self, point: Point):
         return self.values[self.ambient.index_of(grid_point(self.ambient, point))]
 
-    def nonzero(self, tol: float = DEFAULT_TOL) -> tuple:
+    def nonzero(self, tol: float = DEFAULT_TOL, bound: float | None = None) -> tuple:
         """The one zero mask: whether each value is nonzero.  Exact values
-        are read from the lattice rows; complex values follow the zero rule
-        over all of them."""
+        are read from the lattice rows; a complex value is nonzero when
+        |v| > bound, by default the zero rule's over all of them."""
         if self.kind != COMPLEX:
             return tuple(map(any, self._rows))
-        bound = zero_bound(self.values, tol)
+        if bound is None:
+            bound = zero_bound(self.values, tol)
         return tuple(not is_zero(v, bound) for v in self.values)
 
     def support(self, tol: float = DEFAULT_TOL) -> tuple:

@@ -14,7 +14,12 @@ largest magnitude among the values it is compared with (a whole spectrum,
 both functions of a comparison, a mass table), so no floating verdict moves
 when the values are scaled by s != 0.  :func:`zero_bound` computes tol * S
 once per array, never for exact values; :func:`is_zero` compares with it.
-``DEFAULT_TOL`` is a constant and only the default of tol.
+``DEFAULT_TOL`` is a constant and only the default of tol.  A statement
+whose spectral hypothesis was judged by this rule judges its conclusion on
+the scale the hypothesis implies, :func:`implied_bound`.
+
+The three scalar kinds a function's values may have are named here:
+``RATIONAL``, ``CYCLOTOMIC`` and ``COMPLEX``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_TOL = 1e-9
+
+RATIONAL = "rational"
+CYCLOTOMIC = "cyclotomic"
+COMPLEX = "complex"
 
 
 def zero_bound(values, tol: float = DEFAULT_TOL) -> float:
@@ -57,17 +66,22 @@ def is_zero(v, tol: float = DEFAULT_TOL) -> bool:
     return v == 0
 
 
-def all_equal(values, tol: float = DEFAULT_TOL) -> bool:
-    """Every value equals the first: exactly, or by the zero rule over them."""
-    bound = zero_bound(values, tol)
-    return all(v == values[0] or is_zero(v - values[0], bound) for v in values)
+def implied_bound(spectrum, spread: int, tol: float = DEFAULT_TOL) -> float:
+    """The bound on a floating conclusion that a spectral hypothesis implies:
+    spread * tol * max|F|, F the spectrum whose zero rule judged the hypothesis.
 
-
-def constant_by_spectrum(values, tol: float = DEFAULT_TOL) -> bool:
-    """All n values of a function agree as far as a spectrum that is zero off
-    the origin by the zero rule allows: within 2(n - 1) * tol * max|v|,
-    since each such |F(m)| <= tol * max|F| <= tol * max|v|."""
-    return len(values) < 2 or all_equal(values, 2 * (len(values) - 1) * tol)
+    Each value of F that the rule calls zero has |F(m)| <= tol * max|F|.  A
+    statement's proof writes the error of its conclusion (a difference of two
+    values or masses, or a value that must vanish) as a sum of such values
+    times weights of modulus at most w, over at most n of them; the spread
+    is n * w, fixed by the proof, so no verdict moves when f is scaled.
+    Under the normalized transform max|F| <= max|f|.  An exact spectrum
+    gives 0.0 and none of its values is read: exact conclusions are tested
+    exactly.
+    """
+    if spectrum.kind != COMPLEX:
+        return 0.0
+    return spread * zero_bound(spectrum.values, tol)
 
 
 def is_prime(n: int) -> bool:

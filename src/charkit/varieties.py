@@ -28,7 +28,7 @@ from .geometry import (
     sqrt_minus_one,
     translate_set,
 )
-from .scalars import DEFAULT_TOL, all_equal, constant_by_spectrum
+from .scalars import DEFAULT_TOL, implied_bound, is_zero
 
 
 def paraboloid_points(ambient: Ambient) -> frozenset:
@@ -61,14 +61,10 @@ def sphere_count(p: int, d: int, r: int) -> int:
     return len(sphere_points(Ambient(p, d), r))
 
 
-def _inside_cone(F: GridFunction, cone: frozenset, tol: float = DEFAULT_TOL) -> bool:
-    """True when the spectrum F is supported inside the given isotropic cone."""
-    return all(x in cone for x in F.support(tol))
-
-
 def is_good(f: GridFunction, tol: float = DEFAULT_TOL) -> bool:
     """True when the transform of f is supported inside the isotropic cone."""
-    return _inside_cone(forward(f), isotropic_cone(f.ambient), tol)
+    cone = isotropic_cone(f.ambient)
+    return all(x in cone for x in forward(f).support(tol))
 
 
 def slice_last(f: GridFunction, a: int) -> GridFunction:
@@ -121,6 +117,11 @@ def check_paraboloid_theorem(f: GridFunction) -> ParaboloidReport:
     slicing theorem and is listed in the report.  The transform is linear,
     so each slice is transformed once and a pair is judged on the spectrum
     difference F_a - F_b, the transform of f_a - f_b.
+
+    (F_a - F_b)(eta) = sum over t != 0 of F(eta, t) (chi(a t) - chi(b t)),
+    and for eta off the cone every (eta, t) with t != 0 lies on a covered
+    line, so complex differences are judged off the cone within
+    ``implied_bound`` of spread 2(p - 1); exact ones exactly.
     """
     ambient = f.ambient
     if ambient.d < 2:
@@ -133,11 +134,17 @@ def check_paraboloid_theorem(f: GridFunction) -> ParaboloidReport:
         return ParaboloidReport(False, 0, (), False)
     p = ambient.p
     spectra = [forward(slice_last(f, a)) for a in range(p)]
-    cone = isotropic_cone(spectra[0].ambient)
+    small = spectra[0].ambient
+    cone = isotropic_cone(small)
+    off_cone = [i for i, x in enumerate(small.points()) if x not in cone]
+    bound = implied_bound(F, 2 * (p - 1))
+
+    def good(difference) -> bool:
+        nonzero = difference.nonzero(bound=bound)
+        return not any(nonzero[i] for i in off_cone)
+
     pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
-    violations = tuple(
-        (a, b) for a, b in pairs if not _inside_cone(spectra[a] - spectra[b], cone)
-    )
+    violations = tuple((a, b) for a, b in pairs if not good(spectra[a] - spectra[b]))
     return ParaboloidReport(True, len(pairs), violations, not violations)
 
 
@@ -156,10 +163,12 @@ def two_circle_analysis(
 
     A line with rep.rep = c != 0 meets the circle of every radius in the
     class of c, so the hypothesis, in line form, is that every active line
-    is isotropic (rep.rep = 0 mod p).  Activity and, for complex f,
-    constancy are judged by the zero rule of ``scalars``.
+    is isotropic (rep.rep = 0 mod p).  Activity is judged by the zero rule
+    of ``scalars``.
 
-    For p = 3 mod 4 no line is isotropic, so the function must be constant.
+    For p = 3 mod 4 no line is isotropic, so the function must be constant:
+    f(x) - f(y) = sum over m != 0 of F(m) (chi(x.m) - chi(y.m)), so complex
+    values agree within ``implied_bound`` of spread 2(N - 1).
     For p = 1 mod 4 an indicator must be a union of lines parallel to one of
     the two isotropic lines {(t, it)} or {(t, -it)}; other functions have
     their spectrum inside the cone and come back as "other".
@@ -172,14 +181,11 @@ def two_circle_analysis(
         raise ValueError(f"{a} is not a nonzero quadratic residue mod {p}")
     if quadratic_class(b, p) != "non-residue":
         raise ValueError(f"{b} is not a quadratic non-residue mod {p}")
-    for line in support_profile(forward(f), f.kind, tol).lines:
-        if sum(c * c for c in line.rep) % p:
-            raise HypothesisNotMet(
-                f"the transform is active on the line through {line.rep}, which "
-                f"is not isotropic: it meets the circle of radius {a} or {b}"
-            )
+    F = forward(f)
+    _require_isotropic(F, f.kind, tol, f"circle of radius {a} or {b}")
     if p % 4 == 3:
-        if not constant_by_spectrum(f.values, tol):
+        bound = implied_bound(F, 2 * (ambient.size - 1), tol)
+        if not all(is_zero(v - f.values[0], bound) for v in f.values):
             raise TheoremViolation(
                 "two-circle vanishing with p = 3 mod 4 but a non-constant function"
             )
@@ -199,6 +205,19 @@ def two_circle_analysis(
     return TwoCircleResult(kind="other", support_in_cone=True)
 
 
+def _require_isotropic(F: GridFunction, kind: str, tol: float, meets: str) -> None:
+    """The circle and sphere hypothesis in line form: every active line of F
+    is isotropic, else HypothesisNotMet names the first line and what it
+    meets."""
+    p = F.ambient.p
+    for line in support_profile(F, kind, tol).lines:
+        if sum(c * c for c in line.rep) % p:
+            raise HypothesisNotMet(
+                f"the transform is active on the line through {line.rep}, which "
+                f"is not isotropic: it meets the {meets}"
+            )
+
+
 @dataclass(frozen=True)
 class SphereMassReport:
     center: Point
@@ -214,6 +233,12 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
     sphere and a non-residue sphere (radii 1 and the smallest non-residue
     b), in line form as in ``two_circle_analysis``: every active line is
     isotropic.  Under the hypothesis the masses must all agree.
+
+    The mass of the sphere S_r about c is sum over m of F(m) chi(c.m)
+    S_r^(m), S_r^(m) = sum over y in S_r of chi(y.m); for m on the cone
+    S_r^(m) does not depend on r != 0 (even d), and off the cone
+    |S_r^(m) - S_s^(m)| <= 2|S|, S the largest sphere.  So complex masses
+    agree within ``implied_bound`` of spread 2 * N * |S|.
     """
     ambient = f.ambient
     p = ambient.p
@@ -221,16 +246,12 @@ def sphere_equidistribution_check(f: GridFunction, center: Point) -> SphereMassR
     if ambient.d % 2 != 0:
         raise ValueError("sphere equidistribution is stated for even dimension")
     b = least_non_residue(p)  # refuses p = 2
-    for line in support_profile(forward(f), f.kind).lines:
-        if sum(c * c for c in line.rep) % p:
-            raise HypothesisNotMet(
-                f"the transform is active on the line through {line.rep}, which "
-                f"is not isotropic: it meets the sphere of radius 1 or {b}"
-            )
-    masses = tuple(
-        sum(f.value_at(x) for x in sphere_points(ambient, r, center)) for r in range(1, p)
-    )
-    if not all_equal(masses):
+    F = forward(f)
+    _require_isotropic(F, f.kind, DEFAULT_TOL, f"sphere of radius 1 or {b}")
+    spheres = [sphere_points(ambient, r, center) for r in range(1, p)]
+    masses = tuple(sum(f.value_at(x) for x in sphere) for sphere in spheres)
+    bound = implied_bound(F, 2 * ambient.size * max(map(len, spheres)))
+    if not all(is_zero(m - masses[0], bound) for m in masses):
         raise TheoremViolation(
             f"sphere masses about {center} differ: {[str(m) for m in masses]}"
         )

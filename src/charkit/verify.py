@@ -4,13 +4,14 @@ exercised exhaustively at desk scale or on seeded random corpora.
 Each suite returns a SuiteResult with one named check per statement and a
 counterexample dump on failure.  A suite's work items (random functions,
 pairs, subsets) all run through one runner: an item that raises
-TheoremViolation fails only its own check, with a counterexample naming
-the item, and the suite's other items and checks keep their results.  A
-violation raised outside any item is reported as one failing check of its
-suite, and the other suites still run.  Each suite has default grids
-(p, d, l); a given --p, --d or --l replaces that coordinate in every one,
-and the suite runs exactly the resulting grids (``_suite_grids``) or
-refuses them.  Exhaustive suites refuse a grid with more than
+TheoremViolation or HypothesisNotMet (its constructed input missed the
+hypothesis it was built to meet) fails only its own check, with a
+counterexample naming the item, and the suite's other items and checks
+keep their results.  Either raised outside any item is reported as one
+failing check of its suite, and the other suites still run.  Each suite
+has default grids (p, d, l); a given --p, --d or --l replaces that
+coordinate in every one, and the suite runs exactly the resulting grids
+(``_suite_grids``) or refuses them.  Exhaustive suites refuse a grid with more than
 MAX_SUBSET_ENUMERATION subsets, and zpl one whose direction scan visits
 more than MAX_DIRECTION_SCAN (direction, point) pairs (CapacityError); a
 suite refuses a grid its statement does not cover (ValueError, as
@@ -51,7 +52,7 @@ from .eigen import (
     enumerate_lagrangian,
     self_dual_classify,
 )
-from .errors import CapacityError, SinogramError, TheoremViolation
+from .errors import CapacityError, HypothesisNotMet, SinogramError, TheoremViolation
 from .fourier import GridFunction, forward
 from .geometry import (
     MAX_DIRECTION_SCAN,
@@ -121,9 +122,9 @@ class SuiteResult:
 def _run_items(res: SuiteResult, items, work) -> tuple:
     """Run ``work(*args)`` on each ``(where, args)`` item, in order.
 
-    A TheoremViolation fails its own item only: it is recorded as a
-    counterexample naming the item by index and ``where`` (grid and seed or
-    subset), and the remaining items still run.  ``where`` is formatted
+    A TheoremViolation or HypothesisNotMet fails its own item only: it is
+    recorded as a counterexample naming the item by index and ``where``
+    (grid and seed or subset), and the remaining items still run.  ``where`` is formatted
     with the item's args only then, so it may name them as {0}, {1}, ...
     Returns the results of the items that returned and the counterexamples
     of those that raised.
@@ -132,7 +133,7 @@ def _run_items(res: SuiteResult, items, work) -> tuple:
     for index, (where, args) in enumerate(items):
         try:
             results.append(work(*args))
-        except TheoremViolation as exc:
+        except (TheoremViolation, HypothesisNotMet) as exc:
             raised.append(f"item {index} at {where.format(*args)}: {exc}")
     res.counterexamples.extend(raised)
     return results, raised
@@ -557,15 +558,16 @@ def run_suites(names, config: VerifyConfig) -> list:
 
 
 def _run_suite(name: str, config: VerifyConfig) -> SuiteResult:
-    """One suite's result; a TheoremViolation raised outside any work item
-    becomes a failing check.  So does a refusal of the requested grid, a
-    CapacityError or a ValueError (a statement the grid does not cover, as
-    the slicing statement at d = 1), which also marks the suite refused."""
+    """One suite's result; a TheoremViolation or HypothesisNotMet raised
+    outside any work item becomes a failing check and a counterexample.  A
+    refusal of the requested grid, a CapacityError or a ValueError (a
+    statement the grid does not cover, as the slicing statement at d = 1),
+    becomes a failing check and marks the suite refused."""
     try:
         return SUITES[name](config)
-    except TheoremViolation as exc:
+    except (TheoremViolation, HypothesisNotMet) as exc:
         res = SuiteResult(name, counterexamples=[str(exc)])
-        res.check("raised TheoremViolation", False, str(exc))
+        res.check(f"raised {type(exc).__name__}", False, str(exc))
     except (CapacityError, ValueError) as exc:
         res = SuiteResult(name, refused=str(exc))
         res.check(f"raised {type(exc).__name__}", False, str(exc))

@@ -155,6 +155,30 @@ def test_equidistribution_biconditional_random():
         equidistribution_check(f, V)  # raises on any biconditional failure
 
 
+def test_equidistribution_judges_complex_masses_on_the_scale_of_the_spectrum():
+    """F(0) = 1, F = 1e-6 on V minus 0 and 1e6 elsewhere: F vanishes on the
+    punctured V by the zero rule, and the masses agree within
+    2|W|(|V| - 1) * tol * max|F| though they differ by far more than tol
+    times their own size."""
+    amb = Ambient(3, 2)
+    V = Subspace.span(amb, [(1, 0)])
+    values = [1.0 if not any(x) else 1e-6 if V.contains(x) else 1e6 for x in amb.points()]
+    r = equidistribution_check(inverse(Spectrum(amb, "complex", values)), V)
+    assert r.equidistributed and r.spectrum_vanishes
+
+
+def test_equidistribution_reports_the_band_between_its_floating_judgments():
+    """F = 1.2e-9 on V minus 0, just above the zero rule's 1e-9 * max|F|: the
+    spectrum does not vanish, yet the masses differ by 9 * 1.2e-9, inside the
+    bound 12e-9 that vanishing implies.  Complex input reports both; the same
+    disagreement on exact input would raise."""
+    amb = Ambient(3, 2)
+    V = Subspace.span(amb, [(1, 0)])
+    values = [1.2e-9 if any(x) and V.contains(x) else 1.0 for x in amb.points()]
+    r = equidistribution_check(inverse(Spectrum(amb, "complex", values)), V)
+    assert r.equidistributed and not r.spectrum_vanishes
+
+
 def test_uncertainty_full_space_is_tight():
     amb = Ambient(3, 2)
     rep = uncertainty_check(amb, amb.points())

@@ -20,7 +20,7 @@ from charkit.corpus import (
     staircase_function,
 )
 from charkit.eigen import eigen_expand, self_dual_classify
-from charkit.errors import CapacityError, DataFormatError, TheoremViolation
+from charkit.errors import CapacityError, DataFormatError, HypothesisNotMet, TheoremViolation
 from charkit.fourier import GridFunction, forward, inverse
 from charkit.geometry import Ambient, line_through
 from charkit.scalars import Cyclotomic
@@ -163,7 +163,8 @@ TABLE_SINOGRAMS = {
     "cyclotomic": {"p": 3, "d": 1, "masses": [{"s": [1], "m": [{"p": 3, "coeffs": ["0", "1/2"]}, "1", "0"]}]},
     "complex": {"p": 2, "d": 1, "masses": [{"s": [1], "m": [[1.0, 0.5], [-0.25, 0.0]]}]},
 }
-# What ``--format table`` printed for them before functions were written from rows.
+# What ``--format table`` printed for them before functions were written from
+# rows; a complex value is one line, its real and imaginary parts in brackets.
 TABLES = {
     ("rational", "transform"): (
         "p: 3\n"
@@ -287,30 +288,24 @@ TABLES = {
         "d: 1\n"
         "kind: complex\n"
         "values:\n"
-        "    - 0.375\n"
-        "    - 0.25\n"
-        "    - 0.625\n"
-        "    - 0.24999999999999997\n"
+        "  - [0.375, 0.25]\n"
+        "  - [0.625, 0.24999999999999997]\n"
     ),
     ("complex", "transform --inverse"): (
         "p: 2\n"
         "d: 1\n"
         "kind: complex\n"
         "values:\n"
-        "    - 0.75\n"
-        "    - 0.5\n"
-        "    - 1.25\n"
-        "    - 0.49999999999999994\n"
+        "  - [0.75, 0.5]\n"
+        "  - [1.25, 0.49999999999999994]\n"
     ),
     ("complex", "tomography reconstruct"): (
         "p: 2\n"
         "d: 1\n"
         "kind: complex\n"
         "values:\n"
-        "    - 1.0\n"
-        "    - 0.5\n"
-        "    - -0.25\n"
-        "    - 0.0\n"
+        "  - [1.0, 0.5]\n"
+        "  - [-0.25, 0.0]\n"
     ),
 }
 
@@ -1143,6 +1138,46 @@ def test_cli_verify_a_raising_item_fails_alone(
     assert report["counterexamples"] == [f"item 2 at {where}: planted"]
     failing = next(c for c in report["checks"] if not c["passed"])
     assert failing["detail"] == f"item 2 at {where}: planted"
+
+
+def test_cli_verify_a_hypothesis_not_met_fails_like_a_violation(monkeypatch, capsys):
+    """A HypothesisNotMet inside a suite means a constructed input missed the
+    hypothesis it was built to meet: in a work item or outside one it fails a
+    check with a counterexample, the other suites still run, the full report
+    prints, and verify exits 3 with nothing on stderr."""
+    from charkit import verify
+
+    def planted_suite(*args, **kwargs):
+        raise HypothesisNotMet("planted")
+
+    real = verify.equidistribution_check
+    calls = []
+
+    def planted_item(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:  # the call of item 1
+            raise HypothesisNotMet("planted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "sphere_equidistribution_check", planted_suite)
+    monkeypatch.setattr(verify, "equidistribution_check", planted_item)
+    assert run_cli("verify", "all", "--seed", "42", "--suite-size", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    suites = {r["suite"]: r for r in json.loads(captured.out)["suites"]}
+    assert tuple(suites) == verify.SUITE_ORDER
+    failing = {
+        name: [c for c in r["checks"] if not c["passed"]]
+        for name, r in suites.items()
+        if not r["passed"]
+    }
+    assert failing == {
+        "equidist": [{"name": "biconditional held on 2 pairs", "passed": False,
+                      "detail": "item 1 at (2,2), seed 42/equidist/1: planted"}],
+        "spheres": [{"name": "raised HypothesisNotMet", "passed": False, "detail": "planted"}],
+    }
+    assert suites["equidist"]["counterexamples"] == ["item 1 at (2,2), seed 42/equidist/1: planted"]
+    assert suites["spheres"]["counterexamples"] == ["planted"]
 
 
 _GRID_OPTIONS = {"--p": ("3", 0), "--d": ("1", 1), "--l": ("2", 2)}

@@ -1,14 +1,17 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+from charkit.fourier import GridFunction, Spectrum, forward
+from charkit.geometry import Ambient
 from charkit.scalars import (
+    COMPLEX,
     Cyclotomic,
-    all_equal,
     complex_close,
-    constant_by_spectrum,
+    implied_bound,
     is_prime,
     is_zero,
     rational_part,
@@ -172,25 +175,48 @@ def test_is_zero_takes_an_explicit_tolerance():
     assert is_zero(-2.0, tol=2.0) and not is_zero(-2.0, tol=1.99)
 
 
+def agree(values, bound):
+    """What a statement concludes from a bound: every value equals the first."""
+    return all(is_zero(v - values[0], bound) for v in values)
+
+
 def test_zero_bound_scales_with_the_largest_value():
     vals = [1 + 0j, 3e-4j, -4e-4]
     for s in (1e-12, 1.0, 1e12):
         bound = zero_bound([s * v for v in vals], tol=4e-4)
         assert [is_zero(s * v, bound) for v in vals] == [False, True, True]
     assert zero_bound([Fraction(5), Fraction(0)]) == 0.0 and zero_bound([0j, 0j]) == 0.0
-    assert all_equal([1 + 1e-12j, 1.0 + 0j]) and not all_equal([1e-12 + 0j, 2e-12 + 0j])
-    assert all_equal([Cyclotomic.zeta(5)] * 3)
-    assert not all_equal([Fraction(1), 1 + Fraction(1, 10**12)])
+    # Values are compared on the scale of the spectrum, not on their own.
+    unit = Spectrum(Ambient(2, 1), COMPLEX, [1.0, 0.0])
+    tiny = Spectrum(Ambient(2, 1), COMPLEX, [2e-12, 0.0])
+    assert agree([1 + 1e-12j, 1.0 + 0j], implied_bound(unit, 1))
+    assert not agree([1e-12 + 0j, 2e-12 + 0j], implied_bound(tiny, 1))
+    assert agree([1e-12 + 0j, 2e-12 + 0j], implied_bound(unit, 1))
+    exact = Spectrum(Ambient(5, 1), "cyclotomic", [Cyclotomic.zeta(5)] * 5)
+    assert implied_bound(exact, 10**6) == 0.0
+    assert agree([Cyclotomic.zeta(5)] * 3, implied_bound(exact, 1))
+    assert not agree([Fraction(1), 1 + Fraction(1, 10**12)], implied_bound(exact, 1))
 
 
-def test_constant_by_spectrum_allows_the_spread_of_a_spectrum_zero_off_the_origin():
-    # Nine values: 2 * 8 * tol * max|v| = 1.6e-8 at the default tol.
-    assert constant_by_spectrum([1 + 1.5e-8] + [1.0 + 0j] * 8)
-    assert not constant_by_spectrum([1 + 1.7e-8] + [1.0 + 0j] * 8)
-    assert not all_equal([1 + 1.5e-8] + [1.0 + 0j] * 8)
-    assert constant_by_spectrum([3e-9j] + [0j] * 8, tol=1e-1)
-    assert not constant_by_spectrum([Fraction(1)] * 8 + [1 + Fraction(1, 10**12)])
-    assert constant_by_spectrum([Fraction(2)]) and constant_by_spectrum([])
+def test_implied_bound_allows_the_spread_of_a_spectrum_zero_off_the_origin():
+    # Nine values on Z_3**2: the spread 2(N - 1) = 16 gives 16 * tol * max|F|,
+    # 1.6e-8 at the default tol, with F(0) = 1 the largest value of F.
+    amb = Ambient(3, 2)
+    for values, constant in [
+        ([1 + 1.5e-8] + [1.0 + 0j] * 8, True),
+        ([1 + 1.7e-8] + [1.0 + 0j] * 8, False),
+    ]:
+        F = forward(GridFunction(amb, COMPLEX, values))
+        assert agree(values, implied_bound(F, 16)) == constant
+    assert not agree(values, implied_bound(F, 1))  # the zero rule alone is too tight
+    assert implied_bound(F, 16, tol=1e-1) == pytest.approx(16 * 1e-1 * max(map(abs, F.values)))
+    with pytest.raises(ValueError, match="positive finite"):
+        implied_bound(F, 16, tol=0.0)
+    # An exact spectrum gives 0.0 without reading a value: the test is exact.
+    f = GridFunction(amb, "rational", [Fraction(1)] * 8 + [1 + Fraction(1, 10**12)])
+    assert not agree(f.values, implied_bound(forward(f), 16))
+    assert implied_bound(types.SimpleNamespace(kind="rational"), 16) == 0.0
+    assert agree([Fraction(2)] * 9, implied_bound(forward(GridFunction.constant(amb, 2)), 16))
 
 
 def test_conductor_mismatch():

@@ -1,11 +1,22 @@
+import cmath
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charkit.bandwidth import inverse_phi, support_profile
+from charkit.bandwidth import equidistribution_check, inverse_phi, support_profile
 from charkit import cli, fileio, varieties
-from charkit.corpus import random_complex_function, random_rational_function, rng_for
+from charkit.corpus import (
+    random_complex_function,
+    random_point,
+    random_rational_function,
+    random_subspace,
+    rng_for,
+)
 from charkit.errors import HypothesisNotMet
 from charkit.fourier import GridFunction, Spectrum, forward, inverse, vanishes_on
 from charkit.geometry import (
@@ -494,3 +505,141 @@ def test_cli_variety_of_a_one_circle_spectrum_is_hypothesis_not_met(p, tmp_path,
         captured = capsys.readouterr()
         assert json.loads(captured.out)["two_circle"] == {"kind": "hypothesis_not_met"}
         assert captured.err == ""
+
+
+# Floating conclusions are judged on the scale their spectral hypothesis
+# implies (``scalars.implied_bound``), so no verdict moves when f is scaled.
+
+
+@pytest.mark.parametrize("p,d", [(5, 3), (7, 3), (3, 3), (5, 4)])
+@pytest.mark.parametrize("B", [1e-7, 1e-8])
+def test_paraboloid_slices_are_judged_on_the_scale_of_the_spectrum(p, d, B):
+    """F is random on the type-2 lines, B times random on the type-1 lines and
+    0 on the covered lines and at 0: off the cone every F_a - F_b is zero but
+    for rounding, which exceeds tol times the largest F_a - F_b."""
+    amb = Ambient(p, d)
+    rng = random.Random(1)
+    values = []
+    for x in amb.points():
+        kind = classify_direction_paraboloid(amb, x) if any(x) else "covered"
+        z = 0j if kind == "covered" else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        values.append(B * z if kind == "type1" else z)
+    rep = check_paraboloid_theorem(inverse(Spectrum(amb, "complex", values)))
+    assert rep.hypothesis_met and rep.all_good and rep.violations == ()
+
+
+def test_sphere_masses_are_judged_on_the_scale_of_the_spectrum():
+    """F is 1e6 on the nonzero cone points and F(0) makes the masses cancel:
+    they are rounding, about 1e-9, far inside 2N|S| * tol * max|F|."""
+    amb, center = Ambient(5, 2), (1, 2)
+    cone = isotropic_cone(amb)
+    values = [1e6 if x in cone and any(x) else 0.0 for x in amb.points()]
+    sphere = sphere_points(amb, 1, center)
+    g = inverse(Spectrum(amb, "complex", values))
+    values[0] = -sum(g.value_at(x) for x in sphere) / len(sphere)
+    rep = sphere_equidistribution_check(inverse(Spectrum(amb, "complex", values)), center)
+    assert rep.equidistributed and max(map(abs, rep.masses)) < 1e-6
+
+
+def complex_input(amb, rng, allowed, k):
+    """f, scaled by 10**k, whose spectrum has modulus in [0.5, 1] where
+    ``allowed`` holds and at most 5e-11 elsewhere: it meets the hypothesis
+    "F vanishes where not allowed" by the zero rule, with a margin."""
+    values = [
+        cmath.rect(rng.uniform(0.5, 1) if allowed(x) else rng.uniform(0, 5e-11),
+                   rng.uniform(0, 2 * math.pi))
+        for x in amb.points()
+    ]
+    return inverse(Spectrum(amb, "complex", values)).scale(10.0 ** k)
+
+
+def isotropic(x, p):
+    return sum(c * c for c in x) % p == 0
+
+
+SCALED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+SEEDS = st.integers(0, 2**32 - 1)
+POWERS = st.integers(-8, 8)
+
+
+@SCALED
+@given(st.sampled_from([(3, 2), (3, 3), (5, 3)]), SEEDS, POWERS)
+def test_paraboloid_theorem_holds_on_scaled_complex_inputs(grid, seed, k):
+    amb = Ambient(*grid)
+    f = complex_input(amb, random.Random(seed), lambda x: any(x) and (
+        classify_direction_paraboloid(amb, x) != "covered"), k)
+    rep = check_paraboloid_theorem(f)
+    assert rep.hypothesis_met and rep.all_good
+
+
+@SCALED
+@given(st.sampled_from([(3, 2), (7, 2), (5, 2), (13, 2)]), SEEDS, POWERS)
+def test_two_circle_analysis_holds_on_scaled_complex_inputs(grid, seed, k):
+    amb = Ambient(*grid)
+    p = amb.p
+    f = complex_input(amb, random.Random(seed), lambda x: isotropic(x, p), k)
+    res = two_circle_analysis(f, 1, least_non_residue(p))
+    assert res.kind == ("constant" if p % 4 == 3 else "other")
+
+
+@SCALED
+@given(st.sampled_from([(3, 2), (5, 2), (3, 4)]), SEEDS, POWERS)
+def test_sphere_equidistribution_holds_on_scaled_complex_inputs(grid, seed, k):
+    amb = Ambient(*grid)
+    rng = random.Random(seed)
+    f = complex_input(amb, rng, lambda x: isotropic(x, amb.p), k)
+    assert sphere_equidistribution_check(f, random_point(amb, rng)).equidistributed
+
+
+@SCALED
+@given(st.sampled_from([(3, 2), (2, 3), (5, 2)]), SEEDS, POWERS)
+def test_equidistribution_holds_on_scaled_complex_inputs(grid, seed, k):
+    amb = Ambient(*grid)
+    rng = random.Random(seed)
+    V = random_subspace(amb, rng)
+    f = complex_input(amb, rng, lambda x: not (any(x) and V.contains(x)), k)
+    r = equidistribution_check(f, V)
+    assert r.equidistributed and r.spectrum_vanishes
+
+
+RATIONAL = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+def rational_input(amb, rng, allowed):
+    """A rational function seeded on a random share of the lines ``allowed``
+    admits, with a random average, and on one random line more half the time."""
+    lines = enumerate_lines(amb)
+    seeds = {l: Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for l in lines
+             if allowed(l.rep) and rng.random() < 0.7}
+    if rng.random() < 0.5:
+        seeds[rng.choice(lines)] = Fraction(rng.randint(1, 4))
+    return inverse_phi(amb, Fraction(rng.randint(-2, 2), 3), seeds)
+
+
+@RATIONAL
+@given(st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3)]), SEEDS)
+def test_statement_verdicts_on_rational_inputs_are_the_exact_ones(grid, seed):
+    """Each verdict equals the one exact arithmetic gives, pointwise."""
+    amb = Ambient(*grid)
+    p = amb.p
+    rng = random.Random(seed)
+    f = rational_input(amb, rng, lambda v: classify_direction_paraboloid(amb, v) != "covered")
+    rep = check_paraboloid_theorem(f)
+    assert rep.hypothesis_met == pointwise_paraboloid(f)
+    assert rep.violations == (pairwise_violations(f) if rep.hypothesis_met else ())
+    V = random_subspace(amb, rng)
+    r = equidistribution_check(rational_input(amb, rng, lambda v: not V.contains(v)), V)
+    assert r.equidistributed == (len(set(r.masses)) == 1) == r.spectrum_vanishes
+    if amb.d != 2:
+        return
+    b = least_non_residue(p)
+    f = rational_input(amb, rng, lambda v: isotropic(v, p))
+    if not pointwise_pair(f, 1, b):
+        assert not hypothesis_met(lambda: two_circle_analysis(f, 1, b))
+        assert not hypothesis_met(lambda: sphere_equidistribution_check(f, (1, 0)))
+        return
+    kind = two_circle_analysis(f, 1, b).kind
+    assert (kind == "constant") == (p % 4 == 3)
+    assert kind != "constant" or f.is_constant()
+    rep = sphere_equidistribution_check(f, random_point(amb, rng))
+    assert rep.equidistributed and len(set(rep.masses)) == 1

@@ -40,6 +40,7 @@ from .fourier import (
     forward_naive,
     inverse,
     phase,
+    set_spectrum,
     transform_affine,
     transform_subspace,
     vanishes_on,

@@ -24,6 +24,7 @@ from .fourier import (
     _coerce_value,
     _encode,
     _from_lattice,
+    _set_spectrum,
     _traces,
     forward,
     vanishes_on,
@@ -238,7 +239,8 @@ def uncertainty_check(ambient: Ambient, E) -> UncertaintyReport:
     members = point_set(ambient, E)
     if not members:
         raise ValueError("the inequality concerns nonempty sets")
-    rep = bandwidth(GridFunction.indicator(ambient, members))
+    require_prime_grid(ambient)
+    rep = support_profile(_set_spectrum(ambient, members), source_kind=RATIONAL)
     lhs = ((ambient.p - 1) * rep.cbw + 1) * len(members)
     rhs = ambient.size
     formal_dim = math.log(len(members), ambient.p)
@@ -272,7 +274,8 @@ def classify_small_cbw_set(ambient: Ambient, E) -> SetClassification:
     if ambient.d < 2:
         raise ValueError("the dichotomy requires dimension >= 2")
     members = point_set(ambient, E)
-    rep = bandwidth(GridFunction.indicator(ambient, members))
+    require_prime_grid(ambient)
+    rep = support_profile(_set_spectrum(ambient, members), source_kind=RATIONAL)
     if rep.cbw > ambient.d:
         return SetClassification(kind="cbw_exceeds_d", cbw=rep.cbw)
     for line in enumerate_lines(ambient):

@@ -152,7 +152,10 @@ def _render_table(payload, indent: str = "") -> str:
                     # one line keeps a complex value, a line or a point together
                     lines.append(f"{prefix}- [{', '.join(map(str, val))}]")
                 elif isinstance(val, (dict, list)):
+                    start = len(lines)
                     walk(val, prefix + "  ")
+                    if len(lines) > start:  # "- " in its indent marks where the item starts
+                        lines[start] = f"{prefix}- {lines[start][len(prefix) + 2:]}"
                 else:
                     lines.append(f"{prefix}- {val}")
         else:

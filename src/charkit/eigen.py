@@ -23,6 +23,8 @@ from .fourier import (
     CYCLOTOMIC,
     RATIONAL,
     GridFunction,
+    _from_lattice,
+    _set_spectrum,
     forward,
 )
 from .geometry import (
@@ -63,18 +65,19 @@ def self_dual_classify(ambient: Ambient, E) -> SelfDualResult:
     """Decide whether the transform of 1_E equals lambda * 1_E.
 
     Evaluating at the origin forces lambda = |E|/p**d for nonempty E, so a
-    single candidate is tested, exactly.  A nonempty self-dual set must be
-    a Lagrangian subspace with lambda = p**(-d/2); anything else raises
-    TheoremViolation.
+    single candidate is tested, exactly: the spectrum of ``set_spectrum``
+    against lambda * 1_E on the lattice, rows (|E|,) at the members over
+    p**d.  A nonempty self-dual set must be a Lagrangian subspace with
+    lambda = p**(-d/2); anything else raises TheoremViolation.
     """
     require_prime_grid(ambient)
     members = point_set(ambient, E)
-    f = GridFunction.indicator(ambient, members)
-    F = forward(f)
-    lam = Fraction(len(members), ambient.size)
-    target = [lam if x in members else 0 for x in ambient.points()]
-    if F != GridFunction(ambient, RATIONAL, target):
+    inside, outside = (len(members),), (0,)
+    target = [inside if x in members else outside for x in ambient.points()]
+    F = _set_spectrum(ambient, members)
+    if F != _from_lattice(ambient, target, ambient.size, RATIONAL):
         return SelfDualResult(kind="not_self_dual")
+    lam = Fraction(len(members), ambient.size)
     if not members:
         return SelfDualResult(kind="empty", eigenvalue=Fraction(0))
     span = Subspace.span(ambient, members)

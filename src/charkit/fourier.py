@@ -61,6 +61,20 @@ back-projects and builds no spectrum: ``reconstruct_from_masses`` the
 masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
 over all n lines, and ``inverse_phi`` the traces of its seeds (``_traces``).
 
+``set_spectrum`` gives the spectrum of a set's indicator, with the rows
+and denominator of ``forward`` of it, and the set statements (the
+support-size inequality, the dichotomy and the self-dual classification)
+take their spectra from it.  By linearity the rows over N are the sums
+over the members x of the rows of forward(delta_x), which one table of
+point spectra per grid holds (``_point_spectra``, N**2 * phi(m) ints built
+from the labels ``dots`` and cached).  Building the table costs about as
+much as N/(d*q) transforms, so a grid gets it by rent or buy: its first
+sets are transformed, and once the transforms run there have cost as much
+as the table would, the table is built and read from then on.  One set alone
+is transformed; the exhaustive suites, thousands of sets per grid, read
+the table.  ``geometry.MAX_SET_SPECTRUM_TABLE`` caps the table's size; a
+grid over the cap gets no table.
+
 ``forward_naive`` is the quadratic double loop over ``Cyclotomic``
 arithmetic, or complex arithmetic on the root table.  It shares no code
 with either pass and is kept as the oracle that the tests compare them
@@ -71,11 +85,13 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
-from .geometry import Point, Subspace, dilation_indices, dot, dots, grid_point, perp
-from .geometry import point_set, vsub
+from .geometry import MAX_SET_SPECTRUM_TABLE, Point, Subspace, dilation_indices, dot, dots
+from .geometry import grid_point, perp, point_set, vsub
 from .scalars import (
     COMPLEX,
     CYCLOTOMIC,
@@ -530,6 +546,51 @@ def forward(f: GridFunction) -> Spectrum:
         return Spectrum(ambient, COMPLEX, [v * scale for v in vals])
     rows = _exact_transform(f._rows, ambient, ambient.d, -1)
     return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC, Spectrum)
+
+
+@lru_cache(maxsize=None)
+def _point_spectra(ambient) -> tuple:
+    """The table of point spectra: entry x is the rows of forward(delta_x)
+    times N, flat, the power-basis coordinates of zeta**(-x.m) at
+    m*width + c; built from the labels ``dots`` in one pass, with no
+    transform."""
+    p, ell, q = ambient.p, ambient.ell, ambient.modulus
+    powers = [_reduce_ext(p, ell, [int(e == -u % q) for e in range(q)]) for u in range(q)]
+    return tuple([c for u in dots(ambient, x) for c in powers[u]] for x in ambient.points())
+
+
+def set_spectrum(ambient, members) -> Spectrum:
+    """The spectrum of the indicator of ``members``, rows and denominator
+    those of ``forward(GridFunction.indicator(ambient, members))``.
+
+    The first sets asked for on a grid are transformed.  Once the
+    transforms run there, N * d * q * width coefficient operations each,
+    add up to the N**2 * width ints of the table of point spectra, the
+    table is built, and the rows of every later set are its entries summed
+    over the members.  A grid whose table would exceed the memory cap
+    ``MAX_SET_SPECTRUM_TABLE`` gets no table, and its indicators are
+    always transformed.
+    """
+    return _set_spectrum(ambient, point_set(ambient, members))
+
+
+# Sets transformed per grid by _set_spectrum: the rent paid towards the table.
+_set_transforms = Counter()
+
+
+def _set_spectrum(ambient, members: frozenset) -> Spectrum:
+    """``set_spectrum`` of members that have passed ``point_set``."""
+    N, q = ambient.size, ambient.modulus
+    width = q - q // ambient.p
+    if N * N * width <= MAX_SET_SPECTRUM_TABLE and _set_transforms[ambient] * ambient.d * q >= N:
+        if not members:
+            return _from_lattice(ambient, [(0,) * width] * N, N, CYCLOTOMIC, Spectrum)
+        table = _point_spectra(ambient)
+        sums = map(sum, zip(*[table[ambient.index_of(x)] for x in members]))
+        return _from_lattice(ambient, list(zip(*[sums] * width)), N, CYCLOTOMIC, Spectrum)
+    _set_transforms[ambient] += 1
+    rows = [(1,) if x in members else (0,) for x in ambient.points()]
+    return forward(_from_lattice(ambient, rows, 1, RATIONAL))
 
 
 def forward_naive(f: GridFunction) -> Spectrum:

@@ -39,11 +39,17 @@ MAX_GRID_POINTS = 1 << 22
 MAX_LINE_ENUMERATION = 1 << 20
 MAX_SUBSPACE_ENUMERATION = 1 << 20
 # Exhaustive verify suites visit all 2**N subsets of an N-point grid.  The
-# largest allowed, (2,4) with 65,536 subsets, takes 10-17 s per suite.
+# largest allowed, (2,4) with 65,536 subsets, takes 2-4 s per suite.
 MAX_SUBSET_ENUMERATION = 1 << 16
 # The zpl suite scans all N points for each of the N - 1 nonzero directions.
 # The largest allowed, (7,2,2) with 5.8M (direction, point) visits, takes 2 s.
 MAX_DIRECTION_SCAN = 1 << 23
+# A memory cap on the table of point spectra that fourier.set_spectrum sums
+# a set's spectrum from: N**2 * width ints (width = phi(m)), 128 KiB of
+# references at the cap.  A grid over it gets no table, and its indicators
+# are always transformed.  The largest tables allowed are (2,7) and (7,2).
+# tools/set_spectrum_sweep.py times both paths on each side of the cap.
+MAX_SET_SPECTRUM_TABLE = 1 << 14
 
 
 @dataclass(frozen=True)

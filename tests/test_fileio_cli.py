@@ -163,23 +163,24 @@ TABLE_SINOGRAMS = {
     "cyclotomic": {"p": 3, "d": 1, "masses": [{"s": [1], "m": [{"p": 3, "coeffs": ["0", "1/2"]}, "1", "0"]}]},
     "complex": {"p": 2, "d": 1, "masses": [{"s": [1], "m": [[1.0, 0.5], [-0.25, 0.0]]}]},
 }
-# What ``--format table`` printed for them before functions were written from
-# rows; a complex value is one line, its real and imaginary parts in brackets.
+# What ``--format table`` prints for them: a complex value is one line, its
+# real and imaginary parts in brackets, and "- " marks the first line of each
+# cyclotomic value.
 TABLES = {
     ("rational", "transform"): (
         "p: 3\n"
         "d: 1\n"
         "kind: cyclotomic\n"
         "values:\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 1/6\n"
         "      - 0\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 1/2\n"
         "      - 1/6\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 1/3\n"
         "      - -1/6\n"
@@ -189,15 +190,15 @@ TABLES = {
         "d: 1\n"
         "kind: cyclotomic\n"
         "values:\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 1/2\n"
         "      - 0\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 1\n"
         "      - -1/2\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 3/2\n"
         "      - 1/2\n"
@@ -216,22 +217,22 @@ TABLES = {
         "d: 1\n"
         "kind: cyclotomic\n"
         "values:\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - -1/2\n"
         "      - 1/8\n"
         "    ell: 2\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - 0\n"
         "      - -7/8\n"
         "    ell: 2\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - 1/2\n"
         "      - 1/8\n"
         "    ell: 2\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - 0\n"
         "      - 9/8\n"
@@ -243,22 +244,22 @@ TABLES = {
         "d: 1\n"
         "kind: cyclotomic\n"
         "values:\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - -2\n"
         "      - 1/2\n"
         "    ell: 2\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - 0\n"
         "      - 9/2\n"
         "    ell: 2\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - 2\n"
         "      - 1/2\n"
         "    ell: 2\n"
-        "    p: 2\n"
+        "  - p: 2\n"
         "    coeffs:\n"
         "      - 0\n"
         "      - -7/2\n"
@@ -270,15 +271,15 @@ TABLES = {
         "d: 1\n"
         "kind: cyclotomic\n"
         "values:\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 0\n"
         "      - 1/2\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 1\n"
         "      - 0\n"
-        "    p: 3\n"
+        "  - p: 3\n"
         "    coeffs:\n"
         "      - 0\n"
         "      - 0\n"

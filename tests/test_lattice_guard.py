@@ -21,7 +21,7 @@ HOMES = {"fourier.py", "scalars.py", "fileio.py"}
 KIND_HOME = {"_coerce_value", "_join_kind", "_kind_of_scalar"}
 LATTICE = {
     "_encode", "_decode", "_exact_transform", "_mass_rows", "_back_project",
-    "_traces", "_lattice_of", "_from_lattice",
+    "_traces", "_set_spectrum", "_lattice_of", "_from_lattice",
 }
 ROW_ARITHMETIC = {"_galois_row", "_reduce_ext"}  # of scalars, for fourier alone
 LATTICE_FORM = {"_rows", "_den", "_values"}  # a GridFunction's two stores

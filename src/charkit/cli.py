@@ -33,7 +33,7 @@ from .varieties import (
     is_good,
 )
 from .verify import SUITE_ORDER, VerifyConfig, run_suites
-from .wavelets import decompose, mass_table, reconstruct_from_masses
+from .wavelets import Decomposition, MassTable, decompose, mass_table, reconstruct_from_masses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -166,16 +166,20 @@ def _render_table(payload, indent: str = "") -> str:
 
 
 def _emit(result, args, render_table=_render_table) -> None:
-    """Write a command's result, a payload or a function (in the form of a
-    function file), as JSON or as a table."""
-    if args.format == "table":
-        if isinstance(result, GridFunction):
-            result = fileio.function_to_payload(result)
-        text = render_table(result)
-    elif isinstance(result, GridFunction):
-        text = fileio.function_dumps(result)
+    """Write a command's result, a payload or a function, sinogram or
+    decomposition (in the form of its file), as JSON or as a table."""
+    if isinstance(result, GridFunction):
+        dumps, payload = fileio.function_dumps, fileio.function_to_payload
+    elif isinstance(result, MassTable):
+        dumps, payload = fileio.sinogram_dumps, fileio.sinogram_to_payload
+    elif isinstance(result, Decomposition):
+        dumps, payload = fileio.decomposition_dumps, fileio.decomposition_to_payload
     else:
-        text = fileio.canonical_dumps(result)
+        dumps, payload = fileio.canonical_dumps, None
+    if args.format == "table":
+        text = render_table(payload(result) if payload else result)
+    else:
+        text = dumps(result)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -212,15 +216,14 @@ def _cmd_bandwidth(args) -> int:
 
 def _cmd_decompose(args) -> int:
     f = fileio.load_function(args.input)
-    dec = decompose(f, args.form, args.tolerance)
-    _emit(fileio.decomposition_to_payload(dec), args)
+    _emit(decompose(f, args.form, args.tolerance), args)
     return EXIT_OK
 
 
 def _cmd_tomography(args) -> int:
     if args.action == "project":
         f = fileio.load_function(args.input)
-        _emit(fileio.sinogram_to_payload(mass_table(f)), args)
+        _emit(mass_table(f), args)
         return EXIT_OK
     table = fileio.load_sinogram(args.input)
     _emit(reconstruct_from_masses(table, args.tolerance), args)

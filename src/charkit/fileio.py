@@ -11,7 +11,9 @@ Complex values:     [re, im], two JSON numbers (not booleans, not strings).
 Sinogram:           {"p": ..., "d": ..., "masses": [{"s": [...], "m": [...]}, ...]};
                     each direction s is a list of d integers and each mass
                     is a rational string, a cyclotomic object of
-                    conductor p, or a complex [re, im] pair.
+                    conductor p, or a complex [re, im] pair.  Masses are
+                    defined on Z_p**d: a "modulus_exponent" above 1 is a
+                    ring grid, which the reader rejects.
 Decomposition:      {"p", "d", "form", "constant", "parts": [{"s", "coeffs"}]}.
 
 A rational literal ("a/b" above, every rational value, coefficient and mass)
@@ -23,17 +25,23 @@ non-ASCII digits are data errors.
 Writers emit canonical bytes (sorted keys, two-space indent, trailing
 newline) so that identical inputs produce identical files.
 
-Exact function files (rational and cyclotomic) are read into lattice rows
-and written from them, with no value built on the way.
-``function_from_payload`` checks each literal once, reads it once into a
-reduced ratio and scales the rows once by the lcm of the denominators;
-``function_dumps`` writes each coefficient c of the rows over den as the
-literal c/den reduced by one gcd, one per distinct c, in the shape of
-``canonical_dumps(function_to_payload(f))``.  Other paths stay per value:
-complex function files, ``function_to_payload`` (the ``--format table``
-view), and sinogram and decomposition payloads.  An integer whose decimal
-text is over the interpreter's limit (``sys.get_int_max_str_digits``) is a
-bad literal when read and a ``CapacityError`` when written.
+Files are read into lattice rows and written from them, with no value
+built on the way.  The readers ``function_from_payload`` and
+``sinogram_from_payload`` check each distinct literal once, read it once
+into a reduced ratio and scale the rows once by the lcm of the
+denominators; the sinogram reader rebases each direction's masses onto its
+canonical generator by one modular inverse.  The writers
+``function_dumps``, ``sinogram_dumps`` and ``decomposition_dumps`` write
+in the fixed shape of ``canonical_dumps`` of the payload, each value by one
+helper, ``_value_texts``: the coefficient c of a row over den becomes the
+literal c/den reduced by one gcd, once per distinct c, and complex values
+their [re, im] pairs.  Complex values are read and written one by one.
+``function_to_payload``, ``sinogram_to_payload`` and
+``decomposition_to_payload`` remain the per-value view (``--format
+table``) and the reference the writers are tested against.  An integer
+whose decimal text is over the interpreter's limit
+(``sys.get_int_max_str_digits``) is a bad literal when read and a
+``CapacityError`` when written.
 """
 
 from __future__ import annotations
@@ -42,13 +50,14 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import CapacityError, DataFormatError
 from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, _from_lattice, _lattice_of
-from .geometry import Ambient, enumerate_lines, grid_point, line_through
+from .geometry import Ambient, enumerate_lines, grid_point, require_prime_grid
 from .scalars import Cyclotomic
-from .wavelets import Decomposition, MassTable
+from .wavelets import Decomposition, MassTable, _Lattice
 
 
 def format_rational(value) -> str:
@@ -181,10 +190,14 @@ def _write(obj, newline: str, out: list) -> None:
         if not obj:
             out.append("[]")
             return
-        inner = newline + "  "
-        if all(isinstance(v, str) for v in obj):
-            out.append(f"[{inner}{(',' + inner).join(map(_quote, obj))}{newline}]")
+        types = set(map(type, obj))
+        if types == {str}:
+            out.append(_list_text(map(_quote, obj), newline))
             return
+        if types <= {int, float}:  # not bools: type(True) is bool
+            out.append(_list_text(map(_number_text, obj), newline))
+            return
+        inner = newline + "  "
         sep = "[" + inner
         for v in obj:
             out.append(sep)
@@ -204,6 +217,23 @@ def _write(obj, newline: str, out: list) -> None:
         out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _list_text(texts, newline: str) -> str:
+    """The JSON text of a list whose items have the JSON texts ``texts``,
+    its lines indented by ``newline``, as ``canonical_dumps`` writes it."""
+    inner = newline + "  "
+    body = ("," + inner).join(texts)
+    return f"[{inner}{body}{newline}]" if body else "[]"
+
+
+# The line starts of a file's top-level items and of the items of a row of
+# its top-level list (a sinogram row, a decomposition part).
+_TOP, _ROW = "\n  ", "\n      "
+
+
+def _number_text(x) -> str:
+    return int.__repr__(x) if type(x) is int else _float_text(x)
 
 
 def _float_text(x: float) -> str:
@@ -234,14 +264,19 @@ def function_to_payload(f: GridFunction) -> dict:
     return payload
 
 
-def function_dumps(f: GridFunction) -> str:
-    """``canonical_dumps(function_to_payload(f))``, the text of f's function
-    file.  An exact f is written from its lattice rows over den: coefficient
-    c becomes the literal c/den reduced by one gcd, each distinct c once."""
-    if f.kind == COMPLEX:
-        return canonical_dumps(function_to_payload(f))
-    den, rows = _lattice_of(f)
-    ambient = f.ambient
+def _value_texts(kind: str, den: int, ambient, newline: str):
+    """texts(rows): the JSON texts of the values whose lattice rows over den
+    are ``rows``, as ``canonical_dumps`` writes a value whose lines are
+    indented by ``newline``.  Coefficient c becomes the rational literal
+    c/den reduced by one gcd, each distinct c once over every call; a
+    cyclotomic row becomes the object of its literals.  A complex row holds
+    its value, written as its [re, im] pair."""
+    inner = newline + "  "
+    if kind == COMPLEX:
+        return lambda rows: [
+            f"[{inner}{_float_text(z.real)},{inner}{_float_text(z.imag)}{newline}]"
+            for z in (complex(row[0]) for row in rows)
+        ]
     memo = {}
 
     def literal(c):
@@ -254,20 +289,64 @@ def function_dumps(f: GridFunction) -> str:
                 raise _text_limit_error(c // g, den // g) from None
         return text
 
-    if f.kind == RATIONAL:
-        values = [literal(c) for (c,) in rows]
-    else:
-        ell = f'      "ell": {ambient.ell},\n' if ambient.ell != 1 else ""
-        tail = f'\n      ],\n{ell}      "p": {ambient.p}\n    }}'
-        values = [
-            '{\n      "coeffs": [\n        ' + ",\n        ".join(map(literal, row)) + tail
-            for row in rows
-        ]
+    if kind == RATIONAL:
+        return lambda rows: [literal(c) for (c,) in rows]
+    head, sep = f'{{{inner}"coeffs": [{inner}  ', f",{inner}  "
+    ell = f'{inner}"ell": {ambient.ell},' if ambient.ell != 1 else ""
+    tail = f'{inner}],{ell}{inner}"p": {ambient.p}{newline}}}'
+    return lambda rows: [head + sep.join(map(literal, row)) + tail for row in rows]
+
+
+def _lattice_texts(held, newline: str) -> list:
+    """For each ``_Lattice`` in ``held``, the JSON texts of its values by
+    ``_value_texts``, one writer per kind and denominator; complex values
+    are written as they read."""
+    writers, texts = {}, []
+    for values in held:
+        key = (values.kind, values.den)
+        if key not in writers:
+            writers[key] = _value_texts(values.kind, values.den, values.ambient, newline)
+        if values.kind == COMPLEX:
+            texts.append(writers[key]([(v,) for v in values.values]))
+        else:
+            texts.append(writers[key](values.rows))
+    return texts
+
+
+def function_dumps(f: GridFunction) -> str:
+    """``canonical_dumps(function_to_payload(f))``, the text of f's function
+    file, written from the lattice rows of an exact f and from the values
+    of a complex one."""
+    ambient = f.ambient
+    den, rows = _lattice_of(f)
+    values = _list_text(_value_texts(f.kind, den, ambient, "\n    ")(rows), _TOP)
     exponent = f'  "modulus_exponent": {ambient.ell},\n' if ambient.ell != 1 else ""
     return (
         f'{{\n  "d": {ambient.d},\n  "kind": "{f.kind}",\n{exponent}  "p": {ambient.p},\n'
-        '  "values": [\n    ' + ",\n    ".join(values) + "\n  ]\n}\n"
+        f'  "values": {values}\n}}\n'
     )
+
+
+class _Literals(dict):
+    """The rational literals of one file, each checked and read once:
+    self[text] = (num, den), reduced."""
+
+    def __init__(self):
+        super().__init__({"0": (0, 1)})
+
+    def read(self, text):
+        """Read the literal ``text`` unless it was read before; return the
+        text, the key of its value."""
+        if type(text) is not str or text not in self:
+            self[text] = _literal_ratio(text)
+        return text
+
+    def scale(self, rows) -> tuple:
+        """(L, rows): rows of literals as int rows over the lcm L of the
+        denominators of every literal read."""
+        L = math.lcm(*{den for _, den in self.values()})
+        ints = {text: num * (L // den) for text, (num, den) in self.items()}
+        return L, [tuple(map(ints.__getitem__, row)) for row in rows]
 
 
 def function_from_payload(payload) -> GridFunction:
@@ -290,13 +369,8 @@ def function_from_payload(payload) -> GridFunction:
         )
     if kind == COMPLEX:
         return GridFunction(ambient, kind, [scalar_from_payload(v, kind, p, ell) for v in values])
-    memo = {"0": (0, 1)}  # literal -> (num, den)
-
-    def literal(text):
-        if type(text) is not str or text not in memo:
-            memo[text] = _literal_ratio(text)
-        return text
-
+    literals = _Literals()
+    literal = literals.read
     if kind == RATIONAL:
         rows = [(literal(v),) for v in values]
     else:
@@ -305,9 +379,7 @@ def function_from_payload(payload) -> GridFunction:
             (literal(v), *pad) if isinstance(v, str) else _cyclotomic_coeffs(v, p, ell, literal)
             for v in values
         ]
-    L = math.lcm(*{den for _, den in memo.values()})
-    ints = {text: num * (L // den) for text, (num, den) in memo.items()}
-    rows = [tuple(map(ints.__getitem__, row)) for row in rows]
+    L, rows = literals.scale(rows)
     return _from_lattice(ambient, rows, L, kind)
 
 
@@ -340,20 +412,40 @@ def sinogram_to_payload(table: MassTable) -> dict:
 
 
 def sinogram_from_payload(payload) -> MassTable:
+    """The mass table of a sinogram file's parsed JSON, read straight onto
+    lattice rows the way ``function_from_payload`` reads values.  The
+    masses of each direction are rebased onto its canonical generator by
+    one modular inverse, and the table takes the kind they join to: a
+    rational mass among cyclotomic ones gets zero coordinates above degree
+    zero, one among complex ones its complex value."""
     if not isinstance(payload, dict):
         raise DataFormatError("sinogram file must contain a JSON object")
     _require_fields(payload, ("p", "d", "masses"), "sinogram file")
-    ambient = Ambient(payload["p"], payload["d"])
+    ambient = Ambient(payload["p"], payload["d"], payload.get("modulus_exponent", 1))
+    require_prime_grid(ambient)
     p = ambient.p
     if not isinstance(payload["masses"], list):
         raise DataFormatError("sinogram masses must be a list of rows")
+    literals, kinds = _Literals(), set()
+    literal = literals.read
+
+    def mass(m) -> tuple:
+        """The row of a mass: its literals, or its complex value."""
+        if isinstance(m, dict):
+            kinds.add(CYCLOTOMIC)
+            return tuple(_cyclotomic_coeffs(m, p, 1, literal))
+        if isinstance(m, list):
+            kinds.add(COMPLEX)
+            return (scalar_from_payload(m, COMPLEX, p),)
+        return (literal(m),)
+
     rows: dict = {}
     for entry in payload["masses"]:
         if not isinstance(entry, dict):
             raise DataFormatError(f"sinogram row must be an object, got {entry!r}")
         _require_fields(entry, ("s", "m"), "sinogram row")
         s = entry["s"]
-        if not isinstance(s, list) or len(s) != ambient.d or any(type(c) is not int for c in s):
+        if not isinstance(s, list) or len(s) != ambient.d or {*map(type, s)} != {int}:
             raise DataFormatError(
                 f"sinogram direction must be a list of {ambient.d} integers, got {s!r}"
             )
@@ -362,39 +454,57 @@ def sinogram_from_payload(payload) -> MassTable:
             raise DataFormatError("sinogram direction must be nonzero")
         if not isinstance(entry["m"], list) or len(entry["m"]) != p:
             raise DataFormatError(f"direction {entry['s']} needs a list of {p} masses")
-        ms = [_mass_from_payload(m, p) for m in entry["m"]]
-        line = line_through(ambient, s)
-        # Rebase the masses onto the canonical generator: x.s = t is the
-        # same plane as x.rep = t/c where c is the first nonzero entry of s.
-        first = next(c for c in s if c)
+        ms = [mass(m) for m in entry["m"]]
+        # The canonical generator of the line through s is rep = s/c, c the
+        # first nonzero entry of s, and x.s = t is the plane x.rep = t/c.
+        inverse = pow(next(c for c in s if c), -1, p)
+        rep = tuple([c * inverse % p for c in s])
         rebased = [None] * p
-        for t in range(p):
-            rebased[t * pow(first, p - 2, p) % p] = ms[t]
-        if line in rows:
-            raise DataFormatError(f"duplicate sinogram direction through {line.rep}")
-        rows[line] = tuple(rebased)
-    ordered = tuple(
-        (line, rows[line]) for line in enumerate_lines(ambient) if line in rows
-    )
-    kinds = {type(m) for _, ms in ordered for m in ms}
-    if complex in kinds and Cyclotomic in kinds:
+        for t, m in enumerate(ms):
+            rebased[t * inverse % p] = m
+        if rep in rows:
+            raise DataFormatError(f"duplicate sinogram direction through {rep}")
+        rows[rep] = rebased
+    if COMPLEX in kinds and CYCLOTOMIC in kinds:
         raise DataFormatError("a sinogram cannot mix complex and cyclotomic masses")
-    return MassTable(ambient, ordered)
+    lines = [line for line in enumerate_lines(ambient) if line.rep in rows]
+    cells = [m for line in lines for m in rows[line.rep]]
+    if COMPLEX in kinds:
+        cells = [m if type(m[0]) is complex else (_complex_mass(m[0], literals[m[0]]),) for m in cells]
+        masses = _Lattice(ambient, COMPLEX, 1, cells)
+    else:
+        kind = CYCLOTOMIC if kinds else RATIONAL
+        pad = ("0",) * (p - 2) if kinds else ()
+        L, cells = literals.scale([m + pad if len(m) == 1 else m for m in cells])
+        masses = _Lattice(ambient, kind, L, cells)
+    return MassTable._held(ambient, lines, masses)
 
 
-def _mass_from_payload(m, p: int):
-    """A mass in any of the three scalar forms: a rational literal, a
-    cyclotomic object of conductor p, or a complex [re, im] pair."""
-    if isinstance(m, dict):
-        return scalar_from_payload(m, CYCLOTOMIC, p)
-    if isinstance(m, list):
-        return scalar_from_payload(m, COMPLEX, p)
-    return parse_rational(m)
+def _complex_mass(text: str, ratio: tuple) -> complex:
+    """The complex value of the rational literal ``text`` read as (num, den),
+    the value ``complex(Fraction(num, den))``."""
+    try:
+        return complex(ratio[0] / ratio[1])
+    except OverflowError:
+        raise DataFormatError(f"rational mass {text!r} is too large for a complex value") from None
+
+
+def sinogram_dumps(table: MassTable) -> str:
+    """``canonical_dumps(sinogram_to_payload(table))``, the text of the
+    table's sinogram file, written from its lattice rows."""
+    ambient = table.ambient
+    masses = iter(_lattice_texts([table._masses], _ROW + "  ")[0])
+    rows = [
+        f'{{{_ROW}"m": {_list_text(islice(masses, size), _ROW)},'
+        f'{_ROW}"s": {_list_text(map(str, line.rep), _ROW)}\n    }}'
+        for line, size in zip(table.directions(), table._sizes)
+    ]
+    return f'{{\n  "d": {ambient.d},\n  "masses": {_list_text(rows, _TOP)},\n  "p": {ambient.p}\n}}\n'
 
 
 def save_sinogram(table: MassTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(sinogram_to_payload(table)))
+        fh.write(sinogram_dumps(table))
 
 
 def load_sinogram(path) -> MassTable:
@@ -415,6 +525,24 @@ def decomposition_to_payload(dec: Decomposition) -> dict:
             for w in dec.parts
         ],
     }
+
+
+def decomposition_dumps(dec: Decomposition) -> str:
+    """``canonical_dumps(decomposition_to_payload(dec))``, the text of the
+    decomposition's file, written from the lattice rows of its constant
+    and of its coefficients."""
+    ambient = dec.ambient
+    [[constant]] = _lattice_texts([dec._constant], _TOP)
+    coeffs = _lattice_texts([w._coefficients for w in dec.parts], _ROW + "  ")
+    parts = [
+        f'{{{_ROW}"coeffs": {_list_text(texts, _ROW)},'
+        f'{_ROW}"s": {_list_text(map(str, w.direction.rep), _ROW)}\n    }}'
+        for w, texts in zip(dec.parts, coeffs)
+    ]
+    return (
+        f'{{\n  "constant": {constant},\n  "d": {ambient.d},\n  "form": {_quote(dec.form)},\n'
+        f'  "p": {ambient.p},\n  "parts": {_list_text(parts, _TOP)}\n}}\n'
+    )
 
 
 def bandwidth_report_payload(report) -> dict:

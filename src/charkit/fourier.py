@@ -495,9 +495,11 @@ def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
     return [_reduce_ext(p, ell, list(v)) for v in zip(*planes)]
 
 
-def _mass_rows(f: GridFunction, lines) -> list:
-    """The masses of f in every direction of ``lines``, from one mass run:
-    the d passes leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
+def _mass_rows(f: GridFunction, lines) -> tuple:
+    """(den, cells): the masses of f in every direction of ``lines``, from
+    one mass run, undecoded.  cells[i*p + t] / den is the lattice row of
+    m_{s_i,t}, s_i = lines[i].rep, over f's own denominator; the d passes
+    leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
     ambient, p = f.ambient, f.ambient.p
     den, rows = _lattice_of(f)
     width = len(rows[0])
@@ -505,9 +507,8 @@ def _mass_rows(f: GridFunction, lines) -> list:
     A = _planes(rows) + [0] * ((p - 1) * plane)  # every coordinate at power 0, p planes
     for _ in range(ambient.d):
         A = _lattice_pass(A, p, +1)
-    at = [t * plane + ambient.index_of(line.rep) * width for line in lines for t in range(p)]
-    ms = _decode(f.kind, [A[i : i + width] for i in at], den, ambient)
-    return list(zip(*[iter(ms)] * p))
+    at = [ambient.index_of(line.rep) * width for line in lines]
+    return den, [tuple(A[t * plane + i : t * plane + i + width]) for i in at for t in range(p)]
 
 
 def _back_project(ambient, lines, rows) -> list:

@@ -18,11 +18,12 @@ import math
 import random
 import re
 import tempfile
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from charkit import cli, fileio
@@ -62,6 +63,8 @@ json_trees = st.recursive(
         st.lists(children, max_size=6)
         | st.lists(children, max_size=4).map(tuple)
         | st.lists(st.text(), max_size=6)
+        | st.lists(st.integers() | st.floats() | st.sampled_from(SPECIAL_FLOATS), max_size=6)
+        | st.lists(st.integers(-2, 2) | st.booleans(), max_size=6)
         | st.dictionaries(st.text() | st.sampled_from(SPECIAL_TEXT), children, max_size=5)
     ),
     max_leaves=40,
@@ -70,6 +73,14 @@ json_trees = st.recursive(
 
 @settings(FIXED, max_examples=200)
 @given(json_trees)
+# Lists of numbers are written in one join, which must leave bools (ints to
+# isinstance) and int subclasses to the per-item path.
+@example([1, True, 0, False])
+@example([True])
+@example([3, -0.0, 1e16, 2, math.nan, -math.inf, 10**30])
+@example({"lines": [[0, 1, 1], [1, 0, 2]], "bw": [0.5, 1]})
+@example([1, 2.5, "3"])
+@example([IntEnum("E", "A").A, 1])
 def test_canonical_dumps_equals_json_dumps(obj):
     assert fileio.canonical_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

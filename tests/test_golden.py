@@ -37,6 +37,21 @@ before every floating comparison became relative to the largest value it
 compares; the smallest nonzero spectrum value of these files is 4.3e-4, so
 the change of rule moves no byte.
 
+The complex files' ``.decompose-plain`` and ``.decompose-massless``
+outputs are what ``charkit decompose --form plain|massless`` printed for
+them before decomposition files were written from lattice rows;
+``.decompose`` pins the default, reduced form.
+
+``golden/flat/<name>.json`` are functions of bandwidth 0 (``"parts": []``
+in every decomposition): the zero function and a constant one of each
+kind, rational on (3,2), cyclotomic on (5,2) (the constant is not
+rational) and complex on (3,3).  Their ``.decompose-<form>`` (every form)
+and ``.project`` outputs are what ``charkit decompose --form <form>`` and
+``tomography project`` printed for them, and ``.reconstruct`` what
+``charkit tomography reconstruct`` printed for the ``.project`` output,
+all written before sinograms and decompositions were written from lattice
+rows.
+
 ``golden/exact/<kind>_<p>_<d>.json`` are exact function files on (2,8),
 (3,5) and (7,3), grids with many lines: ``rational`` and ``cyclotomic`` are
 ``random_rational_function`` and ``random_cyclotomic_function`` drawn from
@@ -92,6 +107,8 @@ COMPLEX_COMMANDS = {
     "transform": ("transform",),
     "bandwidth": ("bandwidth",),
     "decompose": ("decompose",),
+    "decompose-plain": ("decompose", "--form", "plain"),
+    "decompose-massless": ("decompose", "--form", "massless"),
     "project": ("tomography", "project"),
     "inverse": ("transform", "--inverse"),
     "eigen": ("eigen",),
@@ -117,6 +134,17 @@ EXACT_COMMANDS = {
 # The outputs whose input is another pinned output, not the function file.
 EXACT_SOURCES = {"inverse": "transform", "reconstruct": "project"}
 EXACT_CASES = [(path, name) for path in EXACT_INPUTS for name in EXACT_COMMANDS]
+
+
+FLAT_INPUTS = sorted(
+    p for p in (GOLDEN / "flat").glob("*.json") if not p.name.endswith(".out.json")
+)
+FLAT_COMMANDS = {
+    **{f"decompose-{form}": ("decompose", "--form", form) for form in FORMS},
+    "project": ("tomography", "project"),
+    "reconstruct": ("tomography", "reconstruct"),
+}
+FLAT_CASES = [(path, name) for path in FLAT_INPUTS for name in FLAT_COMMANDS]
 
 
 def cli_stdout(*argv) -> str:
@@ -165,6 +193,17 @@ def test_exact_goldens_present():
     )
 
 
+def test_flat_goldens_present():
+    assert [p.stem for p in FLAT_INPUTS] == [
+        f"{name}_{kind}_{grid}"
+        for name in ("constant", "zero")
+        for kind, grid in (("complex", "3_3"), ("cyclotomic", "5_2"), ("rational", "3_2"))
+    ]
+    assert all(
+        path.with_name(f"{path.stem}.{name}.out.json").exists() for path, name in FLAT_CASES
+    )
+
+
 def test_verify_all_seed_42_is_byte_identical():
     want = (GOLDEN / "verify_all_seed42.out.json").read_text()
     assert cli_stdout("verify", "all", "--seed", "42") == want
@@ -208,3 +247,13 @@ def test_exact_outputs_are_byte_identical(path, name):
         source = path.with_name(f"{path.stem}.{EXACT_SOURCES[name]}.out.json")
     want = path.with_name(f"{path.stem}.{name}.out.json").read_text()
     assert cli_stdout(*EXACT_COMMANDS[name], "--input", str(source)) == want
+
+
+@pytest.mark.parametrize(
+    "path,name", FLAT_CASES, ids=[f"{path.stem}-{name}" for path, name in FLAT_CASES]
+)
+def test_flat_outputs_are_byte_identical(path, name):
+    """``reconstruct`` reads the pinned ``project`` output."""
+    source = path.with_name(f"{path.stem}.project.out.json") if name == "reconstruct" else path
+    want = path.with_name(f"{path.stem}.{name}.out.json").read_text()
+    assert cli_stdout(*FLAT_COMMANDS[name], "--input", str(source)) == want

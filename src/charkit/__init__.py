@@ -34,7 +34,6 @@ from .errors import (
 )
 from .fourier import (
     GridFunction,
-    Spectrum,
     convolve,
     forward,
     forward_naive,

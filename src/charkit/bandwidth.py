@@ -19,11 +19,10 @@ from .fourier import (
     CYCLOTOMIC,
     RATIONAL,
     GridFunction,
-    Spectrum,
+    Values,
     _back_project,
-    _coerce_value,
-    _encode,
     _from_lattice,
+    _lattice_of,
     _set_spectrum,
     _traces,
     forward,
@@ -61,7 +60,7 @@ class BandwidthReport:
 
 
 def support_profile(
-    F: Spectrum, source_kind: str | None = None, tol: float = DEFAULT_TOL
+    F: GridFunction, source_kind: str | None = None, tol: float = DEFAULT_TOL
 ) -> BandwidthReport:
     """Classify every line as active or vanishing on the given spectrum,
     and report the active ones.
@@ -311,10 +310,10 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
             raise ValueError(f"two seeds for the line through {rep}")
         keyed[line] = seed
     try:
-        values = [_coerce_value(CYCLOTOMIC, v, ambient) for v in (dc, *keyed.values())]
+        values = Values(ambient, CYCLOTOMIC, (dc, *keyed.values()))
     except TypeError:
         raise ValueError("the average and the seeds must be rational or cyclotomic") from None
-    _, den, (average, *rows) = _encode(values, ambient, CYCLOTOMIC)
+    den, (average, *rows) = _lattice_of(values)
     if any(average[1:]):
         raise ValueError(f"the average {dc} of a rational function must be rational")
     sums = _back_project(ambient, keyed, _traces(p, rows)) if keyed else [(0,)] * ambient.size

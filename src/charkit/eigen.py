@@ -23,6 +23,7 @@ from .fourier import (
     CYCLOTOMIC,
     RATIONAL,
     GridFunction,
+    _coerce_value,
     _from_lattice,
     _set_spectrum,
     forward,
@@ -244,10 +245,10 @@ def eigen_expand(f: GridFunction, tol: float = DEFAULT_TOL) -> Expansion:
     terms = []
 
     def scaled(c, k: int):
-        """c / (2 * p**(d/2-k))."""
+        """c / (2 * p**(d/2-k)); at odd d, c's complex value, which must be finite."""
         if exact:
             return c * (Fraction(1, 2) * Fraction(p) ** (k - Fraction(d, 2)))
-        return complex(c) * (1.0 / (2 * p ** (d / 2 - k)))
+        return _coerce_value(COMPLEX, c, ambient) * (1.0 / (2 * p ** (d / 2 - k)))
 
     if not is_zero(dec.constant, bound):
         V = Subspace.full(ambient)

@@ -26,11 +26,13 @@ Writers emit canonical bytes (sorted keys, two-space indent, trailing
 newline) so that identical inputs produce identical files.
 
 Files are read into lattice rows and written from them, with no value
-built on the way.  The readers ``function_from_payload`` and
-``sinogram_from_payload`` check each distinct literal once, read it once
-into a reduced ratio and scale the rows once by the lcm of the
-denominators; the sinogram reader rebases each direction's masses onto its
-canonical generator by one modular inverse.  The writers
+built on the way: a function, a mass table, a wavelet's coefficients and a
+decomposition's constant each hold one ``fourier.Values``, built from rows
+by ``_from_lattice`` and read through ``_lattice_of``.  The readers
+``function_from_payload`` and ``sinogram_from_payload`` check each distinct
+literal once, read it once into a reduced ratio and scale the rows once by
+the lcm of the denominators; the sinogram reader rebases each direction's
+masses onto its canonical generator by one modular inverse.  The writers
 ``function_dumps``, ``sinogram_dumps`` and ``decomposition_dumps`` write
 in the fixed shape of ``canonical_dumps`` of the payload, each value by one
 helper, ``_value_texts``: the coefficient c of a row over den becomes the
@@ -54,10 +56,10 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import CapacityError, DataFormatError
-from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, _from_lattice, _lattice_of
+from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, Values, _from_lattice, _lattice_of
 from .geometry import Ambient, enumerate_lines, grid_point, require_prime_grid
 from .scalars import Cyclotomic
-from .wavelets import Decomposition, MassTable, _Lattice
+from .wavelets import Decomposition, MassTable
 
 
 def format_rational(value) -> str:
@@ -274,8 +276,7 @@ def _value_texts(kind: str, den: int, ambient, newline: str):
     inner = newline + "  "
     if kind == COMPLEX:
         return lambda rows: [
-            f"[{inner}{_float_text(z.real)},{inner}{_float_text(z.imag)}{newline}]"
-            for z in (complex(row[0]) for row in rows)
+            f"[{inner}{_float_text(z.real)},{inner}{_float_text(z.imag)}{newline}]" for (z,) in rows
         ]
     memo = {}
 
@@ -298,18 +299,16 @@ def _value_texts(kind: str, den: int, ambient, newline: str):
 
 
 def _lattice_texts(held, newline: str) -> list:
-    """For each ``_Lattice`` in ``held``, the JSON texts of its values by
-    ``_value_texts``, one writer per kind and denominator; complex values
-    are written as they read."""
+    """For each ``Values`` in ``held``, the JSON texts of its values by
+    ``_value_texts`` from its lattice rows, one writer per kind and
+    denominator."""
     writers, texts = {}, []
     for values in held:
-        key = (values.kind, values.den)
+        den, rows = _lattice_of(values)
+        key = (values.kind, den)
         if key not in writers:
-            writers[key] = _value_texts(values.kind, values.den, values.ambient, newline)
-        if values.kind == COMPLEX:
-            texts.append(writers[key]([(v,) for v in values.values]))
-        else:
-            texts.append(writers[key](values.rows))
+            writers[key] = _value_texts(values.kind, den, values.ambient, newline)
+        texts.append(writers[key](rows))
     return texts
 
 
@@ -417,7 +416,8 @@ def sinogram_from_payload(payload) -> MassTable:
     masses of each direction are rebased onto its canonical generator by
     one modular inverse, and the table takes the kind they join to: a
     rational mass among cyclotomic ones gets zero coordinates above degree
-    zero, one among complex ones its complex value."""
+    zero, one among complex ones its complex value.  Complex masses are
+    read one by one, and their table holds them as values."""
     if not isinstance(payload, dict):
         raise DataFormatError("sinogram file must contain a JSON object")
     _require_fields(payload, ("p", "d", "masses"), "sinogram file")
@@ -429,14 +429,14 @@ def sinogram_from_payload(payload) -> MassTable:
     literals, kinds = _Literals(), set()
     literal = literals.read
 
-    def mass(m) -> tuple:
-        """The row of a mass: its literals, or its complex value."""
+    def mass(m):
+        """The row of a mass's literals, or its complex value."""
         if isinstance(m, dict):
             kinds.add(CYCLOTOMIC)
             return tuple(_cyclotomic_coeffs(m, p, 1, literal))
         if isinstance(m, list):
             kinds.add(COMPLEX)
-            return (scalar_from_payload(m, COMPLEX, p),)
+            return scalar_from_payload(m, COMPLEX, p)
         return (literal(m),)
 
     rows: dict = {}
@@ -470,14 +470,15 @@ def sinogram_from_payload(payload) -> MassTable:
     lines = [line for line in enumerate_lines(ambient) if line.rep in rows]
     cells = [m for line in lines for m in rows[line.rep]]
     if COMPLEX in kinds:
-        cells = [m if type(m[0]) is complex else (_complex_mass(m[0], literals[m[0]]),) for m in cells]
-        masses = _Lattice(ambient, COMPLEX, 1, cells)
+        masses = Values(ambient, COMPLEX, [
+            m if type(m) is complex else _complex_mass(m[0], literals[m[0]]) for m in cells
+        ])
     else:
         kind = CYCLOTOMIC if kinds else RATIONAL
         pad = ("0",) * (p - 2) if kinds else ()
         L, cells = literals.scale([m + pad if len(m) == 1 else m for m in cells])
-        masses = _Lattice(ambient, kind, L, cells)
-    return MassTable._held(ambient, lines, masses)
+        masses = Values._from_lattice(ambient, cells, L, kind)
+    return MassTable(ambient, lines, masses)
 
 
 def _complex_mass(text: str, ratio: tuple) -> complex:

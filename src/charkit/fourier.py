@@ -13,10 +13,10 @@ The forward transform is
 and the inverse carries no normalization, so F(0) is the average of f and
 the convolution theorem reads forward(f * g) = q**d * forward(f)*forward(g).
 
-A value changes kind in one place, ``_coerce_value``, which the
-``GridFunction`` constructor applies to every value: rational values
-promote to cyclotomic or complex ones, cyclotomic values to complex ones
-by ``complex(z)`` (the embedding), and complex values never go back.
+A value changes kind in one place, ``_coerce_value``, which every holder
+built from values applies to every value: rational values promote to
+cyclotomic or complex ones, cyclotomic values to complex ones by
+``complex(z)`` (the embedding), and complex values never go back.
 ``to_cyclotomic``, ``to_complex`` and arithmetic or equality with a
 complex function promote by building a ``GridFunction`` of the joined
 kind; exact arithmetic and equality work on the lattice rows (below).
@@ -32,23 +32,27 @@ roots exp(2*pi*i*e/q) of ``scalars._embed_roots``, the one root table,
 which ``forward_naive`` and the floating eigenfunctions read too.
 
 The exact path is an integer-lattice kernel in the style of Nussbaumer's
-polynomial transforms, and this module is the one home of its format.  An
-exact function holds it from construction: one int row per point over one
-denominator, the phi power-basis coordinates of a cyclotomic value or the
-one of a rational value.  ``_encode`` scales values onto rows by the lcm L
-of their denominators; a run builds its result from rows
-(``_from_lattice``), whose ``values`` ``_decode`` makes on the first read
-only.  A run lays rows out as planes, A[c*N + i] = coordinate c of value i
-(``_planes``): length-q int vectors in Z[x]/(x**q - 1), x standing for
-zeta, where multiplying by zeta**e is a rotation, so the d axis passes
-only add ints, N*d*q*q of them for N = q**d points, and each output value
-is reduced to the power basis once.  ``forward`` leaves rows over L*N,
-``inverse`` over L, rational exactly when every coordinate above degree
-zero is zero.  The rows answer for the function: the zero mask, the
-Galois action (x**j -> x**(r*j)), equality (cross-multiplied by the two
-denominators), ``+`` and ``-`` (over the lcm of the two), ``take`` and the
-transforms.  Every run is laid out here; other modules read rows through
-``_lattice_of``, build from them through ``_from_lattice`` and call the runs.
+polynomial transforms, and this module is the one home of its format.
+Values are held one way, by ``Values``: a grid function is the ``Values``
+of its N points, and a mass table, a wavelet's coefficients and a
+decomposition's constant each hold one.  Exact values are held from
+construction as one int row per value over one denominator, the phi
+power-basis coordinates of a cyclotomic value or the one of a rational
+value; complex values are held alone, and a grid function's must be
+finite.  ``_encode`` scales values onto rows by the lcm L of their
+denominators; a run builds its result from rows (``_from_lattice``), whose
+``values`` ``_decode`` makes on the first read only.  A run lays rows out
+as planes, A[c*N + i] = coordinate c of value i (``_planes``): length-q int
+vectors in Z[x]/(x**q - 1), x standing for zeta, where multiplying by
+zeta**e is a rotation, so the d axis passes only add ints, N*d*q*q of them
+for N = q**d points, and each output value is reduced to the power basis
+once.  ``forward`` leaves rows over L*N, ``inverse`` over L, rational
+exactly when every coordinate above degree zero is zero.  The rows answer
+for the function: the zero mask, the Galois action (x**j -> x**(r*j)),
+equality (cross-multiplied by the two denominators), ``+`` and ``-`` (over
+the lcm of the two), ``take`` and the transforms.  Every run is laid out
+here; other modules read rows through ``_lattice_of``, build from them
+through ``_from_lattice`` and call the runs.
 
 Two runs on Z_p**d (q = p) serve tomography.  The mass run (``_mass_rows``)
 places every coordinate of every value at power 0; the d passes (sign +1)
@@ -83,6 +87,7 @@ with.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections import Counter
@@ -108,6 +113,7 @@ from .scalars import (
 )
 
 _KINDS = (RATIONAL, CYCLOTOMIC, COMPLEX)
+_NOT_FINITE = "complex values must be finite"
 
 
 def _coerce_value(kind: str, value, ambient):
@@ -119,40 +125,83 @@ def _coerce_value(kind: str, value, ambient):
                 raise ValueError("cyclotomic value conductor does not match the grid")
             return value
         return Cyclotomic.from_rational(ambient.p, Fraction(value), ambient.ell)
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("complex values must be finite")
-    return z
+    try:
+        return complex(value)
+    except OverflowError:  # an exact value beyond the float range
+        raise ValueError(_NOT_FINITE) from None
 
 
-class GridFunction:
-    """A dense function on the points of the grid, in lexicographic order.
-
-    An exact function holds its lattice rows over one denominator from
-    construction; ``values`` are the values it was built from, or decoded
-    from its rows on the first read.  A complex function holds values alone."""
+class Values:
+    """Values of one kind on a grid, any number of them: the one holder of
+    a grid function's N values, a mass table's p masses per direction, a
+    wavelet's p coefficients and a decomposition's constant.  Exact values
+    are held on their lattice rows over one denominator from construction;
+    ``values`` are the values they were built from, or decoded from the
+    rows on the first read.  Complex values are held alone."""
 
     __slots__ = ("ambient", "kind", "_values", "_rows", "_den")
 
     def __init__(self, ambient, kind: str, values):
         if kind not in _KINDS:
             raise ValueError(f"unknown scalar kind {kind!r}")
-        values = tuple(_coerce_value(kind, v, ambient) for v in values)
-        if len(values) != ambient.size:
-            raise ValueError(
-                f"need {ambient.size} values for this grid, got {len(values)}"
-            )
         self.ambient = ambient
         self.kind = kind
-        self._values = values
+        self._values = tuple(_coerce_value(kind, v, ambient) for v in values)
         if kind != COMPLEX:
-            _, self._den, self._rows = _encode(values, ambient, kind)
+            self._den, self._rows = _encode(self._values, ambient, kind)
+
+    @classmethod
+    def _from_lattice(cls, ambient, rows, den: int, kind: str | None = None):
+        """The holder whose value i has the coordinates rows[i] / den, exact
+        ``values`` undecoded until read.  Without ``kind`` the rows are
+        demoted as an inverse transform's are: rational, one coordinate per
+        row, exactly when every coordinate above degree zero is zero.
+        Complex rows hold one value each and are divided out at once."""
+        if kind == COMPLEX:
+            return cls(ambient, COMPLEX, [complex(c) / den for (c,) in rows])
+        if kind is None:
+            first, *higher = zip(*rows)
+            kind = CYCLOTOMIC if any(map(any, higher)) else RATIONAL
+            rows = rows if kind == CYCLOTOMIC else list(zip(first))
+        held = object.__new__(cls)
+        held.ambient, held.kind, held._values, held._rows, held._den = ambient, kind, None, rows, den
+        return held
 
     @property
     def values(self) -> tuple:
         if self._values is None:
             self._values = tuple(_decode(self.kind, self._rows, self._den, self.ambient))
         return self._values
+
+    def __len__(self) -> int:
+        return len(self._values if self.kind == COMPLEX else self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Values):
+            return NotImplemented
+        return self.ambient == other.ambient and len(self) == len(other) and all(_agreement(self, other))
+
+    def take(self, ambient, src) -> "GridFunction":
+        """The function on ``ambient`` whose value i is value src[i] of these."""
+        if self.kind == COMPLEX:
+            return GridFunction(ambient, COMPLEX, [self.values[i] for i in src])
+        return _from_lattice(ambient, [self._rows[i] for i in src], self._den, self.kind)
+
+
+class GridFunction(Values):
+    """A dense function on the points of the grid, in lexicographic order:
+    the ``Values`` of its N points.  Complex values must be finite."""
+
+    __slots__ = ()
+
+    def __init__(self, ambient, kind: str, values):
+        super().__init__(ambient, kind, values)
+        if kind == COMPLEX and not all(map(cmath.isfinite, self._values)):
+            raise ValueError(_NOT_FINITE)
+        if len(self._values) != ambient.size:
+            raise ValueError(
+                f"need {ambient.size} values for this grid, got {len(self._values)}"
+            )
 
     @classmethod
     def constant(cls, ambient, value) -> "GridFunction":
@@ -218,11 +267,6 @@ class GridFunction:
             raise ValueError("grid mismatch")
         return tuple(_agreement(self, other))
 
-    def __eq__(self, other):
-        if not isinstance(other, GridFunction):
-            return NotImplemented
-        return self.ambient == other.ambient and all(_agreement(self, other))
-
     def galois(self, r: int) -> "GridFunction":
         """The image under zeta -> zeta**r of every value (r a unit mod q),
         computed on the lattice rows: x**j goes to x**(r*j), then one
@@ -234,18 +278,11 @@ class GridFunction:
         if r == 1 or self.kind == RATIONAL:
             return self
         rows = [_galois_row(p, ell, row, r) for row in self._rows]
-        return _from_lattice(self.ambient, rows, self._den, CYCLOTOMIC, type(self))
+        return _from_lattice(self.ambient, rows, self._den, CYCLOTOMIC)
 
     def dilate(self, r: int) -> "GridFunction":
         """The function x -> self(r*x)."""
         return self.take(self.ambient, dilation_indices(self.ambient, r % self.ambient.modulus))
-
-    def take(self, ambient, src) -> "GridFunction":
-        """The function on ``ambient`` whose value i is self's value src[i]."""
-        if self.kind == COMPLEX:
-            return type(self)(ambient, COMPLEX, [self.values[i] for i in src])
-        rows = [self._rows[i] for i in src]
-        return _from_lattice(ambient, rows, self._den, self.kind, type(self))
 
     def isclose(self, other: "GridFunction", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient != other.ambient:
@@ -295,10 +332,6 @@ class GridFunction:
             f"GridFunction(p={self.ambient.p}, d={self.ambient.d}, "
             f"kind={self.kind}, {self.ambient.size} values)"
         )
-
-
-class Spectrum(GridFunction):
-    """A GridFunction tagged as living in the frequency domain."""
 
 
 def vanishes_on(F: GridFunction, points, tol: float = DEFAULT_TOL) -> bool:
@@ -389,22 +422,13 @@ def _lattice_pass(A: list, q: int, sign: int) -> list:
     return out
 
 
-def _encode(values, ambient, kind: str | None = None):
-    """(kind, L, rows): ``values`` on the lattice Z[x]/(x**q - 1), the one
-    place a value is scaled onto it.
-
-    Without ``kind`` the values are promoted to the kind they join to;
-    callers that hold values of one kind pass it.  Exact values are scaled
-    by the lcm L of every coefficient denominator, and rows[i] holds L
-    times the coordinates of values[i]: the phi power-basis coordinates of
-    a cyclotomic value, the single one of a rational value.  Complex values
-    enter as they are, one per row, with L = 1.
+def _encode(values, ambient, kind: str):
+    """(L, rows): exact ``values`` of ``kind`` on the lattice Z[x]/(x**q - 1),
+    the one place a value is scaled onto it.  The values are scaled by the
+    lcm L of every coefficient denominator, and rows[i] holds L times the
+    coordinates of values[i]: the phi power-basis coordinates of a
+    cyclotomic value, the single one of a rational value.
     """
-    if kind is None:
-        kind = _join_kind(*map(_kind_of_scalar, values))
-        values = [_coerce_value(kind, v, ambient) for v in values]
-    if kind == COMPLEX:
-        return COMPLEX, 1, [(v,) for v in values]
     width = 1
     if kind == CYCLOTOMIC:
         width = ambient.modulus - ambient.modulus // ambient.p
@@ -412,18 +436,15 @@ def _encode(values, ambient, kind: str | None = None):
     ratios = [c.as_integer_ratio() for c in values]
     L = math.lcm(*{den for _, den in ratios})
     ints = iter([num * (L // den) for num, den in ratios])
-    return kind, L, list(zip(*[ints] * width))  # width ints per row
+    return L, list(zip(*[ints] * width))  # width ints per row
 
 
 def _decode(kind: str, rows, den: int, ambient) -> list:
-    """The values of lattice rows, the one place they turn back into values.
-
-    Row i holds the coordinates of value i: its power-basis coordinates for
-    a cyclotomic value, one coordinate for a rational or complex one.  Each
-    is divided by den, and each distinct Fraction is built once.
+    """The exact values of lattice rows, the one place they turn back into
+    values.  Row i holds the coordinates of value i: its power-basis
+    coordinates for a cyclotomic value, one coordinate for a rational one.
+    Each is divided by den, and each distinct Fraction is built once.
     """
-    if kind == COMPLEX:
-        return [complex(row[0]) / den for row in rows]
     memo = {0: ZERO}
 
     def frac(c):
@@ -438,26 +459,16 @@ def _decode(kind: str, rows, den: int, ambient) -> list:
     return [frac(row[0]) for row in rows]
 
 
-def _from_lattice(ambient, rows, den: int, kind: str | None = None, cls=GridFunction):
-    """The exact function whose value i has the coordinates rows[i] / den,
-    ``values`` undecoded until read.  Without ``kind`` the rows are demoted
-    as an inverse transform's are: rational, one coordinate per row, exactly
-    when every coordinate above degree zero is zero."""
-    if kind is None:
-        first, *higher = zip(*rows)
-        kind = CYCLOTOMIC if any(map(any, higher)) else RATIONAL
-        rows = rows if kind == CYCLOTOMIC else list(zip(first))
-    f = object.__new__(cls)
-    f.ambient, f.kind, f._values, f._rows, f._den = ambient, kind, None, rows, den
-    return f
+# Grid functions are built from rows here, and other modules build them through it.
+_from_lattice = GridFunction._from_lattice
 
 
-def _lattice_of(f: GridFunction):
-    """(den, rows): f on the lattice, rows[i] / den the coordinates of value
-    i.  Complex values enter as they are, one per row, over 1."""
-    if f.kind == COMPLEX:
-        return 1, [(v,) for v in f.values]
-    return f._den, f._rows
+def _lattice_of(held: Values):
+    """(den, rows): the values on the lattice, rows[i] / den the coordinates
+    of value i.  Complex values enter as they are, one per row, over 1."""
+    if held.kind == COMPLEX:
+        return 1, [(v,) for v in held.values]
+    return held._den, held._rows
 
 
 def _planes(rows) -> list:
@@ -465,12 +476,12 @@ def _planes(rows) -> list:
     return [c for col in zip(*rows) for c in col]
 
 
-def _agreement(f: GridFunction, g: GridFunction):
-    """Per point, whether f and g take the same value.  Exact functions
-    compare their lattices, rows a/da and b/db as a*db == b*da with the
-    shorter row padded by zeros; complex ones their promoted values."""
+def _agreement(f: Values, g: Values):
+    """Per value, whether f and g hold the same one.  Exact values compare
+    their lattices, rows a/da and b/db as a*db == b*da with the shorter row
+    padded by zeros; complex ones their values promoted to complex."""
     if COMPLEX in (f.kind, g.kind):
-        return map(operator.eq, f.to_complex().values, g.to_complex().values)
+        return map(operator.eq, *(Values(h.ambient, COMPLEX, h.values).values for h in (f, g)))
     (da, ra), (db, rb) = (f._den, f._rows), (g._den, g._rows)
     if da == db and len(ra[0]) == len(rb[0]):
         return map(operator.eq, ra, rb)
@@ -536,7 +547,7 @@ def _traces(p: int, rows) -> list:
     return [(p * e[-u % p] - total,) for e, total in ext for u in range(p)]
 
 
-def forward(f: GridFunction) -> Spectrum:
+def forward(f: GridFunction) -> GridFunction:
     """The normalized transform; exact over Q(zeta) for exact inputs."""
     ambient = f.ambient
     if f.kind == COMPLEX:
@@ -544,9 +555,9 @@ def forward(f: GridFunction) -> Spectrum:
         for _ in range(ambient.d):
             vals = _complex_pass(vals, ambient.modulus, -1)
         scale = 1.0 / ambient.size
-        return Spectrum(ambient, COMPLEX, [v * scale for v in vals])
+        return GridFunction(ambient, COMPLEX, [v * scale for v in vals])
     rows = _exact_transform(f._rows, ambient, ambient.d, -1)
-    return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC, Spectrum)
+    return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC)
 
 
 @lru_cache(maxsize=None)
@@ -560,7 +571,7 @@ def _point_spectra(ambient) -> tuple:
     return tuple([c for u in dots(ambient, x) for c in powers[u]] for x in ambient.points())
 
 
-def set_spectrum(ambient, members) -> Spectrum:
+def set_spectrum(ambient, members) -> GridFunction:
     """The spectrum of the indicator of ``members``, rows and denominator
     those of ``forward(GridFunction.indicator(ambient, members))``.
 
@@ -579,22 +590,22 @@ def set_spectrum(ambient, members) -> Spectrum:
 _set_transforms = Counter()
 
 
-def _set_spectrum(ambient, members: frozenset) -> Spectrum:
+def _set_spectrum(ambient, members: frozenset) -> GridFunction:
     """``set_spectrum`` of members that have passed ``point_set``."""
     N, q = ambient.size, ambient.modulus
     width = q - q // ambient.p
     if N * N * width <= MAX_SET_SPECTRUM_TABLE and _set_transforms[ambient] * ambient.d * q >= N:
         if not members:
-            return _from_lattice(ambient, [(0,) * width] * N, N, CYCLOTOMIC, Spectrum)
+            return _from_lattice(ambient, [(0,) * width] * N, N, CYCLOTOMIC)
         table = _point_spectra(ambient)
         sums = map(sum, zip(*[table[ambient.index_of(x)] for x in members]))
-        return _from_lattice(ambient, list(zip(*[sums] * width)), N, CYCLOTOMIC, Spectrum)
+        return _from_lattice(ambient, list(zip(*[sums] * width)), N, CYCLOTOMIC)
     _set_transforms[ambient] += 1
     rows = [(1,) if x in members else (0,) for x in ambient.points()]
     return forward(_from_lattice(ambient, rows, 1, RATIONAL))
 
 
-def forward_naive(f: GridFunction) -> Spectrum:
+def forward_naive(f: GridFunction) -> GridFunction:
     """Quadratic reference transform, kept as the differential-testing oracle."""
     ambient = f.ambient
     q = ambient.modulus
@@ -608,7 +619,7 @@ def forward_naive(f: GridFunction) -> Spectrum:
                 if v:
                     acc += roots[-dot(x, m, q) % q] * v
             out.append(acc / ambient.size)
-        return Spectrum(ambient, COMPLEX, out)
+        return GridFunction(ambient, COMPLEX, out)
     src = f.to_cyclotomic().values
     scale = Fraction(1, ambient.size)
     out = []
@@ -618,7 +629,7 @@ def forward_naive(f: GridFunction) -> Spectrum:
             if not v.is_zero():
                 acc = acc + v.mul_zeta(-dot(x, m, q))
         out.append(acc.scale(scale))
-    return Spectrum(ambient, CYCLOTOMIC, out)
+    return GridFunction(ambient, CYCLOTOMIC, out)
 
 
 def inverse(F: GridFunction) -> GridFunction:
@@ -660,7 +671,7 @@ def phase(ambient, x: Point) -> GridFunction:
     return GridFunction(ambient, CYCLOTOMIC, vals)
 
 
-def transform_subspace(V: Subspace) -> Spectrum:
+def transform_subspace(V: Subspace) -> GridFunction:
     """Closed form: the transform of 1_V is (|V|/q**d) * 1_{V perp}."""
     ambient = V.ambient
     w = Fraction(ambient.p ** V.dim, ambient.size)
@@ -669,10 +680,10 @@ def transform_subspace(V: Subspace) -> Spectrum:
         Cyclotomic.from_rational(ambient.p, w if Vp.contains(m) else ZERO, ambient.ell)
         for m in ambient.points()
     ]
-    return Spectrum(ambient, CYCLOTOMIC, vals)
+    return GridFunction(ambient, CYCLOTOMIC, vals)
 
 
-def transform_affine(V: Subspace, x: Point) -> Spectrum:
+def transform_affine(V: Subspace, x: Point) -> GridFunction:
     """Closed form: the transform of 1_{V+x} is (|V|/q**d) * chi(-x.m) * 1_{V perp}."""
     ambient = V.ambient
     q = ambient.modulus
@@ -683,4 +694,4 @@ def transform_affine(V: Subspace, x: Point) -> Spectrum:
         Cyclotomic.zeta(ambient.p, -u % q, ambient.ell).scale(w) if Vp.contains(m) else zero
         for m, u in zip(ambient.points(), dots(ambient, x))
     ]
-    return Spectrum(ambient, CYCLOTOMIC, vals)
+    return GridFunction(ambient, CYCLOTOMIC, vals)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .fourier import COMPLEX, GridFunction, Spectrum
+from .fourier import COMPLEX, GridFunction
 from .fourier import _exact_transform, _from_lattice, _lattice_of
 from .geometry import Ambient, Point, ProjectiveLine, dots, enumerate_lines, line_indices
 from .geometry import vadd, valuation, vector_valuation, vsub
@@ -50,7 +50,7 @@ def require_exact(f: GridFunction) -> None:
         )
 
 
-def _line_part(F: Spectrum, v: Point, claimed) -> GridFunction:
+def _line_part(F: GridFunction, v: Point, claimed) -> GridFunction:
     """x -> c[x.v], the function whose spectrum is F on ``claimed`` (points
     t*v of the line through v; v = 0 for the origin) and 0 elsewhere.  The
     rows of c are permuted along x.v, and the part is rational exactly when
@@ -76,7 +76,7 @@ class LevelWaveletResult:
     spatial_matches: bool = False
 
 
-def is_level_l_wavelet(f: GridFunction, F: Spectrum) -> LevelWaveletResult:
+def is_level_l_wavelet(f: GridFunction, F: GridFunction) -> LevelWaveletResult:
     """Detect a top-level wavelet: a spectrum F = forward(f) supported on
     one affine line whose generator has valuation zero.
 
@@ -123,7 +123,7 @@ class MultiscalePart:
         return self.level is None
 
 
-def multiscale_decompose(F: Spectrum) -> tuple:
+def multiscale_decompose(F: GridFunction) -> tuple:
     """Split the function with spectrum F into level-tagged wavelets that sum to it.
 
     Nonzero frequencies are claimed stratum by stratum: a line of level

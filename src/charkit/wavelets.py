@@ -13,16 +13,17 @@ module keeps the sinogram checks, the mass table and the wavelet forms.
 reference for the table.  Masses are defined on Z_p**d only: ring grids
 (modulus p**ell, ell > 1) are rejected by ``geometry.require_prime_grid``.
 
-A mass table, a wavelet's coefficients and a decomposition's constant hold
-their values as an exact function does (``_Lattice``): one row of ints per
-value over one denominator, complex values as they are, over 1.  Their
-values are decoded on the first read only, and ``fileio`` writes their
-files from the rows.  ``mass_table`` keeps the rows of the mass run over
-the denominator L of f.  ``decompose`` computes the exact coefficients on
-them, over L*p**(d-1) (plain, reduced) or L*N (massless), with its
-constant over L*N; complex ones stay per value, in floating point.
+A mass table, a wavelet's coefficients and a decomposition's constant are
+each one ``fourier.Values``, the holder a grid function is: exact values on
+one row of ints per value over one denominator, decoded on the first read
+only, and complex values as they are.  ``fileio`` writes their files from
+the holders.  ``mass_table`` holds the rows of the mass run over the
+denominator L of f.  ``decompose`` computes the exact coefficients on them,
+over L*p**(d-1) (plain, reduced) or L*N (massless), with its constant over
+L*N; complex ones stay per value, in floating point.
 ``reconstruct_from_masses`` back-projects the table's rows as they are.
-Built from values, each holds their ``_encode``.
+Built from values, a table, wavelet or decomposition holds them in the kind
+they join to; built by a run or a reader, it is given its holder.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from itertools import islice
 
 from .bandwidth import bandwidth
 from .errors import SinogramError
-from .fourier import COMPLEX, GridFunction, _coerce_value, _join_kind, _kind_of_scalar
-from .fourier import _back_project, _decode, _encode, _from_lattice, _lattice_of, _mass_rows
+from .fourier import COMPLEX, GridFunction, Values, _join_kind, _kind_of_scalar
+from .fourier import _back_project, _from_lattice, _lattice_of, _mass_rows
 from .geometry import (
     Ambient,
     ProjectiveLine,
@@ -50,33 +51,10 @@ from .scalars import DEFAULT_TOL, is_zero, zero_bound
 FORMS = ("plain", "reduced", "massless")
 
 
-class _Lattice:
-    """Values held as an exact function holds them: ``rows[i]`` over ``den``
-    is the lattice row of value i, all of one kind; complex values stay as
-    they are, one per row, over 1.  ``values`` are the values the holder was
-    built from, or the decode of its rows on the first read."""
-
-    __slots__ = ("ambient", "kind", "den", "rows", "_decoded")
-
-    def __init__(self, ambient, kind: str, den: int, rows, values=None):
-        self.ambient, self.kind, self.den, self.rows = ambient, kind, den, rows
-        self._decoded = values
-
-    @classmethod
-    def of(cls, ambient, values) -> "_Lattice":
-        """``values`` on the lattice, in the kind they join to."""
-        values = tuple(values)
-        kind = _join_kind(*map(_kind_of_scalar, values))
-        if kind == COMPLEX:
-            return cls(ambient, kind, 1, [(v,) for v in values], values)
-        _, den, rows = _encode(values, ambient)
-        return cls(ambient, kind, den, rows, values)
-
-    @property
-    def values(self) -> tuple:
-        if self._decoded is None:
-            self._decoded = tuple(_decode(self.kind, self.rows, self.den, self.ambient))
-        return self._decoded
+def _joined(ambient, values) -> Values:
+    """``values`` held in the kind they join to."""
+    values = tuple(values)
+    return Values(ambient, _join_kind(*map(_kind_of_scalar, values)), values)
 
 
 class _Record:
@@ -102,7 +80,9 @@ class _Record:
 
 
 class Wavelet(_Record):
-    """Direction plus the p coefficients over its parallel hyperplane family."""
+    """Direction plus the p coefficients over its parallel hyperplane family.
+    The coefficients are given as values, which are checked against
+    ``form``, or as the ``Values`` a run computed in that form."""
 
     __slots__ = ("ambient", "direction", "form", "_coefficients")
     _FIELDS = ("ambient", "direction", "coeffs", "form")
@@ -111,23 +91,17 @@ class Wavelet(_Record):
         require_prime_grid(ambient)
         if form not in FORMS:
             raise ValueError(f"unknown wavelet form {form!r}")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != ambient.p:
-            raise ValueError(f"need {ambient.p} coefficients")
-        bound = zero_bound(coeffs)
-        if form == "reduced" and not is_zero(coeffs[0], bound):
-            raise ValueError("a reduced wavelet has c_0 = 0")
-        if form == "massless" and not is_zero(sum(coeffs[1:], coeffs[0]), bound):
-            raise ValueError("a massless wavelet has coefficient sum 0")
-        self.ambient, self.direction, self.form = ambient, direction, form
-        self._coefficients = _Lattice.of(ambient, coeffs)
-
-    @classmethod
-    def _held(cls, ambient, direction, form: str, coefficients: _Lattice) -> "Wavelet":
-        """The wavelet of held coefficients, which satisfy ``form``."""
-        w = object.__new__(cls)
-        w.ambient, w.direction, w.form, w._coefficients = ambient, direction, form, coefficients
-        return w
+        if not isinstance(coeffs, Values):
+            coeffs = tuple(coeffs)
+            if len(coeffs) != ambient.p:
+                raise ValueError(f"need {ambient.p} coefficients")
+            bound = zero_bound(coeffs)
+            if form == "reduced" and not is_zero(coeffs[0], bound):
+                raise ValueError("a reduced wavelet has c_0 = 0")
+            if form == "massless" and not is_zero(sum(coeffs[1:], coeffs[0]), bound):
+                raise ValueError("a massless wavelet has coefficient sum 0")
+            coeffs = _joined(ambient, coeffs)
+        self.ambient, self.direction, self.form, self._coefficients = ambient, direction, form, coeffs
 
     @property
     def coeffs(self) -> tuple:
@@ -138,11 +112,8 @@ class Wavelet(_Record):
         return self.ambient.p ** (self.ambient.d - 1) * sum(self.coeffs)
 
     def evaluate(self) -> GridFunction:
-        """The grid function x -> c_{x.s}, built from the coefficient rows."""
-        c, labels = self._coefficients, dots(self.ambient, self.direction.rep)
-        if c.kind == COMPLEX:
-            return GridFunction(self.ambient, COMPLEX, [c.values[t] for t in labels])
-        return _from_lattice(self.ambient, [c.rows[t] for t in labels], c.den, c.kind)
+        """The grid function x -> c_{x.s}, taken from the held coefficients."""
+        return self._coefficients.take(self.ambient, dots(self.ambient, self.direction.rep))
 
 
 def masses(f: GridFunction, s) -> tuple:
@@ -163,24 +134,21 @@ def masses(f: GridFunction, s) -> tuple:
 class MassTable(_Record):
     """All hyperplane masses of a function, one row per canonical direction:
     ``rows`` is ((ProjectiveLine, (m_0, ..., m_{p-1})), ...) in canonical
-    order, held as one ``_Lattice`` of every mass, row after row."""
+    order, held as one ``Values`` of every mass, row after row.  A run or a
+    reader gives the table its lines as ``rows`` and that ``Values`` as
+    ``masses``, p masses per line."""
 
     __slots__ = ("ambient", "_lines", "_sizes", "_masses", "_grouped")
     _FIELDS = ("ambient", "rows")
 
-    def __init__(self, ambient: Ambient, rows):
+    def __init__(self, ambient: Ambient, rows, masses: Values | None = None):
         rows = tuple(rows)
-        self.ambient, self._grouped = ambient, rows
-        self._lines, self._sizes = tuple(line for line, _ in rows), [len(ms) for _, ms in rows]
-        self._masses = _Lattice.of(ambient, [m for _, ms in rows for m in ms])
-
-    @classmethod
-    def _held(cls, ambient, lines, masses: _Lattice) -> "MassTable":
-        """The table of held masses, p in each direction of ``lines``."""
-        table = object.__new__(cls)
-        table.ambient, table._lines, table._masses, table._grouped = ambient, tuple(lines), masses, None
-        table._sizes = [ambient.p] * len(lines)
-        return table
+        if masses is None:
+            self._lines, self._sizes = tuple(line for line, _ in rows), [len(ms) for _, ms in rows]
+            masses, self._grouped = _joined(ambient, [m for _, ms in rows for m in ms]), rows
+        else:
+            self._lines, self._sizes, self._grouped = rows, [ambient.p] * len(rows), None
+        self.ambient, self._masses = ambient, masses
 
     @property
     def rows(self) -> tuple:
@@ -204,7 +172,7 @@ def mass_table(f: GridFunction) -> MassTable:
     require_prime_grid(ambient)
     lines = enumerate_lines(ambient)
     den, cells = _mass_rows(f, lines)
-    return MassTable._held(ambient, lines, _Lattice(ambient, f.kind, den, cells))
+    return MassTable(ambient, lines, Values._from_lattice(ambient, cells, den, f.kind))
 
 
 def associated_wavelet(f: GridFunction, s) -> Wavelet:
@@ -219,21 +187,15 @@ def associated_wavelet(f: GridFunction, s) -> Wavelet:
 
 
 class Decomposition(_Record):
-    """A constant plus one wavelet per active line, reconstructing f exactly."""
+    """A constant plus one wavelet per active line, reconstructing f exactly.
+    The constant is given as a value, or as the ``Values`` a run computed."""
 
     __slots__ = ("ambient", "form", "parts", "_constant")
     _FIELDS = ("ambient", "form", "constant", "parts")
 
     def __init__(self, ambient: Ambient, form: str, constant, parts):
         self.ambient, self.form, self.parts = ambient, form, tuple(parts)
-        self._constant = _Lattice.of(ambient, (constant,))
-
-    @classmethod
-    def _held(cls, ambient, form: str, constant: _Lattice, parts) -> "Decomposition":
-        """The decomposition of a held constant and wavelets."""
-        dec = object.__new__(cls)
-        dec.ambient, dec.form, dec.parts, dec._constant = ambient, form, tuple(parts), constant
-        return dec
+        self._constant = constant if isinstance(constant, Values) else _joined(ambient, (constant,))
 
     @property
     def constant(self):
@@ -277,9 +239,10 @@ def decompose(
     ambient, lines = f.ambient, profile.lines
     p, N = ambient.p, ambient.size
     den, cells = _mass_rows(f, lines)
-    groups = [cells[i : i + p] for i in range(0, len(cells), p)]
     if f.kind == COMPLEX:
-        return _decompose_complex(f, form, lines, [_decode(COMPLEX, ms, den, ambient) for ms in groups])
+        masses = Values._from_lattice(ambient, cells, den, COMPLEX).values
+        return _decompose_complex(f, form, lines, [masses[i : i + p] for i in range(0, len(masses), p)])
+    groups = [cells[i : i + p] for i in range(0, len(cells), p)]
     total = [sum(col) for col in zip(*_lattice_of(f)[1])]
     scale = den * (N // p)
     if form == "plain":
@@ -294,11 +257,11 @@ def decompose(
         coeffs = [[tuple(p * a - b for a, b in zip(m, total)) for m in ms] for ms in groups]
         constant = total
     parts = [
-        Wavelet._held(ambient, line, form, _Lattice(ambient, f.kind, scale, rows))
+        Wavelet(ambient, line, Values._from_lattice(ambient, rows, scale, f.kind), form)
         for line, rows in zip(lines, coeffs)
     ]
-    constant = _Lattice(ambient, f.kind, den * N, [tuple(constant)])
-    return Decomposition._held(ambient, form, constant, parts)
+    constant = Values._from_lattice(ambient, [tuple(constant)], den * N, f.kind)
+    return Decomposition(ambient, form, constant, parts)
 
 
 def _decompose_complex(f: GridFunction, form: str, lines, masses) -> Decomposition:
@@ -362,15 +325,19 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     missing = [line.rep for line in lines if line.rep not in present]
     if missing:
         raise SinogramError(f"sinogram is missing directions: {missing}")
-    masses = table._masses
-    kind, L, M = masses.kind, masses.den, masses.rows
-    if kind == COMPLEX:
-        M = [(_coerce_value(COMPLEX, m, ambient),) for (m,) in M]
+    kind, (L, M) = table._masses.kind, _lattice_of(table._masses)
     # Row totals on the lattice ints: sums[i][c] is coordinate c of L times
     # the total of row i.  All rows must share the total of the first.
     cols = list(zip(*M))
     sums = list(zip(*([sum(col[k : k + p]) for k in range(0, len(col), p)] for col in cols)))
     total, bound = sums[0], zero_bound([c for col in cols for c in col], tol)
+    # f is its plain decomposition over all n lines: L*N*f(x) is p times the
+    # back-projected L*m_{s,x.s}, less (n - 1) times the total mass L*m(f).
+    # Exact rows are demoted as inverse's are; building a complex f refuses
+    # a non-finite mass, before the totals are compared.
+    n, back = len(lines), _back_project(ambient, table.directions(), M)
+    cells = list(zip(*([p * b - (n - 1) * m for b in col] for col, m in zip(zip(*back), total))))
+    f = _from_lattice(ambient, cells, L * N, kind if kind == COMPLEX else None)
     bad = [i for i, row in enumerate(sums) for s, m in zip(row, total)
            if s != m and not is_zero(s - m, bound)]
     if bad:
@@ -379,13 +346,7 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
             f"per-direction totals disagree: direction {list(directions[i].rep)} sums "
             f"to {totals[i]}, the first direction {list(directions[0].rep)} to {totals[0]}"
         )
-    # f is its plain decomposition over all n lines: L*N*f(x) is p times the
-    # back-projected L*m_{s,x.s}, less (n - 1) times the total mass L*m(f).
-    n, back = len(lines), _back_project(ambient, table.directions(), M)
-    cells = list(zip(*([p * b - (n - 1) * m for b in col] for col, m in zip(zip(*back), total))))
-    if kind == COMPLEX:
-        return GridFunction(ambient, COMPLEX, _decode(COMPLEX, cells, N, ambient))
-    return _from_lattice(ambient, cells, L * N)
+    return f
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from charkit.corpus import (
     staircase_function,
     staircase_set,
 )
-from charkit.fourier import GridFunction, Spectrum, forward, inverse
+from charkit.fourier import GridFunction, forward, inverse
 from charkit.geometry import (
     Ambient,
     ProjectiveLine,
@@ -163,7 +163,7 @@ def test_equidistribution_judges_complex_masses_on_the_scale_of_the_spectrum():
     amb = Ambient(3, 2)
     V = Subspace.span(amb, [(1, 0)])
     values = [1.0 if not any(x) else 1e-6 if V.contains(x) else 1e6 for x in amb.points()]
-    r = equidistribution_check(inverse(Spectrum(amb, "complex", values)), V)
+    r = equidistribution_check(inverse(GridFunction(amb, "complex", values)), V)
     assert r.equidistributed and r.spectrum_vanishes
 
 
@@ -175,7 +175,7 @@ def test_equidistribution_reports_the_band_between_its_floating_judgments():
     amb = Ambient(3, 2)
     V = Subspace.span(amb, [(1, 0)])
     values = [1.2e-9 if any(x) and V.contains(x) else 1.0 for x in amb.points()]
-    r = equidistribution_check(inverse(Spectrum(amb, "complex", values)), V)
+    r = equidistribution_check(inverse(GridFunction(amb, "complex", values)), V)
     assert r.equidistributed and not r.spectrum_vanishes
 
 
@@ -340,7 +340,7 @@ def _phi_input(ambient, rng, share: float):
     return fraction(), seeds
 
 
-def _equivariant_extension(ambient, dc, seeds) -> Spectrum:
+def _equivariant_extension(ambient, dc, seeds) -> GridFunction:
     """The reference spectrum: F(0) = dc, F(r*s) = sigma_r(seed of s) filled
     point by point with ``Cyclotomic.galois``, zero on unseeded lines."""
     p = ambient.p
@@ -350,7 +350,7 @@ def _equivariant_extension(ambient, dc, seeds) -> Spectrum:
         z = seed if isinstance(seed, Cyclotomic) else Cyclotomic.from_rational(p, seed)
         for r in range(1, p):
             values[ambient.index_of(vscale(r, line.rep, p))] = z.galois(r)
-    return Spectrum(ambient, "cyclotomic", values)
+    return GridFunction(ambient, "cyclotomic", values)
 
 
 @pytest.mark.parametrize("ambient", PHI_GRIDS, ids=lambda a: f"{a.p}-{a.d}")

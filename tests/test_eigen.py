@@ -196,6 +196,14 @@ def test_eigen_expand_random_exact():
         assert exp.evaluate() == f
 
 
+def test_a_rational_beyond_the_float_range_has_no_complex_value():
+    amb = Ambient(3, 1)
+    with pytest.raises(ValueError, match="complex values must be finite"):
+        GridFunction(amb, "complex", [Fraction(10**400), 0, 0])
+    with pytest.raises(ValueError, match="complex values must be finite"):
+        eigen_expand(GridFunction(Ambient(3, 3), "rational", [10**400] + [0] * 26))
+
+
 def test_eigen_expand_odd_dimension_close():
     rng = rng_for(603, "expand3")
     amb = Ambient(2, 3)

@@ -896,6 +896,15 @@ def test_cli_eigen_tolerance_is_relative_to_the_largest_value(tmp_path, capsys, 
     assert payload["expansion"]["reconstruction"] == "close"
 
 
+def test_cli_eigen_refuses_a_rational_beyond_the_float_range_at_odd_dimension(tmp_path, capsys):
+    # At odd d the expansion is floating, and 10**400 has no complex value.
+    fn = tmp_path / "huge.json"
+    fn.write_text(json.dumps({"p": 3, "d": 3, "kind": "rational", "values": [str(10**400)] + ["0"] * 26}))
+    assert run_cli("eigen", "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "data error: complex values must be finite\n")
+
+
 @pytest.mark.parametrize("grid", [{"p": 2**61 - 1, "d": 2}, {"p": 2, "d": 10**9}], ids=str)
 def test_cli_refuses_a_huge_grid_at_once(tmp_path, capsys, grid):
     # Neither the primality test of p nor the power p**d may run first.

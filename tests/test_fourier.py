@@ -5,7 +5,6 @@ import pytest
 from charkit.corpus import random_complex_function, random_rational_function, rng_for
 from charkit.fourier import (
     GridFunction,
-    Spectrum,
     convolve,
     forward,
     forward_naive,
@@ -60,7 +59,7 @@ def test_delta_spectrum_example():
 
 def test_inverse_of_delta_spectrum_is_constant():
     amb = Ambient(3, 2)
-    F = Spectrum(amb, "cyclotomic", [Fraction(5) if i == 0 else 0 for i in range(9)])
+    F = GridFunction(amb, "cyclotomic", [Fraction(5) if i == 0 else 0 for i in range(9)])
     assert inverse(F) == GridFunction.constant(amb, Fraction(5))
 
 
@@ -69,7 +68,7 @@ def test_inverse_of_hyperplane_spectrum():
     vals = [Cyclotomic.zero(3)] * 9
     for k in range(3):
         vals[amb.index_of((k, 0))] = Cyclotomic.zeta(3, -k).scale(Fraction(1, 3))
-    f = inverse(Spectrum(amb, "cyclotomic", vals))
+    f = inverse(GridFunction(amb, "cyclotomic", vals))
     assert f == GridFunction.indicator(amb, hyperplane_points(amb, (1, 0), 1))
 
 
@@ -269,7 +268,7 @@ def test_rational_demotion_only_on_exact_cancellation():
     # spectrum with a genuinely cyclotomic inverse stays cyclotomic
     vals = [Cyclotomic.zero(3)] * 3
     vals[1] = Cyclotomic.one(3)
-    f = inverse(Spectrum(amb, "cyclotomic", vals))
+    f = inverse(GridFunction(amb, "cyclotomic", vals))
     assert f.kind == "cyclotomic"
 
 

@@ -11,7 +11,10 @@ function holds its lattice rows over one denominator from construction; a
 module other than ``fourier`` that reads or builds that form other than
 through ``_lattice_of`` and ``_from_lattice`` must fail too, and so must a
 test for a second form: a ``_rows`` or ``_den`` compared with None, or a
-``_values`` compared with None outside the ``values`` property."""
+``_values`` compared with None outside the ``values`` property.  Values
+are held one way, by ``fourier.Values``: a module other than ``fourier``
+that imports, names or calls ``_encode`` or ``_decode``, or that defines a
+class of its own whose ``__slots__`` hold rows or a denominator, must fail."""
 
 import ast
 from pathlib import Path
@@ -20,9 +23,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "charkit"
 HOMES = {"fourier.py", "scalars.py", "fileio.py"}
 KIND_HOME = {"_coerce_value", "_join_kind", "_kind_of_scalar"}
 LATTICE = {
-    "_encode", "_decode", "_exact_transform", "_mass_rows", "_back_project",
+    "_exact_transform", "_mass_rows", "_back_project",
     "_traces", "_set_spectrum", "_lattice_of", "_from_lattice",
 }
+CODEC = {"_encode", "_decode"}  # Values' own, for fourier alone
+ROW_SLOTS = {"rows", "den", "_rows", "_den"}
 ROW_ARITHMETIC = {"_galois_row", "_reduce_ext"}  # of scalars, for fourier alone
 LATTICE_FORM = {"_rows", "_den", "_values"}  # a GridFunction's two stores
 
@@ -73,6 +78,81 @@ def test_only_fourier_scales_onto_the_lattice_and_decodes_it():
         if path.name not in HOMES and (lines := lattice_work(path.read_text()))
     }
     assert found == {}
+
+
+def codec_uses(source: str) -> list:
+    """Lines that import, name or call ``_encode`` or ``_decode``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = {node.id if isinstance(node, ast.Name) else node.attr}
+        else:
+            continue
+        if names & CODEC:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def row_holders(source: str) -> list:
+    """Lines of the classes whose ``__slots__`` name rows or a denominator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value:
+                targets = [stmt.target]
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                slots = {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+                if slots & ROW_SLOTS:
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_only_fourier_encodes_and_decodes_values():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fourier.py" and (lines := codec_uses(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_only_fourier_defines_a_holder_of_rows():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fourier.py" and (lines := row_holders(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_the_guard_sees_each_second_holder():
+    shapes = [
+        # the import of wavelets.py and the holder it kept before Values
+        "from .fourier import _back_project, _decode, _encode, _from_lattice, _lattice_of, _mass_rows",
+        'class _Lattice:\n    __slots__ = ("ambient", "kind", "den", "rows", "_decoded")',
+        "ms = fourier._decode(kind, cells, den, ambient)",
+        "_, den, rows = _encode(values, ambient)",
+        "class Held:\n    __slots__ = ('_rows', '_den')",
+        'class Table:\n    __slots__ = "rows"',
+        "class Table:\n    __slots__: tuple = ('den', 'rows')",
+    ]
+    assert [bool(codec_uses(s) or row_holders(s)) for s in shapes] == [True] * len(shapes)
+    allowed = [
+        "from .fourier import COMPLEX, GridFunction, Values, _join_kind, _kind_of_scalar",
+        "den, rows = _lattice_of(table._masses)",
+        "masses = Values._from_lattice(ambient, cells, den, kind)",
+        'class MassTable(_Record):\n    __slots__ = ("ambient", "_lines", "_sizes", "_masses", "_grouped")',
+        'class Wavelet(_Record):\n    __slots__ = ("ambient", "direction", "form", "_coefficients")',
+    ]
+    assert [codec_uses(s) + row_holders(s) for s in allowed] == [[]] * len(allowed)
 
 
 def test_only_fourier_reads_a_functions_lattice_form():
@@ -156,12 +236,11 @@ def test_the_guard_sees_each_shape_of_a_second_format():
 def test_the_guard_lets_the_homes_and_entry_points_pass():
     allowed = [
         "from .fourier import GridFunction, _coerce_value, _join_kind, _kind_of_scalar",
-        "from .fourier import _decode, _encode, _exact_transform, _mass_rows",
+        "from .fourier import _exact_transform, _mass_rows",
         "from .fourier import _back_project, _from_lattice, _lattice_of, _traces",
         "from .scalars import DEFAULT_TOL, all_equal, zero_bound",
         "g = math.gcd(q, *v)",
         "z = Cyclotomic.zeta(p, e, ell)",
-        "ms = fourier._decode(kind, cells, den, ambient)",
         "part = _from_lattice(ambient, [c[s] for s in labels], den)",
     ]
     assert [lattice_work(s) for s in allowed] == [[]] * len(allowed)

@@ -3,8 +3,12 @@ it was made, and a function made from rows decodes ``values`` only when
 read.  The zero mask, the Galois action, equality, ``inverse``, ``+``,
 ``-``, negation and the restrictions all work on the rows; each must agree
 with the same operation on the values, on prime and ring grids, for
-rational and cyclotomic functions whose values have mixed denominators."""
+rational and cyclotomic functions whose values have mixed denominators.
+Mass tables, wavelets and decompositions hold their values in the same
+holder, ``fourier.Values``, of any length: built from values or from
+rows, it holds the same values, rows and denominator."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -13,10 +17,10 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charkit import fourier, wavelets
+from charkit import fourier
 from charkit.fileio import function_from_payload, function_to_payload
-from charkit.fourier import GridFunction, Spectrum, forward, inverse
-from charkit.geometry import Ambient
+from charkit.fourier import GridFunction, Values, _lattice_of, forward, inverse
+from charkit.geometry import Ambient, line_count
 from charkit.multiscale import multiscale_decompose
 from charkit.scalars import Cyclotomic, is_zero, rational_part
 from charkit.varieties import slice_last
@@ -76,7 +80,7 @@ def _units(ambient) -> list:
 def _scaled(F: GridFunction, k: int) -> GridFunction:
     """F again, its rows and denominator multiplied by k."""
     rows = [tuple(k * c for c in row) for row in F._rows]
-    return fourier._from_lattice(F.ambient, rows, F._den * k, F.kind, type(F))
+    return fourier._from_lattice(F.ambient, rows, F._den * k, F.kind)
 
 
 @FIXED
@@ -111,7 +115,7 @@ def test_equality_of_lattices_is_equality_of_values(f, k):
         (f, inverse(F)),  # value form against rows
         (f, f.to_cyclotomic()),  # a rational kind against a cyclotomic one
         (inverse(F), f.to_cyclotomic()),
-        (F, Spectrum(f.ambient, "cyclotomic", F.values)),
+        (F, GridFunction(f.ambient, "cyclotomic", F.values)),
     ]
     for a, b in pairs:
         assert (a == b) == (a.values == b.values) == (b == a) is True
@@ -126,13 +130,13 @@ def test_a_lattice_that_differs_in_one_coordinate_is_unequal(f, k, where):
     for c in range(len(F._rows[i])):
         rows = list(F._rows)
         rows[i] = rows[i][:c] + (rows[i][c] + 1,) + rows[i][c + 1:]
-        same_den = fourier._from_lattice(ambient, rows, F._den, "cyclotomic", Spectrum)
+        same_den = fourier._from_lattice(ambient, rows, F._den, "cyclotomic")
         other_den = _scaled(same_den, k)
         values = list(F.values)
         coeffs = list(values[i].coeffs)
         coeffs[c] += Fraction(1, F._den)
         values[i] = Cyclotomic(ambient.p, coeffs, ambient.ell)
-        value_form = Spectrum(ambient, "cyclotomic", values)
+        value_form = GridFunction(ambient, "cyclotomic", values)
         for b in (same_den, other_den, value_form):
             assert b.values != F.values
             assert not F == b and not b == F
@@ -238,9 +242,69 @@ def test_parts_and_tomography_decode_nothing(monkeypatch):
         raise AssertionError("decoded")
 
     monkeypatch.setattr(fourier, "_decode", refuse)
-    monkeypatch.setattr(wavelets, "_decode", refuse)
     for f, F, table in cases:
         parts = [part.function for part in multiscale_decompose(F)]
         assert reduce(operator.add, parts) == f
         if table is not None:
             assert reconstruct_from_masses(table) == f
+
+
+MIXES = [
+    ("rational",), ("cyclotomic",), ("complex",),
+    ("rational", "cyclotomic"), ("rational", "complex"), ("cyclotomic", "complex"),
+]
+
+
+@st.composite
+def held_values(draw):
+    """(ambient, kind, values): 1, p, n*p (n the number of lines of a prime
+    grid) or N values of the kinds of one mix, held in the kind they join to."""
+    ambient = draw(st.sampled_from(GRIDS))
+    p, ell, q = ambient.p, ambient.ell, ambient.modulus
+    lengths = [1, p, ambient.size] + ([line_count(ambient) * p] if ell == 1 else [])
+    length = draw(st.sampled_from(lengths))
+    mix = draw(st.sampled_from(MIXES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def value(kind):
+        if kind == "rational":
+            return _fraction(rng, 0.3)
+        if kind == "cyclotomic":
+            return Cyclotomic(p, [_fraction(rng, 0.3) for _ in range(q - q // p)], ell)
+        return complex(rng.choice([0.0, -0.0, rng.uniform(-3, 3)]), rng.choice([0.0, -0.0, rng.uniform(-3, 3)]))
+
+    kind = mix[-1]
+    return ambient, kind, [value(rng.choice(mix)) for _ in range(length)]
+
+
+def _per_value_lattice(ambient, kind: str, values) -> tuple:
+    """(den, rows) of values held in ``kind``, value by value: the lcm of
+    every coordinate's denominator, and each coordinate times it."""
+    if kind == "complex":
+        return 1, [(complex(v),) for v in values]
+    q = ambient.modulus
+    coords = [
+        v.coeffs if isinstance(v, Cyclotomic)
+        else (Fraction(v), *[0] * (q - q // ambient.p - 1)) if kind == "cyclotomic" else (Fraction(v),)
+        for v in values
+    ]
+    den = math.lcm(*(Fraction(c).denominator for row in coords for c in row))
+    return den, [tuple(int(c * den) for c in row) for row in coords]
+
+
+@FIXED
+@given(held_values())
+def test_a_holder_built_from_rows_is_the_one_built_from_values(case):
+    ambient, kind, values = case
+    held = Values(ambient, kind, values)
+    den, rows = _lattice_of(held)
+    assert (den, rows) == _per_value_lattice(ambient, kind, values)
+    again = Values._from_lattice(ambient, rows, den, kind)
+    assert (again.kind, len(again)) == (held.kind, len(held)) == (kind, len(values))
+    assert again.values == held.values
+    assert _lattice_of(again) == (den, rows)
+    assert again == held and held == again
+    if len(values) > 1:
+        assert Values(ambient, kind, values[1:]) != held
+    if len(values) == ambient.size:
+        assert _lattice_of(GridFunction(ambient, kind, values)) == (den, rows)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from charkit.corpus import random_complex_function, random_rational_function, rng_for
-from charkit.fourier import GridFunction, Spectrum, forward, inverse
+from charkit.fourier import GridFunction, forward, inverse
 from charkit.geometry import (
     Ambient,
     dot,
@@ -248,8 +248,8 @@ def test_multiscale_takes_a_rational_spectrum(p, d, ell):
     a = Ambient(p, d, ell)
     rng = rng_for(705, f"rational-spectrum/{p}/{d}/{ell}")
     spectra = [
-        Spectrum(a, "rational", [Fraction(1)] * a.size),
-        Spectrum(a, "rational", [Fraction(rng.randint(-3, 3), 2) for _ in range(a.size)]),
+        GridFunction(a, "rational", [Fraction(1)] * a.size),
+        GridFunction(a, "rational", [Fraction(rng.randint(-3, 3), 2) for _ in range(a.size)]),
     ]
     for F in spectra:
         parts = multiscale_decompose(F)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from charkit.fourier import GridFunction, Spectrum, forward
+from charkit.fourier import GridFunction, forward
 from charkit.geometry import Ambient
 from charkit.scalars import (
     COMPLEX,
@@ -187,12 +187,12 @@ def test_zero_bound_scales_with_the_largest_value():
         assert [is_zero(s * v, bound) for v in vals] == [False, True, True]
     assert zero_bound([Fraction(5), Fraction(0)]) == 0.0 and zero_bound([0j, 0j]) == 0.0
     # Values are compared on the scale of the spectrum, not on their own.
-    unit = Spectrum(Ambient(2, 1), COMPLEX, [1.0, 0.0])
-    tiny = Spectrum(Ambient(2, 1), COMPLEX, [2e-12, 0.0])
+    unit = GridFunction(Ambient(2, 1), COMPLEX, [1.0, 0.0])
+    tiny = GridFunction(Ambient(2, 1), COMPLEX, [2e-12, 0.0])
     assert agree([1 + 1e-12j, 1.0 + 0j], implied_bound(unit, 1))
     assert not agree([1e-12 + 0j, 2e-12 + 0j], implied_bound(tiny, 1))
     assert agree([1e-12 + 0j, 2e-12 + 0j], implied_bound(unit, 1))
-    exact = Spectrum(Ambient(5, 1), "cyclotomic", [Cyclotomic.zeta(5)] * 5)
+    exact = GridFunction(Ambient(5, 1), "cyclotomic", [Cyclotomic.zeta(5)] * 5)
     assert implied_bound(exact, 10**6) == 0.0
     assert agree([Cyclotomic.zeta(5)] * 3, implied_bound(exact, 1))
     assert not agree([Fraction(1), 1 + Fraction(1, 10**12)], implied_bound(exact, 1))

@@ -18,7 +18,7 @@ from charkit.corpus import (
     rng_for,
 )
 from charkit.errors import HypothesisNotMet
-from charkit.fourier import GridFunction, Spectrum, forward, inverse, vanishes_on
+from charkit.fourier import GridFunction, forward, inverse, vanishes_on
 from charkit.geometry import (
     Ambient,
     ProjectiveLine,
@@ -440,7 +440,7 @@ def one_circle_inputs(p, r):
     are not isotropic, so the Galois step fails for them."""
     amb = Ambient(p, 2)
     circle = sphere_points(amb, r)
-    f = inverse(Spectrum(amb, "rational", [int(x in circle) for x in amb.points()]))
+    f = inverse(GridFunction(amb, "rational", [int(x in circle) for x in amb.points()]))
     assert f.kind == "cyclotomic"
     return f, f.to_complex()
 
@@ -471,7 +471,7 @@ def test_paraboloid_hypothesis_fails_on_an_active_covered_line(p, d):
         off = [m for m in line.punctured(amb) if m not in para]
         if not off:
             continue
-        f = inverse(Spectrum(amb, "rational", [int(x == off[0]) for x in amb.points()]))
+        f = inverse(GridFunction(amb, "rational", [int(x == off[0]) for x in amb.points()]))
         for g in (f, f.to_complex()):
             assert pointwise_paraboloid(g)
             assert check_paraboloid_theorem(g) == ParaboloidReport(False, 0, (), False)
@@ -489,7 +489,7 @@ def test_paraboloid_theorem_holds_for_points_of_uncovered_lines(p, d):
         if classify_direction_paraboloid(amb, line.rep) == "covered":
             continue
         m = line.punctured(amb)[-1]
-        f = inverse(Spectrum(amb, "rational", [int(x == m) for x in amb.points()]))
+        f = inverse(GridFunction(amb, "rational", [int(x == m) for x in amb.points()]))
         for g in (f, f.to_complex()):
             rep = check_paraboloid_theorem(g)
             assert rep.hypothesis_met and rep.all_good, (line.rep, g.kind)
@@ -524,7 +524,7 @@ def test_paraboloid_slices_are_judged_on_the_scale_of_the_spectrum(p, d, B):
         kind = classify_direction_paraboloid(amb, x) if any(x) else "covered"
         z = 0j if kind == "covered" else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         values.append(B * z if kind == "type1" else z)
-    rep = check_paraboloid_theorem(inverse(Spectrum(amb, "complex", values)))
+    rep = check_paraboloid_theorem(inverse(GridFunction(amb, "complex", values)))
     assert rep.hypothesis_met and rep.all_good and rep.violations == ()
 
 
@@ -535,9 +535,9 @@ def test_sphere_masses_are_judged_on_the_scale_of_the_spectrum():
     cone = isotropic_cone(amb)
     values = [1e6 if x in cone and any(x) else 0.0 for x in amb.points()]
     sphere = sphere_points(amb, 1, center)
-    g = inverse(Spectrum(amb, "complex", values))
+    g = inverse(GridFunction(amb, "complex", values))
     values[0] = -sum(g.value_at(x) for x in sphere) / len(sphere)
-    rep = sphere_equidistribution_check(inverse(Spectrum(amb, "complex", values)), center)
+    rep = sphere_equidistribution_check(inverse(GridFunction(amb, "complex", values)), center)
     assert rep.equidistributed and max(map(abs, rep.masses)) < 1e-6
 
 
@@ -550,7 +550,7 @@ def complex_input(amb, rng, allowed, k):
                    rng.uniform(0, 2 * math.pi))
         for x in amb.points()
     ]
-    return inverse(Spectrum(amb, "complex", values)).scale(10.0 ** k)
+    return inverse(GridFunction(amb, "complex", values)).scale(10.0 ** k)
 
 
 def isotropic(x, p):

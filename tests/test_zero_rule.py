@@ -21,7 +21,7 @@ from charkit import cli, fileio
 from charkit.bandwidth import bandwidth
 from charkit.corpus import rng_for
 from charkit.errors import SinogramError
-from charkit.fourier import GridFunction, Spectrum, inverse
+from charkit.fourier import GridFunction, inverse
 from charkit.geometry import Ambient, ProjectiveLine, dot, enumerate_lines, line_through
 from charkit.wavelets import (
     MassTable,
@@ -153,7 +153,7 @@ def test_variety_judges_constancy_within_the_bound_of_its_hypothesis(tmp_path, c
     difference of values by 2(N - 1) * tol * max|F|, and constancy is judged
     within that bound."""
     amb = Ambient(3, 2)
-    f = inverse(Spectrum(amb, "complex", [1] + [0.9e-9] * 8))
+    f = inverse(GridFunction(amb, "complex", [1] + [0.9e-9] * 8))
     path = tmp_path / "near_constant.json"
     fileio.save_function(f, path)
     code, out = run(capsys, "variety", "--input", str(path))
@@ -190,7 +190,7 @@ def sparse_functions(draw):
             spectrum[m] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         pts = amb.points()
         used = {line_through(amb, pts[m]) for m, v in enumerate(spectrum) if m and v}
-        return amb, inverse(Spectrum(amb, "complex", spectrum)).values, len(used)
+        return amb, inverse(GridFunction(amb, "complex", spectrum)).values, len(used)
     picks = draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3, unique=True))
     values = [0j] * amb.size
     for i in picks:

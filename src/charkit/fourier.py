@@ -47,23 +47,41 @@ vectors in Z[x]/(x**q - 1), x standing for zeta, where multiplying by
 zeta**e is a rotation, so the d axis passes only add ints, N*d*q*q of them
 for N = q**d points, and each output value is reduced to the power basis
 once.  ``forward`` leaves rows over L*N, ``inverse`` over L, rational
-exactly when every coordinate above degree zero is zero.  The rows answer
-for the function: the zero mask, the Galois action (x**j -> x**(r*j)),
+exactly when every coordinate above degree zero is zero.  A rational
+forward on Z_p**d runs no axis pass: it reads the masses at the line
+representatives from the line run (below) and fills F(c*s) =
+p**(-d) * sum_t m_{s,t} * zeta**(-c*t) from them, one point permutation
+per grid (``_line_points``) placing the rows.  The d passes
+(``_exact_transform``) keep ``inverse``, ring grids and cyclotomic
+forwards, whose fill would cost about what the passes save.  The rows
+answer for the function: the zero mask, the Galois action (x**j -> x**(r*j)),
 equality (cross-multiplied by the two denominators), ``+`` and ``-`` (over
 the lcm of the two), ``take`` and the transforms.  Every run is laid out
 here; other modules read rows through ``_lattice_of``, build from them
 through ``_from_lattice`` and call the runs.
 
-Two runs on Z_p**d (q = p) serve tomography.  The mass run (``_mass_rows``)
-places every coordinate of every value at power 0; the d passes (sign +1)
-then leave G(s) = sum_x f(x) * X**(x.s), whose coefficient of X**t is the
-hyperplane mass m_{s,t}, at every s at once, in d*N*p*p additions.  Its
-adjoint, back-projection (``_back_project``), places the value of line s
-at label t at X**(-t) and position s, and the same passes leave the sum
-over the lines of their values at x.s at X**0 and position x.  Tomography
-back-projects and builds no spectrum: ``reconstruct_from_masses`` the
-masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
-over all n lines, and ``inverse_phi`` the traces of its seeds (``_traces``).
+Two runs on Z_p**d (q = p) serve tomography.  The line run
+(``_line_masses``) gives G(s) = sum_x f(x) * X**(x.s), whose coefficient
+of X**t is the hyperplane mass m_{s,t}, at the (p**d - 1)/(p - 1) line
+representatives s only.  It cuts the points by their first coordinate a:
+for the representatives (1, m'), x.s = a + x'.m', so slice a goes in at
+X**a and d - 1 passes (sign +1) leave G at every (1, m'); the
+representatives (0, s') are those of Z_p**(d-1), served by the same run
+on the sum of the slices.  That is about (d - 1)*p*N additions per
+coordinate, where d passes over all p**d directions took d*N*p*p.  The
+exact mass tables and decompositions (``_mass_rows``) and the rational
+forward read it.  Complex masses keep the d-pass mass run, every value at
+power 0 and d passes over all directions: the line run adds the same
+floats in another order, which changes the last bits of some masses.
+Back-projection (``_back_project``) is the line run transposed, for any
+lines in any order: the value of line (0, ..., 0, 1, m'') at label t goes
+in at X**(-t) and position m'', the passes leave the sum over those lines
+of their values at x.s at x = (a, x'') at X**(-a), and each level's sums
+are added to those of the level below, repeated over a.  It serves every
+kind.  Tomography back-projects and builds no spectrum:
+``reconstruct_from_masses`` the masses, f(x) = p**(-(d-1)) *
+sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d over all n lines, and
+``inverse_phi`` the traces of its seeds (``_traces``).
 
 ``set_spectrum`` gives the spectrum of a set's indicator, with the rows
 and denominator of ``forward`` of it, and the set statements (the
@@ -156,8 +174,11 @@ class Values:
         ``values`` undecoded until read.  Without ``kind`` the rows are
         demoted as an inverse transform's are: rational, one coordinate per
         row, exactly when every coordinate above degree zero is zero.
-        Complex rows hold one value each and are divided out at once."""
+        Complex rows hold one value each and are divided out at once, over 1
+        not at all: a complex division by 1 turns inf into inf+nanj."""
         if kind == COMPLEX:
+            if den == 1:
+                return cls(ambient, COMPLEX, [c for (c,) in rows])
             return cls(ambient, COMPLEX, [complex(c) / den for (c,) in rows])
         if kind is None:
             first, *higher = zip(*rows)
@@ -506,38 +527,132 @@ def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
     return [_reduce_ext(p, ell, list(v)) for v in zip(*planes)]
 
 
+def _line_masses(A: list, p: int, d: int, width: int) -> list:
+    """The line run on Z_p**d: planes[t][k*width + c] is coordinate c of the
+    mass m_{s_k,t}, s_k the k-th line representative in canonical order,
+    of the values laid out as planes in A (A[c*N + i], ``_planes``).
+
+    The representatives (1, m') are served by cutting the points by their
+    first coordinate a: slice a goes in at X**a, as x.s = a + x'.m', and
+    d - 1 passes (sign +1) leave the masses of every (1, m') at position
+    m'.  The representatives (0, s') are those of Z_p**(d-1), whose masses
+    are those of the sum of the slices, one dimension down.  A level of
+    n*p points lays its slices out as B[a*width*n + c*n + i'] and reads
+    m_{(1,m'),t} at B[t*width*n + index(m')*width + c]; the levels are
+    listed deepest first, which is the canonical order."""
+    levels = []
+    for e in range(d, 0, -1):
+        n = p ** (e - 1)
+        plane = width * n
+        B = []
+        for a in range(p):
+            for c in range(width):
+                B += A[(c * p + a) * n : (c * p + a + 1) * n]
+        if e > 1:  # the slices summed: the values one dimension down
+            A = B[:plane]
+            for a in range(1, p):
+                A = list(map(operator.add, A, B[a * plane : (a + 1) * plane]))
+        for _ in range(e - 1):
+            B = _lattice_pass(B, p, +1)
+        levels.append((plane, B))
+    planes = [[] for _ in range(p)]
+    for plane, B in reversed(levels):
+        for t in range(p):
+            planes[t] += B[t * plane : (t + 1) * plane]
+    return planes
+
+
+def _line_places(ambient, lines) -> list:
+    """Per line, (n, j) for its representative (0, ..., 0, 1, m''), m'' on
+    Z_p**(e-1): n = p**(e-1) and j = index(m''), the representative's
+    point index being n + j.  Its place in canonical order is
+    (n - 1)/(p - 1) + j, the lines of lower levels coming before it."""
+    p, d = ambient.p, ambient.d
+    places = []
+    for line in lines:
+        n = p ** (d - 1 - line.rep.index(1))
+        places.append((n, ambient.index_of(line.rep) - n))
+    return places
+
+
+@lru_cache(maxsize=None)
+def _line_points(p: int, d: int) -> tuple:
+    """The point permutation of the forward fill on Z_p**d: entry i is the
+    place of point i in [0] + [c*s_k for c in 1..p-1 for each line k], the
+    lines in canonical order.  Built from index arithmetic alone: at scale
+    c, point (0, ..., 0, 1, m'') goes to c*p**(e-1) + index(c*m'')."""
+    order = [0] * p ** d
+    n = (p ** d - 1) // (p - 1)
+    for c in range(1, p):
+        scaled, place = [0], 1 + (c - 1) * n  # scaled[i]: index of c*x, x = point i
+        for e in range(d):
+            low = p ** e
+            for i, s in enumerate(scaled, start=place):
+                order[c * low + s] = i
+            place += low
+            scaled = [c * a % p * low + s for a in range(p) for s in scaled]
+    return tuple(order)
+
+
 def _mass_rows(f: GridFunction, lines) -> tuple:
     """(den, cells): the masses of f in every direction of ``lines``, from
-    one mass run, undecoded.  cells[i*p + t] / den is the lattice row of
-    m_{s_i,t}, s_i = lines[i].rep, over f's own denominator; the d passes
-    leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c]."""
+    one run, undecoded.  cells[i*p + t] / den is the lattice row of
+    m_{s_i,t}, s_i = lines[i].rep, over f's own denominator.  Exact values
+    take the line run; complex ones the d-pass mass run, whose d passes
+    leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c] for
+    every s, so that their float sums keep their order.  Complex masses
+    must be finite."""
     ambient, p = f.ambient, f.ambient.p
     den, rows = _lattice_of(f)
     width = len(rows[0])
+    if f.kind != COMPLEX:
+        planes = _line_masses(_planes(rows), p, ambient.d, width)
+        at = [((n - 1) // (p - 1) + j) * width for n, j in _line_places(ambient, lines)]
+        return den, [tuple(planes[t][i : i + width]) for i in at for t in range(p)]
     plane = width * ambient.size
     A = _planes(rows) + [0] * ((p - 1) * plane)  # every coordinate at power 0, p planes
     for _ in range(ambient.d):
         A = _lattice_pass(A, p, +1)
     at = [ambient.index_of(line.rep) * width for line in lines]
-    return den, [tuple(A[t * plane + i : t * plane + i + width]) for i in at for t in range(p)]
+    cells = [tuple(A[t * plane + i : t * plane + i + width]) for i in at for t in range(p)]
+    if not all(cmath.isfinite(m) for (m,) in cells):
+        raise ValueError(_NOT_FINITE)
+    return den, cells
 
 
 def _back_project(ambient, lines, rows) -> list:
-    """Per point x, the row sum over i of rows[i*p + x.s_i], s_i = lines[i].rep:
-    row i*p + t goes in at X**(-t) and position s_i, and the d passes leave
-    coordinate c of the sum at x at power 0, A[index(x)*width + c]."""
-    p, N, width = ambient.p, ambient.size, len(rows[0])
-    plane = width * N
-    A = [0] * (p * plane)
-    at = [ambient.index_of(line.rep) for line in lines]
-    for c in range(width):
-        for t in range(p):  # coordinate c of row i*p + t at A[base + index(s_i)]
-            base = -t % p * plane + c * N
-            for i, row in zip(at, rows[t::p]):
-                A[base + i] = row[c]
-    for _ in range(ambient.d):
-        A = _lattice_pass(A, p, +1)
-    return list(zip(*[iter(A[:plane])] * width))
+    """Per point x, the row sum over i of rows[i*p + x.s_i], s_i = lines[i].rep,
+    for any lines in any order: the line run transposed.  The lines
+    (0, ..., 0, 1, m'') with m'' on Z_p**(e-1) make one level: row i*p + t
+    goes in at X**(-t) and position m'', and e - 1 passes leave the sum at
+    x = (a, x'') at power -a and position x''.  A level's sums are added
+    to those of the levels below it, each repeated for every a."""
+    p, d, width = ambient.p, ambient.d, len(rows[0])
+    levels = {}  # p**(e-1) -> [(index of m'', i)]
+    for i, (n, j) in enumerate(_line_places(ambient, lines)):
+        levels.setdefault(n, []).append((j, i))
+    out = None
+    for e in range(1, d + 1):
+        n = p ** (e - 1)
+        plane = width * n
+        if n in levels:
+            A = [0] * (p * plane)
+            for c in range(width):
+                for t in range(p):  # coordinate c of row i*p + t at A[base + index(m'')]
+                    base = -t % p * plane + c * n
+                    for j, i in levels[n]:
+                        A[base + j] = rows[i * p + t][c]
+            for _ in range(e - 1):
+                A = _lattice_pass(A, p, +1)
+            B = []
+            for a in range(p):
+                B += A[-a % p * plane : (-a % p + 1) * plane]
+            out = B if out is None else list(map(operator.add, B, out * p))
+        elif out is not None:
+            out = out * p
+    if out is None:
+        return [(0,) * width] * ambient.size
+    return list(zip(*[iter(out)] * width))
 
 
 def _traces(p: int, rows) -> list:
@@ -556,8 +671,26 @@ def forward(f: GridFunction) -> GridFunction:
             vals = _complex_pass(vals, ambient.modulus, -1)
         scale = 1.0 / ambient.size
         return GridFunction(ambient, COMPLEX, [v * scale for v in vals])
-    rows = _exact_transform(f._rows, ambient, ambient.d, -1)
+    if f.kind == RATIONAL and ambient.ell == 1:
+        rows = _forward_from_masses(f._rows, ambient.p, ambient.d)
+    else:
+        rows = _exact_transform(f._rows, ambient, ambient.d, -1)
     return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC)
+
+
+def _forward_from_masses(rows, p: int, d: int) -> list:
+    """The rows of the exact forward transform of rational rows on Z_p**d,
+    over the same L*N, from the line run: F(c*s) is the sum over t of
+    m_{s,t} * zeta**(-c*t), whose power-basis coordinate j is
+    m_{s,-j/c} - m_{s,-(p-1)/c}, and F(0) is the total mass.  The rows are
+    made line by line at each scale c and placed by ``_line_points``."""
+    planes = _line_masses(_planes(rows), p, d, 1)
+    made = [(sum(plane[0] for plane in planes), *(0,) * (p - 2))]
+    for c in range(1, p):
+        inv = pow(c, -1, p)
+        last = planes[inv]
+        made += zip(*[list(map(operator.sub, planes[-j * inv % p], last)) for j in range(p - 1)])
+    return list(map(made.__getitem__, _line_points(p, d)))
 
 
 @lru_cache(maxsize=None)

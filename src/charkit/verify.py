@@ -53,7 +53,7 @@ from .eigen import (
     self_dual_classify,
 )
 from .errors import CapacityError, HypothesisNotMet, SinogramError, TheoremViolation
-from .fourier import GridFunction, forward
+from .fourier import GridFunction, _exact_transform, _from_lattice, _lattice_of, forward
 from .geometry import (
     MAX_DIRECTION_SCAN,
     MAX_SUBSET_ENUMERATION,
@@ -69,7 +69,7 @@ from .geometry import (
     vector_valuation,
 )
 from .multiscale import multiscale_decompose, unit_count
-from .scalars import DEFAULT_TOL, zero_bound
+from .scalars import CYCLOTOMIC, DEFAULT_TOL, zero_bound
 from .varieties import (
     classify_direction_paraboloid,
     check_paraboloid_theorem,
@@ -199,7 +199,11 @@ def _require_plane(grids, what: str) -> None:
 
 
 def _galois_item(_i, ambient, rng) -> None:
-    F = forward(random_rational_function(ambient, rng))
+    # F from the d axis passes: ``forward`` fills a rational spectrum from
+    # the masses of each line, where equivariance would hold by construction.
+    den, rows = _lattice_of(random_rational_function(ambient, rng))
+    rows = _exact_transform(rows, ambient, ambient.d, -1)
+    F = _from_lattice(ambient, rows, den * ambient.size, CYCLOTOMIC)
     for r in range(1, ambient.modulus):
         if r % ambient.p:  # a unit: sigma_r(F(m)) == F(r*m) at every point m
             agree = F.galois(r).agrees(F.dilate(r))

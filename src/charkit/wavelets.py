@@ -6,9 +6,13 @@ line through s.  Conversely the masses m_{s,t}(f) = sum over H_{s,t} of f
 determine the transform of f on that line, which is why a function is
 recoverable from its complete mass table (the sinogram).
 
-The mass table is one mass run and tomography one back-projection, its
+The mass table is one run and tomography one back-projection, its
 adjoint; both runs live in ``fourier`` with the lattice format, and this
 module keeps the sinogram checks, the mass table and the wavelet forms.
+Exact masses come from the line run, which computes the p masses at the
+line representatives only; complex masses from the d-pass mass run,
+whose float sums keep their order, and a complex table whose masses
+overflow is refused.  Back-projection serves any lines in any order.
 ``masses``, one grid scan per direction, is the one-direction path and the
 reference for the table.  Masses are defined on Z_p**d only: ring grids
 (modulus p**ell, ell > 1) are rejected by ``geometry.require_prime_grid``.
@@ -17,7 +21,7 @@ A mass table, a wavelet's coefficients and a decomposition's constant are
 each one ``fourier.Values``, the holder a grid function is: exact values on
 one row of ints per value over one denominator, decoded on the first read
 only, and complex values as they are.  ``fileio`` writes their files from
-the holders.  ``mass_table`` holds the rows of the mass run over the
+the holders.  ``mass_table`` holds the rows of the run over the
 denominator L of f.  ``decompose`` computes the exact coefficients on them,
 over L*p**(d-1) (plain, reduced) or L*N (massless), with its constant over
 L*N; complex ones stay per value, in floating point.

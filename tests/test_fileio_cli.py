@@ -657,6 +657,15 @@ def test_cli_rejects_a_sinogram_with_a_non_finite_complex_mass(tmp_path, capsys)
     assert capsys.readouterr().err == "data error: complex values must be finite\n"
 
 
+def test_cli_refuses_to_project_a_complex_function_whose_masses_overflow(tmp_path, capsys):
+    fn = tmp_path / "huge.json"
+    fn.write_text(json.dumps({"p": 3, "d": 2, "kind": "complex", "values": [[1e308, 0]] * 9}))
+    assert run_cli("tomography", "project", "--input", str(fn)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error: complex values must be finite\n"
+
+
 def test_cli_verify_reports_a_suite_that_raises(monkeypatch, capsys):
     from charkit import verify
 
@@ -1403,13 +1412,15 @@ def test_cli_transform_decodes_nothing(monkeypatch, capsys):
 def test_cli_verify_galois_names_the_first_point_that_breaks_equivariance(monkeypatch, capsys):
     from charkit import verify
 
-    def broken(f):  # F(0,2) no longer equals sigma_2(F(0,1))
-        F = forward(f)
-        values = list(F.values)
-        values[f.ambient.index_of((0, 2))] += 1
-        return type(F)(f.ambient, "cyclotomic", values)
+    passes = verify._exact_transform  # the spectra that galois checks
 
-    monkeypatch.setattr(verify, "forward", broken)
+    def broken(rows, ambient, *args):  # F(0,2) no longer equals sigma_2(F(0,1))
+        rows = passes(rows, ambient, *args)
+        i = ambient.index_of((0, 2))
+        rows[i] = (rows[i][0] + 1, *rows[i][1:])
+        return rows
+
+    monkeypatch.setattr(verify, "_exact_transform", broken)
     assert run_cli("verify", "galois", "--suite-size", "1", "--p", "3", "--d", "2") == 3
     out = capsys.readouterr().out
     assert "m=(0, 1), r=2" in out

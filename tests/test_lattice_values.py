@@ -308,3 +308,13 @@ def test_a_holder_built_from_rows_is_the_one_built_from_values(case):
         assert Values(ambient, kind, values[1:]) != held
     if len(values) == ambient.size:
         assert _lattice_of(GridFunction(ambient, kind, values)) == (den, rows)
+
+
+def test_complex_rows_over_one_are_held_as_they_are():
+    """A complex division by 1 would turn inf into inf+nanj; over any other
+    denominator the rows are divided out."""
+    ambient = Ambient(3, 1)
+    rows = [(complex(math.inf, 0.0),), (complex(1.5, -2.0),), (0,)]
+    held = Values._from_lattice(ambient, rows, 1, "complex").values
+    assert [(v.real, v.imag) for v in held] == [(math.inf, 0.0), (1.5, -2.0), (0.0, 0.0)]
+    assert Values._from_lattice(ambient, rows[1:], 4, "complex").values == (0.375 - 0.5j, 0j)

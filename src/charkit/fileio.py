@@ -29,31 +29,40 @@ Files are read into lattice rows and written from them, with no value
 built on the way: a function, a mass table, a wavelet's coefficients and a
 decomposition's constant each hold one ``fourier.Values``, built from rows
 by ``_from_lattice`` and read through ``_lattice_of``.  The readers
-``function_from_payload`` and ``sinogram_from_payload`` check each distinct
-literal once, read it once into a reduced ratio and scale the rows once by
-the lcm of the denominators; the sinogram reader rebases each direction's
-masses onto its canonical generator by one modular inverse.  The writers
-``function_dumps``, ``sinogram_dumps`` and ``decomposition_dumps`` write
-in the fixed shape of ``canonical_dumps`` of the payload, each value by one
-helper, ``_value_texts``: the coefficient c of a row over den becomes the
-literal c/den reduced by one gcd, once per distinct c, and complex values
-their [re, im] pairs.  Complex values are read and written one by one.
-``function_to_payload``, ``sinogram_to_payload`` and
+``function_from_payload`` and ``sinogram_from_payload`` check whole lists,
+with one pass over the list per check (the types of its items, their
+lengths, the p and ell of every cyclotomic object), read each distinct
+literal once into a reduced ratio, scale the rows once by the lcm of the
+denominators and build complex values in one pass; the sinogram reader
+rebases each direction's masses onto its canonical generator by one
+permutation per leading coordinate.  When a check fails, the per-value
+reader runs from the start and names the file's first fault in file order,
+with the same text whichever check failed.  The writers ``function_dumps``,
+``sinogram_dumps`` and ``decomposition_dumps`` write in the fixed shape of
+``canonical_dumps`` of the payload, the values of each kind and
+denominator by one call of ``_value_texts``: the coefficient c of a row
+over den becomes the literal c/den reduced by one gcd, once per distinct
+c, and finite complex values their [re, im] pairs by ``float.__repr__``.
+``canonical_dumps`` writes a list of ints, and a list of such lists, in
+one join per list.  ``function_to_payload``, ``sinogram_to_payload`` and
 ``decomposition_to_payload`` remain the per-value view (``--format
 table``) and the reference the writers are tested against.  An integer
 whose decimal text is over the interpreter's limit
 (``sys.get_int_max_str_digits``) is a bad literal when read and a
-``CapacityError`` when written.
+``CapacityError`` when written.  A file nested too deeply for the JSON
+decoder is a data error.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter, itemgetter
 
 from .errors import CapacityError, DataFormatError
 from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, Values, _from_lattice, _lattice_of
@@ -196,10 +205,18 @@ def _write(obj, newline: str, out: list) -> None:
         if types == {str}:
             out.append(_list_text(map(_quote, obj), newline))
             return
-        if types <= {int, float}:  # not bools: type(True) is bool
+        if types == {int}:  # not bools or int subclasses: type(True) is bool
+            out.append(_list_text(map(int.__repr__, obj), newline))
+            return
+        if types <= {int, float}:
             out.append(_list_text(map(_number_text, obj), newline))
             return
         inner = newline + "  "
+        if types <= {list, tuple} and {*map(type, chain.from_iterable(obj))} == {int}:
+            # lists of ints, such as a bandwidth report's lines, each in one join
+            rows = map(map, repeat(int.__repr__), obj)
+            out.append(_list_text(map(_list_text, rows, repeat(inner)), newline))
+            return
         sep = "[" + inner
         for v in obj:
             out.append(sep)
@@ -228,6 +245,8 @@ def _list_text(texts, newline: str) -> str:
     body = ("," + inner).join(texts)
     return f"[{inner}{body}{newline}]" if body else "[]"
 
+
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 # The line starts of a file's top-level items and of the items of a row of
 # its top-level list (a sinogram row, a decomposition part).
@@ -266,50 +285,48 @@ def function_to_payload(f: GridFunction) -> dict:
     return payload
 
 
-def _value_texts(kind: str, den: int, ambient, newline: str):
-    """texts(rows): the JSON texts of the values whose lattice rows over den
-    are ``rows``, as ``canonical_dumps`` writes a value whose lines are
+def _value_texts(kind: str, den: int, rows: list, ambient, newline: str) -> list:
+    """The JSON texts of the values whose lattice rows over den are
+    ``rows``, as ``canonical_dumps`` writes a value whose lines are
     indented by ``newline``.  Coefficient c becomes the rational literal
-    c/den reduced by one gcd, each distinct c once over every call; a
-    cyclotomic row becomes the object of its literals.  A complex row holds
-    its value, written as its [re, im] pair."""
+    c/den reduced by one gcd, each distinct c once; a cyclotomic row
+    becomes the object of its literals.  A complex row holds its value,
+    written as its [re, im] pair, by ``float.__repr__`` when every value
+    is finite."""
     inner = newline + "  "
+    coeffs = list(chain.from_iterable(rows))
     if kind == COMPLEX:
-        return lambda rows: [
-            f"[{inner}{_float_text(z.real)},{inner}{_float_text(z.imag)}{newline}]" for (z,) in rows
-        ]
-    memo = {}
-
-    def literal(c):
-        text = memo.get(c)
-        if text is None:
-            g = math.gcd(c, den)
-            try:
-                text = memo[c] = f'"{c // g}"' if g == den else f'"{c // g}/{den // g}"'
-            except ValueError:
-                raise _text_limit_error(c // g, den // g) from None
-        return text
-
+        # NaN and the infinities are written as json.dumps writes them
+        text = float.__repr__ if all(map(cmath.isfinite, coeffs)) else _float_text
+        parts = zip(map(text, map(_REAL, coeffs)), map(text, map(_IMAG, coeffs)))
+        return [f"[{inner}{re},{inner}{im}{newline}]" for re, im in parts]
+    texts = {}
+    for c in filterfalse(texts.__contains__, coeffs):
+        g = math.gcd(c, den)
+        try:
+            texts[c] = f'"{c // g}"' if g == den else f'"{c // g}/{den // g}"'
+        except ValueError:
+            raise _text_limit_error(c // g, den // g) from None
+    literal = texts.__getitem__
     if kind == RATIONAL:
-        return lambda rows: [literal(c) for (c,) in rows]
+        return list(map(literal, coeffs))
     head, sep = f'{{{inner}"coeffs": [{inner}  ', f",{inner}  "
     ell = f'{inner}"ell": {ambient.ell},' if ambient.ell != 1 else ""
     tail = f'{inner}],{ell}{inner}"p": {ambient.p}{newline}}}'
-    return lambda rows: [head + sep.join(map(literal, row)) + tail for row in rows]
+    return [head + sep.join(map(literal, row)) + tail for row in rows]
 
 
 def _lattice_texts(held, newline: str) -> list:
     """For each ``Values`` in ``held``, the JSON texts of its values by
-    ``_value_texts`` from its lattice rows, one writer per kind and
-    denominator."""
-    writers, texts = {}, []
-    for values in held:
-        den, rows = _lattice_of(values)
-        key = (values.kind, den)
-        if key not in writers:
-            writers[key] = _value_texts(values.kind, den, values.ambient, newline)
-        texts.append(writers[key](rows))
-    return texts
+    ``_value_texts`` from its lattice rows: one call per kind and
+    denominator, on the rows of every holder that has them."""
+    lattices = [(values.kind, *_lattice_of(values)) for values in held]
+    written = {}
+    for values, (kind, den, _) in zip(held, lattices):
+        if (kind, den) not in written:
+            rows = list(chain.from_iterable(r for k, d, r in lattices if (k, d) == (kind, den)))
+            written[kind, den] = iter(_value_texts(kind, den, rows, values.ambient, newline))
+    return [list(islice(written[kind, den], len(rows))) for kind, den, rows in lattices]
 
 
 def function_dumps(f: GridFunction) -> str:
@@ -318,7 +335,7 @@ def function_dumps(f: GridFunction) -> str:
     of a complex one."""
     ambient = f.ambient
     den, rows = _lattice_of(f)
-    values = _list_text(_value_texts(f.kind, den, ambient, "\n    ")(rows), _TOP)
+    values = _list_text(_value_texts(f.kind, den, rows, ambient, "\n    "), _TOP)
     exponent = f'  "modulus_exponent": {ambient.ell},\n' if ambient.ell != 1 else ""
     return (
         f'{{\n  "d": {ambient.d},\n  "kind": "{f.kind}",\n{exponent}  "p": {ambient.p},\n'
@@ -335,24 +352,78 @@ class _Literals(dict):
 
     def read(self, text):
         """Read the literal ``text`` unless it was read before; return the
-        text, the key of its value."""
+        text, the key of its value.  The per-value reader, which names a
+        file's first fault."""
         if type(text) is not str or text not in self:
             self[text] = _literal_ratio(text)
         return text
 
-    def scale(self, rows) -> tuple:
-        """(L, rows): rows of literals as int rows over the lcm L of the
-        denominators of every literal read."""
+    def read_all(self, texts) -> bool:
+        """Read every literal of the list ``texts`` not read before, each
+        once, in file order; False, with none of them kept, when one of
+        them is not a string or not a literal."""
+        if not {*map(type, texts)} <= {str}:
+            return False
+        new = list(filterfalse(self.__contains__, dict.fromkeys(texts)))
+        try:
+            self.update(dict(zip(new, map(_literal_ratio, new))))
+        except DataFormatError:
+            return False
+        return True
+
+    def scale(self, texts, width: int) -> tuple:
+        """(L, rows): the literals ``texts``, width to a row, as int rows
+        over the lcm L of the denominators of every literal read."""
         L = math.lcm(*{den for _, den in self.values()})
         ints = {text: num * (L // den) for text, (num, den) in self.items()}
-        return L, [tuple(map(ints.__getitem__, row)) for row in rows]
+        return L, list(zip(*[map(ints.__getitem__, texts)] * width))
+
+
+def _complex_values(pairs) -> list | None:
+    """The complex values of the list ``pairs``, each an [re, im] list of
+    two JSON numbers, checked and read whole; None when a check fails or a
+    part is beyond the float range."""
+    if {*map(type, pairs)} != {list} or {*map(len, pairs)} != {2}:
+        return None
+    parts = list(chain.from_iterable(pairs))
+    if not {*map(type, parts)} <= {int, float}:
+        return None
+    try:
+        return list(map(complex, map(float, parts[0::2]), map(float, parts[1::2])))
+    except OverflowError:
+        return None
+
+
+def _cyclotomic_literals(values, p: int, ell: int, width: int) -> list | None:
+    """The coefficient literals of cyclotomic ``values`` on the grid
+    conductor p**ell, ``width`` (phi) to a value and a rational string
+    padded by zeros, when every value object passes the checks of
+    ``_cyclotomic_coeffs`` whole; None when one of them fails."""
+    types = {*map(type, values)}
+    if not types <= {dict, str}:
+        return None
+    objects = values if types == {dict} else [v for v in values if type(v) is dict]
+    coeffs = list(map(dict.get, objects, repeat("coeffs")))
+    ps = list(map(dict.get, objects, repeat("p"), repeat(p)))
+    ells = list(map(dict.get, objects, repeat("ell"), repeat(1)))
+    if objects and (
+        {*map(type, coeffs)} != {list} or {*map(type, ps + ells)} != {int}
+        or {*ps} != {p} or {*ells} != {ell} or {*map(len, coeffs)} != {width}
+    ):
+        return None
+    if types == {dict}:
+        return list(chain.from_iterable(coeffs))
+    pad = ("0",) * (width - 1)
+    return [c for v in values for c in ((v, *pad) if type(v) is str else v["coeffs"])]
 
 
 def function_from_payload(payload) -> GridFunction:
-    """The function of a function file's parsed JSON.  Exact values go
-    straight onto lattice rows: each distinct literal is checked and read
-    into a reduced ratio once, and the rows are scaled once by the lcm L of
-    the denominators; complex values are read one by one."""
+    """The function of a function file's parsed JSON.  The values are
+    checked whole, and exact ones go straight onto lattice rows: each
+    distinct literal is read into a reduced ratio once, and the rows are
+    scaled once by the lcm L of the denominators.  When a check fails, the
+    per-value reader runs from the first value and names the first fault
+    in file order."""
     if not isinstance(payload, dict):
         raise DataFormatError("function file must contain a JSON object")
     _require_fields(payload, ("p", "d", "kind", "values"), "function file")
@@ -367,18 +438,24 @@ def function_from_payload(payload) -> GridFunction:
             f"values must be a list of length {ambient.size}, got {len(values) if isinstance(values, list) else type(values).__name__}"
         )
     if kind == COMPLEX:
-        return GridFunction(ambient, kind, [scalar_from_payload(v, kind, p, ell) for v in values])
+        z = _complex_values(values)
+        if z is None:
+            z = [scalar_from_payload(v, kind, p, ell) for v in values]
+        return GridFunction(ambient, kind, z)
     literals = _Literals()
-    literal = literals.read
-    if kind == RATIONAL:
-        rows = [(literal(v),) for v in values]
-    else:
-        pad = ("0",) * (ambient.modulus - ambient.modulus // p - 1)
-        rows = [
-            (literal(v), *pad) if isinstance(v, str) else _cyclotomic_coeffs(v, p, ell, literal)
-            for v in values
-        ]
-    L, rows = literals.scale(rows)
+    width = 1 if kind == RATIONAL else ambient.modulus - ambient.modulus // p
+    texts = values if kind == RATIONAL else _cyclotomic_literals(values, p, ell, width)
+    if texts is None or not literals.read_all(texts):
+        literal = literals.read
+        if kind == RATIONAL:
+            texts = list(map(literal, values))
+        else:
+            pad = ("0",) * (width - 1)
+            texts = [
+                c for v in values
+                for c in ((literal(v), *pad) if isinstance(v, str) else _cyclotomic_coeffs(v, p, ell, literal))
+            ]
+    L, rows = literals.scale(texts, width)
     return _from_lattice(ambient, rows, L, kind)
 
 
@@ -393,6 +470,8 @@ def _read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise DataFormatError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def load_function(path) -> GridFunction:
@@ -412,12 +491,14 @@ def sinogram_to_payload(table: MassTable) -> dict:
 
 def sinogram_from_payload(payload) -> MassTable:
     """The mass table of a sinogram file's parsed JSON, read straight onto
-    lattice rows the way ``function_from_payload`` reads values.  The
-    masses of each direction are rebased onto its canonical generator by
-    one modular inverse, and the table takes the kind they join to: a
-    rational mass among cyclotomic ones gets zero coordinates above degree
-    zero, one among complex ones its complex value.  Complex masses are
-    read one by one, and their table holds them as values."""
+    lattice rows the way ``function_from_payload`` reads values: its rows
+    and masses are checked whole, and when a check fails the per-value
+    reader runs from the first row and names the first fault in file
+    order.  The masses of each direction are rebased onto its canonical
+    generator by one modular inverse, and the table takes the kind they
+    join to: a rational mass among cyclotomic ones gets zero coordinates
+    above degree zero, one among complex ones its complex value.  A table
+    of complex masses holds them as values."""
     if not isinstance(payload, dict):
         raise DataFormatError("sinogram file must contain a JSON object")
     _require_fields(payload, ("p", "d", "masses"), "sinogram file")
@@ -426,6 +507,9 @@ def sinogram_from_payload(payload) -> MassTable:
     p = ambient.p
     if not isinstance(payload["masses"], list):
         raise DataFormatError("sinogram masses must be a list of rows")
+    table = _sinogram_whole(ambient, payload["masses"])
+    if table is not None:
+        return table
     literals, kinds = _Literals(), set()
     literal = literals.read
 
@@ -474,11 +558,81 @@ def sinogram_from_payload(payload) -> MassTable:
             m if type(m) is complex else _complex_mass(m[0], literals[m[0]]) for m in cells
         ])
     else:
-        kind = CYCLOTOMIC if kinds else RATIONAL
-        pad = ("0",) * (p - 2) if kinds else ()
-        L, cells = literals.scale([m + pad if len(m) == 1 else m for m in cells])
+        kind, width = (CYCLOTOMIC, p - 1) if kinds else (RATIONAL, 1)
+        pad = ("0",) * (width - 1)
+        L, cells = literals.scale([c for m in cells for c in (m + pad if len(m) == 1 else m)], width)
         masses = Values._from_lattice(ambient, cells, L, kind)
     return MassTable(ambient, lines, masses)
+
+
+def _sinogram_whole(ambient, entries) -> MassTable | None:
+    """The mass table of a sinogram's rows ``entries``, checked and read
+    whole; None when a check fails.  The masses are read in file order,
+    each row's are rebased by one permutation per leading coordinate, and
+    the rows are ordered by line."""
+    p, d = ambient.p, ambient.d
+    if {*map(type, entries)} != {dict}:
+        return None
+    ss = list(map(dict.get, entries, repeat("s")))
+    ms = list(map(dict.get, entries, repeat("m")))
+    if (
+        {*map(type, ss)} != {list} or {*map(len, ss)} != {d}
+        or {*map(type, ms)} != {list} or {*map(len, ms)} != {p}
+    ):
+        return None
+    literals = _Literals()
+    read = _mass_cells(list(chain.from_iterable(ms)), p, literals)
+    if read is None:
+        return None
+    cells, kind = read
+    coords = list(chain.from_iterable(ss))
+    if {*map(type, coords)} != {int}:
+        return None
+    dirs = list(zip(*[map(p.__rmod__, coords)] * d))
+    leads = list(map(next, map(filter, repeat(None), dirs), repeat(0)))
+    if 0 in leads:
+        return None
+    rows = zip(*[iter(cells)] * p)
+    if {*leads} != {1}:
+        # The canonical generator of the line through s is rep = s/c, c the
+        # first nonzero entry of s, and x.s = t is the plane x.rep = t/c:
+        # the mass of rep at u is the mass of s at u*c.
+        rebase = {c: (pow(c, -1, p), itemgetter(*[u * c % p for u in range(p)])) for c in {*leads}}
+        dirs = [tuple([x * rebase[c][0] % p for x in s]) for s, c in zip(dirs, leads)]
+        rows = [rebase[c][1](row) for row, c in zip(rows, leads)]
+    rows = dict(zip(dirs, rows))
+    if len(rows) != len(dirs):  # a duplicate direction
+        return None
+    lines = [line for line in enumerate_lines(ambient) if line.rep in rows]
+    cells = list(chain.from_iterable([rows[line.rep] for line in lines]))
+    if kind == COMPLEX:
+        return MassTable(ambient, lines, Values(ambient, COMPLEX, cells))
+    L, cells = literals.scale(chain.from_iterable(cells), p - 1 if kind == CYCLOTOMIC else 1)
+    return MassTable(ambient, lines, Values._from_lattice(ambient, cells, L, kind))
+
+
+def _mass_cells(masses, p: int, literals: _Literals):
+    """(cells, kind): a sinogram's ``masses`` in file order, checked and
+    read whole, each exact mass as the row of its literals (a rational one
+    among cyclotomic ones padded by zeros) and each mass of a complex table
+    as its complex value; None when a check fails."""
+    types = {*map(type, masses)}
+    if types <= {str, dict}:
+        width = p - 1 if dict in types else 1
+        texts = _cyclotomic_literals(masses, p, 1, width) if dict in types else masses
+        if texts is None or not literals.read_all(texts):
+            return None
+        return list(zip(*[iter(texts)] * width)), CYCLOTOMIC if dict in types else RATIONAL
+    if not types <= {str, list} or not literals.read_all([m for m in masses if type(m) is str]):
+        return None
+    pairs = _complex_values([m for m in masses if type(m) is list])
+    if pairs is None:
+        return None
+    pairs = iter(pairs)
+    try:
+        return [next(pairs) if type(m) is list else _complex_mass(m, literals[m]) for m in masses], COMPLEX
+    except DataFormatError:
+        return None
 
 
 def _complex_mass(text: str, ratio: tuple) -> complex:
@@ -497,7 +651,7 @@ def sinogram_dumps(table: MassTable) -> str:
     masses = iter(_lattice_texts([table._masses], _ROW + "  ")[0])
     rows = [
         f'{{{_ROW}"m": {_list_text(islice(masses, size), _ROW)},'
-        f'{_ROW}"s": {_list_text(map(str, line.rep), _ROW)}\n    }}'
+        f'{_ROW}"s": {_list_text(map(int.__repr__, line.rep), _ROW)}\n    }}'
         for line, size in zip(table.directions(), table._sizes)
     ]
     return f'{{\n  "d": {ambient.d},\n  "masses": {_list_text(rows, _TOP)},\n  "p": {ambient.p}\n}}\n'
@@ -537,7 +691,7 @@ def decomposition_dumps(dec: Decomposition) -> str:
     coeffs = _lattice_texts([w._coefficients for w in dec.parts], _ROW + "  ")
     parts = [
         f'{{{_ROW}"coeffs": {_list_text(texts, _ROW)},'
-        f'{_ROW}"s": {_list_text(map(str, w.direction.rep), _ROW)}\n    }}'
+        f'{_ROW}"s": {_list_text(map(int.__repr__, w.direction.rep), _ROW)}\n    }}'
         for w, texts in zip(dec.parts, coeffs)
     ]
     return (

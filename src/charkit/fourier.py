@@ -14,7 +14,8 @@ and the inverse carries no normalization, so F(0) is the average of f and
 the convolution theorem reads forward(f * g) = q**d * forward(f)*forward(g).
 
 A value changes kind in one place, ``_coerce_value``, which every holder
-built from values applies to every value: rational values promote to
+built from values applies to every value (a complex holder applies its
+complex branch to the whole list in one pass): rational values promote to
 cyclotomic or complex ones, cyclotomic values to complex ones by
 ``complex(z)`` (the embedding), and complex values never go back.
 ``to_cyclotomic``, ``to_complex`` and arithmetic or equality with a
@@ -164,9 +165,14 @@ class Values:
             raise ValueError(f"unknown scalar kind {kind!r}")
         self.ambient = ambient
         self.kind = kind
+        if kind == COMPLEX:
+            try:
+                self._values = tuple(map(complex, values))
+            except OverflowError:
+                raise ValueError(_NOT_FINITE) from None
+            return
         self._values = tuple(_coerce_value(kind, v, ambient) for v in values)
-        if kind != COMPLEX:
-            self._den, self._rows = _encode(self._values, ambient, kind)
+        self._den, self._rows = _encode(self._values, ambient, kind)
 
     @classmethod
     def _from_lattice(cls, ambient, rows, den: int, kind: str | None = None):
@@ -488,7 +494,7 @@ def _lattice_of(held: Values):
     """(den, rows): the values on the lattice, rows[i] / den the coordinates
     of value i.  Complex values enter as they are, one per row, over 1."""
     if held.kind == COMPLEX:
-        return 1, [(v,) for v in held.values]
+        return 1, list(zip(held.values))
     return held._den, held._rows
 
 

@@ -95,6 +95,9 @@ def test_cli_rejects_a_complex_value_that_is_not_two_numbers(tmp_path, capsys, v
     assert captured.err.startswith("data error: bad complex value")
 
 
+# A JSON text nested deeper than the decoder's recursion limit.
+NESTED = "[" * 100_000 + "]" * 100_000
+
 # Every fault the function reader finds, with the text it reports.
 FUNCTION_FAULTS = {
     "bad literal": (
@@ -115,6 +118,14 @@ FUNCTION_FAULTS = {
          "values": ["1", {"p": 5, "coeffs": ["1", "0", "0", "0"]}, "0"]},
         "value conductor 5**1 does not match grid conductor 3**1",
     ),
+    "conductor mismatch with the grid's count": (
+        {"p": 3, "d": 1, "kind": "cyclotomic", "values": ["1", {"p": 5, "coeffs": ["1", "0"]}, "0"]},
+        "value conductor 5**1 does not match grid conductor 3**1",
+    ),
+    "exponent mismatch with the grid's count": (
+        {"p": 2, "d": 1, "kind": "cyclotomic", "values": [{"p": 2, "ell": 2, "coeffs": ["1"]}, "0"]},
+        "value conductor 2**2 does not match grid conductor 2**1",
+    ),
     "coefficient count": (
         {"p": 3, "d": 1, "kind": "cyclotomic", "values": ["1", "0", {"p": 3, "coeffs": ["1", "2", "3"]}]},
         "need 2 coefficients for conductor 3**1, got 3",
@@ -128,24 +139,48 @@ FUNCTION_FAULTS = {
         "unknown kind 'real'",
     ),
     "not an object": (["1", "0", "0"], "function file must contain a JSON object"),
+    "nested too deeply": (
+        '{"p": 3, "d": 1, "kind": "rational", "values": ["1", ' + NESTED + ', "0"]}',
+        "{path}: not valid JSON (nested too deeply)",
+    ),
+    # two faults: the lists are checked whole, and the first in file order is named
+    "complex: a pair of three parts before a bool": (
+        {"p": 3, "d": 1, "kind": "complex", "values": [[1, 0], [1, 2, 3], [True, 0]]},
+        "bad complex value [1, 2, 3]: need [re, im] JSON numbers",
+    ),
+    "complex: an overflow before a string part": (
+        {"p": 2, "d": 1, "kind": "complex", "values": [[10**400, 0], ["1", 0]]},
+        f"bad complex value [{10**400}, 0]",
+    ),
+    "cyclotomic: a coefficient count before a float p": (
+        {"p": 3, "d": 1, "kind": "cyclotomic",
+         "values": ["1", {"p": 3, "coeffs": ["1", "2", "3"]}, {"p": 3.0, "coeffs": ["1", "2"]}]},
+        "need 2 coefficients for conductor 3**1, got 3",
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", FUNCTION_FAULTS)
 def test_cli_reports_each_function_file_fault(tmp_path, capsys, fault):
+    """A fault given as a string is the file's text; "{path}" in its
+    message stands for the file's path."""
     payload, message = FUNCTION_FAULTS[fault]
     fn = tmp_path / "input.json"
-    fn.write_text(json.dumps(payload))
+    fn.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert run_cli("transform", "--input", str(fn)) == 2
-    assert capsys.readouterr() == ("", f"data error: {message}\n")
+    assert capsys.readouterr() == ("", f"data error: {message.replace('{path}', str(fn))}\n")
 
 
 def test_a_cyclotomic_value_reports_its_first_fault_first():
     """Literals are read in order before the coefficient count is checked,
-    and values in order, as the per-value reader found them."""
+    and values in order, as the per-value reader found them, though the
+    values are checked whole (the float p of the second value would fail
+    the check of every p first)."""
     for values, error, message in [
         ([{"coeffs": ["1", "x", "y"]}, {"coeffs": ["1"]}, "z"], DataFormatError, "bad rational literal 'x'"),
         ([{"coeffs": ["1"]}, "z", "0"], ValueError, "need 2 coefficients for conductor 3**1, got 1"),
+        ([{"coeffs": ["1"]}, {"p": 3.0, "coeffs": ["1", "2"]}, "0"], ValueError,
+         "need 2 coefficients for conductor 3**1, got 1"),
     ]:
         with pytest.raises(error) as err:
             fileio.function_from_payload({"p": 3, "d": 1, "kind": "cyclotomic", "values": values})

@@ -5,7 +5,8 @@ writes, ``parse_rational`` must read what ``Fraction(str)`` reads on every
 literal it accepts, the row writer ``function_dumps`` must write what
 ``canonical_dumps(function_to_payload(f))`` writes, the row reader
 ``function_from_payload`` must give the kind, rows and denominator of the
-function built from ``scalar_from_payload`` of each value, and no mutated
+function built from ``scalar_from_payload`` of each value (complex values
+bit for bit), and no mutated
 input file may get past the CLI's exit codes.
 """
 
@@ -81,6 +82,17 @@ json_trees = st.recursive(
 @example({"lines": [[0, 1, 1], [1, 0, 2]], "bw": [0.5, 1]})
 @example([1, 2.5, "3"])
 @example([IntEnum("E", "A").A, 1])
+# Lists of lists of ints are written in one join per list: a bandwidth
+# report's 1,023 lines of Z_2**10, an empty inner list (written "[]" by
+# either path; all of them empty leaves the item types empty and takes the
+# generic path) and an IntEnum or bool item, which leaves the lists to
+# the per-item path.
+@example({"approximate": False, "bw": "1/2", "bwd": 3, "cbw": 5,
+          "lines": [[i >> k & 1 for k in reversed(range(10))] for i in range(1, 1024)]})
+@example({"lines": [[0, 1], []]})
+@example({"lines": [[], []]})
+@example({"lines": [[0, 1], [IntEnum("E", "A").A, 1]]})
+@example({"lines": [[0, 1], [True, 1]]})
 def test_canonical_dumps_equals_json_dumps(obj):
     assert fileio.canonical_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -182,18 +194,29 @@ def literals(draw) -> str:
     return f"{sign}{x.numerator * k}/{x.denominator * k}"
 
 
+# Parts of complex values as a file may hold them: ints, signed zeros,
+# subnormals and the largest float.
+PARTS = [0, -3, 2**60, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+parts = st.sampled_from(PARTS) | st.integers(-(10**20), 10**20) | st.floats(allow_nan=False, allow_infinity=False)
+
+
 @st.composite
 def function_payloads(draw):
-    """A rational or cyclotomic function file on one of GRIDS, its literals
-    drawn from a small pool.  A cyclotomic file mixes value objects (with
-    and without "p" and "ell") and rational strings."""
+    """A function file of each kind on one of GRIDS, its literals or
+    complex parts drawn from a small pool.  A cyclotomic file mixes value
+    objects (with and without "p" and "ell") and rational strings; a
+    complex file mixes int and float parts."""
     ambient = draw(st.sampled_from(GRIDS))
-    kind = draw(st.sampled_from(["rational", "cyclotomic"]))
-    pool = draw(st.lists(st.sampled_from(UNREDUCED) | literals(), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["rational", "cyclotomic", "complex"]))
+    pool = draw(st.lists(parts if kind == "complex" else st.sampled_from(UNREDUCED) | literals(),
+                         min_size=1, max_size=6))
     rng = random.Random(draw(st.integers(0, 2**32)))
     width = ambient.modulus - ambient.modulus // ambient.p
     values = []
     for _ in range(ambient.size):
+        if kind == "complex":
+            values.append([rng.choice(pool), rng.choice(pool)])
+            continue
         if kind == "rational" or rng.random() < 0.3:
             values.append(rng.choice(pool))
             continue
@@ -211,6 +234,9 @@ def function_payloads(draw):
 
 @settings(FIXED, max_examples=80)
 @given(function_payloads())
+@example({"p": 2, "d": 2, "kind": "complex", "values": [
+    [-0.0, 5e-324], [1.7976931348623157e308, -0.0], [3, -5e-324], [0, -1.7976931348623157e308]
+]})
 def test_the_row_reader_gives_the_rows_of_the_per_value_reader(payload):
     ambient = Ambient(payload["p"], payload["d"], payload.get("modulus_exponent", 1))
     kind, p, ell = payload["kind"], ambient.p, ambient.ell
@@ -221,6 +247,11 @@ def test_the_row_reader_gives_the_rows_of_the_per_value_reader(payload):
     assert (f.ambient, f.kind) == (ambient, kind)
     assert _lattice_of(f) == _lattice_of(reference)
     assert f.values == reference.values
+    if kind == "complex":  # bit for bit: -0.0 == 0.0 would pass the checks above
+        def bits(g):
+            return [(z.real.hex(), z.imag.hex()) for z in g.values]
+
+        assert bits(f) == bits(reference)
 
 
 # --- the exit-code contract on mutated input files

@@ -13,6 +13,7 @@ CLI requests decode no value.  ``MassTable``, ``Wavelet`` and
 
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -127,6 +128,28 @@ def test_the_writers_write_tables_and_decompositions_built_from_values():
         assert fileio.sinogram_dumps(table) == fileio.canonical_dumps(fileio.sinogram_to_payload(table))
     empty = MassTable(amb, ())
     assert fileio.sinogram_dumps(empty) == fileio.canonical_dumps(fileio.sinogram_to_payload(empty))
+
+
+# Parts whose text float.__repr__ must keep: signed zeros, subnormals, the
+# largest float and short decimals.
+SPECIAL_PARTS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, 0.1, -1e-310]
+
+
+@pytest.mark.parametrize("special", ["finite", "with NaN and infinities"])
+def test_the_writers_write_complex_tables_of_signed_zeros_and_subnormals(special):
+    """Finite complex values are written by float.__repr__ after one pass
+    over the finiteness of all of them, the others one by one."""
+    amb = Ambient(3, 2)
+    rng = random.Random(2801)
+    parts = SPECIAL_PARTS + ([math.nan, math.inf, -math.inf] if special != "finite" else [])
+    rows = [
+        (line, tuple(complex(rng.choice(parts), rng.choice(parts)) for _ in range(amb.p)))
+        for line in enumerate_lines(amb)
+    ]
+    table = MassTable(amb, rows)
+    _same_text(fileio.sinogram_dumps(table), fileio.canonical_dumps(fileio.sinogram_to_payload(table)))
+    dec = Decomposition(amb, "plain", complex(-0.0, 5e-324), tuple(Wavelet(amb, line, ms) for line, ms in rows))
+    _same_text(fileio.decomposition_dumps(dec), fileio.canonical_dumps(fileio.decomposition_to_payload(dec)))
 
 
 # --- the row reader gives the rows of the per-value reader
@@ -257,6 +280,14 @@ SINOGRAM_FAULTS = {
         _sinogram(([1, 0], ["1", {"p": 5, "coeffs": ["1"] * 4}, "0"])),
         "value conductor 5**1 does not match grid conductor 3**1",
     ),
+    "cyclotomic conductor with the grid's count": (
+        _sinogram(([1, 0], ["1", {"p": 5, "coeffs": ["1", "2"]}, "0"])),
+        "value conductor 5**1 does not match grid conductor 3**1",
+    ),
+    "cyclotomic exponent": (
+        _sinogram(([1, 0], ["1", {"p": 3, "ell": 2, "coeffs": ["1", "2"]}, "0"])),
+        "value conductor 3**2 does not match grid conductor 3**1",
+    ),
     "cyclotomic coefficient count": (
         _sinogram(([1, 0], ["1", {"p": 3, "coeffs": ["1"]}, "0"])),
         "need 2 coefficients for conductor 3**1, got 1",
@@ -302,14 +333,25 @@ SINOGRAM_FAULTS = {
     "coefficients before their count": (
         _sinogram(([1, 0], ["1", {"p": 3, "coeffs": ["z"]}, "0"])), "bad rational literal 'z'"
     ),
+    "a literal before a later row's cyclotomic count": (
+        _sinogram(([1, 0], ["1", "x", "0"]), ([0, 1], [{"p": 3, "coeffs": ["1"]}, "0", "0"])),
+        "bad rational literal 'x'",
+    ),
+    "nested too deeply": (
+        '{"p": 3, "d": 2, "masses": [{"s": [1, 0], "m": ' + "[" * 100_000 + "]" * 100_000 + "}]}",
+        "{path}: not valid JSON (nested too deeply)",
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", SINOGRAM_FAULTS)
 def test_cli_reports_each_sinogram_file_fault(tmp_path, capsys, fault):
+    """A fault given as a string is the file's text; "{path}" in its
+    message stands for the file's path."""
     payload, message = SINOGRAM_FAULTS[fault]
     fn = tmp_path / "sinogram.json"
-    fn.write_text(json.dumps(payload))
+    fn.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    message = message.replace("{path}", str(fn))
     assert run_cli(capsys, "tomography", "reconstruct", "--input", str(fn)) == (2, "", f"data error: {message}\n")
 
 

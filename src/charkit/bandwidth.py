@@ -78,13 +78,13 @@ def support_profile(
     nonzero = F.nonzero(tol)
     active = []
     for line, indices in line_indices(ambient).items():
-        flags = [nonzero[i] for i in indices[1:]]
-        if source_kind == RATIONAL and not approximate and any(flags) and not all(flags):
+        hits = sum(map(nonzero.__getitem__, indices[1:]))
+        if source_kind == RATIONAL and not approximate and 0 < hits < len(indices) - 1:
             raise TheoremViolation(
                 f"rational source has a mixed line through {line.rep}: "
                 "zero and nonzero values on one punctured line"
             )
-        if any(flags):
+        if hits:
             active.append(line)
     cbw = len(active)
     return BandwidthReport(

@@ -46,18 +46,23 @@ denominators; a run builds its result from rows (``_from_lattice``), whose
 as planes, A[c*N + i] = coordinate c of value i (``_planes``): length-q int
 vectors in Z[x]/(x**q - 1), x standing for zeta, where multiplying by
 zeta**e is a rotation, so the d axis passes only add ints, N*d*q*q of them
-for N = q**d points, and each output value is reduced to the power basis
-once.  ``forward`` leaves rows over L*N, ``inverse`` over L, rational
-exactly when every coordinate above degree zero is zero.  A rational
+for N = q**d points, and the output is reduced to the power basis plane
+by plane (``_power_basis``), one subtraction of whole planes per
+coordinate and no call per value.  ``forward`` leaves rows over L*N,
+``inverse`` over L, rational exactly when every coordinate above degree
+zero is zero.  A rational
 forward on Z_p**d runs no axis pass: it reads the masses at the line
 representatives from the line run (below) and fills F(c*s) =
 p**(-d) * sum_t m_{s,t} * zeta**(-c*t) from them, one point permutation
 per grid (``_line_points``) placing the rows.  The d passes
 (``_exact_transform``) keep ``inverse``, ring grids and cyclotomic
 forwards, whose fill would cost about what the passes save.  The rows
-answer for the function: the zero mask, the Galois action (x**j -> x**(r*j)),
-equality (cross-multiplied by the two denominators), ``+`` and ``-`` (over
-the lcm of the two), ``take`` and the transforms.  Every run is laid out
+answer for the function, a whole coordinate column at a time: the zero
+mask, the Galois action (column j to plane r*j, then the plane
+reduction), equality (columns cross-multiplied by the two denominators),
+``+`` and ``-`` (columns over the lcm of the two), ``scale`` by a rational
+factor (columns times its numerator, the denominator times its
+denominator), ``take`` and the transforms.  Every run is laid out
 here; other modules read rows through ``_lattice_of``, build from them
 through ``_from_lattice`` and call the runs.
 
@@ -71,7 +76,8 @@ representatives (0, s') are those of Z_p**(d-1), served by the same run
 on the sum of the slices.  That is about (d - 1)*p*N additions per
 coordinate, where d passes over all p**d directions took d*N*p*p.  The
 exact mass tables and decompositions (``_mass_rows``) and the rational
-forward read it.  Complex masses keep the d-pass mass run, every value at
+forward read it; a decomposition of a rational f reads its spectrum and
+its masses off one run (``_spectrum_and_masses``).  Complex masses keep the d-pass mass run, every value at
 power 0 and d passes over all directions: the line run adds the same
 floats in another order, which changes the last bits of some masses.
 Back-projection (``_back_project``) is the line run transposed, for any
@@ -111,8 +117,8 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import zip_longest
+from functools import lru_cache, partial
+from itertools import repeat
 
 from .geometry import MAX_SET_SPECTRUM_TABLE, Point, Subspace, dilation_indices, dot, dots
 from .geometry import grid_point, perp, point_set, vsub
@@ -124,8 +130,6 @@ from .scalars import (
     ZERO,
     Cyclotomic,
     _embed_roots,
-    _galois_row,
-    _reduce_ext,
     _unit_index,
     is_zero,
     zero_bound,
@@ -211,8 +215,9 @@ class Values:
     def take(self, ambient, src) -> "GridFunction":
         """The function on ``ambient`` whose value i is value src[i] of these."""
         if self.kind == COMPLEX:
-            return GridFunction(ambient, COMPLEX, [self.values[i] for i in src])
-        return _from_lattice(ambient, [self._rows[i] for i in src], self._den, self.kind)
+            return GridFunction(ambient, COMPLEX, map(self.values.__getitem__, src))
+        rows = list(map(self._rows.__getitem__, src))
+        return _from_lattice(ambient, rows, self._den, self.kind)
 
 
 class GridFunction(Values):
@@ -296,15 +301,19 @@ class GridFunction(Values):
 
     def galois(self, r: int) -> "GridFunction":
         """The image under zeta -> zeta**r of every value (r a unit mod q),
-        computed on the lattice rows: x**j goes to x**(r*j), then one
-        reduction per value."""
+        computed on whole columns of the lattice rows: the column of x**j
+        becomes plane r*j mod q of Z[x]/(x**q - 1), the other planes zero,
+        and the q planes are reduced to the power basis plane by plane."""
         if self.kind == COMPLEX:
             raise ValueError("the Galois action is defined on exact values")
-        p, ell = self.ambient.p, self.ambient.ell
-        r = _unit_index(p, ell, r)
+        p, q = self.ambient.p, self.ambient.modulus
+        r = _unit_index(p, self.ambient.ell, r)
         if r == 1 or self.kind == RATIONAL:
             return self
-        rows = [_galois_row(p, ell, row, r) for row in self._rows]
+        planes = [(0,) * len(self._rows)] * q
+        for j, col in enumerate(zip(*self._rows)):
+            planes[j * r % q] = col
+        rows = list(zip(*_power_basis(planes, p)))
         return _from_lattice(self.ambient, rows, self._den, CYCLOTOMIC)
 
     def dilate(self, r: int) -> "GridFunction":
@@ -319,9 +328,11 @@ class GridFunction(Values):
         bound = zero_bound(a + b, tol)
         return all(is_zero(x - y, bound) for x, y in zip(a, b))
 
-    def _binop(self, other, op):
-        """Pointwise op; exact functions combine their rows over the lcm of
-        the two denominators, a rational row padded with zeros."""
+    def _binop(self, other, combine):
+        """Pointwise combination: ``combine`` takes two whole sequences, the
+        complex values of the two, or for exact functions one coordinate
+        column of each, scaled to the lcm of the two denominators, the
+        narrower function padded with zero columns."""
         if not isinstance(other, GridFunction):
             return NotImplemented
         if self.ambient != other.ambient:
@@ -329,26 +340,31 @@ class GridFunction(Values):
         kind = _join_kind(self.kind, other.kind)
         if kind == COMPLEX:
             a, b = self.to_complex().values, other.to_complex().values
-            return GridFunction(self.ambient, kind, map(op, a, b))
+            return GridFunction(self.ambient, kind, combine(a, b))
         den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        rows = [
-            tuple(op(x * sa, y * sb) for x, y in zip_longest(a, b, fillvalue=0))
-            for a, b in zip(self._rows, other._rows)
-        ]
+        width = max(len(self._rows[0]), len(other._rows[0]))
+        a, b = (_columns(h, den // h._den, width) for h in (self, other))
+        rows = list(zip(*map(combine, a, b)))
         return _from_lattice(self.ambient, rows, den, kind)
 
     def __add__(self, other):
-        return self._binop(other, operator.add)
+        return self._binop(other, partial(map, operator.add))
 
     def __sub__(self, other):
-        return self._binop(other, operator.sub)
+        return self._binop(other, partial(map, operator.sub))
 
     def __neg__(self):
-        return self._binop(self, lambda x, _: -x)
+        return self._binop(self, lambda a, _: map(operator.neg, a))
 
     def scale(self, factor) -> "GridFunction":
-        kind = _join_kind(self.kind, _kind_of_scalar(factor))
+        """Every value times ``factor``.  On exact values a rational factor
+        n/m multiplies the columns by n and the denominator by m."""
+        factor_kind = _kind_of_scalar(factor)
+        if factor_kind == RATIONAL and self.kind != COMPLEX:
+            num, den = factor.as_integer_ratio()
+            rows = list(zip(*_columns(self, num, len(self._rows[0]))))
+            return _from_lattice(self.ambient, rows, self._den * den, self.kind)
+        kind = _join_kind(self.kind, factor_kind)
         vals = [_coerce_value(kind, v, self.ambient) for v in self.values]
         if kind == COMPLEX:  # an exact factor keeps its own product on exact values
             factor = _coerce_value(kind, factor, self.ambient)
@@ -503,34 +519,57 @@ def _planes(rows) -> list:
     return [c for col in zip(*rows) for c in col]
 
 
+def _columns(held: Values, factor: int, width: int) -> list:
+    """The coordinate columns of exact values, each times ``factor``,
+    padded with zero columns to ``width``."""
+    cols = list(zip(*held._rows))
+    if factor != 1:
+        cols = [map(factor.__mul__, col) for col in cols]
+    return cols + [(0,) * len(held._rows)] * (width - len(cols))
+
+
 def _agreement(f: Values, g: Values):
     """Per value, whether f and g hold the same one.  Exact values compare
-    their lattices, rows a/da and b/db as a*db == b*da with the shorter row
-    padded by zeros; complex ones their values promoted to complex."""
+    their lattices, the narrower padded with zeros: rows over one
+    denominator as they are, else whole columns a/da and b/db as a*db and
+    b*da.  Complex ones compare their values promoted to complex."""
     if COMPLEX in (f.kind, g.kind):
         return map(operator.eq, *(Values(h.ambient, COMPLEX, h.values).values for h in (f, g)))
     (da, ra), (db, rb) = (f._den, f._rows), (g._den, g._rows)
-    if da == db and len(ra[0]) == len(rb[0]):
-        return map(operator.eq, ra, rb)
-    return (
-        all(x * db == y * da for x, y in zip_longest(a, b, fillvalue=0))
-        for a, b in zip(ra, rb)
-    )
+    wa, wb = len(ra[0]), len(rb[0])
+    if da != db:
+        width = max(wa, wb)
+        return map(operator.eq, zip(*_columns(f, db, width)), zip(*_columns(g, da, width)))
+    if wa < wb:
+        ra = map(operator.add, ra, repeat((0,) * (wb - wa)))
+    elif wb < wa:
+        rb = map(operator.add, rb, repeat((0,) * (wa - wb)))
+    return map(operator.eq, ra, rb)
+
+
+def _power_basis(planes: list, p: int) -> list:
+    """The phi power-basis planes of q planes of Z[x]/(x**q - 1), reduced
+    whole: modulo 1 + x**s + ... + x**((p-1)*s), s = q/p, x**(phi + r) is
+    -(x**r + x**(r+s) + ... + x**(r+(p-2)*s)) for r < s, so coordinate j
+    is plane j minus plane phi + (j mod s)."""
+    q = len(planes)
+    step = q // p
+    phi = q - step
+    return [list(map(operator.sub, planes[j], planes[phi + j % step])) for j in range(phi)]
 
 
 def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
     """The exact transform (sign -1 forward, +1 inverse) of the N =
     q**passes values with lattice rows ``rows``: their planes are
-    zero-padded to q, the passes run, and each position is reduced to the
-    power basis, one row of phi ints per position."""
-    p, ell, q = ambient.p, ambient.ell, ambient.modulus
+    zero-padded to q, the passes run, and the q output planes are reduced
+    to the phi power-basis planes, read back as one row per position."""
+    q = ambient.modulus
     A = _planes(rows)
     A += [0] * (q ** (passes + 1) - len(A))
     for _ in range(passes):
         A = _lattice_pass(A, q, sign)
     n = len(A) // q
-    planes = [A[j * n : (j + 1) * n] for j in range(q)]
-    return [_reduce_ext(p, ell, list(v)) for v in zip(*planes)]
+    return list(zip(*_power_basis([A[j * n : (j + 1) * n] for j in range(q)], ambient.p)))
 
 
 def _line_masses(A: list, p: int, d: int, width: int) -> list:
@@ -613,8 +652,7 @@ def _mass_rows(f: GridFunction, lines) -> tuple:
     width = len(rows[0])
     if f.kind != COMPLEX:
         planes = _line_masses(_planes(rows), p, ambient.d, width)
-        at = [((n - 1) // (p - 1) + j) * width for n, j in _line_places(ambient, lines)]
-        return den, [tuple(planes[t][i : i + width]) for i in at for t in range(p)]
+        return den, _line_cells(ambient, planes, width, lines)
     plane = width * ambient.size
     A = _planes(rows) + [0] * ((p - 1) * plane)  # every coordinate at power 0, p planes
     for _ in range(ambient.d):
@@ -624,6 +662,26 @@ def _mass_rows(f: GridFunction, lines) -> tuple:
     if not all(cmath.isfinite(m) for (m,) in cells):
         raise ValueError(_NOT_FINITE)
     return den, cells
+
+
+def _line_cells(ambient, planes: list, width: int, lines) -> list:
+    """The cells of ``_mass_rows`` for ``lines``, read off the line run's planes."""
+    p = ambient.p
+    at = [((n - 1) // (p - 1) + j) * width for n, j in _line_places(ambient, lines)]
+    return [tuple(planes[t][i : i + width]) for i in at for t in range(p)]
+
+
+def _spectrum_and_masses(f: GridFunction) -> tuple:
+    """(forward(f), masses), masses(lines) the (den, cells) of
+    ``_mass_rows(f, lines)``: what a decomposition reads, the active lines
+    of the spectrum and their masses.  A rational f on Z_p**d gets both
+    from one line run, the forward filled from the planes the masses are
+    read off."""
+    ambient = f.ambient
+    if f.kind != RATIONAL or ambient.ell != 1:
+        return forward(f), partial(_mass_rows, f)
+    planes = _line_masses(_planes(f._rows), ambient.p, ambient.d, 1)
+    return _filled(f, planes), lambda lines: (f._den, _line_cells(ambient, planes, 1, lines))
 
 
 def _back_project(ambient, lines, rows) -> list:
@@ -678,25 +736,26 @@ def forward(f: GridFunction) -> GridFunction:
         scale = 1.0 / ambient.size
         return GridFunction(ambient, COMPLEX, [v * scale for v in vals])
     if f.kind == RATIONAL and ambient.ell == 1:
-        rows = _forward_from_masses(f._rows, ambient.p, ambient.d)
-    else:
-        rows = _exact_transform(f._rows, ambient, ambient.d, -1)
+        return _filled(f, _line_masses(_planes(f._rows), ambient.p, ambient.d, 1))
+    rows = _exact_transform(f._rows, ambient, ambient.d, -1)
     return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC)
 
 
-def _forward_from_masses(rows, p: int, d: int) -> list:
-    """The rows of the exact forward transform of rational rows on Z_p**d,
-    over the same L*N, from the line run: F(c*s) is the sum over t of
+def _filled(f: GridFunction, planes: list) -> GridFunction:
+    """The exact forward transform of a rational f on Z_p**d, over L*N,
+    from the planes of its line run: F(c*s) is the sum over t of
     m_{s,t} * zeta**(-c*t), whose power-basis coordinate j is
     m_{s,-j/c} - m_{s,-(p-1)/c}, and F(0) is the total mass.  The rows are
     made line by line at each scale c and placed by ``_line_points``."""
-    planes = _line_masses(_planes(rows), p, d, 1)
+    ambient = f.ambient
+    p, d = ambient.p, ambient.d
     made = [(sum(plane[0] for plane in planes), *(0,) * (p - 2))]
     for c in range(1, p):
         inv = pow(c, -1, p)
         last = planes[inv]
         made += zip(*[list(map(operator.sub, planes[-j * inv % p], last)) for j in range(p - 1)])
-    return list(map(made.__getitem__, _line_points(p, d)))
+    rows = list(map(made.__getitem__, _line_points(p, d)))
+    return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC)
 
 
 @lru_cache(maxsize=None)
@@ -705,8 +764,9 @@ def _point_spectra(ambient) -> tuple:
     times N, flat, the power-basis coordinates of zeta**(-x.m) at
     m*width + c; built from the labels ``dots`` in one pass, with no
     transform."""
-    p, ell, q = ambient.p, ambient.ell, ambient.modulus
-    powers = [_reduce_ext(p, ell, [int(e == -u % q) for e in range(q)]) for u in range(q)]
+    q = ambient.modulus
+    ext = [[int(e == -u % q) for u in range(q)] for e in range(q)]  # plane e of zeta**(-u)
+    powers = list(zip(*_power_basis(ext, ambient.p)))
     return tuple([c for u in dots(ambient, x) for c in powers[u]] for x in ambient.points())
 
 

@@ -135,12 +135,11 @@ def _unit_index(p: int, ell: int, r: int) -> int:
     return r
 
 
-def _galois_row(p: int, ell: int, row, r: int, zero=0) -> tuple:
-    """The power-basis coordinates of sigma_r(z) from those of z: x**j goes
-    to x**(r*j), then one reduction.  ``zero`` fills the empty exponents:
-    0 for int lattice rows, ZERO for a Cyclotomic's Fractions."""
+def _galois_row(p: int, ell: int, row, r: int) -> tuple:
+    """The power-basis coordinates of sigma_r(z) from those of z, a
+    Cyclotomic's Fractions: x**j goes to x**(r*j), then one reduction."""
     q = p ** ell
-    ext = [zero] * q
+    ext = [ZERO] * q
     for j, c in enumerate(row):
         if c:
             ext[j * r % q] = c
@@ -326,7 +325,7 @@ class Cyclotomic:
         if r == 1:
             return self
         return Cyclotomic._make(
-            self.p, self.ell, _galois_row(self.p, self.ell, self.coeffs, r, ZERO)
+            self.p, self.ell, _galois_row(self.p, self.ell, self.coeffs, r)
         )
 
     def conjugate(self) -> "Cyclotomic":

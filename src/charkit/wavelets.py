@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .bandwidth import bandwidth
+from .bandwidth import bandwidth, support_profile
 from .errors import SinogramError
 from .fourier import COMPLEX, GridFunction, Values, _join_kind, _kind_of_scalar
 from .fourier import _back_project, _from_lattice, _lattice_of, _mass_rows
+from .fourier import _spectrum_and_masses
 from .geometry import (
     Ambient,
     ProjectiveLine,
@@ -235,14 +236,17 @@ def decompose(
     the rows of f: the plain coefficients are the mass rows over
     L*p**(d-1), the reduced ones their differences with the row at t = 0,
     and the massless ones p times the mass rows less M, over L*N; the
-    constant is over L*N.  Complex ones are computed value by value.
+    constant is over L*N.  Complex ones are computed value by value.  A
+    rational f gets its spectrum and its masses from one line run.
     """
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
-    profile = bandwidth(f, tol)
-    ambient, lines = f.ambient, profile.lines
+    ambient = f.ambient
+    require_prime_grid(ambient)
+    F, mass_rows = _spectrum_and_masses(f)
+    lines = support_profile(F, source_kind=f.kind, tol=tol).lines
     p, N = ambient.p, ambient.size
-    den, cells = _mass_rows(f, lines)
+    den, cells = mass_rows(lines)
     if f.kind == COMPLEX:
         masses = Values._from_lattice(ambient, cells, den, COMPLEX).values
         return _decompose_complex(f, form, lines, [masses[i : i + p] for i in range(0, len(masses), p)])

@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "charkit"
 HOMES = {"fourier.py", "scalars.py", "fileio.py"}
 KIND_HOME = {"_coerce_value", "_join_kind", "_kind_of_scalar"}
 LATTICE = {
-    "_exact_transform", "_mass_rows", "_back_project",
+    "_exact_transform", "_mass_rows", "_spectrum_and_masses", "_back_project",
     "_traces", "_set_spectrum", "_lattice_of", "_from_lattice",
 }
 CODEC = {"_encode", "_decode"}  # Values' own, for fourier alone

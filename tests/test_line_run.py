@@ -33,7 +33,15 @@ from charkit.fourier import (
     inverse,
 )
 from charkit.geometry import Ambient, dots, enumerate_lines
-from charkit.wavelets import MassTable, mass_table, masses, reconstruct_from_masses
+from charkit.bandwidth import bandwidth
+from charkit.wavelets import (
+    FORMS,
+    MassTable,
+    decompose,
+    mass_table,
+    masses,
+    reconstruct_from_masses,
+)
 
 GRIDS = [(p, d) for p in (2, 3, 5, 7) for d in (1, 2, 3)] + [(13, 2)]
 
@@ -107,6 +115,27 @@ def test_the_forward_enumerates_no_lines(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_lines(ambient)
     assert forward(f) == forward_naive(f)
+
+
+@pytest.mark.parametrize("p,d", [(2, 4), (3, 3), (7, 2)])
+@pytest.mark.parametrize("form", FORMS)
+def test_a_rational_decompose_makes_one_line_run(monkeypatch, p, d, form):
+    """The active lines are read off the spectrum filled from the planes
+    that the masses are read off: one line run per decomposition."""
+    ambient = Ambient(p, d)
+    f = random_rational_function(ambient, rng_for(2901, f"line-run/decompose/{p}/{d}"))
+    runs = []
+    line_masses = fourier._line_masses
+
+    def counted(*args):
+        runs.append(args)
+        return line_masses(*args)
+
+    monkeypatch.setattr(fourier, "_line_masses", counted)
+    dec = decompose(f, form)
+    assert len(runs) == 1
+    assert tuple(w.direction for w in dec.parts) == bandwidth(f).lines
+    assert dec.evaluate() == f
 
 
 def _direct_back_projection(ambient, lines, rows):

@@ -56,7 +56,8 @@ representatives from the line run (below) and fills F(c*s) =
 p**(-d) * sum_t m_{s,t} * zeta**(-c*t) from them, one point permutation
 per grid (``_line_points``) placing the rows.  The d passes
 (``_exact_transform``) keep ``inverse``, ring grids and cyclotomic
-forwards, whose fill would cost about what the passes save.  The rows
+forwards, whose fill would cost about what the passes save; one pass over
+the positions (part, t) makes every multi-scale part at once.  The rows
 answer for the function, a whole coordinate column at a time: the zero
 mask, the Galois action (column j to plane r*j, then the plane
 reduction), equality (columns cross-multiplied by the two denominators),
@@ -77,18 +78,23 @@ on the sum of the slices.  That is about (d - 1)*p*N additions per
 coordinate, where d passes over all p**d directions took d*N*p*p.  The
 exact mass tables and decompositions (``_mass_rows``) and the rational
 forward read it; a decomposition of a rational f reads its spectrum and
-its masses off one run (``_spectrum_and_masses``).  Complex masses keep the d-pass mass run, every value at
-power 0 and d passes over all directions: the line run adds the same
-floats in another order, which changes the last bits of some masses.
-Back-projection (``_back_project``) is the line run transposed, for any
-lines in any order: the value of line (0, ..., 0, 1, m'') at label t goes
-in at X**(-t) and position m'', the passes leave the sum over those lines
-of their values at x.s at x = (a, x'') at X**(-a), and each level's sums
-are added to those of the level below, repeated over a.  It serves every
-kind.  Tomography back-projects and builds no spectrum:
-``reconstruct_from_masses`` the masses, f(x) = p**(-(d-1)) *
-sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d over all n lines, and
-``inverse_phi`` the traces of its seeds (``_traces``).
+its masses off one run (``_spectrum_and_masses``).  Complex masses keep
+the float sums of the d-pass mass run, every value at power 0 and d
+passes over all directions, since the line run adds the same floats in
+another order, which changes the last bits of some masses; but
+``_complex_mass_run`` makes only the sums the representatives read: the
+first pass, one nonzero plane in, is one sum or one int-0 addition per
+value, and the last pass makes the outputs k = 0 and 1 alone, the first
+coordinates a representative has.  Back-projection (``_back_project``)
+is the line run transposed, for any lines in any order: the value of
+line (0, ..., 0, 1, m'') at label t goes in at X**(-t) and position m'',
+the passes leave the sum over those lines of their values at x.s at
+x = (a, x'') at X**(-a), and each level's sums are added to those of the
+level below, repeated over a.  It serves every kind.  Tomography
+back-projects and builds no spectrum: ``reconstruct_from_masses`` the
+masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
+over all n lines, and ``inverse_phi`` the traces of its seeds
+(``_traces``).
 
 ``set_spectrum`` gives the spectrum of a set's indicator, with the rows
 and denominator of ``forward`` of it, and the set statements (the
@@ -432,7 +438,7 @@ def _complex_pass(A: list, q: int, sign: int) -> list:
     return out
 
 
-def _lattice_pass(A: list, q: int, sign: int) -> list:
+def _lattice_pass(A: list, q: int, sign: int, outputs: int | None = None) -> list:
     """One length-q transform out[k] = sum_t x**(sign*k*t) * in[t] on the lattice.
 
     A is indexed (j, r, t): the coefficient of x**j at position r*q + t.
@@ -440,9 +446,11 @@ def _lattice_pass(A: list, q: int, sign: int) -> list:
     x**e rotates it by e*n places (n = len(A) / q**2), so the loops only
     slice and add ints.  The result is indexed (i, k, r): the transformed
     coordinate moves to the front of the position, and d passes over a
-    d-dimensional grid bring it back to lexicographic order.  Entries may
-    also be complex: the pass only slices and sums, and the mass run and
-    back-projection run it on complex values as they are.
+    d-dimensional grid bring it back to lexicographic order.  Given
+    ``outputs``, only out[k] for k < outputs is computed, the rest left 0.
+    Entries may also be complex: the pass only slices and sums, each sum
+    from int 0 over the columns in increasing t, and the complex mass run
+    and back-projection run it on complex values as they are.
     """
     m = len(A) // q
     n = m // q
@@ -452,7 +460,7 @@ def _lattice_pass(A: list, q: int, sign: int) -> list:
         if any(col):
             cols.append((t, col + col))
     out = [0] * len(A)
-    for k in range(q):
+    for k in range(q if outputs is None else outputs):
         rows = []
         for t, w in cols:
             start = m - sign * k * t % q * n
@@ -536,6 +544,8 @@ def _agreement(f: Values, g: Values):
     if COMPLEX in (f.kind, g.kind):
         return map(operator.eq, *(Values(h.ambient, COMPLEX, h.values).values for h in (f, g)))
     (da, ra), (db, rb) = (f._den, f._rows), (g._den, g._rows)
+    if not (ra and rb):  # no value, so no width to read: nothing to compare
+        return iter(())
     wa, wb = len(ra[0]), len(rb[0])
     if da != db:
         width = max(wa, wb)
@@ -559,13 +569,17 @@ def _power_basis(planes: list, p: int) -> list:
 
 
 def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
-    """The exact transform (sign -1 forward, +1 inverse) of the N =
-    q**passes values with lattice rows ``rows``: their planes are
+    """The exact transform (sign -1 forward, +1 inverse) along the last
+    ``passes`` coordinates of the positions (a, t_1, ..., t_passes) of the
+    values with lattice rows ``rows``, every t in Z_q: their planes are
     zero-padded to q, the passes run, and the q output planes are reduced
-    to the phi power-basis planes, read back as one row per position."""
+    to the phi power-basis planes, read back as one row per position.  The
+    output positions are (k_1, ..., k_passes, a), the lexicographic order
+    when there is no a (N = q**passes values, a grid's transform); a has
+    the parts of ``multiscale``, each one line of q values."""
     q = ambient.modulus
     A = _planes(rows)
-    A += [0] * (q ** (passes + 1) - len(A))
+    A += [0] * (q * len(rows) - len(A))
     for _ in range(passes):
         A = _lattice_pass(A, q, sign)
     n = len(A) // q
@@ -643,25 +657,52 @@ def _mass_rows(f: GridFunction, lines) -> tuple:
     """(den, cells): the masses of f in every direction of ``lines``, from
     one run, undecoded.  cells[i*p + t] / den is the lattice row of
     m_{s_i,t}, s_i = lines[i].rep, over f's own denominator.  Exact values
-    take the line run; complex ones the d-pass mass run, whose d passes
-    leave coordinate c of m_{s,t} at A[t*N*width + index(s)*width + c] for
-    every s, so that their float sums keep their order.  Complex masses
-    must be finite."""
+    take the line run; complex ones the complex mass run, which leaves
+    m_{s,t} at A[t*N + index(s)] for every representative s with the bits
+    of the d-pass mass run.  Complex masses must be finite."""
     ambient, p = f.ambient, f.ambient.p
-    den, rows = _lattice_of(f)
-    width = len(rows[0])
     if f.kind != COMPLEX:
+        den, rows = _lattice_of(f)
+        width = len(rows[0])
         planes = _line_masses(_planes(rows), p, ambient.d, width)
         return den, _line_cells(ambient, planes, width, lines)
-    plane = width * ambient.size
-    A = _planes(rows) + [0] * ((p - 1) * plane)  # every coordinate at power 0, p planes
-    for _ in range(ambient.d):
-        A = _lattice_pass(A, p, +1)
-    at = [ambient.index_of(line.rep) * width for line in lines]
-    cells = [tuple(A[t * plane + i : t * plane + i + width]) for i in at for t in range(p)]
+    N = ambient.size
+    A = _complex_mass_run(f.values, p, ambient.d)
+    at = [ambient.index_of(line.rep) for line in lines]
+    cells = [(A[t * N + i],) for i in at for t in range(p)]
     if not all(cmath.isfinite(m) for (m,) in cells):
         raise ValueError(_NOT_FINITE)
-    return den, cells
+    return 1, cells
+
+
+def _complex_mass_run(values, p: int, d: int) -> list:
+    """A[t*N + index(s)] = m_{s,t} of the N = p**d complex ``values`` at
+    every s whose first coordinate is 0 or 1, which every line
+    representative's is: the float sums of the d-pass mass run, every value
+    at power 0 of p planes and d ``_lattice_pass`` calls (sign +1), made
+    only where they are read.
+
+    Only plane 0 of the first pass is nonzero, so its output k = 0 has
+    plane 0 the sum, in increasing t, of the nonzero columns f(., t), and
+    output k != 0 has plane k*t the column plus int 0, ``sum`` over one
+    nonzero term; the other planes are 0.  The passes between run whole,
+    and the last computes k = 0 and k = 1 only.  The int-zero terms the
+    full run adds change no bit: a ``sum`` from int 0 never holds -0.0,
+    and adding 0 to it leaves it as it is."""
+    N = len(values)
+    n = N // p
+    cols = [(t, values[t::p]) for t in range(p)]
+    cols = [(t, col) for t, col in cols if any(col)]
+    A = [0] * (p * N)
+    if cols:
+        A[:n] = map(sum, zip(*[col for _, col in cols]))
+    for k in range(1, p):
+        for t, col in cols:
+            at = (k * t % p * p + k) * n
+            A[at : at + n] = [0 + v for v in col]
+    for e in range(1, d):
+        A = _lattice_pass(A, p, +1, 2 if e == d - 1 else None)
+    return A
 
 
 def _line_cells(ambient, planes: list, width: int, lines) -> list:

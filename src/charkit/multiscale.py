@@ -12,9 +12,10 @@ holds over Z_q as over Z_p: a spectrum F on the points t*v of the line
 through v (one t per point) has inverse f(x) = sum_t F(t*v) chi(t * x.v)
 = c[x.v], with c the length-q inverse transform of t -> F(t*v).  So f is
 constant on each hyperplane {x : x.v = s}, and one length-q lattice pass
-replaces a d-axis inverse.  This module only places the lattice row of
-F(t*v) at position t and permutes the rows of c along x.v; the part is
-rational exactly when every c[s] is, and nothing is decoded.
+over every part's line replaces a d-axis inverse per part.  This module
+only places the lattice row of F(t*v) at position (part, t), reads c[s]
+of each part at (s, part) and permutes those rows along x.v; a part is
+rational exactly when every c[s] it reads is, and nothing is decoded.
 """
 
 from __future__ import annotations
@@ -50,19 +51,29 @@ def require_exact(f: GridFunction) -> None:
         )
 
 
-def _line_part(F: GridFunction, v: Point, claimed) -> GridFunction:
-    """x -> c[x.v], the function whose spectrum is F on ``claimed`` (points
-    t*v of the line through v; v = 0 for the origin) and 0 elsewhere.  The
-    rows of c are permuted along x.v, and the part is rational exactly when
-    every c[s] that x.v reaches is."""
+def _line_parts(F: GridFunction, claims) -> list:
+    """Per (v, claimed) of ``claims``, x -> c[x.v]: the function whose
+    spectrum is F on ``claimed`` (points t*v of the line through v; v = 0
+    for the origin) and 0 elsewhere.  The lines of every part are stacked
+    as the positions (part, t) of one length-q inverse pass, which leaves
+    c[s] of part j at position (s, j).  Its rows are permuted along x.v,
+    and a part is rational exactly when every c[s] that x.v reaches is."""
     ambient = F.ambient
     den, rows = _lattice_of(F)
-    line = [(0,) * len(rows[0])] * ambient.modulus  # row t: that of F(t*v), if claimed
-    for t, i in enumerate(line_indices(ambient).get(ProjectiveLine(v), (0,))):
-        if ambient.point_at(i) in claimed:
-            line[t] = rows[i]
-    c = _exact_transform(line, ambient, 1, +1)
-    return _from_lattice(ambient, [c[s] for s in dots(ambient, v)], den)
+    zero, indices = (0,) * len(rows[0]), line_indices(ambient)
+    stacked = []  # row j*q + t: that of F(t*v) for part j, if claimed
+    for v, claimed in claims:
+        line = [zero] * ambient.modulus
+        for t, i in enumerate(indices.get(ProjectiveLine(v), (0,))):
+            if ambient.point_at(i) in claimed:
+                line[t] = rows[i]
+        stacked += line
+    c = _exact_transform(stacked, ambient, 1, +1)
+    n = len(claims)
+    return [
+        _from_lattice(ambient, [c[s * n + j] for s in dots(ambient, v)], den)
+        for j, (v, _) in enumerate(claims)
+    ]
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ def is_level_l_wavelet(f: GridFunction, F: GridFunction) -> LevelWaveletResult:
     # Through-origin lines first, then proper affine translates.
     for line in unit_lines:
         if supp.issubset(line.points(ambient)):
-            part = _line_part(F, line.rep, supp)
+            (part,) = _line_parts(F, [(line.rep, supp)])
             ok = part == f
             coeffs = None
             if ok:  # the generator is a unit vector, so x.v takes every s in Z_q
@@ -155,7 +166,8 @@ def multiscale_decompose(F: GridFunction) -> tuple:
         claims[0][2].add(origin)
     elif not claims or F.nonzero()[0]:
         claims.append((None, origin, {origin}))
+    parts = _line_parts(F, [(gen, pts) for _, gen, pts in claims])
     return tuple(
-        MultiscalePart(level, gen if level else None, _line_part(F, gen, pts))
-        for level, gen, pts in claims
+        MultiscalePart(level, gen if level else None, part)
+        for (level, gen, _), part in zip(claims, parts)
     )

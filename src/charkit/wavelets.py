@@ -10,12 +10,13 @@ The mass table is one run and tomography one back-projection, its
 adjoint; both runs live in ``fourier`` with the lattice format, and this
 module keeps the sinogram checks, the mass table and the wavelet forms.
 Exact masses come from the line run, which computes the p masses at the
-line representatives only; complex masses from the d-pass mass run,
-whose float sums keep their order, and a complex table whose masses
-overflow is refused.  Back-projection serves any lines in any order.
-``masses``, one grid scan per direction, is the one-direction path and the
-reference for the table.  Masses are defined on Z_p**d only: ring grids
-(modulus p**ell, ell > 1) are rejected by ``geometry.require_prime_grid``.
+line representatives only; complex masses from the float sums of the
+d-pass mass run, made only where a representative reads them, and a
+complex table whose masses overflow is refused.  Back-projection serves
+any lines in any order.  ``masses``, one grid scan per direction, is the
+one-direction path and the reference for the table.  Masses are defined
+on Z_p**d only: ring grids (modulus p**ell, ell > 1) are rejected by
+``geometry.require_prime_grid``.
 
 A mass table, a wavelet's coefficients and a decomposition's constant are
 each one ``fourier.Values``, the holder a grid function is: exact values on
@@ -24,7 +25,8 @@ only, and complex values as they are.  ``fileio`` writes their files from
 the holders.  ``mass_table`` holds the rows of the run over the
 denominator L of f.  ``decompose`` computes the exact coefficients on them,
 over L*p**(d-1) (plain, reduced) or L*N (massless), with its constant over
-L*N; complex ones stay per value, in floating point.
+L*N; complex ones in floating point, each factor made complex once, and
+handed to their holders as they are.
 ``reconstruct_from_masses`` back-projects the table's rows as they are.
 Built from values, a table, wavelet or decomposition holds them in the kind
 they join to; built by a run or a reader, it is given its holder.
@@ -236,8 +238,9 @@ def decompose(
     the rows of f: the plain coefficients are the mass rows over
     L*p**(d-1), the reduced ones their differences with the row at t = 0,
     and the massless ones p times the mass rows less M, over L*N; the
-    constant is over L*N.  Complex ones are computed value by value.  A
-    rational f gets its spectrum and its masses from one line run.
+    constant is over L*N.  Complex ones are computed in floating point,
+    with the bits of one Fraction factor times each value.  A rational f
+    gets its spectrum and its masses from one line run.
     """
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
@@ -273,33 +276,30 @@ def decompose(
 
 
 def _decompose_complex(f: GridFunction, form: str, lines, masses) -> Decomposition:
-    """``decompose`` of complex f, value by value in floating point, from
-    the masses on each active line."""
+    """``decompose`` of complex f in floating point, from the masses on each
+    active line.  A Fraction times a complex value is the Fraction made
+    complex times it, so each factor, 1/p**(d-1), 1/N or the constant's
+    exact (1 - cbw)/N, is made complex once and multiplies every value."""
     ambient = f.ambient
     p, d = ambient.p, ambient.d
     total = f.total()
-    cell = Fraction(1, p ** (d - 1))
     grid_inv = Fraction(1, ambient.size)
-    parts = []
-    plain_constant = (1 - len(lines)) * grid_inv * total
-    reduced_shift = 0
-    for line, ms in zip(lines, masses):
-        if form == "plain":
-            coeffs = tuple(cell * m for m in ms)
-        elif form == "reduced":
-            coeffs = tuple(cell * (m - ms[0]) for m in ms)
-            reduced_shift = reduced_shift + cell * ms[0]
-        else:
-            rest = [grid_inv * (p * m - total) for m in ms[1:]]
-            coeffs = (-sum(rest), *rest)
-        parts.append(Wavelet(ambient, line, coeffs, form=form))
+    cell, unit = complex(Fraction(1, p ** (d - 1))), complex(grid_inv)
+    constant = complex((1 - len(lines)) * grid_inv) * total
     if form == "plain":
-        constant = plain_constant
+        coeffs = [[cell * m for m in ms] for ms in masses]
     elif form == "reduced":
-        constant = plain_constant + reduced_shift
+        coeffs = [[cell * (m - ms[0]) for m in ms] for ms in masses]
+        constant = constant + sum(cell * ms[0] for ms in masses)
     else:
-        constant = grid_inv * total
-    return Decomposition(ambient, form, constant, tuple(parts))
+        rests = [[unit * (p * m - total) for m in ms[1:]] for ms in masses]
+        coeffs = [[-sum(rest), *rest] for rest in rests]
+        constant = unit * total
+    parts = [
+        Wavelet(ambient, line, Values(ambient, COMPLEX, values), form)
+        for line, values in zip(lines, coeffs)
+    ]
+    return Decomposition(ambient, form, Values(ambient, COMPLEX, (constant,)), parts)
 
 
 def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridFunction:

@@ -14,10 +14,12 @@ import operator
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charkit.fourier import GridFunction, _from_lattice, _lattice_of, _power_basis, forward
+from charkit.fourier import GridFunction, Values, _from_lattice, _lattice_of, _power_basis
+from charkit.fourier import forward
 from charkit.geometry import Ambient
 from charkit.scalars import Cyclotomic, _reduce_ext
 
@@ -147,6 +149,22 @@ def test_equality_and_agreement_are_those_of_the_values(fg):
     same = GridFunction(f.ambient, "cyclotomic", _values(f, "cyclotomic"))
     assert f.agrees(same) == same.agrees(f) == (True,) * f.ambient.size
     assert f == same and same == f
+
+
+@pytest.mark.parametrize("ambient", GRIDS[:2], ids=str)
+def test_two_empty_holders_are_equal_and_agree_nowhere(ambient):
+    """No value to compare: equal holders of any two kinds, and an empty
+    agreement over one denominator and over two."""
+    empty = [Values(ambient, kind, []) for kind in ("rational", "cyclotomic", "complex")]
+    empty.append(_from_lattice(ambient, [], 6, "cyclotomic"))
+    for f in empty:
+        for g in empty:
+            assert f == g
+    exact = [_from_lattice(ambient, [], 1, "rational"), _from_lattice(ambient, [], 6, "cyclotomic")]
+    for f in exact:
+        for g in exact:
+            assert f.agrees(g) == ()
+    assert Values(ambient, "rational", []) != Values(ambient, "rational", [1])
 
 
 # --- scale by a rational factor

@@ -2,8 +2,9 @@
 from which rational spectra, exact mass tables and decompositions are
 read, and its adjoint, the back-projection of any lines in any order.  The
 masses must equal the direct scan ``masses``, rational spectra the naive
-transform and the d-pass kernel, complex masses the d-pass mass run bit
-for bit, and back-projection a direct per-point sum."""
+transform and the d-pass kernel, and back-projection a direct per-point
+sum; ``test_complex_bits`` holds complex masses to the d-pass mass run bit
+for bit."""
 
 import json
 import random
@@ -13,7 +14,6 @@ import pytest
 
 from charkit import cli, fileio, fourier, geometry, verify
 from charkit.corpus import (
-    random_complex_function,
     random_cyclotomic_function,
     random_rational_function,
     rng_for,
@@ -25,9 +25,7 @@ from charkit.fourier import (
     _back_project,
     _exact_transform,
     _lattice_of,
-    _lattice_pass,
     _mass_rows,
-    _planes,
     forward,
     forward_naive,
     inverse,
@@ -65,29 +63,6 @@ def test_the_line_run_gives_the_masses_of_the_direct_scan(p, d, make):
     got = _table(f, some)
     for k, line in enumerate(some):
         assert got[k * p : (k + 1) * p] == masses(f, line.rep), line
-
-
-def _d_pass_masses(f, lines):
-    """The d-pass mass run: every value at power 0, d passes, read at s."""
-    ambient, p = f.ambient, f.ambient.p
-    _, rows = _lattice_of(f)
-    A = _planes(rows) + [0] * ((p - 1) * ambient.size)
-    for _ in range(ambient.d):
-        A = _lattice_pass(A, p, +1)
-    at = [ambient.index_of(line.rep) for line in lines]
-    return [complex(A[t * ambient.size + i]) for i in at for t in range(p)]
-
-
-def _bits(values):
-    return [(v.real.hex(), v.imag.hex()) for v in values]
-
-
-@pytest.mark.parametrize("p,d", GRIDS)
-def test_complex_masses_keep_the_bits_of_the_d_pass_run(p, d):
-    ambient = Ambient(p, d)
-    f = random_complex_function(ambient, rng_for(2702, f"line-run/{p}/{d}"))
-    lines = enumerate_lines(ambient)
-    assert _bits(_table(f, lines)) == _bits(_d_pass_masses(f, lines))
 
 
 def _rational_cases(ambient):

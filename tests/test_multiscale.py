@@ -14,6 +14,7 @@ from charkit.geometry import (
     valuation,
     vector_valuation,
 )
+from charkit import multiscale
 from charkit.multiscale import (
     LevelWaveletResult,
     is_level_l_wavelet,
@@ -373,7 +374,8 @@ def _reference_wavelet(f):
 def _differential_inputs(a, rng):
     """Random, sparse-spectrum, and on-a-line (through the origin, and
     modulated onto an offset line) functions, and one whose parts mix kinds:
-    a rational part on a lower-level line and a cyclotomic one elsewhere."""
+    a rational part on a lower-level line (a unit line on Z_p**d) and a
+    cyclotomic one elsewhere."""
     p, ell, q = a.p, a.ell, a.modulus
 
     def from_spectrum(freqs):
@@ -388,18 +390,22 @@ def _differential_inputs(a, rng):
     yield random_rational_function(a, rng)
     nonzero = [x for x in a.points() if any(x)]
     deep = [x for x in nonzero if vector_valuation(a, x) > 0]
-    yield from_spectrum({m: zeta() for m in rng.sample(deep, 2) + rng.sample(nonzero, 2)})
+    some = rng.sample(deep, min(2, len(deep))) + rng.sample(nonzero, 2)  # no deep point at ell = 1
+    yield from_spectrum({m: zeta() for m in some})
     units = [l for l in enumerate_lines(a) if l.level(a) == ell]
     low = [l for l in enumerate_lines(a) if l.level(a) < ell]
     for offset in ((0,) * a.d, tuple(rng.randrange(q) for _ in range(a.d))):
         pts = rng.choice(units).points(a)
         yield from_spectrum({vadd(offset, m, q): zeta() for m in rng.sample(pts, 3)})
-    mixed = {m: Cyclotomic.one(p, ell) for m in rng.choice(low).points(a)}
+    mixed = {m: Cyclotomic.one(p, ell) for m in rng.choice(low or units).points(a)}
     mixed[rng.choice([x for x in nonzero if x not in deep])] = zeta()
     yield from_spectrum(mixed)
 
 
-@pytest.mark.parametrize("p,d,ell", [(3, 2, 2), (2, 2, 3), (2, 3, 2), (5, 1, 2), (3, 1, 3)])
+DIFFERENTIAL_GRIDS = [(3, 2, 2), (2, 2, 3), (2, 3, 2), (5, 1, 2), (3, 1, 3), (3, 2, 1), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("p,d,ell", DIFFERENTIAL_GRIDS)
 def test_line_parts_match_full_inverse_reference(p, d, ell):
     a = Ambient(p, d, ell)
     rng = rng_for(705, f"differential/{p},{d},{ell}")
@@ -412,3 +418,28 @@ def test_line_parts_match_full_inverse_reference(p, d, ell):
         want = [(lv, gen, g.kind, g.values) for lv, gen, g in _reference_decompose(f)]
         assert got == want
         assert is_level_l_wavelet(f, F) == _reference_wavelet(f)
+
+
+@pytest.mark.parametrize("p,d,ell", DIFFERENTIAL_GRIDS)
+def test_multiscale_decompose_makes_one_transform(monkeypatch, p, d, ell):
+    """Every part comes from one length-q inverse pass over the stacked
+    lines of all parts, however many parts there are."""
+    a = Ambient(p, d, ell)
+    runs = []
+    transform = multiscale._exact_transform
+
+    def counted(*args):
+        runs.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(multiscale, "_exact_transform", counted)
+    for f in _differential_inputs(a, rng_for(706, f"one-run/{p},{d},{ell}")):
+        F = forward(f)
+        runs.clear()
+        parts = multiscale_decompose(F)
+        assert len(runs) == 1
+        assert len(runs[0][0]) == a.modulus * len(parts)
+        acc = parts[0].function
+        for part in parts[1:]:
+            acc = acc + part.function
+        assert acc == f

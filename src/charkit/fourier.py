@@ -50,8 +50,16 @@ for N = q**d points, and the output is reduced to the power basis plane
 by plane (``_power_basis``), one subtraction of whole planes per
 coordinate and no call per value.  ``forward`` leaves rows over L*N,
 ``inverse`` over L, rational exactly when every coordinate above degree
-zero is zero.  A rational
-forward on Z_p**d runs no axis pass: it reads the masses at the line
+zero is zero.  On Z_2**d, where zeta_2 = -1 and Q(zeta_2) = Q, an exact
+value has one coordinate and the passes reduced to the power basis are
+the Walsh-Hadamard transform over Z (``_walsh``): per axis the halves a
+and b become a + b and a - b, with no padding to q planes and no
+reduction.  Every exact run on Z_2**d reads it: both transforms of either
+kind, the multi-scale pass, the masses and back-projection (below).
+Complex values keep their passes, since the root table's exp(pi*i) is
+-1 + 1.2e-16j, not -1, and a Walsh-Hadamard route would change their
+bits; the ring grids Z_{2**ell}**d keep the lattice.  A rational forward
+on Z_p**d, p odd, runs no axis pass: it reads the masses at the line
 representatives from the line run (below) and fills F(c*s) =
 p**(-d) * sum_t m_{s,t} * zeta**(-c*t) from them, one point permutation
 per grid (``_line_points``) placing the rows.  The d passes
@@ -75,10 +83,15 @@ for the representatives (1, m'), x.s = a + x'.m', so slice a goes in at
 X**a and d - 1 passes (sign +1) leave G at every (1, m'); the
 representatives (0, s') are those of Z_p**(d-1), served by the same run
 on the sum of the slices.  That is about (d - 1)*p*N additions per
-coordinate, where d passes over all p**d directions took d*N*p*p.  The
+coordinate, where d passes over all p**d directions took d*N*p*p.  At
+p = 2 the run is the Walsh-Hadamard transform W: canonical line k is
+point k + 1, and its masses are (T + W(s))/2 and (T - W(s))/2, T = W(0)
+the total mass; a representative's point index is its bits read in base
+2 (``_bit_points``).  The
 exact mass tables and decompositions (``_mass_rows``) and the rational
-forward read it; a decomposition of a rational f reads its spectrum and
-its masses off one run (``_spectrum_and_masses``).  Complex masses keep
+forward read it; a decomposition of a rational f, or of any exact f at
+p = 2, reads its spectrum and its masses off one run
+(``_spectrum_and_masses``).  Complex masses keep
 the float sums of the d-pass mass run, every value at power 0 and d
 passes over all directions, since the line run adds the same floats in
 another order, which changes the last bits of some masses; but
@@ -90,7 +103,10 @@ is the line run transposed, for any lines in any order: the value of
 line (0, ..., 0, 1, m'') at label t goes in at X**(-t) and position m'',
 the passes leave the sum over those lines of their values at x.s at
 x = (a, x'') at X**(-a), and each level's sums are added to those of the
-level below, repeated over a.  It serves every kind.  Tomography
+level below, repeated over a.  It serves every kind; int rows at p = 2
+are half of S + W(D), S the sum of all rows and W(D) the Walsh-Hadamard
+transform of the differences r_{s,0} - r_{s,1} placed at the points s.
+Tomography
 back-projects and builds no spectrum: ``reconstruct_from_masses`` the
 masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
 over all n lines, and ``inverse_phi`` the traces of its seeds
@@ -124,7 +140,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import cycle, repeat
 
 from .geometry import MAX_SET_SPECTRUM_TABLE, Point, Subspace, dilation_indices, dot, dots
 from .geometry import grid_point, perp, point_set, vsub
@@ -196,10 +212,10 @@ class Values:
             if den == 1:
                 return cls(ambient, COMPLEX, [c for (c,) in rows])
             return cls(ambient, COMPLEX, [complex(c) / den for (c,) in rows])
-        if kind is None:
-            first, *higher = zip(*rows)
-            kind = CYCLOTOMIC if any(map(any, higher)) else RATIONAL
-            rows = rows if kind == CYCLOTOMIC else list(zip(first))
+        if kind is None:  # no rows at all: rational
+            cols = list(zip(*rows)) or [()]
+            kind = CYCLOTOMIC if any(map(any, cols[1:])) else RATIONAL
+            rows = rows if kind == CYCLOTOMIC else list(zip(cols[0]))
         held = object.__new__(cls)
         held.ambient, held.kind, held._values, held._rows, held._den = ambient, kind, None, rows, den
         return held
@@ -348,7 +364,7 @@ class GridFunction(Values):
             a, b = self.to_complex().values, other.to_complex().values
             return GridFunction(self.ambient, kind, combine(a, b))
         den = math.lcm(self._den, other._den)
-        width = max(len(self._rows[0]), len(other._rows[0]))
+        width = max(_width(self.kind, self.ambient), _width(other.kind, other.ambient))
         a, b = (_columns(h, den // h._den, width) for h in (self, other))
         rows = list(zip(*map(combine, a, b)))
         return _from_lattice(self.ambient, rows, den, kind)
@@ -368,7 +384,7 @@ class GridFunction(Values):
         factor_kind = _kind_of_scalar(factor)
         if factor_kind == RATIONAL and self.kind != COMPLEX:
             num, den = factor.as_integer_ratio()
-            rows = list(zip(*_columns(self, num, len(self._rows[0]))))
+            rows = list(zip(*_columns(self, num, _width(self.kind, self.ambient))))
             return _from_lattice(self.ambient, rows, self._den * den, self.kind)
         kind = _join_kind(self.kind, factor_kind)
         vals = [_coerce_value(kind, v, self.ambient) for v in self.values]
@@ -473,6 +489,29 @@ def _lattice_pass(A: list, q: int, sign: int, outputs: int | None = None) -> lis
     return out
 
 
+def _walsh(A: list, passes: int) -> list:
+    """The Walsh-Hadamard transform over Z along the last ``passes``
+    coordinates of the positions of A, each in Z_2: the exact transform at
+    p = 2, where zeta_2 = -1 and Q(zeta_2) = Q.  A pass splits A by the last
+    coordinate into a = A[0::2] and b = A[1::2] and writes a + b, then
+    a - b: the transformed coordinate moves to the front of the position,
+    as in ``_lattice_pass``, so ``passes`` passes leave positions
+    (k_1, ..., k_passes, a).  Its ints are those of the lattice passes
+    reduced to the power basis, x -> -1, and either sign."""
+    for _ in range(passes):
+        a, b = A[0::2], A[1::2]
+        A = list(map(operator.add, a, b))
+        A += map(operator.sub, a, b)
+    return A
+
+
+def _width(kind: str, ambient) -> int:
+    """Coordinates per exact value of ``kind``: phi(q) for a cyclotomic
+    value, one for a rational value."""
+    q = ambient.modulus
+    return q - q // ambient.p if kind == CYCLOTOMIC else 1
+
+
 def _encode(values, ambient, kind: str):
     """(L, rows): exact ``values`` of ``kind`` on the lattice Z[x]/(x**q - 1),
     the one place a value is scaled onto it.  The values are scaled by the
@@ -480,9 +519,8 @@ def _encode(values, ambient, kind: str):
     coordinates of values[i]: the phi power-basis coordinates of a
     cyclotomic value, the single one of a rational value.
     """
-    width = 1
+    width = _width(kind, ambient)
     if kind == CYCLOTOMIC:
-        width = ambient.modulus - ambient.modulus // ambient.p
         values = [c for v in values for c in v.coeffs]
     ratios = [c.as_integer_ratio() for c in values]
     L = math.lcm(*{den for _, den in ratios})
@@ -544,9 +582,7 @@ def _agreement(f: Values, g: Values):
     if COMPLEX in (f.kind, g.kind):
         return map(operator.eq, *(Values(h.ambient, COMPLEX, h.values).values for h in (f, g)))
     (da, ra), (db, rb) = (f._den, f._rows), (g._den, g._rows)
-    if not (ra and rb):  # no value, so no width to read: nothing to compare
-        return iter(())
-    wa, wb = len(ra[0]), len(rb[0])
+    wa, wb = _width(f.kind, f.ambient), _width(g.kind, g.ambient)
     if da != db:
         width = max(wa, wb)
         return map(operator.eq, zip(*_columns(f, db, width)), zip(*_columns(g, da, width)))
@@ -576,8 +612,11 @@ def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
     to the phi power-basis planes, read back as one row per position.  The
     output positions are (k_1, ..., k_passes, a), the lexicographic order
     when there is no a (N = q**passes values, a grid's transform); a has
-    the parts of ``multiscale``, each one line of q values."""
+    the parts of ``multiscale``, each one line of q values.  On Z_2**d the
+    rows have one coordinate and the passes are ``_walsh``'s."""
     q = ambient.modulus
+    if q == 2:
+        return list(zip(_walsh(_planes(rows), passes)))
     A = _planes(rows)
     A += [0] * (q * len(rows) - len(A))
     for _ in range(passes):
@@ -598,7 +637,10 @@ def _line_masses(A: list, p: int, d: int, width: int) -> list:
     are those of the sum of the slices, one dimension down.  A level of
     n*p points lays its slices out as B[a*width*n + c*n + i'] and reads
     m_{(1,m'),t} at B[t*width*n + index(m')*width + c]; the levels are
-    listed deepest first, which is the canonical order."""
+    listed deepest first, which is the canonical order.  At p = 2 the run
+    is ``_walsh_planes`` of the Walsh-Hadamard transform."""
+    if p == 2:  # width 1: every exact value at p = 2 has one coordinate
+        return _walsh_planes(_walsh(A, d))
     levels = []
     for e in range(d, 0, -1):
         n = p ** (e - 1)
@@ -621,6 +663,14 @@ def _line_masses(A: list, p: int, d: int, width: int) -> list:
     return planes
 
 
+def _walsh_planes(W: list) -> list:
+    """The planes of ``_line_masses`` at p = 2 from W, the ``_walsh`` of
+    the values: canonical line k is point k + 1, and its masses m_{s,0}
+    and m_{s,1} are (T + W(s))/2 and (T - W(s))/2, T = W(0) the total."""
+    total, W = W[0], W[1:]
+    return [[(total + w) // 2 for w in W], [(total - w) // 2 for w in W]]
+
+
 def _line_places(ambient, lines) -> list:
     """Per line, (n, j) for its representative (0, ..., 0, 1, m''), m'' on
     Z_p**(e-1): n = p**(e-1) and j = index(m''), the representative's
@@ -632,6 +682,15 @@ def _line_places(ambient, lines) -> list:
         n = p ** (d - 1 - line.rep.index(1))
         places.append((n, ambient.index_of(line.rep) - n))
     return places
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bit_points(lines) -> list:
+    """Per line of Z_2**d, its representative's point index: the
+    representative's bits read in base 2, with no call per coordinate."""
+    return [int(bytes(line.rep).translate(_BITS), 2) for line in lines]
 
 
 @lru_cache(maxsize=None)
@@ -663,7 +722,7 @@ def _mass_rows(f: GridFunction, lines) -> tuple:
     ambient, p = f.ambient, f.ambient.p
     if f.kind != COMPLEX:
         den, rows = _lattice_of(f)
-        width = len(rows[0])
+        width = _width(f.kind, ambient)
         planes = _line_masses(_planes(rows), p, ambient.d, width)
         return den, _line_cells(ambient, planes, width, lines)
     N = ambient.size
@@ -706,8 +765,12 @@ def _complex_mass_run(values, p: int, d: int) -> list:
 
 
 def _line_cells(ambient, planes: list, width: int, lines) -> list:
-    """The cells of ``_mass_rows`` for ``lines``, read off the line run's planes."""
+    """The cells of ``_mass_rows`` for ``lines``, read off the line run's
+    planes.  At p = 2 (width 1) canonical line k is point k + 1."""
     p = ambient.p
+    if p == 2:
+        m0, m1 = planes
+        return [m for i in _bit_points(lines) for m in ((m0[i - 1],), (m1[i - 1],))]
     at = [((n - 1) // (p - 1) + j) * width for n, j in _line_places(ambient, lines)]
     return [tuple(planes[t][i : i + width]) for i in at for t in range(p)]
 
@@ -717,8 +780,14 @@ def _spectrum_and_masses(f: GridFunction) -> tuple:
     ``_mass_rows(f, lines)``: what a decomposition reads, the active lines
     of the spectrum and their masses.  A rational f on Z_p**d gets both
     from one line run, the forward filled from the planes the masses are
-    read off."""
+    read off; an exact f on Z_2**d from one Walsh-Hadamard transform, which
+    is the spectrum the masses are read off."""
     ambient = f.ambient
+    if f.kind != COMPLEX and ambient.modulus == 2:
+        W = _walsh(_planes(f._rows), ambient.d)
+        planes = _walsh_planes(W)
+        F = _from_lattice(ambient, list(zip(W)), f._den * ambient.size, CYCLOTOMIC)
+        return F, lambda lines: (f._den, _line_cells(ambient, planes, 1, lines))
     if f.kind != RATIONAL or ambient.ell != 1:
         return forward(f), partial(_mass_rows, f)
     planes = _line_masses(_planes(f._rows), ambient.p, ambient.d, 1)
@@ -731,8 +800,13 @@ def _back_project(ambient, lines, rows) -> list:
     (0, ..., 0, 1, m'') with m'' on Z_p**(e-1) make one level: row i*p + t
     goes in at X**(-t) and position m'', and e - 1 passes leave the sum at
     x = (a, x'') at power -a and position x''.  A level's sums are added
-    to those of the levels below it, each repeated for every a."""
+    to those of the levels below it, each repeated for every a.  Int rows
+    at p = 2 are (S + walsh(D))/2, S the sum of all rows and D the
+    differences of each line's two rows at its representative's point;
+    complex rows keep the run's float sums."""
     p, d, width = ambient.p, ambient.d, len(rows[0])
+    if p == 2 and isinstance(rows[0][0], int):
+        return _walsh_back_project(ambient, lines, rows, width)
     levels = {}  # p**(e-1) -> [(index of m'', i)]
     for i, (n, j) in enumerate(_line_places(ambient, lines)):
         levels.setdefault(n, []).append((j, i))
@@ -760,6 +834,24 @@ def _back_project(ambient, lines, rows) -> list:
     return list(zip(*[iter(out)] * width))
 
 
+def _walsh_back_project(ambient, lines, rows, width: int) -> list:
+    """``_back_project`` of int rows on Z_2**d: row 2i + t holds the values
+    at the points x with x.s_i = t, which are (r_{i,0} + r_{i,1})/2 plus
+    (-1)**(x.s_i) * (r_{i,0} - r_{i,1})/2, so the sum at x is half of S,
+    the sum of all rows, plus the Walsh-Hadamard transform at x of D, the
+    differences placed at the representatives' points."""
+    N = ambient.size
+    at = _bit_points(lines)
+    D = [0] * (width * N)  # D[c*N + index(s_i)], laid out as planes
+    S = []
+    for c, col in enumerate(zip(*rows)):
+        for i, a, b in zip(at, col[0::2], col[1::2]):
+            D[c * N + i] += a - b
+        S.append(sum(col))
+    out = [(s + w) // 2 for s, w in zip(cycle(S), _walsh(D, ambient.d))]
+    return list(zip(*[iter(out)] * width))
+
+
 def _traces(p: int, rows) -> list:
     """Row i*p + u is (Tr(z_i * zeta**u),) for z_i in Q(zeta_p) with power-basis row
     e = rows[i]: Tr(zeta**k) is p - 1 at k = 0 mod p, else -1, so p*e_(-u) - sum(e)."""
@@ -776,7 +868,7 @@ def forward(f: GridFunction) -> GridFunction:
             vals = _complex_pass(vals, ambient.modulus, -1)
         scale = 1.0 / ambient.size
         return GridFunction(ambient, COMPLEX, [v * scale for v in vals])
-    if f.kind == RATIONAL and ambient.ell == 1:
+    if f.kind == RATIONAL and ambient.ell == 1 and ambient.p != 2:
         return _filled(f, _line_masses(_planes(f._rows), ambient.p, ambient.d, 1))
     rows = _exact_transform(f._rows, ambient, ambient.d, -1)
     return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC)
@@ -833,7 +925,7 @@ _set_transforms = Counter()
 def _set_spectrum(ambient, members: frozenset) -> GridFunction:
     """``set_spectrum`` of members that have passed ``point_set``."""
     N, q = ambient.size, ambient.modulus
-    width = q - q // ambient.p
+    width = _width(CYCLOTOMIC, ambient)
     if N * N * width <= MAX_SET_SPECTRUM_TABLE and _set_transforms[ambient] * ambient.d * q >= N:
         if not members:
             return _from_lattice(ambient, [(0,) * width] * N, N, CYCLOTOMIC)

@@ -167,6 +167,23 @@ def test_two_empty_holders_are_equal_and_agree_nowhere(ambient):
     assert Values(ambient, "rational", []) != Values(ambient, "rational", [1])
 
 
+@pytest.mark.parametrize("ambient", GRIDS[:2], ids=str)
+def test_empty_holders_take_their_width_from_their_kind(ambient):
+    """Rows demoted with no row are rational, and scale, +, - and unary
+    minus on an empty exact holder give an empty holder of the joined kind."""
+    demoted = Values._from_lattice(ambient, [], 1)
+    assert (demoted.kind, len(demoted), demoted.values) == ("rational", 0, ())
+    rational = _from_lattice(ambient, [], 3, "rational")
+    cyclotomic = _from_lattice(ambient, [], 6, "cyclotomic")
+    for f in (rational, cyclotomic):
+        for g in (f.scale(2), f.scale(Fraction(-5, 7)), -f):
+            assert (g.kind, g.values) == (f.kind, ())
+        for g in (rational, cyclotomic):
+            kind = "cyclotomic" if "cyclotomic" in (f.kind, g.kind) else "rational"
+            for h in (f + g, f - g):
+                assert (h.kind, h.values) == (kind, ())
+
+
 # --- scale by a rational factor
 
 

@@ -96,17 +96,21 @@ def test_the_forward_enumerates_no_lines(monkeypatch):
 @pytest.mark.parametrize("form", FORMS)
 def test_a_rational_decompose_makes_one_line_run(monkeypatch, p, d, form):
     """The active lines are read off the spectrum filled from the planes
-    that the masses are read off: one line run per decomposition."""
+    that the masses are read off: one line run per decomposition, which at
+    p = 2 is one Walsh-Hadamard transform, the spectrum itself."""
     ambient = Ambient(p, d)
     f = random_rational_function(ambient, rng_for(2901, f"line-run/decompose/{p}/{d}"))
     runs = []
-    line_masses = fourier._line_masses
 
-    def counted(*args):
-        runs.append(args)
-        return line_masses(*args)
+    def counted(run):
+        def call(*args):
+            runs.append(args)
+            return run(*args)
 
-    monkeypatch.setattr(fourier, "_line_masses", counted)
+        return call
+
+    for name in ("_line_masses", "_walsh"):
+        monkeypatch.setattr(fourier, name, counted(getattr(fourier, name)))
     dec = decompose(f, form)
     assert len(runs) == 1
     assert tuple(w.direction for w in dec.parts) == bandwidth(f).lines

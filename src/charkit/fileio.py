@@ -26,9 +26,9 @@ Writers emit canonical bytes (sorted keys, two-space indent, trailing
 newline) so that identical inputs produce identical files.
 
 Files are read into lattice rows and written from them, with no value
-built on the way: a function, a mass table, a wavelet's coefficients and a
-decomposition's constant each hold one ``fourier.Values``, built from rows
-by ``_from_lattice`` and read through ``_lattice_of``.  The readers
+built on the way: a function, a mass table's masses, a decomposition's
+coefficients and its constant each hold one ``fourier.Values``, built from
+rows by ``_from_lattice`` and read through ``_lattice_of``.  The readers
 ``function_from_payload`` and ``sinogram_from_payload`` check whole lists,
 with one pass over the list per check (the types of its items, their
 lengths, the p and ell of every cyclotomic object), read each distinct
@@ -39,10 +39,13 @@ permutation per leading coordinate.  When a check fails, the per-value
 reader runs from the start and names the file's first fault in file order,
 with the same text whichever check failed.  The writers ``function_dumps``,
 ``sinogram_dumps`` and ``decomposition_dumps`` write in the fixed shape of
-``canonical_dumps`` of the payload, the values of each kind and
-denominator by one call of ``_value_texts``: the coefficient c of a row
-over den becomes the literal c/den reduced by one gcd, once per distinct
-c, and finite complex values their [re, im] pairs by ``float.__repr__``.
+``canonical_dumps`` of the payload, the values of each holder by one call
+of ``_value_texts``: the coefficient c of a row over den becomes the
+literal c/den reduced by one gcd, once per distinct c, and finite complex
+values their [re, im] pairs by ``float.__repr__``.  A sinogram and a
+decomposition are line tables, and one writer, ``_line_rows``, writes the
+rows {key: [p texts], "s": rep} of either from the texts of its whole
+table, joined a column at a time with no call per row.
 ``canonical_dumps`` writes a list of ints, and a list of such lists, in
 one join per list.  ``function_to_payload``, ``sinogram_to_payload`` and
 ``decomposition_to_payload`` remain the per-value view (``--format
@@ -285,15 +288,16 @@ def function_to_payload(f: GridFunction) -> dict:
     return payload
 
 
-def _value_texts(kind: str, den: int, rows: list, ambient, newline: str) -> list:
-    """The JSON texts of the values whose lattice rows over den are
-    ``rows``, as ``canonical_dumps`` writes a value whose lines are
-    indented by ``newline``.  Coefficient c becomes the rational literal
-    c/den reduced by one gcd, each distinct c once; a cyclotomic row
-    becomes the object of its literals.  A complex row holds its value,
-    written as its [re, im] pair, by ``float.__repr__`` when every value
-    is finite."""
+def _value_texts(held: Values, newline: str) -> list:
+    """The JSON texts of the values ``held``, written from their lattice
+    rows as ``canonical_dumps`` writes a value whose lines are indented by
+    ``newline``.  Coefficient c of a row over the denominator den becomes
+    the rational literal c/den reduced by one gcd, each distinct c once; a
+    cyclotomic row becomes the object of its literals.  A complex row holds
+    its value, written as its [re, im] pair, by ``float.__repr__`` when
+    every value is finite."""
     inner = newline + "  "
+    ambient, kind, (den, rows) = held.ambient, held.kind, _lattice_of(held)
     coeffs = list(chain.from_iterable(rows))
     if kind == COMPLEX:
         # NaN and the infinities are written as json.dumps writes them
@@ -316,17 +320,21 @@ def _value_texts(kind: str, den: int, rows: list, ambient, newline: str) -> list
     return [head + sep.join(map(literal, row)) + tail for row in rows]
 
 
-def _lattice_texts(held, newline: str) -> list:
-    """For each ``Values`` in ``held``, the JSON texts of its values by
-    ``_value_texts`` from its lattice rows: one call per kind and
-    denominator, on the rows of every holder that has them."""
-    lattices = [(values.kind, *_lattice_of(values)) for values in held]
-    written = {}
-    for values, (kind, den, _) in zip(held, lattices):
-        if (kind, den) not in written:
-            rows = list(chain.from_iterable(r for k, d, r in lattices if (k, d) == (kind, den)))
-            written[kind, den] = iter(_value_texts(kind, den, rows, values.ambient, newline))
-    return [list(islice(written[kind, den], len(rows))) for kind, den, rows in lattices]
+def _line_rows(key: str, lines, sizes, held: Values) -> str:
+    """The JSON text of a line table's list of rows, {key: [its values],
+    "s": rep} per line, as ``canonical_dumps`` writes it in a file's
+    top-level object: line i holds the next sizes[i] of the values
+    ``held``.  Every value text comes from one ``_value_texts`` call, and
+    the rows are joined a whole column at a time, with no call per row."""
+    inner, item = _ROW + "  ", "," + _ROW + "  "
+    texts = iter(_value_texts(held, inner))
+    bodies = map(item.join, map(islice, repeat(texts), sizes))
+    values = [f"[{inner}{body}{_ROW}]" if body else "[]" for body in bodies]
+    reps = map(item.join, map(map, repeat(int.__repr__), map(attrgetter("rep"), lines)))
+    # a row is {key: values, "s": [rep]}; the text between two rows closes one and opens the next
+    head, tail = f'{{{_ROW}"{key}": ', f"{_ROW}]\n    }}"
+    rows = f"{tail},{_TOP}  {head}".join(map(f',{_ROW}"s": [{inner}'.join, zip(values, reps)))
+    return f"[{_TOP}  {head}{rows}{tail}{_TOP}]" if rows else "[]"
 
 
 def function_dumps(f: GridFunction) -> str:
@@ -334,8 +342,7 @@ def function_dumps(f: GridFunction) -> str:
     file, written from the lattice rows of an exact f and from the values
     of a complex one."""
     ambient = f.ambient
-    den, rows = _lattice_of(f)
-    values = _list_text(_value_texts(f.kind, den, rows, ambient, "\n    "), _TOP)
+    values = _list_text(_value_texts(f, "\n    "), _TOP)
     exponent = f'  "modulus_exponent": {ambient.ell},\n' if ambient.ell != 1 else ""
     return (
         f'{{\n  "d": {ambient.d},\n  "kind": "{f.kind}",\n{exponent}  "p": {ambient.p},\n'
@@ -648,13 +655,8 @@ def sinogram_dumps(table: MassTable) -> str:
     """``canonical_dumps(sinogram_to_payload(table))``, the text of the
     table's sinogram file, written from its lattice rows."""
     ambient = table.ambient
-    masses = iter(_lattice_texts([table._masses], _ROW + "  ")[0])
-    rows = [
-        f'{{{_ROW}"m": {_list_text(islice(masses, size), _ROW)},'
-        f'{_ROW}"s": {_list_text(map(int.__repr__, line.rep), _ROW)}\n    }}'
-        for line, size in zip(table.directions(), table._sizes)
-    ]
-    return f'{{\n  "d": {ambient.d},\n  "masses": {_list_text(rows, _TOP)},\n  "p": {ambient.p}\n}}\n'
+    masses = _line_rows("m", table.directions(), table._sizes, table._masses)
+    return f'{{\n  "d": {ambient.d},\n  "masses": {masses},\n  "p": {ambient.p}\n}}\n'
 
 
 def save_sinogram(table: MassTable, path) -> None:
@@ -685,18 +687,13 @@ def decomposition_to_payload(dec: Decomposition) -> dict:
 def decomposition_dumps(dec: Decomposition) -> str:
     """``canonical_dumps(decomposition_to_payload(dec))``, the text of the
     decomposition's file, written from the lattice rows of its constant
-    and of its coefficients."""
+    and of its table of coefficients."""
     ambient = dec.ambient
-    [[constant]] = _lattice_texts([dec._constant], _TOP)
-    coeffs = _lattice_texts([w._coefficients for w in dec.parts], _ROW + "  ")
-    parts = [
-        f'{{{_ROW}"coeffs": {_list_text(texts, _ROW)},'
-        f'{_ROW}"s": {_list_text(map(int.__repr__, w.direction.rep), _ROW)}\n    }}'
-        for w, texts in zip(dec.parts, coeffs)
-    ]
+    [constant] = _value_texts(dec._constant, _TOP)
+    parts = _line_rows("coeffs", dec.directions(), [ambient.p] * dec.cbw, dec._coefficients)
     return (
         f'{{\n  "constant": {constant},\n  "d": {ambient.d},\n  "form": {_quote(dec.form)},\n'
-        f'  "p": {ambient.p},\n  "parts": {_list_text(parts, _TOP)}\n}}\n'
+        f'  "p": {ambient.p},\n  "parts": {parts}\n}}\n'
     )
 
 

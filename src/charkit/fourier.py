@@ -30,17 +30,19 @@ in increasing order and moves the transformed coordinate to the other end,
 so d passes restore the lexicographic order.  The complex pass
 (``_complex_pass``) starts from the first coordinate and multiplies by the
 roots exp(2*pi*i*e/q) of ``scalars._embed_roots``, the one root table,
-which ``forward_naive`` and the floating eigenfunctions read too.
+which ``forward_naive`` and the floating eigenfunctions read too; a block
+at the root 1 is added as it is, with the same bits.
 
 The exact path is an integer-lattice kernel in the style of Nussbaumer's
 polynomial transforms, and this module is the one home of its format.
 Values are held one way, by ``Values``: a grid function is the ``Values``
-of its N points, and a mass table, a wavelet's coefficients and a
-decomposition's constant each hold one.  Exact values are held from
-construction as one int row per value over one denominator, the phi
-power-basis coordinates of a cyclotomic value or the one of a rational
-value; complex values are held alone, and a grid function's must be
-finite.  ``_encode`` scales values onto rows by the lcm L of their
+of its N points, and a mass table's masses, a decomposition's
+coefficients, a wavelet's coefficients and a decomposition's constant
+each hold one (``Values._cut`` cuts a table's holder into one per line).
+Exact values are held from construction as one int row per value over
+one denominator, the phi power-basis coordinates of a cyclotomic value or
+the one of a rational value; complex values are held alone, and a grid
+function's must be finite.  ``_encode`` scales values onto rows by the lcm L of their
 denominators; a run builds its result from rows (``_from_lattice``), whose
 ``values`` ``_decode`` makes on the first read only.  A run lays rows out
 as planes, A[c*N + i] = coordinate c of value i (``_planes``): length-q int
@@ -179,10 +181,11 @@ def _coerce_value(kind: str, value, ambient):
 class Values:
     """Values of one kind on a grid, any number of them: the one holder of
     a grid function's N values, a mass table's p masses per direction, a
-    wavelet's p coefficients and a decomposition's constant.  Exact values
-    are held on their lattice rows over one denominator from construction;
-    ``values`` are the values they were built from, or decoded from the
-    rows on the first read.  Complex values are held alone."""
+    decomposition's p coefficients per line, a wavelet's p coefficients
+    and a decomposition's constant.  Exact values are held on their
+    lattice rows over one denominator from construction; ``values`` are
+    the values they were built from, or decoded from the rows on the
+    first read.  Complex values are held alone."""
 
     __slots__ = ("ambient", "kind", "_values", "_rows", "_den")
 
@@ -233,6 +236,15 @@ class Values:
         if not isinstance(other, Values):
             return NotImplemented
         return self.ambient == other.ambient and len(self) == len(other) and all(_agreement(self, other))
+
+    def _cut(self, size: int) -> list:
+        """These values as holders of ``size`` consecutive values each, in
+        order, exact ones on their own rows over the same denominator."""
+        starts = range(0, len(self), size)
+        if self.kind == COMPLEX:
+            return [Values(self.ambient, COMPLEX, self._values[i : i + size]) for i in starts]
+        rows, den, kind = self._rows, self._den, self.kind
+        return [Values._from_lattice(self.ambient, rows[i : i + size], den, kind) for i in starts]
 
     def take(self, ambient, src) -> "GridFunction":
         """The function on ``ambient`` whose value i is value src[i] of these."""
@@ -286,7 +298,8 @@ class GridFunction(Values):
             return tuple(map(any, self._rows))
         if bound is None:
             bound = zero_bound(self.values, tol)
-        return tuple(not is_zero(v, bound) for v in self.values)
+        # not is_zero(v, bound), that is not (|v| <= bound), in one pass
+        return tuple(map(operator.not_, map(operator.le, map(abs, self.values), repeat(bound))))
 
     def support(self, tol: float = DEFAULT_TOL) -> tuple:
         """Points where the value is nonzero, by the zero mask."""
@@ -438,7 +451,10 @@ def _complex_pass(A: list, q: int, sign: int) -> list:
     coordinate is t.  All-zero blocks are skipped, and output k, the sum
     over t in increasing t of the rotated blocks, goes to out[k::q]: the
     transformed coordinate moves to the back of the position, so d passes
-    over a d-dimensional grid bring it back to lexicographic order.
+    over a d-dimensional grid bring it back to lexicographic order.  A
+    block at the root 1 (k*t = 0 mod q) is added as it is: acc, a sum from
+    0j, never holds -0.0, so acc + v and acc + (1+0j)*v have the same bits
+    whenever the sum is finite, and a non-finite one stays non-finite.
     """
     roots = _embed_roots(q)
     m = len(A) // q
@@ -448,8 +464,12 @@ def _complex_pass(A: list, q: int, sign: int) -> list:
     for k in range(q):
         acc = [0j] * m
         for t, block in blocks:
-            root = roots[sign * k * t % q]
-            acc = [a + root * v for a, v in zip(acc, block)]
+            e = sign * k * t % q
+            if e:
+                root = roots[e]
+                acc = [a + root * v for a, v in zip(acc, block)]
+            else:
+                acc = list(map(operator.add, acc, block))
         out[k::q] = acc
     return out
 
@@ -675,8 +695,11 @@ def _line_places(ambient, lines) -> list:
     """Per line, (n, j) for its representative (0, ..., 0, 1, m''), m'' on
     Z_p**(e-1): n = p**(e-1) and j = index(m''), the representative's
     point index being n + j.  Its place in canonical order is
-    (n - 1)/(p - 1) + j, the lines of lower levels coming before it."""
+    (n - 1)/(p - 1) + j, the lines of lower levels coming before it.  At
+    p = 2 the point index is read off the representative's bits."""
     p, d = ambient.p, ambient.d
+    if p == 2:  # n is the highest bit of the point index
+        return [(n, i - n) for i in _bit_points(lines) for n in (1 << (i.bit_length() - 1),)]
     places = []
     for line in lines:
         n = p ** (d - 1 - line.rep.index(1))
@@ -727,11 +750,11 @@ def _mass_rows(f: GridFunction, lines) -> tuple:
         return den, _line_cells(ambient, planes, width, lines)
     N = ambient.size
     A = _complex_mass_run(f.values, p, ambient.d)
-    at = [ambient.index_of(line.rep) for line in lines]
-    cells = [(A[t * N + i],) for i in at for t in range(p)]
-    if not all(cmath.isfinite(m) for (m,) in cells):
+    at = _bit_points(lines) if p == 2 else [ambient.index_of(line.rep) for line in lines]
+    masses = [A[t * N + i] for i in at for t in range(p)]
+    if not all(map(cmath.isfinite, masses)):
         raise ValueError(_NOT_FINITE)
-    return 1, cells
+    return 1, list(zip(masses))
 
 
 def _complex_mass_run(values, p: int, d: int) -> list:

@@ -18,25 +18,31 @@ one-direction path and the reference for the table.  Masses are defined
 on Z_p**d only: ring grids (modulus p**ell, ell > 1) are rejected by
 ``geometry.require_prime_grid``.
 
-A mass table, a wavelet's coefficients and a decomposition's constant are
-each one ``fourier.Values``, the holder a grid function is: exact values on
-one row of ints per value over one denominator, decoded on the first read
-only, and complex values as they are.  ``fileio`` writes their files from
-the holders.  ``mass_table`` holds the rows of the run over the
-denominator L of f.  ``decompose`` computes the exact coefficients on them,
-over L*p**(d-1) (plain, reduced) or L*N (massless), with its constant over
-L*N; complex ones in floating point, each factor made complex once, and
-handed to their holders as they are.
-``reconstruct_from_masses`` back-projects the table's rows as they are.
-Built from values, a table, wavelet or decomposition holds them in the kind
-they join to; built by a run or a reader, it is given its holder.
+A sinogram and a decomposition are line tables: their lines and one
+``fourier.Values`` of every mass or coefficient, p per line, line after
+line.  A ``Values`` is the holder a grid function is, as are a wavelet's
+coefficients and a decomposition's constant: exact values on one row of
+ints per value over one denominator, decoded on the first read only, and
+complex values as they are.  ``fileio`` writes both tables with one
+writer of line rows.  ``mass_table`` holds the rows of the run over the
+denominator L of f.  ``decompose`` computes the exact coefficients on
+them a coordinate column at a time, over L*p**(d-1) (plain, reduced) or
+L*N (massless), with its constant over L*N, and complex ones in floating
+point, each factor made complex once, and hands them over as one holder;
+its ``Wavelet`` parts are cut from it on the first read of ``parts``.
+``reconstruct_from_masses`` compares the table's lines with the canonical
+ones once, scanning its rows only when they differ, and takes the row
+totals and the values from whole columns.  Built from values, a table or
+wavelet holds them in the kind they join to, and a decomposition built
+from parts joins their coefficients into one table.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, compress, count, islice, repeat
 
 from .bandwidth import bandwidth, support_profile
 from .errors import SinogramError
@@ -194,15 +200,35 @@ def associated_wavelet(f: GridFunction, s) -> Wavelet:
 
 
 class Decomposition(_Record):
-    """A constant plus one wavelet per active line, reconstructing f exactly.
-    The constant is given as a value, or as the ``Values`` a run computed."""
+    """A constant plus one wavelet per active line, reconstructing f exactly,
+    held as a line table like a ``MassTable``: the lines and one ``Values``
+    of every coefficient, p per line.  Given ``Wavelet`` parts, it joins
+    their coefficients into that table; a run gives the lines as ``parts``
+    and the ``Values`` as ``coefficients``.  ``parts`` are cut from the
+    table, in the decomposition's form, on the first read.  The constant
+    is given as a value, or as the ``Values`` a run computed."""
 
-    __slots__ = ("ambient", "form", "parts", "_constant")
+    __slots__ = ("ambient", "form", "_lines", "_coefficients", "_constant", "_parts")
     _FIELDS = ("ambient", "form", "constant", "parts")
 
-    def __init__(self, ambient: Ambient, form: str, constant, parts):
-        self.ambient, self.form, self.parts = ambient, form, tuple(parts)
+    def __init__(self, ambient: Ambient, form: str, constant, parts, coefficients: Values | None = None):
+        parts = tuple(parts)
+        if coefficients is None:
+            self._lines = tuple(w.direction for w in parts)
+            coefficients = _joined(ambient, [c for w in parts for c in w.coeffs])
+        else:
+            self._lines = parts
+        self.ambient, self.form, self._coefficients, self._parts = ambient, form, coefficients, None
         self._constant = constant if isinstance(constant, Values) else _joined(ambient, (constant,))
+
+    @property
+    def parts(self) -> tuple:
+        if self._parts is None:
+            self._parts = tuple(
+                Wavelet(self.ambient, line, held, self.form)
+                for line, held in zip(self._lines, self._coefficients._cut(self.ambient.p))
+            )
+        return self._parts
 
     @property
     def constant(self):
@@ -210,13 +236,21 @@ class Decomposition(_Record):
 
     @property
     def cbw(self) -> int:
-        return len(self.parts)
+        return len(self._lines)
+
+    def directions(self) -> tuple:
+        return self._lines
 
     def evaluate(self) -> GridFunction:
         acc = GridFunction.constant(self.ambient, self.constant)
         for w in self.parts:
             acc = acc + w.evaluate()
         return acc
+
+
+def _each(values, times: int):
+    """Each of ``values`` repeated ``times`` times, in order."""
+    return chain.from_iterable(zip(*[values] * times))
 
 
 def decompose(
@@ -239,8 +273,10 @@ def decompose(
     L*p**(d-1), the reduced ones their differences with the row at t = 0,
     and the massless ones p times the mass rows less M, over L*N; the
     constant is over L*N.  Complex ones are computed in floating point,
-    with the bits of one Fraction factor times each value.  A rational f
-    gets its spectrum and its masses from one line run.
+    with the bits of one Fraction factor times each value.  Either way the
+    coefficients are computed a whole coordinate column at a time and
+    handed to the decomposition as one holder.  A rational f gets its
+    spectrum and its masses from one line run.
     """
     if form not in FORMS:
         raise ValueError(f"unknown decomposition form {form!r}")
@@ -252,34 +288,32 @@ def decompose(
     den, cells = mass_rows(lines)
     if f.kind == COMPLEX:
         masses = Values._from_lattice(ambient, cells, den, COMPLEX).values
-        return _decompose_complex(f, form, lines, [masses[i : i + p] for i in range(0, len(masses), p)])
-    groups = [cells[i : i + p] for i in range(0, len(cells), p)]
+        return _decompose_complex(f, form, lines, masses)
     total = [sum(col) for col in zip(*_lattice_of(f)[1])]
+    cols = list(zip(*cells))  # the coordinate columns of the masses, line after line
     scale = den * (N // p)
     if form == "plain":
-        coeffs = groups
+        coeffs = cells
         constant = [(1 - len(lines)) * m for m in total]
     elif form == "reduced":
-        coeffs = [[tuple(a - b for a, b in zip(m, ms[0])) for m in ms] for ms in groups]
-        shift = [sum(col) for col in zip(*(ms[0] for ms in groups))] or [0] * len(total)
+        coeffs = list(zip(*[list(map(operator.sub, col, _each(col[0::p], p))) for col in cols]))
+        shift = [sum(col[0::p]) for col in cols] or [0] * len(total)
         constant = [(1 - len(lines)) * m + p * s for m, s in zip(total, shift)]
     else:
         scale = den * N
-        coeffs = [[tuple(p * a - b for a, b in zip(m, total)) for m in ms] for ms in groups]
+        coeffs = list(zip(*[[p * a - m for a in col] for col, m in zip(cols, total)]))
         constant = total
-    parts = [
-        Wavelet(ambient, line, Values._from_lattice(ambient, rows, scale, f.kind), form)
-        for line, rows in zip(lines, coeffs)
-    ]
+    coeffs = Values._from_lattice(ambient, coeffs, scale, f.kind)
     constant = Values._from_lattice(ambient, [tuple(constant)], den * N, f.kind)
-    return Decomposition(ambient, form, constant, parts)
+    return Decomposition(ambient, form, constant, lines, coeffs)
 
 
 def _decompose_complex(f: GridFunction, form: str, lines, masses) -> Decomposition:
-    """``decompose`` of complex f in floating point, from the masses on each
-    active line.  A Fraction times a complex value is the Fraction made
-    complex times it, so each factor, 1/p**(d-1), 1/N or the constant's
-    exact (1 - cbw)/N, is made complex once and multiplies every value."""
+    """``decompose`` of complex f in floating point, from the masses on the
+    active lines, p per line, line after line.  A Fraction times a complex
+    value is the Fraction made complex times it, so each factor,
+    1/p**(d-1), 1/N or the constant's exact (1 - cbw)/N, is made complex
+    once and multiplies every value."""
     ambient = f.ambient
     p, d = ambient.p, ambient.d
     total = f.total()
@@ -287,19 +321,18 @@ def _decompose_complex(f: GridFunction, form: str, lines, masses) -> Decompositi
     cell, unit = complex(Fraction(1, p ** (d - 1))), complex(grid_inv)
     constant = complex((1 - len(lines)) * grid_inv) * total
     if form == "plain":
-        coeffs = [[cell * m for m in ms] for ms in masses]
+        coeffs = [cell * m for m in masses]
     elif form == "reduced":
-        coeffs = [[cell * (m - ms[0]) for m in ms] for ms in masses]
-        constant = constant + sum(cell * ms[0] for ms in masses)
+        coeffs = [cell * m for m in map(operator.sub, masses, _each(masses[0::p], p))]
+        constant = constant + sum(cell * m for m in masses[0::p])
     else:
-        rests = [[unit * (p * m - total) for m in ms[1:]] for ms in masses]
-        coeffs = [[-sum(rest), *rest] for rest in rests]
+        # c_t = (p*m_t - M)/N for t != 0, and c_0 minus the sum of the others
+        coeffs = [unit * (p * m - total) for m in masses]
+        rests = zip(*[coeffs[t::p] for t in range(1, p)])
+        coeffs[0::p] = map(operator.neg, map(sum, rests))
         constant = unit * total
-    parts = [
-        Wavelet(ambient, line, Values(ambient, COMPLEX, values), form)
-        for line, values in zip(lines, coeffs)
-    ]
-    return Decomposition(ambient, form, Values(ambient, COMPLEX, (constant,)), parts)
+    coeffs = Values(ambient, COMPLEX, coeffs)
+    return Decomposition(ambient, form, Values(ambient, COMPLEX, (constant,)), lines, coeffs)
 
 
 def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridFunction:
@@ -312,44 +345,56 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     SinogramError, a ring grid ValueError.  Exact masses give exact values,
     rational exactly when every cyclotomic coordinate above degree zero
     cancels, as in ``inverse``; complex masses give complex values.  The
-    table's rows are back-projected as they are.
+    lines are checked by one compare with the canonical ones, the rows
+    scanned for the first fault only when that fails, and the table's rows
+    are back-projected as they are.
     """
     ambient = table.ambient
     require_prime_grid(ambient)
     p, N = ambient.p, ambient.size
     lines = enumerate_lines(ambient)
-    canonical, present = {line.rep for line in lines}, set()
-    for line, size in zip(table.directions(), table._sizes):
-        if line.rep not in canonical:
-            problem = "is not a canonical line"
-        elif line.rep in present:
-            problem = "appears twice"
-        elif size != p:
-            problem = f"has {size} masses, not {p}"
-        else:
-            present.add(line.rep)
-            continue
-        raise SinogramError(f"sinogram direction {list(line.rep)} {problem}")
-    missing = [line.rep for line in lines if line.rep not in present]
-    if missing:
-        raise SinogramError(f"sinogram is missing directions: {missing}")
+    if table.directions() != lines or {*table._sizes} != {p}:
+        canonical, present = {line.rep for line in lines}, set()
+        for line, size in zip(table.directions(), table._sizes):
+            if line.rep not in canonical:
+                problem = "is not a canonical line"
+            elif line.rep in present:
+                problem = "appears twice"
+            elif size != p:
+                problem = f"has {size} masses, not {p}"
+            else:
+                present.add(line.rep)
+                continue
+            raise SinogramError(f"sinogram direction {list(line.rep)} {problem}")
+        missing = [line.rep for line in lines if line.rep not in present]
+        if missing:
+            raise SinogramError(f"sinogram is missing directions: {missing}")
     kind, (L, M) = table._masses.kind, _lattice_of(table._masses)
     # Row totals on the lattice ints: sums[i][c] is coordinate c of L times
-    # the total of row i.  All rows must share the total of the first.
+    # the total of row i, each column's row totals summed in one map.
     cols = list(zip(*M))
-    sums = list(zip(*([sum(col[k : k + p]) for k in range(0, len(col), p)] for col in cols)))
-    total, bound = sums[0], zero_bound([c for col in cols for c in col], tol)
+    col_sums = [list(map(sum, zip(*[iter(col)] * p))) for col in cols]
+    sums = list(zip(*col_sums))
+    total = sums[0]
     # f is its plain decomposition over all n lines: L*N*f(x) is p times the
     # back-projected L*m_{s,x.s}, less (n - 1) times the total mass L*m(f).
     # Exact rows are demoted as inverse's are; building a complex f refuses
     # a non-finite mass, before the totals are compared.
     n, back = len(lines), _back_project(ambient, table.directions(), M)
-    cells = list(zip(*([p * b - (n - 1) * m for b in col] for col, m in zip(zip(*back), total))))
+    cells = list(zip(*[
+        map(operator.sub, map(operator.mul, repeat(p), col), repeat((n - 1) * m))
+        for col, m in zip(zip(*back), total)
+    ]))
     f = _from_lattice(ambient, cells, L * N, kind if kind == COMPLEX else None)
-    bad = [i for i, row in enumerate(sums) for s, m in zip(row, total)
-           if s != m and not is_zero(s - m, bound)]
-    if bad:
-        i, totals, directions = bad[0], table.totals(), table.directions()
+    # All rows must share the total of the first: rows that differ from it
+    # are found whole, and only their values go to the zero rule.
+    differ = list(compress(count(), map(operator.ne, sums, repeat(total))))
+    if differ and kind == COMPLEX:  # one value per row: not is_zero(s - m, bound)
+        bound, (m,) = zero_bound(cols[0], tol), total
+        gaps = map(abs, map(operator.sub, col_sums[0], repeat(m)))
+        differ = list(compress(count(), map(operator.not_, map(operator.le, gaps, repeat(bound)))))
+    if differ:
+        i, totals, directions = differ[0], table.totals(), table.directions()
         raise SinogramError(
             f"per-direction totals disagree: direction {list(directions[i].rep)} sums "
             f"to {totals[i]}, the first direction {list(directions[0].rep)} to {totals[0]}"

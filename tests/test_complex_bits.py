@@ -1,4 +1,5 @@
-"""Complex masses and decompositions keep the bits of the per-value reference.
+"""Complex transforms, masses and decompositions keep the bits of the
+per-value reference.
 
 The complex mass run computes only the sums the line representatives
 read, and a complex decomposition multiplies by each factor made complex
@@ -9,9 +10,13 @@ arithmetic with one ``Fraction`` times each complex value.  The inputs
 include signed zeros, which a ``sum`` from int 0 turns into +0.0 (on a
 grid of one dimension the run's own first pass is all of it), subnormal
 values, whose products with the factors round to signed zeros, and values
-near the float limit, whose masses overflow."""
+near the float limit, whose masses overflow.  The complex transforms add
+a block at the root 1 as it is, with no multiplication by 1+0j, and must
+give the bits of the pass that multiplies every block by its root, kept
+here too."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -19,12 +24,14 @@ import pytest
 
 from charkit.bandwidth import bandwidth
 from charkit.corpus import rng_for
-from charkit.fourier import GridFunction, Values, _lattice_pass, _mass_rows
+from charkit.fourier import GridFunction, Values, _lattice_pass, _mass_rows, forward, inverse
 from charkit.geometry import Ambient, enumerate_lines
+from charkit.scalars import _embed_roots
 from charkit.wavelets import FORMS, Wavelet, decompose, mass_table
 
 MASS_GRIDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (13, 2),
               (2, 3), (3, 3), (5, 3), (7, 3), (2, 5), (3, 4), (2, 8), (3, 6)]
+TRANSFORM_GRIDS = [(2, d) for d in range(1, 11)] + [(3, 6), (7, 3), (13, 2)]
 DECOMPOSE_GRIDS = [(2, 1), (5, 1), (2, 3), (3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (2, 5)]
 NOT_FINITE = "complex values must be finite"
 
@@ -153,3 +160,55 @@ def test_complex_decompose_keeps_the_bits_of_the_per_value_arithmetic(p, d, form
             assert _bits(w.coeffs) == _bits(want), w.direction
             # the coefficients pass the checks of their form
             assert Wavelet(ambient, w.direction, w.coeffs, form) == w
+
+
+def _per_root_transform(values, ambient, sign):
+    """The complex transform (sign -1 forward, +1 inverse) with every block
+    of every pass multiplied by its root, the root 1 included."""
+    q, A = ambient.modulus, list(values)
+    roots = _embed_roots(q)
+    for _ in range(ambient.d):
+        m = len(A) // q
+        blocks = [(t, A[t * m : (t + 1) * m]) for t in range(q)]
+        blocks = [(t, block) for t, block in blocks if any(block)]
+        out = [0j] * len(A)
+        for k in range(q):
+            acc = [0j] * m
+            for t, block in blocks:
+                root = roots[sign * k * t % q]
+                acc = [a + root * v for a, v in zip(acc, block)]
+            out[k::q] = acc
+        A = out
+    if sign < 0:
+        scale = 1.0 / ambient.size
+        A = [v * scale for v in A]
+    return A
+
+
+@pytest.mark.parametrize("p,d", TRANSFORM_GRIDS)
+def test_complex_transforms_keep_the_bits_of_the_per_root_passes(p, d):
+    ambient = Ambient(p, d)
+    for name, values in _inputs(ambient, 3201):
+        f = GridFunction(ambient, "complex", values)
+        for transform, sign in ((forward, -1), (inverse, +1)):
+            want = _per_root_transform(values, ambient, sign)
+            if not all(map(cmath.isfinite, want)):
+                with pytest.raises(ValueError, match=NOT_FINITE):
+                    transform(f)
+                continue
+            assert _bits(transform(f).values) == _bits(want), (name, sign)
+
+
+def test_adding_a_block_at_the_root_one_keeps_the_bits_of_multiplying_by_it():
+    """acc + v and acc + (1+0j)*v agree in every bit when finite, and are
+    finite together, for every acc that a sum from 0j can hold (never a
+    -0.0 part) and every v over signed zeros, subnormals, +-1e300 and
+    +-inf."""
+    parts = (0.0, -0.0, 5e-324, -5e-324, 1.5, -0.25, 1e300, -1e300, math.inf, -math.inf, 1e-310, -7.0)
+    values = [complex(a, b) for a in parts for b in parts]
+    for acc in (0j + v for v in values):
+        for v in values:
+            added, multiplied = acc + v, acc + (1 + 0j) * v
+            assert cmath.isfinite(added) == cmath.isfinite(multiplied), (acc, v)
+            if cmath.isfinite(added):
+                assert _bits([added]) == _bits([multiplied]), (acc, v)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charkit import cli, fileio
-from charkit.corpus import staircase_function
+from charkit.corpus import random_rational_function, rng_for, staircase_function
 from charkit.errors import SinogramError
 from charkit.fourier import GridFunction, _lattice_of
 from charkit.geometry import Ambient, ProjectiveLine, dot, enumerate_lines, grid_point, line_through
@@ -486,7 +486,9 @@ SINOGRAM_ERRORS = {
     "not canonical": "sinogram direction [2, 1] is not a canonical line",
     "twice": "sinogram direction [0, 1] appears twice",
     "short row": "sinogram direction [1, 1] has 2 masses, not 3",
+    "long row": "sinogram direction [1, 0] has 4 masses, not 3",
     "missing": "sinogram is missing directions: [(0, 1)]",
+    "missing two": "sinogram is missing directions: [(1, 0), (1, 2)]",
     "totals": "per-direction totals disagree: direction [1, 2] sums to 7/2, the first direction [0, 1] to 3",
     "totals cyclotomic": (
         "per-direction totals disagree: direction [1, 2] sums to Cyclotomic(3^1: 2 + 1*z^1), "
@@ -495,20 +497,29 @@ SINOGRAM_ERRORS = {
     "totals complex": (
         "per-direction totals disagree: direction [1, 2] sums to 1j, the first direction [0, 1] to (3+0j)"
     ),
+    "totals complex, one value off": (
+        "per-direction totals disagree: direction [1, 1] sums to (3+0.001j), the first direction [0, 1] to (3+0j)"
+    ),
 }
 
 
 def _hand_built(case: str) -> MassTable:
     rows = list(mass_table(staircase_function(3)).rows)
     line, ms = rows[3]
+    complex_rows = [(ln, tuple(map(complex, m))) for ln, m in rows]
+    off = complex_rows[2]
     return MassTable(Ambient(3, 2), {
         "not canonical": rows[:1] + [(ProjectiveLine((2, 1)), rows[1][1])] + rows[2:],
         "twice": rows + rows[:1],
         "short row": rows[:2] + [(rows[2][0], rows[2][1][:2])] + rows[3:],
+        "long row": rows[:1] + [(rows[1][0], rows[1][1] + (0,))] + rows[2:],
         "missing": rows[1:],
+        "missing two": [rows[0], rows[2]],
         "totals": rows[:3] + [(line, ms[:2] + (ms[2] + Fraction(1, 2),))],
         "totals cyclotomic": rows[:3] + [(line, ms[:2] + (Cyclotomic(3, [0, 1]),))],
-        "totals complex": [(ln, tuple(map(complex, m))) for ln, m in rows[:3]] + [(line, (1j, 0, 0))],
+        "totals complex": complex_rows[:3] + [(line, (1j, 0, 0))],
+        "totals complex, one value off": complex_rows[:2] + [(off[0], off[1][:2] + (off[1][2] + 1e-3j,))]
+        + complex_rows[3:],
     }[case])
 
 
@@ -530,14 +541,21 @@ def test_a_non_finite_mass_is_refused_after_the_table_checks():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_wavelets_and_decompositions_built_from_values_equal_decompose(kind):
-    f = staircase_function(3)
+@pytest.mark.parametrize("source", ["staircase", "constant", (2, 1), (3, 1), (5, 2), (2, 8), (3, 5)])
+def test_wavelets_and_decompositions_built_from_values_equal_decompose(kind, source):
+    if source == "staircase":
+        f = staircase_function(3)
+    elif source == "constant":  # no part at all
+        f = GridFunction.constant(Ambient(3, 2), Fraction(-5, 3))
+    else:
+        f = random_rational_function(Ambient(*source), rng_for(3202, f"built/{source}"))
     f = {"rational": f, "cyclotomic": f.to_cyclotomic(), "complex": f.to_complex()}[kind]
     for form in FORMS:
         dec = decompose(f, form)
         parts = tuple(Wavelet(w.ambient, w.direction, w.coeffs, form) for w in dec.parts)
         built = Decomposition(dec.ambient, form, dec.constant, parts)
         assert built == dec and hash(built) == hash(dec)
+        assert built.directions() == dec.directions() and built.cbw == dec.cbw
         assert [w.coeffs for w in built.parts] == [w.coeffs for w in dec.parts]
         assert built.evaluate() == dec.evaluate()
         assert fileio.decomposition_dumps(built) == fileio.decomposition_dumps(dec)

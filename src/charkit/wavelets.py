@@ -211,7 +211,9 @@ class Decomposition(_Record):
     __slots__ = ("ambient", "form", "_lines", "_coefficients", "_constant", "_parts")
     _FIELDS = ("ambient", "form", "constant", "parts")
 
-    def __init__(self, ambient: Ambient, form: str, constant, parts, coefficients: Values | None = None):
+    def __init__(
+        self, ambient: Ambient, form: str, constant, parts, coefficients: Values | None = None
+    ):
         parts = tuple(parts)
         if coefficients is None:
             self._lines = tuple(w.direction for w in parts)

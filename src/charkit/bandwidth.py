@@ -10,8 +10,9 @@ the transform of f does not vanish identically; bw(f) rescales it into
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .errors import TheoremViolation
 from .fourier import (
@@ -37,10 +38,10 @@ from .geometry import (
     enumerate_subspaces,
     is_compass_set,
     line_count,
-    line_indices,
     line_through,
     perp,
     point_set,
+    punctured_indices,
     require_prime_grid,
     translate_set,
 )
@@ -57,6 +58,8 @@ class BandwidthReport:
     bwd: float
     lines: tuple  # the active lines, ProjectiveLine in canonical order
     approximate: bool
+    # the grid of the lines, whose direction texts the report's writer reads
+    ambient: Ambient = field(repr=False, compare=False)
 
 
 def support_profile(
@@ -65,7 +68,9 @@ def support_profile(
     """Classify every line as active or vanishing on the given spectrum,
     and report the active ones.
 
-    The whole punctured line is inspected, never a single sample.  This is
+    The whole punctured line is inspected, never a single sample: the
+    hits of every line are counted at once from the grid's flat list of
+    punctured indices (``geometry.punctured_indices``).  This is
     the home of the Galois step sigma_r(F(m)) = F(r*m): for rational sources
     a mixed line (some zeros, some not) contradicts the vanishing principle
     and raises TheoremViolation, and the hypotheses of ``varieties`` are
@@ -76,23 +81,24 @@ def support_profile(
     require_prime_grid(ambient)
     approximate = F.kind == COMPLEX
     nonzero = F.nonzero(tol)
-    active = []
-    for line, indices in line_indices(ambient).items():
-        hits = sum(map(nonzero.__getitem__, indices[1:]))
-        if source_kind == RATIONAL and not approximate and 0 < hits < len(indices) - 1:
-            raise TheoremViolation(
-                f"rational source has a mixed line through {line.rep}: "
-                "zero and nonzero values on one punctured line"
-            )
-        if hits:
-            active.append(line)
+    lines, width = enumerate_lines(ambient), ambient.p - 1
+    # the hits of each punctured line, p - 1 indices per line, line after line
+    hits = list(map(sum, zip(*[map(nonzero.__getitem__, punctured_indices(ambient))] * width)))
+    if source_kind == RATIONAL and not approximate and not {*hits} <= {0, width}:
+        line = next(line for line, n in zip(lines, hits) if 0 < n < width)
+        raise TheoremViolation(
+            f"rational source has a mixed line through {line.rep}: "
+            "zero and nonzero values on one punctured line"
+        )
+    active = tuple(compress(lines, hits))
     cbw = len(active)
     return BandwidthReport(
         cbw=cbw,
         bw=Fraction(cbw * (ambient.p - 1), ambient.size - 1),
         bwd=bwd_of_cbw(cbw, ambient.p),
-        lines=tuple(active),
+        lines=active,
         approximate=approximate,
+        ambient=ambient,
     )
 
 

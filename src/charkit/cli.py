@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import fileio
-from .bandwidth import bandwidth
+from .bandwidth import BandwidthReport, bandwidth
 from .eigen import eigen_expand, self_dual_classify
 from .errors import (
     CapacityError,
@@ -166,14 +166,17 @@ def _render_table(payload, indent: str = "") -> str:
 
 
 def _emit(result, args, render_table=_render_table) -> None:
-    """Write a command's result, a payload or a function, sinogram or
-    decomposition (in the form of its file), as JSON or as a table."""
+    """Write a command's result, a payload or a function, sinogram,
+    decomposition (in the form of its file) or bandwidth report, as JSON
+    or as a table."""
     if isinstance(result, GridFunction):
         dumps, payload = fileio.function_dumps, fileio.function_to_payload
     elif isinstance(result, MassTable):
         dumps, payload = fileio.sinogram_dumps, fileio.sinogram_to_payload
     elif isinstance(result, Decomposition):
         dumps, payload = fileio.decomposition_dumps, fileio.decomposition_to_payload
+    elif isinstance(result, BandwidthReport):
+        dumps, payload = fileio.bandwidth_report_dumps, fileio.bandwidth_report_payload
     else:
         dumps, payload = fileio.canonical_dumps, None
     if args.format == "table":
@@ -210,7 +213,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_bandwidth(args) -> int:
     f = fileio.load_function(args.input)
-    _emit(fileio.bandwidth_report_payload(bandwidth(f, args.tolerance)), args)
+    _emit(bandwidth(f, args.tolerance), args)
     return EXIT_OK
 
 

@@ -15,6 +15,8 @@ Sinogram:           {"p": ..., "d": ..., "masses": [{"s": [...], "m": [...]}, ..
                     defined on Z_p**d: a "modulus_exponent" above 1 is a
                     ring grid, which the reader rejects.
 Decomposition:      {"p", "d", "form", "constant", "parts": [{"s", "coeffs"}]}.
+Bandwidth report:   {"approximate", "bw", "bwd", "cbw", "lines": [[...], ...]},
+                    the active lines by their canonical generators.
 
 A rational literal ("a/b" above, every rational value, coefficient and mass)
 is a JSON string of the form [-+]?digits or [-+]?digits/digits, with ASCII
@@ -33,22 +35,30 @@ rows by ``_from_lattice`` and read through ``_lattice_of``.  The readers
 with one pass over the list per check (the types of its items, their
 lengths, the p and ell of every cyclotomic object), read each distinct
 literal once into a reduced ratio, scale the rows once by the lcm of the
-denominators and build complex values in one pass; the sinogram reader
-rebases each direction's masses onto its canonical generator by one
-permutation per leading coordinate.  When a check fails, the per-value
-reader runs from the start and names the file's first fault in file order,
-with the same text whichever check failed.  The writers ``function_dumps``,
-``sinogram_dumps`` and ``decomposition_dumps`` write in the fixed shape of
-``canonical_dumps`` of the payload, the values of each holder by one call
+denominators and build complex values in one pass.  The sinogram reader
+compares the file's directions with the grid's canonical generators
+(``geometry.line_coordinates``) in one compare, after their int check,
+and takes a file of every generator in canonical order row for row; any
+other file has each direction's masses rebased onto its canonical
+generator by one permutation per leading coordinate.  When a check
+fails, the per-value reader runs from the start and names the file's
+first fault in file order, with the same text whichever check failed.
+The writers ``function_dumps``, ``sinogram_dumps``,
+``decomposition_dumps`` and ``bandwidth_report_dumps`` write in the fixed
+shape of ``canonical_dumps`` of the payload, the values of each holder by one call
 of ``_value_texts``: the coefficient c of a row over den becomes the
 literal c/den reduced by one gcd, once per distinct c, and finite complex
 values their [re, im] pairs by ``float.__repr__``.  A sinogram and a
 decomposition are line tables, and one writer, ``_line_rows``, writes the
 rows {key: [p texts], "s": rep} of either from the texts of its whole
-table, joined a column at a time with no call per row.
-``canonical_dumps`` writes a list of ints, and a list of such lists, in
-one join per list.  ``function_to_payload``, ``sinogram_to_payload`` and
-``decomposition_to_payload`` remain the per-value view (``--format
+table, joined a column at a time with no call per row.  The directions
+"s" of those rows and the "lines" of ``bandwidth_report_dumps`` are read
+from per-grid texts (``_canonical_texts``): each canonical generator's
+coordinates joined as the file indents them, made once per grid and
+indent and looked up by the generator's tuple.  ``canonical_dumps``
+writes a list of ints in one join.  ``function_to_payload``,
+``sinogram_to_payload``, ``decomposition_to_payload`` and
+``bandwidth_report_payload`` remain the per-value view (``--format
 table``) and the reference the writers are tested against.  An integer
 whose decimal text is over the interpreter's limit
 (``sys.get_int_max_str_digits``) is a bad literal when read and a
@@ -63,13 +73,22 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 
+from .bandwidth import BandwidthReport
 from .errors import CapacityError, DataFormatError
 from .fourier import COMPLEX, CYCLOTOMIC, RATIONAL, GridFunction, Values, _from_lattice, _lattice_of
-from .geometry import Ambient, enumerate_lines, grid_point, require_prime_grid
+from .geometry import (
+    Ambient,
+    enumerate_lines,
+    grid_point,
+    line_coordinates,
+    line_count,
+    require_prime_grid,
+)
 from .scalars import Cyclotomic
 from .wavelets import Decomposition, MassTable
 
@@ -215,11 +234,6 @@ def _write(obj, newline: str, out: list) -> None:
             out.append(_list_text(map(_number_text, obj), newline))
             return
         inner = newline + "  "
-        if types <= {list, tuple} and {*map(type, chain.from_iterable(obj))} == {int}:
-            # lists of ints, such as a bandwidth report's lines, each in one join
-            rows = map(map, repeat(int.__repr__), obj)
-            out.append(_list_text(map(_list_text, rows, repeat(inner)), newline))
-            return
         sep = "[" + inner
         for v in obj:
             out.append(sep)
@@ -320,17 +334,44 @@ def _value_texts(held: Values, newline: str) -> list:
     return [head + sep.join(map(literal, row)) + tail for row in rows]
 
 
+# The text between two coordinates of a direction "s", and between two
+# values of a row, in a row of a line table.
+_ITEM = "," + _ROW + "  "
+
+
+@lru_cache(maxsize=None)
+def _canonical_texts(ambient: Ambient, sep: str) -> dict:
+    """The generator of each line of ``enumerate_lines``, a rep tuple,
+    mapped to the text of its coordinates joined by ``sep``."""
+    return {line.rep: sep.join(map(int.__repr__, line.rep)) for line in enumerate_lines(ambient)}
+
+
+def _direction_texts(ambient: Ambient, lines, sep: str) -> list:
+    """The coordinates of the generator of each of ``lines``, joined by
+    ``sep``, read from the grid's table (``_canonical_texts``); the text
+    of a line that is not in it (not canonical, or on a grid of too many
+    lines for a table) is made."""
+    try:
+        known = _canonical_texts(ambient, sep)
+    except CapacityError:
+        known = {}
+    texts = list(map(known.get, map(attrgetter("rep"), lines)))
+    if None in texts:
+        texts = [t or sep.join(map(int.__repr__, line.rep)) for t, line in zip(texts, lines)]
+    return texts
+
+
 def _line_rows(key: str, lines, sizes, held: Values) -> str:
     """The JSON text of a line table's list of rows, {key: [its values],
     "s": rep} per line, as ``canonical_dumps`` writes it in a file's
     top-level object: line i holds the next sizes[i] of the values
     ``held``.  Every value text comes from one ``_value_texts`` call, and
     the rows are joined a whole column at a time, with no call per row."""
-    inner, item = _ROW + "  ", "," + _ROW + "  "
+    inner = _ROW + "  "
     texts = iter(_value_texts(held, inner))
-    bodies = map(item.join, map(islice, repeat(texts), sizes))
+    bodies = map(_ITEM.join, map(islice, repeat(texts), sizes))
     values = [f"[{inner}{body}{_ROW}]" if body else "[]" for body in bodies]
-    reps = map(item.join, map(map, repeat(int.__repr__), map(attrgetter("rep"), lines)))
+    reps = _direction_texts(held.ambient, lines, _ITEM)
     # a row is {key: values, "s": [rep]}; the text between two rows closes one and opens the next
     head, tail = f'{{{_ROW}"{key}": ', f"{_ROW}]\n    }}"
     rows = f"{tail},{_TOP}  {head}".join(map(f',{_ROW}"s": [{inner}'.join, zip(values, reps)))
@@ -574,9 +615,11 @@ def sinogram_from_payload(payload) -> MassTable:
 
 def _sinogram_whole(ambient, entries) -> MassTable | None:
     """The mass table of a sinogram's rows ``entries``, checked and read
-    whole; None when a check fails.  The masses are read in file order,
-    each row's are rebased by one permutation per leading coordinate, and
-    the rows are ordered by line."""
+    whole; None when a check fails.  The masses are read in file order.
+    When the directions are every canonical generator in canonical order,
+    found by one compare, the rows are the table's as they are; otherwise
+    each row's masses are rebased by one permutation per leading
+    coordinate, and the rows are ordered by line."""
     p, d = ambient.p, ambient.d
     if {*map(type, entries)} != {dict}:
         return None
@@ -592,26 +635,30 @@ def _sinogram_whole(ambient, entries) -> MassTable | None:
     if read is None:
         return None
     cells, kind = read
-    coords = list(chain.from_iterable(ss))
-    if {*map(type, coords)} != {int}:
+    coords = tuple(chain.from_iterable(ss))
+    if {*map(type, coords)} != {int}:  # not bools: [True, False] == [1, 0]
         return None
-    dirs = list(zip(*[map(p.__rmod__, coords)] * d))
-    leads = list(map(next, map(filter, repeat(None), dirs), repeat(0)))
-    if 0 in leads:
-        return None
-    rows = zip(*[iter(cells)] * p)
-    if {*leads} != {1}:
-        # The canonical generator of the line through s is rep = s/c, c the
-        # first nonzero entry of s, and x.s = t is the plane x.rep = t/c:
-        # the mass of rep at u is the mass of s at u*c.
-        rebase = {c: (pow(c, -1, p), itemgetter(*[u * c % p for u in range(p)])) for c in {*leads}}
-        dirs = [tuple([x * rebase[c][0] % p for x in s]) for s, c in zip(dirs, leads)]
-        rows = [rebase[c][1](row) for row, c in zip(rows, leads)]
-    rows = dict(zip(dirs, rows))
-    if len(rows) != len(dirs):  # a duplicate direction
-        return None
-    lines = [line for line in enumerate_lines(ambient) if line.rep in rows]
-    cells = list(chain.from_iterable([rows[line.rep] for line in lines]))
+    if len(ss) == line_count(ambient) and coords == line_coordinates(ambient):
+        # every canonical generator in canonical order: the rows as they are
+        lines = enumerate_lines(ambient)
+    else:
+        dirs = list(zip(*[map(p.__rmod__, coords)] * d))
+        leads = list(map(next, map(filter, repeat(None), dirs), repeat(0)))
+        if 0 in leads:
+            return None
+        rows = zip(*[iter(cells)] * p)
+        if {*leads} != {1}:
+            # The canonical generator of the line through s is rep = s/c, c the
+            # first nonzero entry of s, and x.s = t is the plane x.rep = t/c:
+            # the mass of rep at u is the mass of s at u*c.
+            rebase = {c: (pow(c, -1, p), itemgetter(*[u * c % p for u in range(p)])) for c in {*leads}}
+            dirs = [tuple([x * rebase[c][0] % p for x in s]) for s, c in zip(dirs, leads)]
+            rows = [rebase[c][1](row) for row, c in zip(rows, leads)]
+        rows = dict(zip(dirs, rows))
+        if len(rows) != len(dirs):  # a duplicate direction
+            return None
+        lines = [line for line in enumerate_lines(ambient) if line.rep in rows]
+        cells = list(chain.from_iterable([rows[line.rep] for line in lines]))
     if kind == COMPLEX:
         return MassTable(ambient, lines, Values(ambient, COMPLEX, cells))
     L, cells = literals.scale(chain.from_iterable(cells), p - 1 if kind == CYCLOTOMIC else 1)
@@ -694,6 +741,20 @@ def decomposition_dumps(dec: Decomposition) -> str:
     return (
         f'{{\n  "constant": {constant},\n  "d": {ambient.d},\n  "form": {_quote(dec.form)},\n'
         f'  "p": {ambient.p},\n  "parts": {parts}\n}}\n'
+    )
+
+
+def bandwidth_report_dumps(report: BandwidthReport) -> str:
+    """``canonical_dumps(bandwidth_report_payload(report))``, the text of a
+    bandwidth report, its lines written from the grid's direction texts
+    (``_direction_texts``) in one join."""
+    texts, lines = _direction_texts(report.ambient, report.lines, "," + _ROW), "[]"
+    if texts:
+        lines = f"[{_TOP}  [{_ROW}" + f"{_TOP}  ],{_TOP}  [{_ROW}".join(texts) + f"{_TOP}  ]{_TOP}]"
+    return (
+        f'{{\n  "approximate": {"true" if report.approximate else "false"},\n'
+        f'  "bw": {_quote(format_rational(report.bw))},\n  "bwd": {_number_text(report.bwd)},\n'
+        f'  "cbw": {report.cbw},\n  "lines": {lines}\n}}\n'
     )
 
 

@@ -16,7 +16,10 @@ and hyperplane labels.  ``grid_point`` turns every point, direction,
 centre, offset and set member a caller passes into a grid point (its d
 coordinates mod m) and refuses any other length; ``point_set`` does so for
 a set.  ``line_indices`` holds the dense indices of every line's points,
-once per grid, ``dilation_indices`` the index of r*x for every point, and
+once per grid, ``punctured_indices`` the same without the origin's in
+one flat list, ``line_coordinates`` the coordinates of every canonical
+generator in one flat list, ``dilation_indices`` the index of r*x for
+every point, and
 ``dots`` the labels x.v of every point for a direction v.  Other modules
 read them; only the references ``forward_naive``,
 ``masses`` and ``convolve`` keep their own arithmetic.
@@ -264,6 +267,20 @@ def line_indices(ambient: Ambient) -> dict:
         line: tuple(map(ambient.index_of, line.points(ambient)))
         for line in enumerate_lines(ambient)
     }
+
+
+@lru_cache(maxsize=None)
+def line_coordinates(ambient: Ambient) -> tuple:
+    """The coordinates of every generator of ``enumerate_lines``, line
+    after line: the flat list of the directions that name the lines."""
+    return tuple(itertools.chain.from_iterable(line.rep for line in enumerate_lines(ambient)))
+
+
+@lru_cache(maxsize=None)
+def punctured_indices(ambient: Ambient) -> tuple:
+    """The indices of ``line_indices`` without the origin's, line after
+    line: on a prime grid, p - 1 indices per line."""
+    return tuple(itertools.chain.from_iterable(ix[1:] for ix in line_indices(ambient).values()))
 
 
 @lru_cache(maxsize=None)

@@ -352,7 +352,10 @@ class Cyclotomic:
         )
 
     def __hash__(self):
-        return hash((self.p, self.ell, self.coeffs))
+        # a rational element equals its rational value, so it hashes as that value does
+        if any(self.coeffs[1:]):
+            return hash((self.p, self.ell, self.coeffs))
+        return hash(self.coeffs[0])
 
     def __repr__(self):
         terms = []

@@ -4,6 +4,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charkit.fourier import GridFunction, forward
 from charkit.geometry import Ambient
@@ -161,6 +163,25 @@ def test_rational_part():
     assert rational_part(Cyclotomic.zeta(7)) is None
     assert rational_part(5) == 5
     assert complex(Fraction(1, 2)) == 0.5
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 3),
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=12).filter(bool),
+)
+def test_a_rational_element_hashes_as_the_value_it_equals(p, ell, q, r):
+    c = Cyclotomic.from_rational(p, q, ell)
+    assert c == q and hash(c) == hash(q)
+    assert {c: 1}.get(q) == 1 and {q: 1}.get(c) == 1
+    if q.denominator == 1:
+        assert c == q.numerator and {q.numerator: 1}.get(c) == 1
+    if len(c.coeffs) > 1:  # zeta is irrational: equal elements still hash alike
+        z = c + Cyclotomic.zeta(p, 1, ell).scale(r)
+        twin = Cyclotomic(p, list(z.coeffs), ell)
+        assert z.rational_part() is None and z == twin and hash(z) == hash(twin)
 
 
 def test_is_zero_takes_an_explicit_tolerance():

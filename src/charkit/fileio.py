@@ -45,13 +45,14 @@ fails, the per-value reader runs from the start and names the file's
 first fault in file order, with the same text whichever check failed.
 The writers ``function_dumps``, ``sinogram_dumps``,
 ``decomposition_dumps`` and ``bandwidth_report_dumps`` write in the fixed
-shape of ``canonical_dumps`` of the payload, the values of each holder by one call
-of ``_value_texts``: the coefficient c of a row over den becomes the
-literal c/den reduced by one gcd, once per distinct c, and finite complex
-values their [re, im] pairs by ``float.__repr__``.  A sinogram and a
-decomposition are line tables, and one writer, ``_line_rows``, writes the
-rows {key: [p texts], "s": rep} of either from the texts of its whole
-table, joined a column at a time with no call per row.  The directions
+shape of ``canonical_dumps`` of the payload, the values of each holder
+by one call of ``_value_texts``: the coefficient c of a row over den
+becomes the literal c/den reduced by one gcd, once per distinct c, and
+finite complex values their [re, im] pairs by ``float.__repr__``.  A
+sinogram and a decomposition are line tables, and one writer,
+``_line_rows``, writes the rows {key: [p texts], "s": rep} of either from
+the texts of its whole table, joined a column at a time with no call per
+row.  The directions
 "s" of those rows and the "lines" of ``bandwidth_report_dumps`` are read
 from per-grid texts (``_canonical_texts``): each canonical generator's
 coordinates joined as the file indents them, made once per grid and

@@ -10,7 +10,7 @@ the transform of f does not vanish identically; bw(f) rescales it into
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -58,8 +58,6 @@ class BandwidthReport:
     bwd: float
     lines: tuple  # the active lines, ProjectiveLine in canonical order
     approximate: bool
-    # the grid of the lines, whose direction texts the report's writer reads
-    ambient: Ambient = field(repr=False, compare=False)
 
 
 def support_profile(
@@ -98,7 +96,6 @@ def support_profile(
         bwd=bwd_of_cbw(cbw, ambient.p),
         lines=active,
         approximate=approximate,
-        ambient=ambient,
     )
 
 

@@ -36,13 +36,14 @@ with one pass over the list per check (the types of its items, their
 lengths, the p and ell of every cyclotomic object), read each distinct
 literal once into a reduced ratio, scale the rows once by the lcm of the
 denominators and build complex values in one pass.  The sinogram reader
-compares the file's directions with the grid's canonical generators
-(``geometry.line_coordinates``) in one compare, after their int check,
-and takes a file of every generator in canonical order row for row; any
-other file has each direction's masses rebased onto its canonical
-generator by one permutation per leading coordinate.  When a check
-fails, the per-value reader runs from the start and names the file's
-first fault in file order, with the same text whichever check failed.
+reads whole a file of every canonical generator in canonical order, as
+charkit writes it, found by one compare of the file's directions with
+``geometry.line_coordinates`` after their int check, and takes its rows
+as they are.  Any other sinogram, and any file where a check fails, is
+read by the per-value reader from the start, which rebases each
+direction onto its canonical generator, orders the rows by line and
+names the file's first fault in file order, with the same text
+whichever check failed.
 The writers ``function_dumps``, ``sinogram_dumps``,
 ``decomposition_dumps`` and ``bandwidth_report_dumps`` write in the fixed
 shape of ``canonical_dumps`` of the payload, the values of each holder
@@ -52,11 +53,10 @@ finite complex values their [re, im] pairs by ``float.__repr__``.  A
 sinogram and a decomposition are line tables, and one writer,
 ``_line_rows``, writes the rows {key: [p texts], "s": rep} of either from
 the texts of its whole table, joined a column at a time with no call per
-row.  The directions
-"s" of those rows and the "lines" of ``bandwidth_report_dumps`` are read
-from per-grid texts (``_canonical_texts``): each canonical generator's
-coordinates joined as the file indents them, made once per grid and
-indent and looked up by the generator's tuple.  ``canonical_dumps``
+row.  The directions "s" of those rows and the "lines" of
+``bandwidth_report_dumps`` are read from ``_DIRECTION_TEXTS``: each
+generator's coordinates joined as the file indents them, made on the
+first write of that generator and looked up by its tuple.  ``canonical_dumps``
 writes a list of ints in one join.  ``function_to_payload``,
 ``sinogram_to_payload``, ``decomposition_to_payload`` and
 ``bandwidth_report_payload`` remain the per-value view (``--format
@@ -74,10 +74,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .bandwidth import BandwidthReport
 from .errors import CapacityError, DataFormatError
@@ -339,26 +338,22 @@ def _value_texts(held: Values, newline: str) -> list:
 # values of a row, in a row of a line table.
 _ITEM = "," + _ROW + "  "
 
-
-@lru_cache(maxsize=None)
-def _canonical_texts(ambient: Ambient, sep: str) -> dict:
-    """The generator of each line of ``enumerate_lines``, a rep tuple,
-    mapped to the text of its coordinates joined by ``sep``."""
-    return {line.rep: sep.join(map(int.__repr__, line.rep)) for line in enumerate_lines(ambient)}
+# The text of every generator written so far, its coordinates joined by the
+# separator: separator -> {rep tuple: text}, filled on a miss and kept for
+# the process, so it holds the lines of the grids written.
+_DIRECTION_TEXTS: dict = {}
 
 
-def _direction_texts(ambient: Ambient, lines, sep: str) -> list:
+def _direction_texts(lines, sep: str) -> list:
     """The coordinates of the generator of each of ``lines``, joined by
-    ``sep``, read from the grid's table (``_canonical_texts``); the text
-    of a line that is not in it (not canonical, or on a grid of too many
-    lines for a table) is made."""
-    try:
-        known = _canonical_texts(ambient, sep)
-    except CapacityError:
-        known = {}
-    texts = list(map(known.get, map(attrgetter("rep"), lines)))
+    ``sep``, read from ``_DIRECTION_TEXTS``; only the texts it misses are
+    made."""
+    known = _DIRECTION_TEXTS.setdefault(sep, {})
+    reps = list(map(attrgetter("rep"), lines))
+    texts = list(map(known.get, reps))
     if None in texts:
-        texts = [t or sep.join(map(int.__repr__, line.rep)) for t, line in zip(texts, lines)]
+        known.update((rep, sep.join(map(int.__repr__, rep))) for rep in reps if rep not in known)
+        texts = list(map(known.__getitem__, reps))
     return texts
 
 
@@ -372,7 +367,7 @@ def _line_rows(key: str, lines, sizes, held: Values) -> str:
     texts = iter(_value_texts(held, inner))
     bodies = map(_ITEM.join, map(islice, repeat(texts), sizes))
     values = [f"[{inner}{body}{_ROW}]" if body else "[]" for body in bodies]
-    reps = _direction_texts(held.ambient, lines, _ITEM)
+    reps = _direction_texts(lines, _ITEM)
     # a row is {key: values, "s": [rep]}; the text between two rows closes one and opens the next
     head, tail = f'{{{_ROW}"{key}": ', f"{_ROW}]\n    }}"
     rows = f"{tail},{_TOP}  {head}".join(map(f',{_ROW}"s": [{inner}'.join, zip(values, reps)))
@@ -616,11 +611,9 @@ def sinogram_from_payload(payload) -> MassTable:
 
 def _sinogram_whole(ambient, entries) -> MassTable | None:
     """The mass table of a sinogram's rows ``entries``, checked and read
-    whole; None when a check fails.  The masses are read in file order.
-    When the directions are every canonical generator in canonical order,
-    found by one compare, the rows are the table's as they are; otherwise
-    each row's masses are rebased by one permutation per leading
-    coordinate, and the rows are ordered by line."""
+    whole, the rows as they are: None when the directions are not every
+    canonical generator in canonical order, found by one compare, or when
+    a check of the masses fails."""
     p, d = ambient.p, ambient.d
     if {*map(type, entries)} != {dict}:
         return None
@@ -631,35 +624,17 @@ def _sinogram_whole(ambient, entries) -> MassTable | None:
         or {*map(type, ms)} != {list} or {*map(len, ms)} != {p}
     ):
         return None
+    coords = tuple(chain.from_iterable(ss))
+    if {*map(type, coords)} != {int}:  # not bools: [True, False] == [1, 0]
+        return None
+    if len(ss) != line_count(ambient) or coords != line_coordinates(ambient):
+        return None
     literals = _Literals()
     read = _mass_cells(list(chain.from_iterable(ms)), p, literals)
     if read is None:
         return None
     cells, kind = read
-    coords = tuple(chain.from_iterable(ss))
-    if {*map(type, coords)} != {int}:  # not bools: [True, False] == [1, 0]
-        return None
-    if len(ss) == line_count(ambient) and coords == line_coordinates(ambient):
-        # every canonical generator in canonical order: the rows as they are
-        lines = enumerate_lines(ambient)
-    else:
-        dirs = list(zip(*[map(p.__rmod__, coords)] * d))
-        leads = list(map(next, map(filter, repeat(None), dirs), repeat(0)))
-        if 0 in leads:
-            return None
-        rows = zip(*[iter(cells)] * p)
-        if {*leads} != {1}:
-            # The canonical generator of the line through s is rep = s/c, c the
-            # first nonzero entry of s, and x.s = t is the plane x.rep = t/c:
-            # the mass of rep at u is the mass of s at u*c.
-            rebase = {c: (pow(c, -1, p), itemgetter(*[u * c % p for u in range(p)])) for c in {*leads}}
-            dirs = [tuple([x * rebase[c][0] % p for x in s]) for s, c in zip(dirs, leads)]
-            rows = [rebase[c][1](row) for row, c in zip(rows, leads)]
-        rows = dict(zip(dirs, rows))
-        if len(rows) != len(dirs):  # a duplicate direction
-            return None
-        lines = [line for line in enumerate_lines(ambient) if line.rep in rows]
-        cells = list(chain.from_iterable([rows[line.rep] for line in lines]))
+    lines = enumerate_lines(ambient)
     if kind == COMPLEX:
         return MassTable(ambient, lines, Values(ambient, COMPLEX, cells))
     L, cells = literals.scale(chain.from_iterable(cells), p - 1 if kind == CYCLOTOMIC else 1)
@@ -747,9 +722,9 @@ def decomposition_dumps(dec: Decomposition) -> str:
 
 def bandwidth_report_dumps(report: BandwidthReport) -> str:
     """``canonical_dumps(bandwidth_report_payload(report))``, the text of a
-    bandwidth report, its lines written from the grid's direction texts
+    bandwidth report, its lines written from the direction texts
     (``_direction_texts``) in one join."""
-    texts, lines = _direction_texts(report.ambient, report.lines, "," + _ROW), "[]"
+    texts, lines = _direction_texts(report.lines, "," + _ROW), "[]"
     if texts:
         lines = f"[{_TOP}  [{_ROW}" + f"{_TOP}  ],{_TOP}  [{_ROW}".join(texts) + f"{_TOP}  ]{_TOP}]"
     return (

@@ -1,15 +1,16 @@
 """A grid's canonical lines, prepared once and read whole.
 
 The directions of sinogram and decomposition rows and the lines of a
-bandwidth report are written from texts made once per grid, so
+bandwidth report are written from texts made once per generator, so
 ``bandwidth_report_dumps`` must write ``canonical_dumps`` of
 ``bandwidth_report_payload`` for every kind, a report of no line
 included, and a table of lines that are not canonical, or on a grid of
-too many lines for a table, must still be written.  The sinogram reader
-takes a file of every canonical generator in canonical order by one
-compare, after the int check of the coordinates (``[True, False] == [1,
-0]``), and every other file the way it did: each must give the table,
-or the exit code and message, of the per-value reader.
+too many lines to enumerate, must still be written.  The sinogram reader
+takes a file of every canonical generator in canonical order whole, by
+one compare after the int check of the coordinates (``[True, False] ==
+[1, 0]``), and hands every other file to the per-value reader: each
+must give the table, or the exit code and message, of the per-value
+reader.
 ``support_profile`` counts the hits of every line from one flat list of
 punctured indices, and must give the lines, and name the first mixed
 line, as a loop over the lines of ``line_indices`` does.
@@ -110,9 +111,9 @@ def test_cli_bandwidth_writes_the_report_to_stdout_and_to_output(tmp_path, capsy
         assert out.read_text(encoding="utf-8") == want
 
 
-def test_the_line_writers_write_lines_that_are_not_in_the_grid_table():
+def test_the_line_writers_write_lines_that_are_not_canonical_or_not_enumerable():
     # (2, 0) generates the line of (1, 0) on Z_3^2 but is not its canonical
-    # generator; Z_2^21 has too many lines for a table of texts
+    # generator; Z_2^21 has too many lines to enumerate
     for ambient, line in [(Ambient(3, 2), ProjectiveLine((2, 0))), (Ambient(2, 21), ProjectiveLine((1,) * 21))]:
         table = MassTable(ambient, [(line, tuple(Fraction(t, 3) for t in range(ambient.p)))])
         assert fileio.sinogram_dumps(table) == fileio.canonical_dumps(fileio.sinogram_to_payload(table))

@@ -26,24 +26,29 @@ non-ASCII digits are data errors.
 
 Writers emit canonical bytes (sorted keys, two-space indent, trailing
 newline) so that identical inputs produce identical files.
+``canonical_dumps``, the standard library's encoder with those settings,
+writes the small payloads (verify reports, ``zpl``, ``eigen``,
+``variety``, ``--oracle``) and is the reference for the writers below.
 
 Files are read into lattice rows and written from them, with no value
 built on the way: a function, a mass table's masses, a decomposition's
 coefficients and its constant each hold one ``fourier.Values``, built from
 rows by ``_from_lattice`` and read through ``_lattice_of``.  The readers
-``function_from_payload`` and ``sinogram_from_payload`` check whole lists,
-with one pass over the list per check (the types of its items, their
-lengths, the p and ell of every cyclotomic object), read each distinct
-literal once into a reduced ratio, scale the rows once by the lcm of the
-denominators and build complex values in one pass.  The sinogram reader
-reads whole a file of every canonical generator in canonical order, as
-charkit writes it, found by one compare of the file's directions with
-``geometry.line_coordinates`` after their int check, and takes its rows
-as they are.  Any other sinogram, and any file where a check fails, is
-read by the per-value reader from the start, which rebases each
-direction onto its canonical generator, orders the rows by line and
-names the file's first fault in file order, with the same text
-whichever check failed.
+``function_from_payload`` and ``sinogram_from_payload`` check whole a list
+of one kind, as charkit writes it: all rational literals, all cyclotomic
+objects, or all [re, im] pairs of floats.  Each check is one pass over the
+list (the types of its items, their lengths, the p and ell of every
+cyclotomic object); each distinct literal is read once into a reduced
+ratio, the rows are scaled once by the lcm of the denominators and complex
+values are built in one pass.  The sinogram reader reads whole a file of
+every canonical generator in canonical order, as charkit writes it, found
+by one compare of the file's directions with ``geometry.line_coordinates``
+after their int check, and takes its rows as they are.  Any other
+sinogram, a list that mixes kinds or has an int part in a complex pair,
+and any file where a check fails, is read by the per-value reader from the
+start, which reads every shape of the format above, rebases each direction
+onto its canonical generator, orders the rows by line and names the file's
+first fault in file order, with the same text whichever check failed.
 The writers ``function_dumps``, ``sinogram_dumps``,
 ``decomposition_dumps`` and ``bandwidth_report_dumps`` write in the fixed
 shape of ``canonical_dumps`` of the payload, the values of each holder
@@ -56,13 +61,12 @@ the texts of its whole table, joined a column at a time with no call per
 row.  The directions "s" of those rows and the "lines" of
 ``bandwidth_report_dumps`` are read from ``_DIRECTION_TEXTS``: each
 generator's coordinates joined as the file indents them, made on the
-first write of that generator and looked up by its tuple.  ``canonical_dumps``
-writes a list of ints in one join.  ``function_to_payload``,
-``sinogram_to_payload``, ``decomposition_to_payload`` and
-``bandwidth_report_payload`` remain the per-value view (``--format
-table``) and the reference the writers are tested against.  An integer
-whose decimal text is over the interpreter's limit
-(``sys.get_int_max_str_digits``) is a bad literal when read and a
+first write of that generator and looked up by its tuple.
+``function_to_payload``, ``sinogram_to_payload``,
+``decomposition_to_payload`` and ``bandwidth_report_payload`` remain the
+per-value view (``--format table``) and the reference the writers are
+tested against.  An integer whose decimal text is over the interpreter's
+limit (``sys.get_int_max_str_digits``) is a bad literal when read and a
 ``CapacityError`` when written.  A file nested too deeply for the JSON
 decoder is a data error.
 """
@@ -75,7 +79,6 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain, filterfalse, islice, repeat
-from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 from .bandwidth import BandwidthReport
@@ -197,70 +200,9 @@ def _cyclotomic_coeffs(payload, p: int, ell: int, parse) -> list:
 
 
 def canonical_dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for a tree of dicts
-    with string keys, lists, tuples, strings, ints, floats, bools and None."""
-    out = []
-    _write(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(obj, newline: str, out: list) -> None:
-    """Append the JSON text of obj, whose lines are indented by ``newline``."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        types = set(map(type, obj))
-        if types == {str}:
-            out.append(_list_text(map(_quote, obj), newline))
-            return
-        if types == {int}:  # not bools or int subclasses: type(True) is bool
-            out.append(_list_text(map(int.__repr__, obj), newline))
-            return
-        if types <= {int, float}:
-            out.append(_list_text(map(_number_text, obj), newline))
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for v in obj:
-            out.append(sep)
-            _write(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, v in sorted(obj.items()):
-            out.append(f"{sep}{_quote(key)}: ")
-            _write(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _list_text(texts, newline: str) -> str:
-    """The JSON text of a list whose items have the JSON texts ``texts``,
-    its lines indented by ``newline``, as ``canonical_dumps`` writes it."""
-    inner = newline + "  "
-    body = ("," + inner).join(texts)
-    return f"[{inner}{body}{newline}]" if body else "[]"
+    """The canonical text of a JSON payload: sorted keys, two-space indent
+    and a trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
@@ -268,20 +210,6 @@ _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 # The line starts of a file's top-level items and of the items of a row of
 # its top-level list (a sinogram row, a decomposition part).
 _TOP, _ROW = "\n  ", "\n      "
-
-
-def _number_text(x) -> str:
-    return int.__repr__(x) if type(x) is int else _float_text(x)
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _require_fields(payload: dict, fields, where: str) -> None:
@@ -315,7 +243,7 @@ def _value_texts(held: Values, newline: str) -> list:
     coeffs = list(chain.from_iterable(rows))
     if kind == COMPLEX:
         # NaN and the infinities are written as json.dumps writes them
-        text = float.__repr__ if all(map(cmath.isfinite, coeffs)) else _float_text
+        text = float.__repr__ if all(map(cmath.isfinite, coeffs)) else json.dumps
         parts = zip(map(text, map(_REAL, coeffs)), map(text, map(_IMAG, coeffs)))
         return [f"[{inner}{re},{inner}{im}{newline}]" for re, im in parts]
     texts = {}
@@ -379,11 +307,11 @@ def function_dumps(f: GridFunction) -> str:
     file, written from the lattice rows of an exact f and from the values
     of a complex one."""
     ambient = f.ambient
-    values = _list_text(_value_texts(f, "\n    "), _TOP)
+    values = ",\n    ".join(_value_texts(f, "\n    "))  # a grid has at least one point
     exponent = f'  "modulus_exponent": {ambient.ell},\n' if ambient.ell != 1 else ""
     return (
         f'{{\n  "d": {ambient.d},\n  "kind": "{f.kind}",\n{exponent}  "p": {ambient.p},\n'
-        f'  "values": {values}\n}}\n'
+        f'  "values": [\n    {values}\n  ]\n}}\n'
     )
 
 
@@ -425,45 +353,36 @@ class _Literals(dict):
 
 def _complex_values(pairs) -> list | None:
     """The complex values of the list ``pairs``, each an [re, im] list of
-    two JSON numbers, checked and read whole; None when a check fails or a
-    part is beyond the float range."""
+    two floats, checked and read whole; None when a check fails."""
     if {*map(type, pairs)} != {list} or {*map(len, pairs)} != {2}:
         return None
     parts = list(chain.from_iterable(pairs))
-    if not {*map(type, parts)} <= {int, float}:
+    if {*map(type, parts)} != {float}:
         return None
-    try:
-        return list(map(complex, map(float, parts[0::2]), map(float, parts[1::2])))
-    except OverflowError:
-        return None
+    return list(map(complex, parts[0::2], parts[1::2]))
 
 
 def _cyclotomic_literals(values, p: int, ell: int, width: int) -> list | None:
-    """The coefficient literals of cyclotomic ``values`` on the grid
-    conductor p**ell, ``width`` (phi) to a value and a rational string
-    padded by zeros, when every value object passes the checks of
-    ``_cyclotomic_coeffs`` whole; None when one of them fails."""
-    types = {*map(type, values)}
-    if not types <= {dict, str}:
+    """The coefficient literals of ``values``, ``width`` (phi) to a value,
+    when every one of them is a cyclotomic value object that passes the
+    checks of ``_cyclotomic_coeffs`` on the grid conductor p**ell; None
+    otherwise."""
+    if {*map(type, values)} != {dict}:
         return None
-    objects = values if types == {dict} else [v for v in values if type(v) is dict]
-    coeffs = list(map(dict.get, objects, repeat("coeffs")))
-    ps = list(map(dict.get, objects, repeat("p"), repeat(p)))
-    ells = list(map(dict.get, objects, repeat("ell"), repeat(1)))
-    if objects and (
+    coeffs = list(map(dict.get, values, repeat("coeffs")))
+    ps = list(map(dict.get, values, repeat("p"), repeat(p)))
+    ells = list(map(dict.get, values, repeat("ell"), repeat(1)))
+    if (
         {*map(type, coeffs)} != {list} or {*map(type, ps + ells)} != {int}
         or {*ps} != {p} or {*ells} != {ell} or {*map(len, coeffs)} != {width}
     ):
         return None
-    if types == {dict}:
-        return list(chain.from_iterable(coeffs))
-    pad = ("0",) * (width - 1)
-    return [c for v in values for c in ((v, *pad) if type(v) is str else v["coeffs"])]
+    return list(chain.from_iterable(coeffs))
 
 
 def function_from_payload(payload) -> GridFunction:
-    """The function of a function file's parsed JSON.  The values are
-    checked whole, and exact ones go straight onto lattice rows: each
+    """The function of a function file's parsed JSON.  Values of one kind
+    are checked whole, and exact ones go straight onto lattice rows: each
     distinct literal is read into a reduced ratio once, and the rows are
     scaled once by the lcm L of the denominators.  When a check fails, the
     per-value reader runs from the first value and names the first fault
@@ -536,9 +455,9 @@ def sinogram_to_payload(table: MassTable) -> dict:
 def sinogram_from_payload(payload) -> MassTable:
     """The mass table of a sinogram file's parsed JSON, read straight onto
     lattice rows the way ``function_from_payload`` reads values: its rows
-    and masses are checked whole, and when a check fails the per-value
-    reader runs from the first row and names the first fault in file
-    order.  The masses of each direction are rebased onto its canonical
+    and masses of one kind are checked whole, and when a check fails the
+    per-value reader runs from the first row and names the first fault in
+    file order.  The masses of each direction are rebased onto its canonical
     generator by one modular inverse, and the table takes the kind they
     join to: a rational mass among cyclotomic ones gets zero coordinates
     above degree zero, one among complex ones its complex value.  A table
@@ -637,32 +556,24 @@ def _sinogram_whole(ambient, entries) -> MassTable | None:
     lines = enumerate_lines(ambient)
     if kind == COMPLEX:
         return MassTable(ambient, lines, Values(ambient, COMPLEX, cells))
-    L, cells = literals.scale(chain.from_iterable(cells), p - 1 if kind == CYCLOTOMIC else 1)
+    L, cells = literals.scale(cells, p - 1 if kind == CYCLOTOMIC else 1)
     return MassTable(ambient, lines, Values._from_lattice(ambient, cells, L, kind))
 
 
 def _mass_cells(masses, p: int, literals: _Literals):
     """(cells, kind): a sinogram's ``masses`` in file order, checked and
-    read whole, each exact mass as the row of its literals (a rational one
-    among cyclotomic ones padded by zeros) and each mass of a complex table
-    as its complex value; None when a check fails."""
+    read whole when all of them are of one kind: the literals of rational
+    or cyclotomic masses, the values of complex ones; None when they mix
+    kinds or a check fails."""
     types = {*map(type, masses)}
-    if types <= {str, dict}:
-        width = p - 1 if dict in types else 1
-        texts = _cyclotomic_literals(masses, p, 1, width) if dict in types else masses
-        if texts is None or not literals.read_all(texts):
-            return None
-        return list(zip(*[iter(texts)] * width)), CYCLOTOMIC if dict in types else RATIONAL
-    if not types <= {str, list} or not literals.read_all([m for m in masses if type(m) is str]):
+    if types == {list}:
+        cells = _complex_values(masses)
+        return None if cells is None else (cells, COMPLEX)
+    kind = RATIONAL if types == {str} else CYCLOTOMIC
+    texts = masses if kind == RATIONAL else _cyclotomic_literals(masses, p, 1, p - 1)
+    if texts is None or not literals.read_all(texts):
         return None
-    pairs = _complex_values([m for m in masses if type(m) is list])
-    if pairs is None:
-        return None
-    pairs = iter(pairs)
-    try:
-        return [next(pairs) if type(m) is list else _complex_mass(m, literals[m]) for m in masses], COMPLEX
-    except DataFormatError:
-        return None
+    return texts, kind
 
 
 def _complex_mass(text: str, ratio: tuple) -> complex:
@@ -715,7 +626,7 @@ def decomposition_dumps(dec: Decomposition) -> str:
     [constant] = _value_texts(dec._constant, _TOP)
     parts = _line_rows("coeffs", dec.directions(), [ambient.p] * dec.cbw, dec._coefficients)
     return (
-        f'{{\n  "constant": {constant},\n  "d": {ambient.d},\n  "form": {_quote(dec.form)},\n'
+        f'{{\n  "constant": {constant},\n  "d": {ambient.d},\n  "form": {json.dumps(dec.form)},\n'
         f'  "p": {ambient.p},\n  "parts": {parts}\n}}\n'
     )
 
@@ -729,7 +640,7 @@ def bandwidth_report_dumps(report: BandwidthReport) -> str:
         lines = f"[{_TOP}  [{_ROW}" + f"{_TOP}  ],{_TOP}  [{_ROW}".join(texts) + f"{_TOP}  ]{_TOP}]"
     return (
         f'{{\n  "approximate": {"true" if report.approximate else "false"},\n'
-        f'  "bw": {_quote(format_rational(report.bw))},\n  "bwd": {_number_text(report.bwd)},\n'
+        f'  "bw": "{format_rational(report.bw)}",\n  "bwd": {json.dumps(report.bwd)},\n'
         f'  "cbw": {report.cbw},\n  "lines": {lines}\n}}\n'
     )
 

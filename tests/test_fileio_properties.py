@@ -1,13 +1,12 @@
 """Property tests of the JSON request path against the references it replaced.
 
-``canonical_dumps`` must write what ``json.dumps(sort_keys=True, indent=2)``
-writes, ``parse_rational`` must read what ``Fraction(str)`` reads on every
-literal it accepts, the row writer ``function_dumps`` must write what
+``canonical_dumps`` must refuse what JSON cannot hold, ``parse_rational``
+must read what ``Fraction(str)`` reads on every literal it accepts, the
+row writer ``function_dumps`` must write what
 ``canonical_dumps(function_to_payload(f))`` writes, the row reader
 ``function_from_payload`` must give the kind, rows and denominator of the
 function built from ``scalar_from_payload`` of each value (complex values
-bit for bit), and no mutated
-input file may get past the CLI's exit codes.
+bit for bit), and no mutated input file may get past the CLI's exit codes.
 """
 
 import contextlib
@@ -15,11 +14,9 @@ import copy
 import io
 import itertools
 import json
-import math
 import random
 import re
 import tempfile
-from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,64 +39,10 @@ from charkit.wavelets import mass_table
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
-# --- canonical_dumps == json.dumps
-
-SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, 1e16, 0.1, 5e-324, 1.7976931348623157e308,
-                  math.inf, -math.inf, math.nan]
-SPECIAL_TEXT = ['"', "\\", "\x00", "\x1f", "\x7f", " ", "é", "\U0001f600", "\ud800", "a/b"]
-
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.floats()
-    | st.sampled_from(SPECIAL_FLOATS)
-    | st.text()
-    | st.sampled_from(SPECIAL_TEXT)
-)
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: (
-        st.lists(children, max_size=6)
-        | st.lists(children, max_size=4).map(tuple)
-        | st.lists(st.text(), max_size=6)
-        | st.lists(st.integers() | st.floats() | st.sampled_from(SPECIAL_FLOATS), max_size=6)
-        | st.lists(st.integers(-2, 2) | st.booleans(), max_size=6)
-        | st.dictionaries(st.text() | st.sampled_from(SPECIAL_TEXT), children, max_size=5)
-    ),
-    max_leaves=40,
-)
+# --- canonical_dumps
 
 
-@settings(FIXED, max_examples=200)
-@given(json_trees)
-# Lists of numbers are written in one join, which must leave bools (ints to
-# isinstance) and int subclasses to the per-item path.
-@example([1, True, 0, False])
-@example([True])
-@example([3, -0.0, 1e16, 2, math.nan, -math.inf, 10**30])
-@example({"lines": [[0, 1, 1], [1, 0, 2]], "bw": [0.5, 1]})
-@example([1, 2.5, "3"])
-@example([IntEnum("E", "A").A, 1])
-# Lists of lists of ints are written in one join per list: a bandwidth
-# report's 1,023 lines of Z_2**10, an empty inner list (written "[]" by
-# either path; all of them empty leaves the item types empty and takes the
-# generic path) and an IntEnum or bool item, which leaves the lists to
-# the per-item path.
-@example({"approximate": False, "bw": "1/2", "bwd": 3, "cbw": 5,
-          "lines": [[i >> k & 1 for k in reversed(range(10))] for i in range(1, 1024)]})
-@example({"lines": [[0, 1], []]})
-@example({"lines": [[], []]})
-@example({"lines": [[0, 1], [IntEnum("E", "A").A, 1]]})
-@example({"lines": [[0, 1], [True, 1]]})
-def test_canonical_dumps_equals_json_dumps(obj):
-    assert fileio.canonical_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def test_canonical_dumps_rejects_non_string_keys_and_other_types():
-    with pytest.raises(TypeError):
-        fileio.canonical_dumps({1: "a"})
+def test_canonical_dumps_rejects_values_json_cannot_hold():
     with pytest.raises(TypeError):
         fileio.canonical_dumps([Fraction(1, 2)])
 

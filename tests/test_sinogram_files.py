@@ -186,28 +186,36 @@ LITERALS = ["0", "1", "-1", "+04/6", "-12/8", "7/3", "0/5", "10/10", "-5/12"]
 
 @st.composite
 def sinogram_payloads(draw) -> dict:
-    """A sinogram file on one of GRIDS: some of the lines, in a shuffled
-    order, each written through a random nonzero multiple of its canonical
-    generator; rational literals, mixed with cyclotomic objects or with
-    complex pairs."""
+    """A sinogram file on one of GRIDS, in one of two shapes: every line by
+    its canonical generator in canonical order, as charkit writes it, or
+    some of the lines in a shuffled order, each written through a random
+    nonzero multiple of its canonical generator.  Its masses are rational
+    literals, alone or mixed with cyclotomic objects or with complex pairs
+    (some with an int part), or masses of one kind only."""
     ambient = draw(st.sampled_from(GRIDS))
     p = ambient.p
     mix = draw(st.sampled_from(["rational", "cyclotomic", "complex"]))
+    one_kind, canonical = draw(st.booleans()), draw(st.booleans())
+    share, imag = (1.0, [0.0, -0.0]) if one_kind else (0.6, [0.0, -0.0, 0])
     rng = random.Random(draw(st.integers(0, 2**32)))
-    lines = list(enumerate_lines(ambient))
-    rng.shuffle(lines)
 
     def mass():
-        if mix == "cyclotomic" and rng.random() < 0.6:
+        if mix == "cyclotomic" and rng.random() < share:
             return {"p": p, "coeffs": [rng.choice(LITERALS) for _ in range(p - 1)]}
-        if mix == "complex" and rng.random() < 0.6:
-            return [rng.uniform(-2, 2), rng.choice([0.0, -0.0, rng.uniform(-2, 2)])]
+        if mix == "complex" and rng.random() < share:
+            return [rng.uniform(-2, 2), rng.choice(imag + [rng.uniform(-2, 2)])]
         return rng.choice(LITERALS)
 
+    lines = list(enumerate_lines(ambient))
+    if not canonical:
+        rng.shuffle(lines)
+        lines = lines[: rng.randint(0, len(lines))]
     masses = []
-    for line in lines[: rng.randint(0, len(lines))]:
-        c = rng.randrange(1, p)
-        s = [c * a % p + p * rng.randint(-1, 1) for a in line.rep]
+    for line in lines:
+        s = list(line.rep)
+        if not canonical:
+            c = rng.randrange(1, p)
+            s = [c * a % p + p * rng.randint(-1, 1) for a in s]
         masses.append({"s": s, "m": [mass() for _ in range(p)]})
     return {"p": p, "d": ambient.d, "masses": masses}
 
@@ -230,6 +238,29 @@ def test_a_non_canonical_direction_is_rebased_by_its_inverse():
     [(line, ms)] = fileio.sinogram_from_payload(payload).rows
     assert line == ProjectiveLine((1, 2))
     assert ms == tuple(Fraction(t * 2 % 5) for t in range(5))
+
+
+# A mass of another kind, or a complex pair with an int part, put into a
+# canonical file of masses of one kind.
+MIXED = {
+    "rational": [{"p": 3, "coeffs": ["1/2", "0"]}, [0.5, 0.0]],
+    "cyclotomic": ["1/2"],
+    "complex": ["1/2", [1, 0], [0.5, 0]],
+}
+
+
+@pytest.mark.parametrize("kind, mixed", [(kind, m) for kind in KINDS for m in MIXED[kind]])
+def test_one_kind_masses_are_read_whole_and_mixed_ones_value_by_value(kind, mixed):
+    ambient, rng = Ambient(3, 2), rng_for(3, "one-kind")
+    f = GridFunction(ambient, kind, [_value(rng, ambient, kind) for _ in ambient.points()])
+    payload = fileio.sinogram_to_payload(mass_table(f))
+    assert fileio._sinogram_whole(ambient, payload["masses"]) is not None
+    payload["masses"][-1]["m"][0] = mixed
+    assert fileio._sinogram_whole(ambient, payload["masses"]) is None
+    table, reference = fileio.sinogram_from_payload(payload), per_value_table(payload)
+    held, want = table._masses, reference._masses
+    assert table.directions() == reference.directions()
+    assert (held.kind, _lattice_of(held)) == (want.kind, _lattice_of(want))
 
 
 # --- every fault of a sinogram file, with the per-value reader's text and order

@@ -316,8 +316,9 @@ def inverse_phi(ambient: Ambient, dc, seeds) -> GridFunction:
         values = Values(ambient, CYCLOTOMIC, (dc, *keyed.values()))
     except TypeError:
         raise ValueError("the average and the seeds must be rational or cyclotomic") from None
-    den, (average, *rows) = _lattice_of(values)
-    if any(average[1:]):
+    den, cols = _lattice_of(values)
+    if any(col[0] for col in cols[1:]):
         raise ValueError(f"the average {dc} of a rational function must be rational")
-    sums = _back_project(ambient, keyed, _traces(p, rows)) if keyed else [(0,)] * ambient.size
-    return _from_lattice(ambient, [(average[0] + b,) for (b,) in sums], den, RATIONAL)
+    traces = _traces(p, [col[1:] for col in cols])  # cols[c][0] is the average's
+    (sums,) = _back_project(ambient, keyed, traces) if keyed else [[0] * ambient.size]
+    return _from_lattice(ambient, [[cols[0][0] + b for b in sums]], den, RATIONAL)

@@ -67,16 +67,15 @@ def self_dual_classify(ambient: Ambient, E) -> SelfDualResult:
 
     Evaluating at the origin forces lambda = |E|/p**d for nonempty E, so a
     single candidate is tested, exactly: the spectrum of ``set_spectrum``
-    against lambda * 1_E on the lattice, rows (|E|,) at the members over
-    p**d.  A nonempty self-dual set must be a Lagrangian subspace with
+    against lambda * 1_E on the lattice, the column |E| at the members
+    and 0 elsewhere over p**d.  A nonempty self-dual set must be a Lagrangian subspace with
     lambda = p**(-d/2); anything else raises TheoremViolation.
     """
     require_prime_grid(ambient)
     members = point_set(ambient, E)
-    inside, outside = (len(members),), (0,)
-    target = [inside if x in members else outside for x in ambient.points()]
+    target = [len(members) if x in members else 0 for x in ambient.points()]
     F = _set_spectrum(ambient, members)
-    if F != _from_lattice(ambient, target, ambient.size, RATIONAL):
+    if F != _from_lattice(ambient, [target], ambient.size, RATIONAL):
         return SelfDualResult(kind="not_self_dual")
     lam = Fraction(len(members), ambient.size)
     if not members:
@@ -183,7 +182,7 @@ def eigen_residuals(pair: EigenPair):
         if pair.exact:
             if pair.transform_kind == "plain":
                 target = g.scale(sign * lam)
-            else:  # conj = sigma_(q-1), applied to the rows
+            else:  # conj = sigma_(q-1), applied to the columns
                 target = g.galois(ambient.modulus - 1).scale(sign * lam)
             if F != target:
                 raise TheoremViolation(

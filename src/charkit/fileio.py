@@ -30,20 +30,20 @@ newline) so that identical inputs produce identical files.
 writes the small payloads (verify reports, ``zpl``, ``eigen``,
 ``variety``, ``--oracle``) and is the reference for the writers below.
 
-Files are read into lattice rows and written from them, with no value
+Files are read into lattice columns and written from them, with no value
 built on the way: a function, a mass table's masses, a decomposition's
 coefficients and its constant each hold one ``fourier.Values``, built from
-rows by ``_from_lattice`` and read through ``_lattice_of``.  The readers
+columns by ``_from_lattice`` and read through ``_lattice_of``.  The readers
 ``function_from_payload`` and ``sinogram_from_payload`` check whole a list
 of one kind, as charkit writes it: all rational literals, all cyclotomic
 objects, or all [re, im] pairs of floats.  Each check is one pass over the
 list (the types of its items, their lengths, the p and ell of every
 cyclotomic object); each distinct literal is read once into a reduced
-ratio, the rows are scaled once by the lcm of the denominators and complex
+ratio, the columns are scaled once by the lcm of the denominators and complex
 values are built in one pass.  The sinogram reader reads whole a file of
 every canonical generator in canonical order, as charkit writes it, found
 by one compare of the file's directions with ``geometry.line_coordinates``
-after their int check, and takes its rows as they are.  Any other
+after their int check, and takes its masses as they are.  Any other
 sinogram, a list that mixes kinds or has an int part in a complex pair,
 and any file where a check fails, is read by the per-value reader from the
 start, which reads every shape of the format above, rebases each direction
@@ -52,9 +52,9 @@ first fault in file order, with the same text whichever check failed.
 The writers ``function_dumps``, ``sinogram_dumps``,
 ``decomposition_dumps`` and ``bandwidth_report_dumps`` write in the fixed
 shape of ``canonical_dumps`` of the payload, the values of each holder
-by one call of ``_value_texts``: the coefficient c of a row over den
-becomes the literal c/den reduced by one gcd, once per distinct c, and
-finite complex values their [re, im] pairs by ``float.__repr__``.  A
+by one call of ``_value_texts``: a coefficient c over den becomes the
+literal c/den reduced by one gcd, once per distinct c, and finite complex
+values their [re, im] pairs by ``float.__repr__``.  A
 sinogram and a decomposition are line tables, and one writer,
 ``_line_rows``, writes the rows {key: [p texts], "s": rep} of either from
 the texts of its whole table, joined a column at a time with no call per
@@ -232,15 +232,16 @@ def function_to_payload(f: GridFunction) -> dict:
 
 def _value_texts(held: Values, newline: str) -> list:
     """The JSON texts of the values ``held``, written from their lattice
-    rows as ``canonical_dumps`` writes a value whose lines are indented by
-    ``newline``.  Coefficient c of a row over the denominator den becomes
-    the rational literal c/den reduced by one gcd, each distinct c once; a
-    cyclotomic row becomes the object of its literals.  A complex row holds
-    its value, written as its [re, im] pair, by ``float.__repr__`` when
-    every value is finite."""
+    columns as ``canonical_dumps`` writes a value whose lines are indented
+    by ``newline``.  Coefficient c over the denominator den becomes the
+    rational literal c/den reduced by one gcd, each distinct c once; a
+    cyclotomic value, read across the columns, the object of its literals.
+    Complex values are written as [re, im] pairs, by ``float.__repr__``
+    when every value is finite."""
     inner = newline + "  "
-    ambient, kind, (den, rows) = held.ambient, held.kind, _lattice_of(held)
-    coeffs = list(chain.from_iterable(rows))
+    ambient, kind, (den, cols) = held.ambient, held.kind, _lattice_of(held)
+    rows = list(zip(*cols)) if kind == CYCLOTOMIC else None
+    coeffs = list(chain.from_iterable(rows)) if rows is not None else cols[0]
     if kind == COMPLEX:
         # NaN and the infinities are written as json.dumps writes them
         text = float.__repr__ if all(map(cmath.isfinite, coeffs)) else json.dumps
@@ -304,7 +305,7 @@ def _line_rows(key: str, lines, sizes, held: Values) -> str:
 
 def function_dumps(f: GridFunction) -> str:
     """``canonical_dumps(function_to_payload(f))``, the text of f's function
-    file, written from the lattice rows of an exact f and from the values
+    file, written from the lattice columns of an exact f and from the values
     of a complex one."""
     ambient = f.ambient
     values = ",\n    ".join(_value_texts(f, "\n    "))  # a grid has at least one point
@@ -344,11 +345,12 @@ class _Literals(dict):
         return True
 
     def scale(self, texts, width: int) -> tuple:
-        """(L, rows): the literals ``texts``, width to a row, as int rows
-        over the lcm L of the denominators of every literal read."""
+        """(L, cols): the literals ``texts``, width to a value, as int
+        columns over the lcm L of the denominators of every literal read."""
         L = math.lcm(*{den for _, den in self.values()})
         ints = {text: num * (L // den) for text, (num, den) in self.items()}
-        return L, list(zip(*[map(ints.__getitem__, texts)] * width))
+        ints = list(map(ints.__getitem__, texts))
+        return L, [ints[c::width] for c in range(width)]
 
 
 def _complex_values(pairs) -> list | None:
@@ -382,8 +384,8 @@ def _cyclotomic_literals(values, p: int, ell: int, width: int) -> list | None:
 
 def function_from_payload(payload) -> GridFunction:
     """The function of a function file's parsed JSON.  Values of one kind
-    are checked whole, and exact ones go straight onto lattice rows: each
-    distinct literal is read into a reduced ratio once, and the rows are
+    are checked whole, and exact ones go straight onto lattice columns: each
+    distinct literal is read into a reduced ratio once, and the columns are
     scaled once by the lcm L of the denominators.  When a check fails, the
     per-value reader runs from the first value and names the first fault
     in file order."""
@@ -418,8 +420,8 @@ def function_from_payload(payload) -> GridFunction:
                 c for v in values
                 for c in ((literal(v), *pad) if isinstance(v, str) else _cyclotomic_coeffs(v, p, ell, literal))
             ]
-    L, rows = literals.scale(texts, width)
-    return _from_lattice(ambient, rows, L, kind)
+    L, cols = literals.scale(texts, width)
+    return _from_lattice(ambient, cols, L, kind)
 
 
 def save_function(f: GridFunction, path) -> None:
@@ -442,19 +444,20 @@ def load_function(path) -> GridFunction:
 
 
 def sinogram_to_payload(table: MassTable) -> dict:
+    masses = iter(table._masses.values)  # as held, cut by line as sinogram_dumps cuts them
     return {
         "p": table.ambient.p,
         "d": table.ambient.d,
         "masses": [
-            {"s": list(line.rep), "m": [scalar_to_payload(m) for m in ms]}
-            for line, ms in table.rows
+            {"s": list(line.rep), "m": [scalar_to_payload(m) for m in islice(masses, size)]}
+            for line, size in zip(table.directions(), table._sizes)
         ],
     }
 
 
 def sinogram_from_payload(payload) -> MassTable:
     """The mass table of a sinogram file's parsed JSON, read straight onto
-    lattice rows the way ``function_from_payload`` reads values: its rows
+    lattice columns the way ``function_from_payload`` reads values: its rows
     and masses of one kind are checked whole, and when a check fails the
     per-value reader runs from the first row and names the first fault in
     file order.  The masses of each direction are rebased onto its canonical
@@ -523,8 +526,8 @@ def sinogram_from_payload(payload) -> MassTable:
     else:
         kind, width = (CYCLOTOMIC, p - 1) if kinds else (RATIONAL, 1)
         pad = ("0",) * (width - 1)
-        L, cells = literals.scale([c for m in cells for c in (m + pad if len(m) == 1 else m)], width)
-        masses = Values._from_lattice(ambient, cells, L, kind)
+        L, cols = literals.scale([c for m in cells for c in (m + pad if len(m) == 1 else m)], width)
+        masses = Values._from_lattice(ambient, cols, L, kind)
     return MassTable(ambient, lines, masses)
 
 
@@ -556,8 +559,8 @@ def _sinogram_whole(ambient, entries) -> MassTable | None:
     lines = enumerate_lines(ambient)
     if kind == COMPLEX:
         return MassTable(ambient, lines, Values(ambient, COMPLEX, cells))
-    L, cells = literals.scale(cells, p - 1 if kind == CYCLOTOMIC else 1)
-    return MassTable(ambient, lines, Values._from_lattice(ambient, cells, L, kind))
+    L, cols = literals.scale(cells, p - 1 if kind == CYCLOTOMIC else 1)
+    return MassTable(ambient, lines, Values._from_lattice(ambient, cols, L, kind))
 
 
 def _mass_cells(masses, p: int, literals: _Literals):
@@ -587,7 +590,7 @@ def _complex_mass(text: str, ratio: tuple) -> complex:
 
 def sinogram_dumps(table: MassTable) -> str:
     """``canonical_dumps(sinogram_to_payload(table))``, the text of the
-    table's sinogram file, written from its lattice rows."""
+    table's sinogram file, written from its lattice columns."""
     ambient = table.ambient
     masses = _line_rows("m", table.directions(), table._sizes, table._masses)
     return f'{{\n  "d": {ambient.d},\n  "masses": {masses},\n  "p": {ambient.p}\n}}\n'
@@ -620,7 +623,7 @@ def decomposition_to_payload(dec: Decomposition) -> dict:
 
 def decomposition_dumps(dec: Decomposition) -> str:
     """``canonical_dumps(decomposition_to_payload(dec))``, the text of the
-    decomposition's file, written from the lattice rows of its constant
+    decomposition's file, written from the lattice columns of its constant
     and of its table of coefficients."""
     ambient = dec.ambient
     [constant] = _value_texts(dec._constant, _TOP)

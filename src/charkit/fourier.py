@@ -20,7 +20,7 @@ cyclotomic or complex ones, cyclotomic values to complex ones by
 ``complex(z)`` (the embedding), and complex values never go back.
 ``to_cyclotomic``, ``to_complex`` and arithmetic or equality with a
 complex function promote by building a ``GridFunction`` of the joined
-kind; exact arithmetic and equality work on the lattice rows (below).
+kind; exact arithmetic and equality work on the lattice columns (below).
 
 Rational and cyclotomic inputs take the exact path over Q(zeta_q), complex
 inputs the floating one.  Both run d passes of one shape, a length-q
@@ -39,20 +39,22 @@ Values are held one way, by ``Values``: a grid function is the ``Values``
 of its N points, and a mass table's masses, a decomposition's
 coefficients, a wavelet's coefficients and a decomposition's constant
 each hold one (``Values._cut`` cuts a table's holder into one per line).
-Exact values are held from construction as one int row per value over
-one denominator, the phi power-basis coordinates of a cyclotomic value or
-the one of a rational value; complex values are held alone, and a grid
-function's must be finite.  ``_encode`` scales values onto rows by the lcm L of their
-denominators; a run builds its result from rows (``_from_lattice``), whose
-``values`` ``_decode`` makes on the first read only.  A run lays rows out
-as planes, A[c*N + i] = coordinate c of value i (``_planes``): length-q int
+Exact values are held from construction as int columns over one
+denominator, ``_cols[c][i]`` the power-basis coordinate c of value i:
+phi columns for cyclotomic values, one for rational ones.  Complex values
+are held alone, and a grid function's must be finite.  ``_encode`` scales
+values onto columns by the lcm L of their denominators; a run takes
+columns and builds its result from columns (``_from_lattice``), whose
+``values`` ``_decode`` makes on the first read only.  Only the per-value
+views read the columns a value at a time: ``_decode``, equality, a
+cyclotomic zero mask, ``_traces`` and ``fileio``'s cyclotomic texts.  A
+run lays the columns end to end as planes, A[c*N + i]: length-q int
 vectors in Z[x]/(x**q - 1), x standing for zeta, where multiplying by
 zeta**e is a rotation, so the d axis passes only add ints, N*d*q*q of them
 for N = q**d points, and the output is reduced to the power basis plane
-by plane (``_power_basis``), one subtraction of whole planes per
-coordinate and no call per value.  ``forward`` leaves rows over L*N,
-``inverse`` over L, rational exactly when every coordinate above degree
-zero is zero.  On Z_2**d, where zeta_2 = -1 and Q(zeta_2) = Q, an exact
+by plane (``_power_basis``), which leaves the columns of the result with
+no call per value.  ``forward`` leaves columns over L*N, ``inverse`` over
+L, rational exactly when every column above degree zero is zero.  On Z_2**d, where zeta_2 = -1 and Q(zeta_2) = Q, an exact
 value has one coordinate and the passes reduced to the power basis are
 the Walsh-Hadamard transform over Z (``_walsh``): per axis the halves a
 and b become a + b and a - b, with no padding to q planes and no
@@ -64,18 +66,18 @@ bits; the ring grids Z_{2**ell}**d keep the lattice.  A rational forward
 on Z_p**d, p odd, runs no axis pass: it reads the masses at the line
 representatives from the line run (below) and fills F(c*s) =
 p**(-d) * sum_t m_{s,t} * zeta**(-c*t) from them, one point permutation
-per grid (``_line_points``) placing the rows.  The d passes
+per grid (``_line_points``) placing each column.  The d passes
 (``_exact_transform``) keep ``inverse``, ring grids and cyclotomic
 forwards, whose fill would cost about what the passes save; one pass over
-the positions (part, t) makes every multi-scale part at once.  The rows
-answer for the function, a whole coordinate column at a time: the zero
-mask, the Galois action (column j to plane r*j, then the plane
-reduction), equality (columns cross-multiplied by the two denominators),
-``+`` and ``-`` (columns over the lcm of the two), ``scale`` by a rational
-factor (columns times its numerator, the denominator times its
-denominator), ``take`` and the transforms.  Every run is laid out
-here; other modules read rows through ``_lattice_of``, build from them
-through ``_from_lattice`` and call the runs.
+the positions (part, t) makes every multi-scale part at once.  The
+columns answer for the function whole: the zero mask, the Galois action
+(column j to plane r*j, then the plane reduction), equality (columns
+cross-multiplied by the two denominators), ``+`` and ``-`` (columns over
+the lcm of the two), ``scale`` by a rational factor (columns times its
+numerator, the denominator times its denominator), ``take`` and the
+transforms.  Every run is laid out here; other modules read columns
+through ``_lattice_of``, build from them through ``_from_lattice`` and
+call the runs.
 
 Two runs on Z_p**d (q = p) serve tomography.  The line run
 (``_line_masses``) gives G(s) = sum_x f(x) * X**(x.s), whose coefficient
@@ -105,20 +107,19 @@ is the line run transposed, for any lines in any order: the value of
 line (0, ..., 0, 1, m'') at label t goes in at X**(-t) and position m'',
 the passes leave the sum over those lines of their values at x.s at
 x = (a, x'') at X**(-a), and each level's sums are added to those of the
-level below, repeated over a.  It serves every kind; int rows at p = 2
-are half of S + W(D), S the sum of all rows and W(D) the Walsh-Hadamard
-transform of the differences r_{s,0} - r_{s,1} placed at the points s.
-Tomography
-back-projects and builds no spectrum: ``reconstruct_from_masses`` the
+level below, repeated over a.  It serves every kind; int columns at
+p = 2 are half of S + W(D), S the sum of all values and W(D) the
+Walsh-Hadamard transform of the differences m_{s,0} - m_{s,1} placed at
+the points s.  Tomography back-projects and builds no spectrum: ``reconstruct_from_masses`` the
 masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
 over all n lines, and ``inverse_phi`` the traces of its seeds
 (``_traces``).
 
-``set_spectrum`` gives the spectrum of a set's indicator, with the rows
+``set_spectrum`` gives the spectrum of a set's indicator, with the columns
 and denominator of ``forward`` of it, and the set statements (the
 support-size inequality, the dichotomy and the self-dual classification)
-take their spectra from it.  By linearity the rows over N are the sums
-over the members x of the rows of forward(delta_x), which one table of
+take their spectra from it.  By linearity the columns over N are the sums
+over the members x of the columns of forward(delta_x), which one table of
 point spectra per grid holds (``_point_spectra``, N**2 * phi(m) ints built
 from the labels ``dots`` and cached).  Building the table costs about as
 much as N/(d*q) transforms, so a grid gets it by rent or buy: its first
@@ -142,7 +143,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 
 from .geometry import MAX_SET_SPECTRUM_TABLE, Point, Subspace, dilation_indices, dot, dots
 from .geometry import grid_point, perp, point_set, vsub
@@ -182,12 +183,13 @@ class Values:
     """Values of one kind on a grid, any number of them: the one holder of
     a grid function's N values, a mass table's p masses per direction, a
     decomposition's p coefficients per line, a wavelet's p coefficients
-    and a decomposition's constant.  Exact values are held on their
-    lattice rows over one denominator from construction; ``values`` are
-    the values they were built from, or decoded from the rows on the
-    first read.  Complex values are held alone."""
+    and a decomposition's constant.  Exact values are held from
+    construction as ``_width`` int columns over one denominator,
+    ``_cols[c][i]`` the coordinate c of value i, so rational values are
+    one column; ``values`` are the values they were built from, or decoded
+    from the columns on the first read.  Complex values are held alone."""
 
-    __slots__ = ("ambient", "kind", "_values", "_rows", "_den")
+    __slots__ = ("ambient", "kind", "_values", "_cols", "_den")
 
     def __init__(self, ambient, kind: str, values):
         if kind not in _KINDS:
@@ -201,36 +203,34 @@ class Values:
                 raise ValueError(_NOT_FINITE) from None
             return
         self._values = tuple(_coerce_value(kind, v, ambient) for v in values)
-        self._den, self._rows = _encode(self._values, ambient, kind)
+        self._den, self._cols = _encode(self._values, ambient, kind)
 
     @classmethod
-    def _from_lattice(cls, ambient, rows, den: int, kind: str | None = None):
-        """The holder whose value i has the coordinates rows[i] / den, exact
-        ``values`` undecoded until read.  Without ``kind`` the rows are
-        demoted as an inverse transform's are: rational, one coordinate per
-        row, exactly when every coordinate above degree zero is zero.
-        Complex rows hold one value each and are divided out at once, over 1
-        not at all: a complex division by 1 turns inf into inf+nanj."""
+    def _from_lattice(cls, ambient, cols, den: int, kind: str | None = None):
+        """The holder whose value i has the coordinates cols[c][i] / den,
+        exact ``values`` undecoded until read.  Without ``kind`` the columns
+        are demoted as an inverse transform's are: rational, column 0 alone,
+        exactly when every column above degree zero is zero.  Complex values
+        come as one column and are divided out at once, over 1 not at all: a
+        complex division by 1 turns inf into inf+nanj."""
         if kind == COMPLEX:
-            if den == 1:
-                return cls(ambient, COMPLEX, [c for (c,) in rows])
-            return cls(ambient, COMPLEX, [complex(c) / den for (c,) in rows])
-        if kind is None:  # no rows at all: rational
-            cols = list(zip(*rows)) or [()]
+            (col,) = cols
+            return cls(ambient, COMPLEX, col if den == 1 else [complex(c) / den for c in col])
+        if kind is None:
             kind = CYCLOTOMIC if any(map(any, cols[1:])) else RATIONAL
-            rows = rows if kind == CYCLOTOMIC else list(zip(cols[0]))
+            cols = cols if kind == CYCLOTOMIC else cols[:1]
         held = object.__new__(cls)
-        held.ambient, held.kind, held._values, held._rows, held._den = ambient, kind, None, rows, den
+        held.ambient, held.kind, held._values, held._cols, held._den = ambient, kind, None, cols, den
         return held
 
     @property
     def values(self) -> tuple:
         if self._values is None:
-            self._values = tuple(_decode(self.kind, self._rows, self._den, self.ambient))
+            self._values = tuple(_decode(self.kind, self._cols, self._den, self.ambient))
         return self._values
 
     def __len__(self) -> int:
-        return len(self._values if self.kind == COMPLEX else self._rows)
+        return len(self._values if self.kind == COMPLEX else self._cols[0])
 
     def __eq__(self, other):
         if not isinstance(other, Values):
@@ -239,19 +239,20 @@ class Values:
 
     def _cut(self, size: int) -> list:
         """These values as holders of ``size`` consecutive values each, in
-        order, exact ones on their own rows over the same denominator."""
+        order, exact ones on slices of their columns over the same
+        denominator."""
         starts = range(0, len(self), size)
         if self.kind == COMPLEX:
             return [Values(self.ambient, COMPLEX, self._values[i : i + size]) for i in starts]
-        rows, den, kind = self._rows, self._den, self.kind
-        return [Values._from_lattice(self.ambient, rows[i : i + size], den, kind) for i in starts]
+        cuts = ([col[i : i + size] for col in self._cols] for i in starts)
+        return [Values._from_lattice(self.ambient, cut, self._den, self.kind) for cut in cuts]
 
     def take(self, ambient, src) -> "GridFunction":
         """The function on ``ambient`` whose value i is value src[i] of these."""
         if self.kind == COMPLEX:
             return GridFunction(ambient, COMPLEX, map(self.values.__getitem__, src))
-        rows = list(map(self._rows.__getitem__, src))
-        return _from_lattice(ambient, rows, self._den, self.kind)
+        cols = [list(map(col.__getitem__, src)) for col in self._cols]
+        return _from_lattice(ambient, cols, self._den, self.kind)
 
 
 class GridFunction(Values):
@@ -292,10 +293,11 @@ class GridFunction(Values):
 
     def nonzero(self, tol: float = DEFAULT_TOL, bound: float | None = None) -> tuple:
         """The one zero mask: whether each value is nonzero.  Exact values
-        are read from the lattice rows; a complex value is nonzero when
+        are read from the lattice columns; a complex value is nonzero when
         |v| > bound, by default the zero rule's over all of them."""
         if self.kind != COMPLEX:
-            return tuple(map(any, self._rows))
+            cols = self._cols
+            return tuple(map(bool, cols[0]) if len(cols) == 1 else map(any, zip(*cols)))
         if bound is None:
             bound = zero_bound(self.values, tol)
         # not is_zero(v, bound), that is not (|v| <= bound), in one pass
@@ -336,20 +338,19 @@ class GridFunction(Values):
 
     def galois(self, r: int) -> "GridFunction":
         """The image under zeta -> zeta**r of every value (r a unit mod q),
-        computed on whole columns of the lattice rows: the column of x**j
-        becomes plane r*j mod q of Z[x]/(x**q - 1), the other planes zero,
-        and the q planes are reduced to the power basis plane by plane."""
+        computed on whole lattice columns: the column of x**j becomes plane
+        r*j mod q of Z[x]/(x**q - 1), the other planes zero, and the q
+        planes are reduced to the power basis plane by plane."""
         if self.kind == COMPLEX:
             raise ValueError("the Galois action is defined on exact values")
         p, q = self.ambient.p, self.ambient.modulus
         r = _unit_index(p, self.ambient.ell, r)
         if r == 1 or self.kind == RATIONAL:
             return self
-        planes = [(0,) * len(self._rows)] * q
-        for j, col in enumerate(zip(*self._rows)):
+        planes = [(0,) * len(self)] * q
+        for j, col in enumerate(self._cols):
             planes[j * r % q] = col
-        rows = list(zip(*_power_basis(planes, p)))
-        return _from_lattice(self.ambient, rows, self._den, CYCLOTOMIC)
+        return _from_lattice(self.ambient, _power_basis(planes, p), self._den, CYCLOTOMIC)
 
     def dilate(self, r: int) -> "GridFunction":
         """The function x -> self(r*x)."""
@@ -379,8 +380,7 @@ class GridFunction(Values):
         den = math.lcm(self._den, other._den)
         width = max(_width(self.kind, self.ambient), _width(other.kind, other.ambient))
         a, b = (_columns(h, den // h._den, width) for h in (self, other))
-        rows = list(zip(*map(combine, a, b)))
-        return _from_lattice(self.ambient, rows, den, kind)
+        return _from_lattice(self.ambient, list(map(list, map(combine, a, b))), den, kind)
 
     def __add__(self, other):
         return self._binop(other, partial(map, operator.add))
@@ -397,8 +397,8 @@ class GridFunction(Values):
         factor_kind = _kind_of_scalar(factor)
         if factor_kind == RATIONAL and self.kind != COMPLEX:
             num, den = factor.as_integer_ratio()
-            rows = list(zip(*_columns(self, num, _width(self.kind, self.ambient))))
-            return _from_lattice(self.ambient, rows, self._den * den, self.kind)
+            cols = [list(map(num.__mul__, col)) for col in self._cols]
+            return _from_lattice(self.ambient, cols, self._den * den, self.kind)
         kind = _join_kind(self.kind, factor_kind)
         vals = [_coerce_value(kind, v, self.ambient) for v in self.values]
         if kind == COMPLEX:  # an exact factor keeps its own product on exact values
@@ -533,10 +533,10 @@ def _width(kind: str, ambient) -> int:
 
 
 def _encode(values, ambient, kind: str):
-    """(L, rows): exact ``values`` of ``kind`` on the lattice Z[x]/(x**q - 1),
+    """(L, cols): exact ``values`` of ``kind`` on the lattice Z[x]/(x**q - 1),
     the one place a value is scaled onto it.  The values are scaled by the
-    lcm L of every coefficient denominator, and rows[i] holds L times the
-    coordinates of values[i]: the phi power-basis coordinates of a
+    lcm L of every coefficient denominator, and cols[c][i] is L times
+    coordinate c of values[i]: its phi power-basis coordinates for a
     cyclotomic value, the single one of a rational value.
     """
     width = _width(kind, ambient)
@@ -544,13 +544,13 @@ def _encode(values, ambient, kind: str):
         values = [c for v in values for c in v.coeffs]
     ratios = [c.as_integer_ratio() for c in values]
     L = math.lcm(*{den for _, den in ratios})
-    ints = iter([num * (L // den) for num, den in ratios])
-    return L, list(zip(*[ints] * width))  # width ints per row
+    ints = [num * (L // den) for num, den in ratios]
+    return L, [ints[c::width] for c in range(width)]
 
 
-def _decode(kind: str, rows, den: int, ambient) -> list:
-    """The exact values of lattice rows, the one place they turn back into
-    values.  Row i holds the coordinates of value i: its power-basis
+def _decode(kind: str, cols, den: int, ambient) -> list:
+    """The exact values of lattice columns, the one place they turn back
+    into values.  cols[c][i] is coordinate c of value i: its power-basis
     coordinates for a cyclotomic value, one coordinate for a rational one.
     Each is divided by den, and each distinct Fraction is built once.
     """
@@ -564,53 +564,42 @@ def _decode(kind: str, rows, den: int, ambient) -> list:
 
     if kind == CYCLOTOMIC:
         p, ell = ambient.p, ambient.ell
-        return [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in rows]
-    return [frac(row[0]) for row in rows]
+        return [Cyclotomic._make(p, ell, tuple(map(frac, row))) for row in zip(*cols)]
+    return list(map(frac, cols[0]))
 
 
-# Grid functions are built from rows here, and other modules build them through it.
+# Grid functions are built from columns here, and other modules build them through it.
 _from_lattice = GridFunction._from_lattice
 
 
 def _lattice_of(held: Values):
-    """(den, rows): the values on the lattice, rows[i] / den the coordinates
-    of value i.  Complex values enter as they are, one per row, over 1."""
+    """(den, cols): the values on the lattice, cols[c][i] / den coordinate c
+    of value i.  Complex values enter as they are, one column over 1."""
     if held.kind == COMPLEX:
-        return 1, list(zip(held.values))
-    return held._den, held._rows
-
-
-def _planes(rows) -> list:
-    """The rows laid out for a run: A[c*N + i] = rows[i][c], N = len(rows)."""
-    return [c for col in zip(*rows) for c in col]
+        return 1, [held.values]
+    return held._den, held._cols
 
 
 def _columns(held: Values, factor: int, width: int) -> list:
     """The coordinate columns of exact values, each times ``factor``,
     padded with zero columns to ``width``."""
-    cols = list(zip(*held._rows))
+    cols = held._cols
     if factor != 1:
         cols = [map(factor.__mul__, col) for col in cols]
-    return cols + [(0,) * len(held._rows)] * (width - len(cols))
+    return cols + [(0,) * len(held)] * (width - len(cols))
 
 
 def _agreement(f: Values, g: Values):
     """Per value, whether f and g hold the same one.  Exact values compare
-    their lattices, the narrower padded with zeros: rows over one
-    denominator as they are, else whole columns a/da and b/db as a*db and
-    b*da.  Complex ones compare their values promoted to complex."""
+    their coordinates, the narrower padded with zero columns: over one
+    denominator as they are, else columns a/da and b/db as a*db and b*da.
+    Complex ones compare their values promoted to complex."""
     if COMPLEX in (f.kind, g.kind):
         return map(operator.eq, *(Values(h.ambient, COMPLEX, h.values).values for h in (f, g)))
-    (da, ra), (db, rb) = (f._den, f._rows), (g._den, g._rows)
-    wa, wb = _width(f.kind, f.ambient), _width(g.kind, g.ambient)
-    if da != db:
-        width = max(wa, wb)
-        return map(operator.eq, zip(*_columns(f, db, width)), zip(*_columns(g, da, width)))
-    if wa < wb:
-        ra = map(operator.add, ra, repeat((0,) * (wb - wa)))
-    elif wb < wa:
-        rb = map(operator.add, rb, repeat((0,) * (wa - wb)))
-    return map(operator.eq, ra, rb)
+    da, db = f._den, g._den
+    fa, fb = (db, da) if da != db else (1, 1)
+    width = max(_width(f.kind, f.ambient), _width(g.kind, g.ambient))
+    return map(operator.eq, zip(*_columns(f, fa, width)), zip(*_columns(g, fb, width)))
 
 
 def _power_basis(planes: list, p: int) -> list:
@@ -624,31 +613,32 @@ def _power_basis(planes: list, p: int) -> list:
     return [list(map(operator.sub, planes[j], planes[phi + j % step])) for j in range(phi)]
 
 
-def _exact_transform(rows, ambient, passes: int, sign: int) -> list:
+def _exact_transform(cols, ambient, passes: int, sign: int) -> list:
     """The exact transform (sign -1 forward, +1 inverse) along the last
     ``passes`` coordinates of the positions (a, t_1, ..., t_passes) of the
-    values with lattice rows ``rows``, every t in Z_q: their planes are
-    zero-padded to q, the passes run, and the q output planes are reduced
-    to the phi power-basis planes, read back as one row per position.  The
-    output positions are (k_1, ..., k_passes, a), the lexicographic order
-    when there is no a (N = q**passes values, a grid's transform); a has
-    the parts of ``multiscale``, each one line of q values.  On Z_2**d the
-    rows have one coordinate and the passes are ``_walsh``'s."""
-    q = ambient.modulus
+    values with lattice columns ``cols``, every t in Z_q: the columns are
+    laid end to end as planes, zero-padded to q, the passes run, and the q
+    output planes are reduced to the phi power-basis planes, the columns
+    of the result.  The output positions are (k_1, ..., k_passes, a), the
+    lexicographic order when there is no a (N = q**passes values, a grid's
+    transform); a has the parts of ``multiscale``, each one line of q
+    values.  On Z_2**d there is one column and the passes are
+    ``_walsh``'s."""
+    q, n = ambient.modulus, len(cols[0])
+    A = list(chain.from_iterable(cols))
     if q == 2:
-        return list(zip(_walsh(_planes(rows), passes)))
-    A = _planes(rows)
-    A += [0] * (q * len(rows) - len(A))
+        return [_walsh(A, passes)]
+    A += [0] * (q * n - len(A))
     for _ in range(passes):
         A = _lattice_pass(A, q, sign)
-    n = len(A) // q
-    return list(zip(*_power_basis([A[j * n : (j + 1) * n] for j in range(q)], ambient.p)))
+    return _power_basis([A[j * n : (j + 1) * n] for j in range(q)], ambient.p)
 
 
-def _line_masses(A: list, p: int, d: int, width: int) -> list:
+def _line_masses(cols, p: int, d: int) -> list:
     """The line run on Z_p**d: planes[t][k*width + c] is coordinate c of the
     mass m_{s_k,t}, s_k the k-th line representative in canonical order,
-    of the values laid out as planes in A (A[c*N + i], ``_planes``).
+    of the values with lattice columns ``cols``, laid end to end as planes
+    in A (A[c*N + i]).
 
     The representatives (1, m') are served by cutting the points by their
     first coordinate a: slice a goes in at X**a, as x.s = a + x'.m', and
@@ -659,8 +649,9 @@ def _line_masses(A: list, p: int, d: int, width: int) -> list:
     m_{(1,m'),t} at B[t*width*n + index(m')*width + c]; the levels are
     listed deepest first, which is the canonical order.  At p = 2 the run
     is ``_walsh_planes`` of the Walsh-Hadamard transform."""
-    if p == 2:  # width 1: every exact value at p = 2 has one coordinate
-        return _walsh_planes(_walsh(A, d))
+    if p == 2:  # every exact value at p = 2 has one coordinate
+        return _walsh_planes(_walsh(cols[0], d))
+    width, A = len(cols), list(chain.from_iterable(cols))
     levels = []
     for e in range(d, 0, -1):
         n = p ** (e - 1)
@@ -736,25 +727,23 @@ def _line_points(p: int, d: int) -> tuple:
 
 
 def _mass_rows(f: GridFunction, lines) -> tuple:
-    """(den, cells): the masses of f in every direction of ``lines``, from
-    one run, undecoded.  cells[i*p + t] / den is the lattice row of
+    """(den, cols): the masses of f in every direction of ``lines``, from
+    one run, undecoded.  cols[c][i*p + t] / den is coordinate c of
     m_{s_i,t}, s_i = lines[i].rep, over f's own denominator.  Exact values
     take the line run; complex ones the complex mass run, which leaves
     m_{s,t} at A[t*N + index(s)] for every representative s with the bits
     of the d-pass mass run.  Complex masses must be finite."""
     ambient, p = f.ambient, f.ambient.p
     if f.kind != COMPLEX:
-        den, rows = _lattice_of(f)
-        width = _width(f.kind, ambient)
-        planes = _line_masses(_planes(rows), p, ambient.d, width)
-        return den, _line_cells(ambient, planes, width, lines)
+        den, cols = _lattice_of(f)
+        return den, _line_cells(ambient, _line_masses(cols, p, ambient.d), len(cols), lines)
     N = ambient.size
     A = _complex_mass_run(f.values, p, ambient.d)
     at = _bit_points(lines) if p == 2 else [ambient.index_of(line.rep) for line in lines]
     masses = [A[t * N + i] for i in at for t in range(p)]
     if not all(map(cmath.isfinite, masses)):
         raise ValueError(_NOT_FINITE)
-    return 1, list(zip(masses))
+    return 1, [masses]
 
 
 def _complex_mass_run(values, p: int, d: int) -> list:
@@ -788,14 +777,14 @@ def _complex_mass_run(values, p: int, d: int) -> list:
 
 
 def _line_cells(ambient, planes: list, width: int, lines) -> list:
-    """The cells of ``_mass_rows`` for ``lines``, read off the line run's
+    """The columns of ``_mass_rows`` for ``lines``, read off the line run's
     planes.  At p = 2 (width 1) canonical line k is point k + 1."""
     p = ambient.p
     if p == 2:
         m0, m1 = planes
-        return [m for i in _bit_points(lines) for m in ((m0[i - 1],), (m1[i - 1],))]
+        return [[m for i in _bit_points(lines) for m in (m0[i - 1], m1[i - 1])]]
     at = [((n - 1) // (p - 1) + j) * width for n, j in _line_places(ambient, lines)]
-    return [tuple(planes[t][i : i + width]) for i in at for t in range(p)]
+    return [[planes[t][i + c] for i in at for t in range(p)] for c in range(width)]
 
 
 def _spectrum_and_masses(f: GridFunction) -> tuple:
@@ -807,29 +796,30 @@ def _spectrum_and_masses(f: GridFunction) -> tuple:
     is the spectrum the masses are read off."""
     ambient = f.ambient
     if f.kind != COMPLEX and ambient.modulus == 2:
-        W = _walsh(_planes(f._rows), ambient.d)
+        W = _walsh(f._cols[0], ambient.d)
         planes = _walsh_planes(W)
-        F = _from_lattice(ambient, list(zip(W)), f._den * ambient.size, CYCLOTOMIC)
+        F = _from_lattice(ambient, [W], f._den * ambient.size, CYCLOTOMIC)
         return F, lambda lines: (f._den, _line_cells(ambient, planes, 1, lines))
     if f.kind != RATIONAL or ambient.ell != 1:
         return forward(f), partial(_mass_rows, f)
-    planes = _line_masses(_planes(f._rows), ambient.p, ambient.d, 1)
+    planes = _line_masses(f._cols, ambient.p, ambient.d)
     return _filled(f, planes), lambda lines: (f._den, _line_cells(ambient, planes, 1, lines))
 
 
-def _back_project(ambient, lines, rows) -> list:
-    """Per point x, the row sum over i of rows[i*p + x.s_i], s_i = lines[i].rep,
-    for any lines in any order: the line run transposed.  The lines
-    (0, ..., 0, 1, m'') with m'' on Z_p**(e-1) make one level: row i*p + t
-    goes in at X**(-t) and position m'', and e - 1 passes leave the sum at
+def _back_project(ambient, lines, cols) -> list:
+    """The columns of the sums, per point x, over i of the values
+    i*p + x.s_i of the columns ``cols``, s_i = lines[i].rep, for any lines
+    in any order: the line run transposed.  The lines (0, ..., 0, 1, m'')
+    with m'' on Z_p**(e-1) make one level: value i*p + t goes in at
+    X**(-t) and position m'', and e - 1 passes leave the sum at
     x = (a, x'') at power -a and position x''.  A level's sums are added
-    to those of the levels below it, each repeated for every a.  Int rows
-    at p = 2 are (S + walsh(D))/2, S the sum of all rows and D the
-    differences of each line's two rows at its representative's point;
-    complex rows keep the run's float sums."""
-    p, d, width = ambient.p, ambient.d, len(rows[0])
-    if p == 2 and isinstance(rows[0][0], int):
-        return _walsh_back_project(ambient, lines, rows, width)
+    to those of the levels below it, each repeated for every a.  Int
+    columns at p = 2 are (S + walsh(D))/2, S the sum of all values and D
+    the differences of each line's two values at its representative's
+    point; complex values keep the run's float sums."""
+    p, d, width = ambient.p, ambient.d, len(cols)
+    if p == 2 and isinstance(cols[0][0], int):
+        return _walsh_back_project(ambient, lines, cols)
     levels = {}  # p**(e-1) -> [(index of m'', i)]
     for i, (n, j) in enumerate(_line_places(ambient, lines)):
         levels.setdefault(n, []).append((j, i))
@@ -839,11 +829,11 @@ def _back_project(ambient, lines, rows) -> list:
         plane = width * n
         if n in levels:
             A = [0] * (p * plane)
-            for c in range(width):
-                for t in range(p):  # coordinate c of row i*p + t at A[base + index(m'')]
+            for c, col in enumerate(cols):
+                for t in range(p):  # coordinate c of value i*p + t at A[base + index(m'')]
                     base = -t % p * plane + c * n
                     for j, i in levels[n]:
-                        A[base + j] = rows[i * p + t][c]
+                        A[base + j] = col[i * p + t]
             for _ in range(e - 1):
                 A = _lattice_pass(A, p, +1)
             B = []
@@ -853,33 +843,32 @@ def _back_project(ambient, lines, rows) -> list:
         elif out is not None:
             out = out * p
     if out is None:
-        return [(0,) * width] * ambient.size
-    return list(zip(*[iter(out)] * width))
+        return [[0] * ambient.size] * width
+    return [out[c::width] for c in range(width)]  # the sums at x lie at x*width + c
 
 
-def _walsh_back_project(ambient, lines, rows, width: int) -> list:
-    """``_back_project`` of int rows on Z_2**d: row 2i + t holds the values
-    at the points x with x.s_i = t, which are (r_{i,0} + r_{i,1})/2 plus
+def _walsh_back_project(ambient, lines, cols) -> list:
+    """``_back_project`` of int columns on Z_2**d: value 2i + t is the value
+    at the points x with x.s_i = t, which is (r_{i,0} + r_{i,1})/2 plus
     (-1)**(x.s_i) * (r_{i,0} - r_{i,1})/2, so the sum at x is half of S,
-    the sum of all rows, plus the Walsh-Hadamard transform at x of D, the
+    the sum of all values, plus the Walsh-Hadamard transform at x of D, the
     differences placed at the representatives' points."""
-    N = ambient.size
+    N, width = ambient.size, len(cols)
     at = _bit_points(lines)
     D = [0] * (width * N)  # D[c*N + index(s_i)], laid out as planes
-    S = []
-    for c, col in enumerate(zip(*rows)):
+    for c, col in enumerate(cols):
         for i, a, b in zip(at, col[0::2], col[1::2]):
             D[c * N + i] += a - b
-        S.append(sum(col))
-    out = [(s + w) // 2 for s, w in zip(cycle(S), _walsh(D, ambient.d))]
-    return list(zip(*[iter(out)] * width))
+    out = [(s + w) // 2 for s, w in zip(cycle(map(sum, cols)), _walsh(D, ambient.d))]
+    return [out[c::width] for c in range(width)]
 
 
-def _traces(p: int, rows) -> list:
-    """Row i*p + u is (Tr(z_i * zeta**u),) for z_i in Q(zeta_p) with power-basis row
-    e = rows[i]: Tr(zeta**k) is p - 1 at k = 0 mod p, else -1, so p*e_(-u) - sum(e)."""
-    ext = [((*e, 0), sum(e)) for e in rows]
-    return [(p * e[-u % p] - total,) for e, total in ext for u in range(p)]
+def _traces(p: int, cols) -> list:
+    """The one column whose value i*p + u is Tr(z_i * zeta**u), for z_i in
+    Q(zeta_p) with power-basis coordinates e = (cols[0][i], cols[1][i], ...):
+    Tr(zeta**k) is p - 1 at k = 0 mod p, else -1, so p*e_(-u) - sum(e)."""
+    ext = [((*e, 0), sum(e)) for e in zip(*cols)]
+    return [[p * e[-u % p] - total for e, total in ext for u in range(p)]]
 
 
 def forward(f: GridFunction) -> GridFunction:
@@ -892,48 +881,52 @@ def forward(f: GridFunction) -> GridFunction:
         scale = 1.0 / ambient.size
         return GridFunction(ambient, COMPLEX, [v * scale for v in vals])
     if f.kind == RATIONAL and ambient.ell == 1 and ambient.p != 2:
-        return _filled(f, _line_masses(_planes(f._rows), ambient.p, ambient.d, 1))
-    rows = _exact_transform(f._rows, ambient, ambient.d, -1)
-    return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC)
+        return _filled(f, _line_masses(f._cols, ambient.p, ambient.d))
+    cols = _exact_transform(f._cols, ambient, ambient.d, -1)
+    return _from_lattice(ambient, cols, f._den * ambient.size, CYCLOTOMIC)
 
 
 def _filled(f: GridFunction, planes: list) -> GridFunction:
     """The exact forward transform of a rational f on Z_p**d, over L*N,
     from the planes of its line run: F(c*s) is the sum over t of
     m_{s,t} * zeta**(-c*t), whose power-basis coordinate j is
-    m_{s,-j/c} - m_{s,-(p-1)/c}, and F(0) is the total mass.  The rows are
-    made line by line at each scale c and placed by ``_line_points``."""
+    m_{s,-j/c} - m_{s,-(p-1)/c}, and F(0) is the total mass.  Each column
+    is made line by line at each scale c and placed by ``_line_points``."""
     ambient = f.ambient
     p, d = ambient.p, ambient.d
-    made = [(sum(plane[0] for plane in planes), *(0,) * (p - 2))]
-    for c in range(1, p):
-        inv = pow(c, -1, p)
-        last = planes[inv]
-        made += zip(*[list(map(operator.sub, planes[-j * inv % p], last)) for j in range(p - 1)])
-    rows = list(map(made.__getitem__, _line_points(p, d)))
-    return _from_lattice(ambient, rows, f._den * ambient.size, CYCLOTOMIC)
+    place = operator.itemgetter(*_line_points(p, d))
+    invs = [pow(c, -1, p) for c in range(1, p)]
+    cols = []
+    for j in range(p - 1):
+        made = [sum(plane[0] for plane in planes) if j == 0 else 0]
+        for inv in invs:
+            made += map(operator.sub, planes[-j * inv % p], planes[inv])
+        cols.append(list(place(made)))
+    return _from_lattice(ambient, cols, f._den * ambient.size, CYCLOTOMIC)
 
 
 @lru_cache(maxsize=None)
 def _point_spectra(ambient) -> tuple:
-    """The table of point spectra: entry x is the rows of forward(delta_x)
-    times N, flat, the power-basis coordinates of zeta**(-x.m) at
-    m*width + c; built from the labels ``dots`` in one pass, with no
-    transform."""
+    """The table of point spectra: entry x is the columns of
+    forward(delta_x) times N laid end to end, the power-basis coordinate c
+    of zeta**(-x.m) at c*N + m; built from the labels ``dots`` in one pass,
+    with no transform."""
     q = ambient.modulus
     ext = [[int(e == -u % q) for u in range(q)] for e in range(q)]  # plane e of zeta**(-u)
-    powers = list(zip(*_power_basis(ext, ambient.p)))
-    return tuple([c for u in dots(ambient, x) for c in powers[u]] for x in ambient.points())
+    powers = _power_basis(ext, ambient.p)  # powers[c][u]: coordinate c of zeta**(-u)
+    return tuple(
+        [col[u] for col in powers for u in dots(ambient, x)] for x in ambient.points()
+    )
 
 
 def set_spectrum(ambient, members) -> GridFunction:
-    """The spectrum of the indicator of ``members``, rows and denominator
+    """The spectrum of the indicator of ``members``, columns and denominator
     those of ``forward(GridFunction.indicator(ambient, members))``.
 
     The first sets asked for on a grid are transformed.  Once the
     transforms run there, N * d * q * width coefficient operations each,
     add up to the N**2 * width ints of the table of point spectra, the
-    table is built, and the rows of every later set are its entries summed
+    table is built, and the columns of every later set are its entries summed
     over the members.  A grid whose table would exceed the memory cap
     ``MAX_SET_SPECTRUM_TABLE`` gets no table, and its indicators are
     always transformed.
@@ -951,13 +944,13 @@ def _set_spectrum(ambient, members: frozenset) -> GridFunction:
     width = _width(CYCLOTOMIC, ambient)
     if N * N * width <= MAX_SET_SPECTRUM_TABLE and _set_transforms[ambient] * ambient.d * q >= N:
         if not members:
-            return _from_lattice(ambient, [(0,) * width] * N, N, CYCLOTOMIC)
+            return _from_lattice(ambient, [[0] * N] * width, N, CYCLOTOMIC)
         table = _point_spectra(ambient)
-        sums = map(sum, zip(*[table[ambient.index_of(x)] for x in members]))
-        return _from_lattice(ambient, list(zip(*[sums] * width)), N, CYCLOTOMIC)
+        sums = list(map(sum, zip(*[table[ambient.index_of(x)] for x in members])))
+        return _from_lattice(ambient, [sums[c * N : (c + 1) * N] for c in range(width)], N, CYCLOTOMIC)
     _set_transforms[ambient] += 1
-    rows = [(1,) if x in members else (0,) for x in ambient.points()]
-    return forward(_from_lattice(ambient, rows, 1, RATIONAL))
+    col = [int(x in members) for x in ambient.points()]
+    return forward(_from_lattice(ambient, [col], 1, RATIONAL))
 
 
 def forward_naive(f: GridFunction) -> GridFunction:
@@ -996,8 +989,7 @@ def inverse(F: GridFunction) -> GridFunction:
         for _ in range(ambient.d):
             vals = _complex_pass(vals, ambient.modulus, +1)
         return GridFunction(ambient, COMPLEX, vals)
-    rows = _exact_transform(F._rows, ambient, ambient.d, +1)
-    return _from_lattice(ambient, rows, F._den)
+    return _from_lattice(ambient, _exact_transform(F._cols, ambient, ambient.d, +1), F._den)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -13,8 +13,8 @@ through v (one t per point) has inverse f(x) = sum_t F(t*v) chi(t * x.v)
 = c[x.v], with c the length-q inverse transform of t -> F(t*v).  So f is
 constant on each hyperplane {x : x.v = s}, and one length-q lattice pass
 over every part's line replaces a d-axis inverse per part.  This module
-only places the lattice row of F(t*v) at position (part, t), reads c[s]
-of each part at (s, part) and permutes those rows along x.v; a part is
+only places each lattice column's F(t*v) at position (part, t), reads
+c[s] of each part at (s, part) and permutes those along x.v; a part is
 rational exactly when every c[s] it reads is, and nothing is decoded.
 """
 
@@ -56,24 +56,24 @@ def _line_parts(F: GridFunction, claims) -> list:
     spectrum is F on ``claimed`` (points t*v of the line through v; v = 0
     for the origin) and 0 elsewhere.  The lines of every part are stacked
     as the positions (part, t) of one length-q inverse pass, which leaves
-    c[s] of part j at position (s, j).  Its rows are permuted along x.v,
-    and a part is rational exactly when every c[s] that x.v reaches is."""
-    ambient = F.ambient
-    den, rows = _lattice_of(F)
-    zero, indices = (0,) * len(rows[0]), line_indices(ambient)
-    stacked = []  # row j*q + t: that of F(t*v) for part j, if claimed
-    for v, claimed in claims:
-        line = [zero] * ambient.modulus
-        for t, i in enumerate(indices.get(ProjectiveLine(v), (0,))):
+    c[s] of part j at position (s, j) of each column.  Its columns are
+    permuted along x.v, and a part is rational exactly when every c[s]
+    that x.v reaches is."""
+    ambient, q, n = F.ambient, F.ambient.modulus, len(claims)
+    den, cols = _lattice_of(F)
+    indices = line_indices(ambient)
+    stacked = [[0] * (q * n) for _ in cols]  # position j*q + t: F(t*v) for part j, if claimed
+    for j, (v, claimed) in enumerate(claims):
+        for t, i in enumerate(indices.get(ProjectiveLine(v), (0,)), start=j * q):
             if ambient.point_at(i) in claimed:
-                line[t] = rows[i]
-        stacked += line
+                for line, col in zip(stacked, cols):
+                    line[t] = col[i]
     c = _exact_transform(stacked, ambient, 1, +1)
-    n = len(claims)
-    return [
-        _from_lattice(ambient, [c[s * n + j] for s in dots(ambient, v)], den)
-        for j, (v, _) in enumerate(claims)
-    ]
+    parts = []
+    for j, (v, _) in enumerate(claims):
+        at = [s * n + j for s in dots(ambient, v)]
+        parts.append(_from_lattice(ambient, [list(map(col.__getitem__, at)) for col in c], den))
+    return parts
 
 
 @dataclass(frozen=True)

@@ -201,9 +201,9 @@ def _require_plane(grids, what: str) -> None:
 def _galois_item(_i, ambient, rng) -> None:
     # F from the d axis passes: ``forward`` fills a rational spectrum from
     # the masses of each line, where equivariance would hold by construction.
-    den, rows = _lattice_of(random_rational_function(ambient, rng))
-    rows = _exact_transform(rows, ambient, ambient.d, -1)
-    F = _from_lattice(ambient, rows, den * ambient.size, CYCLOTOMIC)
+    den, cols = _lattice_of(random_rational_function(ambient, rng))
+    cols = _exact_transform(cols, ambient, ambient.d, -1)
+    F = _from_lattice(ambient, cols, den * ambient.size, CYCLOTOMIC)
     for r in range(1, ambient.modulus):
         if r % ambient.p:  # a unit: sigma_r(F(m)) == F(r*m) at every point m
             agree = F.galois(r).agrees(F.dilate(r))

@@ -21,20 +21,21 @@ on Z_p**d only: ring grids (modulus p**ell, ell > 1) are rejected by
 A sinogram and a decomposition are line tables: their lines and one
 ``fourier.Values`` of every mass or coefficient, p per line, line after
 line.  A ``Values`` is the holder a grid function is, as are a wavelet's
-coefficients and a decomposition's constant: exact values on one row of
-ints per value over one denominator, decoded on the first read only, and
-complex values as they are.  ``fileio`` writes both tables with one
-writer of line rows.  ``mass_table`` holds the rows of the run over the
-denominator L of f.  ``decompose`` computes the exact coefficients on
-them a coordinate column at a time, over L*p**(d-1) (plain, reduced) or
-L*N (massless), with its constant over L*N, and complex ones in floating
-point, each factor made complex once, and hands them over as one holder;
-its ``Wavelet`` parts are cut from it on the first read of ``parts``.
-``reconstruct_from_masses`` compares the table's lines with the canonical
-ones once, scanning its rows only when they differ, and takes the row
-totals and the values from whole columns.  Built from values, a table or
-wavelet holds them in the kind they join to, and a decomposition built
-from parts joins their coefficients into one table.
+coefficients and a decomposition's constant: exact values as int
+columns over one denominator, one per coordinate, decoded on the first
+read only, and complex values as they are.  ``fileio`` writes both
+tables with one writer of line rows.  ``mass_table`` holds the columns
+of the run over the denominator L of f.  ``decompose`` computes the
+exact coefficients on them a whole column at a time, over L*p**(d-1)
+(plain, reduced) or L*N (massless), with its constant over L*N, and
+complex ones in floating point, each factor made complex once, and hands
+them over as one holder; its ``Wavelet`` parts are cut from it on the
+first read of ``parts``.  ``reconstruct_from_masses`` compares the
+table's lines with the canonical ones once, scanning its rows only when
+they differ, and takes the row totals and the values from whole columns,
+back-projected as they are.  Built from values, a table or wavelet holds
+them in the kind they join to, and a decomposition built from parts
+joins their coefficients into one table.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def mass_table(f: GridFunction) -> MassTable:
     ambient = f.ambient
     require_prime_grid(ambient)
     lines = enumerate_lines(ambient)
-    den, cells = _mass_rows(f, lines)
-    return MassTable(ambient, lines, Values._from_lattice(ambient, cells, den, f.kind))
+    den, cols = _mass_rows(f, lines)
+    return MassTable(ambient, lines, Values._from_lattice(ambient, cols, den, f.kind))
 
 
 def associated_wavelet(f: GridFunction, s) -> Wavelet:
@@ -269,11 +270,11 @@ def decompose(
     point), so the constant alone must carry m(f).  A line is active when
     the spectrum of f is nonzero on it, by the zero rule for complex f.
 
-    Exact coefficients are computed on the int rows of the mass run, L
+    Exact coefficients are computed on the int columns of the mass run, L
     times the masses (L the denominator of f), with M = L*m(f) summed from
-    the rows of f: the plain coefficients are the mass rows over
-    L*p**(d-1), the reduced ones their differences with the row at t = 0,
-    and the massless ones p times the mass rows less M, over L*N; the
+    the columns of f: the plain coefficients are the masses over
+    L*p**(d-1), the reduced ones their differences with the mass at t = 0,
+    and the massless ones p times the masses less M, over L*N; the
     constant is over L*N.  Complex ones are computed in floating point,
     with the bits of one Fraction factor times each value.  Either way the
     coefficients are computed a whole coordinate column at a time and
@@ -287,26 +288,24 @@ def decompose(
     F, mass_rows = _spectrum_and_masses(f)
     lines = support_profile(F, source_kind=f.kind, tol=tol).lines
     p, N = ambient.p, ambient.size
-    den, cells = mass_rows(lines)
+    den, cols = mass_rows(lines)  # the coordinate columns of the masses, line after line
     if f.kind == COMPLEX:
-        masses = Values._from_lattice(ambient, cells, den, COMPLEX).values
+        masses = Values._from_lattice(ambient, cols, den, COMPLEX).values
         return _decompose_complex(f, form, lines, masses)
-    total = [sum(col) for col in zip(*_lattice_of(f)[1])]
-    cols = list(zip(*cells))  # the coordinate columns of the masses, line after line
+    total = list(map(sum, _lattice_of(f)[1]))
     scale = den * (N // p)
     if form == "plain":
-        coeffs = cells
+        coeffs = cols
         constant = [(1 - len(lines)) * m for m in total]
     elif form == "reduced":
-        coeffs = list(zip(*[list(map(operator.sub, col, _each(col[0::p], p))) for col in cols]))
-        shift = [sum(col[0::p]) for col in cols] or [0] * len(total)
-        constant = [(1 - len(lines)) * m + p * s for m, s in zip(total, shift)]
+        coeffs = [list(map(operator.sub, col, _each(col[0::p], p))) for col in cols]
+        constant = [(1 - len(lines)) * m + p * sum(col[0::p]) for m, col in zip(total, cols)]
     else:
         scale = den * N
-        coeffs = list(zip(*[[p * a - m for a in col] for col, m in zip(cols, total)]))
+        coeffs = [[p * a - m for a in col] for col, m in zip(cols, total)]
         constant = total
     coeffs = Values._from_lattice(ambient, coeffs, scale, f.kind)
-    constant = Values._from_lattice(ambient, [tuple(constant)], den * N, f.kind)
+    constant = Values._from_lattice(ambient, [[m] for m in constant], den * N, f.kind)
     return Decomposition(ambient, form, constant, lines, coeffs)
 
 
@@ -348,8 +347,8 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
     rational exactly when every cyclotomic coordinate above degree zero
     cancels, as in ``inverse``; complex masses give complex values.  The
     lines are checked by one compare with the canonical ones, the rows
-    scanned for the first fault only when that fails, and the table's rows
-    are back-projected as they are.
+    scanned for the first fault only when that fails, and the table's
+    columns are back-projected as they are.
     """
     ambient = table.ambient
     require_prime_grid(ambient)
@@ -371,29 +370,27 @@ def reconstruct_from_masses(table: MassTable, tol: float = DEFAULT_TOL) -> GridF
         missing = [line.rep for line in lines if line.rep not in present]
         if missing:
             raise SinogramError(f"sinogram is missing directions: {missing}")
-    kind, (L, M) = table._masses.kind, _lattice_of(table._masses)
-    # Row totals on the lattice ints: sums[i][c] is coordinate c of L times
+    kind, (L, cols) = table._masses.kind, _lattice_of(table._masses)
+    # Row totals on the lattice ints: sums[c][i] is coordinate c of L times
     # the total of row i, each column's row totals summed in one map.
-    cols = list(zip(*M))
-    col_sums = [list(map(sum, zip(*[iter(col)] * p))) for col in cols]
-    sums = list(zip(*col_sums))
-    total = sums[0]
+    sums = [list(map(sum, zip(*[iter(col)] * p))) for col in cols]
+    total = [col[0] for col in sums]
     # f is its plain decomposition over all n lines: L*N*f(x) is p times the
     # back-projected L*m_{s,x.s}, less (n - 1) times the total mass L*m(f).
-    # Exact rows are demoted as inverse's are; building a complex f refuses
-    # a non-finite mass, before the totals are compared.
-    n, back = len(lines), _back_project(ambient, table.directions(), M)
-    cells = list(zip(*[
-        map(operator.sub, map(operator.mul, repeat(p), col), repeat((n - 1) * m))
-        for col, m in zip(zip(*back), total)
-    ]))
+    # Exact values are demoted as inverse's are; building a complex f
+    # refuses a non-finite mass, before the totals are compared.
+    n, back = len(lines), _back_project(ambient, table.directions(), cols)
+    cells = [
+        list(map(operator.sub, map(operator.mul, repeat(p), col), repeat((n - 1) * m)))
+        for col, m in zip(back, total)
+    ]
     f = _from_lattice(ambient, cells, L * N, kind if kind == COMPLEX else None)
     # All rows must share the total of the first: rows that differ from it
     # are found whole, and only their values go to the zero rule.
-    differ = list(compress(count(), map(operator.ne, sums, repeat(total))))
+    differ = list(compress(count(), map(operator.ne, zip(*sums), repeat(tuple(total)))))
     if differ and kind == COMPLEX:  # one value per row: not is_zero(s - m, bound)
         bound, (m,) = zero_bound(cols[0], tol), total
-        gaps = map(abs, map(operator.sub, col_sums[0], repeat(m)))
+        gaps = map(abs, map(operator.sub, sums[0], repeat(m)))
         differ = list(compress(count(), map(operator.not_, map(operator.le, gaps, repeat(bound)))))
     if differ:
         i, totals, directions = differ[0], table.totals(), table.directions()

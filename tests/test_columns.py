@@ -1,12 +1,12 @@
 """Exact arithmetic on whole coordinate columns equals value-wise arithmetic.
 
 The exact holder answers the Galois action, ``+``, ``-``, unary ``-``,
-``==``, ``agrees``, ``scale`` by a rational factor and ``take`` on whole
-columns of its lattice rows, and the exact runs end with one plane-wise
+``==``, ``agrees``, ``scale`` by a rational factor and ``take`` on the
+whole lattice columns it holds, and the exact runs end with one plane-wise
 reduction to the power basis (``fourier._power_basis``).  Each is checked
 here against the value-wise reference: ``scalars._reduce_ext`` per
 position, ``Cyclotomic`` and ``Fraction`` arithmetic per value, and
-indexing.  The functions are built from values and from rows over an
+indexing.  The functions are built from values and from columns over an
 unreduced denominator, so that the lcm, the cross-multiplication and the
 zero padding of a narrower (rational) function all run."""
 
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charkit.fourier import GridFunction, Values, _from_lattice, _lattice_of, _power_basis
+from charkit.fourier import GridFunction, Values, _from_lattice, _lattice_of, _power_basis, _width
 from charkit.fourier import forward
 from charkit.geometry import Ambient
 from charkit.scalars import Cyclotomic, _reduce_ext
@@ -37,7 +37,7 @@ fractions = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-7
 @st.composite
 def functions(draw, ambient, kind=None):
     """An exact function on ``ambient`` from a small pool of coefficients,
-    some of its values zero.  Half of them are rebuilt from their rows
+    some of its values zero.  Half of them are rebuilt from their columns
     times a factor k over k times their denominator, the unreduced form a
     run leaves."""
     kind = kind or draw(st.sampled_from(["rational", "cyclotomic"]))
@@ -53,8 +53,8 @@ def functions(draw, ambient, kind=None):
     k = draw(st.sampled_from([1, 1, 2, 3, 6]))
     if k == 1:
         return f
-    den, rows = _lattice_of(f)
-    return _from_lattice(ambient, [tuple(k * c for c in row) for row in rows], k * den, kind)
+    den, cols = _lattice_of(f)
+    return _from_lattice(ambient, [[k * c for c in col] for col in cols], k * den, kind)
 
 
 @st.composite
@@ -151,16 +151,24 @@ def test_equality_and_agreement_are_those_of_the_values(fg):
     assert f == same and same == f
 
 
+def _no_values(ambient, kind: str) -> list:
+    """The lattice columns of no value of ``kind``: its width of empty columns."""
+    return [[] for _ in range(_width(kind, ambient))]
+
+
 @pytest.mark.parametrize("ambient", GRIDS[:2], ids=str)
 def test_two_empty_holders_are_equal_and_agree_nowhere(ambient):
     """No value to compare: equal holders of any two kinds, and an empty
     agreement over one denominator and over two."""
     empty = [Values(ambient, kind, []) for kind in ("rational", "cyclotomic", "complex")]
-    empty.append(_from_lattice(ambient, [], 6, "cyclotomic"))
+    empty.append(_from_lattice(ambient, _no_values(ambient, "cyclotomic"), 6, "cyclotomic"))
     for f in empty:
         for g in empty:
             assert f == g
-    exact = [_from_lattice(ambient, [], 1, "rational"), _from_lattice(ambient, [], 6, "cyclotomic")]
+    exact = [
+        _from_lattice(ambient, _no_values(ambient, "rational"), 1, "rational"),
+        _from_lattice(ambient, _no_values(ambient, "cyclotomic"), 6, "cyclotomic"),
+    ]
     for f in exact:
         for g in exact:
             assert f.agrees(g) == ()
@@ -169,12 +177,12 @@ def test_two_empty_holders_are_equal_and_agree_nowhere(ambient):
 
 @pytest.mark.parametrize("ambient", GRIDS[:2], ids=str)
 def test_empty_holders_take_their_width_from_their_kind(ambient):
-    """Rows demoted with no row are rational, and scale, +, - and unary
-    minus on an empty exact holder give an empty holder of the joined kind."""
-    demoted = Values._from_lattice(ambient, [], 1)
+    """Empty columns demoted are rational, and scale, +, - and unary minus
+    on an empty exact holder give an empty holder of the joined kind."""
+    demoted = Values._from_lattice(ambient, _no_values(ambient, "cyclotomic"), 1)
     assert (demoted.kind, len(demoted), demoted.values) == ("rational", 0, ())
-    rational = _from_lattice(ambient, [], 3, "rational")
-    cyclotomic = _from_lattice(ambient, [], 6, "cyclotomic")
+    rational = _from_lattice(ambient, _no_values(ambient, "rational"), 3, "rational")
+    cyclotomic = _from_lattice(ambient, _no_values(ambient, "cyclotomic"), 6, "cyclotomic")
     for f in (rational, cyclotomic):
         for g in (f.scale(2), f.scale(Fraction(-5, 7)), -f):
             assert (g.kind, g.values) == (f.kind, ())

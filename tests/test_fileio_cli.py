@@ -1449,11 +1449,10 @@ def test_cli_verify_galois_names_the_first_point_that_breaks_equivariance(monkey
 
     passes = verify._exact_transform  # the spectra that galois checks
 
-    def broken(rows, ambient, *args):  # F(0,2) no longer equals sigma_2(F(0,1))
-        rows = passes(rows, ambient, *args)
-        i = ambient.index_of((0, 2))
-        rows[i] = (rows[i][0] + 1, *rows[i][1:])
-        return rows
+    def broken(cols, ambient, *args):  # F(0,2) no longer equals sigma_2(F(0,1))
+        cols = passes(cols, ambient, *args)
+        cols[0][ambient.index_of((0, 2))] += 1
+        return cols
 
     monkeypatch.setattr(verify, "_exact_transform", broken)
     assert run_cli("verify", "galois", "--suite-size", "1", "--p", "3", "--d", "2") == 3

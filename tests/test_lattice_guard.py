@@ -1,20 +1,22 @@
 """The exact lattice format has one home, ``charkit.fourier``: ``_encode``
-scales values onto Z[x]/(x**q - 1), ``_decode`` turns lattice rows back
-into values, and every run on the lattice is laid out there (the
+scales values onto Z[x]/(x**q - 1), ``_decode`` turns lattice columns
+back into values, and every run on the lattice is laid out there (the
 transforms, the mass run and back-projection), so other modules only call
 the runs.  A module that imports a private name of ``fourier`` other than
 the kind home and the lattice entry points, imports the row arithmetic
 ``_galois_row`` or ``_reduce_ext`` of ``scalars``, or that takes an lcm of
 denominators, reads ``.denominator`` or builds a ``Cyclotomic`` with
 ``_make`` outside ``fourier``, ``scalars`` and ``fileio``, must fail here.  Every exact
-function holds its lattice rows over one denominator from construction; a
-module other than ``fourier`` that reads or builds that form other than
-through ``_lattice_of`` and ``_from_lattice`` must fail too, and so must a
-test for a second form: a ``_rows`` or ``_den`` compared with None, or a
-``_values`` compared with None outside the ``values`` property.  Values
-are held one way, by ``fourier.Values``: a module other than ``fourier``
-that imports, names or calls ``_encode`` or ``_decode``, or that defines a
-class of its own whose ``__slots__`` hold rows or a denominator, must fail."""
+function holds its lattice columns over one denominator from
+construction; a module other than ``fourier`` that reads or builds that
+form (``_cols``, ``_den``, or the ``_rows`` a second, row store would add)
+other than through ``_lattice_of`` and ``_from_lattice`` must fail too,
+and so must a test for a second form: a ``_cols``, ``_rows`` or ``_den``
+compared with None, or a ``_values`` compared with None outside the
+``values`` property.  Values are held one way, by ``fourier.Values``: a
+module other than ``fourier`` that imports, names or calls ``_encode`` or
+``_decode``, or that defines a class of its own whose ``__slots__`` hold
+columns, rows or a denominator, must fail."""
 
 import ast
 from pathlib import Path
@@ -27,9 +29,9 @@ LATTICE = {
     "_traces", "_set_spectrum", "_lattice_of", "_from_lattice",
 }
 CODEC = {"_encode", "_decode"}  # Values' own, for fourier alone
-ROW_SLOTS = {"rows", "den", "_rows", "_den"}
+ROW_SLOTS = {"rows", "den", "cols", "_rows", "_den", "_cols"}
 ROW_ARITHMETIC = {"_galois_row", "_reduce_ext"}  # of scalars, for fourier alone
-LATTICE_FORM = {"_rows", "_den", "_values"}  # a GridFunction's two stores
+LATTICE_FORM = {"_cols", "_rows", "_den", "_values"}  # a holder's stores, and a row store's name
 
 
 def lattice_form_reads(source: str) -> list:
@@ -96,7 +98,8 @@ def codec_uses(source: str) -> list:
 
 
 def row_holders(source: str) -> list:
-    """Lines of the classes whose ``__slots__`` name rows or a denominator."""
+    """Lines of the classes whose ``__slots__`` name columns, rows or a
+    denominator."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
@@ -141,6 +144,7 @@ def test_the_guard_sees_each_second_holder():
         "ms = fourier._decode(kind, cells, den, ambient)",
         "_, den, rows = _encode(values, ambient)",
         "class Held:\n    __slots__ = ('_rows', '_den')",
+        "class Held:\n    __slots__ = ('_cols', '_den')",
         'class Table:\n    __slots__ = "rows"',
         "class Table:\n    __slots__: tuple = ('den', 'rows')",
     ]
@@ -165,8 +169,9 @@ def test_only_fourier_reads_a_functions_lattice_form():
 
 
 def form_tests(source: str) -> list:
-    """Lines that ask which form a function holds: ``_rows``, ``_den`` or
-    ``_values`` compared with None, except ``_values`` in ``values``."""
+    """Lines that ask which form a function holds: ``_cols``, ``_rows``,
+    ``_den`` or ``_values`` compared with None, except ``_values`` in
+    ``values``."""
     lines = []
 
     def visit(node, function):
@@ -175,7 +180,8 @@ def form_tests(source: str) -> list:
                 sides = [child.left, *child.comparators]
                 nones = any(isinstance(x, ast.Constant) and x.value is None for x in sides)
                 attrs = {x.attr for x in sides if isinstance(x, ast.Attribute)}
-                if nones and (attrs & {"_rows", "_den"} or "_values" in attrs and function != "values"):
+                held = attrs & {"_cols", "_rows", "_den"}
+                if nones and (held or "_values" in attrs and function != "values"):
                     lines.append(child.lineno)
             inner = child.name if isinstance(child, ast.FunctionDef) else function
             visit(child, inner)
@@ -196,6 +202,7 @@ def test_an_exact_function_has_one_form():
 def test_the_form_guard_sees_each_test_of_a_second_form():
     shapes = [
         "if f._rows is not None:\n    pass",
+        "if f._cols is None:\n    pass",
         "ok = self._den is None",
         "def nonzero(self):\n    return self._values is not None",
     ]
@@ -227,6 +234,7 @@ def test_the_guard_sees_each_shape_of_a_second_format():
         "row = scalars._galois_row(p, 1, row, r)",
         # a function's lattice form read or built outside fourier
         "active = [any(row) for row in F._rows]",
+        "total = [sum(col) for col in f._cols]",
         "scale = F._den",
         "vals = F._values",
     ]

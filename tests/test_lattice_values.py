@@ -1,12 +1,12 @@
-"""Every exact function holds its lattice rows from construction, however
-it was made, and a function made from rows decodes ``values`` only when
+"""Every exact holder holds its lattice columns from construction, however
+it was made, and a function made from columns decodes ``values`` only when
 read.  The zero mask, the Galois action, equality, ``inverse``, ``+``,
-``-``, negation and the restrictions all work on the rows; each must agree
-with the same operation on the values, on prime and ring grids, for
+``-``, negation and the restrictions all work on the columns; each must
+agree with the same operation on the values, on prime and ring grids, for
 rational and cyclotomic functions whose values have mixed denominators.
 Mass tables, wavelets and decompositions hold their values in the same
 holder, ``fourier.Values``, of any length: built from values or from
-rows, it holds the same values, rows and denominator."""
+columns, it holds the same values, columns and denominator."""
 
 import math
 import operator
@@ -24,7 +24,7 @@ from charkit.geometry import Ambient, line_count
 from charkit.multiscale import multiscale_decompose
 from charkit.scalars import Cyclotomic, is_zero, rational_part
 from charkit.varieties import slice_last
-from charkit.wavelets import mass_table, reconstruct_from_masses
+from charkit.wavelets import FORMS, decompose, mass_table, reconstruct_from_masses
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 GRIDS = [Ambient(2, 3), Ambient(3, 2), Ambient(5, 2), Ambient(7, 2), Ambient(3, 2, 2), Ambient(2, 2, 3)]
@@ -78,9 +78,9 @@ def _units(ambient) -> list:
 
 
 def _scaled(F: GridFunction, k: int) -> GridFunction:
-    """F again, its rows and denominator multiplied by k."""
-    rows = [tuple(k * c for c in row) for row in F._rows]
-    return fourier._from_lattice(F.ambient, rows, F._den * k, F.kind)
+    """F again, its columns and denominator multiplied by k."""
+    cols = [[k * c for c in col] for col in F._cols]
+    return fourier._from_lattice(F.ambient, cols, F._den * k, F.kind)
 
 
 @FIXED
@@ -127,10 +127,10 @@ def test_a_lattice_that_differs_in_one_coordinate_is_unequal(f, k, where):
     F = forward(f)
     ambient = F.ambient
     i = where % ambient.size
-    for c in range(len(F._rows[i])):
-        rows = list(F._rows)
-        rows[i] = rows[i][:c] + (rows[i][c] + 1,) + rows[i][c + 1:]
-        same_den = fourier._from_lattice(ambient, rows, F._den, "cyclotomic")
+    for c in range(len(F._cols)):
+        cols = [list(col) for col in F._cols]
+        cols[c][i] += 1
+        same_den = fourier._from_lattice(ambient, cols, F._den, "cyclotomic")
         other_den = _scaled(same_den, k)
         values = list(F.values)
         coeffs = list(values[i].coeffs)
@@ -165,33 +165,43 @@ def test_inverse_of_forward_decodes_nothing(monkeypatch):
         assert calls == []
 
 
-def _carries_rows(f: GridFunction) -> bool:
-    """f holds its lattice form: one row of ints per point over a positive
-    int denominator, one coordinate wide for a rational function and phi
-    for a cyclotomic one."""
-    q = f.ambient.modulus
-    width = 1 if f.kind == "rational" else q - q // f.ambient.p
+def _carries_columns(held: Values, length: int) -> bool:
+    """``held`` holds its lattice form: ``_width(kind)`` columns of ints,
+    one coordinate for a rational holder and phi for a cyclotomic one, each
+    ``length`` long, the number of values held, over a positive int
+    denominator."""
     return (
-        type(f._den) is int and f._den > 0 and len(f._rows) == f.ambient.size
-        and all(len(row) == width and all(type(c) is int for c in row) for row in f._rows)
+        type(held._den) is int and held._den > 0 and len(held) == length
+        and len(held._cols) == fourier._width(held.kind, held.ambient)
+        and all(len(col) == length and all(type(c) is int for c in col) for col in held._cols)
     )
 
 
 @FIXED
 @given(function_pairs())
-def test_every_exact_function_carries_rows(fg):
+def test_every_exact_holder_carries_columns(fg):
     f, g = fg
     ambient = f.ambient
     F = forward(f)
-    made = [
+    functions = [
         f, g, function_from_payload(function_to_payload(f)), F, inverse(F),
-        f + g, f - g, -f, f + inverse(forward(g)),
+        f + g, f - g, -f, f + inverse(forward(g)), f.scale(Fraction(-2, 3)), F.galois(-1),
         f.take(ambient, range(ambient.size - 1, -1, -1)), F.dilate(ambient.modulus - 1),
         *(part.function for part in multiscale_decompose(F)),
     ]
+    made = [(h, ambient.size) for h in functions]
     if ambient.ell == 1:
-        made += [reconstruct_from_masses(mass_table(f)), slice_last(f, 1), slice_last(F, 0)]
-    assert [_carries_rows(h) for h in made] == [True] * len(made)
+        p = ambient.p
+        made += [
+            (h, h.ambient.size)
+            for h in (reconstruct_from_masses(mass_table(f)), slice_last(f, 1), slice_last(F, 0))
+        ]
+        made.append((mass_table(f)._masses, line_count(ambient) * p))
+        for form in FORMS:
+            dec = decompose(f, form)
+            made += [(dec._coefficients, dec.cbw * p), (dec._constant, 1)]
+            made += [(w._coefficients, p) for w in dec.parts]
+    assert [_carries_columns(h, n) for h, n in made] == [True] * len(made)
 
 
 @FIXED
@@ -278,10 +288,11 @@ def held_values(draw):
 
 
 def _per_value_lattice(ambient, kind: str, values) -> tuple:
-    """(den, rows) of values held in ``kind``, value by value: the lcm of
-    every coordinate's denominator, and each coordinate times it."""
+    """(den, cols) of values held in ``kind``, value by value: the lcm of
+    every coordinate's denominator, and each coordinate times it, column c
+    holding coordinate c of every value."""
     if kind == "complex":
-        return 1, [(complex(v),) for v in values]
+        return 1, [tuple(complex(v) for v in values)]
     q = ambient.modulus
     coords = [
         v.coeffs if isinstance(v, Cyclotomic)
@@ -289,32 +300,33 @@ def _per_value_lattice(ambient, kind: str, values) -> tuple:
         for v in values
     ]
     den = math.lcm(*(Fraction(c).denominator for row in coords for c in row))
-    return den, [tuple(int(c * den) for c in row) for row in coords]
+    rows = [[int(c * den) for c in row] for row in coords]
+    return den, [[row[c] for row in rows] for c in range(fourier._width(kind, ambient))]
 
 
 @FIXED
 @given(held_values())
-def test_a_holder_built_from_rows_is_the_one_built_from_values(case):
+def test_a_holder_built_from_columns_is_the_one_built_from_values(case):
     ambient, kind, values = case
     held = Values(ambient, kind, values)
-    den, rows = _lattice_of(held)
-    assert (den, rows) == _per_value_lattice(ambient, kind, values)
-    again = Values._from_lattice(ambient, rows, den, kind)
+    den, cols = _lattice_of(held)
+    assert (den, cols) == _per_value_lattice(ambient, kind, values)
+    again = Values._from_lattice(ambient, cols, den, kind)
     assert (again.kind, len(again)) == (held.kind, len(held)) == (kind, len(values))
     assert again.values == held.values
-    assert _lattice_of(again) == (den, rows)
+    assert _lattice_of(again) == (den, cols)
     assert again == held and held == again
     if len(values) > 1:
         assert Values(ambient, kind, values[1:]) != held
     if len(values) == ambient.size:
-        assert _lattice_of(GridFunction(ambient, kind, values)) == (den, rows)
+        assert _lattice_of(GridFunction(ambient, kind, values)) == (den, cols)
 
 
-def test_complex_rows_over_one_are_held_as_they_are():
+def test_complex_columns_over_one_are_held_as_they_are():
     """A complex division by 1 would turn inf into inf+nanj; over any other
-    denominator the rows are divided out."""
+    denominator the column is divided out."""
     ambient = Ambient(3, 1)
-    rows = [(complex(math.inf, 0.0),), (complex(1.5, -2.0),), (0,)]
-    held = Values._from_lattice(ambient, rows, 1, "complex").values
+    col = [complex(math.inf, 0.0), complex(1.5, -2.0), 0]
+    held = Values._from_lattice(ambient, [col], 1, "complex").values
     assert [(v.real, v.imag) for v in held] == [(math.inf, 0.0), (1.5, -2.0), (0.0, 0.0)]
-    assert Values._from_lattice(ambient, rows[1:], 4, "complex").values == (0.375 - 0.5j, 0j)
+    assert Values._from_lattice(ambient, [col[1:]], 4, "complex").values == (0.375 - 0.5j, 0j)

@@ -45,8 +45,8 @@ GRIDS = [(p, d) for p in (2, 3, 5, 7) for d in (1, 2, 3)] + [(13, 2)]
 
 
 def _table(f, lines):
-    den, cells = _mass_rows(f, lines)
-    return Values._from_lattice(f.ambient, cells, den, f.kind).values
+    den, cols = _mass_rows(f, lines)
+    return Values._from_lattice(f.ambient, cols, den, f.kind).values
 
 
 @pytest.mark.parametrize("p,d", GRIDS)
@@ -79,8 +79,8 @@ def test_the_rational_forward_equals_the_naive_transform_and_the_d_passes(p, d):
     for f in _rational_cases(ambient):
         F = forward(f)
         assert F == forward_naive(f)
-        den, rows = _lattice_of(f)
-        assert _lattice_of(F) == (den * ambient.size, _exact_transform(rows, ambient, d, -1))
+        den, cols = _lattice_of(f)
+        assert _lattice_of(F) == (den * ambient.size, _exact_transform(cols, ambient, d, -1))
 
 
 def test_the_forward_enumerates_no_lines(monkeypatch):
@@ -117,14 +117,16 @@ def test_a_rational_decompose_makes_one_line_run(monkeypatch, p, d, form):
     assert dec.evaluate() == f
 
 
-def _direct_back_projection(ambient, lines, rows):
-    """Per point x, the sum over i of rows[i*p + x.s_i], point by point."""
-    p, width = ambient.p, len(rows[0])
-    out = [[0] * width for _ in range(ambient.size)]
+def _direct_back_projection(ambient, lines, cols):
+    """The columns of the sums, per point x, over i of the values
+    i*p + x.s_i of ``cols``, point by point and coordinate by coordinate."""
+    p = ambient.p
+    out = [[0] * ambient.size for _ in cols]
     for i, line in enumerate(lines):
         for x, t in enumerate(dots(ambient, line.rep)):
-            out[x] = [a + b for a, b in zip(out[x], rows[i * p + t])]
-    return [tuple(row) for row in out]
+            for sums, col in zip(out, cols):
+                sums[x] = sums[x] + col[i * p + t]
+    return out
 
 
 @pytest.mark.parametrize("p,d", GRIDS)
@@ -139,8 +141,9 @@ def test_back_projection_equals_the_direct_sum_for_any_lines_in_any_order(p, d, 
         rows = [(complex(rng.randint(-9, 9), rng.randint(-9, 9)),) for _ in range(len(lines) * p)]
     else:
         rows = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(len(lines) * p)]
-    got = _back_project(ambient, lines, rows)
-    assert got == _direct_back_projection(ambient, lines, rows)
+    cols = [list(col) for col in zip(*rows)]
+    got = _back_project(ambient, lines, cols)
+    assert got == _direct_back_projection(ambient, lines, cols)
 
 
 def test_a_table_in_another_order_reconstructs_the_same_function():

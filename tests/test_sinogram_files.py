@@ -512,6 +512,21 @@ def test_a_mass_table_built_from_values_equals_the_projected_one():
     assert reconstruct_from_masses(mixed) == f
 
 
+def test_a_table_of_two_kinds_has_one_text_through_either_writer():
+    """The payload writes the masses the table holds, joined to one kind, as
+    ``sinogram_dumps`` does: every t = 1 mass of the staircase on Z_3^2 made
+    cyclotomic makes every mass a cyclotomic object in both."""
+    rows = tuple(
+        (line, tuple(Cyclotomic.from_rational(3, m) if t == 1 else m for t, m in enumerate(ms)))
+        for line, ms in mass_table(staircase_function(3)).rows
+    )
+    table = MassTable(Ambient(3, 2), rows)
+    text = fileio.sinogram_dumps(table)
+    assert text == fileio.canonical_dumps(fileio.sinogram_to_payload(table))
+    assert {*map(type, itertools.chain.from_iterable(e["m"] for e in json.loads(text)["masses"]))} == {dict}
+    assert fileio.sinogram_from_payload(json.loads(text)) == table
+
+
 # Hand-built tables of the staircase on Z_3^2 and the texts they are refused with.
 SINOGRAM_ERRORS = {
     "not canonical": "sinogram direction [2, 1] is not a canonical line",

@@ -91,7 +91,8 @@ def test_back_projection_equals_the_direct_sum_for_lines_in_any_order(d, width):
     lines = list(enumerate_lines(ambient))
     for chosen in (rng.sample(lines, len(lines)), rng.sample(lines, rng.randint(1, len(lines)))):
         rows = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(2 * len(chosen))]
-        assert _back_project(ambient, chosen, rows) == _direct_back_projection(ambient, chosen, rows)
+        cols = [list(col) for col in zip(*rows)]
+        assert _back_project(ambient, chosen, cols) == _direct_back_projection(ambient, chosen, cols)
 
 
 @pytest.mark.parametrize("p,d", [(2, 6), (3, 4)])

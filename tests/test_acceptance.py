@@ -11,7 +11,7 @@ import time
 from charkit.corpus import random_rational_function, rng_for
 from charkit.fourier import forward, forward_naive, inverse
 from charkit.geometry import Ambient
-from charkit.verify import SUITES, VerifyConfig
+from charkit.verify import VerifyConfig, run_suites
 
 SEED = 20240
 CONFIG = VerifyConfig(seed=SEED)
@@ -25,7 +25,7 @@ def _report(number, description, ok, started):
 
 
 def _suite_ok(name):
-    result = SUITES[name](CONFIG)
+    [result] = run_suites([name], CONFIG)
     if not result.passed:
         for check in result.checks:
             if not check.passed:

@@ -702,9 +702,12 @@ def test_cli_refuses_to_project_a_complex_function_whose_masses_overflow(tmp_pat
 
 
 def test_cli_verify_reports_a_suite_that_raises(monkeypatch, capsys):
+    """A violation raised outside any work item is one failing check added
+    to the suite's own result, after the checks the suite had made."""
     from charkit import verify
 
-    def broken(config):
+    def broken(config, res):
+        res.check("made before the raise", True, "kept")
         raise TheoremViolation("planted counterexample")
 
     monkeypatch.setitem(verify.SUITES, "spheres", broken)
@@ -718,8 +721,9 @@ def test_cli_verify_reports_a_suite_that_raises(monkeypatch, capsys):
         if r["suite"] == "spheres":
             assert r["passed"] is False
             assert r["checks"] == [
+                {"name": "made before the raise", "passed": True, "detail": "kept"},
                 {"name": "raised TheoremViolation", "passed": False,
-                 "detail": "planted counterexample"}
+                 "detail": "planted counterexample"},
             ]
             assert r["counterexamples"] == ["planted counterexample"]
         else:
@@ -1146,27 +1150,46 @@ def test_cli_verify_round_trips_use_only_the_requested_grid(monkeypatch, capsys)
     assert all(c["name"].endswith(" at (2,2,3)") for c in checks)
 
 
-# (suite, the library call it makes once per work item, the check that
-# item 2 feeds, where item 2 is)
+# (test id, suite, a library call its work items make, the number of the
+# call that raises, the checks of the item making it, that item's name)
 _ITEM_CALLS = (
-    ("tomography", "reconstruct_from_masses", "exact round trip on 6 functions",
-     "(2,3), seed 42/tomography/2"),
-    ("equidist", "equidistribution_check", "biconditional held on 6 pairs",
-     "(2,3), seed 42/equidist/2"),
-    ("paraboloid", "check_paraboloid_theorem",
-     "6 constructed functions at (5,3): every slice difference good",
-     "(5,3), seed 42/paraboloid/2"),
-    ("zpl", "multiscale_decompose", "multiscale decomposition round-trips 6 random functions",
-     "(2,2,2), seed 42/zpl/2"),
-    ("dichotomy", "classify_small_cbw_set", "exhaustive at (2,2)", "(2,2), E=((0, 1),)"),
+    ("tomography", "tomography", "reconstruct_from_masses", 3,
+     ["exact round trip on 6 functions"], "item 2 at (2,3), seed 42/tomography/2"),
+    ("equidist", "equidist", "equidistribution_check", 3, ["biconditional held on 6 pairs"],
+     "item 2 at (2,3), seed 42/equidist/2"),
+    ("paraboloid", "paraboloid", "check_paraboloid_theorem", 3,
+     ["6 constructed functions at (5,3): every slice difference good"],
+     "item 2 at (5,3), seed 42/paraboloid/2"),
+    ("zpl", "zpl", "multiscale_decompose", 3,
+     ["multiscale decomposition round-trips 6 random functions"],
+     "item 2 at (2,2,2), seed 42/zpl/2"),
+    ("dichotomy", "dichotomy", "classify_small_cbw_set", 3, ["exhaustive at (2,2)"],
+     "item 2 at (2,2), E=((0, 1),)"),
+    # one item per p, making the four checks at that p
+    ("wavelet", "wavelet", "bandwidth", 3,
+     ["p=7: cbw = 3", "p=7: active lines (0,1),(1,0),(1,1)",
+      "p=7: reduced parts match the closed form",
+      "p=7: reduced decomposition re-evaluates to the set"], "item 2 at (7,2)"),
+    # the 7th mass table is the staircase example's, after 6 round trips
+    ("tomography-staircase", "tomography", "mass_table", 7,
+     ["staircase example round trips (p=3)", "every single-entry corruption is rejected"],
+     "item 0 at (3,2)"),
+    # 5 centers per grid: the 6th call is the first at p = 5
+    ("spheres", "spheres", "sphere_equidistribution_check", 6,
+     ["p=5: equidistributed on spheres about 5 random centers"],
+     "item 1 at (5,2), seed 42/spheres"),
+    ("eigen", "eigen", "eigen_residuals", 3,
+     ["plain pairs for every subspace at ((2, 2), (3, 2), (2, 3))"],
+     "item 2 at (2,2), V=((1, 1),)"),
 )
 
 
 @pytest.mark.parametrize(
-    "suite,call,affected,where", _ITEM_CALLS, ids=[c[0] for c in _ITEM_CALLS]
+    "suite,call,raising,affected,item", [c[1:] for c in _ITEM_CALLS],
+    ids=[c[0] for c in _ITEM_CALLS],
 )
 def test_cli_verify_a_raising_item_fails_alone(
-    monkeypatch, capsys, suite, call, affected, where
+    monkeypatch, capsys, suite, call, raising, affected, item
 ):
     from charkit import verify
 
@@ -1178,7 +1201,7 @@ def test_cli_verify_a_raising_item_fails_alone(
 
     def planted(*args, **kwargs):
         calls.append(args)
-        if len(calls) == 3:  # the call of item 2
+        if len(calls) == raising:
             raise TheoremViolation("planted")
         return real(*args, **kwargs)
 
@@ -1188,10 +1211,10 @@ def test_cli_verify_a_raising_item_fails_alone(
     assert "Traceback" not in captured.err
     report = json.loads(captured.out)["suites"][0]
     assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
-    assert [c["name"] for c in report["checks"] if not c["passed"]] == [affected]
-    assert report["counterexamples"] == [f"item 2 at {where}: planted"]
-    failing = next(c for c in report["checks"] if not c["passed"])
-    assert failing["detail"] == f"item 2 at {where}: planted"
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == affected
+    assert report["counterexamples"] == [f"{item}: planted"]
+    failing = [c for c in report["checks"] if not c["passed"]]
+    assert [c["detail"] for c in failing] == [f"{item}: planted"] * len(affected)
 
 
 def test_cli_verify_a_hypothesis_not_met_fails_like_a_violation(monkeypatch, capsys):
@@ -1213,7 +1236,8 @@ def test_cli_verify_a_hypothesis_not_met_fails_like_a_violation(monkeypatch, cap
             raise HypothesisNotMet("planted")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "sphere_equidistribution_check", planted_suite)
+    # paraboloid classifies the directions before its first work item
+    monkeypatch.setattr(verify, "classify_direction_paraboloid", planted_suite)
     monkeypatch.setattr(verify, "equidistribution_check", planted_item)
     assert run_cli("verify", "all", "--seed", "42", "--suite-size", "2") == 3
     captured = capsys.readouterr()
@@ -1228,10 +1252,11 @@ def test_cli_verify_a_hypothesis_not_met_fails_like_a_violation(monkeypatch, cap
     assert failing == {
         "equidist": [{"name": "biconditional held on 2 pairs", "passed": False,
                       "detail": "item 1 at (2,2), seed 42/equidist/1: planted"}],
-        "spheres": [{"name": "raised HypothesisNotMet", "passed": False, "detail": "planted"}],
+        "paraboloid": [{"name": "raised HypothesisNotMet", "passed": False,
+                        "detail": "planted"}],
     }
     assert suites["equidist"]["counterexamples"] == ["item 1 at (2,2), seed 42/equidist/1: planted"]
-    assert suites["spheres"]["counterexamples"] == ["planted"]
+    assert suites["paraboloid"]["counterexamples"] == ["planted"]
 
 
 _GRID_OPTIONS = {"--p": ("3", 0), "--d": ("1", 1), "--l": ("2", 2)}
@@ -1245,7 +1270,8 @@ def test_cli_verify_runs_exactly_the_requested_coordinate_or_refuses(
     monkeypatch, capsys, suite, option
 ):
     """Each grid a suite builds or names carries the requested coordinate, or
-    the suite is refused: exit 2 and one failing check giving the reason."""
+    the suite is refused: exit 2, the checks it made before the refusal, and
+    one failing check giving the reason."""
     from charkit import verify
 
     value, axis = _GRID_OPTIONS[option]
@@ -1258,14 +1284,16 @@ def test_cli_verify_runs_exactly_the_requested_coordinate_or_refuses(
     monkeypatch.setattr(verify, "Ambient", recording)
     code = run_cli("verify", suite, option, value, "--suite-size", "1")
     [report] = json.loads(capsys.readouterr().out)["suites"]
+    checks = report["checks"]
     if code == 2:
-        [check] = report["checks"]
+        *checks, check = checks
         assert check["name"].startswith("raised ") and not check["passed"]
         assert check["detail"]
-        return
-    assert code == 0 and report["passed"]
+        assert all(c["passed"] for c in checks)
+    else:
+        assert code == 0 and report["passed"]
     assert all(grid[axis] == int(value) for grid in built), built
-    for check in report["checks"]:
+    for check in checks:
         named = re.findall(r"\((\d+),(\d+)(?:,(\d+))?\)", check["name"].rsplit(" at ", 1)[-1])
         assert named, check["name"]
         assert all(int(grid[axis] or 1) == int(value) for grid in named), check["name"]
@@ -1299,6 +1327,81 @@ def test_cli_verify_refusals_of_each_grid_option(capsys):
         suites = json.loads(captured.out)["suites"]
         assert {r["suite"] for r in suites if not r["passed"]} == expected[option], option
         assert len(captured.err.splitlines()) == len(expected[option])
+        for r in suites:
+            if r["suite"] in expected[option]:
+                *kept, refusal = r["checks"]
+                assert refusal["name"].startswith("raised ") and not refusal["passed"]
+                assert all(c["passed"] for c in kept), r["suite"]
+    # at --p 3 each exhaustive suite checks (3,2) before it refuses (3,3)
+    assert run_cli("verify", "uncertainty", "--p", "3") == 2
+    checks = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    assert checks == [
+        {"name": "exhaustive at (3,2)", "passed": True, "detail": "511/511 pass"},
+        {"name": "raised CapacityError", "passed": False,
+         "detail": "2**27 subsets of (3,3) exceed the limit 65536"},
+    ]
+
+
+def test_cli_verify_spheres_refuses_p2_before_any_work(monkeypatch, capsys):
+    from charkit import verify
+
+    built = []
+    monkeypatch.setattr(verify, "Ambient", lambda *grid: built.append(grid))
+    monkeypatch.setattr(verify, "sphere_count", lambda *args: built.append(args))
+    assert run_cli("verify", "spheres", "--p", "2") == 2
+    captured = capsys.readouterr()
+    reason = "the sphere analysis is defined for odd p only, not on (2,2)"
+    assert captured.err == f"data error: verify spheres: {reason}\n"
+    [report] = json.loads(captured.out)["suites"]
+    assert report["checks"] == [{"name": "raised ValueError", "passed": False, "detail": reason}]
+    assert report["counterexamples"] == [] and built == []
+
+
+def test_cli_verify_eigen_fails_both_checks_when_every_pair_raises(monkeypatch, capsys):
+    """Every item raising is a violation (exit 3), not a refusal: no check
+    reads a residual of an item that raised."""
+    from charkit import verify
+
+    def planted(pair):
+        raise TheoremViolation("planted")
+
+    monkeypatch.setattr(verify, "eigen_residuals", planted)
+    assert run_cli("verify", "eigen", "--seed", "42", "--suite-size", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [report] = json.loads(captured.out)["suites"]
+    # 5 + 6 + 16 subspaces of (2,2), (3,2) and (2,3), then 2 affine pairs
+    assert len(report["counterexamples"]) == 27 + 2
+    assert report["checks"] == [
+        {"name": "plain pairs for every subspace at ((2, 2), (3, 2), (2, 3))", "passed": False,
+         "detail": "item 0 at (2,2), V=(): planted"},
+        {"name": "2 random affine conjugate pairs", "passed": False,
+         "detail": "item 0 at (2,2), seed 42/eigen: planted"},
+    ]
+
+
+def test_cli_verify_builds_each_work_item_when_it_runs(monkeypatch, capsys):
+    """A million galois items whose first is refused cost no memory per item
+    (holding every item's grid and Ambient first took about 190 MB)."""
+    import tracemalloc
+
+    from charkit import verify
+
+    def refused(*args):
+        raise CapacityError("planted refusal")
+
+    monkeypatch.setattr(verify, "random_rational_function", refused)
+    tracemalloc.start()
+    try:
+        assert run_cli("verify", "galois", "--suite-size", str(10**6)) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [report] = json.loads(capsys.readouterr().out)["suites"]
+    assert report["checks"] == [
+        {"name": "raised CapacityError", "passed": False, "detail": "planted refusal"}
+    ]
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("p,d,ell", [(3, 2, 2), (2, 3, 2)])

@@ -54,22 +54,7 @@ zeta**e is a rotation, so the d axis passes only add ints, N*d*q*q of them
 for N = q**d points, and the output is reduced to the power basis plane
 by plane (``_power_basis``), which leaves the columns of the result with
 no call per value.  ``forward`` leaves columns over L*N, ``inverse`` over
-L, rational exactly when every column above degree zero is zero.  On Z_2**d, where zeta_2 = -1 and Q(zeta_2) = Q, an exact
-value has one coordinate and the passes reduced to the power basis are
-the Walsh-Hadamard transform over Z (``_walsh``): per axis the halves a
-and b become a + b and a - b, with no padding to q planes and no
-reduction.  Every exact run on Z_2**d reads it: both transforms of either
-kind, the multi-scale pass, the masses and back-projection (below).
-Complex values keep their passes, since the root table's exp(pi*i) is
--1 + 1.2e-16j, not -1, and a Walsh-Hadamard route would change their
-bits; the ring grids Z_{2**ell}**d keep the lattice.  A rational forward
-on Z_p**d, p odd, runs no axis pass: it reads the masses at the line
-representatives from the line run (below) and fills F(c*s) =
-p**(-d) * sum_t m_{s,t} * zeta**(-c*t) from them, one point permutation
-per grid (``_line_points``) placing each column.  The d passes
-(``_exact_transform``) keep ``inverse``, ring grids and cyclotomic
-forwards, whose fill would cost about what the passes save; one pass over
-the positions (part, t) makes every multi-scale part at once.  The
+L, rational exactly when every column above degree zero is zero.  The
 columns answer for the function whole: the zero mask, the Galois action
 (column j to plane r*j, then the plane reduction), equality (columns
 cross-multiplied by the two denominators), ``+`` and ``-`` (columns over
@@ -79,39 +64,21 @@ transforms.  Every run is laid out here; other modules read columns
 through ``_lattice_of``, build from them through ``_from_lattice`` and
 call the runs.
 
-Two runs on Z_p**d (q = p) serve tomography.  The line run
-(``_line_masses``) gives G(s) = sum_x f(x) * X**(x.s), whose coefficient
-of X**t is the hyperplane mass m_{s,t}, at the (p**d - 1)/(p - 1) line
-representatives s only.  It cuts the points by their first coordinate a:
-for the representatives (1, m'), x.s = a + x'.m', so slice a goes in at
-X**a and d - 1 passes (sign +1) leave G at every (1, m'); the
-representatives (0, s') are those of Z_p**(d-1), served by the same run
-on the sum of the slices.  That is about (d - 1)*p*N additions per
-coordinate, where d passes over all p**d directions took d*N*p*p.  At
-p = 2 the run is the Walsh-Hadamard transform W: canonical line k is
-point k + 1, and its masses are (T + W(s))/2 and (T - W(s))/2, T = W(0)
-the total mass; a representative's point index is its bits read in base
-2 (``_bit_points``).  The
-exact mass tables and decompositions (``_mass_rows``) and the rational
-forward read it; a decomposition of a rational f, or of any exact f at
-p = 2, reads its spectrum and its masses off one run
-(``_spectrum_and_masses``).  Complex masses keep
-the float sums of the d-pass mass run, every value at power 0 and d
-passes over all directions, since the line run adds the same floats in
-another order, which changes the last bits of some masses; but
-``_complex_mass_run`` makes only the sums the representatives read: the
-first pass, one nonzero plane in, is one sum or one int-0 addition per
-value, and the last pass makes the outputs k = 0 and 1 alone, the first
-coordinates a representative has.  Back-projection (``_back_project``)
-is the line run transposed, for any lines in any order: the value of
-line (0, ..., 0, 1, m'') at label t goes in at X**(-t) and position m'',
-the passes leave the sum over those lines of their values at x.s at
-x = (a, x'') at X**(-a), and each level's sums are added to those of the
-level below, repeated over a.  It serves every kind; int columns at
-p = 2 are half of S + W(D), S the sum of all values and W(D) the
-Walsh-Hadamard transform of the differences m_{s,0} - m_{s,1} placed at
-the points s.  Tomography back-projects and builds no spectrum: ``reconstruct_from_masses`` the
-masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
+Every run is chosen in one place, ``_kernel(ambient, kind)``: ``_Complex``
+for complex values, ``_Walsh`` for exact values on Z_2**d and ``_Lattice``
+otherwise.  Each kernel is a namespace of plain functions, never
+instantiated, with the same runs: ``transform`` (the axis passes on
+lattice columns), ``spectrum`` (``forward``'s F, with the run its masses
+are read from where ``shares`` says F is made from that run), ``planes``
+(the run the hyperplane masses m_{s,t} are read from), ``points`` and
+``cells`` (the masses of any lines, read off that run) and
+``back_project`` (the line run transposed, for any lines in any order).
+The entry points ``forward``, ``inverse``, ``_exact_transform`` (also
+the multi-scale parts and the galois suite's d-pass spectra),
+``_mass_columns``, ``_spectrum_and_masses`` and ``_back_project`` only
+read the kernel; the kernels' docstrings say how each run is made.
+Tomography back-projects and builds no spectrum: ``reconstruct_from_masses``
+the masses, f(x) = p**(-(d-1)) * sum_lines m_{s,x.s} - (n - 1) * m(f)/p**d
 over all n lines, and ``inverse_phi`` the traces of its seeds
 (``_traces``).
 
@@ -146,7 +113,7 @@ from functools import lru_cache, partial
 from itertools import chain, cycle, repeat
 
 from .geometry import MAX_SET_SPECTRUM_TABLE, Point, Subspace, dilation_indices, dot, dots
-from .geometry import grid_point, perp, point_set, vsub
+from .geometry import grid_point, line_count, perp, point_set, vsub
 from .scalars import (
     COMPLEX,
     CYCLOTOMIC,
@@ -613,100 +580,6 @@ def _power_basis(planes: list, p: int) -> list:
     return [list(map(operator.sub, planes[j], planes[phi + j % step])) for j in range(phi)]
 
 
-def _exact_transform(cols, ambient, passes: int, sign: int) -> list:
-    """The exact transform (sign -1 forward, +1 inverse) along the last
-    ``passes`` coordinates of the positions (a, t_1, ..., t_passes) of the
-    values with lattice columns ``cols``, every t in Z_q: the columns are
-    laid end to end as planes, zero-padded to q, the passes run, and the q
-    output planes are reduced to the phi power-basis planes, the columns
-    of the result.  The output positions are (k_1, ..., k_passes, a), the
-    lexicographic order when there is no a (N = q**passes values, a grid's
-    transform); a has the parts of ``multiscale``, each one line of q
-    values.  On Z_2**d there is one column and the passes are
-    ``_walsh``'s."""
-    q, n = ambient.modulus, len(cols[0])
-    A = list(chain.from_iterable(cols))
-    if q == 2:
-        return [_walsh(A, passes)]
-    A += [0] * (q * n - len(A))
-    for _ in range(passes):
-        A = _lattice_pass(A, q, sign)
-    return _power_basis([A[j * n : (j + 1) * n] for j in range(q)], ambient.p)
-
-
-def _line_masses(cols, p: int, d: int) -> list:
-    """The line run on Z_p**d: planes[t][k*width + c] is coordinate c of the
-    mass m_{s_k,t}, s_k the k-th line representative in canonical order,
-    of the values with lattice columns ``cols``, laid end to end as planes
-    in A (A[c*N + i]).
-
-    The representatives (1, m') are served by cutting the points by their
-    first coordinate a: slice a goes in at X**a, as x.s = a + x'.m', and
-    d - 1 passes (sign +1) leave the masses of every (1, m') at position
-    m'.  The representatives (0, s') are those of Z_p**(d-1), whose masses
-    are those of the sum of the slices, one dimension down.  A level of
-    n*p points lays its slices out as B[a*width*n + c*n + i'] and reads
-    m_{(1,m'),t} at B[t*width*n + index(m')*width + c]; the levels are
-    listed deepest first, which is the canonical order.  At p = 2 the run
-    is ``_walsh_planes`` of the Walsh-Hadamard transform."""
-    if p == 2:  # every exact value at p = 2 has one coordinate
-        return _walsh_planes(_walsh(cols[0], d))
-    width, A = len(cols), list(chain.from_iterable(cols))
-    levels = []
-    for e in range(d, 0, -1):
-        n = p ** (e - 1)
-        plane = width * n
-        B = []
-        for a in range(p):
-            for c in range(width):
-                B += A[(c * p + a) * n : (c * p + a + 1) * n]
-        if e > 1:  # the slices summed: the values one dimension down
-            A = B[:plane]
-            for a in range(1, p):
-                A = list(map(operator.add, A, B[a * plane : (a + 1) * plane]))
-        for _ in range(e - 1):
-            B = _lattice_pass(B, p, +1)
-        levels.append((plane, B))
-    planes = [[] for _ in range(p)]
-    for plane, B in reversed(levels):
-        for t in range(p):
-            planes[t] += B[t * plane : (t + 1) * plane]
-    return planes
-
-
-def _walsh_planes(W: list) -> list:
-    """The planes of ``_line_masses`` at p = 2 from W, the ``_walsh`` of
-    the values: canonical line k is point k + 1, and its masses m_{s,0}
-    and m_{s,1} are (T + W(s))/2 and (T - W(s))/2, T = W(0) the total."""
-    total, W = W[0], W[1:]
-    return [[(total + w) // 2 for w in W], [(total - w) // 2 for w in W]]
-
-
-def _line_places(ambient, lines) -> list:
-    """Per line, (n, j) for its representative (0, ..., 0, 1, m''), m'' on
-    Z_p**(e-1): n = p**(e-1) and j = index(m''), the representative's
-    point index being n + j.  Its place in canonical order is
-    (n - 1)/(p - 1) + j, the lines of lower levels coming before it.  At
-    p = 2 the point index is read off the representative's bits."""
-    p, d = ambient.p, ambient.d
-    if p == 2:  # n is the highest bit of the point index
-        return [(n, i - n) for i in _bit_points(lines) for n in (1 << (i.bit_length() - 1),)]
-    places = []
-    for line in lines:
-        n = p ** (d - 1 - line.rep.index(1))
-        places.append((n, ambient.index_of(line.rep) - n))
-    return places
-
-
-_BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _bit_points(lines) -> list:
-    """Per line of Z_2**d, its representative's point index: the
-    representative's bits read in base 2, with no call per coordinate."""
-    return [int(bytes(line.rep).translate(_BITS), 2) for line in lines]
-
-
 @lru_cache(maxsize=None)
 def _line_points(p: int, d: int) -> tuple:
     """The point permutation of the forward fill on Z_p**d: entry i is the
@@ -726,166 +599,6 @@ def _line_points(p: int, d: int) -> tuple:
     return tuple(order)
 
 
-def _mass_rows(f: GridFunction, lines) -> tuple:
-    """(den, cols): the masses of f in every direction of ``lines``, from
-    one run, undecoded.  cols[c][i*p + t] / den is coordinate c of
-    m_{s_i,t}, s_i = lines[i].rep, over f's own denominator.  Exact values
-    take the line run; complex ones the complex mass run, which leaves
-    m_{s,t} at A[t*N + index(s)] for every representative s with the bits
-    of the d-pass mass run.  Complex masses must be finite."""
-    ambient, p = f.ambient, f.ambient.p
-    if f.kind != COMPLEX:
-        den, cols = _lattice_of(f)
-        return den, _line_cells(ambient, _line_masses(cols, p, ambient.d), len(cols), lines)
-    N = ambient.size
-    A = _complex_mass_run(f.values, p, ambient.d)
-    at = _bit_points(lines) if p == 2 else [ambient.index_of(line.rep) for line in lines]
-    masses = [A[t * N + i] for i in at for t in range(p)]
-    if not all(map(cmath.isfinite, masses)):
-        raise ValueError(_NOT_FINITE)
-    return 1, [masses]
-
-
-def _complex_mass_run(values, p: int, d: int) -> list:
-    """A[t*N + index(s)] = m_{s,t} of the N = p**d complex ``values`` at
-    every s whose first coordinate is 0 or 1, which every line
-    representative's is: the float sums of the d-pass mass run, every value
-    at power 0 of p planes and d ``_lattice_pass`` calls (sign +1), made
-    only where they are read.
-
-    Only plane 0 of the first pass is nonzero, so its output k = 0 has
-    plane 0 the sum, in increasing t, of the nonzero columns f(., t), and
-    output k != 0 has plane k*t the column plus int 0, ``sum`` over one
-    nonzero term; the other planes are 0.  The passes between run whole,
-    and the last computes k = 0 and k = 1 only.  The int-zero terms the
-    full run adds change no bit: a ``sum`` from int 0 never holds -0.0,
-    and adding 0 to it leaves it as it is."""
-    N = len(values)
-    n = N // p
-    cols = [(t, values[t::p]) for t in range(p)]
-    cols = [(t, col) for t, col in cols if any(col)]
-    A = [0] * (p * N)
-    if cols:
-        A[:n] = map(sum, zip(*[col for _, col in cols]))
-    for k in range(1, p):
-        for t, col in cols:
-            at = (k * t % p * p + k) * n
-            A[at : at + n] = [0 + v for v in col]
-    for e in range(1, d):
-        A = _lattice_pass(A, p, +1, 2 if e == d - 1 else None)
-    return A
-
-
-def _line_cells(ambient, planes: list, width: int, lines) -> list:
-    """The columns of ``_mass_rows`` for ``lines``, read off the line run's
-    planes.  At p = 2 (width 1) canonical line k is point k + 1."""
-    p = ambient.p
-    if p == 2:
-        m0, m1 = planes
-        return [[m for i in _bit_points(lines) for m in (m0[i - 1], m1[i - 1])]]
-    at = [((n - 1) // (p - 1) + j) * width for n, j in _line_places(ambient, lines)]
-    return [[planes[t][i + c] for i in at for t in range(p)] for c in range(width)]
-
-
-def _spectrum_and_masses(f: GridFunction) -> tuple:
-    """(forward(f), masses), masses(lines) the (den, cells) of
-    ``_mass_rows(f, lines)``: what a decomposition reads, the active lines
-    of the spectrum and their masses.  A rational f on Z_p**d gets both
-    from one line run, the forward filled from the planes the masses are
-    read off; an exact f on Z_2**d from one Walsh-Hadamard transform, which
-    is the spectrum the masses are read off."""
-    ambient = f.ambient
-    if f.kind != COMPLEX and ambient.modulus == 2:
-        W = _walsh(f._cols[0], ambient.d)
-        planes = _walsh_planes(W)
-        F = _from_lattice(ambient, [W], f._den * ambient.size, CYCLOTOMIC)
-        return F, lambda lines: (f._den, _line_cells(ambient, planes, 1, lines))
-    if f.kind != RATIONAL or ambient.ell != 1:
-        return forward(f), partial(_mass_rows, f)
-    planes = _line_masses(f._cols, ambient.p, ambient.d)
-    return _filled(f, planes), lambda lines: (f._den, _line_cells(ambient, planes, 1, lines))
-
-
-def _back_project(ambient, lines, cols) -> list:
-    """The columns of the sums, per point x, over i of the values
-    i*p + x.s_i of the columns ``cols``, s_i = lines[i].rep, for any lines
-    in any order: the line run transposed.  The lines (0, ..., 0, 1, m'')
-    with m'' on Z_p**(e-1) make one level: value i*p + t goes in at
-    X**(-t) and position m'', and e - 1 passes leave the sum at
-    x = (a, x'') at power -a and position x''.  A level's sums are added
-    to those of the levels below it, each repeated for every a.  Int
-    columns at p = 2 are (S + walsh(D))/2, S the sum of all values and D
-    the differences of each line's two values at its representative's
-    point; complex values keep the run's float sums."""
-    p, d, width = ambient.p, ambient.d, len(cols)
-    if p == 2 and isinstance(cols[0][0], int):
-        return _walsh_back_project(ambient, lines, cols)
-    levels = {}  # p**(e-1) -> [(index of m'', i)]
-    for i, (n, j) in enumerate(_line_places(ambient, lines)):
-        levels.setdefault(n, []).append((j, i))
-    out = None
-    for e in range(1, d + 1):
-        n = p ** (e - 1)
-        plane = width * n
-        if n in levels:
-            A = [0] * (p * plane)
-            for c, col in enumerate(cols):
-                for t in range(p):  # coordinate c of value i*p + t at A[base + index(m'')]
-                    base = -t % p * plane + c * n
-                    for j, i in levels[n]:
-                        A[base + j] = col[i * p + t]
-            for _ in range(e - 1):
-                A = _lattice_pass(A, p, +1)
-            B = []
-            for a in range(p):
-                B += A[-a % p * plane : (-a % p + 1) * plane]
-            out = B if out is None else list(map(operator.add, B, out * p))
-        elif out is not None:
-            out = out * p
-    if out is None:
-        return [[0] * ambient.size] * width
-    return [out[c::width] for c in range(width)]  # the sums at x lie at x*width + c
-
-
-def _walsh_back_project(ambient, lines, cols) -> list:
-    """``_back_project`` of int columns on Z_2**d: value 2i + t is the value
-    at the points x with x.s_i = t, which is (r_{i,0} + r_{i,1})/2 plus
-    (-1)**(x.s_i) * (r_{i,0} - r_{i,1})/2, so the sum at x is half of S,
-    the sum of all values, plus the Walsh-Hadamard transform at x of D, the
-    differences placed at the representatives' points."""
-    N, width = ambient.size, len(cols)
-    at = _bit_points(lines)
-    D = [0] * (width * N)  # D[c*N + index(s_i)], laid out as planes
-    for c, col in enumerate(cols):
-        for i, a, b in zip(at, col[0::2], col[1::2]):
-            D[c * N + i] += a - b
-    out = [(s + w) // 2 for s, w in zip(cycle(map(sum, cols)), _walsh(D, ambient.d))]
-    return [out[c::width] for c in range(width)]
-
-
-def _traces(p: int, cols) -> list:
-    """The one column whose value i*p + u is Tr(z_i * zeta**u), for z_i in
-    Q(zeta_p) with power-basis coordinates e = (cols[0][i], cols[1][i], ...):
-    Tr(zeta**k) is p - 1 at k = 0 mod p, else -1, so p*e_(-u) - sum(e)."""
-    ext = [((*e, 0), sum(e)) for e in zip(*cols)]
-    return [[p * e[-u % p] - total for e, total in ext for u in range(p)]]
-
-
-def forward(f: GridFunction) -> GridFunction:
-    """The normalized transform; exact over Q(zeta) for exact inputs."""
-    ambient = f.ambient
-    if f.kind == COMPLEX:
-        vals = f.values
-        for _ in range(ambient.d):
-            vals = _complex_pass(vals, ambient.modulus, -1)
-        scale = 1.0 / ambient.size
-        return GridFunction(ambient, COMPLEX, [v * scale for v in vals])
-    if f.kind == RATIONAL and ambient.ell == 1 and ambient.p != 2:
-        return _filled(f, _line_masses(f._cols, ambient.p, ambient.d))
-    cols = _exact_transform(f._cols, ambient, ambient.d, -1)
-    return _from_lattice(ambient, cols, f._den * ambient.size, CYCLOTOMIC)
-
-
 def _filled(f: GridFunction, planes: list) -> GridFunction:
     """The exact forward transform of a rational f on Z_p**d, over L*N,
     from the planes of its line run: F(c*s) is the sum over t of
@@ -903,6 +616,295 @@ def _filled(f: GridFunction, planes: list) -> GridFunction:
             made += map(operator.sub, planes[-j * inv % p], planes[inv])
         cols.append(list(place(made)))
     return _from_lattice(ambient, cols, f._den * ambient.size, CYCLOTOMIC)
+
+
+class _Lattice:
+    """Exact values on Z_m**d, m != 2: the axis passes of ``_lattice_pass``
+    on planes of Z[x]/(x**q - 1), reduced to the power basis.  The line run
+    on Z_p**d (``planes``) gives G(s) = sum_x f(x) * X**(x.s), whose
+    coefficient of X**t is the mass m_{s,t}, at the (p**d - 1)/(p - 1) line
+    representatives s only: about (d - 1)*p*N additions per coordinate,
+    where d passes over all directions took d*N*p*p.  A rational f on Z_p**d
+    has its spectrum filled from that run (``_filled``); cyclotomic values
+    and the ring grids take the d passes, whose fill would save little."""
+
+    def transform(cols, ambient, passes: int, sign: int) -> list:
+        """The columns laid end to end as planes, zero-padded to q, the
+        passes run and the q planes reduced to the phi power-basis ones."""
+        q, n = ambient.modulus, len(cols[0])
+        A = list(chain.from_iterable(cols))
+        A += [0] * (q * n - len(A))
+        for _ in range(passes):
+            A = _lattice_pass(A, q, sign)
+        return _power_basis([A[j * n : (j + 1) * n] for j in range(q)], ambient.p)
+
+    def shares(f) -> bool:
+        """A rational f on Z_p**d: the rational fill."""
+        return f.kind == RATIONAL and f.ambient.ell == 1
+
+    def spectrum(f) -> tuple:
+        if _Lattice.shares(f):
+            planes = _Lattice.planes(f._cols, f.ambient)
+            return _filled(f, planes), planes
+        cols = _Lattice.transform(f._cols, f.ambient, f.ambient.d, -1)
+        return _from_lattice(f.ambient, cols, f._den * f.ambient.size, CYCLOTOMIC), None
+
+    def planes(cols, ambient) -> list:
+        """The line run: planes[t][k*width + c] is coordinate c of the mass
+        m_{s_k,t}, s_k the k-th line representative in canonical order, of
+        the values with lattice columns ``cols``, laid end to end as planes
+        in A (A[c*N + i]).
+
+        The representatives (1, m') are served by cutting the points by
+        their first coordinate a: slice a goes in at X**a, as
+        x.s = a + x'.m', and d - 1 passes (sign +1) leave the masses of
+        every (1, m') at position m'.  The representatives (0, s') are those
+        of Z_p**(d-1), whose masses are those of the sum of the slices, one
+        dimension down.  A level of n*p points lays its slices out as
+        B[a*width*n + c*n + i'] and reads m_{(1,m'),t} at
+        B[t*width*n + index(m')*width + c]; the levels are listed deepest
+        first, which is the canonical order."""
+        p, d = ambient.p, ambient.d
+        width, A = len(cols), list(chain.from_iterable(cols))
+        levels = []
+        for e in range(d, 0, -1):
+            n = p ** (e - 1)
+            plane = width * n
+            B = []
+            for a in range(p):
+                for c in range(width):
+                    B += A[(c * p + a) * n : (c * p + a + 1) * n]
+            if e > 1:  # the slices summed: the values one dimension down
+                A = B[:plane]
+                for a in range(1, p):
+                    A = list(map(operator.add, A, B[a * plane : (a + 1) * plane]))
+            for _ in range(e - 1):
+                B = _lattice_pass(B, p, +1)
+            levels.append((plane, B))
+        planes = [[] for _ in range(p)]
+        for plane, B in reversed(levels):
+            for t in range(p):
+                planes[t] += B[t * plane : (t + 1) * plane]
+        return planes
+
+    def points(ambient, lines) -> list:
+        """Per line, (n, j) for its representative (0, ..., 0, 1, m''),
+        m'' on Z_p**(e-1): n = p**(e-1) and j = index(m''), the
+        representative's point index being n + j.  Its place in canonical
+        order is (n - 1)/(p - 1) + j, the lines of lower levels coming
+        before it."""
+        tops = [ambient.p ** (ambient.d - 1 - line.rep.index(1)) for line in lines]
+        return [(n, ambient.index_of(line.rep) - n) for n, line in zip(tops, lines)]
+
+    def cells(ambient, planes, lines) -> list:
+        p = ambient.p
+        width = len(planes[0]) // line_count(ambient)
+        at = [((n - 1) // (p - 1) + j) * width for n, j in _Lattice.points(ambient, lines)]
+        return [[planes[t][i + c] for i in at for t in range(p)] for c in range(width)]
+
+    def back_project(ambient, lines, cols) -> list:
+        """The lines (0, ..., 0, 1, m'') with m'' on Z_p**(e-1) make one
+        level: value i*p + t goes in at X**(-t) and position m'', and e - 1
+        passes leave the sum at x = (a, x'') at power -a and position x''.
+        A level's sums are added to those of the levels below it, each
+        repeated for every a.  Complex values keep the run's float sums."""
+        p, d, width = ambient.p, ambient.d, len(cols)
+        levels = {}  # p**(e-1) -> [(index of m'', i)]
+        for i, (n, j) in enumerate(_Lattice.points(ambient, lines)):
+            levels.setdefault(n, []).append((j, i))
+        out = None
+        for e in range(1, d + 1):
+            n = p ** (e - 1)
+            plane = width * n
+            if n in levels:
+                A = [0] * (p * plane)
+                for c, col in enumerate(cols):
+                    for t in range(p):  # coordinate c of value i*p + t at A[base + index(m'')]
+                        base = -t % p * plane + c * n
+                        for j, i in levels[n]:
+                            A[base + j] = col[i * p + t]
+                for _ in range(e - 1):
+                    A = _lattice_pass(A, p, +1)
+                B = []
+                for a in range(p):
+                    B += A[-a % p * plane : (-a % p + 1) * plane]
+                out = B if out is None else list(map(operator.add, B, out * p))
+            elif out is not None:
+                out = out * p
+        if out is None:
+            return [[0] * ambient.size] * width
+        return [out[c::width] for c in range(width)]  # the sums at x lie at x*width + c
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class _Walsh:
+    """Exact values on Z_2**d, where zeta_2 = -1 and Q(zeta_2) = Q: a value
+    has one coordinate, and the passes reduced to the power basis are the
+    Walsh-Hadamard transform W over Z (``_walsh``).  W is the spectrum (over
+    L*N) and the run the masses are read from: m_{s,0} and m_{s,1} are
+    (T + W(s))/2 and (T - W(s))/2, T = W(0) the total, at the requested
+    lines only.  A representative's point index is its bits in base 2."""
+
+    def transform(cols, ambient, passes: int, sign: int) -> list:
+        return [_walsh(cols[0], passes)]  # the same ints for either sign
+
+    def shares(f) -> bool:
+        return True
+
+    def spectrum(f) -> tuple:
+        W = _Walsh.planes(f._cols, f.ambient)
+        return _from_lattice(f.ambient, [W], f._den * f.ambient.size, CYCLOTOMIC), W
+
+    def planes(cols, ambient) -> list:
+        return _walsh(cols[0], ambient.d)
+
+    def points(ambient, lines) -> list:
+        return [int(bytes(line.rep).translate(_BITS), 2) for line in lines]
+
+    def cells(ambient, W, lines) -> list:
+        total = W[0]
+        return [[m for i in _Walsh.points(ambient, lines)
+                 for m in ((total + W[i]) // 2, (total - W[i]) // 2)]]
+
+    def back_project(ambient, lines, cols) -> list:
+        """Int columns: value 2i + t, at the points x with x.s_i = t, is
+        (r_{i,0} + r_{i,1})/2 + (-1)**(x.s_i) * (r_{i,0} - r_{i,1})/2, so the
+        sum at x is half of S, the sum of all values, plus W at x of D, the
+        differences placed at the representatives' points."""
+        N, width = ambient.size, len(cols)
+        D = [0] * (width * N)  # D[c*N + index(s_i)], laid out as planes
+        for c, col in enumerate(cols):
+            for i, a, b in zip(_Walsh.points(ambient, lines), col[0::2], col[1::2]):
+                D[c * N + i] += a - b
+        out = [(s + w) // 2 for s, w in zip(cycle(map(sum, cols)), _walsh(D, ambient.d))]
+        return [out[c::width] for c in range(width)]
+
+
+class _Complex:
+    """Complex values on any grid, whose runs keep their float sums (the
+    root table's exp(pi*i) is -1 + 1.2e-16j, not -1): d ``_complex_pass``
+    calls; the masses of the d-pass mass run, every value at power 0 of p
+    planes and d ``_lattice_pass`` calls (sign +1), not of the line run,
+    which adds the same floats in another order; the lattice's
+    back-projection, on complex values as they are."""
+
+    def transform(cols, ambient, passes: int, sign: int) -> list:
+        (A,) = cols
+        for _ in range(passes):
+            A = _complex_pass(A, ambient.modulus, sign)
+        return [A]
+
+    def shares(f) -> bool:
+        return False
+
+    def spectrum(f) -> tuple:
+        ambient = f.ambient
+        (vals,) = _Complex.transform([f.values], ambient, ambient.d, -1)
+        scale = 1.0 / ambient.size
+        return GridFunction(ambient, COMPLEX, [v * scale for v in vals]), None
+
+    def planes(cols, ambient) -> list:
+        """A[t*N + index(s)] = m_{s,t} of the N = p**d complex values of
+        ``cols`` at every s whose first coordinate is 0 or 1, which every
+        line representative's is: the sums of the d-pass mass run, made
+        only where they are read.
+
+        Only plane 0 of the first pass is nonzero, so its output k = 0 has
+        plane 0 the sum, in increasing t, of the nonzero columns f(., t),
+        and output k != 0 has plane k*t the column plus int 0, ``sum`` over
+        one nonzero term; the other planes are 0.  The passes between run
+        whole, and the last computes k = 0 and k = 1 only.  The int-zero
+        terms the full run adds change no bit: a ``sum`` from int 0 never
+        holds -0.0, and adding 0 to it leaves it as it is."""
+        (values,), p, d = cols, ambient.p, ambient.d
+        N = len(values)
+        n = N // p
+        sliced = [(t, values[t::p]) for t in range(p)]
+        sliced = [(t, col) for t, col in sliced if any(col)]
+        A = [0] * (p * N)
+        if sliced:
+            A[:n] = map(sum, zip(*[col for _, col in sliced]))
+        for k in range(1, p):
+            for t, col in sliced:
+                at = (k * t % p * p + k) * n
+                A[at : at + n] = [0 + v for v in col]
+        for e in range(1, d):
+            A = _lattice_pass(A, p, +1, 2 if e == d - 1 else None)
+        return A
+
+    def points(ambient, lines) -> list:
+        return [ambient.index_of(line.rep) for line in lines]
+
+    def cells(ambient, A, lines) -> list:
+        N, p = ambient.size, ambient.p
+        masses = [A[t * N + i] for i in _Complex.points(ambient, lines) for t in range(p)]
+        if not all(map(cmath.isfinite, masses)):
+            raise ValueError(_NOT_FINITE)
+        return [masses]
+
+    back_project = _Lattice.back_project
+
+
+def _kernel(ambient, kind: str):
+    """The one choice of run on a grid: ``_Complex`` for complex values,
+    ``_Walsh`` for exact values on Z_2**d, ``_Lattice`` otherwise."""
+    if kind == COMPLEX:
+        return _Complex
+    return _Walsh if ambient.modulus == 2 else _Lattice
+
+
+def _exact_transform(cols, ambient, passes: int, sign: int) -> list:
+    """The exact transform (sign -1 forward, +1 inverse) along the last
+    ``passes`` coordinates of the positions (a, t_1, ..., t_passes) of the
+    values with lattice columns ``cols``, every t in Z_q, by the grid's
+    exact kernel.  The output positions are (k_1, ..., k_passes, a), the
+    lexicographic order when there is no a (a grid's transform); a has the
+    parts of ``multiscale``, each one line of q values."""
+    return _kernel(ambient, CYCLOTOMIC).transform(cols, ambient, passes, sign)
+
+
+def _mass_columns(f: GridFunction, lines) -> tuple:
+    """(den, cols): the masses of f in every direction of ``lines``, from
+    one run, undecoded.  cols[c][i*p + t] / den is coordinate c of
+    m_{s_i,t}, s_i = lines[i].rep, over f's own denominator (complex ones
+    one column over 1, which must be finite)."""
+    kernel, (den, cols) = _kernel(f.ambient, f.kind), _lattice_of(f)
+    return den, kernel.cells(f.ambient, kernel.planes(cols, f.ambient), lines)
+
+
+def _spectrum_and_masses(f: GridFunction) -> tuple:
+    """(forward(f), masses), masses(lines) the (den, cols) of
+    ``_mass_columns(f, lines)``: what a decomposition reads.  Where the
+    kernel makes the spectrum from the run the masses are read off, one run
+    serves both; elsewhere the spectrum is ``forward``'s."""
+    kernel = _kernel(f.ambient, f.kind)
+    if not kernel.shares(f):
+        return forward(f), partial(_mass_columns, f)
+    F, run = kernel.spectrum(f)
+    return F, lambda lines: (f._den, kernel.cells(f.ambient, run, lines))
+
+
+def _back_project(ambient, lines, cols) -> list:
+    """The columns of the sums, per point x, over i of the values i*p + x.s_i
+    of the int or complex columns ``cols``, s_i = lines[i].rep, for any
+    lines in any order: the line run transposed."""
+    exact = all(isinstance(v, int) for v in cols[0][:1])
+    return _kernel(ambient, RATIONAL if exact else COMPLEX).back_project(ambient, lines, cols)
+
+
+def _traces(p: int, cols) -> list:
+    """The one column whose value i*p + u is Tr(z_i * zeta**u), for z_i in
+    Q(zeta_p) with power-basis coordinates e = (cols[0][i], cols[1][i], ...):
+    Tr(zeta**k) is p - 1 at k = 0 mod p, else -1, so p*e_(-u) - sum(e)."""
+    ext = [((*e, 0), sum(e)) for e in zip(*cols)]
+    return [[p * e[-u % p] - total for e, total in ext for u in range(p)]]
+
+
+def forward(f: GridFunction) -> GridFunction:
+    """The normalized transform; exact over Q(zeta) for exact inputs."""
+    return _kernel(f.ambient, f.kind).spectrum(f)[0]
 
 
 @lru_cache(maxsize=None)
@@ -983,13 +985,9 @@ def forward_naive(f: GridFunction) -> GridFunction:
 def inverse(F: GridFunction) -> GridFunction:
     """Inverse transform; the result is demoted to rational scalars exactly
     when every cyclotomic coordinate above degree zero cancels."""
-    ambient = F.ambient
-    if F.kind == COMPLEX:
-        vals = F.values
-        for _ in range(ambient.d):
-            vals = _complex_pass(vals, ambient.modulus, +1)
-        return GridFunction(ambient, COMPLEX, vals)
-    return _from_lattice(ambient, _exact_transform(F._cols, ambient, ambient.d, +1), F._den)
+    ambient, (den, cols) = F.ambient, _lattice_of(F)
+    cols = _kernel(ambient, F.kind).transform(cols, ambient, ambient.d, +1)
+    return _from_lattice(ambient, cols, den, COMPLEX if F.kind == COMPLEX else None)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

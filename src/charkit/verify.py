@@ -137,9 +137,11 @@ def _run_items(res: SuiteResult, items, work):
 def _check_items(res: SuiteResult, name: str, items, work, judge) -> list:
     """Run the items and record one check, ``name``: it fails with the first
     counterexample when an item raised, else ``judge(results)`` gives its
-    (passed, detail).  Returns the results of the items that returned."""
+    (passed, detail).  Returns the results of the items that returned one:
+    an item that returns None (galois, the tomography round trip) has only
+    to not raise, and keeps nothing."""
     before = len(res.counterexamples)
-    results = [result for result, example in _run_items(res, items, work) if not example]
+    results = [result for result, _ in _run_items(res, items, work) if result is not None]
     raised = res.counterexamples[before:]
     res.check(name, *((False, raised[0]) if raised else judge(results)))
     return results

@@ -48,7 +48,7 @@ from itertools import chain, compress, count, islice, repeat
 from .bandwidth import bandwidth, support_profile
 from .errors import SinogramError
 from .fourier import COMPLEX, GridFunction, Values, _join_kind, _kind_of_scalar
-from .fourier import _back_project, _from_lattice, _lattice_of, _mass_rows
+from .fourier import _back_project, _from_lattice, _lattice_of, _mass_columns
 from .fourier import _spectrum_and_masses
 from .geometry import (
     Ambient,
@@ -185,7 +185,7 @@ def mass_table(f: GridFunction) -> MassTable:
     ambient = f.ambient
     require_prime_grid(ambient)
     lines = enumerate_lines(ambient)
-    den, cols = _mass_rows(f, lines)
+    den, cols = _mass_columns(f, lines)
     return MassTable(ambient, lines, Values._from_lattice(ambient, cols, den, f.kind))
 
 
@@ -285,10 +285,10 @@ def decompose(
         raise ValueError(f"unknown decomposition form {form!r}")
     ambient = f.ambient
     require_prime_grid(ambient)
-    F, mass_rows = _spectrum_and_masses(f)
+    F, mass_columns = _spectrum_and_masses(f)
     lines = support_profile(F, source_kind=f.kind, tol=tol).lines
     p, N = ambient.p, ambient.size
-    den, cols = mass_rows(lines)  # the coordinate columns of the masses, line after line
+    den, cols = mass_columns(lines)  # the coordinate columns of the masses, line after line
     if f.kind == COMPLEX:
         masses = Values._from_lattice(ambient, cols, den, COMPLEX).values
         return _decompose_complex(f, form, lines, masses)

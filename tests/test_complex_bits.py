@@ -24,7 +24,7 @@ import pytest
 
 from charkit.bandwidth import bandwidth
 from charkit.corpus import rng_for
-from charkit.fourier import GridFunction, Values, _lattice_pass, _mass_rows, forward, inverse
+from charkit.fourier import GridFunction, Values, _lattice_pass, _mass_columns, forward, inverse
 from charkit.geometry import Ambient, enumerate_lines
 from charkit.scalars import _embed_roots
 from charkit.wavelets import FORMS, Wavelet, decompose, mass_table
@@ -80,12 +80,12 @@ def test_complex_masses_keep_the_bits_of_the_d_pass_run(p, d):
             with pytest.raises(ValueError, match=NOT_FINITE):
                 mass_table(f)
             with pytest.raises(ValueError, match=NOT_FINITE):
-                _mass_rows(f, lines)
+                _mass_columns(f, lines)
             continue
         table = mass_table(f)
         assert _bits(m for _, ms in table.rows for m in ms) == _bits(want), name
         for chosen in (lines, some):
-            den, cells = _mass_rows(f, chosen)
+            den, cells = _mass_columns(f, chosen)
             assert den == 1
             got = Values._from_lattice(ambient, cells, den, "complex").values
             assert _bits(got) == _bits(_d_pass_masses(f, chosen)), name

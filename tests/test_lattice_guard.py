@@ -25,7 +25,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "charkit"
 HOMES = {"fourier.py", "scalars.py", "fileio.py"}
 KIND_HOME = {"_coerce_value", "_join_kind", "_kind_of_scalar"}
 LATTICE = {
-    "_exact_transform", "_mass_rows", "_spectrum_and_masses", "_back_project",
+    "_exact_transform", "_mass_columns", "_spectrum_and_masses", "_back_project",
     "_traces", "_set_spectrum", "_lattice_of", "_from_lattice",
 }
 CODEC = {"_encode", "_decode"}  # Values' own, for fourier alone
@@ -244,7 +244,7 @@ def test_the_guard_sees_each_shape_of_a_second_format():
 def test_the_guard_lets_the_homes_and_entry_points_pass():
     allowed = [
         "from .fourier import GridFunction, _coerce_value, _join_kind, _kind_of_scalar",
-        "from .fourier import _exact_transform, _mass_rows",
+        "from .fourier import _exact_transform, _mass_columns",
         "from .fourier import _back_project, _from_lattice, _lattice_of, _traces",
         "from .scalars import DEFAULT_TOL, all_equal, zero_bound",
         "g = math.gcd(q, *v)",

@@ -25,7 +25,7 @@ from charkit.fourier import (
     _back_project,
     _exact_transform,
     _lattice_of,
-    _mass_rows,
+    _mass_columns,
     forward,
     forward_naive,
     inverse,
@@ -45,7 +45,7 @@ GRIDS = [(p, d) for p in (2, 3, 5, 7) for d in (1, 2, 3)] + [(13, 2)]
 
 
 def _table(f, lines):
-    den, cols = _mass_rows(f, lines)
+    den, cols = _mass_columns(f, lines)
     return Values._from_lattice(f.ambient, cols, den, f.kind).values
 
 
@@ -109,8 +109,8 @@ def test_a_rational_decompose_makes_one_line_run(monkeypatch, p, d, form):
 
         return call
 
-    for name in ("_line_masses", "_walsh"):
-        monkeypatch.setattr(fourier, name, counted(getattr(fourier, name)))
+    for owner, name in ((fourier._Lattice, "planes"), (fourier, "_walsh")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     dec = decompose(f, form)
     assert len(runs) == 1
     assert tuple(w.direction for w in dec.parts) == bandwidth(f).lines

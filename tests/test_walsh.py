@@ -22,9 +22,11 @@ from charkit.corpus import (
 )
 from charkit.fourier import (
     GridFunction,
+    Values,
     _back_project,
+    _lattice_of,
     _lattice_pass,
-    _mass_rows,
+    _mass_columns,
     _power_basis,
     _spectrum_and_masses,
     _walsh,
@@ -78,9 +80,25 @@ def test_masses_are_those_of_the_direct_scan(d, make):
     assert reconstruct_from_masses(table) == f
     for form in FORMS:
         assert decompose(f, form).evaluate() == f
-    spectrum, mass_rows = _spectrum_and_masses(f)
+    spectrum, mass_columns = _spectrum_and_masses(f)
     assert spectrum == forward(f)
-    assert mass_rows(table.directions()) == _mass_rows(f, table.directions())
+    assert mass_columns(table.directions()) == _mass_columns(f, table.directions())
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("make", EXACT)
+def test_cells_of_a_shuffled_subset_are_the_masses_of_the_direct_scan(d, make):
+    """The masses are read off W at the requested lines alone, in their order."""
+    ambient = Ambient(2, d)
+    f = make(ambient, rng_for(3107, f"walsh/cells/{d}/{make.__name__}"))
+    rng = random.Random(f"walsh/cells/{d}")
+    lines = list(enumerate_lines(ambient))
+    chosen = rng.sample(lines, rng.randint(1, len(lines)))
+    den, cols = _lattice_of(f)
+    cells = fourier._Walsh.cells(ambient, fourier._Walsh.planes(cols, ambient), chosen)
+    got = Values._from_lattice(ambient, cells, den, f.kind).values
+    for k, line in enumerate(chosen):
+        assert got[2 * k : 2 * k + 2] == masses(f, line.rep), line
 
 
 @pytest.mark.parametrize("d", range(1, 8))
